@@ -14,8 +14,8 @@ byte-identical output on one platform.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,34 +57,77 @@ def _emit(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# rows per write of a CSV sidecar
+CSV_CHUNK_ROWS = 16384
+
+
+def _csv_label(label) -> str:
+    # csv.writer quotes a field holding the delimiter; torus labels "(xi,eta)"
+    # are the only label text that does
+    text = str(label)
+    return f'"{text}"' if "," in text else text
+
+
 def _write_gains_csv(path: str, table) -> None:
+    """Write the gain table as ``ordinal,label,lambda,dim,gain,opnorm`` rows.
+
+    The bytes equal a ``csv.writer`` row loop over ``table.freq(i)``: repr
+    floats, quoted torus labels, CRLF line ends.
+    """
+    torus = table.model.kind == "torus2"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ordinal", "label", "lambda", "dim", "gain", "opnorm"])
-        for i in range(len(table)):
-            f = table.freq(i)
-            writer.writerow([f.j, str(f.label), repr(f.lam), f.dim,
-                             repr(float(table.gain[i])), repr(float(table.opnorm[i]))])
+        fh.write("ordinal,label,lambda,dim,gain,opnorm\r\n")
+        for lo in range(0, len(table), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            gain, norm = table.gain[lo:hi], table.opnorm[lo:hi]
+            gains = list(map(repr, gain.tolist()))
+            # 1x1 blocks have gain == norm: format once when the bits agree
+            same = np.array_equal(gain.view(np.int64), norm.view(np.int64))
+            norms = gains if same else list(map(repr, norm.tolist()))
+            cols = (table.ordinals[lo:hi].tolist(), table.lam[lo:hi].tolist(), gains, norms,
+                    *(a[lo:hi].tolist() for a in table.labels))
+            if torus:
+                rows = [f'{j},"({x},{e})",{lam!r},1,{g},{n}\r\n'
+                        for j, lam, g, n, x, e in zip(*cols)]
+            else:
+                rows = [f"{j},l={t >> 1 if t % 2 == 0 else f'{t}/2'},{lam!r},{(t + 1) ** 2},"
+                        f"{g},{n}\r\n"
+                        for j, lam, g, n, t in zip(*cols)]
+            fh.write("".join(rows))
 
 
 def _write_coeffs_csv(path: str, field, model, cutoff: float) -> None:
+    """Write the field as ``ordinal,label,component_index,re,im`` rows.
+
+    The bytes equal a ``csv.writer`` row loop; long vectors are written in
+    chunks of CSV_CHUNK_ROWS components.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ordinal", "label", "component_index", "re", "im"])
+        fh.write("ordinal,label,component_index,re,im\r\n")
         for freq, vec in field.window(model, cutoff):
-            for k, z in enumerate(vec):
-                writer.writerow(
-                    [freq.j, str(freq.label), k, repr(float(z.real)), repr(float(z.imag))]
-                )
+            head = f"{freq.j},{_csv_label(freq.label)},"
+            for lo in range(0, len(vec), CSV_CHUNK_ROWS):
+                part = vec[lo:lo + CSV_CHUNK_ROWS]
+                fh.write("".join([
+                    f"{head}{k},{re!r},{im!r}\r\n"
+                    for k, re, im in zip(range(lo, lo + len(part)),
+                                         part.real.tolist(), part.imag.tolist())
+                ]))
 
 
 def _require_cutoff(args, parsed) -> float:
     cutoff = args.cutoff if args.cutoff is not None else parsed.options.get("cutoff")
     if cutoff is None:
         raise PreconditionError("no cutoff given (flag --cutoff or spec options.cutoff)")
+    try:
+        cutoff = float(cutoff)
+    except OverflowError:  # an integer option beyond float range
+        cutoff = math.inf
+    if not math.isfinite(cutoff):
+        raise PreconditionError(f"cutoff must be finite, got {cutoff!r}")
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
-    return float(cutoff)
+    return cutoff
 
 
 def _real_spec_doc(value) -> dict:
@@ -98,16 +141,17 @@ def _cmd_analyze(args) -> None:
     cutoff = _require_cutoff(args, parsed)
     tol = args.tol if args.tol is not None else parsed.options.get("tol", 1e-12)
     symbol = build_symbol(parsed.operator, parsed.model)
-    v = verdict(parsed.operator, parsed.model, cutoff, tol)
+    table = gain_table(symbol, parsed.model, cutoff)
+    v = verdict(parsed.operator, parsed.model, cutoff, tol, table=table)
     try:
-        order = estimate_order(symbol, parsed.model, cutoff)
+        order = estimate_order(symbol, parsed.model, cutoff, table=table)
         order_doc = {"order_hat": order.order_hat, "c_hat": order.c_hat}
     except HyposymError as exc:
         order_doc = {"error": str(exc)}
     gains_path = None
     if args.out:
         gains_path = args.out + ".gains.csv"
-        _write_gains_csv(gains_path, gain_table(symbol, parsed.model, cutoff))
+        _write_gains_csv(gains_path, table)
     doc = {
         "spec_echo": emit_spec(parsed),
         "cutoff": cutoff,

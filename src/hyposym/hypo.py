@@ -423,17 +423,21 @@ def verdict(
     model: SpectralModel,
     cutoff: float,
     tol: float = SINGULAR_TOL,
+    table: GainTable | None = None,
 ) -> Verdict:
     """Certificate if available; else growth fit past the singular set;
-    else inconclusive with the singular frequencies listed."""
+    else inconclusive with the singular frequencies listed.
+
+    ``table`` reuses a gain table of the operator's symbol up to ``cutoff``.
+    """
     if model_kind_of(op) != model.kind:
         raise PreconditionError("operator/model mismatch")
     cert = certify(op)
     if cert is not None:
         return Verdict(kind="certified_not_gh", certificate=cert, h_hat=float("-inf"))
 
-    symbol = build_symbol(op, model)
-    table = gain_table(symbol, model, cutoff)
+    if table is None:
+        table = gain_table(build_symbol(op, model), model, cutoff)
     sing_idx = np.flatnonzero(_singular_mask(table.gain, table.opnorm, tol))
     singular = tuple(table.freq(int(i)) for i in sing_idx)
     if singular and max(f.lam for f in singular) > cutoff / 2.0:

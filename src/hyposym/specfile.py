@@ -28,6 +28,7 @@ the canonical form; parse(emit(parse(x))) == parse(x).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +95,9 @@ def _parse_coefficient(term: dict, where: str, problems: list[str]) -> Coefficie
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             problems.append(f"{where}: 'coeff' must be a [re, im] number pair")
+            return Coefficient.make(0)
+        if not all(math.isfinite(v) for v in pair if isinstance(v, float)):
+            problems.append(f"{where}: 'coeff' parts must be finite")
             return Coefficient.make(0)
         return Coefficient.make(pair[0], pair[1])
 
@@ -195,14 +199,19 @@ def _parse_matrix(raw, where: str, problems: list[str]):
     return mat
 
 
+def _reject_constant(name: str):
+    # Python's json accepts NaN and Infinity, which are not JSON numbers
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def _load_table(path: str, model_kind: str, problems: list[str]):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         problems.append(f"matrix table {path!r}: cannot read ({exc})")
         return None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         problems.append(f"matrix table {path!r}: invalid JSON ({exc})")
         return None
     entries = doc.get("entries") if isinstance(doc, dict) else None
@@ -250,8 +259,8 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
         else:
             raise SpecFileError([f"cannot read spec from {source!r}"])
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(text, parse_constant=_reject_constant)
+        except ValueError as exc:
             raise SpecFileError([f"invalid JSON: {exc}"])
     if not isinstance(doc, dict):
         raise SpecFileError(["spec must be a JSON object"])

@@ -274,14 +274,34 @@ def su2_m_values(twice_ell: int) -> np.ndarray:
     return np.arange(-twice_ell, twice_ell + 1, 2, dtype=float) / 2.0
 
 
-def su2_diag_values(op: Su2DiagPoly, twice_ell: int) -> np.ndarray:
-    """Diagonal of the representation block at level l = twice_ell / 2."""
-    m = su2_m_values(twice_ell)
-    lam = twice_ell * (twice_ell + 2) / 4.0
+def _su2_entries(op: Su2DiagPoly, m: np.ndarray, lam_pow) -> np.ndarray:
+    """Entries sum c (i m)^a lam^b, with lam^b taken from ``lam_pow(b)``.
+
+    Both SU(2) evaluators go through here, so the bulk path reproduces the
+    per-level path bit for bit.  Powers of lam are Python float powers, one
+    per level: numpy's array power rounds differently for b >= 2.
+    """
+    im = 1j * m
     out = np.zeros(m.shape, dtype=complex)
     for coeff, a, b in op.terms:
-        out += coeff.to_complex() * (1j * m) ** a * lam**b
+        out += coeff.to_complex() * im**a * lam_pow(b)
     return out
+
+
+def su2_diag_values(op: Su2DiagPoly, twice_ell: int) -> np.ndarray:
+    """Diagonal of the representation block at level l = twice_ell / 2."""
+    lam = twice_ell * (twice_ell + 2) / 4.0
+    return _su2_entries(op, su2_m_values(twice_ell), lambda b: lam**b)
+
+
+def su2_diag_values_bulk(op: Su2DiagPoly, levels: np.ndarray) -> np.ndarray:
+    """Diagonals of the blocks at the given twice_ell levels, concatenated."""
+    sizes = levels + 1
+    starts = np.cumsum(sizes) - sizes
+    twice_m = 2 * (np.arange(int(sizes.sum())) - np.repeat(starts, sizes))
+    m = (twice_m - np.repeat(levels, sizes)) / 2.0
+    lam = (levels * (levels + 2) / 4.0).tolist()
+    return _su2_entries(op, m, lambda b: np.repeat([x**b for x in lam], sizes))
 
 
 def su2_diag_exact(op: Su2DiagPoly, twice_ell: int):
@@ -330,6 +350,11 @@ class MatrixSymbol:
     happens at block level.  A symbol carries a diagonal evaluator, a dense
     block evaluator, or both; exact evaluators are optional and feed the
     certification paths.
+
+    ``bulk``, when present, evaluates the diagonals of a run of blocks in
+    one call: ``bulk(xi, eta)`` on the torus (one entry per character) and
+    ``bulk(twice_ell)`` on SU(2) (2l+1 entries per level), concatenated in
+    the order of the label arrays.  It matches ``diag_fn`` bit for bit.
     """
 
     def __init__(
@@ -340,7 +365,7 @@ class MatrixSymbol:
         diag_fn: Callable[[FrequencyIndex], np.ndarray] | None = None,
         mat_fn: Callable[[FrequencyIndex], np.ndarray] | None = None,
         exact_diag_fn=None,
-        torus_bulk=None,
+        bulk=None,
     ):
         if diag_fn is None and mat_fn is None:
             raise PreconditionError("symbol needs an evaluator")
@@ -350,7 +375,7 @@ class MatrixSymbol:
         self.diag_fn = diag_fn
         self.mat_fn = mat_fn
         self.exact_diag_fn = exact_diag_fn
-        self.torus_bulk = torus_bulk
+        self.bulk = bulk
 
     @property
     def is_diagonal(self) -> bool:
@@ -454,7 +479,7 @@ def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
             replicated=False,
             diag_fn=lambda f: torus_values(op, f.label.xi, f.label.eta).reshape(1),
             exact_diag_fn=exact_diag,
-            torus_bulk=lambda xi, eta: torus_values(op, xi, eta),
+            bulk=lambda xi, eta: torus_values(op, xi, eta),
         )
     if isinstance(op, Su2DiagPoly):
         return MatrixSymbol(
@@ -462,6 +487,7 @@ def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
             replicated=True,
             diag_fn=lambda f: su2_diag_values(op, f.label.twice_ell),
             exact_diag_fn=lambda f: su2_diag_exact(op, f.label.twice_ell),
+            bulk=lambda levels: su2_diag_values_bulk(op, levels),
         )
     if isinstance(op, MatrixTable):
         if model.kind == "torus2":
@@ -485,13 +511,14 @@ def identity_symbol(model: SpectralModel) -> MatrixSymbol:
             replicated=False,
             diag_fn=lambda f: np.ones(1, dtype=complex),
             exact_diag_fn=lambda f: [(Fraction(1), Fraction(0))],
-            torus_bulk=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape, complex),
+            bulk=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape, complex),
         )
     return MatrixSymbol(
         model,
         replicated=True,
         diag_fn=lambda f: np.ones(f.label.rep_dim(), dtype=complex),
         exact_diag_fn=lambda f: [(Fraction(1), Fraction(0))] * f.label.rep_dim(),
+        bulk=lambda levels: np.ones(int(np.sum(levels + 1)), dtype=complex),
     )
 
 
@@ -558,7 +585,7 @@ def combine(operation: str, symbols, scalar=None) -> MatrixSymbol:
             diag_fn=None if a.diag_fn is None else (lambda f: z * a.diag_fn(f)),
             mat_fn=None if a.diag_fn is not None or a.mat_fn is None else (lambda f: z * a.mat_fn(f)),
             exact_diag_fn=_exact_scale(a.exact_diag_fn, coeff.rational_parts()),
-            torus_bulk=None if a.torus_bulk is None else (lambda xi, eta: z * a.torus_bulk(xi, eta)),
+            bulk=None if a.bulk is None else (lambda *labels: z * a.bulk(*labels)),
         )
 
     if operation not in ("add", "compose"):
@@ -570,22 +597,15 @@ def combine(operation: str, symbols, scalar=None) -> MatrixSymbol:
         if a.replicated != b.replicated:
             raise PreconditionError("cannot combine mismatched block structures")
         both_diag = a.diag_fn is not None and b.diag_fn is not None
+        both_bulk = a.bulk is not None and b.bulk is not None
         if operation == "add":
             diag = (lambda f: a.diag_fn(f) + b.diag_fn(f)) if both_diag else None
             mat = None if both_diag else (lambda f: a.block(f) + b.block(f))
-            bulk = (
-                (lambda xi, eta: a.torus_bulk(xi, eta) + b.torus_bulk(xi, eta))
-                if a.torus_bulk is not None and b.torus_bulk is not None
-                else None
-            )
+            bulk = (lambda *labels: a.bulk(*labels) + b.bulk(*labels)) if both_bulk else None
         else:
             diag = (lambda f: a.diag_fn(f) * b.diag_fn(f)) if both_diag else None
             mat = None if both_diag else (lambda f: a.block(f) @ b.block(f))
-            bulk = (
-                (lambda xi, eta: a.torus_bulk(xi, eta) * b.torus_bulk(xi, eta))
-                if a.torus_bulk is not None and b.torus_bulk is not None
-                else None
-            )
+            bulk = (lambda *labels: a.bulk(*labels) * b.bulk(*labels)) if both_bulk else None
         return MatrixSymbol(
             model,
             replicated=a.replicated,
@@ -596,7 +616,7 @@ def combine(operation: str, symbols, scalar=None) -> MatrixSymbol:
             )
             if both_diag
             else None,
-            torus_bulk=bulk,
+            bulk=bulk,
         )
 
     out = symbols[0]
@@ -623,24 +643,25 @@ class GainTable:
 
     Heavy scans keep everything in arrays; FrequencyIndex objects are
     materialized on demand (singular hits, small windows, reports).
+    ``labels`` holds the label arrays: (xi, eta) on the torus, (twice_ell,)
+    on SU(2).
     """
 
-    def __init__(self, model, ordinals, lam, gain, opnorm, label_data):
+    def __init__(self, model, ordinals, lam, gain, opnorm, labels):
         self.model = model
         self.ordinals = ordinals
         self.lam = lam
         self.gain = gain
         self.opnorm = opnorm
-        self._label_data = label_data
+        self.labels = labels
 
     def __len__(self):
         return len(self.ordinals)
 
     def label(self, i: int) -> Label:
-        kind, *data = self._label_data
-        if kind == "torus":
-            return Torus2Label(int(data[0][i]), int(data[1][i]))
-        return Su2Label(int(data[0][i]))
+        if self.model.kind == "torus2":
+            return Torus2Label(int(self.labels[0][i]), int(self.labels[1][i]))
+        return Su2Label(int(self.labels[0][i]))
 
     def freq(self, i: int) -> FrequencyIndex:
         label = self.label(i)
@@ -658,39 +679,50 @@ class GainTable:
         ]
 
 
+# diagonal entries per bulk evaluation: each complex temporary (64 KB) stays
+# in cache; a block larger than this is a chunk of its own
+BULK_CHUNK_ENTRIES = 4096
+
+
+def _bulk_gains(bulk, labels, sizes, gains, norms) -> None:
+    """Fill per-block min and max |entry| from a bulk evaluator, chunk by chunk."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + BULK_CHUNK_ENTRIES, side="right")))
+        vals = np.abs(bulk(*(x[lo:hi] for x in labels)))
+        offsets = ends[lo:hi] - sizes[lo:hi] - base
+        gains[lo:hi] = np.minimum.reduceat(vals, offsets)
+        norms[lo:hi] = np.maximum.reduceat(vals, offsets)
+        lo = hi
+
+
 def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> GainTable:
-    """Gains and operator norms of all frequencies with eigenvalue <= cutoff."""
+    """Gains and operator norms of all frequencies with eigenvalue <= cutoff.
+
+    Symbols with a bulk evaluator are evaluated in chunks of whole blocks;
+    the others (matrix tables) block by block.
+    """
     if symbol.model.kind != model.kind:
         raise PreconditionError("symbol does not match the model")
     if model.kind == "torus2":
         xi, eta, lam = torus_lattice(cutoff)
-        ordinals = np.arange(len(xi), dtype=np.int64)
-        if symbol.torus_bulk is not None:
-            vals = np.abs(symbol.torus_bulk(xi, eta))
-            return GainTable(model, ordinals, lam.astype(float), vals, vals.copy(),
-                             ("torus", xi, eta))
-        gains = np.empty(len(xi))
-        norms = np.empty(len(xi))
-        for i in range(len(xi)):
-            f = FrequencyIndex(int(ordinals[i]), float(lam[i]), 1,
-                               Torus2Label(int(xi[i]), int(eta[i])))
+        labels, sizes, lam = (xi, eta), np.ones(len(xi), dtype=np.int64), lam.astype(float)
+    else:
+        levels = su2_levels(cutoff)
+        labels, sizes, lam = (levels,), levels + 1, levels * (levels + 2) / 4.0
+    gains = np.empty(len(lam))
+    norms = np.empty(len(lam))
+    table = GainTable(model, np.arange(len(lam), dtype=np.int64), lam, gains, norms, labels)
+    if symbol.bulk is not None:
+        _bulk_gains(symbol.bulk, labels, sizes, gains, norms)
+    else:
+        for i in range(len(table)):
+            f = table.freq(i)
             gains[i] = symbol.gain(f)
             norms[i] = symbol.opnorm(f)
-        return GainTable(model, ordinals, lam.astype(float), gains, norms,
-                         ("torus", xi, eta))
-
-    levels = su2_levels(cutoff)
-    ordinals = np.arange(len(levels), dtype=np.int64)
-    lam = levels * (levels + 2) / 4.0
-    gains = np.empty(len(levels))
-    norms = np.empty(len(levels))
-    for i, t in enumerate(levels):
-        lab = Su2Label(int(t))
-        f = FrequencyIndex(int(ordinals[i]), float(lab.eigenvalue()),
-                           lab.block_dim(), lab)
-        gains[i] = symbol.gain(f)
-        norms[i] = symbol.opnorm(f)
-    return GainTable(model, ordinals, lam, gains, norms, ("su2", levels))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +742,15 @@ class OrderEstimate:
     n_envelope: int
 
 
-def estimate_order(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> OrderEstimate:
-    table = gain_table(symbol, model, cutoff)
+def estimate_order(
+    symbol: MatrixSymbol,
+    model: SpectralModel,
+    cutoff: float,
+    table: GainTable | None = None,
+) -> OrderEstimate:
+    """Fit the norm growth; ``table`` reuses a gain table of this window."""
+    if table is None:
+        table = gain_table(symbol, model, cutoff)
     positive_lam = table.lam > 0
     if positive_lam.sum() < 8:
         raise WindowTooSmallError(

@@ -1,11 +1,23 @@
+import csv
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hyposym import parse_spec
+from hyposym import (
+    SU2,
+    TORUS2,
+    CoefficientField,
+    Su2Label,
+    Torus2Label,
+    build_symbol,
+    cli,
+    gain_table,
+    parse_spec,
+)
 from hyposym.errors import SpecFileError
 from hyposym.exact import Surd
 from hyposym.specfile import emit_spec
@@ -131,6 +143,22 @@ def test_parse_rejects_unknown_option():
     assert any("cutofff" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_non_finite_constants(constant, tmp_path):
+    text = json.dumps(TORUS_PHI_FLOAT).replace("1.618033988749895", constant)
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(text)
+    assert any(constant.lstrip("-") in v for v in err.value.violations)
+
+    tpath = tmp_path / "table.json"
+    tpath.write_text(f'{{"entries": [{{"label": 0, "matrix": [[[{constant}, 0]]]}}]}}')
+    spec = {"model": {"kind": "su2"},
+            "operator": {"kind": "matrix_table", "path": str(tpath)}}
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(spec)
+    assert any(constant.lstrip("-") in v for v in err.value.violations)
+
+
 def test_matrix_table_round_trip(tmp_path):
     table = {
         "entries": [
@@ -240,6 +268,37 @@ def test_cli_schema_violation_exit_code(tmp_path):
 def test_cli_missing_cutoff_is_precondition(su2_gap_spec):
     proc = run_cli("analyze", "--spec", su2_gap_spec)
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_cutoff_flag_is_precondition(su2_gap_spec, value):
+    proc = run_cli("analyze", "--spec", su2_gap_spec, f"--cutoff={value}")
+    assert proc.returncode == 3, proc.stderr
+    assert "finite" in json.loads(proc.stderr)["error"]
+
+
+@pytest.mark.parametrize("value", ["1e999", "1" + "0" * 400])
+def test_cli_non_finite_cutoff_option_is_precondition(tmp_path, value):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(SU2_GAP)[:-1] + f', "options": {{"cutoff": {value}}}}}')
+    proc = run_cli("analyze", "--spec", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert "finite" in json.loads(proc.stderr)["error"]
+
+
+def test_parse_rejects_overflowing_coefficient():
+    text = json.dumps(SU2_GAP).replace("[1, 0]", "[1e999, 0]", 1)
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(text)
+    assert any("finite" in v for v in err.value.violations)
+
+
+def test_cli_nan_spec_constant_is_schema_violation(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(SU2_GAP).replace("[1, 0]", "[NaN, 0]", 1))
+    proc = run_cli("analyze", "--spec", str(path), "--cutoff", "100")
+    assert proc.returncode == 2, proc.stderr
+    assert any("NaN" in v for v in json.loads(proc.stderr)["violations"])
 
 
 def test_cli_cutoff_defaults_from_spec_options(tmp_path):
@@ -363,3 +422,69 @@ def test_cli_subelliptic_probes(su2_gap_spec):
     assert doc["probes"]["alpha_failures"] == 0
     assert doc["probes"]["beta_failures"] == 0
     assert doc["witness_check"]["passed"]
+
+
+# ---------------------------------------------------------------------------
+# CSV sidecars against a csv.writer row loop
+
+
+def _reference_gains_csv(path, table):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ordinal", "label", "lambda", "dim", "gain", "opnorm"])
+        for i in range(len(table)):
+            f = table.freq(i)
+            writer.writerow([f.j, str(f.label), repr(f.lam), f.dim,
+                             repr(float(table.gain[i])), repr(float(table.opnorm[i]))])
+
+
+def _reference_coeffs_csv(path, field, model, cutoff):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ordinal", "label", "component_index", "re", "im"])
+        for freq, vec in field.window(model, cutoff):
+            for k, z in enumerate(vec):
+                writer.writerow(
+                    [freq.j, str(freq.label), k, repr(float(z.real)), repr(float(z.imag))]
+                )
+
+
+@pytest.mark.parametrize("spec, cutoff, chunk, quirk", [
+    # about 18.8k rows, more than one chunk; quoted labels with negative entries
+    (TORUS_PHI_FLOAT, 6000, None, b'\r\n1,"(-1,0)",1.0,1,'),
+    # half-integer labels
+    (SU2_GAP, 2550, 7, b"\r\n1,l=1/2,0.75,4,"),
+])
+def test_gains_csv_matches_csv_writer(spec, cutoff, chunk, quirk, tmp_path, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+    parsed = parse_spec(spec)
+    table = gain_table(build_symbol(parsed.operator, parsed.model), parsed.model, cutoff)
+    assert len(table) > cli.CSV_CHUNK_ROWS
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    _reference_gains_csv(ref, table)
+    cli._write_gains_csv(str(out), table)
+    data = out.read_bytes()
+    assert data == ref.read_bytes()
+    assert quirk in data
+
+
+def test_coeffs_csv_matches_csv_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 5)
+    rng = np.random.default_rng(4)
+    # signed zero, extreme exponents and integral values lead each vector
+    odd = np.array([-0.0, 1e-300, 1e300, 3.0, -2.5])
+    for model, labels in ((TORUS2, [Torus2Label(-3, 1), Torus2Label(0, 0), Torus2Label(2, -7)]),
+                          (SU2, [Su2Label(1), Su2Label(4), Su2Label(5)])):
+        data = {}
+        for lab in labels:
+            n = lab.block_dim()
+            vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            k = min(n, len(odd))
+            vec[:k] = odd[:k] - 1j * odd[::-1][:k]
+            data[lab] = vec
+        field = CoefficientField.from_dict(data)
+        ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+        _reference_coeffs_csv(ref, field, model, 100.0)
+        cli._write_coeffs_csv(str(out), field, model, 100.0)
+        assert out.read_bytes() == ref.read_bytes()

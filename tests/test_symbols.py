@@ -251,6 +251,56 @@ def test_plancherel_identity_application():
 
 
 # ---------------------------------------------------------------------------
+# bulk evaluation against the per-frequency oracle
+
+
+def _su2(*terms) -> Su2DiagPoly:
+    return Su2DiagPoly.make([(c if isinstance(c, Coefficient) else Coefficient.make(c), a, b)
+                             for c, a, b in terms])
+
+
+def _bulk_cases():
+    third = Fraction(1, 3)
+    gap = build_symbol(su2_laplace_minus_axis_sq(), SU2)
+    d0 = build_symbol(_su2((1, 1, 0)), SU2)
+    neg_lap = build_symbol(_su2((1, 0, 1)), SU2)
+    linear = build_symbol(
+        _su2((Coefficient.make(Fraction(2), third), 1, 0), (Fraction(1, 7), 0, 0)), SU2)
+    phi = build_symbol(torus_translation(1.618033988749895), TORUS2)
+    return {
+        "a(negLap + d0^2)": (build_symbol(
+            _su2((Fraction(3, 2), 0, 1), (Fraction(3, 2), 2, 0)), SU2), 1e4),
+        "negLap + d0^2/3": (build_symbol(_su2((1, 0, 1), (third, 2, 0)), SU2), 1e4),
+        "negLap + 3/5 d0^2": (build_symbol(_su2((1, 0, 1), (Fraction(3, 5), 2, 0)), SU2), 1e4),
+        "(2 + i/3) d0 + 1/7": (linear, 1e4),
+        "degree 4, float": (build_symbol(_su2(
+            (0.37, 4, 0), (-1.3, 3, 1), (2.1, 2, 2), (0.5, 0, 4), (1.1, 1, 0), (0.3, 0, 0)),
+            SU2), 1e4),
+        "add": (combine("add", [neg_lap, combine("compose", [d0, d0])]), 1e4),
+        "scale": (combine("scale", [gap], scalar=3 - 4j), 1e4),
+        "compose": (combine("compose", [linear, gap, identity_symbol(SU2)]), 1e4),
+        "torus phi": (phi, 2000),
+        "torus compose": (combine("compose", [phi, combine("scale", [phi], scalar=0.5j)]), 2000),
+    }
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("name", list(_bulk_cases()))
+def test_bulk_gain_table_equals_per_frequency_loop(name, chunk, monkeypatch):
+    from hyposym import gain_table, symbols
+
+    if chunk is not None:
+        # more chunk boundaries, and blocks larger than a chunk
+        monkeypatch.setattr(symbols, "BULK_CHUNK_ENTRIES", chunk)
+    sym, cutoff = _bulk_cases()[name]
+    assert sym.bulk is not None
+    table = gain_table(sym, sym.model, cutoff)
+    freqs = enumerate_frequencies(sym.model, cutoff)
+    assert np.array_equal(table.gain, [sym.gain(f) for f in freqs])
+    assert np.array_equal(table.opnorm, [sym.opnorm(f) for f in freqs])
+
+
+# ---------------------------------------------------------------------------
 # combine
 
 

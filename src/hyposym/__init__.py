@@ -61,8 +61,6 @@ from .spectral import (
     SpectralModel,
     Su2Label,
     Torus2Label,
-    bracket,
-    eigenvalue_shells,
     enumerate_frequencies,
     frequency_for_label,
 )
@@ -78,7 +76,6 @@ from .subelliptic import (
 )
 from .symbols import (
     Coefficient,
-    GainSample,
     GainTable,
     MatrixSymbol,
     MatrixTable,
@@ -88,7 +85,6 @@ from .symbols import (
     build_symbol,
     combine,
     estimate_order,
-    eval_symbol,
     gain_table,
     identity_symbol,
     operator_norm,

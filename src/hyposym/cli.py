@@ -43,7 +43,6 @@ from .subelliptic import (
     check_alpha,
     check_beta,
     extremal_field,
-    kernel_on_truncation,
 )
 from .symbols import build_symbol, estimate_order, gain_table
 
@@ -342,16 +341,15 @@ def _cmd_subelliptic(args) -> None:
     report = best_alpha_constant(symbol, parsed.model, s, m, cutoff)
     witness = extremal_field(report, symbol, parsed.model)
     witness_check = check_alpha(
-        symbol, parsed.model, witness, s, m, report.c_star, cutoff
+        symbol, parsed.model, witness, s, m, report.c_star, cutoff, kernel=report.kernel
     )
     rng = np.random.default_rng(args.seed)
     alpha_failures = beta_failures = 0
     min_alpha_margin = min_beta_margin = float("inf")
-    kernel = kernel_on_truncation(symbol, parsed.model, cutoff)
     for _ in range(args.probes):
         probe = random_field(parsed.model, cutoff, rng)
         a = check_alpha(symbol, parsed.model, probe, s, m, report.c_star, cutoff,
-                        kernel=kernel)
+                        kernel=report.kernel)
         b = check_beta(symbol, parsed.model, probe, s, m, report.k_star, cutoff)
         if not a.passed:
             alpha_failures += 1

@@ -386,13 +386,10 @@ def random_field(
     cutoff: float,
     rng: np.random.Generator,
     n_support: int = 6,
-    exclude: set[Label] | None = None,
 ) -> CoefficientField:
     """A finitely supported field with standard-normal complex entries on a
     random subset of the window (probe generator for estimate checks)."""
     freqs = enumerate_frequencies(model, cutoff)
-    if exclude:
-        freqs = [f for f in freqs if f.label not in exclude]
     if not freqs:
         raise PreconditionError("no frequencies available for a probe")
     count = min(n_support, len(freqs))

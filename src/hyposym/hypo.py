@@ -44,6 +44,7 @@ from .symbols import (
     model_kind_of,
     su2_diag_exact,
     torus_value_exact,
+    zero_mask,
 )
 
 SINGULAR_TOL = 1e-12
@@ -66,34 +67,18 @@ __all__ = [
 # scanning and fitting
 
 
-def _as_arrays(samples):
-    if isinstance(samples, GainTable):
-        return samples.ordinals, samples.lam, samples.gain, samples.opnorm
-    samples = list(samples)
-    ordinals = np.array([s.freq.j for s in samples], dtype=np.int64)
-    lam = np.array([s.freq.lam for s in samples])
-    gain = np.array([s.gain for s in samples])
-    opnorm = np.array([s.opnorm for s in samples])
-    return ordinals, lam, gain, opnorm
-
-
-def _singular_mask(gain: np.ndarray, opnorm: np.ndarray, tol: float) -> np.ndarray:
-    # relative threshold: scale-invariant verdicts, floor 1 for tiny symbols
-    return gain <= tol * np.maximum(1.0, opnorm)
-
-
 def singular_scan(
     symbol: MatrixSymbol,
     model: SpectralModel,
     cutoff: float,
     tol: float = SINGULAR_TOL,
 ) -> list[FrequencyIndex]:
-    """Frequencies with eigenvalue <= cutoff whose gain vanishes
-    (relative threshold tol * max(1, ||sigma(j)||)), sorted by eigenvalue."""
+    """Frequencies with eigenvalue <= cutoff whose gain vanishes under
+    ``zero_mask``, sorted by eigenvalue."""
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
     table = gain_table(symbol, model, cutoff)
-    hits = np.flatnonzero(_singular_mask(table.gain, table.opnorm, tol))
+    hits = np.flatnonzero(zero_mask(table.gain, table.opnorm, tol))
     return [table.freq(int(i)) for i in hits]
 
 
@@ -125,17 +110,17 @@ class GrowthFit:
         }
 
 
-def fit_growth(samples, nu: float, tol: float = SINGULAR_TOL) -> GrowthFit:
-    """Fit (L, m, R) from gain samples.
+def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> GrowthFit:
+    """Fit (L, m, R) from a gain table.
 
     R is the first ordinal past the last singular sample; m is the slope of
     the lower log-log envelope of the remaining gains against the bracket;
     L is the largest constant making the bound hold on every fitted sample.
     """
-    ordinals, lam, gain, opnorm = _as_arrays(samples)
+    ordinals, lam, gain = table.ordinals, table.lam, table.gain
     if len(ordinals) == 0:
         raise NoFitError("no samples")
-    singular = _singular_mask(gain, opnorm, tol)
+    singular = zero_mask(gain, table.opnorm, tol)
     if singular.any():
         r = int(ordinals[singular].max()) + 1
     else:
@@ -438,7 +423,7 @@ def verdict(
 
     if table is None:
         table = gain_table(build_symbol(op, model), model, cutoff)
-    sing_idx = np.flatnonzero(_singular_mask(table.gain, table.opnorm, tol))
+    sing_idx = np.flatnonzero(zero_mask(table.gain, table.opnorm, tol))
     singular = tuple(table.freq(int(i)) for i in sing_idx)
     if singular and max(f.lam for f in singular) > cutoff / 2.0:
         return Verdict(

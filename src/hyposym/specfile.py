@@ -33,6 +33,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import SpecFileError
 from .exact import Enclosure, format_real, parse_real
 from .spectral import SpectralModel, Su2Label, Torus2Label
@@ -49,14 +51,13 @@ MAX_DEGREE = 8
 _KNOWN_OPTIONS = {
     "cutoff": (int, float),
     "tol": (int, float),
-    "seed": (int,),
-    "probes": (int,),
     "s": (int, float),
     "m": (int, float),
     "k": (int,),
-    "radius": (int,),
-    "exponent": (int,),
 }
+# options that must be finite numbers; a non-finite cutoff is a precondition
+# violation of the command instead (exit 3)
+_FINITE_OPTIONS = ("tol", "s", "m")
 
 __all__ = ["ParsedSpec", "parse_spec", "emit_spec", "MAX_DEGREE"]
 
@@ -194,9 +195,24 @@ def _parse_matrix(raw, where: str, problems: list[str]):
             ):
                 problems.append(f"{where}: entry ({r},{c}) must be [re, im]")
                 return None
-            out_row.append(complex(cell[0], cell[1]))
+            try:
+                out_row.append(complex(cell[0], cell[1]))
+            except OverflowError:  # an integer beyond float range
+                problems.append(f"{where}: entry ({r},{c}) must be finite")
+                return None
         mat.append(out_row)
-    return mat
+    arr = np.array(mat, dtype=complex)
+    if not np.isfinite(arr).all():
+        problems.append(f"{where}: matrix entries must be finite")
+        return None
+    return arr
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 def _reject_constant(name: str):
@@ -322,8 +338,7 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
                 full = path if os.path.isabs(path) else os.path.join(base_dir or ".", path)
                 table = _load_table(full, model_kind, problems)
                 if table and not problems:
-                    operator = MatrixTable(model_kind, table)
-                    operator.path = path
+                    operator = MatrixTable(model_kind, table, path=path)
         else:
             problems.append(f"unknown operator kind {kind!r}")
 
@@ -338,6 +353,8 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
                 problems.append(f"options: unknown key {key!r}")
             elif not isinstance(value, expected) or isinstance(value, bool):
                 problems.append(f"options.{key}: expected {expected[0].__name__}")
+            elif key in _FINITE_OPTIONS and not _is_finite(value):
+                problems.append(f"options.{key}: must be finite, got {value!r}")
 
     if problems:
         raise SpecFileError(problems)
@@ -388,7 +405,7 @@ def emit_spec(parsed: ParsedSpec) -> dict:
             ],
         }
     else:
-        op_doc = {"kind": "matrix_table", "path": getattr(op, "path", "")}
+        op_doc = {"kind": "matrix_table", "path": op.path}
     doc = {"model": {"kind": parsed.model.kind}, "operator": op_doc}
     if parsed.options:
         doc["options"] = dict(sorted(parsed.options.items()))

@@ -5,7 +5,7 @@ order nu = 2:
 
 * ``torus2`` -- frequencies are characters (xi, eta) in Z^2 with eigenvalue
   xi^2 + eta^2 and one-dimensional blocks.  Indexing is per character, not
-  per eigenvalue shell; shell grouping is available as a view.
+  per eigenvalue shell.
 * ``su2``    -- frequencies are representation levels ell in (1/2) N_0 with
   eigenvalue ell(ell+1) and block dimension (2 ell + 1)^2.  Half-integers
   are stored doubled (``twice_ell``) so arithmetic stays exact.
@@ -39,8 +39,6 @@ __all__ = [
     "frequency_for_label",
     "torus_lattice",
     "su2_levels",
-    "bracket",
-    "eigenvalue_shells",
 ]
 
 
@@ -194,19 +192,3 @@ def frequency_for_label(model: SpectralModel, label: Label) -> FrequencyIndex:
     if not isinstance(label, Su2Label):
         raise PreconditionError("label does not match model")
     return FrequencyIndex(label.twice_ell, float(lam), label.block_dim(), label)
-
-
-def bracket(freq: FrequencyIndex) -> float:
-    """The Japanese bracket (1 + lambda)^{1/2} of a frequency."""
-    return math.sqrt(1.0 + freq.lam)
-
-
-def eigenvalue_shells(freqs: list[FrequencyIndex]):
-    """Group an enumeration by eigenvalue (shell view of the torus indexing)."""
-    shells: list[tuple[float, list[FrequencyIndex]]] = []
-    for f in freqs:
-        if shells and shells[-1][0] == f.lam:
-            shells[-1][1].append(f)
-        else:
-            shells.append((f.lam, [f]))
-    return shells

@@ -20,7 +20,7 @@ truncation-level statements are never passed off as asymptotic ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .spectral import (
     enumerate_frequencies,
     frequency_for_label,
 )
-from .symbols import MatrixSymbol
+from .symbols import MatrixSymbol, zero_mask
 
 KERNEL_TOL = 1e-12
 
@@ -52,21 +52,19 @@ __all__ = [
 ]
 
 
-def _block_nullspace(symbol: MatrixSymbol, freq: FrequencyIndex, tol: float):
-    """Orthonormal basis (columns) of the block's numerical nullspace."""
+def _block_spectrum(symbol: MatrixSymbol, freq: FrequencyIndex, tol: float):
+    """The block's values and their ``zero_mask``.
+
+    The values are |entries| of a diagonal block, or the descending
+    singular values of a dense one.  The SVD here is values-only: a full
+    SVD rounds differently in the last bits, and C* is read from these.
+    """
     diag = symbol.diagonal(freq)
     if diag is not None:
-        scale = max(1.0, float(np.max(np.abs(diag))))
-        idx = np.flatnonzero(np.abs(diag) <= tol * scale)
-        basis = np.zeros((len(diag), len(idx)), dtype=complex)
-        for col, i in enumerate(idx):
-            basis[i, col] = 1.0
-        return basis
-    block = symbol.block(freq)
-    _, svals, vh = np.linalg.svd(block)
-    scale = max(1.0, float(svals[0]) if len(svals) else 0.0)
-    null_rows = np.flatnonzero(svals <= tol * scale)
-    return vh[null_rows].conj().T
+        values = np.abs(diag)
+        return values, zero_mask(values, np.max(values), tol)
+    values = np.linalg.svd(symbol.block(freq), compute_uv=False)
+    return values, zero_mask(values, values[0], tol)
 
 
 @dataclass(frozen=True)
@@ -113,29 +111,55 @@ class TruncatedKernel:
         return (chunks - coefs @ basis.T).reshape(freq.dim)
 
 
-def kernel_on_truncation(
+def _window_pass(
     symbol: MatrixSymbol,
     model: SpectralModel,
     cutoff: float,
-    tol: float = KERNEL_TOL,
-) -> TruncatedKernel:
-    """Null vectors of every block with eigenvalue <= cutoff."""
+    tol: float,
+    m: float | None = None,
+):
+    """The truncated kernel and, given m, the C* witness, from one window scan.
+
+    The witness is (C*, freq, entry), or None when m is None or every block
+    is entirely kernel.  Its entry is the first minimum of a diagonal block
+    and the last nonzero singular value of a dense one.
+    """
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
     blocks = {}
     total = 0
     boundary = False
+    best = None
     for freq in enumerate_frequencies(model, cutoff):
-        basis = _block_nullspace(symbol, freq, tol)
-        if basis.shape[1] == 0:
+        values, zero = _block_spectrum(symbol, freq, tol)
+        if zero.any():
+            nullity = int(np.count_nonzero(zero))
+            if symbol.is_diagonal:
+                basis = np.zeros((len(zero), nullity), dtype=complex)
+                basis[np.flatnonzero(zero), np.arange(nullity)] = 1.0
+            else:
+                # a full SVD only for a block with a kernel: its zero values
+                # descend to the last rows of vh
+                vh = np.linalg.svd(symbol.block(freq))[2]
+                basis = vh[len(zero) - nullity:].conj().T
+            basis.setflags(write=False)
+            blocks[freq.label] = basis
+            copies = freq.label.rep_dim() if symbol.replicated else 1
+            total += nullity * copies
+            if freq.lam > 0.8 * cutoff:
+                boundary = True
+        if m is None or zero.all():
             continue
-        basis.setflags(write=False)
-        blocks[freq.label] = basis
-        copies = freq.label.rep_dim() if symbol.replicated else 1
-        total += basis.shape[1] * copies
-        if freq.lam > 0.8 * cutoff:
-            boundary = True
-    return TruncatedKernel(
+        if symbol.is_diagonal:
+            nz = np.flatnonzero(~zero)
+            entry = int(nz[np.argmin(values[nz])])
+        else:
+            # singular values descend, so the smallest nonzero ends the prefix
+            entry = int(np.count_nonzero(~zero)) - 1
+        cand = float(values[entry]) * (1.0 + freq.lam) ** (-m / model.nu)
+        if best is None or cand < best[0]:
+            best = (cand, freq, entry)
+    kernel = TruncatedKernel(
         model=model,
         cutoff=cutoff,
         tol=tol,
@@ -144,6 +168,17 @@ def kernel_on_truncation(
         total_dim=total,
         boundary_singular=boundary,
     )
+    return kernel, best
+
+
+def kernel_on_truncation(
+    symbol: MatrixSymbol,
+    model: SpectralModel,
+    cutoff: float,
+    tol: float = KERNEL_TOL,
+) -> TruncatedKernel:
+    """Null vectors of every block with eigenvalue <= cutoff."""
+    return _window_pass(symbol, model, cutoff, tol)[0]
 
 
 def per_frequency_constant(
@@ -151,15 +186,8 @@ def per_frequency_constant(
 ) -> float:
     """Smallest nonzero singular value of the block (the constant C_j in
     ||sigma(j) v|| >= C_j ||v|| off the kernel); +inf for an all-kernel block."""
-    diag = symbol.diagonal(freq)
-    if diag is not None:
-        mags = np.abs(diag)
-        scale = max(1.0, float(np.max(mags)))
-        nz = mags[mags > tol * scale]
-        return float(np.min(nz)) if len(nz) else float("inf")
-    svals = np.linalg.svd(symbol.block(freq), compute_uv=False)
-    scale = max(1.0, float(svals[0]))
-    nz = svals[svals > tol * scale]
+    values, zero = _block_spectrum(symbol, freq, tol)
+    nz = values[~zero]
     return float(np.min(nz)) if len(nz) else float("inf")
 
 
@@ -169,7 +197,8 @@ class SubellipticReport:
 
     c_star is attained at the recorded witness; k_star = max(k1, 1/c_star)
     is a sufficient constant for the companion inequality, with k1 the
-    norm-equivalence constant of the truncated kernel.
+    norm-equivalence constant of the truncated kernel.  ``kernel`` is that
+    kernel, from the same window pass; ``as_dict`` leaves it out.
     """
 
     s: float
@@ -183,6 +212,7 @@ class SubellipticReport:
     witness_lam: float
     kernel_dim: int
     boundary_singular: bool
+    kernel: TruncatedKernel = field(compare=False, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -215,33 +245,9 @@ def best_alpha_constant(
     C* is the minimum over frequencies and nonzero singular values of
     s_r(j) (1+lambda_j)^{-m/nu}; the witness achieves it.  The value does
     not depend on s (the weights cancel), which callers can assert by
-    recomputation.
+    recomputation.  The truncated kernel comes from the same window pass.
     """
-    kernel = kernel_on_truncation(symbol, model, cutoff, tol)
-    best = None
-    for freq in enumerate_frequencies(model, cutoff):
-        diag = symbol.diagonal(freq)
-        weight = (1.0 + freq.lam) ** (-m / model.nu)
-        if diag is not None:
-            mags = np.abs(diag)
-            scale = max(1.0, float(np.max(mags)))
-            nz = np.flatnonzero(mags > tol * scale)
-            if len(nz) == 0:
-                continue
-            i = nz[np.argmin(mags[nz])]
-            cand = float(mags[i]) * weight
-            entry = int(i)
-        else:
-            svals = np.linalg.svd(symbol.block(freq), compute_uv=False)
-            scale = max(1.0, float(svals[0]))
-            nz_vals = svals[svals > tol * scale]
-            if len(nz_vals) == 0:
-                continue
-            # svals descend, so the smallest nonzero sits at the prefix end
-            cand = float(nz_vals[-1]) * weight
-            entry = int(len(nz_vals) - 1)
-        if best is None or cand < best[0]:
-            best = (cand, freq, entry)
+    kernel, best = _window_pass(symbol, model, cutoff, tol, m)
     if best is None:
         raise PreconditionError("every block is entirely kernel on the truncation")
 
@@ -265,6 +271,7 @@ def best_alpha_constant(
         witness_lam=freq.lam,
         kernel_dim=kernel.total_dim,
         boundary_singular=kernel.boundary_singular,
+        kernel=kernel,
     )
 
 
@@ -285,7 +292,7 @@ def extremal_field(
         block_vec = np.zeros(bdim, dtype=complex)
         block_vec[report.witness_index] = 1.0
     else:
-        _, svals, vh = np.linalg.svd(symbol.block(freq))
+        vh = np.linalg.svd(symbol.block(freq))[2]
         block_vec = vh[report.witness_index].conj()
     full = np.zeros(freq.dim, dtype=complex)
     full[:bdim] = block_vec

@@ -42,13 +42,12 @@ __all__ = [
     "MatrixTable",
     "OperatorSpec",
     "MatrixSymbol",
-    "GainSample",
     "GainTable",
     "OrderEstimate",
     "model_kind_of",
     "build_symbol",
     "identity_symbol",
-    "eval_symbol",
+    "zero_mask",
     "smallest_gain",
     "operator_norm",
     "combine",
@@ -180,12 +179,14 @@ class MatrixTable:
 
     Torus entries are 1x1; SU(2) entries are the (2l+1)x(2l+1)
     representation block (replication across the eigenspace is implicit).
+    ``path`` is the table file as a spec names it; equality ignores it.
     """
 
-    def __init__(self, model_kind: str, entries: Mapping[Label, np.ndarray]):
+    def __init__(self, model_kind: str, entries: Mapping[Label, np.ndarray], path: str = ""):
         if model_kind not in ("torus2", "su2"):
             raise PreconditionError(f"unknown model kind {model_kind!r}")
         self.model_kind = model_kind
+        self.path = path
         table = {}
         for label, mat in entries.items():
             arr = np.array(mat, dtype=complex)
@@ -340,6 +341,16 @@ def operator_norm(matrix) -> float:
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("operator norm needs a square matrix")
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def zero_mask(values, norm, tol: float):
+    """Which values count as zero: ``values <= tol * max(1, norm)``.
+
+    The one singular rule for gains, singular values and diagonal entries.
+    The threshold is relative to the block norm, so verdicts are scale
+    invariant; the floor 1 keeps tiny symbols from vanishing wholesale.
+    """
+    return values <= tol * np.maximum(1.0, norm)
 
 
 class MatrixSymbol:
@@ -522,11 +533,6 @@ def identity_symbol(model: SpectralModel) -> MatrixSymbol:
     )
 
 
-def eval_symbol(op: OperatorSpec, model: SpectralModel, freq: FrequencyIndex) -> np.ndarray:
-    """The full dim x dim symbol matrix at one frequency."""
-    return build_symbol(op, model).full_matrix(freq)
-
-
 # ---------------------------------------------------------------------------
 # pointwise algebra
 
@@ -629,15 +635,6 @@ def combine(operation: str, symbols, scalar=None) -> MatrixSymbol:
 # gain sampling over a window
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """Gain and operator norm of the symbol at one frequency."""
-
-    freq: FrequencyIndex
-    gain: float
-    opnorm: float
-
-
 class GainTable:
     """Vectorized gain/opnorm samples over an enumeration window.
 
@@ -671,12 +668,6 @@ class GainTable:
             dim=label.block_dim(),
             label=label,
         )
-
-    def samples(self) -> list[GainSample]:
-        return [
-            GainSample(self.freq(i), float(self.gain[i]), float(self.opnorm[i]))
-            for i in range(len(self))
-        ]
 
 
 # diagonal entries per bulk evaluation: each complex temporary (64 KB) stays

@@ -301,6 +301,55 @@ def test_cli_nan_spec_constant_is_schema_violation(tmp_path):
     assert any("NaN" in v for v in json.loads(proc.stderr)["violations"])
 
 
+def _violations(capsys) -> list[str]:
+    return json.loads(capsys.readouterr().err)["violations"]
+
+
+@pytest.mark.parametrize("cell", ["[1e999, 0]", "[0, -1e999]", "[1" + "0" * 400 + ", 0]"])
+def test_cli_non_finite_table_cell_is_schema_violation(cell, tmp_path, capsys):
+    (tmp_path / "table.json").write_text(
+        '{"entries": [{"label": 0, "matrix": [[[1, 0]]]}, '
+        f'{{"label": 1, "matrix": [[{cell}, [0, 0]], [[0, 0], [1, 0]]]}}]}}'
+    )
+    spec = tmp_path / "dense.json"
+    spec.write_text(json.dumps({"model": {"kind": "su2"},
+                                "operator": {"kind": "matrix_table", "path": "table.json"}}))
+    for command in ("analyze", "subelliptic"):
+        assert cli.main([command, "--spec", str(spec), "--cutoff", "0.75"]) == 2
+        assert any("table entry 1" in v and "finite" in v for v in _violations(capsys))
+
+
+@pytest.mark.parametrize("key", ["tol", "s", "m"])
+@pytest.mark.parametrize("value", ["1e999", "-1e999", "1" + "0" * 400])
+def test_cli_non_finite_option_is_schema_violation(key, value, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SU2_GAP)[:-1] + f', "options": {{"{key}": {value}}}}}')
+    assert cli.main(["subelliptic", "--spec", str(path), "--cutoff", "30",
+                     "--probes", "1"]) == 2
+    assert any(f"options.{key}" in v and "finite" in v for v in _violations(capsys))
+
+
+@pytest.mark.parametrize("key", ["seed", "probes", "radius", "exponent"])
+def test_cli_reserved_option_is_schema_violation(key, tmp_path, capsys):
+    # these keys used to be accepted and then ignored
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SU2_GAP, options={key: 3})))
+    assert cli.main(["subelliptic", "--spec", str(path), "--cutoff", "30",
+                     "--probes", "1"]) == 2
+    assert any(repr(key) in v for v in _violations(capsys))
+
+
+def test_matrix_table_path_is_kept_out_of_equality(tmp_path):
+    (tmp_path / "table.json").write_text('{"entries": [{"label": 0, "matrix": [[[2, 0]]]}]}')
+    parsed = parse_spec({"model": {"kind": "su2"},
+                         "operator": {"kind": "matrix_table", "path": "table.json"}},
+                        base_dir=str(tmp_path))
+    assert parsed.operator.path == "table.json"
+    assert emit_spec(parsed)["operator"] == {"kind": "matrix_table", "path": "table.json"}
+    assert parsed.operator == MatrixTable("su2", {Su2Label(0): [[2.0]]}, path="other.json")
+    assert MatrixTable("su2", {Su2Label(0): [[2.0]]}).path == ""
+
+
 def test_cli_cutoff_defaults_from_spec_options(tmp_path):
     doc = dict(SU2_GAP, options={"cutoff": 600})
     path = tmp_path / "with_options.json"

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,11 +8,7 @@ from hyposym import (
     SU2,
     TORUS2,
     Su2Label,
-    Torus2Label,
-    bracket,
-    eigenvalue_shells,
     enumerate_frequencies,
-    frequency_for_label,
 )
 from hyposym.errors import PreconditionError
 
@@ -77,23 +72,6 @@ def test_negative_cutoff_rejected():
         enumerate_frequencies(TORUS2, -1)
 
 
-def test_bracket_values():
-    f0 = enumerate_frequencies(TORUS2, 0)[0]
-    assert bracket(f0) == 1.0
-    su2_l1 = frequency_for_label(SU2, Su2Label(2))
-    assert bracket(su2_l1) == pytest.approx(math.sqrt(3), abs=1e-12)
-    torus_34 = frequency_for_label(TORUS2, Torus2Label(3, 4))
-    assert bracket(torus_34) == pytest.approx(math.sqrt(26), abs=1e-12)
-
-
-def test_su2_bracket_equivalent_to_one_plus_ell():
-    for f in enumerate_frequencies(SU2, 400):
-        ell = f.label.twice_ell / 2
-        if ell >= 1:
-            assert 1 + ell <= bracket(f) * math.sqrt(2) + 1e-12
-            assert bracket(f) <= 1 + ell + 1e-12
-
-
 @pytest.mark.parametrize("model", [TORUS2, SU2])
 def test_partial_sums_bounded(model):
     # sum of d_j (1+lambda_j)^{-2n} for n = 2: nondecreasing and plateauing
@@ -114,12 +92,6 @@ def test_su2_exact_eigenvalue_and_dims():
     assert lab.eigenvalue() == Fraction(5 * 7, 4)
     assert lab.rep_dim() == 6
     assert lab.block_dim() == 36
-
-
-def test_eigenvalue_shells_view():
-    shells = eigenvalue_shells(enumerate_frequencies(TORUS2, 2))
-    assert [lam for lam, _ in shells] == [0.0, 1.0, 2.0]
-    assert [len(group) for _, group in shells] == [1, 4, 4]
 
 
 @settings(max_examples=40, deadline=None)

@@ -239,3 +239,96 @@ def test_beta_su2_gap_sufficient_constant(su2_gap_symbol):
         probe = random_field(SU2, cutoff, rng)
         chk = check_beta(su2_gap_symbol, SU2, probe, 0.0, 1.0, k, cutoff)
         assert chk.passed
+
+
+# ---------------------------------------------------------------------------
+# one window pass: the report's kernel and C*
+
+
+def _dense_table(max_twice_ell, seed, planted=()):
+    """Random complex blocks; each level in ``planted`` gets one zero singular value."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for t in range(max_twice_ell + 1):
+        block = rng.standard_normal((t + 1, t + 1)) + 1j * rng.standard_normal((t + 1, t + 1))
+        if t in planted:
+            u, svals, vh = np.linalg.svd(block)
+            svals[-1] = 0.0
+            block = (u * svals) @ vh
+        entries[Su2Label(t)] = block
+    return MatrixTable("su2", entries)
+
+
+@pytest.mark.parametrize("case", ["torus_resonant", "su2_pell", "dense_planted"])
+def test_report_kernel_equals_kernel_on_truncation(case, torus_resonant_symbol,
+                                                   su2_pell_symbol):
+    model, symbol, cutoff = {
+        "torus_resonant": (TORUS2, torus_resonant_symbol, 50),
+        "su2_pell": (SU2, su2_pell_symbol, 60 * 61),
+        "dense_planted": (SU2, build_symbol(_dense_table(9, 5, planted=(4,)), SU2),
+                          9 * 11 / 4),
+    }[case]
+    report = best_alpha_constant(symbol, model, 0.0, 1.0, cutoff)
+    kernel = kernel_on_truncation(symbol, model, cutoff)
+    assert report.kernel.total_dim == kernel.total_dim > 0
+    assert report.kernel.boundary_singular == kernel.boundary_singular
+    assert list(report.kernel.blocks) == list(kernel.blocks)
+    for label, basis in kernel.blocks.items():
+        assert np.array_equal(report.kernel.blocks[label], basis)
+    assert report.kernel_dim == kernel.total_dim
+    if case == "dense_planted":
+        assert set(kernel.blocks) == {Su2Label(4)}
+        assert kernel.total_dim == 5  # one null direction in each of 5 chunks
+    assert "kernel" not in report.as_dict()
+
+
+def test_dense_c_star_is_values_only_svd_bit_for_bit():
+    # a full SVD (compute_uv=True) rounds the singular values differently in
+    # the last bits; C* must be the values-only minimum, exactly
+    table = _dense_table(20, 7)
+    report = best_alpha_constant(build_symbol(table, SU2), SU2, 0.0, 1.0, 20 * 22 / 4)
+    candidates = [
+        (float(np.linalg.svd(block, compute_uv=False)[-1])
+         * (1.0 + float(label.eigenvalue())) ** (-1.0 / 2.0), label)
+        for label, block in table.entries.items()
+    ]
+    c_star, label = min(candidates, key=lambda c: c[0])
+    assert report.c_star == c_star
+    assert report.witness_label == label
+    assert report.witness_index == label.rep_dim() - 1
+
+
+def test_witness_entry_on_tied_values(su2_gap_symbol):
+    # a diagonal block reports the first minimal entry: l(l+1) - m^2 ties at
+    # m = -1/2 and m = 1/2
+    report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, 50 * 51)
+    assert report.witness_index == 0
+    # a dense block reports the last of equal singular values
+    entries = {Su2Label(t): (10.0 - t) * np.eye(t + 1) for t in range(5)}
+    report = best_alpha_constant(build_symbol(MatrixTable("su2", entries), SU2),
+                                 SU2, 0.0, 0.0, 6)
+    assert (report.witness_label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
+
+
+def test_cli_subelliptic_enumerates_the_window_once(monkeypatch, tmp_path, capsys):
+    import hyposym.subelliptic
+    from hyposym import cli
+
+    calls = []
+    enumerate_once = hyposym.subelliptic.enumerate_frequencies
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_once(*args)
+
+    monkeypatch.setattr(hyposym.subelliptic, "enumerate_frequencies", counting)
+    spec = tmp_path / "gap.json"
+    spec.write_text(
+        '{"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": ['
+        '{"coeff": [1, 0], "deg_d0": 0, "deg_neglap": 1},'
+        '{"coeff": [1, 0], "deg_d0": 2, "deg_neglap": 0}]}}'
+    )
+    code = cli.main(["subelliptic", "--spec", str(spec), "--cutoff", "110",
+                     "--probes", "5", "--seed", "1"])
+    assert code == 0, capsys.readouterr().err
+    assert len(calls) == 1

@@ -19,7 +19,6 @@ from hyposym import (
     combine,
     enumerate_frequencies,
     estimate_order,
-    eval_symbol,
     frequency_for_label,
     identity_symbol,
     operator_norm,
@@ -49,7 +48,7 @@ def test_torus_translation_symbol_values():
 def test_su2_neutral_derivative_at_level_one():
     op = Su2DiagPoly.make([(Coefficient.make(1), 1, 0)])
     freq = frequency_for_label(SU2, Su2Label(2))
-    full = eval_symbol(op, SU2, freq)
+    full = build_symbol(op, SU2).full_matrix(freq)
     block = np.diag([-1j, 0, 1j])
     expected = np.kron(np.eye(3), block)
     assert np.allclose(full, expected, atol=1e-14)

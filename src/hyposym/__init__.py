@@ -61,6 +61,7 @@ from .spectral import (
     SpectralModel,
     Su2Label,
     Torus2Label,
+    Window,
     enumerate_frequencies,
     frequency_for_label,
 )

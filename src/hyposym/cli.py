@@ -34,7 +34,7 @@ from .diophantine import (
     pell_solutions,
     torus_min_gain,
 )
-from .errors import HyposymError, PreconditionError, WindowTooSmallError
+from .errors import HyposymError, PreconditionError, SpecFileError, WindowTooSmallError
 from .exact import Fraction, Surd, format_real, parse_real
 from .hypo import certify, fit_growth, singular_scan, verdict
 from .specfile import emit_spec, parse_spec
@@ -70,7 +70,7 @@ def _csv_label(label) -> str:
 def _write_gains_csv(path: str, table) -> None:
     """Write the gain table as ``ordinal,label,lambda,dim,gain,opnorm`` rows.
 
-    The bytes equal a ``csv.writer`` row loop over ``table.freq(i)``: repr
+    The bytes equal a ``csv.writer`` row loop over ``table.window.freq(i)``: repr
     floats, quoted torus labels, CRLF line ends.
     """
     torus = table.model.kind == "torus2"
@@ -84,7 +84,7 @@ def _write_gains_csv(path: str, table) -> None:
             same = np.array_equal(gain.view(np.int64), norm.view(np.int64))
             norms = gains if same else list(map(repr, norm.tolist()))
             cols = (table.ordinals[lo:hi].tolist(), table.lam[lo:hi].tolist(), gains, norms,
-                    *(a[lo:hi].tolist() for a in table.labels))
+                    *(a[lo:hi].tolist() for a in table.window.labels))
             if torus:
                 rows = [f'{j},"({x},{e})",{lam!r},1,{g},{n}\r\n'
                         for j, lam, g, n, x, e in zip(*cols)]
@@ -129,6 +129,19 @@ def _require_cutoff(args, parsed) -> float:
     return cutoff
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of --tol/--s/--m: a non-finite value is a schema violation."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecFileError([f"flag value must be finite, got {text!r}"])
+    return value
+
+
+def _option(args, parsed, name: str, default: float) -> float:
+    value = getattr(args, name)
+    return value if value is not None else parsed.options.get(name, default)
+
+
 def _real_spec_doc(value) -> dict:
     if isinstance(value, (Fraction, Surd)):
         return {"exact": format_real(value), "float": float(value)}
@@ -138,7 +151,7 @@ def _real_spec_doc(value) -> dict:
 def _cmd_analyze(args) -> None:
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
-    tol = args.tol if args.tol is not None else parsed.options.get("tol", 1e-12)
+    tol = _option(args, parsed, "tol", 1e-12)
     symbol = build_symbol(parsed.operator, parsed.model)
     table = gain_table(symbol, parsed.model, cutoff)
     v = verdict(parsed.operator, parsed.model, cutoff, tol, table=table)
@@ -167,7 +180,7 @@ def _cmd_analyze(args) -> None:
 def _cmd_singular_scan(args) -> None:
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
-    tol = args.tol if args.tol is not None else parsed.options.get("tol", 1e-12)
+    tol = _option(args, parsed, "tol", 1e-12)
     symbol = build_symbol(parsed.operator, parsed.model)
     hits = singular_scan(symbol, parsed.model, cutoff, tol)
     doc = {
@@ -200,7 +213,8 @@ def _cmd_fit_exponent(args) -> None:
         _emit(doc, args.out)
         return
     symbol = build_symbol(parsed.operator, parsed.model)
-    fit = fit_growth(gain_table(symbol, parsed.model, cutoff), parsed.model.nu)
+    fit = fit_growth(gain_table(symbol, parsed.model, cutoff), parsed.model.nu,
+                     _option(args, parsed, "tol", 1e-12))
     doc = {
         "spec_echo": emit_spec(parsed),
         "cutoff": cutoff,
@@ -335,10 +349,11 @@ def _cmd_torus_gain(args) -> None:
 def _cmd_subelliptic(args) -> None:
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
-    s = args.s if args.s is not None else parsed.options.get("s", 0.0)
-    m = args.m if args.m is not None else parsed.options.get("m", 1.0)
+    s = _option(args, parsed, "s", 0.0)
+    m = _option(args, parsed, "m", 1.0)
     symbol = build_symbol(parsed.operator, parsed.model)
-    report = best_alpha_constant(symbol, parsed.model, s, m, cutoff)
+    report = best_alpha_constant(symbol, parsed.model, s, m, cutoff,
+                                 _option(args, parsed, "tol", 1e-12))
     witness = extremal_field(report, symbol, parsed.model)
     witness_check = check_alpha(
         symbol, parsed.model, witness, s, m, report.c_star, cutoff, kernel=report.kernel
@@ -385,7 +400,7 @@ def _add_common(p: argparse.ArgumentParser, spec: bool = True) -> None:
     if spec:
         p.add_argument("--spec", required=True, help="operator spec file (JSON)")
         p.add_argument("--cutoff", type=float, help="eigenvalue cutoff of the window")
-        p.add_argument("--tol", type=float, help="relative singular threshold")
+        p.add_argument("--tol", type=_finite_float, help="relative singular threshold")
     p.add_argument("--out", help="write the JSON report here (CSV sidecars next to it)")
     p.add_argument("--seed", type=int, default=0, help="probe RNG seed")
 
@@ -438,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subelliptic", help="exact truncation constants and probes")
     _add_common(p)
-    p.add_argument("--s", type=float, help="Sobolev base index")
-    p.add_argument("--m", type=float, help="estimate exponent")
+    p.add_argument("--s", type=_finite_float, help="Sobolev base index")
+    p.add_argument("--m", type=_finite_float, help="estimate exponent")
     p.add_argument("--probes", type=int, default=100)
     p.set_defaults(fn=_cmd_subelliptic)
 
@@ -448,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # a non-finite flag raises SpecFileError
         args.fn(args)
     except HyposymError as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__}

@@ -25,7 +25,8 @@ from .spectral import (
     FrequencyIndex,
     Label,
     SpectralModel,
-    enumerate_frequencies,
+    Window,
+    bracket_power,
     frequency_for_label,
 )
 from .symbols import MatrixSymbol
@@ -85,10 +86,6 @@ class CoefficientField:
     def from_rule(rule, valid_to: float) -> "CoefficientField":
         return CoefficientField(rule=rule, valid_to=valid_to)
 
-    @property
-    def is_explicit(self) -> bool:
-        return self._explicit is not None
-
     def support_labels(self):
         """Explicit support in canonical (eigenvalue, label) order."""
         if self._explicit is None:
@@ -122,7 +119,7 @@ class CoefficientField:
                 raise PreconditionError(
                     f"cutoff {cutoff} exceeds the rule's validity {self.valid_to}"
                 )
-            for freq in enumerate_frequencies(model, cutoff):
+            for freq in Window(model, cutoff):
                 vec = self.coeff(freq)
                 if np.any(vec != 0):
                     yield freq, vec
@@ -134,12 +131,14 @@ def sobolev_norm(
     """Sobolev norm on the truncation: sqrt of the weighted coefficient sum.
 
     The weight per frequency is (1 + lambda_j)^{2s/nu}; summation runs in
-    canonical frequency order.
+    canonical frequency order.  A norm beyond float range is a precondition
+    violation.
     """
     total = 0.0
     for freq, vec in u.window(model, cutoff):
-        w = (1.0 + freq.lam) ** (2.0 * s / model.nu)
-        total += w * float(np.vdot(vec, vec).real)
+        total += bracket_power(freq.lam, 2.0 * s / model.nu) * float(np.vdot(vec, vec).real)
+    if not math.isfinite(total):
+        raise PreconditionError(f"the Sobolev norm of order {s} overflows on the window")
     return math.sqrt(total)
 
 
@@ -306,7 +305,7 @@ def build_counterexample(
     """
     if k_steps < 1:
         raise PreconditionError("need at least one step")
-    freqs = enumerate_frequencies(model, search_cutoff)
+    window = Window(model, search_cutoff)
     support: dict[Label, np.ndarray] = {}
     chosen: list[FrequencyIndex] = []
     certs: list[CounterexampleCertificate] = []
@@ -314,11 +313,9 @@ def build_counterexample(
     idx = 0
     for k in range(1, k_steps + 1):
         found = None
-        while idx < len(freqs):
-            freq = freqs[idx]
-            if freq.j < 2 or freq.lam <= lam_prev:
-                idx += 1
-                continue
+        idx = max(idx, 2, int(np.searchsorted(window.lam, lam_prev, "right")))
+        while idx < len(window):
+            freq = window.freq(idx)
             exact_entries = symbol.exact_diagonal(freq)
             if exact_entries is not None:
                 lam_exact = freq.lam_exact()
@@ -389,14 +386,12 @@ def random_field(
 ) -> CoefficientField:
     """A finitely supported field with standard-normal complex entries on a
     random subset of the window (probe generator for estimate checks)."""
-    freqs = enumerate_frequencies(model, cutoff)
-    if not freqs:
-        raise PreconditionError("no frequencies available for a probe")
-    count = min(n_support, len(freqs))
-    picks = rng.choice(len(freqs), size=count, replace=False)
+    window = Window(model, cutoff)
+    count = min(n_support, len(window))
+    picks = rng.choice(len(window), size=count, replace=False)
     data = {}
     for i in sorted(int(p) for p in picks):
-        f = freqs[i]
+        f = window.freq(i)
         vec = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
         data[f.label] = vec
     return CoefficientField(explicit=data)

@@ -212,9 +212,6 @@ class Enclosure:
     def __float__(self):
         return float((self.lo + self.hi) / 2)
 
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
     def __str__(self):
         # fraction literals keep the round-trip exact; the grammar takes both
         mid = (self.lo + self.hi) / 2

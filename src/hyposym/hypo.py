@@ -79,7 +79,7 @@ def singular_scan(
         raise PreconditionError("cutoff must be positive")
     table = gain_table(symbol, model, cutoff)
     hits = np.flatnonzero(zero_mask(table.gain, table.opnorm, tol))
-    return [table.freq(int(i)) for i in hits]
+    return [table.window.freq(int(i)) for i in hits]
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,12 @@ def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> Growth
     x = np.log1p(lam[keep]) / nu
     y = np.log(gain[keep])
     slope, _, _ = envelope_fit(x, y, mode="min")
-    weights = np.exp(np.log1p(lam[keep]) * (slope / nu))
-    ratios = gain[keep] / weights
-    big_l = float(np.min(ratios))
-    residual = float(np.max(big_l * weights / gain[keep] - 1.0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.exp(np.log1p(lam[keep]) * (slope / nu))
+        big_l = float(np.min(gain[keep] / weights))
+        residual = float(np.max(big_l * weights / gain[keep] - 1.0))
+    if not (math.isfinite(big_l) and math.isfinite(residual)):
+        raise NoFitError(f"the bound of slope {slope!r} leaves float range on the window")
     return GrowthFit(
         L=big_l,
         m=float(slope),
@@ -424,7 +426,7 @@ def verdict(
     if table is None:
         table = gain_table(build_symbol(op, model), model, cutoff)
     sing_idx = np.flatnonzero(zero_mask(table.gain, table.opnorm, tol))
-    singular = tuple(table.freq(int(i)) for i in sing_idx)
+    singular = tuple(table.window.freq(int(i)) for i in sing_idx)
     if singular and max(f.lam for f in singular) > cutoff / 2.0:
         return Verdict(
             kind="inconclusive",

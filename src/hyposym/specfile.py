@@ -97,35 +97,33 @@ def _parse_coefficient(term: dict, where: str, problems: list[str]) -> Coefficie
         ):
             problems.append(f"{where}: 'coeff' must be a [re, im] number pair")
             return Coefficient.make(0)
-        if not all(math.isfinite(v) for v in pair if isinstance(v, float)):
-            problems.append(f"{where}: 'coeff' parts must be finite")
-            return Coefficient.make(0)
-        return Coefficient.make(pair[0], pair[1])
-
-    parts = []
-    for key in ("coeff_real", "coeff_imag"):
-        raw = term.get(key)
-        if raw is None:
-            parts.append(Fraction(0))
-            continue
-        if not isinstance(raw, str):
-            problems.append(f"{where}: {key} must be a real-spec string")
-            parts.append(Fraction(0))
-            continue
-        try:
-            value = parse_real(raw)
-        except Exception as exc:
-            problems.append(f"{where}: malformed {key} literal {raw!r} ({exc})")
-            parts.append(Fraction(0))
-            continue
-        if isinstance(value, Enclosure):
-            problems.append(
-                f"{where}: enclosure coefficients are not supported in operators"
-            )
-            parts.append(Fraction(0))
-            continue
-        parts.append(value)
+        parts = pair
+    else:
+        parts = [_parse_exact_part(term, key, where, problems)
+                 for key in ("coeff_real", "coeff_imag")]
+    # an exact part beyond float range would overflow the float evaluation
+    if not all(_is_finite(v) for v in parts):
+        problems.append(f"{where}: coefficient parts must be finite (within float range)")
+        return Coefficient.make(0)
     return Coefficient.make(parts[0], parts[1])
+
+
+def _parse_exact_part(term: dict, key: str, where: str, problems: list[str]):
+    raw = term.get(key)
+    if raw is None:
+        return Fraction(0)
+    if not isinstance(raw, str):
+        problems.append(f"{where}: {key} must be a real-spec string")
+        return Fraction(0)
+    try:
+        value = parse_real(raw)
+    except Exception as exc:
+        problems.append(f"{where}: malformed {key} literal {raw!r} ({exc})")
+        return Fraction(0)
+    if isinstance(value, Enclosure):
+        problems.append(f"{where}: enclosure coefficients are not supported in operators")
+        return Fraction(0)
+    return value
 
 
 def _parse_degree(term: dict, key: str, where: str, problems: list[str]) -> int:

@@ -35,6 +35,8 @@ __all__ = [
     "SpectralModel",
     "TORUS2",
     "SU2",
+    "Window",
+    "bracket_power",
     "enumerate_frequencies",
     "frequency_for_label",
     "torus_lattice",
@@ -151,31 +153,54 @@ def su2_levels(lambda_cutoff: float) -> np.ndarray:
     return np.arange(0, tmax + 1, dtype=np.int64)
 
 
+class Window:
+    """The frequencies with eigenvalue <= cutoff as arrays, ordinal i at position i.
+
+    ``labels``: (xi, eta) on the torus, (twice_ell,) on SU(2); ``lam``: the
+    eigenvalues as floats (t(t+2)/4.0 is float(Fraction) exactly); ``sizes``:
+    diagonal entries per representation block (1, or 2l+1).  FrequencyIndex
+    objects are built on demand, by ``freq(i)`` or lazily by iterating.
+    """
+
+    def __init__(self, model: SpectralModel, lambda_cutoff: float):
+        self.model = model
+        if model.kind == "torus2":
+            xi, eta, lam = torus_lattice(lambda_cutoff)
+            self.labels, self.lam = (xi, eta), lam.astype(float)
+            self.sizes = np.ones(len(xi), dtype=np.int64)
+        else:
+            levels = su2_levels(lambda_cutoff)
+            self.labels, self.lam = (levels,), levels * (levels + 2) / 4.0
+            self.sizes = levels + 1
+
+    def __len__(self):
+        return len(self.lam)
+
+    def label(self, i: int) -> Label:
+        if self.model.kind == "torus2":
+            return Torus2Label(int(self.labels[0][i]), int(self.labels[1][i]))
+        return Su2Label(int(self.labels[0][i]))
+
+    def freq(self, i: int) -> FrequencyIndex:
+        label = self.label(i)
+        return FrequencyIndex(int(i), float(self.lam[i]), label.block_dim(), label)
+
+    def __iter__(self):
+        return map(self.freq, range(len(self)))
+
+
 def enumerate_frequencies(model: SpectralModel, lambda_cutoff: float) -> list[FrequencyIndex]:
     """Exactly the frequencies with eigenvalue <= cutoff, in canonical order."""
-    if lambda_cutoff < 0:
-        raise PreconditionError("lambda cutoff must be nonnegative")
-    out: list[FrequencyIndex] = []
-    if model.kind == "torus2":
-        xi, eta, lam = torus_lattice(lambda_cutoff)
-        for j in range(len(xi)):
-            out.append(
-                FrequencyIndex(
-                    j=j,
-                    lam=float(lam[j]),
-                    dim=1,
-                    label=Torus2Label(int(xi[j]), int(eta[j])),
-                )
-            )
-    else:
-        for j, t in enumerate(su2_levels(lambda_cutoff)):
-            lab = Su2Label(int(t))
-            out.append(
-                FrequencyIndex(
-                    j=j, lam=float(lab.eigenvalue()), dim=lab.block_dim(), label=lab
-                )
-            )
-    return out
+    return list(Window(model, lambda_cutoff))
+
+
+def bracket_power(lam: float, exponent: float) -> float:
+    """(1 + lam) ** exponent as a Python float power (numpy's array power may
+    round differently); an overflowing weight is a precondition violation."""
+    try:
+        return (1.0 + lam) ** exponent
+    except OverflowError:
+        raise PreconditionError(f"weight (1 + {lam}) ** {exponent} overflows") from None
 
 
 def frequency_for_label(model: SpectralModel, label: Label) -> FrequencyIndex:

@@ -20,6 +20,7 @@ truncation-level statements are never passed off as asymptotic ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +31,11 @@ from .spectral import (
     FrequencyIndex,
     Label,
     SpectralModel,
-    enumerate_frequencies,
+    Window,
+    bracket_power,
     frequency_for_label,
 )
-from .symbols import MatrixSymbol, zero_mask
+from .symbols import MatrixSymbol, block_values, zero_mask
 
 KERNEL_TOL = 1e-12
 
@@ -50,21 +52,6 @@ __all__ = [
     "check_alpha",
     "check_beta",
 ]
-
-
-def _block_spectrum(symbol: MatrixSymbol, freq: FrequencyIndex, tol: float):
-    """The block's values and their ``zero_mask``.
-
-    The values are |entries| of a diagonal block, or the descending
-    singular values of a dense one.  The SVD here is values-only: a full
-    SVD rounds differently in the last bits, and C* is read from these.
-    """
-    diag = symbol.diagonal(freq)
-    if diag is not None:
-        values = np.abs(diag)
-        return values, zero_mask(values, np.max(values), tol)
-    values = np.linalg.svd(symbol.block(freq), compute_uv=False)
-    return values, zero_mask(values, values[0], tol)
 
 
 @dataclass(frozen=True)
@@ -118,57 +105,52 @@ def _window_pass(
     tol: float,
     m: float | None = None,
 ):
-    """The truncated kernel and, given m, the C* witness, from one window scan.
-
-    The witness is (C*, freq, entry), or None when m is None or every block
-    is entirely kernel.  Its entry is the first minimum of a diagonal block
-    and the last nonzero singular value of a dense one.
+    """The truncated kernel and, given m, the C* witness, from numpy
+    reductions over the chunks of ``block_values``.  The witness (C*, freq,
+    entry) is the first strict minimum over blocks of the least nonzero
+    value times (1 + lam)^{-m/nu}, or None when m is None or every block is
+    entirely kernel.  Its entry is the first minimum of a diagonal block and
+    the last nonzero singular value of a dense one.
     """
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
+    window = Window(model, cutoff)
     blocks = {}
     total = 0
     boundary = False
     best = None
-    for freq in enumerate_frequencies(model, cutoff):
-        values, zero = _block_spectrum(symbol, freq, tol)
-        if zero.any():
-            nullity = int(np.count_nonzero(zero))
+    for lo, hi, values, offsets in block_values(symbol, window):
+        sizes = window.sizes[lo:hi]
+        zero = zero_mask(values, np.repeat(np.maximum.reduceat(values, offsets), sizes), tol)
+        nullity = np.add.reduceat(zero, offsets)
+        for k in np.flatnonzero(nullity).tolist():
+            freq = window.freq(lo + k)
+            block_zero = zero[offsets[k]:offsets[k] + sizes[k]]
+            n = int(nullity[k])
             if symbol.is_diagonal:
-                basis = np.zeros((len(zero), nullity), dtype=complex)
-                basis[np.flatnonzero(zero), np.arange(nullity)] = 1.0
+                basis = np.eye(len(block_zero), dtype=complex)[:, block_zero]
             else:
-                # a full SVD only for a block with a kernel: its zero values
-                # descend to the last rows of vh
-                vh = np.linalg.svd(symbol.block(freq))[2]
-                basis = vh[len(zero) - nullity:].conj().T
+                # a full SVD only for a dense block with a kernel: its zero
+                # values descend to the last rows of vh
+                basis = np.linalg.svd(symbol.block(freq))[2][len(block_zero) - n:].conj().T
             basis.setflags(write=False)
             blocks[freq.label] = basis
-            copies = freq.label.rep_dim() if symbol.replicated else 1
-            total += nullity * copies
-            if freq.lam > 0.8 * cutoff:
-                boundary = True
-        if m is None or zero.all():
+            total += n * (int(sizes[k]) if symbol.replicated else 1)
+            boundary = boundary or freq.lam > 0.8 * cutoff
+        if m is None:
             continue
-        if symbol.is_diagonal:
-            nz = np.flatnonzero(~zero)
-            entry = int(nz[np.argmin(values[nz])])
-        else:
-            # singular values descend, so the smallest nonzero ends the prefix
-            entry = int(np.count_nonzero(~zero)) - 1
-        cand = float(values[entry]) * (1.0 + freq.lam) ** (-m / model.nu)
-        if best is None or cand < best[0]:
-            best = (cand, freq, entry)
-    kernel = TruncatedKernel(
-        model=model,
-        cutoff=cutoff,
-        tol=tol,
-        blocks=blocks,
-        replicated=symbol.replicated,
-        total_dim=total,
-        boundary_singular=boundary,
-    )
-    return kernel, best
+        least = np.minimum.reduceat(np.where(zero, np.inf, values), offsets)
+        weights = [bracket_power(lam, -m / model.nu) for lam in window.lam[lo:hi].tolist()]
+        # an all-kernel block stays out, even where its weight underflows to 0
+        cand = least * np.where(least < np.inf, weights, 1.0)
+        k = int(np.argmin(cand))
+        if cand[k] < np.inf and (best is None or cand[k] < best[0]):
+            # zero values lie below the least nonzero one, and singular values
+            # descend: the last hit of a dense block ends its nonzero prefix
+            hits = np.flatnonzero(values[offsets[k]:offsets[k] + sizes[k]] == least[k])
+            best = (float(cand[k]), window.freq(lo + k),
+                    int(hits[0] if symbol.is_diagonal else hits[-1]))
+    return TruncatedKernel(model, cutoff, tol, blocks, symbol.replicated, total, boundary), best
 
 
 def kernel_on_truncation(
@@ -186,8 +168,8 @@ def per_frequency_constant(
 ) -> float:
     """Smallest nonzero singular value of the block (the constant C_j in
     ||sigma(j) v|| >= C_j ||v|| off the kernel); +inf for an all-kernel block."""
-    values, zero = _block_spectrum(symbol, freq, tol)
-    nz = values[~zero]
+    values = symbol.values(freq)
+    nz = values[~zero_mask(values, np.max(values), tol)]
     return float(np.min(nz)) if len(nz) else float("inf")
 
 
@@ -252,13 +234,11 @@ def best_alpha_constant(
         raise PreconditionError("every block is entirely kernel on the truncation")
 
     c_star, freq, entry = best
-    if kernel.blocks:
-        k1 = max(
-            (1.0 + float(lab.eigenvalue())) ** (m / model.nu) for lab in kernel.blocks
-        )
-    else:
-        k1 = 0.0
-    k_star = max(k1, 1.0 / c_star) if c_star > 0 else float("inf")
+    k1 = max((bracket_power(float(lab.eigenvalue()), m / model.nu) for lab in kernel.blocks),
+             default=0.0)
+    if c_star == 0.0 or not math.isfinite(max(k1, 1.0 / c_star)):
+        raise PreconditionError(f"C* = {c_star!r} and k1 = {k1!r} leave no finite K* at m = {m}")
+    k_star = max(k1, 1.0 / c_star)
     return SubellipticReport(
         s=s,
         m=m,

@@ -16,6 +16,7 @@ smallest |entry|, norm the largest).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -31,8 +32,7 @@ from .spectral import (
     SpectralModel,
     Su2Label,
     Torus2Label,
-    su2_levels,
-    torus_lattice,
+    Window,
 )
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "build_symbol",
     "identity_symbol",
     "zero_mask",
+    "block_values",
     "smallest_gain",
     "operator_norm",
     "combine",
@@ -306,20 +307,26 @@ def su2_diag_values_bulk(op: Su2DiagPoly, levels: np.ndarray) -> np.ndarray:
 
 
 def su2_diag_exact(op: Su2DiagPoly, twice_ell: int):
-    """Exact diagonal entries as (re, im) pairs, or None if inexact."""
+    """Exact diagonal entries as (re, im) pairs, or None if inexact.
+
+    The entry at m = t/2 is sum_a C_a t^a with C_a = sum_b c i^a lam^b / 2^a;
+    over the common denominator of the C_a it is an integer polynomial in t.
+    """
+    if any(c.rational_parts() is None for c, _, _ in op.terms):
+        return None
     lam = Fraction(twice_ell * (twice_ell + 2), 4)
+    poly = [(Fraction(0), Fraction(0))] * (1 + max((a for _, a, _ in op.terms), default=0))
+    for coeff, a, b in op.terms:
+        term = _cmul(coeff.rational_parts(), _I_POW[a % 4])
+        poly[a] = tuple(p + x * lam**b / 2**a for p, x in zip(poly[a], term))
+    den = math.lcm(*(x.denominator for pair in poly for x in pair))
+    nums = [[x.numerator * (den // x.denominator) for x in pair] for pair in reversed(poly)]
     entries = []
     for t in range(-twice_ell, twice_ell + 1, 2):
-        m = Fraction(t, 2)
-        acc = (Fraction(0), Fraction(0))
-        for coeff, a, b in op.terms:
-            parts = coeff.rational_parts()
-            if parts is None:
-                return None
-            mag = m**a * lam**b
-            term = _cmul(parts, _I_POW[a % 4])
-            acc = (acc[0] + term[0] * mag, acc[1] + term[1] * mag)
-        entries.append(acc)
+        re = im = 0
+        for c_re, c_im in nums:  # Horner, highest degree first
+            re, im = re * t + c_re, im * t + c_im
+        entries.append((Fraction(re, den), Fraction(im, den)))
     return entries
 
 
@@ -348,9 +355,11 @@ def zero_mask(values, norm, tol: float):
 
     The one singular rule for gains, singular values and diagonal entries.
     The threshold is relative to the block norm, so verdicts are scale
-    invariant; the floor 1 keeps tiny symbols from vanishing wholesale.
+    invariant; the floor 1 keeps tiny symbols from vanishing wholesale.  A
+    threshold beyond float range is inf: everything counts as zero.
     """
-    return values <= tol * np.maximum(1.0, norm)
+    with np.errstate(over="ignore"):
+        return values <= tol * np.maximum(1.0, norm)
 
 
 class MatrixSymbol:
@@ -392,12 +401,6 @@ class MatrixSymbol:
     def is_diagonal(self) -> bool:
         return self.diag_fn is not None
 
-    @property
-    def structure(self) -> str:
-        if self.replicated:
-            return "su2_block"
-        return "diagonal" if self.is_diagonal else "dense"
-
     def _check(self, freq: FrequencyIndex):
         want_su2 = self.model.kind == "su2"
         if want_su2 != isinstance(freq.label, Su2Label):
@@ -437,18 +440,20 @@ class MatrixSymbol:
         copies = freq.label.rep_dim()
         return np.kron(np.eye(copies, dtype=complex), b)
 
+    def values(self, freq: FrequencyIndex) -> np.ndarray:
+        """|entries| of a diagonal block, or the descending singular values
+        (values-only SVD) of a dense one."""
+        d = self.diagonal(freq)
+        if d is not None:
+            return np.abs(d)
+        return np.linalg.svd(self.block(freq), compute_uv=False)
+
     def gain(self, freq: FrequencyIndex) -> float:
         """Smallest gain m(sigma(j)); block-level, diagonal short-circuit."""
-        d = self.diagonal(freq)
-        if d is not None:
-            return float(np.min(np.abs(d)))
-        return smallest_gain(self.block(freq))
+        return float(np.min(self.values(freq)))
 
     def opnorm(self, freq: FrequencyIndex) -> float:
-        d = self.diagonal(freq)
-        if d is not None:
-            return float(np.max(np.abs(d)))
-        return operator_norm(self.block(freq))
+        return float(np.max(self.values(freq)))
 
     def apply_to_vector(self, freq: FrequencyIndex, v: np.ndarray) -> np.ndarray:
         """Multiply a full coefficient vector by the symbol at one frequency."""
@@ -636,84 +641,62 @@ def combine(operation: str, symbols, scalar=None) -> MatrixSymbol:
 
 
 class GainTable:
-    """Vectorized gain/opnorm samples over an enumeration window.
+    """Gain and operator norm per block of a ``Window``, as arrays."""
 
-    Heavy scans keep everything in arrays; FrequencyIndex objects are
-    materialized on demand (singular hits, small windows, reports).
-    ``labels`` holds the label arrays: (xi, eta) on the torus, (twice_ell,)
-    on SU(2).
-    """
-
-    def __init__(self, model, ordinals, lam, gain, opnorm, labels):
-        self.model = model
-        self.ordinals = ordinals
-        self.lam = lam
-        self.gain = gain
-        self.opnorm = opnorm
-        self.labels = labels
+    def __init__(self, window: Window, gain: np.ndarray, opnorm: np.ndarray):
+        self.window, self.model, self.lam = window, window.model, window.lam
+        self.ordinals = np.arange(len(window), dtype=np.int64)
+        self.gain, self.opnorm = gain, opnorm
 
     def __len__(self):
-        return len(self.ordinals)
-
-    def label(self, i: int) -> Label:
-        if self.model.kind == "torus2":
-            return Torus2Label(int(self.labels[0][i]), int(self.labels[1][i]))
-        return Su2Label(int(self.labels[0][i]))
-
-    def freq(self, i: int) -> FrequencyIndex:
-        label = self.label(i)
-        return FrequencyIndex(
-            j=int(self.ordinals[i]),
-            lam=float(self.lam[i]),
-            dim=label.block_dim(),
-            label=label,
-        )
+        return len(self.window)
 
 
-# diagonal entries per bulk evaluation: each complex temporary (64 KB) stays
-# in cache; a block larger than this is a chunk of its own
+# block values per chunk: each complex temporary (64 KB) stays in cache; a
+# block larger than this is a chunk of its own
 BULK_CHUNK_ENTRIES = 4096
 
 
-def _bulk_gains(bulk, labels, sizes, gains, norms) -> None:
-    """Fill per-block min and max |entry| from a bulk evaluator, chunk by chunk."""
+def block_values(symbol: MatrixSymbol, window: Window):
+    """Yield ``(lo, hi, values, offsets)`` over runs of whole blocks.
+
+    The values of blocks lo..hi-1, up to BULK_CHUNK_ENTRIES of them, are
+    concatenated; block lo + k starts at ``offsets[k]``, ready for
+    ``np.minimum.reduceat``.  They are |bulk(labels)| given a bulk
+    evaluator, else ``symbol.values`` per block: the values-only SVD of a
+    dense block, as a full SVD rounds differently in the last bits and
+    gains and C* are read from these.  Values beyond float range are a
+    precondition violation.
+    """
+    sizes = window.sizes
     ends = np.cumsum(sizes)
     lo = 0
     while lo < len(sizes):
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + BULK_CHUNK_ENTRIES, side="right")))
-        vals = np.abs(bulk(*(x[lo:hi] for x in labels)))
-        offsets = ends[lo:hi] - sizes[lo:hi] - base
-        gains[lo:hi] = np.minimum.reduceat(vals, offsets)
-        norms[lo:hi] = np.maximum.reduceat(vals, offsets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if symbol.bulk is not None:
+                values = np.abs(symbol.bulk(*(x[lo:hi] for x in window.labels)))
+            else:
+                values = np.concatenate([symbol.values(window.freq(i)) for i in range(lo, hi)])
+        if not np.isfinite(values).all():
+            raise PreconditionError(
+                f"symbol values beyond float range at eigenvalues <= {window.lam[hi - 1]}")
+        yield lo, hi, values, ends[lo:hi] - sizes[lo:hi] - base
         lo = hi
 
 
 def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> GainTable:
-    """Gains and operator norms of all frequencies with eigenvalue <= cutoff.
-
-    Symbols with a bulk evaluator are evaluated in chunks of whole blocks;
-    the others (matrix tables) block by block.
-    """
+    """Gains and operator norms of all frequencies with eigenvalue <= cutoff."""
     if symbol.model.kind != model.kind:
         raise PreconditionError("symbol does not match the model")
-    if model.kind == "torus2":
-        xi, eta, lam = torus_lattice(cutoff)
-        labels, sizes, lam = (xi, eta), np.ones(len(xi), dtype=np.int64), lam.astype(float)
-    else:
-        levels = su2_levels(cutoff)
-        labels, sizes, lam = (levels,), levels + 1, levels * (levels + 2) / 4.0
-    gains = np.empty(len(lam))
-    norms = np.empty(len(lam))
-    table = GainTable(model, np.arange(len(lam), dtype=np.int64), lam, gains, norms, labels)
-    if symbol.bulk is not None:
-        _bulk_gains(symbol.bulk, labels, sizes, gains, norms)
-    else:
-        for i in range(len(table)):
-            f = table.freq(i)
-            gains[i] = symbol.gain(f)
-            norms[i] = symbol.opnorm(f)
-    return table
+    window = Window(model, cutoff)
+    gains = np.empty(len(window))
+    norms = np.empty(len(window))
+    for lo, hi, values, offsets in block_values(symbol, window):
+        gains[lo:hi] = np.minimum.reduceat(values, offsets)
+        norms[lo:hi] = np.maximum.reduceat(values, offsets)
+    return GainTable(window, gains, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +737,9 @@ def estimate_order(
     x = np.log1p(table.lam[nz]) / model.nu
     y = np.log(norms[nz])
     slope, _, npts = envelope_fit(x, y, mode="max")
-    weights = np.exp(np.log1p(table.lam[nz]) * (slope / model.nu))
-    c_hat = float(np.max(norms[nz] / weights))
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = np.exp(np.log1p(table.lam[nz]) * (slope / model.nu))
+        c_hat = float(np.max(norms[nz] / weights))
+    if not (np.isfinite(weights).all() and np.isfinite(c_hat)):
+        raise WindowTooSmallError(f"the order {slope!r} leaves float range on the window")
     return OrderEstimate(float(slope), c_hat, npts)

@@ -49,6 +49,16 @@ def brute_torus_points(lambda_cutoff) -> set[tuple[int, int]]:
     return out
 
 
+def brute_su2_levels(lambda_cutoff) -> list[int]:
+    """All twice_ell with l(l+1) <= cutoff, by exact scan from 0."""
+    out = []
+    t = 0
+    while Fraction(t * (t + 2), 4) <= lambda_cutoff:
+        out.append(t)
+        t += 1
+    return out
+
+
 def brute_pell_solutions(d: int, u_max: int) -> list[tuple[int, int]]:
     """All (u, m), u <= u_max, with u^2 - d m^2 = 1, by scanning u."""
     out = []

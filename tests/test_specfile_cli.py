@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyposym import (
     SU2,
@@ -339,6 +345,82 @@ def test_cli_reserved_option_is_schema_violation(key, tmp_path, capsys):
     assert any(repr(key) in v for v in _violations(capsys))
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("subelliptic", "--m", "inf"),
+    ("subelliptic", "--m", "nan"),
+    ("subelliptic", "--s", "-inf"),
+    ("subelliptic", "--tol", "inf"),
+    ("analyze", "--tol", "nan"),
+    ("singular-scan", "--tol", "inf"),
+    ("fit-exponent", "--tol", "-inf"),
+])
+def test_cli_non_finite_flag_is_schema_violation(command, flag, value, su2_gap_spec, capsys):
+    assert cli.main([command, "--spec", su2_gap_spec, "--cutoff", "30", f"{flag}={value}"]) == 2
+    assert any("finite" in v and repr(value) in v for v in _violations(capsys))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--m", "2000", "C* = 0.0"),  # every weight past the origin underflows
+    ("--m", "-2000", "overflows"),  # a C* weight overflows
+    ("--s", "2000", "overflows"),  # a Sobolev weight overflows
+])
+def test_cli_subelliptic_exponent_out_of_range_is_precondition(flag, value, message,
+                                                               su2_gap_spec, capsys):
+    assert cli.main(["subelliptic", "--spec", su2_gap_spec, "--cutoff", "2550",
+                     "--probes", "1", f"{flag}={value}"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "PreconditionError" and message in err["error"]
+
+
+@pytest.mark.parametrize("coeff", ['"coeff": [1' + "0" * 400 + ", 0]",
+                                   '"coeff": [0, -1' + "0" * 400 + "]",
+                                   '"coeff_real": "1' + "0" * 400 + '"',
+                                   '"coeff_imag": "(1+1' + "0" * 400 + '*sqrt(2))/3"'])
+def test_cli_coefficient_beyond_float_range_is_schema_violation(coeff, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(SU2_GAP).replace('"coeff": [1, 0]', coeff, 1))
+    assert cli.main(["analyze", "--spec", str(path), "--cutoff", "30"]) == 2
+    assert any("operator.poly[0]" in v and "finite" in v for v in _violations(capsys))
+
+
+def test_cli_symbol_values_beyond_float_range_are_precondition(tmp_path, capsys):
+    # the coefficient is finite, its products with (i xi)^2 are not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"model": {"kind": "torus2"}, "operator": {
+        "kind": "torus_poly", "terms": [{"coeff": [1e307, 0], "deg_t": 2, "deg_x": 0}]}}))
+    for command in ("analyze", "singular-scan", "fit-exponent", "subelliptic"):
+        assert cli.main([command, "--spec", str(path), "--cutoff", "50"]) == 3
+        err = json.loads(capsys.readouterr().err)  # the payload alone, no numpy warning
+        assert "beyond float range" in err["error"]
+
+
+def _torus_table_spec(tmp_path, options=None) -> str:
+    """A torus table with gain 1 + lambda, except 1e-9 at (1, 0)."""
+    entries = [{"label": [xi, eta], "matrix": [[[1.0 + xi * xi + eta * eta, 0.0]]]}
+               for xi in range(-4, 5) for eta in range(-4, 5) if xi * xi + eta * eta <= 20]
+    entries[[e["label"] for e in entries].index([1, 0])]["matrix"] = [[[1e-9, 0.0]]]
+    (tmp_path / "table.json").write_text(json.dumps({"entries": entries}))
+    doc = {"model": {"kind": "torus2"}, "operator": {"kind": "matrix_table", "path": "table.json"},
+           "options": options or {}}
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    return str(tmp_path / "spec.json")
+
+
+def test_cli_tol_reaches_subelliptic_and_fit_exponent(tmp_path, capsys):
+    def run(*args, options=None):
+        spec = _torus_table_spec(tmp_path, options)
+        assert cli.main([args[0], "--spec", spec, "--cutoff", "20", *args[1:]]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert run("subelliptic", "--probes", "1")["report"]["kernel_dim"] == 0
+    assert run("subelliptic", "--probes", "1", "--tol", "1e-6")["report"]["kernel_dim"] == 1
+    assert run("subelliptic", "--probes", "1", options={"tol": 1e-6})["report"]["kernel_dim"] == 1
+    assert run("fit-exponent")["fit"]["R"] == 0
+    # (1, 0) is ordinal 4: the fit starts past it
+    assert run("fit-exponent", "--tol", "1e-6")["fit"]["R"] == 5
+    assert run("fit-exponent", options={"tol": 1e-6})["fit"]["R"] == 5
+
+
 def test_matrix_table_path_is_kept_out_of_equality(tmp_path):
     (tmp_path / "table.json").write_text('{"entries": [{"label": 0, "matrix": [[[2, 0]]]}]}')
     parsed = parse_spec({"model": {"kind": "su2"},
@@ -482,7 +564,7 @@ def _reference_gains_csv(path, table):
         writer = csv.writer(fh)
         writer.writerow(["ordinal", "label", "lambda", "dim", "gain", "opnorm"])
         for i in range(len(table)):
-            f = table.freq(i)
+            f = table.window.freq(i)
             writer.writerow([f.j, str(f.label), repr(f.lam), f.dim,
                              repr(float(table.gain[i])), repr(float(table.opnorm[i]))])
 
@@ -537,3 +619,63 @@ def test_coeffs_csv_matches_csv_writer(tmp_path, monkeypatch):
         _reference_coeffs_csv(ref, field, model, 100.0)
         cli._write_coeffs_csv(str(out), field, model, 100.0)
         assert out.read_bytes() == ref.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed numeric inputs: an exit code and a JSON document, never a traceback
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+_FLAG_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, -1.0, -1e-9, 0.0, 2000.0]),
+    st.floats(),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    command=st.sampled_from(["analyze", "singular-scan", "fit-exponent", "subelliptic"]),
+    model=st.sampled_from(["torus2", "su2"]),
+    mantissa=st.integers(-9, 9),
+    exponent=st.integers(0, 400),
+    as_float=st.booleans(),
+    degree=st.integers(0, 2),
+    cutoff=st.floats(0.5, 50),
+    probes=st.integers(0, 2),
+    flags=st.fixed_dictionaries({}, optional={"tol": _FLAG_FLOATS, "s": _FLAG_FLOATS,
+                                              "m": _FLAG_FLOATS}),
+)
+def test_cli_numeric_inputs_give_an_exit_code_and_json(command, model, mantissa, exponent,
+                                                       as_float, degree, cutoff, probes, flags):
+    coeff = f"{mantissa}e{exponent}" if as_float else str(mantissa * 10**exponent)
+    if model == "torus2":
+        operator = ('{"kind": "torus_poly", "terms": ['
+                    f'{{"coeff": [{coeff}, 0], "deg_t": {degree}, "deg_x": 0}}, '
+                    '{"coeff": [0, 1], "deg_t": 0, "deg_x": 1}]}')
+    else:
+        operator = ('{"kind": "su2_diag", "poly": ['
+                    f'{{"coeff": [0, {coeff}], "deg_d0": {degree}, "deg_neglap": 0}}, '
+                    '{"coeff": [1, 0], "deg_d0": 0, "deg_neglap": 1}]}')
+    spec = f'{{"model": {{"kind": "{model}"}}, "operator": {operator}}}'
+    argv = [command, "--spec", spec, f"--cutoff={cutoff!r}"]
+    if command != "subelliptic":
+        flags = {k: v for k, v in flags.items() if k == "tol"}
+    argv += [f"--{k}={v!r}" for k, v in flags.items()]
+    if command == "subelliptic":
+        argv += ["--probes", str(probes)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        payload = json.loads(err.getvalue())
+        assert set(payload) <= {"error", "kind", "violations"} and out.getvalue() == ""

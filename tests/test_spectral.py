@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from hyposym import (
     SU2,
     TORUS2,
+    FrequencyIndex,
     Su2Label,
+    Torus2Label,
+    Window,
     enumerate_frequencies,
 )
 from hyposym.errors import PreconditionError
 
-from oracles import brute_torus_points
+from oracles import brute_su2_levels, brute_torus_points
 
 
 def test_torus_cutoff_one():
@@ -98,3 +102,53 @@ def test_su2_exact_eigenvalue_and_dims():
 @given(st.integers(min_value=0, max_value=60))
 def test_torus_count_matches_disk(cutoff):
     assert len(enumerate_frequencies(TORUS2, cutoff)) == len(brute_torus_points(cutoff))
+
+
+# ---------------------------------------------------------------------------
+# the window arrays
+
+
+# 25 = 5^2 + 0^2 = 3^2 + 4^2 and 3.75 = l(l+1) at l = 3/2 sit on the cutoff
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3.75, 6, 25, 30.5, 101])
+def test_torus_window_matches_brute_force(cutoff):
+    window = Window(TORUS2, cutoff)
+    xi, eta = window.labels
+    points = list(zip(xi.tolist(), eta.tolist()))
+    assert len(window) == len(points) == len(brute_torus_points(cutoff))
+    assert set(points) == brute_torus_points(cutoff)
+    exact = [x * x + e * e for x, e in points]
+    assert window.lam.dtype == float and window.lam.tolist() == [float(v) for v in exact]
+    assert sorted(zip(exact, points)) == list(zip(exact, points))
+    assert window.sizes.tolist() == [1] * len(window)
+    assert window.label(len(window) - 1) == Torus2Label(*points[-1])
+
+
+@pytest.mark.parametrize("cutoff", [0, 0.5, 0.75, 1, 2, 3.75, 6, 30.5, 2550])
+def test_su2_window_matches_brute_levels(cutoff):
+    window = Window(SU2, cutoff)
+    levels = brute_su2_levels(cutoff)
+    assert window.labels[0].tolist() == levels
+    assert window.sizes.tolist() == [t + 1 for t in levels]
+    # the float eigenvalue keeps the bits of the exact one, half-integers included
+    assert window.lam.tolist() == [float(Su2Label(t).eigenvalue()) for t in levels]
+    assert window.label(len(window) - 1) == Su2Label(levels[-1])
+
+
+@pytest.mark.parametrize("model", [TORUS2, SU2])
+@pytest.mark.parametrize("cutoff", [0, 2, 3.75, 25, 60])
+def test_window_frequencies_are_the_enumeration(model, cutoff):
+    window = Window(model, cutoff)
+    freqs = list(window)
+    assert freqs == enumerate_frequencies(model, cutoff)
+    assert all(isinstance(f, FrequencyIndex) for f in freqs)
+    for i, f in enumerate(freqs):
+        assert f == window.freq(i) == window.freq(np.int64(i))
+        assert (f.j, f.lam, f.dim, f.label) == (i, float(f.label.eigenvalue()),
+                                                f.label.block_dim(), window.label(i))
+        assert type(f.j) is int and type(f.lam) is float
+
+
+def test_window_rejects_negative_cutoff():
+    for model in (TORUS2, SU2):
+        with pytest.raises(PreconditionError):
+            Window(model, -0.5)

@@ -23,6 +23,7 @@ from hyposym import (
     random_field,
 )
 from hyposym.errors import PreconditionError
+from hyposym.subelliptic import KERNEL_TOL
 from hyposym.symbols import Coefficient, TorusPoly
 
 from conftest import torus_translation
@@ -310,18 +311,79 @@ def test_witness_entry_on_tied_values(su2_gap_symbol):
     assert (report.witness_label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
 
 
+def _reference_pass(symbol, model, cutoff, m, tol=KERNEL_TOL):
+    """Kernel blocks and the C* witness from a per-frequency loop."""
+    blocks, best = {}, None
+    for freq in enumerate_frequencies(model, cutoff):
+        diag = symbol.diagonal(freq)
+        values = np.abs(diag) if diag is not None else np.linalg.svd(
+            symbol.block(freq), compute_uv=False)
+        zero = values <= tol * max(1.0, float(np.max(values)))
+        if zero.any():
+            if diag is not None:
+                basis = np.eye(len(values), dtype=complex)[:, zero]
+            else:
+                basis = np.linalg.svd(symbol.block(freq))[2][-int(zero.sum()):].conj().T
+            blocks[freq.label] = basis
+        c = per_frequency_constant(symbol, freq, tol)
+        if c == math.inf:
+            continue
+        cand = c * (1.0 + freq.lam) ** (-m / model.nu)
+        if best is None or cand < best[0]:
+            hits = np.flatnonzero(values == c)
+            best = (cand, freq.label, int(hits[0] if diag is not None else hits[-1]))
+    return blocks, best
+
+
+@pytest.mark.parametrize("chunk", [5, None])
+@pytest.mark.parametrize("m", [1.0, 0.0, -0.5])
+@pytest.mark.parametrize("case", ["torus_resonant", "su2_pell", "dense_planted",
+                                  "tied_diagonal", "tied_dense", "identity"])
+def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch,
+                                                     torus_resonant_symbol, su2_pell_symbol,
+                                                     su2_gap_symbol):
+    import hyposym.symbols
+    from hyposym.subelliptic import _window_pass
+
+    if chunk is not None:
+        # many chunks per window, and SU(2) blocks larger than a chunk
+        monkeypatch.setattr(hyposym.symbols, "BULK_CHUNK_ENTRIES", chunk)
+    model, symbol, cutoff = {
+        "torus_resonant": (TORUS2, torus_resonant_symbol, 50),
+        "su2_pell": (SU2, su2_pell_symbol, 60 * 61),
+        "dense_planted": (SU2, build_symbol(_dense_table(12, 5, planted=(4, 9)), SU2),
+                          12 * 14 / 4),
+        "tied_diagonal": (SU2, su2_gap_symbol, 30 * 31),
+        "tied_dense": (SU2, build_symbol(MatrixTable("su2", {
+            Su2Label(t): (3.0 if t % 3 else 0.0) * np.eye(t + 1) for t in range(9)}), SU2),
+            8 * 10 / 4),
+        # at m = 1, numpy's array power rounds 26 ** -0.5 differently
+        "identity": (TORUS2, identity_symbol(TORUS2), 25),
+    }[case]
+    blocks, (c_star, label, entry) = _reference_pass(symbol, model, cutoff, m)
+    kernel, (got_c, got_freq, got_entry) = _window_pass(symbol, model, cutoff, KERNEL_TOL, m)
+    assert (got_c, got_freq.label, got_entry) == (c_star, label, entry)
+    assert got_freq == frequency_for_label(model, label)
+    assert list(kernel.blocks) == list(blocks)
+    for lab, basis in blocks.items():
+        assert np.array_equal(kernel.blocks[lab], basis)
+    assert kernel.total_dim == sum(
+        kernel.nullity(lab) for lab in blocks) == sum(
+        b.shape[1] * (lab.rep_dim() if symbol.replicated else 1) for lab, b in blocks.items())
+
+
 def test_cli_subelliptic_enumerates_the_window_once(monkeypatch, tmp_path, capsys):
     import hyposym.subelliptic
     from hyposym import cli
 
     calls = []
-    enumerate_once = hyposym.subelliptic.enumerate_frequencies
+    window = hyposym.subelliptic.Window
 
     def counting(*args):
         calls.append(args)
-        return enumerate_once(*args)
+        return window(*args)
 
-    monkeypatch.setattr(hyposym.subelliptic, "enumerate_frequencies", counting)
+    monkeypatch.setattr(hyposym.subelliptic, "Window", counting)
     spec = tmp_path / "gap.json"
     spec.write_text(
         '{"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": ['

@@ -67,6 +67,34 @@ def test_su2_gap_operator_entries():
     ]
 
 
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(_fractions, _fractions, st.integers(0, 5), st.integers(0, 3)), max_size=4
+    ),
+    twice_ell=st.integers(0, 40),
+)
+def test_su2_exact_diagonal_equals_termwise_sum(terms, twice_ell):
+    # repeated (deg_d0, deg_neglap) pairs are kept, so the evaluator must add them
+    op = Su2DiagPoly(tuple((Coefficient.make(re, im), a, b) for re, im, a, b in terms))
+    lam = Fraction(twice_ell * (twice_ell + 2), 4)
+    expected = []
+    for t in range(-twice_ell, twice_ell + 1, 2):
+        acc_re, acc_im = Fraction(0), Fraction(0)
+        for re, im, a, b in terms:
+            mag = Fraction(t, 2) ** a * lam**b
+            i_re, i_im = [(1, 0), (0, 1), (-1, 0), (0, -1)][a % 4]
+            acc_re += (re * i_re - im * i_im) * mag
+            acc_im += (re * i_im + im * i_re) * mag
+        expected.append((acc_re, acc_im))
+    got = build_symbol(op, SU2).exact_diagonal(frequency_for_label(SU2, Su2Label(twice_ell)))
+    assert got == expected
+    assert all(type(x) is Fraction for pair in got for x in pair)
+
+
 def test_exact_evaluation_vanishes_at_resonance():
     op = torus_translation(Fraction(3, 7))
     sym = build_symbol(op, TORUS2)
@@ -80,6 +108,8 @@ def test_float_coefficients_have_no_exact_path():
     sym = build_symbol(op, TORUS2)
     freq = frequency_for_label(TORUS2, Torus2Label(-3, 7))
     assert sym.exact_diagonal(freq) is None
+    op = Su2DiagPoly(((Coefficient.make(1), 0, 1), (Coefficient.make(0.5), 2, 0)))
+    assert build_symbol(op, SU2).exact_diagonal(frequency_for_label(SU2, Su2Label(4))) is None
 
 
 def test_model_mismatch_rejected():
@@ -266,6 +296,7 @@ def _bulk_cases():
     linear = build_symbol(
         _su2((Coefficient.make(Fraction(2), third), 1, 0), (Fraction(1, 7), 0, 0)), SU2)
     phi = build_symbol(torus_translation(1.618033988749895), TORUS2)
+    rng = np.random.default_rng(4)
     return {
         "a(negLap + d0^2)": (build_symbol(
             _su2((Fraction(3, 2), 0, 1), (Fraction(3, 2), 2, 0)), SU2), 1e4),
@@ -280,6 +311,12 @@ def _bulk_cases():
         "compose": (combine("compose", [linear, gap, identity_symbol(SU2)]), 1e4),
         "torus phi": (phi, 2000),
         "torus compose": (combine("compose", [phi, combine("scale", [phi], scalar=0.5j)]), 2000),
+        "dense torus table": (build_symbol(MatrixTable("torus2", {
+            lab: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
+            for lab in (f.label for f in enumerate_frequencies(TORUS2, 300))}), TORUS2), 300),
+        "dense su2 table": (build_symbol(MatrixTable("su2", {
+            Su2Label(t): rng.standard_normal((t + 1, t + 1))
+            + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(41)}), SU2), 40 * 42 / 4),
     }
 
 
@@ -292,11 +329,23 @@ def test_bulk_gain_table_equals_per_frequency_loop(name, chunk, monkeypatch):
         # more chunk boundaries, and blocks larger than a chunk
         monkeypatch.setattr(symbols, "BULK_CHUNK_ENTRIES", chunk)
     sym, cutoff = _bulk_cases()[name]
-    assert sym.bulk is not None
+    assert (sym.bulk is None) == name.startswith("dense")
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
     table = gain_table(sym, sym.model, cutoff)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     freqs = enumerate_frequencies(sym.model, cutoff)
-    assert np.array_equal(table.gain, [sym.gain(f) for f in freqs])
-    assert np.array_equal(table.opnorm, [sym.opnorm(f) for f in freqs])
+    assert len(svd_calls) == (len(freqs) if sym.bulk is None else 0)
+    if sym.bulk is None:
+        # one values-only SVD per block gives both columns, with the bits of
+        # a separate SVD for each
+        gain = [smallest_gain(sym.block(f)) for f in freqs]
+        norm = [operator_norm(sym.block(f)) for f in freqs]
+    else:
+        gain, norm = [sym.gain(f) for f in freqs], [sym.opnorm(f) for f in freqs]
+    assert np.array_equal(table.gain, gain)
+    assert np.array_equal(table.opnorm, norm)
 
 
 # ---------------------------------------------------------------------------

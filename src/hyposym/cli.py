@@ -230,8 +230,11 @@ def _cmd_counterexample(args) -> None:
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
     k_steps = args.k if args.k is not None else parsed.options.get("k", 5)
+    tol = _option(args, parsed, "tol", 1e-12)
+    if tol < 0:
+        raise SpecFileError([f"the guard band tol must be nonnegative, got {tol!r}"])
     symbol = build_symbol(parsed.operator, parsed.model)
-    result = build_counterexample(symbol, parsed.model, k_steps, cutoff)
+    result = build_counterexample(symbol, parsed.model, k_steps, cutoff, tol)
     # regularity evidence is judged on the construction's own span: past the
     # support every finite field looks smooth, which says nothing here
     span = max(f.lam for f in result.frequencies)

@@ -29,7 +29,7 @@ from .spectral import (
     bracket_power,
     frequency_for_label,
 )
-from .symbols import MatrixSymbol
+from .symbols import MatrixSymbol, block_values
 
 __all__ = [
     "CoefficientField",
@@ -131,12 +131,17 @@ def sobolev_norm(
     """Sobolev norm on the truncation: sqrt of the weighted coefficient sum.
 
     The weight per frequency is (1 + lambda_j)^{2s/nu}; summation runs in
-    canonical frequency order.  A norm beyond float range is a precondition
+    canonical frequency order.  A norm beyond float range, or a weight that
+    underflows to 0 on a nonzero coefficient vector, is a precondition
     violation.
     """
     total = 0.0
+    exponent = 2.0 * s / model.nu
     for freq, vec in u.window(model, cutoff):
-        total += bracket_power(freq.lam, 2.0 * s / model.nu) * float(np.vdot(vec, vec).real)
+        weight = bracket_power(freq.lam, exponent)
+        if weight == 0.0 and freq.lam > 0:
+            raise PreconditionError(f"weight (1 + {freq.lam}) ** {exponent} underflows to 0")
+        total += weight * float(np.vdot(vec, vec).real)
     if not math.isfinite(total):
         raise PreconditionError(f"the Sobolev norm of order {s} overflows on the window")
     return math.sqrt(total)
@@ -289,8 +294,58 @@ def _unit_null_vector(block: np.ndarray) -> np.ndarray:
     return v
 
 
+# upward slack on the screen's ceiling (1+lambda)^{-k}: it covers the rounding
+# of the float power (k + 2 roundings, k < 1100 wherever the ceiling is above
+# the smallest normal float), of gain - err, and the guard band of every tol >= 0
+_SCREEN_SLACK = 2.0**-20
+_TINY = np.finfo(float).tiny
+
+
+def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
+    """Yield ``(lo, hi, lower)`` over runs of the window's blocks, in order.
+
+    ``lower[i - lo]`` is at most block i's exact gain and its float gain
+    ``symbol.gain``: the ``block_values`` gain less the symbol's
+    ``bulk_err``.  It is -inf for a symbol without a rounding bound, and
+    from the first run whose values leave float range onwards.
+    """
+    done = 0
+    if symbol.bulk_err is not None:
+        try:
+            for lo, hi, values, offsets in block_values(symbol, window):
+                err = symbol.bulk_err(*(x[lo:hi] for x in window.labels))
+                with np.errstate(invalid="ignore"):
+                    yield lo, hi, np.minimum.reduceat(values, offsets) - err
+                done = hi
+        except (PreconditionError, OverflowError):  # values beyond float range
+            pass
+    yield done, len(window), np.full(len(window) - done, -np.inf)
+
+
+def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
+    """The per-frequency test of step k: ``(freq, entry, vector, exact)``
+    when the gain at ``freq`` is below (1+lambda)^{-k}, else None."""
+    exact_entries = symbol.exact_diagonal(freq)
+    if exact_entries is not None:
+        bound_sq = Fraction(1, 1) / (1 + freq.lam_exact()) ** (2 * k)
+        sq = [re * re + im * im for re, im in exact_entries]
+        min_sq = min(sq)
+        return (freq, sq.index(min_sq), None, True) if min_sq < bound_sq else None
+    bound = (1.0 + freq.lam) ** (-k)
+    if not symbol.gain(freq) < bound * (1.0 - tol):
+        return None
+    diag = symbol.diagonal(freq)
+    if diag is not None:
+        return freq, int(np.argmin(np.abs(diag))), None, False
+    return freq, None, _unit_null_vector(symbol.block(freq)), False
+
+
 def build_counterexample(
-    symbol: MatrixSymbol, model: SpectralModel, k_steps: int, search_cutoff: float
+    symbol: MatrixSymbol,
+    model: SpectralModel,
+    k_steps: int,
+    search_cutoff: float,
+    tol: float = 1e-12,
 ) -> Counterexample:
     """Construct a field whose image decays faster than every probed rate.
 
@@ -300,12 +355,20 @@ def build_counterexample(
     first step of the induction takes threshold ordinal R = 1) and advances
     with strictly increasing eigenvalue.  The strict inequality is checked
     in exact arithmetic when the symbol evaluates rationally, otherwise
-    with a 1e-12 relative guard band.  Raises SearchExhaustedError when no
-    admissible frequency exists within the window.
+    with the relative guard band ``tol``.  A float screen goes first: a
+    frequency whose gain lower bound (``_gain_lower_bounds``) is above the
+    ceiling (1+lambda)^{-k}, raised by a slack, fails both tests and is
+    skipped; every other one is tested in ordinal order.  Raises
+    SearchExhaustedError when no admissible frequency exists within the
+    window.
     """
     if k_steps < 1:
         raise PreconditionError("need at least one step")
+    if not tol >= 0:
+        raise PreconditionError(f"guard band tol must be nonnegative, got {tol!r}")
     window = Window(model, search_cutoff)
+    screen = _gain_lower_bounds(symbol, window)
+    lo = hi = 0
     support: dict[Label, np.ndarray] = {}
     chosen: list[FrequencyIndex] = []
     certs: list[CounterexampleCertificate] = []
@@ -314,34 +377,17 @@ def build_counterexample(
     for k in range(1, k_steps + 1):
         found = None
         idx = max(idx, 2, int(np.searchsorted(window.lam, lam_prev, "right")))
-        while idx < len(window):
-            freq = window.freq(idx)
-            exact_entries = symbol.exact_diagonal(freq)
-            if exact_entries is not None:
-                lam_exact = freq.lam_exact()
-                bound_sq = Fraction(1, 1) / (1 + lam_exact) ** (2 * k)
-                min_sq = min(re * re + im * im for re, im in exact_entries)
-                ok = min_sq < bound_sq
-                if ok:
-                    entry_idx = min(
-                        range(len(exact_entries)),
-                        key=lambda i: exact_entries[i][0] ** 2
-                        + exact_entries[i][1] ** 2,
-                    )
-                    found = (freq, entry_idx, None, True)
+        while found is None and idx < len(window):
+            while idx >= hi:
+                lo, hi, lower = next(screen)
+            ceiling = (1.0 + window.lam[idx:hi]) ** -k * (1.0 + _SCREEN_SLACK) + _TINY
+            for i in (idx + np.flatnonzero(~(lower[idx - lo:] > ceiling))).tolist():
+                found = _admissible(symbol, window.freq(i), k, tol)
+                if found is not None:
+                    idx = i
                     break
             else:
-                bound = (1.0 + freq.lam) ** (-k)
-                gain = symbol.gain(freq)
-                if gain < bound * (1.0 - 1e-12):
-                    diag = symbol.diagonal(freq)
-                    if diag is not None:
-                        entry_idx = int(np.argmin(np.abs(diag)))
-                        found = (freq, entry_idx, None, False)
-                    else:
-                        found = (freq, None, _unit_null_vector(symbol.block(freq)), False)
-                    break
-            idx += 1
+                idx = hi
         if found is None:
             raise SearchExhaustedError(k, search_cutoff)
 

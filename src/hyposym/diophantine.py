@@ -2,7 +2,8 @@
 
 Everything here runs in exact arithmetic (big integers, rationals,
 quadratic surds, rational intervals); floating point appears only in
-reports.  Provided operations:
+reports and in enclosures that rule lattice points out before the exact
+comparison.  Provided operations:
 
 * continued fractions of rationals, quadratic surds (with period
   detection), and decimal enclosures (certified common prefix),
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log
+from math import inf, isqrt, log
 from statistics import median
+
+import numpy as np
 
 from .errors import PreconditionError, PrecisionError
 from .exact import Enclosure, RealSpec, Surd, is_square
@@ -292,6 +295,75 @@ def _half_ball(radius: int):
             yield xi, eta
 
 
+# points per run of the float screen, at least one row of the ball
+BALL_CHUNK_POINTS = 1 << 16
+
+
+def _ball_arrays(radius: int):
+    """The points of ``_ball(radius)`` in its order, as int64 arrays
+    ``(xi, eta)`` over runs of whole rows of about BALL_CHUNK_POINTS points."""
+    rows = max(1, BALL_CHUNK_POINTS // (2 * radius + 1))
+    for first in range(-radius, radius + 1, rows):
+        xi = np.arange(first, min(first + rows, radius + 1))
+        rem = radius - np.abs(xi)
+        lens = 2 * rem + 1
+        x = np.repeat(xi, lens)
+        eta = np.arange(len(x)) - np.repeat(np.cumsum(lens) - lens + rem, lens)
+        keep = (x != 0) | (eta != 0)
+        yield x[keep], eta[keep]
+
+
+# unit roundoff and smallest normal of float64
+_U = 2.0**-53
+_TINY = np.finfo(float).tiny
+
+
+def _ball_candidates(c: Fraction | Surd, radius: int, exponent: int):
+    """The points of ``_ball(radius)`` whose objective can be the least, in
+    ball order; None when the float screen does not apply.
+
+    The objective |xi + c eta| w is enclosed in [obj - err, obj + err]
+    around its float value obj.  ``e_c`` bounds |c - float(c)| through c's
+    128-bit enclosure; the product and the sum in |xi + c_f eta| add
+    4u (|xi| + |c_f eta|); a weight w = s^-N carries u relative when its
+    float is not exact, and the product obj one more u.  err is 4 times
+    that first-order sum, which covers the second-order terms and the
+    roundings of err, obj - err and obj + err, plus the smallest normal
+    float for any underflow.  A point is kept when its lower end is at or
+    below the least upper end, which holds for the argmin and all its exact
+    ties.  A coefficient or weight beyond float range, or a weight below
+    the smallest normal float, leaves the full ball.
+    """
+    weights = [_weight(0, d, exponent) for d in range(radius + 1)]
+    try:
+        c_f = float(c)
+        w_f = np.array([float(w) for w in weights])
+    except OverflowError:
+        return None
+    if not (w_f[1:] >= _TINY).all():
+        return None
+    w_rel = np.array([0.0 if Fraction(f) == w else _U for f, w in zip(w_f.tolist(), weights)])
+    # twice the float of |c - c_f|, plus the float's own underflow
+    e_c = 2 * float(max(abs(b - Fraction(c_f)) for b in _bounds(c))) + 5e-324
+    least_hi, kept = inf, []
+    for xi, eta in _ball_arrays(radius):
+        d = np.abs(xi) + np.abs(eta)
+        x, ce = xi.astype(float), c_f * eta
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = np.abs(x + ce) * w_f[d]
+            err = 4 * ((e_c * np.abs(eta) + 4 * _U * (np.abs(x) + np.abs(ce))) * w_f[d]
+                       + (w_rel[d] + _U) * obj) + _TINY
+            hi = obj + err
+        if not np.isfinite(hi).all():
+            return None
+        least_hi = min(least_hi, float(hi.min()))
+        keep = obj - err <= least_hi
+        kept.append((xi[keep], eta[keep], (obj - err)[keep]))
+    xi, eta, lo = (np.concatenate(a) for a in zip(*kept))
+    keep = lo <= least_hi
+    return list(zip(xi[keep].tolist(), eta[keep].tolist()))
+
+
 def _weight(xi: int, eta: int, exponent: int) -> Fraction:
     s = 1 + abs(xi) + abs(eta)
     if exponent >= 0:
@@ -310,7 +382,9 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
 
     ``c`` must be a real spec (the nonzero-imaginary-part case is decided
     upstream and never reaches this search).  Rational and quadratic-surd
-    coefficients give a fully exact answer; enclosures are accepted only
+    coefficients give a fully exact answer: a float enclosure of every
+    objective (``_ball_candidates``) only rules points out, and exact
+    arithmetic compares the points it cannot; enclosures are accepted only
     when they order every candidate (exact ties other than the mirror pair
     (-xi,-eta) therefore need exact input), otherwise a ``PrecisionError``
     asks for more precision.  Exact ties prefer the smallest |xi|+|eta|,
@@ -324,8 +398,9 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
         raise PreconditionError("exponent must be an integer for exact weights")
 
     if isinstance(c, (Fraction, Surd)):
+        points = _ball_candidates(c, radius, exponent)
         best = None
-        for xi, eta in _ball(radius):
+        for xi, eta in _ball(radius) if points is None else points:
             gain = abs(xi + c * eta)
             obj = gain * _weight(xi, eta, exponent)
             tie = (abs(xi) + abs(eta), (xi, eta))

@@ -157,6 +157,17 @@ def _parse_terms(raw, keys: tuple[str, str], where: str, problems: list[str]):
     return out
 
 
+def _make_operator(make, terms, where: str, problems: list[str]):
+    """``make(terms)``, whose terms of equal degrees add exactly; a merged
+    coefficient beyond float range would overflow the float evaluation."""
+    operator = make(terms)
+    for coeff, a, b in operator.terms:
+        if not (_is_finite(coeff.re) and _is_finite(coeff.im)):
+            problems.append(f"{where}: the merged coefficient of degrees ({a}, {b}) "
+                            "leaves float range")
+    return None if problems else operator
+
+
 def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
     if model_kind == "torus2":
         if (
@@ -314,7 +325,7 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
             terms = _parse_terms(op_raw.get("terms"), ("deg_t", "deg_x"),
                                  "operator.terms", problems)
             if terms and not problems:
-                operator = TorusPoly.make(terms)
+                operator = _make_operator(TorusPoly.make, terms, "operator.terms", problems)
         elif kind == "su2_diag":
             if model_kind not in (None, "su2"):
                 problems.append("su2_diag operator requires the su2 model")
@@ -324,7 +335,7 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
             terms = _parse_terms(op_raw.get("poly"), ("deg_d0", "deg_neglap"),
                                  "operator.poly", problems)
             if terms and not problems:
-                operator = Su2DiagPoly.make(terms)
+                operator = _make_operator(Su2DiagPoly.make, terms, "operator.poly", problems)
         elif kind == "matrix_table":
             for key in op_raw:
                 if key not in ("kind", "path"):

@@ -306,6 +306,50 @@ def su2_diag_values_bulk(op: Su2DiagPoly, levels: np.ndarray) -> np.ndarray:
     return _su2_entries(op, m, lambda b: np.repeat([x**b for x in lam], sizes))
 
 
+# unit roundoff of float64
+_U = 2.0**-53
+
+
+def _rounding_gamma(op: TorusPoly | Su2DiagPoly) -> float:
+    """Factor on the term magnitudes that bounds a bulk value's rounding error.
+
+    Along one term c (i x)^a y^b of ``torus_values``/``_su2_entries`` the
+    roundings are: the coefficient's float (1), the power (i x)^a, which numpy
+    forms by repeated squaring for a < 100 (a - 1 complex products, and b - 1
+    for (i eta)^b on the torus), the Python power lam^b of a rounded lam
+    (b + 1: lam's own rounding carried through the power, and the power's)
+    and two complex products.  That is at most a + b + 3 <= D + 3
+    roundings, D the largest a + b, each at most 3u relative to the term's
+    magnitude (sqrt(5) u for a complex product).  The T - 1 complex
+    additions over the T terms add (T - 1) u times the sum of term
+    magnitudes (the recursive-sum bound), and |z| one more u.  So the
+    first-order error is below 3 n u times that sum with n = D + T + 3; the
+    factor 16 covers the second-order terms and the rounding of the bound
+    itself.  numpy forms powers of degree 100 and up through the complex
+    exponential and logarithm, with no such bound: the factor is then inf.
+    """
+    if max((max(a, b) for _, a, b in op.terms), default=0) >= 100:
+        return math.inf
+    n = max((a + b for _, a, b in op.terms), default=0) + len(op.terms) + 3
+    return 16 * 3 * n * _U
+
+
+def _coeff_magnitude(coeff: Coefficient) -> float:
+    # floored at 2**-800: a term then stays above 2**-800 * 2**-99 * 0.75**99
+    # times its factors, so every rounding in it is relative (no underflow)
+    return max(abs(coeff.to_complex()), 2.0**-800)
+
+
+def _rounding_bound(op: TorusPoly | Su2DiagPoly, x, y) -> np.ndarray:
+    """gamma * sum |c| x^a y^b (see ``_rounding_gamma``): with x = |xi| and
+    y = |eta| per character, or x = l >= |m| and y = lam per SU(2) level, a
+    bound on how far each float |entry| lies from the exact |entry|."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = sum(_coeff_magnitude(c) * x**a * y**b for c, a, b in op.terms)
+        return _rounding_gamma(op) * mag
+
+
 def su2_diag_exact(op: Su2DiagPoly, twice_ell: int):
     """Exact diagonal entries as (re, im) pairs, or None if inexact.
 
@@ -375,6 +419,10 @@ class MatrixSymbol:
     one call: ``bulk(xi, eta)`` on the torus (one entry per character) and
     ``bulk(twice_ell)`` on SU(2) (2l+1 entries per level), concatenated in
     the order of the label arrays.  It matches ``diag_fn`` bit for bit.
+    ``bulk_err``, given for polynomial symbols, takes the same label arrays
+    and bounds per block how far the |entries| of ``bulk`` lie from the
+    exact |entries|: those of the rational coefficients when all are
+    rational, else those of the coefficients' floats.
     """
 
     def __init__(
@@ -386,6 +434,7 @@ class MatrixSymbol:
         mat_fn: Callable[[FrequencyIndex], np.ndarray] | None = None,
         exact_diag_fn=None,
         bulk=None,
+        bulk_err=None,
     ):
         if diag_fn is None and mat_fn is None:
             raise PreconditionError("symbol needs an evaluator")
@@ -396,6 +445,7 @@ class MatrixSymbol:
         self.mat_fn = mat_fn
         self.exact_diag_fn = exact_diag_fn
         self.bulk = bulk
+        self.bulk_err = bulk_err
 
     @property
     def is_diagonal(self) -> bool:
@@ -496,6 +546,7 @@ def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
             diag_fn=lambda f: torus_values(op, f.label.xi, f.label.eta).reshape(1),
             exact_diag_fn=exact_diag,
             bulk=lambda xi, eta: torus_values(op, xi, eta),
+            bulk_err=lambda xi, eta: _rounding_bound(op, np.abs(xi), np.abs(eta)),
         )
     if isinstance(op, Su2DiagPoly):
         return MatrixSymbol(
@@ -504,6 +555,7 @@ def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
             diag_fn=lambda f: su2_diag_values(op, f.label.twice_ell),
             exact_diag_fn=lambda f: su2_diag_exact(op, f.label.twice_ell),
             bulk=lambda levels: su2_diag_values_bulk(op, levels),
+            bulk_err=lambda levels: _rounding_bound(op, levels / 2, levels * (levels + 2) / 4),
         )
     if isinstance(op, MatrixTable):
         if model.kind == "torus2":
@@ -528,6 +580,7 @@ def identity_symbol(model: SpectralModel) -> MatrixSymbol:
             diag_fn=lambda f: np.ones(1, dtype=complex),
             exact_diag_fn=lambda f: [(Fraction(1), Fraction(0))],
             bulk=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape, complex),
+            bulk_err=lambda xi, eta: np.zeros(np.broadcast(xi, eta).shape),
         )
     return MatrixSymbol(
         model,
@@ -535,6 +588,7 @@ def identity_symbol(model: SpectralModel) -> MatrixSymbol:
         diag_fn=lambda f: np.ones(f.label.rep_dim(), dtype=complex),
         exact_diag_fn=lambda f: [(Fraction(1), Fraction(0))] * f.label.rep_dim(),
         bulk=lambda levels: np.ones(int(np.sum(levels + 1)), dtype=complex),
+        bulk_err=lambda levels: np.zeros(len(levels)),
     )
 
 

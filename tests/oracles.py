@@ -107,3 +107,83 @@ def best_rational_below(c_exact, q_max: int):
             if best is None or err < best:
                 best = err
     return best
+
+
+def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
+                              tol: float = 1e-12):
+    """The counterexample search walked frequency by frequency: every
+    frequency from the start of each step goes through the exact test (or
+    the float test with guard band ``tol``), with no float screen."""
+    from hyposym import CoefficientField, SearchExhaustedError
+    from hyposym.coefficients import Counterexample, CounterexampleCertificate
+    from hyposym.spectral import Window
+
+    window = Window(model, search_cutoff)
+    support, chosen, certs = {}, [], []
+    lam_prev, idx = 0.0, 0
+    for k in range(1, k_steps + 1):
+        found = None
+        idx = max(idx, 2, int(np.searchsorted(window.lam, lam_prev, "right")))
+        while idx < len(window):
+            freq = window.freq(idx)
+            exact_entries = symbol.exact_diagonal(freq)
+            if exact_entries is not None:
+                bound_sq = Fraction(1) / (1 + freq.lam_exact()) ** (2 * k)
+                sq = [re * re + im * im for re, im in exact_entries]
+                if min(sq) < bound_sq:
+                    found = (freq, min(range(len(sq)), key=sq.__getitem__), None, True)
+                    break
+            else:
+                bound = (1.0 + freq.lam) ** (-k)
+                if symbol.gain(freq) < bound * (1.0 - tol):
+                    diag = symbol.diagonal(freq)
+                    if diag is not None:
+                        found = (freq, int(np.argmin(np.abs(diag))), None, False)
+                    else:
+                        _, _, vh = np.linalg.svd(symbol.block(freq))
+                        v = vh[-1].conj()
+                        for comp in v:
+                            if abs(comp) > 1e-14:
+                                v = v * (comp.conjugate() / abs(comp))
+                                break
+                        found = (freq, None, v, False)
+                    break
+            idx += 1
+        if found is None:
+            raise SearchExhaustedError(k, search_cutoff)
+        freq, entry_idx, block_vec, exact = found
+        bdim = symbol.block_dim(freq)
+        if block_vec is None:
+            block_vec = np.zeros(bdim, dtype=complex)
+            block_vec[entry_idx] = 1.0
+        full = np.zeros(freq.dim, dtype=complex)
+        full[:bdim] = block_vec
+        image_norm = float(np.linalg.norm(symbol.apply_to_vector(freq, full)))
+        certs.append(CounterexampleCertificate(
+            k=k, ordinal=freq.j, label=freq.label, lam=freq.lam, image_norm=image_norm,
+            bound=(1.0 + freq.lam) ** (-k), exact=exact))
+        support[freq.label] = full
+        chosen.append(freq)
+        lam_prev = freq.lam
+        idx += 1
+    return Counterexample(CoefficientField(explicit=support), tuple(chosen), tuple(certs))
+
+
+def full_ball_torus_min_gain(c, radius: int, exponent: int):
+    """Exact (objective, argmin, gain) of |xi + c eta| (1+|xi|+|eta|)^{-N}
+    over every point of 0 < |xi| + |eta| <= radius (c a Fraction or Surd);
+    exact ties go to the smallest |xi| + |eta|, then the smallest pair."""
+    best = None
+    for xi in range(-radius, radius + 1):
+        rem = radius - abs(xi)
+        for eta in range(-rem, rem + 1):
+            if xi == 0 and eta == 0:
+                continue
+            s = 1 + abs(xi) + abs(eta)
+            weight = Fraction(1, s**exponent) if exponent >= 0 else Fraction(s**-exponent)
+            gain = abs(xi + c * eta)
+            key = (gain * weight, abs(xi) + abs(eta), (xi, eta))
+            if best is None or key < best[0]:
+                best = (key, gain)
+    (obj, _, arg), gain = best
+    return obj, arg, gain

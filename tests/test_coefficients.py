@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hyposym import (
     classify_regularity,
     enumerate_frequencies,
     estimate_order,
+    frequency_for_label,
     identity_symbol,
     random_field,
     sobolev_norm,
@@ -27,9 +29,10 @@ from hyposym.errors import (
     SearchExhaustedError,
     WindowTooSmallError,
 )
-from hyposym.symbols import Coefficient
+from hyposym.symbols import Coefficient, TorusPoly, gain_table
 
 from conftest import su2_pell_operator, torus_translation
+from oracles import unscreened_counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -212,3 +215,150 @@ def test_counterexample_float_coefficient_guard_band():
         (-k, k) for k in range(1, 5)
     ]
     assert all(not c.exact for c in result.certificates)
+
+
+def test_counterexample_rejects_negative_guard_band():
+    sym = build_symbol(torus_translation(1.0), TORUS2)
+    with pytest.raises(PreconditionError):
+        build_counterexample(sym, TORUS2, 1, 200, tol=-1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the float screen of the counterexample search against the unscreened walk
+
+
+def _assert_same_search(symbol, model, k_steps, cutoff, tol=1e-12):
+    """The screened search and the unscreened walk give the same field, or
+    both run out at the same step."""
+    try:
+        want = unscreened_counterexample(symbol, model, k_steps, cutoff, tol)
+    except SearchExhaustedError as exc:
+        with pytest.raises(SearchExhaustedError) as err:
+            build_counterexample(symbol, model, k_steps, cutoff, tol)
+        assert err.value.k == exc.k
+        return None
+    got = build_counterexample(symbol, model, k_steps, cutoff, tol)
+    assert got.certificates == want.certificates
+    assert got.frequencies == want.frequencies
+    assert got.field.support_labels() == want.field.support_labels()
+    for freq in got.frequencies:
+        assert np.array_equal(got.field.coeff(freq), want.field.coeff(freq))
+    return got
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _polynomial_terms(draw, family):
+    """Terms (coefficient, deg, deg): a family with zero or small gains, or a
+    random polynomial; all coefficients rational or all float."""
+    as_float = draw(st.booleans())
+
+    def coeff(re, im=Fraction(0)):
+        return Coefficient.make(float(re), float(im)) if as_float else Coefficient.make(re, im)
+
+    if draw(st.booleans()):
+        # a d_t + b d_x on the torus, a negLap + b d0^2 on SU(2)
+        degrees = [(1, 0), (0, 1)] if family == "torus" else [(0, 1), (2, 0)]
+        return [(coeff(draw(_RATIONALS)), *deg) for deg in degrees]
+    return [(coeff(draw(_RATIONALS), draw(_RATIONALS)), draw(st.integers(0, 2)),
+             draw(st.integers(0, 2))) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_polynomial_terms("torus"), cutoff=st.integers(2, 400),
+       k_steps=st.integers(1, 4), tol=st.sampled_from([0.0, 1e-12, 0.5]))
+def test_screened_search_equals_unscreened_walk_torus(terms, cutoff, k_steps, tol):
+    _assert_same_search(build_symbol(TorusPoly.make(terms), TORUS2), TORUS2, k_steps,
+                        cutoff, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_polynomial_terms("su2"), twice_ell=st.integers(2, 60),
+       k_steps=st.integers(1, 4), tol=st.sampled_from([0.0, 1e-12, 0.5]))
+def test_screened_search_equals_unscreened_walk_su2(terms, twice_ell, k_steps, tol):
+    _assert_same_search(build_symbol(Su2DiagPoly.make(terms), SU2), SU2, k_steps,
+                        twice_ell * (twice_ell + 2) / 4, tol)
+
+
+@pytest.mark.parametrize("as_float", [False, True])
+def test_screened_search_on_expanded_pell_fourth_power(as_float):
+    # (negLap + 2 d0^2)^4 expanded: sum_j C(4,j) 2^j negLap^(4-j) d0^(2j); the
+    # terms grow like lambda^4 and cancel to the exact values (l(l+1) - 2m^2)^4
+    terms = [(Coefficient.make(float(c) if as_float else c), 2 * j, 4 - j)
+             for j, c in enumerate(math.comb(4, j) * 2**j for j in range(5))]
+    sym = build_symbol(Su2DiagPoly.make(terms), SU2)
+    cutoff = 288 * 289
+    table = gain_table(sym, SU2, cutoff)
+    # the least |t(t+2) - 2 s^2|^4 / 4^4 over s = -t..t in steps of 2
+    exact = np.array([min(abs(t * (t + 2) - 2 * s * s) for s in range(-t, t + 1, 2)) ** 4 / 256
+                      for t in range(len(table))])
+    nonzero = exact > 0
+    assert np.max(table.gain[nonzero] / exact[nonzero]) > 1e4  # the float gains are far off
+    result = _assert_same_search(sym, SU2, 4, cutoff)
+    if not as_float:
+        assert [f.label.twice_ell for f in result.frequencies] == [2, 16, 98, 576]
+
+
+def test_screened_search_past_float_range():
+    # 10^306 (negLap + 2 d0^2): float values overflow from l = 19/2 on, in the
+    # first run of blocks, so the screen rules nothing out there and the
+    # exact test alone finds the Pell levels
+    big = 10**306
+    op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
+    result = _assert_same_search(build_symbol(op, SU2), SU2, 2, 50 * 51)
+    assert [f.label.twice_ell for f in result.frequencies] == [2, 16]
+
+
+def test_screened_search_keeps_exact_zeros_that_round_away_from_zero():
+    # (d_t + d_x/3)^2 expanded: the exact zero at (-7, 21) is about 1e-14 in
+    # float, far above the ceiling (1 + 490)^{-8} of step 8; only the rounding
+    # bound keeps the screen from ruling it out
+    third = Fraction(1, 3)
+    op = TorusPoly.make([(Coefficient.make(1), 2, 0), (Coefficient.make(2 * third), 1, 1),
+                         (Coefficient.make(third**2), 0, 2)])
+    sym = build_symbol(op, TORUS2)
+    assert sym.gain(frequency_for_label(TORUS2, Torus2Label(-7, 21))) > 1e6 * 491.0**-8
+    result = _assert_same_search(sym, TORUS2, 8, 700)
+    assert [(f.label.xi, f.label.eta) for f in result.frequencies] == [(0, -1)] + [
+        (-j, 3 * j) for j in range(1, 8)]
+
+
+@pytest.mark.parametrize("op, model, k_steps, cutoff", [
+    (torus_translation(Fraction(-4, 7)), TORUS2, 4, 1100),
+    (torus_translation(1 / 3), TORUS2, 4, 900),
+    (su2_pell_operator(), SU2, 3, 50 * 51),
+])
+def test_screened_search_over_small_runs_of_blocks(op, model, k_steps, cutoff, monkeypatch):
+    import hyposym.symbols as symbols_module
+
+    monkeypatch.setattr(symbols_module, "BULK_CHUNK_ENTRIES", 7)
+    _assert_same_search(build_symbol(op, model), model, k_steps, cutoff)
+
+
+def test_pell_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch):
+    # every level other than the Pell zeros has gain >= 1/4, far above
+    # (1+lambda)^{-k}: the float screen rules it out, so su2_diag_exact
+    # runs once per surviving level (the unscreened walk: 97 levels)
+    import hyposym.symbols as symbols_module
+
+    calls = []
+    evaluate = symbols_module.su2_diag_exact
+
+    def counted(op, twice_ell):
+        calls.append(twice_ell)
+        return evaluate(op, twice_ell)
+
+    monkeypatch.setattr(symbols_module, "su2_diag_exact", counted)
+    result = build_counterexample(build_symbol(su2_pell_operator(), SU2), SU2, 3, 50 * 51)
+    assert calls == [f.label.twice_ell for f in result.frequencies] == [2, 16, 98]
+
+
+def test_counterexample_guard_band_follows_tol():
+    # gain 0.3334 at (0, -1) is below (1 + 1)^{-1} = 0.5, not below 0.5 * (1 - 0.5)
+    sym = build_symbol(torus_translation(0.3334), TORUS2)
+    first = _assert_same_search(sym, TORUS2, 1, 400)
+    other = _assert_same_search(sym, TORUS2, 1, 400, tol=0.5)
+    assert first.frequencies[0].label == Torus2Label(0, -1)
+    assert other.frequencies[0].label != Torus2Label(0, -1)

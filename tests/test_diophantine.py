@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyposym import (
     classify_coefficient,
@@ -12,7 +15,7 @@ from hyposym import (
 from hyposym.errors import PreconditionError, PrecisionError
 from hyposym.exact import Enclosure, Surd
 
-from oracles import best_rational_below, brute_pell_solutions
+from oracles import best_rational_below, brute_pell_solutions, full_ball_torus_min_gain
 
 PHI = Surd.make(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = Surd.make(0, 1, 2)
@@ -194,6 +197,49 @@ def test_torus_gain_matches_float_brute_force(num, den, radius, exponent):
     res = torus_min_gain(Fraction(num, den), radius, exponent)
     best_obj, _ = brute_min_weighted_gain(num / den, radius, exponent)
     assert res.objective == pytest.approx(best_obj, rel=1e-12, abs=1e-12)
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
+_SURDS = st.builds(lambda a, b, d: Surd.make(a, b, d), _SMALL_RATIONALS,
+                   _SMALL_RATIONALS.filter(bool), st.sampled_from([2, 3, 5, 7, 8, 13]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.one_of(_SMALL_RATIONALS, _SURDS), radius=st.integers(1, 40),
+       exponent=st.integers(-3, 3))
+def test_torus_gain_screen_equals_full_ball(c, radius, exponent):
+    # rationals put exact ties in the ball (the mirror pair always, and
+    # multiples of a resonance); the screen must keep every one of them
+    res = torus_min_gain(c, radius, exponent)
+    obj, arg, gain = full_ball_torus_min_gain(c, radius, exponent)
+    assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
+
+
+@pytest.mark.parametrize("c, radius, exponent", [
+    (Fraction(3, 7), 12, 400),  # every weight underflows to 0
+    (Fraction(3, 7), 12, -400),  # weights beyond float range
+    (Fraction(10**400, 3), 5, 0),  # c beyond float range
+    (Fraction(1, 10**400), 6, -3),  # c's float is 0: the screen needs e_c's floor
+    (PHI, 9, 310),  # weights below the smallest normal float
+])
+def test_torus_gain_at_the_edges_of_float_range_equals_full_ball(c, radius, exponent):
+    res = torus_min_gain(c, radius, exponent)
+    obj, arg, gain = full_ball_torus_min_gain(c, radius, exponent)
+    assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
+
+
+@pytest.mark.parametrize("c, radius, exponent", [
+    (Fraction(3, 7), 25, 0), (Fraction(-5, 3), 18, -2), (PHI, 30, -1), (SQRT2, 22, 2),
+])
+def test_torus_gain_screen_over_many_runs_of_rows(c, radius, exponent, monkeypatch):
+    import hyposym.diophantine as diophantine
+
+    monkeypatch.setattr(diophantine, "BALL_CHUNK_POINTS", 7)
+    xi, eta = (np.concatenate(a) for a in zip(*diophantine._ball_arrays(radius)))
+    assert list(zip(xi.tolist(), eta.tolist())) == list(diophantine._ball(radius))
+    res = torus_min_gain(c, radius, exponent)
+    obj, arg, gain = full_ball_torus_min_gain(c, radius, exponent)
+    assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
 
 
 def test_torus_gain_enclosure_certified():

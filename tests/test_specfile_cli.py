@@ -363,6 +363,7 @@ def test_cli_non_finite_flag_is_schema_violation(command, flag, value, su2_gap_s
     ("--m", "2000", "C* = 0.0"),  # every weight past the origin underflows
     ("--m", "-2000", "overflows"),  # a C* weight overflows
     ("--s", "2000", "overflows"),  # a Sobolev weight overflows
+    ("--s", "-1e300", "underflows"),  # a Sobolev weight underflows to 0
 ])
 def test_cli_subelliptic_exponent_out_of_range_is_precondition(flag, value, message,
                                                                su2_gap_spec, capsys):
@@ -381,6 +382,18 @@ def test_cli_coefficient_beyond_float_range_is_schema_violation(coeff, tmp_path,
     path.write_text(json.dumps(SU2_GAP).replace('"coeff": [1, 0]', coeff, 1))
     assert cli.main(["analyze", "--spec", str(path), "--cutoff", "30"]) == 2
     assert any("operator.poly[0]" in v and "finite" in v for v in _violations(capsys))
+
+
+@pytest.mark.parametrize("coeff", ["[1" + "0" * 308 + ", 0]", "[1e308, 0]"])
+def test_cli_merged_coefficient_beyond_float_range_is_schema_violation(coeff, tmp_path,
+                                                                     capsys):
+    # each term is within float range; the two terms of equal degrees add up past it
+    term = f'{{"coeff": {coeff}, "deg_neglap": 1}}'
+    path = tmp_path / "merged.json"
+    path.write_text('{"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", '
+                    f'"poly": [{term}, {term}]}}}}')
+    assert cli.main(["analyze", "--spec", str(path), "--cutoff", "30"]) == 2
+    assert any("merged coefficient" in v and "float range" in v for v in _violations(capsys))
 
 
 def test_cli_symbol_values_beyond_float_range_are_precondition(tmp_path, capsys):
@@ -502,6 +515,26 @@ def test_cli_counterexample_writes_coefficients(tmp_path):
     rows = (tmp_path / "ce.json.coeffs.csv").read_text().splitlines()
     assert rows[0] == "ordinal,label,component_index,re,im"
     assert len(rows) == 11
+
+
+def test_cli_counterexample_honours_tol(tmp_path, capsys):
+    # the float gain 0.3334 at (0, -1) is below (1 + 1)^{-1} but not below
+    # half of it; with tol = 0.5 no frequency qualifies for step 2
+    def spec(options):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps({"model": {"kind": "torus2"}, "options": options,
+                                    "operator": {"kind": "torus_poly", "terms": [
+                                        {"coeff": [1, 0], "deg_t": 1},
+                                        {"coeff": [0.3334, 0], "deg_x": 1}]}}))
+        return ["counterexample", "--spec", str(path), "--cutoff", "400", "--k", "2"]
+
+    assert cli.main(spec({})) == 0
+    assert cli.main(spec({}) + ["--tol", "0.5"]) == 4
+    assert cli.main(spec({"tol": 0.5})) == 4
+    capsys.readouterr()
+    for argv in (spec({}) + ["--tol=-1e-9"], spec({"tol": -1})):
+        assert cli.main(argv) == 2
+        assert any("nonnegative" in v for v in _violations(capsys))
 
 
 def test_cli_diophantine_classification():
@@ -637,7 +670,8 @@ _FLAG_FLOATS = st.one_of(
 
 @settings(max_examples=50, deadline=None)
 @given(
-    command=st.sampled_from(["analyze", "singular-scan", "fit-exponent", "subelliptic"]),
+    command=st.sampled_from(["analyze", "singular-scan", "fit-exponent", "subelliptic",
+                             "counterexample"]),
     model=st.sampled_from(["torus2", "su2"]),
     mantissa=st.integers(-9, 9),
     exponent=st.integers(0, 400),
@@ -672,7 +706,8 @@ def test_cli_numeric_inputs_give_an_exit_code_and_json(command, model, mantissa,
         warnings.simplefilter("always")
         code = cli.main(argv)
     assert not caught, [str(w.message) for w in caught]
-    assert code in (0, 2, 3), err.getvalue()
+    # a counterexample search may also run out of frequencies
+    assert code in ((0, 2, 3, 4) if command == "counterexample" else (0, 2, 3)), err.getvalue()
     if code == 0:
         assert err.getvalue() == ""
         json.loads(out.getvalue(), parse_constant=_no_constant)

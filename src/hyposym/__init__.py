@@ -84,10 +84,8 @@ from .symbols import (
     Su2DiagPoly,
     TorusPoly,
     build_symbol,
-    combine,
     estimate_order,
     gain_table,
-    identity_symbol,
     operator_norm,
     smallest_gain,
 )

@@ -306,11 +306,11 @@ def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
 
     ``lower[i - lo]`` is at most block i's exact gain and its float gain
     ``symbol.gain``: the ``block_values`` gain less the symbol's
-    ``bulk_err``.  It is -inf for a symbol without a rounding bound, and
-    from the first run whose values leave float range onwards.
+    ``bulk_err``.  It is -inf for a dense symbol, which has no rounding
+    bound, and from the first run whose values leave float range onwards.
     """
     done = 0
-    if symbol.bulk_err is not None:
+    if symbol.is_diagonal:
         try:
             for lo, hi, values, offsets in block_values(symbol, window):
                 err = symbol.bulk_err(*(x[lo:hi] for x in window.labels))
@@ -323,21 +323,23 @@ def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
 
 
 def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
-    """The per-frequency test of step k: ``(freq, entry, vector, exact)``
-    when the gain at ``freq`` is below (1+lambda)^{-k}, else None."""
+    """The per-frequency test of step k: ``(freq, entry, vector, exact_sq)``
+    when the gain at ``freq`` is below (1+lambda)^{-k}, else None.
+    ``exact_sq`` is the exact squared modulus of the chosen entry, or None
+    when the float test decided."""
     exact_entries = symbol.exact_diagonal(freq)
     if exact_entries is not None:
         bound_sq = Fraction(1, 1) / (1 + freq.lam_exact()) ** (2 * k)
         sq = [re * re + im * im for re, im in exact_entries]
         min_sq = min(sq)
-        return (freq, sq.index(min_sq), None, True) if min_sq < bound_sq else None
+        return (freq, sq.index(min_sq), None, min_sq) if min_sq < bound_sq else None
     bound = (1.0 + freq.lam) ** (-k)
     if not symbol.gain(freq) < bound * (1.0 - tol):
         return None
     diag = symbol.diagonal(freq)
     if diag is not None:
-        return freq, int(np.argmin(np.abs(diag))), None, False
-    return freq, None, _unit_null_vector(symbol.block(freq)), False
+        return freq, int(np.argmin(np.abs(diag))), None, None
+    return freq, None, _unit_null_vector(symbol.block(freq)), None
 
 
 def build_counterexample(
@@ -360,7 +362,9 @@ def build_counterexample(
     ceiling (1+lambda)^{-k}, raised by a slack, fails both tests and is
     skipped; every other one is tested in ordinal order.  Raises
     SearchExhaustedError when no admissible frequency exists within the
-    window.
+    window.  A certificate's image norm is the float one; where that is not
+    finite, an exact certificate takes it from the exact entry, and any
+    other is a PreconditionError.
     """
     if k_steps < 1:
         raise PreconditionError("need at least one step")
@@ -391,15 +395,19 @@ def build_counterexample(
         if found is None:
             raise SearchExhaustedError(k, search_cutoff)
 
-        freq, entry_idx, block_vec, exact = found
+        freq, entry_idx, block_vec, exact_sq = found
         bdim = symbol.block_dim(freq)
         if block_vec is None:
             block_vec = np.zeros(bdim, dtype=complex)
             block_vec[entry_idx] = 1.0
         full = np.zeros(freq.dim, dtype=complex)
         full[: bdim] = block_vec  # first representation block carries the vector
-        image = symbol.apply_to_vector(freq, full)
-        image_norm = float(np.linalg.norm(image))
+        image_norm = float(np.linalg.norm(symbol.apply_to_vector(freq, full)))
+        if not math.isfinite(image_norm) and exact_sq is not None:
+            # the float symbol left float range here; the exact entry is below 1
+            image_norm = math.sqrt(exact_sq)
+        if not math.isfinite(image_norm):
+            raise PreconditionError(f"the image norm at {freq.label} is beyond float range")
         bound = (1.0 + freq.lam) ** (-k)
         certs.append(
             CounterexampleCertificate(
@@ -409,7 +417,7 @@ def build_counterexample(
                 lam=freq.lam,
                 image_norm=image_norm,
                 bound=bound,
-                exact=exact,
+                exact=exact_sq is not None,
             )
         )
         support[freq.label] = full

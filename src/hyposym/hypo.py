@@ -41,7 +41,6 @@ from .symbols import (
     TorusPoly,
     build_symbol,
     gain_table,
-    model_kind_of,
     su2_diag_exact,
     torus_value_exact,
     zero_mask,
@@ -417,7 +416,7 @@ def verdict(
 
     ``table`` reuses a gain table of the operator's symbol up to ``cutoff``.
     """
-    if model_kind_of(op) != model.kind:
+    if op.model_kind != model.kind:
         raise PreconditionError("operator/model mismatch")
     cert = certify(op)
     if cert is not None:

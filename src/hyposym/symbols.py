@@ -4,8 +4,14 @@ An invariant operator acts on the coefficient vector of each frequency
 through one matrix per frequency; this module represents those matrices,
 evaluates them (in float and, where the coefficients allow, exactly in
 rational arithmetic), measures their gain (smallest singular value) and
-operator norm, combines them pointwise, and fits the polynomial order of
-their norm growth.
+operator norm, and fits the polynomial order of their norm growth.
+
+An operator is given by its spec: a torus polynomial, an SU(2) diagonal
+polynomial, or an explicit matrix table.  Both polynomial symbols are
+commutative polynomials in the same variables at every frequency, so sums,
+scalar multiples and compositions of polynomial operators are polynomials
+again (``add``, ``scale``, ``mul``), and keep their exact evaluation and
+rounding bound.
 
 Structure short-circuits keep the cost honest: the SU(2) symbol is a
 block-diagonal replication of one representation block, so gains, norms,
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -44,14 +50,11 @@ __all__ = [
     "MatrixSymbol",
     "GainTable",
     "OrderEstimate",
-    "model_kind_of",
     "build_symbol",
-    "identity_symbol",
     "zero_mask",
     "block_values",
     "smallest_gain",
     "operator_norm",
-    "combine",
     "gain_table",
     "estimate_order",
 ]
@@ -113,8 +116,25 @@ class Coefficient:
             # incompatible exact kinds (e.g. mixed radicands): fall back to float
             return Coefficient.from_complex(self.to_complex() + other.to_complex())
 
+    def mul(self, other: "Coefficient") -> "Coefficient":
+        """The product; exact when both are and their kinds combine, as in ``add``."""
+        try:
+            return Coefficient.make(self.re * other.re - self.im * other.im,
+                                    self.re * other.im + self.im * other.re)
+        except (ValueError, TypeError):
+            return Coefficient.from_complex(self.to_complex() * other.to_complex())
 
-def _merge_terms(terms, make_coeff=True):
+
+def _as_coefficient(value) -> Coefficient:
+    # a complex scalar is float; int, Fraction and Surd stay exact
+    if isinstance(value, Coefficient):
+        return value
+    if isinstance(value, complex):
+        return Coefficient.from_complex(value)
+    return Coefficient.make(value)
+
+
+def _merge_terms(terms):
     merged: dict[tuple[int, int], Coefficient] = {}
     order: list[tuple[int, int]] = []
     for coeff, a, b in terms:
@@ -134,45 +154,65 @@ def _merge_terms(terms, make_coeff=True):
 
 
 @dataclass(frozen=True)
-class TorusPoly:
-    """Polynomial in the torus derivatives d_t, d_x.
+class _Poly:
+    """Terms (coefficient, degree, degree) in two commuting variables.
 
-    The symbol at (xi, eta) is sum of coeff * (i xi)^deg_t (i eta)^deg_x.
-    Terms are keyed by degree; duplicates merge on construction.
+    ``make`` merges terms of equal degrees and drops zero ones, so two
+    polynomials are equal exactly when their merged terms are.  ``add``,
+    ``scale`` and ``mul`` are the operator algebra: the symbol of a sum,
+    scalar multiple or composition of two operators of one model is the
+    sum, multiple or product of their symbols.
     """
 
     terms: tuple[tuple[Coefficient, int, int], ...]
+    model_kind: ClassVar[str]
 
-    @staticmethod
-    def make(terms) -> "TorusPoly":
-        return TorusPoly(_merge_terms(terms))
+    @classmethod
+    def make(cls, terms):
+        return cls(_merge_terms(terms))
 
-    def coefficient(self, deg_t: int, deg_x: int) -> Coefficient | None:
+    def coefficient(self, deg_a: int, deg_b: int) -> Coefficient | None:
         for c, a, b in self.terms:
-            if (a, b) == (deg_t, deg_x):
+            if (a, b) == (deg_a, deg_b):
                 return c
         return None
 
+    def _same_model(self, other: "_Poly") -> "_Poly":
+        if type(other) is not type(self):
+            raise PreconditionError(
+                f"cannot combine a {type(self).__name__} with a {type(other).__name__}")
+        return other
 
-@dataclass(frozen=True)
-class Su2DiagPoly:
+    def add(self, other):
+        return self.make(self.terms + self._same_model(other).terms)
+
+    def scale(self, scalar):
+        """The polynomial times a Coefficient, int, Fraction, Surd, float or complex."""
+        c = _as_coefficient(scalar)
+        return self.make((c.mul(x), a, b) for x, a, b in self.terms)
+
+    def mul(self, other):
+        return self.make((x.mul(y), a + c, b + d) for x, a, b in self.terms
+                         for y, c, d in self._same_model(other).terms)
+
+
+class TorusPoly(_Poly):
+    """Polynomial in the torus derivatives d_t, d_x.
+
+    The symbol at (xi, eta) is sum of coeff * (i xi)^deg_t (i eta)^deg_x.
+    """
+
+    model_kind = "torus2"
+
+
+class Su2DiagPoly(_Poly):
     """Polynomial in the SU(2) tokens d0 (-> i m) and negLap (-> l(l+1)).
 
     The representation block at level l is diagonal with entries
     sum of coeff * (i m)^deg_d0 * (l(l+1))^deg_neglap, m = -l..l in unit steps.
     """
 
-    terms: tuple[tuple[Coefficient, int, int], ...]
-
-    @staticmethod
-    def make(terms) -> "Su2DiagPoly":
-        return Su2DiagPoly(_merge_terms(terms))
-
-    def coefficient(self, deg_d0: int, deg_neglap: int) -> Coefficient | None:
-        for c, a, b in self.terms:
-            if (a, b) == (deg_d0, deg_neglap):
-                return c
-        return None
+    model_kind = "su2"
 
 
 class MatrixTable:
@@ -224,14 +264,6 @@ class MatrixTable:
 OperatorSpec = TorusPoly | Su2DiagPoly | MatrixTable
 
 
-def model_kind_of(op: OperatorSpec) -> str:
-    if isinstance(op, TorusPoly):
-        return "torus2"
-    if isinstance(op, Su2DiagPoly):
-        return "su2"
-    return op.model_kind
-
-
 # ---------------------------------------------------------------------------
 # evaluation (float and exact)
 
@@ -271,39 +303,21 @@ def torus_value_exact(op: TorusPoly, xi: int, eta: int):
     return acc
 
 
-def su2_m_values(twice_ell: int) -> np.ndarray:
-    """The weights m = -l .. l in unit steps, as floats."""
-    return np.arange(-twice_ell, twice_ell + 1, 2, dtype=float) / 2.0
-
-
-def _su2_entries(op: Su2DiagPoly, m: np.ndarray, lam_pow) -> np.ndarray:
-    """Entries sum c (i m)^a lam^b, with lam^b taken from ``lam_pow(b)``.
-
-    Both SU(2) evaluators go through here, so the bulk path reproduces the
-    per-level path bit for bit.  Powers of lam are Python float powers, one
-    per level: numpy's array power rounds differently for b >= 2.
-    """
-    im = 1j * m
-    out = np.zeros(m.shape, dtype=complex)
-    for coeff, a, b in op.terms:
-        out += coeff.to_complex() * im**a * lam_pow(b)
-    return out
-
-
-def su2_diag_values(op: Su2DiagPoly, twice_ell: int) -> np.ndarray:
-    """Diagonal of the representation block at level l = twice_ell / 2."""
-    lam = twice_ell * (twice_ell + 2) / 4.0
-    return _su2_entries(op, su2_m_values(twice_ell), lambda b: lam**b)
-
-
 def su2_diag_values_bulk(op: Su2DiagPoly, levels: np.ndarray) -> np.ndarray:
-    """Diagonals of the blocks at the given twice_ell levels, concatenated."""
+    """Diagonals of the blocks at the given twice_ell levels, concatenated.
+
+    Entries are sum c (i m)^a lam^b.  Powers of lam are Python float powers,
+    one per level: numpy's array power rounds differently for b >= 2.
+    """
     sizes = levels + 1
-    starts = np.cumsum(sizes) - sizes
-    twice_m = 2 * (np.arange(int(sizes.sum())) - np.repeat(starts, sizes))
-    m = (twice_m - np.repeat(levels, sizes)) / 2.0
+    # entry k of the run is m = (2 k - 2 start - twice_ell) / 2 of its level
+    shifts = np.repeat(2 * (np.cumsum(sizes) - sizes) + levels, sizes)
+    im = 1j * ((2 * np.arange(len(shifts)) - shifts) / 2.0)
     lam = (levels * (levels + 2) / 4.0).tolist()
-    return _su2_entries(op, m, lambda b: np.repeat([x**b for x in lam], sizes))
+    out = np.zeros(im.shape, dtype=complex)
+    for coeff, a, b in op.terms:
+        out += coeff.to_complex() * im**a * np.repeat([x**b for x in lam], sizes)
+    return out
 
 
 # unit roundoff of float64
@@ -313,7 +327,7 @@ _U = 2.0**-53
 def _rounding_gamma(op: TorusPoly | Su2DiagPoly) -> float:
     """Factor on the term magnitudes that bounds a bulk value's rounding error.
 
-    Along one term c (i x)^a y^b of ``torus_values``/``_su2_entries`` the
+    Along one term c (i x)^a y^b of ``torus_values``/``su2_diag_values_bulk`` the
     roundings are: the coefficient's float (1), the power (i x)^a, which numpy
     forms by repeated squaring for a < 100 (a - 1 complex products, and b - 1
     for (i eta)^b on the torus), the Python power lam^b of a rounded lam
@@ -407,53 +421,39 @@ def zero_mask(values, norm, tol: float):
 
 
 class MatrixSymbol:
-    """Per-frequency matrix of an invariant operator.
+    """Per-frequency matrix of the operator spec ``op`` on ``model``.
 
-    ``replicated`` marks the SU(2) layout where the full matrix is
-    block_dim copies of one representation block; every computation then
-    happens at block level.  A symbol carries a diagonal evaluator, a dense
-    block evaluator, or both; exact evaluators are optional and feed the
-    certification paths.
+    Everything else follows from the spec's type.  On SU(2) the symbol is
+    ``replicated``: the full matrix is block_dim copies of one
+    representation block, and every computation happens at block level.  A
+    polynomial symbol ``is_diagonal``; a ``MatrixTable`` gives dense blocks
+    and has no exact path.
 
-    ``bulk``, when present, evaluates the diagonals of a run of blocks in
+    For a polynomial, ``bulk`` evaluates the diagonals of a run of blocks in
     one call: ``bulk(xi, eta)`` on the torus (one entry per character) and
     ``bulk(twice_ell)`` on SU(2) (2l+1 entries per level), concatenated in
-    the order of the label arrays.  It matches ``diag_fn`` bit for bit.
-    ``bulk_err``, given for polynomial symbols, takes the same label arrays
-    and bounds per block how far the |entries| of ``bulk`` lie from the
-    exact |entries|: those of the rational coefficients when all are
-    rational, else those of the coefficients' floats.
+    the order of the label arrays.  ``diagonal`` is ``bulk`` on length-1
+    label arrays, so one frequency and a run of them share one formula.
+    ``bulk_err`` takes the same label arrays and bounds per block how far
+    the |entries| of ``bulk`` lie from the exact |entries|: those of the
+    rational coefficients when all are rational, else those of the
+    coefficients' floats.
     """
 
-    def __init__(
-        self,
-        model: SpectralModel,
-        *,
-        replicated: bool,
-        diag_fn: Callable[[FrequencyIndex], np.ndarray] | None = None,
-        mat_fn: Callable[[FrequencyIndex], np.ndarray] | None = None,
-        exact_diag_fn=None,
-        bulk=None,
-        bulk_err=None,
-    ):
-        if diag_fn is None and mat_fn is None:
-            raise PreconditionError("symbol needs an evaluator")
+    def __init__(self, op: OperatorSpec, model: SpectralModel):
+        if not isinstance(op, OperatorSpec):
+            raise PreconditionError(f"unknown operator spec {op!r}")
+        if op.model_kind != model.kind:
+            raise PreconditionError(
+                f"operator is for model {op.model_kind!r}, not {model.kind!r}"
+            )
+        self.op = op
         self.model = model
-        self.nu = model.nu
-        self.replicated = replicated
-        self.diag_fn = diag_fn
-        self.mat_fn = mat_fn
-        self.exact_diag_fn = exact_diag_fn
-        self.bulk = bulk
-        self.bulk_err = bulk_err
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.diag_fn is not None
+        self.replicated = model.kind == "su2"
+        self.is_diagonal = not isinstance(op, MatrixTable)
 
     def _check(self, freq: FrequencyIndex):
-        want_su2 = self.model.kind == "su2"
-        if want_su2 != isinstance(freq.label, Su2Label):
+        if self.replicated != isinstance(freq.label, Su2Label):
             raise PreconditionError("frequency does not match the symbol's model")
 
     def block_dim(self, freq: FrequencyIndex) -> int:
@@ -461,26 +461,50 @@ class MatrixSymbol:
             return freq.label.rep_dim()
         return freq.dim
 
+    def bulk(self, *labels) -> np.ndarray:
+        if self.replicated:
+            return su2_diag_values_bulk(self.op, *labels)
+        return torus_values(self.op, *labels)
+
+    def bulk_err(self, *labels) -> np.ndarray:
+        if self.replicated:
+            (levels,) = labels
+            return _rounding_bound(self.op, levels / 2, levels * (levels + 2) / 4)
+        xi, eta = labels
+        return _rounding_bound(self.op, np.abs(xi), np.abs(eta))
+
     def diagonal(self, freq: FrequencyIndex) -> np.ndarray | None:
-        """Diagonal of the representation block, when diagonal."""
-        if self.diag_fn is None:
+        """Diagonal of the representation block, when diagonal; entries
+        beyond float range come out inf or nan, without a warning."""
+        if not self.is_diagonal:
             return None
         self._check(freq)
-        return np.asarray(self.diag_fn(freq), dtype=complex)
+        label = freq.label
+        if self.replicated:
+            labels = (np.array([label.twice_ell]),)
+        else:
+            labels = (np.array([label.xi]), np.array([label.eta]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.bulk(*labels)
 
     def block(self, freq: FrequencyIndex) -> np.ndarray:
         """The representation block (equals the full matrix off SU(2))."""
+        d = self.diagonal(freq)
+        if d is not None:
+            return np.diag(d)
         self._check(freq)
-        if self.diag_fn is not None:
-            return np.diag(np.asarray(self.diag_fn(freq), dtype=complex))
-        return np.asarray(self.mat_fn(freq), dtype=complex)
+        return np.asarray(self.op.block(freq.label), dtype=complex)
 
     def exact_diagonal(self, freq: FrequencyIndex):
         """Exact (re, im) diagonal entries, or None when unavailable."""
-        if self.exact_diag_fn is None:
+        if not self.is_diagonal:
             return None
         self._check(freq)
-        return self.exact_diag_fn(freq)
+        label = freq.label
+        if self.replicated:
+            return su2_diag_exact(self.op, label.twice_ell)
+        value = torus_value_exact(self.op, label.xi, label.eta)
+        return None if value is None else [value]
 
     def full_matrix(self, freq: FrequencyIndex) -> np.ndarray:
         """The dim x dim matrix (replicates the block on SU(2))."""
@@ -506,188 +530,27 @@ class MatrixSymbol:
         return float(np.max(self.values(freq)))
 
     def apply_to_vector(self, freq: FrequencyIndex, v: np.ndarray) -> np.ndarray:
-        """Multiply a full coefficient vector by the symbol at one frequency."""
+        """Multiply a full coefficient vector by the symbol at one frequency
+        (inf or nan where the symbol leaves float range, without a warning)."""
         self._check(freq)
         v = np.asarray(v, dtype=complex)
         if v.shape != (freq.dim,):
             raise PreconditionError(
                 f"coefficient vector has length {v.shape}, expected ({freq.dim},)"
             )
-        if not self.replicated:
-            d = self.diagonal(freq)
-            if d is not None:
-                return d * v
-            return self.block(freq) @ v
-        rep = freq.label.rep_dim()
-        chunks = v.reshape(rep, rep)
         d = self.diagonal(freq)
-        if d is not None:
-            out = chunks * d[None, :]
-        else:
-            out = chunks @ self.block(freq).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not self.replicated:
+                return d * v if d is not None else self.block(freq) @ v
+            rep = freq.label.rep_dim()
+            chunks = v.reshape(rep, rep)
+            out = chunks * d[None, :] if d is not None else chunks @ self.block(freq).T
         return out.reshape(freq.dim)
 
 
 def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
     """Build the evaluable symbol of an operator spec for a model."""
-    if model_kind_of(op) != model.kind:
-        raise PreconditionError(
-            f"operator is for model {model_kind_of(op)!r}, not {model.kind!r}"
-        )
-    if isinstance(op, TorusPoly):
-
-        def exact_diag(f):
-            v = torus_value_exact(op, f.label.xi, f.label.eta)
-            return None if v is None else [v]
-
-        return MatrixSymbol(
-            model,
-            replicated=False,
-            diag_fn=lambda f: torus_values(op, f.label.xi, f.label.eta).reshape(1),
-            exact_diag_fn=exact_diag,
-            bulk=lambda xi, eta: torus_values(op, xi, eta),
-            bulk_err=lambda xi, eta: _rounding_bound(op, np.abs(xi), np.abs(eta)),
-        )
-    if isinstance(op, Su2DiagPoly):
-        return MatrixSymbol(
-            model,
-            replicated=True,
-            diag_fn=lambda f: su2_diag_values(op, f.label.twice_ell),
-            exact_diag_fn=lambda f: su2_diag_exact(op, f.label.twice_ell),
-            bulk=lambda levels: su2_diag_values_bulk(op, levels),
-            bulk_err=lambda levels: _rounding_bound(op, levels / 2, levels * (levels + 2) / 4),
-        )
-    if isinstance(op, MatrixTable):
-        if model.kind == "torus2":
-            return MatrixSymbol(
-                model,
-                replicated=False,
-                mat_fn=lambda f: op.block(f.label),
-            )
-        return MatrixSymbol(
-            model,
-            replicated=True,
-            mat_fn=lambda f: op.block(f.label),
-        )
-    raise PreconditionError(f"unknown operator spec {op!r}")
-
-
-def identity_symbol(model: SpectralModel) -> MatrixSymbol:
-    if model.kind == "torus2":
-        return MatrixSymbol(
-            model,
-            replicated=False,
-            diag_fn=lambda f: np.ones(1, dtype=complex),
-            exact_diag_fn=lambda f: [(Fraction(1), Fraction(0))],
-            bulk=lambda xi, eta: np.ones(np.broadcast(xi, eta).shape, complex),
-            bulk_err=lambda xi, eta: np.zeros(np.broadcast(xi, eta).shape),
-        )
-    return MatrixSymbol(
-        model,
-        replicated=True,
-        diag_fn=lambda f: np.ones(f.label.rep_dim(), dtype=complex),
-        exact_diag_fn=lambda f: [(Fraction(1), Fraction(0))] * f.label.rep_dim(),
-        bulk=lambda levels: np.ones(int(np.sum(levels + 1)), dtype=complex),
-        bulk_err=lambda levels: np.zeros(len(levels)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# pointwise algebra
-
-
-def _exact_combine(a, b, op):
-    if a is None or b is None:
-        return None
-
-    def fn(freq):
-        da, db = a(freq), b(freq)
-        if da is None or db is None:
-            return None
-        if op == "add":
-            return [(x[0] + y[0], x[1] + y[1]) for x, y in zip(da, db)]
-        return [_cmul(x, y) for x, y in zip(da, db)]
-
-    return fn
-
-
-def _exact_scale(a, parts):
-    if a is None or parts is None:
-        return None
-
-    def fn(freq):
-        da = a(freq)
-        if da is None:
-            return None
-        return [_cmul(parts, x) for x in da]
-
-    return fn
-
-
-def combine(operation: str, symbols, scalar=None) -> MatrixSymbol:
-    """Pointwise algebra on symbols: 'add', 'scale', or 'compose'.
-
-    All symbols must share a model.  'scale' takes one symbol plus a scalar
-    (complex or Coefficient); 'add' and 'compose' fold left over two or more.
-    """
-    symbols = list(symbols)
-    if not symbols:
-        raise PreconditionError("combine needs at least one symbol")
-    model = symbols[0].model
-    for s in symbols[1:]:
-        if s.model.kind != model.kind:
-            raise PreconditionError("cannot combine symbols from different models")
-
-    if operation == "scale":
-        if len(symbols) != 1 or scalar is None:
-            raise PreconditionError("scale takes one symbol and one scalar")
-        coeff = scalar if isinstance(scalar, Coefficient) else Coefficient.from_complex(complex(scalar))
-        z = coeff.to_complex()
-        a = symbols[0]
-        return MatrixSymbol(
-            model,
-            replicated=a.replicated,
-            diag_fn=None if a.diag_fn is None else (lambda f: z * a.diag_fn(f)),
-            mat_fn=None if a.diag_fn is not None or a.mat_fn is None else (lambda f: z * a.mat_fn(f)),
-            exact_diag_fn=_exact_scale(a.exact_diag_fn, coeff.rational_parts()),
-            bulk=None if a.bulk is None else (lambda *labels: z * a.bulk(*labels)),
-        )
-
-    if operation not in ("add", "compose"):
-        raise PreconditionError(f"unknown combine operation {operation!r}")
-    if len(symbols) < 2:
-        raise PreconditionError(f"{operation} takes at least two symbols")
-
-    def fold(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
-        if a.replicated != b.replicated:
-            raise PreconditionError("cannot combine mismatched block structures")
-        both_diag = a.diag_fn is not None and b.diag_fn is not None
-        both_bulk = a.bulk is not None and b.bulk is not None
-        if operation == "add":
-            diag = (lambda f: a.diag_fn(f) + b.diag_fn(f)) if both_diag else None
-            mat = None if both_diag else (lambda f: a.block(f) + b.block(f))
-            bulk = (lambda *labels: a.bulk(*labels) + b.bulk(*labels)) if both_bulk else None
-        else:
-            diag = (lambda f: a.diag_fn(f) * b.diag_fn(f)) if both_diag else None
-            mat = None if both_diag else (lambda f: a.block(f) @ b.block(f))
-            bulk = (lambda *labels: a.bulk(*labels) * b.bulk(*labels)) if both_bulk else None
-        return MatrixSymbol(
-            model,
-            replicated=a.replicated,
-            diag_fn=diag,
-            mat_fn=mat,
-            exact_diag_fn=_exact_combine(
-                a.exact_diag_fn, b.exact_diag_fn, "add" if operation == "add" else "mul"
-            )
-            if both_diag
-            else None,
-            bulk=bulk,
-        )
-
-    out = symbols[0]
-    for s in symbols[1:]:
-        out = fold(out, s)
-    return out
+    return MatrixSymbol(op, model)
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +579,8 @@ def block_values(symbol: MatrixSymbol, window: Window):
 
     The values of blocks lo..hi-1, up to BULK_CHUNK_ENTRIES of them, are
     concatenated; block lo + k starts at ``offsets[k]``, ready for
-    ``np.minimum.reduceat``.  They are |bulk(labels)| given a bulk
-    evaluator, else ``symbol.values`` per block: the values-only SVD of a
+    ``np.minimum.reduceat``.  They are |bulk(labels)| for a diagonal
+    symbol, else ``symbol.values`` per block: the values-only SVD of a
     dense block, as a full SVD rounds differently in the last bits and
     gains and C* are read from these.  Values beyond float range are a
     precondition violation.
@@ -729,7 +592,7 @@ def block_values(symbol: MatrixSymbol, window: Window):
         base = ends[lo] - sizes[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + BULK_CHUNK_ENTRIES, side="right")))
         with np.errstate(over="ignore", invalid="ignore"):
-            if symbol.bulk is not None:
+            if symbol.is_diagonal:
                 values = np.abs(symbol.bulk(*(x[lo:hi] for x in window.labels)))
             else:
                 values = np.concatenate([symbol.values(window.freq(i)) for i in range(lo, hi)])

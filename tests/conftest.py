@@ -17,6 +17,12 @@ def coeff(value) -> Coefficient:
     return Coefficient.make(value)
 
 
+def constant_one(model) -> TorusPoly | Su2DiagPoly:
+    """The identity operator of a model: the constant polynomial 1."""
+    poly = TorusPoly if model.kind == "torus2" else Su2DiagPoly
+    return poly.make([(Coefficient.make(1), 0, 0)])
+
+
 def su2_neutral_plus(q) -> Su2DiagPoly:
     """The operator a d0 + q with block entries i m + q."""
     return Su2DiagPoly.make([(Coefficient.make(1), 1, 0), (coeff(q), 0, 0)])

@@ -113,8 +113,9 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
                               tol: float = 1e-12):
     """The counterexample search walked frequency by frequency: every
     frequency from the start of each step goes through the exact test (or
-    the float test with guard band ``tol``), with no float screen."""
-    from hyposym import CoefficientField, SearchExhaustedError
+    the float test with guard band ``tol``), with no float screen.  An image
+    norm that is not finite comes from the exact entry, or raises."""
+    from hyposym import CoefficientField, PreconditionError, SearchExhaustedError
     from hyposym.coefficients import Counterexample, CounterexampleCertificate
     from hyposym.spectral import Window
 
@@ -131,14 +132,14 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
                 bound_sq = Fraction(1) / (1 + freq.lam_exact()) ** (2 * k)
                 sq = [re * re + im * im for re, im in exact_entries]
                 if min(sq) < bound_sq:
-                    found = (freq, min(range(len(sq)), key=sq.__getitem__), None, True)
+                    found = (freq, min(range(len(sq)), key=sq.__getitem__), None, min(sq))
                     break
             else:
                 bound = (1.0 + freq.lam) ** (-k)
                 if symbol.gain(freq) < bound * (1.0 - tol):
                     diag = symbol.diagonal(freq)
                     if diag is not None:
-                        found = (freq, int(np.argmin(np.abs(diag))), None, False)
+                        found = (freq, int(np.argmin(np.abs(diag))), None, None)
                     else:
                         _, _, vh = np.linalg.svd(symbol.block(freq))
                         v = vh[-1].conj()
@@ -146,12 +147,12 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
                             if abs(comp) > 1e-14:
                                 v = v * (comp.conjugate() / abs(comp))
                                 break
-                        found = (freq, None, v, False)
+                        found = (freq, None, v, None)
                     break
             idx += 1
         if found is None:
             raise SearchExhaustedError(k, search_cutoff)
-        freq, entry_idx, block_vec, exact = found
+        freq, entry_idx, block_vec, exact_sq = found
         bdim = symbol.block_dim(freq)
         if block_vec is None:
             block_vec = np.zeros(bdim, dtype=complex)
@@ -159,9 +160,13 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
         full = np.zeros(freq.dim, dtype=complex)
         full[:bdim] = block_vec
         image_norm = float(np.linalg.norm(symbol.apply_to_vector(freq, full)))
+        if not np.isfinite(image_norm) and exact_sq is not None:
+            image_norm = float(np.sqrt(float(exact_sq)))
+        if not np.isfinite(image_norm):
+            raise PreconditionError(f"image norm at {freq.label} is not finite")
         certs.append(CounterexampleCertificate(
             k=k, ordinal=freq.j, label=freq.label, lam=freq.lam, image_norm=image_norm,
-            bound=(1.0 + freq.lam) ** (-k), exact=exact))
+            bound=(1.0 + freq.lam) ** (-k), exact=exact_sq is not None))
         support[freq.label] = full
         chosen.append(freq)
         lam_prev = freq.lam

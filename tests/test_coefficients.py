@@ -20,7 +20,6 @@ from hyposym import (
     enumerate_frequencies,
     estimate_order,
     frequency_for_label,
-    identity_symbol,
     random_field,
     sobolev_norm,
 )
@@ -31,7 +30,7 @@ from hyposym.errors import (
 )
 from hyposym.symbols import Coefficient, TorusPoly, gain_table
 
-from conftest import su2_pell_operator, torus_translation
+from conftest import constant_one, su2_pell_operator, torus_translation
 from oracles import unscreened_counterexample
 
 
@@ -196,7 +195,7 @@ def test_counterexample_pell_levels():
 
 def test_counterexample_identity_exhausts():
     with pytest.raises(SearchExhaustedError) as err:
-        build_counterexample(identity_symbol(TORUS2), TORUS2, 2, 500)
+        build_counterexample(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 2, 500)
     assert err.value.k == 1
 
 
@@ -353,6 +352,43 @@ def test_pell_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch)
     monkeypatch.setattr(symbols_module, "su2_diag_exact", counted)
     result = build_counterexample(build_symbol(su2_pell_operator(), SU2), SU2, 3, 50 * 51)
     assert calls == [f.label.twice_ell for f in result.frequencies] == [2, 16, 98]
+
+
+def test_torus_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch):
+    # d_t + (3/7) d_x: away from the resonance line the gain |xi + 3 eta / 7|
+    # is at least 1/7, so the screen leaves only the chosen characters to
+    # torus_value_exact (the unscreened walk evaluates 1633 of them)
+    import hyposym.symbols as symbols_module
+
+    calls = []
+    evaluate = symbols_module.torus_value_exact
+
+    def counted(op, xi, eta):
+        calls.append((xi, eta))
+        return evaluate(op, xi, eta)
+
+    monkeypatch.setattr(symbols_module, "torus_value_exact", counted)
+    sym = build_symbol(torus_translation(Fraction(3, 7)), TORUS2)
+    result = build_counterexample(sym, TORUS2, 4, 600)
+    assert calls == [(f.label.xi, f.label.eta) for f in result.frequencies] == [
+        (0, -1), (-3, 7), (-6, 14), (-9, 21)]
+
+
+def test_image_norm_beyond_float_range():
+    # 10^307 (negLap + 2 d0^2): the float entries at the Pell levels l = 8 and
+    # 49 overflow to nan, the exact ones vanish; the norm comes from the exact
+    # entry, in the search and in the unscreened walk alike
+    big = 10**307
+    op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
+    result = _assert_same_search(build_symbol(op, SU2), SU2, 3, 50 * 51)
+    assert [c.image_norm for c in result.certificates] == [0.0, 0.0, 0.0]
+    assert all(c.exact for c in result.certificates)
+    # a float certificate has no exact entry: 1e-3 at m = 0 of level 1 is
+    # chosen, and the entries at m = +-1 overflow, so the image is not finite
+    op = Su2DiagPoly.make([(Coefficient.make(1e-3), 0, 0), (Coefficient.make(1e308), 2, 1)])
+    for search in (build_counterexample, unscreened_counterexample):
+        with pytest.raises(PreconditionError, match="image norm"):
+            search(build_symbol(op, SU2), SU2, 1, 50 * 51)
 
 
 def test_counterexample_guard_band_follows_tol():

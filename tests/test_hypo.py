@@ -12,8 +12,8 @@ from hyposym import (
     estimate_h,
     fit_growth,
     gain_table,
-    identity_symbol,
     parse_real,
+    parse_spec,
     singular_scan,
     verdict,
 )
@@ -21,6 +21,7 @@ from hyposym.errors import NoFitError, PreconditionError
 from hyposym.symbols import Coefficient
 
 from conftest import (
+    constant_one,
     su2_laplace_minus_axis_sq,
     su2_neutral_plus,
     su2_pell_operator,
@@ -64,7 +65,7 @@ def test_scan_requires_positive_cutoff(su2_gap_symbol):
 
 
 def test_fit_identity_constant_gain():
-    fit = fit_growth(gain_table(identity_symbol(TORUS2), TORUS2, 300), 2.0)
+    fit = fit_growth(gain_table(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 300), 2.0)
     assert fit.m == pytest.approx(0.0, abs=1e-9)
     assert fit.L == pytest.approx(1.0, rel=1e-9)
     assert fit.R == 0
@@ -235,6 +236,22 @@ def test_verdict_scale_invariance_certified():
     vb = verdict(scaled, TORUS2, 400)
     assert va.kind == vb.kind == "certified_not_gh"
     assert va.certificate.family == vb.certificate.family
+
+
+def test_verdict_composed_pell_operator_equals_parsed_spec():
+    # negLap + 2 d0 o d0, built by operator algebra, is the parsed spec
+    # negLap + 2 d0^2 term for term, so it gets the same exact certificate
+    neg_lap = Su2DiagPoly.make([(Coefficient.make(1), 0, 1)])
+    d0 = Su2DiagPoly.make([(Coefficient.make(1), 1, 0)])
+    composed = neg_lap.add(d0.mul(d0).scale(2))
+    parsed = parse_spec({"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": [
+        {"coeff": [1, 0], "deg_d0": 0, "deg_neglap": 1},
+        {"coeff": [2, 0], "deg_d0": 2, "deg_neglap": 0}]}}).operator
+    assert composed == parsed
+    va, vb = verdict(composed, SU2, 2550), verdict(parsed, SU2, 2550)
+    assert va.kind == "certified_not_gh"
+    assert va.as_dict() == vb.as_dict()
+    assert [w.label.twice_ell for w in va.certificate.witnesses] == [2, 16, 98]
 
 
 def test_verdict_scale_invariance_empirical():

@@ -537,6 +537,29 @@ def test_cli_counterexample_honours_tol(tmp_path, capsys):
         assert any("nonnegative" in v for v in _violations(capsys))
 
 
+def test_cli_counterexample_image_norm_beyond_float_range(tmp_path):
+    # the float values at the Pell levels l = 8 and 49 overflow; the exact
+    # entries vanish and give the image norm.  A float certificate whose
+    # image leaves float range is a precondition violation.
+    def spec(terms):
+        path = tmp_path / "big.json"
+        path.write_text('{"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": ['
+                        + ", ".join(terms) + "]}}")
+        return run_cli("counterexample", "--spec", str(path), "--cutoff", "2550", "--k", "3")
+
+    big = 10**307
+    proc = spec([f'{{"coeff": [{big}, 0], "deg_d0": 0, "deg_neglap": 1}}',
+                 f'{{"coeff": [{2 * big}, 0], "deg_d0": 2, "deg_neglap": 0}}'])
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=_no_constant)
+    assert [(c["label"], c["image_norm"], c["exact"]) for c in doc["certificates"]] == [
+        ("l=1", 0.0, True), ("l=8", 0.0, True), ("l=49", 0.0, True)]
+    proc = spec(['{"coeff": [0.001, 0], "deg_d0": 0, "deg_neglap": 0}',
+                 '{"coeff": [1e308, 0], "deg_d0": 2, "deg_neglap": 1}'])
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "image norm" in json.loads(proc.stderr)["error"]
+
+
 def test_cli_diophantine_classification():
     proc = run_cli("diophantine", "--c", "(0+1*sqrt(2))/1", "--cf-terms", "12",
                    "--liouville-nmax", "3")

@@ -17,7 +17,6 @@ from hyposym import (
     enumerate_frequencies,
     extremal_field,
     frequency_for_label,
-    identity_symbol,
     kernel_on_truncation,
     per_frequency_constant,
     random_field,
@@ -26,7 +25,7 @@ from hyposym.errors import PreconditionError
 from hyposym.subelliptic import KERNEL_TOL
 from hyposym.symbols import Coefficient, TorusPoly
 
-from conftest import torus_translation
+from conftest import constant_one, torus_translation
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def test_kernel_su2_gap_only_origin(su2_gap_symbol):
 
 
 def test_kernel_identity_empty():
-    kernel = kernel_on_truncation(identity_symbol(TORUS2), TORUS2, 100)
+    kernel = kernel_on_truncation(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 100)
     assert kernel.total_dim == 0
 
 
@@ -148,7 +147,7 @@ def test_best_alpha_independent_of_s(su2_gap_symbol):
 
 
 def test_best_alpha_identity():
-    report = best_alpha_constant(identity_symbol(SU2), SU2, 0.0, 0.0, 30)
+    report = best_alpha_constant(build_symbol(constant_one(SU2), SU2), SU2, 0.0, 0.0, 30)
     assert report.c_star == pytest.approx(1.0, rel=1e-12)
     assert report.k_star == pytest.approx(1.0, rel=1e-12)
 
@@ -227,7 +226,7 @@ def test_beta_identity_with_unit_constant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         probe = random_field(SU2, 30, rng)
-        chk = check_beta(identity_symbol(SU2), SU2, probe, 0.0, 0.0, 1.0, 30)
+        chk = check_beta(build_symbol(constant_one(SU2), SU2), SU2, probe, 0.0, 0.0, 1.0, 30)
         assert chk.passed
 
 
@@ -358,7 +357,7 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
             Su2Label(t): (3.0 if t % 3 else 0.0) * np.eye(t + 1) for t in range(9)}), SU2),
             8 * 10 / 4),
         # at m = 1, numpy's array power rounds 26 ** -0.5 differently
-        "identity": (TORUS2, identity_symbol(TORUS2), 25),
+        "identity": (TORUS2, build_symbol(constant_one(TORUS2), TORUS2), 25),
     }[case]
     blocks, (c_star, label, entry) = _reference_pass(symbol, model, cutoff, m)
     kernel, (got_c, got_freq, got_entry) = _window_pass(symbol, model, cutoff, KERNEL_TOL, m)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,19 +17,18 @@ from hyposym import (
     TorusPoly,
     apply_symbol,
     build_symbol,
-    combine,
     enumerate_frequencies,
     estimate_order,
     frequency_for_label,
-    identity_symbol,
     operator_norm,
     smallest_gain,
     sobolev_norm,
 )
 from hyposym.errors import PreconditionError, WindowTooSmallError
+from hyposym.exact import Surd
 from hyposym.symbols import Coefficient
 
-from conftest import su2_laplace_minus_axis_sq, torus_translation
+from conftest import constant_one, su2_laplace_minus_axis_sq, torus_translation
 from oracles import sphere_gain_oracle
 
 
@@ -273,7 +273,7 @@ def test_plancherel_identity_application():
         {f.label: rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
          for f in freqs}
     )
-    out = apply_symbol(identity_symbol(SU2), u, 8)
+    out = apply_symbol(build_symbol(constant_one(SU2), SU2), u, 8)
     assert sobolev_norm(out, 0, SU2, 8) == pytest.approx(
         sobolev_norm(u, 0, SU2, 8), rel=1e-14
     )
@@ -290,27 +290,26 @@ def _su2(*terms) -> Su2DiagPoly:
 
 def _bulk_cases():
     third = Fraction(1, 3)
-    gap = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    d0 = build_symbol(_su2((1, 1, 0)), SU2)
-    neg_lap = build_symbol(_su2((1, 0, 1)), SU2)
-    linear = build_symbol(
-        _su2((Coefficient.make(Fraction(2), third), 1, 0), (Fraction(1, 7), 0, 0)), SU2)
-    phi = build_symbol(torus_translation(1.618033988749895), TORUS2)
+    gap = su2_laplace_minus_axis_sq()
+    d0 = _su2((1, 1, 0))
+    neg_lap = _su2((1, 0, 1))
+    linear = _su2((Coefficient.make(Fraction(2), third), 1, 0), (Fraction(1, 7), 0, 0))
+    phi = torus_translation(1.618033988749895)
     rng = np.random.default_rng(4)
     return {
         "a(negLap + d0^2)": (build_symbol(
             _su2((Fraction(3, 2), 0, 1), (Fraction(3, 2), 2, 0)), SU2), 1e4),
         "negLap + d0^2/3": (build_symbol(_su2((1, 0, 1), (third, 2, 0)), SU2), 1e4),
         "negLap + 3/5 d0^2": (build_symbol(_su2((1, 0, 1), (Fraction(3, 5), 2, 0)), SU2), 1e4),
-        "(2 + i/3) d0 + 1/7": (linear, 1e4),
+        "(2 + i/3) d0 + 1/7": (build_symbol(linear, SU2), 1e4),
         "degree 4, float": (build_symbol(_su2(
             (0.37, 4, 0), (-1.3, 3, 1), (2.1, 2, 2), (0.5, 0, 4), (1.1, 1, 0), (0.3, 0, 0)),
             SU2), 1e4),
-        "add": (combine("add", [neg_lap, combine("compose", [d0, d0])]), 1e4),
-        "scale": (combine("scale", [gap], scalar=3 - 4j), 1e4),
-        "compose": (combine("compose", [linear, gap, identity_symbol(SU2)]), 1e4),
-        "torus phi": (phi, 2000),
-        "torus compose": (combine("compose", [phi, combine("scale", [phi], scalar=0.5j)]), 2000),
+        "add": (build_symbol(neg_lap.add(d0.mul(d0)), SU2), 1e4),
+        "scale": (build_symbol(gap.scale(3 - 4j), SU2), 1e4),
+        "compose": (build_symbol(linear.mul(gap).mul(constant_one(SU2)), SU2), 1e4),
+        "torus phi": (build_symbol(phi, TORUS2), 2000),
+        "torus compose": (build_symbol(phi.mul(phi.scale(0.5j)), TORUS2), 2000),
         "dense torus table": (build_symbol(MatrixTable("torus2", {
             lab: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
             for lab in (f.label for f in enumerate_frequencies(TORUS2, 300))}), TORUS2), 300),
@@ -329,15 +328,15 @@ def test_bulk_gain_table_equals_per_frequency_loop(name, chunk, monkeypatch):
         # more chunk boundaries, and blocks larger than a chunk
         monkeypatch.setattr(symbols, "BULK_CHUNK_ENTRIES", chunk)
     sym, cutoff = _bulk_cases()[name]
-    assert (sym.bulk is None) == name.startswith("dense")
+    assert sym.is_diagonal != name.startswith("dense")
     svd_calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
     table = gain_table(sym, sym.model, cutoff)
     monkeypatch.setattr(np.linalg, "svd", svd)
     freqs = enumerate_frequencies(sym.model, cutoff)
-    assert len(svd_calls) == (len(freqs) if sym.bulk is None else 0)
-    if sym.bulk is None:
+    assert len(svd_calls) == (0 if sym.is_diagonal else len(freqs))
+    if not sym.is_diagonal:
         # one values-only SVD per block gives both columns, with the bits of
         # a separate SVD for each
         gain = [smallest_gain(sym.block(f)) for f in freqs]
@@ -349,55 +348,93 @@ def test_bulk_gain_table_equals_per_frequency_loop(name, chunk, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# combine
+# operator algebra on polynomials
 
 
 def test_compose_with_identity_is_identity_on_symbol():
-    sym = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    composed = combine("compose", [sym, identity_symbol(SU2)])
-    for t in (0, 1, 2, 5):
-        freq = frequency_for_label(SU2, Su2Label(t))
-        assert np.allclose(composed.diagonal(freq), sym.diagonal(freq), atol=1e-14)
+    for op, model in ((su2_laplace_minus_axis_sq(), SU2),
+                      (torus_translation(Fraction(3, 7)), TORUS2)):
+        assert op.mul(constant_one(model)) == op == constant_one(model).mul(op)
+        assert op.scale(1) == op
 
 
 def test_scale_multiplies_gain():
-    sym = build_symbol(torus_translation(2), TORUS2)
-    scaled = combine("scale", [sym], scalar=3 - 4j)
+    op = torus_translation(2)
+    sym, scaled = build_symbol(op, TORUS2), build_symbol(op.scale(3 - 4j), TORUS2)
     freq = frequency_for_label(TORUS2, Torus2Label(2, 1))
     assert scaled.gain(freq) == pytest.approx(5 * sym.gain(freq), rel=1e-12)
+    # an exact scalar keeps the operator exact; a complex one is a float
+    assert op.scale(Fraction(-3, 4)) == TorusPoly.make(
+        [(Coefficient.make(Fraction(-3, 4)), 1, 0), (Coefficient.make(Fraction(-3, 2)), 0, 1)])
+    assert not any(c.is_exact for c, _, _ in op.scale(3 - 4j).terms)
 
 
 def test_add_neglap_and_composed_axis_derivative():
-    # negLap + d0 o d0 equals the diagonal family l(l+1) - m^2 entrywise
-    neg_lap = build_symbol(Su2DiagPoly.make([(Coefficient.make(1), 0, 1)]), SU2)
-    d0 = build_symbol(Su2DiagPoly.make([(Coefficient.make(1), 1, 0)]), SU2)
-    combined = combine("add", [neg_lap, combine("compose", [d0, d0])])
-    direct = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    for t in range(0, 11):
-        freq = frequency_for_label(SU2, Su2Label(t))
-        assert np.allclose(combined.diagonal(freq), direct.diagonal(freq), atol=1e-12)
-        assert combined.exact_diagonal(freq) == direct.exact_diagonal(freq)
+    # negLap + d0 o d0 is the diagonal family l(l+1) - m^2 as a polynomial
+    neg_lap = Su2DiagPoly.make([(Coefficient.make(1), 0, 1)])
+    d0 = Su2DiagPoly.make([(Coefficient.make(1), 1, 0)])
+    assert neg_lap.add(d0.mul(d0)) == su2_laplace_minus_axis_sq()
+    assert neg_lap.add(d0.mul(d0).scale(-1)) == Su2DiagPoly.make(
+        [(Coefficient.make(1), 0, 1), (Coefficient.make(-1), 2, 0)])
+    assert d0.add(d0.scale(-1)) == Su2DiagPoly(())
 
 
-def test_combine_rejects_mixed_models():
-    with pytest.raises(PreconditionError):
-        combine("add", [identity_symbol(SU2), identity_symbol(TORUS2)])
+def test_poly_algebra_rejects_mixed_models():
+    for method in ("add", "mul"):
+        with pytest.raises(PreconditionError):
+            getattr(constant_one(SU2), method)(constant_one(TORUS2))
+        with pytest.raises(PreconditionError):
+            getattr(constant_one(TORUS2), method)(constant_one(SU2))
 
 
-def test_combine_mixed_diagonal_and_dense_structure():
-    rng = np.random.default_rng(21)
-    entries = {Su2Label(t): rng.standard_normal((t + 1, t + 1))
-               + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(5)}
-    dense = build_symbol(MatrixTable("su2", entries), SU2)
-    diag = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    summed = combine("add", [dense, diag])
-    composed = combine("compose", [diag, dense])
-    for t in range(5):
-        freq = frequency_for_label(SU2, Su2Label(t))
-        assert np.allclose(summed.block(freq), dense.block(freq) + diag.block(freq),
-                           atol=1e-13)
-        assert np.allclose(composed.block(freq), diag.block(freq) @ dense.block(freq),
-                           atol=1e-13)
+_ALGEBRA_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _rational_polys(draw, poly):
+    return poly.make([(Coefficient.make(draw(_ALGEBRA_RATIONALS), draw(_ALGEBRA_RATIONALS)),
+                       draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+                      for _ in range(draw(st.integers(0, 3)))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), model=st.sampled_from([TORUS2, SU2]),
+       radicands=st.tuples(st.sampled_from([2, 3, 5]), st.sampled_from([2, 3, 5])))
+def test_poly_algebra_is_the_algebra_of_exact_values(data, model, radicands):
+    poly = TorusPoly if model is TORUS2 else Su2DiagPoly
+    p, q = data.draw(_rational_polys(poly)), data.draw(_rational_polys(poly))
+    c_re, c_im = data.draw(_ALGEBRA_RATIONALS), data.draw(_ALGEBRA_RATIONALS)
+    if model is TORUS2:
+        label = Torus2Label(data.draw(st.integers(-40, 40)), data.draw(st.integers(-40, 40)))
+        labels = (np.array([label.xi]), np.array([label.eta]))
+    else:
+        label = Su2Label(data.draw(st.integers(0, 40)))
+        labels = (np.array([label.twice_ell]),)
+    freq = frequency_for_label(model, label)
+
+    def exact(op):
+        return build_symbol(op, model).exact_diagonal(freq)
+
+    # the composed polynomials evaluate exactly to the sums and products
+    ep, eq = exact(p), exact(q)
+    assert exact(p.add(q)) == [(a + c, b + d) for (a, b), (c, d) in zip(ep, eq)]
+    assert exact(p.mul(q)) == [(a * c - b * d, a * d + b * c) for (a, b), (c, d) in zip(ep, eq)]
+    assert exact(p.scale(Coefficient.make(c_re, c_im))) == [
+        (c_re * a - c_im * b, c_re * b + c_im * a) for a, b in ep]
+    # and their float |entries| lie within their own rounding bound
+    for op in (p.add(q), p.mul(q), p.scale(Coefficient.make(c_re, c_im))):
+        sym = build_symbol(op, model)
+        err = Fraction(float(np.max(sym.bulk_err(*labels))))
+        for value, (re, im) in zip(np.abs(sym.diagonal(freq)).tolist(), exact(op)):
+            lower = max(Fraction(0), Fraction(value) - err)
+            assert lower**2 <= re * re + im * im <= (Fraction(value) + err) ** 2
+    # products stay exact within one quadratic field, and fall back to float
+    # across two
+    x, y = (Coefficient.make(Surd.make(1, 1, d)) for d in radicands)
+    assert x.mul(y).is_exact == (radicands[0] == radicands[1])
+    assert x.mul(y).to_complex() == pytest.approx(
+        (1 + math.sqrt(radicands[0])) * (1 + math.sqrt(radicands[1])), rel=1e-15)
+    assert poly.make([(x, 1, 0)]).mul(poly.make([(y, 0, 1)])).coefficient(1, 1) == x.mul(y)
 
 
 def test_block_application_matches_full_matrix():
@@ -420,7 +457,7 @@ def test_block_application_matches_full_matrix():
 
 
 def test_order_of_identity_is_zero():
-    est = estimate_order(identity_symbol(TORUS2), TORUS2, 400)
+    est = estimate_order(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 400)
     assert abs(est.order_hat) <= 0.05
 
 
@@ -452,4 +489,4 @@ def test_order_of_zero_symbol_is_minus_infinity():
 
 def test_order_needs_enough_frequencies():
     with pytest.raises(WindowTooSmallError):
-        estimate_order(identity_symbol(TORUS2), TORUS2, 1)
+        estimate_order(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 1)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .coefficients import (
-    apply_symbol,
     build_counterexample,
     classify_regularity,
     random_field,
@@ -246,7 +245,7 @@ def _cmd_counterexample(args) -> None:
             return {"error": str(exc)}
 
     f_report = classify(result.field)
-    image_report = classify(apply_symbol(symbol, result.field, span))
+    image_report = classify(result.image)
     coeffs_path = None
     if args.out:
         coeffs_path = args.out + ".coeffs.csv"

@@ -253,13 +253,13 @@ def apply_symbol(
 ) -> CoefficientField:
     """The coefficient field of P u: per frequency, the block product.
 
-    The result is explicit and valid on the truncation lambda <= cutoff.
+    The result is explicit and valid on the truncation lambda <= cutoff.  A
+    diagonal symbol is evaluated once over the whole support.
     """
-    model = symbol.model
-    out: dict[Label, np.ndarray] = {}
-    for freq, vec in u.window(model, cutoff):
-        out[freq.label] = symbol.apply_to_vector(freq, vec)
-    return CoefficientField(explicit=out)
+    pairs = list(u.window(symbol.model, cutoff))
+    freqs = [freq for freq, _ in pairs]
+    images = symbol.apply_to_vectors(freqs, [vec for _, vec in pairs])
+    return CoefficientField(explicit={f.label: w for f, w in zip(freqs, images)})
 
 
 @dataclass(frozen=True)
@@ -277,9 +277,13 @@ class CounterexampleCertificate:
 
 @dataclass(frozen=True)
 class Counterexample:
+    """The field, its frequencies and certificates, and its image under the
+    symbol (see ``build_counterexample`` for where that comes from)."""
+
     field: CoefficientField
     frequencies: tuple[FrequencyIndex, ...]
     certificates: tuple[CounterexampleCertificate, ...]
+    image: CoefficientField
 
 
 def _unit_null_vector(block: np.ndarray) -> np.ndarray:
@@ -323,16 +327,16 @@ def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
 
 
 def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
-    """The per-frequency test of step k: ``(freq, entry, vector, exact_sq)``
+    """The per-frequency test of step k: ``(freq, entry, vector, exact)``
     when the gain at ``freq`` is below (1+lambda)^{-k}, else None.
-    ``exact_sq`` is the exact squared modulus of the chosen entry, or None
-    when the float test decided."""
+    ``exact`` is the chosen entry's exact (re, im), or None when the float
+    test decided."""
     exact_entries = symbol.exact_diagonal(freq)
     if exact_entries is not None:
         bound_sq = Fraction(1, 1) / (1 + freq.lam_exact()) ** (2 * k)
         sq = [re * re + im * im for re, im in exact_entries]
-        min_sq = min(sq)
-        return (freq, sq.index(min_sq), None, min_sq) if min_sq < bound_sq else None
+        i = sq.index(min(sq))
+        return (freq, i, None, exact_entries[i]) if sq[i] < bound_sq else None
     bound = (1.0 + freq.lam) ** (-k)
     if not symbol.gain(freq) < bound * (1.0 - tol):
         return None
@@ -362,9 +366,9 @@ def build_counterexample(
     ceiling (1+lambda)^{-k}, raised by a slack, fails both tests and is
     skipped; every other one is tested in ordinal order.  Raises
     SearchExhaustedError when no admissible frequency exists within the
-    window.  A certificate's image norm is the float one; where that is not
-    finite, an exact certificate takes it from the exact entry, and any
-    other is a PreconditionError.
+    window.  A certificate's image, and its norm, is the float one; where
+    that is not finite, an exact certificate takes it from the exact entry,
+    and any other is a PreconditionError.
     """
     if k_steps < 1:
         raise PreconditionError("need at least one step")
@@ -374,6 +378,7 @@ def build_counterexample(
     screen = _gain_lower_bounds(symbol, window)
     lo = hi = 0
     support: dict[Label, np.ndarray] = {}
+    images: dict[Label, np.ndarray] = {}
     chosen: list[FrequencyIndex] = []
     certs: list[CounterexampleCertificate] = []
     lam_prev = 0.0
@@ -395,17 +400,21 @@ def build_counterexample(
         if found is None:
             raise SearchExhaustedError(k, search_cutoff)
 
-        freq, entry_idx, block_vec, exact_sq = found
+        freq, entry_idx, block_vec, exact = found
         bdim = symbol.block_dim(freq)
         if block_vec is None:
             block_vec = np.zeros(bdim, dtype=complex)
             block_vec[entry_idx] = 1.0
         full = np.zeros(freq.dim, dtype=complex)
         full[: bdim] = block_vec  # first representation block carries the vector
-        image_norm = float(np.linalg.norm(symbol.apply_to_vector(freq, full)))
-        if not math.isfinite(image_norm) and exact_sq is not None:
+        image = symbol.apply_to_vector(freq, full)
+        image_norm = float(np.linalg.norm(image))
+        if not math.isfinite(image_norm) and exact is not None:
             # the float symbol left float range here; the exact entry is below 1
-            image_norm = math.sqrt(exact_sq)
+            re, im = exact
+            image = np.zeros(freq.dim, dtype=complex)
+            image[entry_idx] = complex(float(re), float(im))
+            image_norm = math.sqrt(re * re + im * im)
         if not math.isfinite(image_norm):
             raise PreconditionError(f"the image norm at {freq.label} is beyond float range")
         bound = (1.0 + freq.lam) ** (-k)
@@ -417,10 +426,11 @@ def build_counterexample(
                 lam=freq.lam,
                 image_norm=image_norm,
                 bound=bound,
-                exact=exact_sq is not None,
+                exact=exact is not None,
             )
         )
         support[freq.label] = full
+        images[freq.label] = image
         chosen.append(freq)
         lam_prev = freq.lam
         idx += 1
@@ -429,6 +439,7 @@ def build_counterexample(
         field=CoefficientField(explicit=support),
         frequencies=tuple(chosen),
         certificates=tuple(certs),
+        image=CoefficientField(explicit=images),
     )
 
 

@@ -32,6 +32,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -178,15 +179,42 @@ def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
             return Torus2Label(raw[0], raw[1])
         problems.append(f"{where}: torus label must be [xi, eta] integers")
         return None
+    if isinstance(raw, dict):  # the form {"twice_ell": t}
+        raw = raw.get("twice_ell")
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
         return Su2Label(raw)
-    if isinstance(raw, dict) and isinstance(raw.get("twice_ell"), int):
-        return Su2Label(raw["twice_ell"])
     problems.append(f"{where}: su2 label must be a nonnegative twice_ell integer")
     return None
 
 
+def _matrix_array(raw):
+    """The complex block of a well-formed n x n table of [re, im] cells, or
+    None.  It is checked as one array: rows and cells are lists, every part
+    is an int or a float (numpy alone would take True and "1.5"), the shape
+    is (n, n, 2) and every part is finite.  The complex view of the float
+    array is bit-for-bit ``complex(re, im)``, negative zeros included."""
+    if type(raw) is not list or not raw or set(map(type, raw)) != {list}:
+        return None
+    cells = list(chain.from_iterable(raw))
+    if set(map(type, cells)) != {list}:
+        return None
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        return None
+    try:
+        arr = np.array(raw, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        return None
+    if arr.shape != (len(raw), len(raw), 2) or not np.isfinite(arr).all():
+        return None
+    return arr.view(np.complex128)[..., 0]
+
+
 def _parse_matrix(raw, where: str, problems: list[str]):
+    """The block of a table entry; a table the array check declines goes cell
+    by cell, to name its first bad cell."""
+    arr = _matrix_array(raw)
+    if arr is not None:
+        return arr
     if not isinstance(raw, list) or not raw:
         problems.append(f"{where}: matrix must be a nonempty row list")
         return None

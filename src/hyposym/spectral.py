@@ -17,6 +17,7 @@ tie-breaks, so ordinals are stable across cutoffs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -203,17 +204,32 @@ def bracket_power(lam: float, exponent: float) -> float:
         raise PreconditionError(f"weight (1 + {lam}) ** {exponent} overflows") from None
 
 
+def _torus_ordinal(xi: int, eta: int) -> int:
+    """The ordinal of (xi, eta) in (lam, xi, eta) order, counted in O(sqrt(lam)):
+    the points with x^2 + y^2 < lam, 2 isqrt(lam - 1 - x^2) + 1 per row x, and
+    those of the shell lam before (xi, eta): the ones in rows x < xi, and
+    (xi, -eta) when eta > 0."""
+    lam = xi * xi + eta * eta
+    r = math.isqrt(lam - 1) if lam else -1
+    below = sum(2 * math.isqrt(lam - 1 - x * x) + 1 for x in range(-r, r + 1))
+    shell = 0
+    for x in range(-math.isqrt(lam), xi):
+        y = math.isqrt(lam - x * x)
+        if y * y == lam - x * x:
+            shell += 2 if y else 1
+    return below + shell + (eta > 0)
+
+
 def frequency_for_label(model: SpectralModel, label: Label) -> FrequencyIndex:
     """Materialize the FrequencyIndex of a label (ordinal found by counting)."""
-    lam = label.eigenvalue()
     if model.kind == "torus2":
         if not isinstance(label, Torus2Label):
             raise PreconditionError("label does not match model")
-        xi, eta, lams = torus_lattice(float(lam))
-        rows = np.flatnonzero((xi == label.xi) & (eta == label.eta) & (lams == int(lam)))
-        if len(rows) != 1:
-            raise PreconditionError(f"label {label} not enumerable")
-        return FrequencyIndex(int(rows[0]), float(lam), 1, label)
+        try:
+            j = _torus_ordinal(operator.index(label.xi), operator.index(label.eta))
+        except TypeError:  # not a lattice point
+            raise PreconditionError(f"label {label} not enumerable") from None
+        return FrequencyIndex(j, float(label.eigenvalue()), 1, label)
     if not isinstance(label, Su2Label):
         raise PreconditionError("label does not match model")
-    return FrequencyIndex(label.twice_ell, float(lam), label.block_dim(), label)
+    return FrequencyIndex(label.twice_ell, float(label.eigenvalue()), label.block_dim(), label)

@@ -30,7 +30,7 @@ from typing import ClassVar, Mapping
 import numpy as np
 
 from .errors import PreconditionError, WindowTooSmallError
-from .exact import Surd
+from .exact import Surd, format_real
 from .fitting import envelope_fit
 from .spectral import (
     FrequencyIndex,
@@ -102,7 +102,13 @@ class Coefficient:
         return None
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        """The float value; an exact part beyond float range (which poly
+        algebra can build) is a precondition violation."""
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise PreconditionError(f"the coefficient {format_real(self.re)} + "
+                                    f"{format_real(self.im)} i leaves float range") from None
 
     def is_zero(self) -> bool:
         if self.is_exact:
@@ -479,13 +485,14 @@ class MatrixSymbol:
         if not self.is_diagonal:
             return None
         self._check(freq)
-        label = freq.label
-        if self.replicated:
-            labels = (np.array([label.twice_ell]),)
-        else:
-            labels = (np.array([label.xi]), np.array([label.eta]))
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.bulk(*labels)
+            return self.bulk(*self._label_arrays([freq]))
+
+    def _label_arrays(self, freqs) -> tuple[np.ndarray, ...]:
+        """The label arrays ``bulk`` takes, for a list of frequencies."""
+        if self.replicated:
+            return (np.array([f.label.twice_ell for f in freqs]),)
+        return np.array([f.label.xi for f in freqs]), np.array([f.label.eta for f in freqs])
 
     def block(self, freq: FrequencyIndex) -> np.ndarray:
         """The representation block (equals the full matrix off SU(2))."""
@@ -532,20 +539,34 @@ class MatrixSymbol:
     def apply_to_vector(self, freq: FrequencyIndex, v: np.ndarray) -> np.ndarray:
         """Multiply a full coefficient vector by the symbol at one frequency
         (inf or nan where the symbol leaves float range, without a warning)."""
-        self._check(freq)
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (freq.dim,):
-            raise PreconditionError(
-                f"coefficient vector has length {v.shape}, expected ({freq.dim},)"
-            )
-        d = self.diagonal(freq)
+        return self.apply_to_vectors([freq], [v])[0]
+
+    def apply_to_vectors(self, freqs, vecs) -> list[np.ndarray]:
+        """``apply_to_vector`` at each frequency; a diagonal symbol evaluates
+        the diagonals of all of them in one ``bulk`` call."""
+        vecs = [np.asarray(v, dtype=complex) for v in vecs]
+        for freq, v in zip(freqs, vecs):
+            self._check(freq)
+            if v.shape != (freq.dim,):
+                raise PreconditionError(
+                    f"coefficient vector has length {v.shape}, expected ({freq.dim},)"
+                )
+        diags = [None] * len(vecs)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not self.replicated:
-                return d * v if d is not None else self.block(freq) @ v
-            rep = freq.label.rep_dim()
-            chunks = v.reshape(rep, rep)
-            out = chunks * d[None, :] if d is not None else chunks @ self.block(freq).T
-        return out.reshape(freq.dim)
+            if self.is_diagonal and vecs:
+                values = self.bulk(*self._label_arrays(freqs))
+                dims = [self.block_dim(f) for f in freqs]
+                diags = [values[end - dim:end] for dim, end in zip(dims, np.cumsum(dims))]
+            out = []
+            for freq, v, d in zip(freqs, vecs, diags):
+                if not self.replicated:
+                    out.append(d * v if d is not None else self.block(freq) @ v)
+                    continue
+                rep = freq.label.rep_dim()
+                chunks = v.reshape(rep, rep)
+                w = chunks * d[None, :] if d is not None else chunks @ self.block(freq).T
+                out.append(w.reshape(freq.dim))
+        return out
 
 
 def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:

@@ -1,0 +1,86 @@
+"""Compare the CLI of two source trees, byte for byte, on the benchmark plans.
+
+Usage, from the root of a checkout:
+
+    python3 tests/byte_identity.py OLD_SRC NEW_SRC [--sizes toy full]
+        [--seeds 1 2 3] [--workloads torus_window ...]
+
+For every plan of ``perfbench/workloads.generate`` (each workload, size and
+seed) the inputs are generated once per side into a temporary directory.
+Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
+``PYTHONPATH`` set to that side's ``src``, its stdout written to the file the
+plan names.  Exit codes, stdout, stderr and the sha256 of every file a
+command writes are compared.  The differences are listed and the exit code
+is 1 if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
+not collect this file (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py, which imports checks.py)
+
+
+def _digests(workdir: Path) -> dict[str, str]:
+    return {str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(workdir.rglob("*")) if p.is_file()}
+
+
+def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path) -> list[tuple]:
+    """(name, exit code, stdout, stderr, digests of the files written) per command."""
+    plan = workloads.generate(workload, seed, size, workdir)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    results = []
+    for cmd in plan.commands:
+        before = _digests(workdir)
+        proc = subprocess.run([sys.executable, "-m", "hyposym.cli", *cmd.argv], cwd=workdir,
+                              env=env, capture_output=True)
+        (workdir / cmd.stdout).write_bytes(proc.stdout)
+        written = {k: v for k, v in _digests(workdir).items() if before.get(k) != v}
+        results.append((" ".join(cmd.argv), proc.returncode, proc.stdout, proc.stderr, written))
+    return results
+
+
+def compare(old_src: Path, new_src: Path, workload: str, seed: int, size: str) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_plan(old_src, workload, seed, size, Path(tmp) / "old")
+        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new")
+    problems = []
+    for (name, *a), (_, *b) in zip(old, new):
+        for what, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b):
+            if x != y:
+                problems.append(f"{workload} {size} seed {seed}: {name}: {what} differs")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--sizes", nargs="+", default=["toy", "full"])
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    parser.add_argument("--workloads", nargs="+", default=list(workloads.WORKLOADS))
+    args = parser.parse_args(argv)
+    problems, plans = [], 0
+    for workload in args.workloads:
+        for size in args.sizes:
+            for seed in args.seeds:
+                problems += compare(args.old_src.resolve(), args.new_src.resolve(),
+                                    workload, seed, size)
+                plans += 1
+    print("\n".join(problems) if problems else f"{plans} plans byte-identical")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -114,13 +114,13 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
     """The counterexample search walked frequency by frequency: every
     frequency from the start of each step goes through the exact test (or
     the float test with guard band ``tol``), with no float screen.  An image
-    norm that is not finite comes from the exact entry, or raises."""
+    that is not finite comes from the exact entry, or raises."""
     from hyposym import CoefficientField, PreconditionError, SearchExhaustedError
     from hyposym.coefficients import Counterexample, CounterexampleCertificate
     from hyposym.spectral import Window
 
     window = Window(model, search_cutoff)
-    support, chosen, certs = {}, [], []
+    support, images, chosen, certs = {}, {}, [], []
     lam_prev, idx = 0.0, 0
     for k in range(1, k_steps + 1):
         found = None
@@ -132,7 +132,8 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
                 bound_sq = Fraction(1) / (1 + freq.lam_exact()) ** (2 * k)
                 sq = [re * re + im * im for re, im in exact_entries]
                 if min(sq) < bound_sq:
-                    found = (freq, min(range(len(sq)), key=sq.__getitem__), None, min(sq))
+                    i = min(range(len(sq)), key=sq.__getitem__)
+                    found = (freq, i, None, exact_entries[i])
                     break
             else:
                 bound = (1.0 + freq.lam) ** (-k)
@@ -152,26 +153,32 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
             idx += 1
         if found is None:
             raise SearchExhaustedError(k, search_cutoff)
-        freq, entry_idx, block_vec, exact_sq = found
+        freq, entry_idx, block_vec, exact = found
         bdim = symbol.block_dim(freq)
         if block_vec is None:
             block_vec = np.zeros(bdim, dtype=complex)
             block_vec[entry_idx] = 1.0
         full = np.zeros(freq.dim, dtype=complex)
         full[:bdim] = block_vec
-        image_norm = float(np.linalg.norm(symbol.apply_to_vector(freq, full)))
-        if not np.isfinite(image_norm) and exact_sq is not None:
-            image_norm = float(np.sqrt(float(exact_sq)))
+        image = symbol.apply_to_vector(freq, full)
+        image_norm = float(np.linalg.norm(image))
+        if not np.isfinite(image_norm) and exact is not None:
+            re, im = exact
+            image = np.zeros(freq.dim, dtype=complex)
+            image[entry_idx] = complex(float(re), float(im))
+            image_norm = float(np.sqrt(float(re * re + im * im)))
         if not np.isfinite(image_norm):
             raise PreconditionError(f"image norm at {freq.label} is not finite")
         certs.append(CounterexampleCertificate(
             k=k, ordinal=freq.j, label=freq.label, lam=freq.lam, image_norm=image_norm,
-            bound=(1.0 + freq.lam) ** (-k), exact=exact_sq is not None))
+            bound=(1.0 + freq.lam) ** (-k), exact=exact is not None))
         support[freq.label] = full
+        images[freq.label] = image
         chosen.append(freq)
         lam_prev = freq.lam
         idx += 1
-    return Counterexample(CoefficientField(explicit=support), tuple(chosen), tuple(certs))
+    return Counterexample(CoefficientField(explicit=support), tuple(chosen), tuple(certs),
+                          CoefficientField(explicit=images))
 
 
 def full_ball_torus_min_gain(c, radius: int, exponent: int):
@@ -192,3 +199,50 @@ def full_ball_torus_min_gain(c, radius: int, exponent: int):
                 best = (key, gain)
     (obj, _, arg), gain = best
     return obj, arg, gain
+
+
+def lattice_frequency_for_label(label):
+    """The FrequencyIndex of a torus label, its ordinal read off a whole
+    lattice enumerated up to the label's eigenvalue."""
+    from hyposym import FrequencyIndex, PreconditionError
+    from hyposym.spectral import torus_lattice
+
+    lam = label.eigenvalue()
+    xi, eta, lams = torus_lattice(float(lam))
+    rows = np.flatnonzero((xi == label.xi) & (eta == label.eta) & (lams == int(lam)))
+    if len(rows) != 1:
+        raise PreconditionError(f"label {label} not enumerable")
+    return FrequencyIndex(int(rows[0]), float(lam), 1, label)
+
+
+def cellwise_parse_matrix(raw, where: str, problems: list[str]):
+    """A table matrix checked and converted cell by cell with ``complex(re, im)``;
+    the first bad cell goes to ``problems`` and gives None."""
+    if not isinstance(raw, list) or not raw:
+        problems.append(f"{where}: matrix must be a nonempty row list")
+        return None
+    mat = []
+    for r, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != len(raw):
+            problems.append(f"{where}: matrix must be square (row {r})")
+            return None
+        out_row = []
+        for c, cell in enumerate(row):
+            if (
+                not isinstance(cell, list)
+                or len(cell) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+            ):
+                problems.append(f"{where}: entry ({r},{c}) must be [re, im]")
+                return None
+            try:
+                out_row.append(complex(cell[0], cell[1]))
+            except OverflowError:
+                problems.append(f"{where}: entry ({r},{c}) must be finite")
+                return None
+        mat.append(out_row)
+    arr = np.array(mat, dtype=complex)
+    if not np.isfinite(arr).all():
+        problems.append(f"{where}: matrix entries must be finite")
+        return None
+    return arr

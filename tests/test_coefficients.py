@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from hyposym.errors import (
     SearchExhaustedError,
     WindowTooSmallError,
 )
-from hyposym.symbols import Coefficient, TorusPoly, gain_table
+from hyposym.symbols import Coefficient, MatrixTable, TorusPoly, gain_table
 
 from conftest import constant_one, su2_pell_operator, torus_translation
 from oracles import unscreened_counterexample
@@ -242,6 +243,9 @@ def _assert_same_search(symbol, model, k_steps, cutoff, tol=1e-12):
     assert got.field.support_labels() == want.field.support_labels()
     for freq in got.frequencies:
         assert np.array_equal(got.field.coeff(freq), want.field.coeff(freq))
+    assert got.image.support_labels() == want.image.support_labels()
+    for freq in got.frequencies:
+        assert np.array_equal(got.image.coeff(freq), want.image.coeff(freq))
     return got
 
 
@@ -389,6 +393,60 @@ def test_image_norm_beyond_float_range():
     for search in (build_counterexample, unscreened_counterexample):
         with pytest.raises(PreconditionError, match="image norm"):
             search(build_symbol(op, SU2), SU2, 1, 50 * 51)
+
+
+def test_counterexample_image_beyond_float_range_comes_from_the_exact_entries():
+    # 10^307 (negLap + 2 d0^2) at l = 1, 8, 49: the image is the symbol applied
+    # to the field where that is finite (l = 1), the exact entry elsewhere;
+    # all three entries vanish, so the image does too
+    big = 10**307
+    op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
+    sym = build_symbol(op, SU2)
+    result = _assert_same_search(sym, SU2, 3, 50 * 51)
+    assert [f.label for f in result.frequencies] == [Su2Label(2), Su2Label(16), Su2Label(98)]
+    assert result.image.support_labels() == []
+    with np.errstate(all="ignore"):
+        applied = apply_symbol(sym, result.field, 2450)
+    assert applied.support_labels() == [Su2Label(16), Su2Label(98)]  # nan vectors
+    # a finite image is the applied one, bit for bit
+    sym = build_symbol(torus_translation(Fraction(3, 7)), TORUS2)
+    result = build_counterexample(sym, TORUS2, 4, 600)
+    applied = apply_symbol(sym, result.field, 600)
+    assert result.image.support_labels() == applied.support_labels()
+    for freq in result.frequencies:
+        assert result.image.coeff(freq).tobytes() == applied.coeff(freq).tobytes()
+
+
+def _assert_batched_application_is_per_frequency(sym, model, field, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from inf or nan entries
+        image = apply_symbol(sym, field, cutoff)
+        per_freq = {freq.label: sym.apply_to_vector(freq, vec)
+                    for freq, vec in field.window(model, cutoff)}
+    assert image.support_labels() == [lab for lab, w in per_freq.items() if np.any(w != 0)]
+    for freq, vec in image.window(model, cutoff):
+        assert vec.tobytes() == per_freq[freq.label].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["torus", "su2"]), data=st.data(),
+       scale=st.sampled_from([1, 10**307, 1e307]), seed=st.integers(0, 2**32 - 1))
+def test_batched_apply_symbol_equals_per_frequency_application(family, data, scale, seed):
+    # exact and float polynomials; scaled by 10^307 their entries leave float
+    # range on most of the window, as inf or nan
+    model, poly = (TORUS2, TorusPoly) if family == "torus" else (SU2, Su2DiagPoly)
+    op = poly.make(data.draw(_polynomial_terms(family))).scale(scale)
+    cutoff = 400 if family == "torus" else 120
+    field = random_field(model, cutoff, np.random.default_rng(seed), n_support=12)
+    _assert_batched_application_is_per_frequency(build_symbol(op, model), model, field, cutoff)
+
+
+def test_batched_apply_symbol_on_a_dense_table():
+    rng = np.random.default_rng(5)
+    blocks = {Su2Label(t): rng.standard_normal((t + 1, t + 1, 2)) @ [1, 1j] for t in range(9)}
+    sym = build_symbol(MatrixTable("su2", blocks), SU2)
+    field = random_field(SU2, 24, np.random.default_rng(6), n_support=5)
+    _assert_batched_application_is_per_frequency(sym, SU2, field, 24)
 
 
 def test_counterexample_guard_band_follows_tol():

@@ -560,6 +560,25 @@ def test_cli_counterexample_image_norm_beyond_float_range(tmp_path):
     assert "image norm" in json.loads(proc.stderr)["error"]
 
 
+def test_cli_counterexample_image_regularity_beyond_float_range(tmp_path):
+    # 10^307 (negLap + 2 d0^2): the float image is nan at l = 8 and 49, the
+    # exact image vanishes at all three levels, and the image regularity reads so
+    big = 10**307
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": [
+        {"coeff": [big, 0], "deg_d0": 0, "deg_neglap": 1},
+        {"coeff": [2 * big, 0], "deg_d0": 2, "deg_neglap": 0}]}}))
+    proc = run_cli("counterexample", "--spec", str(path), "--cutoff", "2550", "--k", "3")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    doc = json.loads(proc.stdout, parse_constant=_no_constant)
+    assert [c["exact"] for c in doc["certificates"]] == [True, True, True]
+    assert doc["image_regularity"] == {"constant": 0.0, "cutoff": 2450.0, "exponent": 10,
+                                       "kind": "smooth_evidence", "n_probe": 10,
+                                       "note": "field vanishes on the window"}
+    assert doc["field_regularity"] == {
+        "error": "classification needs at least 8 nonzero frequencies, found 3"}
+
+
 def test_cli_diophantine_classification():
     proc = run_cli("diophantine", "--c", "(0+1*sqrt(2))/1", "--cf-terms", "12",
                    "--liouville-nmax", "3")

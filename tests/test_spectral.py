@@ -13,10 +13,11 @@ from hyposym import (
     Torus2Label,
     Window,
     enumerate_frequencies,
+    frequency_for_label,
 )
 from hyposym.errors import PreconditionError
 
-from oracles import brute_su2_levels, brute_torus_points
+from oracles import brute_su2_levels, brute_torus_points, lattice_frequency_for_label
 
 
 def test_torus_cutoff_one():
@@ -152,3 +153,32 @@ def test_window_rejects_negative_cutoff():
     for model in (TORUS2, SU2):
         with pytest.raises(PreconditionError):
             Window(model, -0.5)
+
+
+def test_frequency_for_label_counts_the_window_ordinals():
+    # every character up to 2000: zero and negative coordinates, and the
+    # shells 325, 425 and 1105, which have 24, 24 and 32 representations
+    window = Window(TORUS2, 2000)
+    shells = {325: 0, 425: 0, 1105: 0}
+    for i in range(len(window)):
+        freq = window.freq(i)
+        assert frequency_for_label(TORUS2, freq.label) == freq
+        if freq.label.eigenvalue() in shells:
+            shells[freq.label.eigenvalue()] += 1
+    assert shells == {325: 24, 425: 24, 1105: 32}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-400, 400), st.integers(-400, 400))
+def test_frequency_for_label_equals_the_lattice_oracle(xi, eta):
+    label = Torus2Label(xi, eta)
+    assert frequency_for_label(TORUS2, label) == lattice_frequency_for_label(label)
+
+
+def test_frequency_for_label_rejects_non_lattice_labels():
+    with pytest.raises(PreconditionError, match="not enumerable"):
+        frequency_for_label(TORUS2, Torus2Label(1.5, 0))
+    with pytest.raises(PreconditionError, match="does not match"):
+        frequency_for_label(TORUS2, Su2Label(2))
+    assert frequency_for_label(TORUS2, Torus2Label(np.int64(-3), np.int64(4))).j == (
+        lattice_frequency_for_label(Torus2Label(-3, 4)).j)

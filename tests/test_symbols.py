@@ -26,7 +26,7 @@ from hyposym import (
 )
 from hyposym.errors import PreconditionError, WindowTooSmallError
 from hyposym.exact import Surd
-from hyposym.symbols import Coefficient
+from hyposym.symbols import Coefficient, gain_table
 
 from conftest import constant_one, su2_laplace_minus_axis_sq, torus_translation
 from oracles import sphere_gain_oracle
@@ -435,6 +435,24 @@ def test_poly_algebra_is_the_algebra_of_exact_values(data, model, radicands):
     assert x.mul(y).to_complex() == pytest.approx(
         (1 + math.sqrt(radicands[0])) * (1 + math.sqrt(radicands[1])), rel=1e-15)
     assert poly.make([(x, 1, 0)]).mul(poly.make([(y, 0, 1)])).coefficient(1, 1) == x.mul(y)
+
+
+@pytest.mark.parametrize("model", [TORUS2, SU2])
+def test_poly_algebra_beyond_float_range_is_a_precondition(model):
+    # (10^200 + d)^2 has the exact coefficient 10^400: float evaluation of
+    # it names the coefficient and fails as a precondition, not OverflowError
+    poly, deg = (TorusPoly, (1, 0)) if model is TORUS2 else (Su2DiagPoly, (2, 0))
+    p = poly.make([(Coefficient.make(10**200), 0, 0), (Coefficient.make(1), *deg)])
+    square = p.mul(p)
+    assert square.coefficient(0, 0) == Coefficient.make(10**400)
+    sym = build_symbol(square, model)
+    with pytest.raises(PreconditionError, match=f"the coefficient {10**400} \\+ 0 i leaves"):
+        gain_table(sym, model, 10)
+    freq = frequency_for_label(model, Torus2Label(1, 0) if model is TORUS2 else Su2Label(2))
+    with pytest.raises(PreconditionError, match="leaves float range"):
+        sym.diagonal(freq)
+    # the exact path still evaluates it
+    assert sym.exact_diagonal(freq) is not None
 
 
 def test_block_application_matches_full_matrix():

@@ -157,6 +157,8 @@ def _cmd_analyze(args) -> None:
     try:
         order = estimate_order(symbol, parsed.model, cutoff, table=table)
         order_doc = {"order_hat": order.order_hat, "c_hat": order.c_hat}
+        if order.order_hat == -math.inf:  # JSON has no -Infinity
+            order_doc = {"error": "the symbol vanishes on the window: its norm has no order"}
     except HyposymError as exc:
         order_doc = {"error": str(exc)}
     gains_path = None

@@ -227,6 +227,16 @@ _SURD_RE = re.compile(
     r"sqrt\(\s*(?P<d>\d+)\s*\)\s*\)\s*/\s*(?P<c>[+-]?\d+)$"
 )
 _DEC_RE = re.compile(r"^dec:(?P<mid>[^~]+)~(?P<wid>.+)$")
+_EXPONENT_RE = re.compile(r"[eE][+-]?([\d_]+)")
+
+
+def _decimal(text: str) -> Fraction:
+    """``Fraction(text)`` for a decimal whose exponent has at most 4 digits:
+    Fraction expands 10**exponent, at a cost that grows with the exponent."""
+    exp = _EXPONENT_RE.search(text)
+    if exp and len(exp[1].replace("_", "").lstrip("0")) > 4:
+        raise ValueError(f"the exponent of {text!r} has more than 4 digits")
+    return Fraction(text)
 
 
 def parse_real(text: str) -> RealSpec:
@@ -244,8 +254,8 @@ def parse_real(text: str) -> RealSpec:
     m = _DEC_RE.match(s)
     if m:
         try:
-            mid = Fraction(m["mid"].strip())
-            wid = Fraction(m["wid"].strip())
+            mid = _decimal(m["mid"].strip())
+            wid = _decimal(m["wid"].strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(f"bad enclosure literal {text!r}: {exc}")
         if wid < 0:

@@ -19,7 +19,8 @@ Each TERM carries degrees (``deg_t``/``deg_x`` on the torus, ``deg_d0``/
 A matrix-table file holds ``{"entries": [{"label": ..., "matrix":
 [[[re,im], ...], ...]}, ...]}`` with row-major complex entries; labels are
 ``[xi, eta]`` on the torus and ``twice_ell`` integers on SU(2), where each
-matrix is the (2l+1) x (2l+1) representation block.
+matrix is the (2l+1) x (2l+1) representation block.  Other keys, and a
+label given twice, are violations.
 
 Validation collects every violation before failing.  ``emit_spec`` writes
 the canonical form; parse(emit(parse(x))) == parse(x).
@@ -264,20 +265,27 @@ def _load_table(path: str, model_kind: str, problems: list[str]):
     except OSError as exc:
         problems.append(f"matrix table {path!r}: cannot read ({exc})")
         return None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         problems.append(f"matrix table {path!r}: invalid JSON ({exc})")
         return None
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         problems.append(f"matrix table {path!r}: needs a nonempty 'entries' list")
         return None
-    table = {}
+    problems.extend(f"matrix table {path!r}: unknown key {k!r}" for k in doc if k != "entries")
+    table, seen = {}, {}
     for i, entry in enumerate(entries):
         where = f"table entry {i}"
         if not isinstance(entry, dict):
             problems.append(f"{where}: must be an object")
             continue
+        problems.extend(f"{where}: unknown key {k!r}"
+                        for k in entry if k not in ("label", "matrix"))
         label = _parse_table_label(entry.get("label"), model_kind, where, problems)
+        if label in seen:
+            problems.append(f"{where}: label {label} repeats table entry {seen[label]}")
+        elif label is not None:
+            seen[label] = i
         mat = _parse_matrix(entry.get("matrix"), where, problems)
         if label is None or mat is None:
             continue
@@ -313,7 +321,7 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
             raise SpecFileError([f"cannot read spec from {source!r}"])
         try:
             doc = json.loads(text, parse_constant=_reject_constant)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise SpecFileError([f"invalid JSON: {exc}"])
     if not isinstance(doc, dict):
         raise SpecFileError(["spec must be a JSON object"])

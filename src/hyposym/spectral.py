@@ -145,11 +145,13 @@ def su2_levels(lambda_cutoff: float) -> np.ndarray:
     """twice_ell values with ell(ell+1) <= cutoff, ascending."""
     if lambda_cutoff < 0:
         raise PreconditionError("lambda cutoff must be nonnegative")
-    # t(t+2)/4 <= c  <=>  t <= sqrt(4c+1) - 1
-    tmax = int(math.isqrt(int(4 * lambda_cutoff) + 1)) - 1
-    while (tmax + 1) * (tmax + 3) <= 4 * lambda_cutoff:
+    # t(t+2)/4 <= c  <=>  t <= sqrt(4c+1) - 1; 4c is exact, where a float
+    # 4 * cutoff could overflow
+    four_c = 4 * Fraction(lambda_cutoff)
+    tmax = math.isqrt(math.floor(four_c) + 1) - 1
+    while (tmax + 1) * (tmax + 3) <= four_c:
         tmax += 1
-    while tmax >= 0 and tmax * (tmax + 2) > 4 * lambda_cutoff:
+    while tmax >= 0 and tmax * (tmax + 2) > four_c:
         tmax -= 1
     return np.arange(0, tmax + 1, dtype=np.int64)
 
@@ -165,14 +167,18 @@ class Window:
 
     def __init__(self, model: SpectralModel, lambda_cutoff: float):
         self.model = model
-        if model.kind == "torus2":
-            xi, eta, lam = torus_lattice(lambda_cutoff)
-            self.labels, self.lam = (xi, eta), lam.astype(float)
-            self.sizes = np.ones(len(xi), dtype=np.int64)
-        else:
-            levels = su2_levels(lambda_cutoff)
-            self.labels, self.lam = (levels,), levels * (levels + 2) / 4.0
-            self.sizes = levels + 1
+        try:
+            if model.kind == "torus2":
+                xi, eta, lam = torus_lattice(lambda_cutoff)
+                self.labels, self.lam = (xi, eta), lam.astype(float)
+                self.sizes = np.ones(len(xi), dtype=np.int64)
+            else:
+                levels = su2_levels(lambda_cutoff)
+                self.labels, self.lam = (levels,), levels * (levels + 2) / 4.0
+                self.sizes = levels + 1
+        except (ValueError, OverflowError, MemoryError):  # numpy refused the arrays' size
+            raise PreconditionError(
+                f"the window of cutoff {lambda_cutoff!r} is too large to enumerate") from None
 
     def __len__(self):
         return len(self.lam)

@@ -22,6 +22,7 @@ smallest |entry|, norm the largest).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,21 +310,36 @@ def torus_value_exact(op: TorusPoly, xi: int, eta: int):
     return acc
 
 
-def su2_diag_values_bulk(op: Su2DiagPoly, levels: np.ndarray) -> np.ndarray:
-    """Diagonals of the blocks at the given twice_ell levels, concatenated.
-
-    Entries are sum c (i m)^a lam^b.  Powers of lam are Python float powers,
-    one per level: numpy's array power rounds differently for b >= 2.
-    """
-    sizes = levels + 1
-    # entry k of the run is m = (2 k - 2 start - twice_ell) / 2 of its level
-    shifts = np.repeat(2 * (np.cumsum(sizes) - sizes) + levels, sizes)
-    im = 1j * ((2 * np.arange(len(shifts)) - shifts) / 2.0)
+def _level_powers(levels: np.ndarray):
+    """lam^b per level, computed for each b on first use, as Python float
+    powers (numpy's array power rounds differently for b >= 2)."""
     lam = (levels * (levels + 2) / 4.0).tolist()
+    return functools.cache(lambda b: np.array([x**b for x in lam]))
+
+
+def _su2_entries(op: Su2DiagPoly, levels, powers, level, start, size) -> np.ndarray:
+    """Entries sum c (i m)^a lam^b of runs of consecutive m, concatenated.
+
+    Run j holds entries start[j] .. start[j] + size[j] - 1, counted from
+    m = -l, of level ``levels[level[j]]``; ``powers`` is ``_level_powers(levels)``.
+    The formula is elementwise: an entry's bits do not depend on which
+    other entries are evaluated with it.
+    """
+    offsets = np.cumsum(size) - size
+    # entry k is twice_m = 2 k + shift of its run
+    shift = np.repeat(2 * (start - offsets) - levels[level], size)
+    entry_level = np.repeat(level, size)
+    im = 1j * ((2 * np.arange(len(shift)) + shift) / 2.0)
     out = np.zeros(im.shape, dtype=complex)
     for coeff, a, b in op.terms:
-        out += coeff.to_complex() * im**a * np.repeat([x**b for x in lam], sizes)
+        out += coeff.to_complex() * im**a * powers(b)[entry_level]
     return out
+
+
+def su2_diag_values_bulk(op: Su2DiagPoly, levels: np.ndarray) -> np.ndarray:
+    """Diagonals of the blocks at the given twice_ell levels, concatenated."""
+    every = np.arange(len(levels))
+    return _su2_entries(op, levels, _level_powers(levels), every, 0 * levels, levels + 1)
 
 
 # unit roundoff of float64
@@ -595,7 +611,19 @@ class GainTable:
 BULK_CHUNK_ENTRIES = 4096
 
 
-def block_values(symbol: MatrixSymbol, window: Window):
+def _chunks(sizes: np.ndarray, limit: int):
+    """Yield ``(lo, hi)`` over runs of whole items of the given sizes, each
+    run up to ``limit`` in total size, or one item larger than that."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        base = ends[lo] - sizes[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def block_values(symbol: MatrixSymbol, window: Window, start: int = 0):
     """Yield ``(lo, hi, values, offsets)`` over runs of whole blocks.
 
     The values of blocks lo..hi-1, up to BULK_CHUNK_ENTRIES of them, are
@@ -604,14 +632,13 @@ def block_values(symbol: MatrixSymbol, window: Window):
     symbol, else ``symbol.values`` per block: the values-only SVD of a
     dense block, as a full SVD rounds differently in the last bits and
     gains and C* are read from these.  Values beyond float range are a
-    precondition violation.
+    precondition violation.  The runs are those of a pass from block 0;
+    the ones before the run holding block ``start`` are not evaluated.
     """
     sizes = window.sizes
-    ends = np.cumsum(sizes)
-    lo = 0
-    while lo < len(sizes):
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + BULK_CHUNK_ENTRIES, side="right")))
+    for lo, hi in _chunks(sizes, BULK_CHUNK_ENTRIES):
+        if hi <= start:
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
             if symbol.is_diagonal:
                 values = np.abs(symbol.bulk(*(x[lo:hi] for x in window.labels)))
@@ -620,20 +647,122 @@ def block_values(symbol: MatrixSymbol, window: Window):
         if not np.isfinite(values).all():
             raise PreconditionError(
                 f"symbol values beyond float range at eigenvalues <= {window.lam[hi - 1]}")
-        yield lo, hi, values, ends[lo:hi] - sizes[lo:hi] - base
-        lo = hi
+        yield lo, hi, values, np.cumsum(sizes[lo:hi]) - sizes[lo:hi]
+
+
+# a level the screen trusts has l^a, lam^b and every |c| l^a lam^b below
+# this, so each of its entries and each screen slack is finite
+_SCREEN_RANGE = 2.0**1000
+
+
+def _su2_runs(levels: np.ndarray):
+    """Run length ceil(sqrt(2l+1)) and run count per level of the screen."""
+    length = np.ceil(np.sqrt(levels + 1)).astype(np.int64)
+    return length, -(-(levels + 1) // length)
+
+
+def _screened_su2_extrema(op: Su2DiagPoly, levels: np.ndarray):
+    """Least and largest float |entry| of each level, read from the runs
+    of its entries a screen keeps, or None where the screen is not trusted.
+
+    A level's 2l+1 entries are cut into runs of ceil(sqrt(2l+1)) consecutive
+    m.  Let v(m) be the float |entry| of ``_su2_entries`` and E(m) the exact
+    |entry|, from which v lies within e = ``bulk_err`` of the level
+    (``_rounding_gamma``).  Within a run of centre m_c and half-width r
+    (|m - m_c| <= r) the exact entries differ by at most
+    sum |c| lam^b |m^a - m_c^a| <= sum |c| lam^b a (|m_c| + r)^(a-1) r, the
+    mean value bound, so every v(m) of the run lies within
+    D = that sum + 2 e of v(m_c).  Computing D rounds at most T + 12 times
+    along any of its T terms, each time by at most 2u relative (|c|, which
+    is within 3u of the exact modulus, the powers lam^b and
+    (|m_c| + r)^(a-1), the four products, the sum and 2 e), and the
+    computed D times 1 + 2^-20 covers them all.  A run whose float lower end
+    v(m_c) - D lies above the level's least centre value holds no entry
+    below that value: rounding to nearest is monotone, so a float lower end
+    above a float value means the exact lower end is above it too.  Such a
+    run holds neither the level's minimum nor its ties; the upper ends and
+    the largest centre value rule out runs for the maximum alike.  The kept
+    runs are evaluated entry by entry with the same elementwise formula,
+    so their least and largest v(m) are the level's, bit for bit.
+
+    The screen is trusted when e is finite (degrees below 100, see
+    ``_rounding_gamma``), D is finite and every term's l^a, lam^b and
+    |c| l^a lam^b stay within ``_SCREEN_RANGE``: no entry of the level then
+    leaves float range, and Python's float power lam^b does not overflow.
+    """
+    ell, lam = levels / 2, levels * (levels + 2) / 4.0
+    length, runs = _su2_runs(levels)
+    level = np.repeat(np.arange(len(levels)), runs)
+    first = np.cumsum(runs) - runs
+    start = (np.arange(len(level)) - first[level]) * length[level]
+    size = np.minimum(length[level], levels[level] + 1 - start)
+    centre = start + (size - 1) // 2
+    r = start + size - 1 - centre  # the farthest entry of the run from its centre
+    twice_m = 2 * centre - levels[level]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [(_coeff_magnitude(c), a, ell**a, lam**b) for c, a, b in op.terms]
+        top = np.max([np.maximum(np.maximum(x, y), cm * x * y) for cm, _, x, y in terms],
+                     initial=0.0)
+        slack = 2 * np.broadcast_to(_rounding_bound(op, ell, lam), levels.shape)[level]
+        for cm, a, _, y in terms:
+            if a:
+                slack += cm * y[level] * a * (np.abs(twice_m) / 2 + r) ** (a - 1) * r
+        slack *= 1 + 2.0**-20
+        if not (top <= _SCREEN_RANGE and np.isfinite(slack).all()):
+            return None
+        powers = _level_powers(levels)
+        centre_value = np.abs(_su2_entries(op, levels, powers, level, centre, 1 + 0 * centre))
+        least = np.minimum.reduceat(centre_value, first)[level]
+        most = np.maximum.reduceat(centre_value, first)[level]
+        keep = (centre_value - slack <= least) | (centre_value + slack >= most)
+        start, size, level = start[keep], size[keep], level[keep]
+        # the kept runs' |entries|, evaluated in batches of whole runs that stay in cache
+        ends = np.cumsum(size)
+        values = np.empty(ends[-1])
+        for lo, hi in _chunks(size, BULK_CHUNK_ENTRIES):
+            np.abs(_su2_entries(op, levels, powers, level[lo:hi], start[lo:hi], size[lo:hi]),
+                   out=values[ends[lo] - size[lo]:ends[hi - 1]])
+    first = (ends - size)[np.searchsorted(level, np.arange(len(levels)))]
+    return np.minimum.reduceat(values, first), np.maximum.reduceat(values, first)
+
+
+def _screen_su2(symbol: MatrixSymbol, window: Window, gains, norms) -> int:
+    """Fill ``gains``/``norms`` of the leading levels of an SU(2) polynomial
+    symbol from ``_screened_su2_extrema``, in groups of levels holding up to
+    BULK_CHUNK_ENTRIES runs; return the first level the screen left open."""
+    levels = window.labels[0]
+    try:
+        for c, _, _ in symbol.op.terms:
+            c.to_complex()
+    except PreconditionError:
+        return 0  # the unscreened pass raises it where it always did
+    for lo, hi in _chunks(_su2_runs(levels)[1], BULK_CHUNK_ENTRIES):
+        extrema = _screened_su2_extrema(symbol.op, levels[lo:hi])
+        if extrema is None:
+            return lo
+        gains[lo:hi], norms[lo:hi] = extrema
+    return len(levels)
 
 
 def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> GainTable:
-    """Gains and operator norms of all frequencies with eigenvalue <= cutoff."""
+    """Gains and operator norms of all frequencies with eigenvalue <= cutoff.
+
+    An SU(2) polynomial symbol is screened (``_screened_su2_extrema``) as
+    far as the screen is trusted; the other blocks are reduced from
+    ``block_values``.  Both give the same bits.
+    """
     if symbol.model.kind != model.kind:
         raise PreconditionError("symbol does not match the model")
     window = Window(model, cutoff)
     gains = np.empty(len(window))
     norms = np.empty(len(window))
-    for lo, hi, values, offsets in block_values(symbol, window):
-        gains[lo:hi] = np.minimum.reduceat(values, offsets)
-        norms[lo:hi] = np.maximum.reduceat(values, offsets)
+    start = 0
+    if symbol.replicated and symbol.is_diagonal:
+        start = _screen_su2(symbol, window, gains, norms)
+    if start < len(window):
+        for lo, hi, values, offsets in block_values(symbol, window, start):
+            gains[lo:hi] = np.minimum.reduceat(values, offsets)
+            norms[lo:hi] = np.maximum.reduceat(values, offsets)
     return GainTable(window, gains, norms)
 
 

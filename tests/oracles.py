@@ -246,3 +246,16 @@ def cellwise_parse_matrix(raw, where: str, problems: list[str]):
         problems.append(f"{where}: matrix entries must be finite")
         return None
     return arr
+
+
+def unscreened_gain_table(symbol, model, cutoff):
+    """The gain table with every block reduced from ``block_values``, no screen."""
+    from hyposym.spectral import Window
+    from hyposym.symbols import GainTable, block_values
+
+    window = Window(model, cutoff)
+    gains, norms = np.empty(len(window)), np.empty(len(window))
+    for lo, hi, values, offsets in block_values(symbol, window):
+        gains[lo:hi] = np.minimum.reduceat(values, offsets)
+        norms[lo:hi] = np.maximum.reduceat(values, offsets)
+    return GainTable(window, gains, norms)

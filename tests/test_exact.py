@@ -39,6 +39,14 @@ def test_parse_rejects_garbage():
             parse_real(bad)
 
 
+def test_parse_rejects_long_decimal_exponents():
+    # Fraction would expand 10**(10**9) first
+    for bad in ["dec:1e999999999~1", "dec:1~1E-1_000_000_000", "dec:1e+00012345~1"]:
+        with pytest.raises(PreconditionError, match="more than 4 digits"):
+            parse_real(bad)
+    assert parse_real("dec:1e9999~1e-0009999").lo == 10**9999 - Fraction(1, 10**9999)
+
+
 def test_golden_ratio_identity():
     phi = parse_real("(1+1*sqrt(5))/2")
     assert phi * phi == phi + 1  # x^2 = x + 1 exactly

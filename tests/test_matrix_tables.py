@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hyposym import cli, parse_spec
 from hyposym.errors import SpecFileError
-from hyposym.specfile import _parse_matrix
+from hyposym.specfile import _parse_matrix, _parse_table_label
 
 from oracles import cellwise_parse_matrix
 
@@ -102,7 +102,9 @@ _LABELS = {
 }
 
 
-def _tables(model):
+@st.composite
+def _entries(draw, model):
+    """Up to four entries, then often one more repeating an entry's label."""
     entry = st.one_of(
         st.fixed_dictionaries({"label": _LABELS[model], "matrix": _matrices()},
                               optional={"extra": _JUNK}),
@@ -110,12 +112,52 @@ def _tables(model):
                                             "other": _JUNK}),
         _JUNK,
     )
+    entries = draw(st.lists(entry, max_size=4))
+    if entries and draw(st.booleans()):
+        twin = draw(st.sampled_from(entries))
+        if isinstance(twin, dict):
+            twin = {**twin, "matrix": draw(_matrices())}
+        entries.insert(draw(st.integers(0, len(entries))), twin)
+    return entries
+
+
+def _tables(model):
     return st.one_of(
-        st.fixed_dictionaries({"entries": st.lists(entry, max_size=4)},
-                              optional={"extra": _JUNK}),
+        st.fixed_dictionaries({"entries": _entries(model)}, optional={"extra": _JUNK}),
         st.fixed_dictionaries({"entries": _JUNK}),
         _JUNK,
     )
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return [leaf for item in x for leaf in _leaves(item)]
+    return [x]
+
+
+def _expected_violations(doc, model) -> list[str]:
+    """The unknown keys and repeated labels of a table with a nonempty entry
+    list, each named by its entry (none when NaN or Infinity make the whole
+    file invalid JSON)."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list) or not doc["entries"]:
+        return []
+    if not np.isfinite([x for x in _leaves(doc) if isinstance(x, float)]).all():
+        return []
+    out = [f"table.json': unknown key {k!r}" for k in doc if k != "entries"]
+    seen = {}
+    for i, entry in enumerate(doc["entries"]):
+        if not isinstance(entry, dict):
+            continue
+        out += [f"table entry {i}: unknown key {k!r}"
+                for k in entry if k not in ("label", "matrix")]
+        label = _parse_table_label(entry.get("label"), model, "", [])
+        if label in seen:
+            out.append(f"table entry {i}: label {label} repeats table entry {seen[label]}")
+        elif label is not None:
+            seen[label] = i
+    return out
 
 
 @pytest.mark.parametrize("model", ["su2", "torus2"])
@@ -123,7 +165,8 @@ def _tables(model):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_table_files_fail_with_a_schema_or_precondition_code(model, data, tmp_path):
-    (tmp_path / "table.json").write_text(json.dumps(data.draw(_tables(model))))
+    doc = data.draw(_tables(model))
+    (tmp_path / "table.json").write_text(json.dumps(doc))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"model": {"kind": model},
                                 "operator": {"kind": "matrix_table", "path": "table.json"}}))
@@ -138,6 +181,27 @@ def test_table_files_fail_with_a_schema_or_precondition_code(model, data, tmp_pa
     assert code in ((0, 3) if parsed else (2,)), err.getvalue()
     if code:
         assert set(json.loads(err.getvalue())) <= {"error", "kind", "violations"}
+    expected = _expected_violations(doc, model)
+    if expected:
+        violations = json.loads(err.getvalue())["violations"]
+        assert code == 2
+        assert all(any(v.endswith(e) for v in violations) for e in expected), violations
+
+
+def test_repeated_labels_and_unknown_keys_are_violations(tmp_path):
+    (tmp_path / "table.json").write_text(json.dumps({
+        "entries": [{"label": 0, "matrix": [[[1, 0]]], "typo": 5},
+                    {"label": 0, "matrix": [[[0, 0]]]}],
+        "note": "x"}))
+    spec = {"model": {"kind": "su2"},
+            "operator": {"kind": "matrix_table", "path": str(tmp_path / "table.json")}}
+    with pytest.raises(SpecFileError) as exc:
+        parse_spec(spec)
+    assert exc.value.violations == [
+        f"matrix table {str(tmp_path / 'table.json')!r}: unknown key 'note'",
+        "table entry 0: unknown key 'typo'",
+        "table entry 1: label l=0 repeats table entry 0",
+    ]
 
 
 def test_huge_label_with_a_small_block_fails_the_size_check(tmp_path):

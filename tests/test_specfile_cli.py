@@ -756,3 +756,152 @@ def test_cli_numeric_inputs_give_an_exit_code_and_json(command, model, mantissa,
     else:
         payload = json.loads(err.getvalue())
         assert set(payload) <= {"error", "kind", "violations"} and out.getvalue() == ""
+
+
+# fuzzed spec structure outside matrix tables: operator terms and options
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+# stands for JSON nested far deeper than the parser's recursion limit
+_DEEP = "@deep@"
+_BAD_DEGREE = st.one_of(st.integers(-3, -1), st.integers(9, 10**30), st.booleans(),
+                        st.floats(0, 3), st.text(max_size=2), _JUNK, st.just(_DEEP))
+_BAD_NUMBER = st.one_of(st.sampled_from([10**400, -(10**400), 1e308, -1.0, 0, -0.0, 2**63,
+                                         math.nan, math.inf, True]),
+                        st.floats(), _JUNK)
+_LITERALS = st.sampled_from(["1/3", "-2", "(1+1*sqrt(5))/2", "(1+1*sqrt(4))/0", "1/0",
+                             "(1+1*sqrt(0))/2", "dec:1.5~0.1", "dec:1e999999999~1",
+                             "dec:1~1e-1_000_000_000", "1" * 5000, "1e5", "", "sqrt(2)",
+                             "x"]) | st.text(max_size=6)
+
+
+@st.composite
+def _specs(draw):
+    """The JSON text of a well-formed polynomial spec, then up to three
+    defects: bad or missing degrees and coefficients, extra keys, junk or
+    deeply nested lists in place of a term, the term list, the operator, the
+    model or the options, and bad option values."""
+    model = draw(st.sampled_from(["torus2", "su2"]))
+    kind, terms_key, degrees = (("torus_poly", "terms", ("deg_t", "deg_x")) if model == "torus2"
+                                else ("su2_diag", "poly", ("deg_d0", "deg_neglap")))
+    terms = [{"coeff": [draw(st.integers(-3, 3)), draw(st.integers(-3, 3))],
+              degrees[0]: draw(st.integers(0, 2)), degrees[1]: draw(st.integers(0, 2))}
+             for _ in range(draw(st.integers(1, 3)))]
+    operator = {"kind": kind, terms_key: terms}
+    options = draw(st.fixed_dictionaries({}, optional={
+        "cutoff": st.floats(0.5, 40), "tol": st.sampled_from([1e-12, 1e-6, 0.0]),
+        "s": st.floats(-2, 2), "m": st.floats(0, 2), "k": st.integers(1, 3)}))
+    spec = {"model": {"kind": model}, "operator": operator, "options": options}
+    for _ in range(draw(st.integers(0, 3))):
+        term = draw(st.sampled_from([t for t in terms if isinstance(t, dict)] or [{}]))
+        defect = draw(st.sampled_from([
+            "degree", "no degree", "coeff", "no coeff", "literal", "both coeffs", "term key",
+            "term", "terms", "no terms", "operator key", "kind", "operator", "model", "option",
+            "cutoff", "option key", "options", "top key"]))
+        if defect == "degree":
+            term[draw(st.sampled_from(degrees))] = draw(_BAD_DEGREE)
+        elif defect == "no degree":
+            term.pop(draw(st.sampled_from(degrees)), None)
+        elif defect == "coeff":
+            term["coeff"] = draw(st.one_of(st.lists(_BAD_NUMBER, max_size=3), _BAD_NUMBER))
+        elif defect == "no coeff":
+            term.pop("coeff", None)
+        elif defect == "literal":
+            term.pop("coeff", None)
+            term[draw(st.sampled_from(["coeff_real", "coeff_imag"]))] = draw(_LITERALS | _JUNK)
+        elif defect == "both coeffs":
+            term["coeff_real"] = "1/2"
+        elif defect == "term key":
+            term[draw(st.text(max_size=4))] = draw(_JUNK)
+        elif defect == "term":
+            terms[draw(st.integers(0, len(terms) - 1))] = draw(_JUNK | st.just(_DEEP))
+        elif defect == "terms":
+            operator[terms_key] = draw(st.one_of(st.just([]), _JUNK))
+        elif defect == "no terms":
+            operator.pop(terms_key, None)
+        elif defect == "operator key":
+            operator[draw(st.text(max_size=4))] = draw(_JUNK)
+        elif defect == "kind":
+            operator["kind"] = draw(st.one_of(
+                st.sampled_from(["torus_poly", "su2_diag", "matrix_table"]), _JUNK))
+        elif defect == "operator":
+            spec["operator"] = draw(_JUNK | st.just(_DEEP))
+        elif defect == "model":
+            spec["model"] = draw(st.one_of(st.fixed_dictionaries(
+                {"kind": st.sampled_from(["torus2", "su2"])}, optional={"extra": _JUNK}), _JUNK))
+        elif defect == "option":
+            options[draw(st.sampled_from(["tol", "s", "m", "k"]))] = draw(_BAD_NUMBER)
+        elif defect == "cutoff":
+            # no finite cutoff whose window would fit the address space: nothing
+            # bounds that memory yet, so only cutoffs refused at once are drawn
+            options["cutoff"] = draw(st.sampled_from(
+                [10**400, -(10**400), 1e308, 2**63, 1e20, -1.0, 0, -0.0, math.nan, math.inf,
+                 True, "1", None, [1]]))
+        elif defect == "option key":
+            options[draw(st.text(max_size=4))] = draw(_JUNK)
+        elif defect == "options":
+            spec["options"] = draw(_JUNK)
+        else:
+            spec[draw(st.text(max_size=4))] = draw(_JUNK)
+    depth = draw(st.sampled_from([3, 10**5]))
+    return json.dumps(spec).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_specs(),
+       command=st.sampled_from(["analyze", "singular-scan", "fit-exponent", "counterexample",
+                                "subelliptic"]),
+       cutoff=st.sampled_from([None, "2", "30"]))
+def test_cli_spec_structure_gives_an_exit_code_and_json(spec, command, cutoff, tmp_path_factory):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(spec)
+    argv = [command, "--spec", str(path)] + ([f"--cutoff={cutoff}"] if cutoff else [])
+    if command == "subelliptic":
+        argv += ["--probes", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    # a counterexample search may also run out of frequencies
+    assert code in ((0, 2, 3, 4) if command == "counterexample" else (0, 2, 3)), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_no_constant)
+    else:
+        payload = json.loads(err.getvalue())
+        assert set(payload) <= {"error", "kind", "violations"} and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("model", ["torus2", "su2"])
+@pytest.mark.parametrize("cutoff", [1e308, 1e20])
+def test_cli_window_beyond_any_allocation_is_precondition(model, cutoff, capsys):
+    kind, key = ("torus_poly", "terms") if model == "torus2" else ("su2_diag", "poly")
+    spec = (f'{{"model": {{"kind": "{model}"}}, "operator": {{"kind": "{kind}", '
+            f'"{key}": [{{"coeff": [1, 0]}}]}}, "options": {{"cutoff": {cutoff!r}}}}}')
+    assert cli.main(["analyze", "--spec", spec]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"the window of cutoff {cutoff!r} is too large to enumerate")
+
+
+def test_cli_zero_operator_report_is_json(capsys):
+    # the zero symbol has no norm growth; its order is an error, not -Infinity
+    spec = ('{"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", '
+            '"terms": [{"coeff": [0, 0], "deg_t": 1}]}}')
+    assert cli.main(["analyze", "--spec", spec, "--cutoff", "2"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert report["order"] == {"error": "the symbol vanishes on the window: its norm has no order"}
+
+
+@pytest.mark.parametrize("where", ["spec", "table"])
+def test_cli_deeply_nested_json_is_schema_violation(where, tmp_path, capsys):
+    deep = "[" * 10**5 + "]" * 10**5
+    (tmp_path / "table.json").write_text(f'{{"entries": {deep}}}')
+    operator = ('{"kind": "matrix_table", "path": "table.json"}' if where == "table"
+                else deep)
+    (tmp_path / "spec.json").write_text(f'{{"model": {{"kind": "su2"}}, "operator": {operator}}}')
+    assert cli.main(["analyze", "--spec", str(tmp_path / "spec.json"), "--cutoff", "2"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert "invalid JSON" in payload["violations"][0]

@@ -59,6 +59,43 @@ def _emit(doc: dict, out_path: str | None) -> None:
 CSV_CHUNK_ROWS = 16384
 
 
+def _texts(fmt: str, values) -> np.ndarray:
+    return np.array(list(map(fmt.format, values)), dtype=object)
+
+
+def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(texts, inverse)``: ``texts[inverse]`` is the repr of each float of
+    ``values``, as an object array.  Each distinct bit pattern is formatted
+    once, so -0.0 keeps its sign."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object), inverse
+
+
+def _int_texts(lo: int, hi: int) -> np.ndarray:
+    """``str(j)`` for j in range(lo, hi), lo >= 0, as an object array: past
+    999, the texts of j // 1000 (one per thousand) and of the last three
+    digits are looked up."""
+    mid = min(max(lo, 1000), hi)
+    q, r = np.divmod(np.arange(mid, hi), 1000)
+    thousands = _texts("{}", range(mid // 1000, -(-hi // 1000)))
+    last3 = _texts("{:03d}", range(1000 if mid < hi else 0))
+    return np.concatenate([_texts("{}", range(lo, mid)), thousands[q - mid // 1000] + last3[r]])
+
+
+def _write_csv(path: str, header: str, chunks) -> None:
+    """The row kernel of both CSV sidecars.  ``chunks`` yields ``(n, pieces)``:
+    each of the n rows is its pieces concatenated in order, a piece being an
+    object array of n texts or one text shared by every row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header)
+        for n, pieces in chunks:
+            k = len(pieces)
+            parts = [""] * (n * k)  # row i's pieces at i*k .. i*k + k-1
+            for c, piece in enumerate(pieces):
+                parts[c::k] = [piece] * n if isinstance(piece, str) else piece.tolist()
+            fh.write("".join(parts))
+
+
 def _csv_label(label) -> str:
     # csv.writer quotes a field holding the delimiter; torus labels "(xi,eta)"
     # are the only label text that does
@@ -72,26 +109,38 @@ def _write_gains_csv(path: str, table) -> None:
     The bytes equal a ``csv.writer`` row loop over ``table.window.freq(i)``: repr
     floats, quoted torus labels, CRLF line ends.
     """
+    _write_csv(path, "ordinal,label,lambda,dim,gain,opnorm\r\n", _gain_rows(table))
+
+
+def _gain_rows(table):
     torus = table.model.kind == "torus2"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("ordinal,label,lambda,dim,gain,opnorm\r\n")
-        for lo in range(0, len(table), CSV_CHUNK_ROWS):
-            hi = lo + CSV_CHUNK_ROWS
-            gain, norm = table.gain[lo:hi], table.opnorm[lo:hi]
-            gains = list(map(repr, gain.tolist()))
-            # 1x1 blocks have gain == norm: format once when the bits agree
-            same = np.array_equal(gain.view(np.int64), norm.view(np.int64))
-            norms = gains if same else list(map(repr, norm.tolist()))
-            cols = (table.ordinals[lo:hi].tolist(), table.lam[lo:hi].tolist(), gains, norms,
-                    *(a[lo:hi].tolist() for a in table.window.labels))
-            if torus:
-                rows = [f'{j},"({x},{e})",{lam!r},1,{g},{n}\r\n'
-                        for j, lam, g, n, x, e in zip(*cols)]
-            else:
-                rows = [f"{j},l={t >> 1 if t % 2 == 0 else f'{t}/2'},{lam!r},{(t + 1) ** 2},"
-                        f"{g},{n}\r\n"
-                        for j, lam, g, n, t in zip(*cols)]
-            fh.write("".join(rows))
+    labels = table.window.labels
+    # label texts looked up by value: ',"(xi,' and 'eta)",' on the torus,
+    # ',l=..,' and the dim (t+1)^2 by twice_ell t on SU(2)
+    top = max([max(int(a.max()), -int(a.min())) for a in labels if len(a)], default=0)
+    if torus:
+        xis, etas = _texts(',"({},', range(-top, top + 1)), _texts('{})",', range(-top, top + 1))
+    else:
+        levels = _texts(",l={},", (t >> 1 if t % 2 == 0 else f"{t}/2" for t in range(top + 1)))
+        dims = _texts("{}", ((t + 1) ** 2 for t in range(top + 1)))
+    for lo in range(0, len(table), CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, len(table))
+        if torus:
+            label, dim = (xis[labels[0][lo:hi] + top], etas[labels[1][lo:hi] + top]), "1"
+        else:
+            t = labels[0][lo:hi]
+            label, dim = (levels[t],), dims[t]
+        lams, li = _float_texts(table.lam[lo:hi])
+        gain, norm = table.gain[lo:hi], table.opnorm[lo:hi]
+        gains, gi = _float_texts(gain)
+        # 1x1 blocks have gain == norm: one text per row when the bits agree
+        if np.array_equal(gain.view(np.int64), norm.view(np.int64)):
+            tail = (np.array([f",{g},{g}\r\n" for g in gains.tolist()], dtype=object)[gi],)
+        else:
+            norms, ni = _float_texts(norm)
+            tail = (("," + gains)[gi], ("," + norms + "\r\n")[ni])
+        # GainTable ordinals are 0, 1, ..: row i has ordinal i
+        yield hi - lo, (_int_texts(lo, hi), *label, (lams + ",")[li], dim, *tail)
 
 
 def _write_coeffs_csv(path: str, field, model, cutoff: float) -> None:
@@ -100,17 +149,18 @@ def _write_coeffs_csv(path: str, field, model, cutoff: float) -> None:
     The bytes equal a ``csv.writer`` row loop; long vectors are written in
     chunks of CSV_CHUNK_ROWS components.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("ordinal,label,component_index,re,im\r\n")
-        for freq, vec in field.window(model, cutoff):
-            head = f"{freq.j},{_csv_label(freq.label)},"
-            for lo in range(0, len(vec), CSV_CHUNK_ROWS):
-                part = vec[lo:lo + CSV_CHUNK_ROWS]
-                fh.write("".join([
-                    f"{head}{k},{re!r},{im!r}\r\n"
-                    for k, re, im in zip(range(lo, lo + len(part)),
-                                         part.real.tolist(), part.imag.tolist())
-                ]))
+    _write_csv(path, "ordinal,label,component_index,re,im\r\n", _coeff_rows(field, model, cutoff))
+
+
+def _coeff_rows(field, model, cutoff: float):
+    for freq, vec in field.window(model, cutoff):
+        head = f"{freq.j},{_csv_label(freq.label)},"
+        for lo in range(0, len(vec), CSV_CHUNK_ROWS):
+            part = vec[lo:lo + CSV_CHUNK_ROWS]
+            res, ri = _float_texts(part.real)
+            ims, ii = _float_texts(part.imag)
+            yield len(part), (head, _int_texts(lo, lo + len(part)), ("," + res + ",")[ri],
+                              (ims + "\r\n")[ii])
 
 
 def _require_cutoff(args, parsed) -> float:
@@ -141,10 +191,14 @@ def _option(args, parsed, name: str, default: float) -> float:
     return value if value is not None else parsed.options.get(name, default)
 
 
-def _real_spec_doc(value) -> dict:
-    if isinstance(value, (Fraction, Surd)):
-        return {"exact": format_real(value), "float": float(value)}
-    return {"lo": float(value.lo), "hi": float(value.hi)}
+def _real_spec_doc(value, text: str) -> dict:
+    """The report's echo of the literal ``text`` of ``value``, with floats."""
+    try:
+        if isinstance(value, (Fraction, Surd)):
+            return {"exact": format_real(value), "float": float(value)}
+        return {"lo": float(value.lo), "hi": float(value.hi)}
+    except OverflowError:
+        raise PreconditionError(f"real literal {text!r} is beyond float range") from None
 
 
 def _cmd_analyze(args) -> None:
@@ -279,9 +333,10 @@ def _cmd_counterexample(args) -> None:
 
 def _cmd_diophantine(args) -> None:
     c = parse_real(args.c)
+    c_doc = _real_spec_doc(c, args.c)
     cf = continued_fraction(c, args.cf_terms)
     doc = {
-        "c": _real_spec_doc(c),
+        "c": c_doc,
         "continued_fraction": {
             "quotients": list(cf.quotients),
             "convergents": [[p, q] for p, q in cf.convergents],
@@ -323,9 +378,10 @@ def _cmd_pell(args) -> None:
 
 def _cmd_torus_gain(args) -> None:
     c = parse_real(args.c)
+    c_doc = _real_spec_doc(c, args.c)
     result = torus_min_gain(c, args.radius, args.exp)
     doc = {
-        "c": _real_spec_doc(c),
+        "c": c_doc,
         "radius": args.radius,
         "exponent": args.exp,
         "argmin": list(result.argmin),

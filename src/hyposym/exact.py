@@ -242,15 +242,18 @@ def _decimal(text: str) -> Fraction:
 def parse_real(text: str) -> RealSpec:
     """Parse the exact-real literal grammar; raises PreconditionError."""
     s = text.strip()
-    if _RAT_RE.match(s):
-        return Fraction(s)
-    m = _SURD_RE.match(s)
-    if m:
-        c = int(m["c"])
-        if c == 0:
-            raise PreconditionError(f"zero denominator in {text!r}")
-        b = int(m["b"]) * (1 if m["sign"] == "+" else -1)
-        return Surd.make(Fraction(int(m["a"]), c), Fraction(b, c), int(m["d"]))
+    try:
+        if _RAT_RE.match(s):
+            return Fraction(s)
+        m = _SURD_RE.match(s)
+        if m:
+            c = int(m["c"])
+            if c == 0:
+                raise PreconditionError(f"zero denominator in {text!r}")
+            b = int(m["b"]) * (1 if m["sign"] == "+" else -1)
+            return Surd.make(Fraction(int(m["a"]), c), Fraction(b, c), int(m["d"]))
+    except (ValueError, ZeroDivisionError) as exc:  # "1/0", a radicand 0, over 4300 digits
+        raise PreconditionError(f"bad real literal {text!r}: {exc}") from None
     m = _DEC_RE.match(s)
     if m:
         try:

@@ -259,3 +259,41 @@ def unscreened_gain_table(symbol, model, cutoff):
         gains[lo:hi] = np.minimum.reduceat(values, offsets)
         norms[lo:hi] = np.maximum.reduceat(values, offsets)
     return GainTable(window, gains, norms)
+
+
+def rowwise_gains_csv(path, table, chunk_rows: int) -> None:
+    """The gains CSV written by an f-string per row, ``chunk_rows`` rows per write."""
+    torus = table.model.kind == "torus2"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("ordinal,label,lambda,dim,gain,opnorm\r\n")
+        for lo in range(0, len(table), chunk_rows):
+            hi = lo + chunk_rows
+            gains = list(map(repr, table.gain[lo:hi].tolist()))
+            norms = list(map(repr, table.opnorm[lo:hi].tolist()))
+            cols = (table.ordinals[lo:hi].tolist(), table.lam[lo:hi].tolist(), gains, norms,
+                    *(a[lo:hi].tolist() for a in table.window.labels))
+            if torus:
+                rows = [f'{j},"({x},{e})",{lam!r},1,{g},{n}\r\n'
+                        for j, lam, g, n, x, e in zip(*cols)]
+            else:
+                rows = [f"{j},l={t >> 1 if t % 2 == 0 else f'{t}/2'},{lam!r},{(t + 1) ** 2},"
+                        f"{g},{n}\r\n"
+                        for j, lam, g, n, t in zip(*cols)]
+            fh.write("".join(rows))
+
+
+def rowwise_coeffs_csv(path, field, model, cutoff, chunk_rows: int) -> None:
+    """The coefficient CSV written by an f-string per row, in chunks of
+    ``chunk_rows`` components per vector."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("ordinal,label,component_index,re,im\r\n")
+        for freq, vec in field.window(model, cutoff):
+            label = str(freq.label)
+            head = f'{freq.j},"{label}",' if "," in label else f"{freq.j},{label},"
+            for lo in range(0, len(vec), chunk_rows):
+                part = vec[lo:lo + chunk_rows]
+                fh.write("".join([
+                    f"{head}{k},{re!r},{im!r}\r\n"
+                    for k, re, im in zip(range(lo, lo + len(part)),
+                                         part.real.tolist(), part.imag.tolist())
+                ]))

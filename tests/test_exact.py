@@ -34,8 +34,9 @@ def test_parse_enclosure_decimal():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["sqrt(2)", "1/0", "(1+1*sqrt(5)/2", "dec:0.5", "abc"]:
-        with pytest.raises((PreconditionError, ZeroDivisionError)):
+    for bad in ["sqrt(2)", "1/0", "(1+1*sqrt(5)/2", "dec:0.5", "abc", "(1+1*sqrt(0))/2",
+                "(1+1*sqrt(5))/0", "7" * 5000, f"({'7' * 5000}+1*sqrt(5))/2"]:
+        with pytest.raises(PreconditionError):
             parse_real(bad)
 
 

@@ -221,6 +221,23 @@ def run_cli(*args):
     )
 
 
+@pytest.mark.parametrize("argv", [["torus-gain", "--radius", "3"], ["diophantine"]])
+@pytest.mark.parametrize("literal, message", [
+    ("1/0", "bad real literal"),
+    ("(1+1*sqrt(0))/2", "bad real literal"),
+    ("7" * 5000, "4300 digits"),
+    ("1" + "0" * 400, "beyond float range"),
+    ("dec:1e9999~1", "beyond float range"),
+    ("10**400", "unrecognized real literal"),
+], ids=["1/0", "radicand-0", "5000-digits", "401-digits", "dec-1e9999", "10**400"])
+def test_cli_bad_real_literal_exits_3(argv, literal, message, capsys):
+    assert cli.main([argv[0], "--c", literal, *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "PreconditionError" and message in err["error"]
+
+
 @pytest.fixture
 def su2_gap_spec(tmp_path):
     path = tmp_path / "gap.json"

@@ -9,6 +9,10 @@ Exit codes: 0 ok, 2 schema violation, 3 precondition violation,
 
 Reports are deterministic: identical spec, arguments, and seed reproduce
 byte-identical output on one platform.
+
+Each command imports the modules it runs when it starts, so a process
+compiles and executes only those: torus-gain, pell and diophantine never
+load the symbol layers.
 """
 
 from __future__ import annotations
@@ -21,38 +25,37 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import (
-    build_counterexample,
-    classify_regularity,
-    random_field,
-)
-from .diophantine import (
-    classify_coefficient,
-    continued_fraction,
-    liouville_witnesses,
-    pell_solutions,
-    torus_min_gain,
-)
 from .errors import HyposymError, PreconditionError, SpecFileError, WindowTooSmallError
 from .exact import Fraction, Surd, format_real, parse_real
-from .hypo import certify, fit_growth, singular_scan, verdict
-from .specfile import emit_spec, parse_spec
-from .subelliptic import (
-    best_alpha_constant,
-    check_alpha,
-    check_beta,
-    extremal_field,
-)
-from .symbols import build_symbol, estimate_order, gain_table
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except ValueError:  # an int longer than Python writes as text
+        bound = 10 ** sys.get_int_max_str_digits()
+        raise PreconditionError(f"{_long_int(doc, 'report', bound)} {_too_long()}") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _too_long() -> str:
+    return f"has more than {sys.get_int_max_str_digits()} digits, Python's limit for int text"
+
+
+def _long_int(doc, path: str, bound: int) -> str | None:
+    """The path of the first int in ``doc``, in json.dumps order, of at least
+    ``bound`` in magnitude."""
+    if isinstance(doc, dict):
+        found = (_long_int(v, f"{path}.{k}", bound) for k, v in sorted(doc.items()))
+    elif isinstance(doc, list):
+        found = (_long_int(v, f"{path}[{i}]", bound) for i, v in enumerate(doc))
+    else:
+        return path if isinstance(doc, int) and abs(doc) >= bound else None
+    return next(filter(None, found), None)
 
 
 # rows per write of a CSV sidecar
@@ -201,7 +204,22 @@ def _real_spec_doc(value, text: str) -> dict:
         raise PreconditionError(f"real literal {text!r} is beyond float range") from None
 
 
+def _bounds_doc(what: str, lo, hi, exact) -> dict:
+    """The report's enclosure and exact text of a certified quantity."""
+    try:
+        return {"lo": float(lo), "hi": float(hi),
+                "exact": format_real(exact) if exact is not None else None}
+    except OverflowError:
+        raise PreconditionError(f"the {what} is beyond float range") from None
+    except ValueError:  # format_real of an int longer than Python writes as text
+        raise PreconditionError(f"the exact {what} {_too_long()}") from None
+
+
 def _cmd_analyze(args) -> None:
+    from .hypo import verdict
+    from .specfile import emit_spec, parse_spec
+    from .symbols import build_symbol, estimate_order, gain_table
+
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
     tol = _option(args, parsed, "tol", 1e-12)
@@ -233,6 +251,10 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_singular_scan(args) -> None:
+    from .hypo import singular_scan
+    from .specfile import emit_spec, parse_spec
+    from .symbols import build_symbol
+
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
     tol = _option(args, parsed, "tol", 1e-12)
@@ -253,6 +275,10 @@ def _cmd_singular_scan(args) -> None:
 
 
 def _cmd_fit_exponent(args) -> None:
+    from .hypo import certify, fit_growth
+    from .specfile import emit_spec, parse_spec
+    from .symbols import build_symbol, gain_table
+
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
     if certify(parsed.operator) is not None:
@@ -282,6 +308,10 @@ def _cmd_fit_exponent(args) -> None:
 
 
 def _cmd_counterexample(args) -> None:
+    from .coefficients import build_counterexample, classify_regularity
+    from .specfile import emit_spec, parse_spec
+    from .symbols import build_symbol
+
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
     k_steps = args.k if args.k is not None else parsed.options.get("k", 5)
@@ -332,6 +362,8 @@ def _cmd_counterexample(args) -> None:
 
 
 def _cmd_diophantine(args) -> None:
+    from .diophantine import classify_coefficient, continued_fraction, liouville_witnesses
+
     c = parse_real(args.c)
     c_doc = _real_spec_doc(c, args.c)
     cf = continued_fraction(c, args.cf_terms)
@@ -359,6 +391,8 @@ def _cmd_diophantine(args) -> None:
 
 
 def _cmd_pell(args) -> None:
+    from .diophantine import pell_solutions
+
     sols = pell_solutions(args.d, args.count)
     doc = {
         "d": args.d,
@@ -377,6 +411,8 @@ def _cmd_pell(args) -> None:
 
 
 def _cmd_torus_gain(args) -> None:
+    from .diophantine import torus_min_gain
+
     c = parse_real(args.c)
     c_doc = _real_spec_doc(c, args.c)
     result = torus_min_gain(c, args.radius, args.exp)
@@ -385,20 +421,9 @@ def _cmd_torus_gain(args) -> None:
         "radius": args.radius,
         "exponent": args.exp,
         "argmin": list(result.argmin),
-        "objective": {
-            "lo": float(result.objective_lo),
-            "hi": float(result.objective_hi),
-            "exact": format_real(result.exact_objective)
-            if result.exact_objective is not None
-            else None,
-        },
-        "gain": {
-            "lo": float(result.gain_lo),
-            "hi": float(result.gain_hi),
-            "exact": format_real(result.exact_gain)
-            if result.exact_gain is not None
-            else None,
-        },
+        "objective": _bounds_doc("objective", result.objective_lo, result.objective_hi,
+                                 result.exact_objective),
+        "gain": _bounds_doc("gain", result.gain_lo, result.gain_hi, result.exact_gain),
         "is_exact_zero": result.is_zero(),
         "tool_version": __version__,
         "seed": args.seed,
@@ -407,6 +432,15 @@ def _cmd_torus_gain(args) -> None:
 
 
 def _cmd_subelliptic(args) -> None:
+    from .coefficients import random_field
+    from .specfile import emit_spec, parse_spec
+    from .subelliptic import best_alpha_constant, check_alpha, check_beta, extremal_field
+    from .symbols import build_symbol
+
+    if args.probes < 0:
+        raise PreconditionError(f"--probes must be nonnegative, got {args.probes}")
+    if args.seed < 0:
+        raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
     s = _option(args, parsed, "s", 0.0)

@@ -28,7 +28,6 @@ from math import gcd
 
 import numpy as np
 
-from .diophantine import pell_solutions
 from .errors import NoFitError, PreconditionError
 from .fitting import envelope_fit
 from .spectral import FrequencyIndex, SpectralModel, Su2Label, Torus2Label
@@ -325,6 +324,8 @@ def _certify_su2_pell(op: Su2DiagPoly) -> Certificate | None:
         return None
     if (pb[0], pb[1]) != (2 * pa[0], 2 * pa[1]):
         return None
+    from .diophantine import pell_solutions  # only this certifier needs it
+
     sols = pell_solutions(8, 3)
     witnesses = tuple(_verify_su2_zero(op, s.u - 1) for s in sols)
     return Certificate(

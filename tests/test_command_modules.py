@@ -1,0 +1,86 @@
+"""Each CLI command loads only the hyposym modules it runs.
+
+A fresh process compiles and executes every module it imports, which costs
+more than the mathematics on small windows.  Each command runs here as
+``python -m hyposym.cli`` (through ``runpy``) in a subprocess, and the test
+reads which ``hyposym.*`` modules ended up in ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+RUN = """
+import json, runpy, sys
+sys.argv = ["hyposym", *sys.argv[1:]]
+try:
+    runpy.run_module("hyposym.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("hyposym."))]))
+"""
+
+
+def _spec(model: str, operator: dict) -> str:
+    return json.dumps({"model": {"kind": model}, "operator": operator})
+
+
+TORUS_PHI = _spec("torus2", {"kind": "torus_poly", "terms": [
+    {"coeff": [1, 0], "deg_t": 1, "deg_x": 0},
+    {"coeff_real": "(1+1*sqrt(5))/2", "deg_t": 0, "deg_x": 1}]})
+SU2_GAP = _spec("su2", {"kind": "su2_diag", "poly": [
+    {"coeff": [1, 0], "deg_neglap": 1}, {"coeff": [1, 0], "deg_d0": 2}]})
+SU2_PELL = _spec("su2", {"kind": "su2_diag", "poly": [
+    {"coeff": [1, 0], "deg_neglap": 1}, {"coeff": [2, 0], "deg_d0": 2}]})
+SU2_SHIFT = _spec("su2", {"kind": "su2_diag", "poly": [
+    {"coeff": [1, 0], "deg_d0": 1}, {"coeff": [0, 1], "deg_neglap": 0}]})
+
+
+def loaded_modules(tmp_path, *argv) -> set[str]:
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv, "--out", str(tmp_path / "r.json")],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+SPECTRAL = {"errors", "exact", "spectral", "fitting", "symbols", "specfile"}
+
+
+@pytest.mark.parametrize("command", ["analyze", "fit-exponent", "singular-scan"])
+@pytest.mark.parametrize("spec", [TORUS_PHI, SU2_GAP], ids=["torus", "su2"])
+def test_spectral_commands_load_only_the_spectral_layers(command, spec, tmp_path):
+    assert loaded_modules(tmp_path, command, "--spec", spec, "--cutoff", "200") == \
+        SPECTRAL | {"hypo"}
+
+
+def test_pell_certifier_loads_diophantine(tmp_path):
+    argv = ("fit-exponent", "--spec", SU2_PELL, "--cutoff", "200")
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"hypo", "diophantine"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("torus-gain", "--c", "(1+1*sqrt(5))/2", "--radius", "13", "--exp", "-1"),
+    ("pell", "--d", "8", "--count", "4"),
+    ("diophantine", "--c", "(1+1*sqrt(5))/2", "--liouville-nmax", "3"),
+], ids=["torus-gain", "pell", "diophantine"])
+def test_exact_commands_load_no_symbol_layers(argv, tmp_path):
+    assert loaded_modules(tmp_path, *argv) == {"errors", "exact", "diophantine"}
+
+
+def test_counterexample_loads_no_verdict_or_subelliptic(tmp_path):
+    argv = ("counterexample", "--spec", SU2_SHIFT, "--cutoff", "200", "--k", "3")
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients"}
+
+
+def test_subelliptic_loads_no_verdict_layers(tmp_path):
+    argv = ("subelliptic", "--spec", SU2_GAP, "--cutoff", "200", "--probes", "2")
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients", "subelliptic"}

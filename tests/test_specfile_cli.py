@@ -238,6 +238,54 @@ def test_cli_bad_real_literal_exits_3(argv, literal, message, capsys):
     assert err["kind"] == "PreconditionError" and message in err["error"]
 
 
+
+@pytest.fixture
+def int_digit_limit():
+    # Python's floor for its int-to-text limit (4300 digits by default), so
+    # the results that reach it stay quick to compute
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pell", "--d", "8", "--count", "900"], "report.solutions[836].m has more than 640"),
+    (["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "4000"],
+     "report.continued_fraction.convergents[3063][0] has more than 640"),
+    (["torus-gain", "--c", "1/3", "--radius", "3", "--exp", "100000"],
+     "the exact objective has more than 640"),
+    (["torus-gain", "--c", "1/3", "--radius", "3", "--exp=-100000"],
+     "the objective is beyond float range"),
+], ids=["pell-900", "cf-4000", "exp-100000", "exp-minus-100000"])
+def test_cli_huge_exact_result_exits_3(argv, message, int_digit_limit, capsys):
+    # an int past the limit has no JSON text, and float() of a huge Fraction
+    # overflows: the error names the quantity
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "PreconditionError" and message in err["error"]
+
+
+def test_cli_pell_at_the_digit_limit_still_reports(int_digit_limit, capsys):
+    assert cli.main(["pell", "--d", "8", "--count", "836"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["solutions"]) == 836
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--seed=-1", "--seed must be nonnegative"),
+    ("--probes=-1", "--probes must be nonnegative"),
+])
+def test_cli_subelliptic_rejects_negative_probe_flags(flag, message, capsys):
+    argv = ["subelliptic", "--spec", json.dumps(SU2_GAP), "--cutoff", "20", flag]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+    assert cli.main([*argv[:-1], "--probes", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["probes"]["count"] == 0
+
 @pytest.fixture
 def su2_gap_spec(tmp_path):
     path = tmp_path / "gap.json"

@@ -33,8 +33,7 @@ def _emit(doc: dict, out_path: str | None) -> None:
     try:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except ValueError:  # an int longer than Python writes as text
-        bound = 10 ** sys.get_int_max_str_digits()
-        raise PreconditionError(f"{_long_int(doc, 'report', bound)} {_too_long()}") from None
+        raise _long_int_error(doc) from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -44,6 +43,16 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def _too_long() -> str:
     return f"has more than {sys.get_int_max_str_digits()} digits, Python's limit for int text"
+
+
+def _int_text_bound() -> int | None:
+    """The least magnitude of an int with no JSON text (None: no limit)."""
+    digits = sys.get_int_max_str_digits()
+    return 10**digits if digits else None
+
+
+def _long_int_error(doc) -> PreconditionError:
+    return PreconditionError(f"{_long_int(doc, 'report', _int_text_bound())} {_too_long()}")
 
 
 def _long_int(doc, path: str, bound: int) -> str | None:
@@ -366,7 +375,9 @@ def _cmd_diophantine(args) -> None:
 
     c = parse_real(args.c)
     c_doc = _real_spec_doc(c, args.c)
-    cf = continued_fraction(c, args.cf_terms)
+    # the expansion stops at the first convergent too long for text
+    bound = _int_text_bound()
+    cf = continued_fraction(c, args.cf_terms, bound)
     doc = {
         "c": c_doc,
         "continued_fraction": {
@@ -387,13 +398,17 @@ def _cmd_diophantine(args) -> None:
             doc["liouville_witnesses"] = liouville_witnesses(
                 c, args.liouville_nmax, args.q_bound
             )
+    if bound is not None and max(abs(cf.convergents[-1][0]), abs(cf.convergents[-1][1])) >= bound:
+        raise _long_int_error(doc)
     _emit(doc, args.out)
 
 
 def _cmd_pell(args) -> None:
     from .diophantine import pell_solutions
 
-    sols = pell_solutions(args.d, args.count)
+    # the solutions stop at the first one too long for text
+    bound = _int_text_bound()
+    sols = pell_solutions(args.d, args.count, bound)
     doc = {
         "d": args.d,
         "solutions": [
@@ -407,6 +422,8 @@ def _cmd_pell(args) -> None:
         "tool_version": __version__,
         "seed": args.seed,
     }
+    if bound is not None and sols[-1].u >= bound:
+        raise _long_int_error(doc)
     _emit(doc, args.out)
 
 

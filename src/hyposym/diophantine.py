@@ -67,13 +67,17 @@ class ContinuedFraction:
         return Fraction(p, q)
 
 
-def _convergents(quotients) -> tuple[tuple[int, int], ...]:
+def _convergents(quotients, bound: int | None = None) -> tuple[tuple[int, int], ...]:
+    """The convergents of ``quotients``; with ``bound``, up to the first one
+    whose numerator or denominator is at least ``bound`` in magnitude."""
     out = []
     p1, q1 = 1, 0  # h_{-1}
     p2, q2 = 0, 1  # h_{-2}
     for a in quotients:
         p, q = a * p1 + p2, a * q1 + q2
         out.append((p, q))
+        if bound is not None and max(abs(p), abs(q)) >= bound:
+            break
         p2, q2, p1, q1 = p1, q1, p, q
     return tuple(out)
 
@@ -144,23 +148,31 @@ def _surd_quotients(x: Surd, n_terms: int):
     return quotients, period
 
 
-def continued_fraction(c: RealSpec, n_terms: int) -> ContinuedFraction:
+def continued_fraction(c: RealSpec, n_terms: int, bound: int | None = None) -> ContinuedFraction:
     """Exact continued fraction of ``c`` with up to ``n_terms`` quotients.
 
     Rationals terminate naturally; quadratic surds are exact with period
     detection; enclosures emit only quotients certified identical for both
-    endpoints and stop there.
+    endpoints and stop there.  With ``bound``, the expansion also stops at
+    the first convergent with a numerator or denominator of at least
+    ``bound`` in magnitude.
     """
     if n_terms < 1:
         raise PreconditionError("need at least one quotient")
+    if bound is not None:
+        # the k-th convergent's denominator is at least phi^(k-1), phi the
+        # golden ratio, so one within this many terms reaches the bound
+        n_terms = min(n_terms, int(log(bound) / log((1 + 5**0.5) / 2)) + 4)
     if isinstance(c, Fraction):
         quotients, complete = _euclid_quotients(c, n_terms)
+        conv = _convergents(quotients, bound)
         return ContinuedFraction(
-            tuple(quotients), _convergents(quotients), complete=complete
+            tuple(quotients[:len(conv)]), conv, complete=complete and len(conv) == len(quotients)
         )
     if isinstance(c, Surd):
         quotients, period = _surd_quotients(c, n_terms)
-        return ContinuedFraction(tuple(quotients), _convergents(quotients), period)
+        conv = _convergents(quotients, bound)
+        return ContinuedFraction(tuple(quotients[:len(conv)]), conv, period)
     if isinstance(c, Enclosure):
         qlo, lo_done = _euclid_quotients(c.lo, n_terms + 1)
         qhi, hi_done = _euclid_quotients(c.hi, n_terms + 1)
@@ -177,9 +189,10 @@ def continued_fraction(c: RealSpec, n_terms: int) -> ContinuedFraction:
             lo_done and hi_done and common == qlo == qhi
         )
         common = common[:n_terms]
+        conv = _convergents(common, bound)
         return ContinuedFraction(
-            tuple(common),
-            _convergents(common),
+            tuple(common[:len(conv)]),
+            conv,
             complete=False,
             limited_by_precision=limited,
         )
@@ -207,13 +220,14 @@ class PellSolution:
         return self.u - 1
 
 
-def pell_solutions(d: int, count: int) -> list[PellSolution]:
+def pell_solutions(d: int, count: int, bound: int | None = None) -> list[PellSolution]:
     """First ``count`` solutions of u^2 - D m^2 = 1 in increasing u.
 
     The fundamental solution is read off the continued fraction of sqrt(D)
     (period-end convergent; squared when the period is odd) and further
     solutions follow the composition rule u' = u1 u + D m1 m,
-    m' = m1 u + u1 m.
+    m' = m1 u + u1 m.  With ``bound``, the list ends at the first solution
+    with u >= bound (u is the largest of its numbers).
     """
     if count < 1:
         raise PreconditionError("count must be at least 1")
@@ -244,6 +258,8 @@ def pell_solutions(d: int, count: int) -> list[PellSolution]:
     out = [PellSolution(u1, m1, d)]
     u, m = u1, m1
     for _ in range(count - 1):
+        if bound is not None and u >= bound:
+            break
         u, m = u1 * u + d * m1 * m, m1 * u + u1 * m
         out.append(PellSolution(u, m, d))
     return out

@@ -30,7 +30,11 @@ __all__ = ["BIN_WIDTH", "HEAD_FRACTION", "envelope_points", "envelope_fit"]
 
 
 def envelope_points(x: np.ndarray, y: np.ndarray, mode: str = "min"):
-    """One envelope sample per bin of width BIN_WIDTH, head bins dropped."""
+    """One envelope sample per bin of width BIN_WIDTH, head bins dropped.
+
+    ``x`` must be nondecreasing (the callers pass it in window order), so
+    each bin is a contiguous index range, found by ``np.searchsorted``.
+    """
     if len(x) == 0:
         raise WindowTooSmallError("no samples for envelope fit")
     lo, hi = float(np.min(x)), float(np.max(x))
@@ -38,15 +42,16 @@ def envelope_points(x: np.ndarray, y: np.ndarray, mode: str = "min"):
         return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     nbins = max(4, math.ceil((hi - lo) / BIN_WIDTH))
     edges = np.linspace(lo, hi + 1e-12, nbins + 1)
+    # bin i holds the samples with edges[i] <= x < edges[i + 1]
+    bounds = np.searchsorted(x, edges, side="left").tolist()
     pick = np.argmin if mode == "min" else np.argmax
     xs, ys = [], []
-    for i in range(nbins):
-        mask = (x >= edges[i]) & (x < edges[i + 1])
-        if not mask.any():
+    for a, b in zip(bounds, bounds[1:]):
+        if a == b:
             continue
-        k = pick(y[mask])
-        xs.append(float(x[mask][k]))
-        ys.append(float(y[mask][k]))
+        k = a + int(pick(y[a:b]))
+        xs.append(float(x[k]))
+        ys.append(float(y[k]))
     xs_arr, ys_arr = np.array(xs), np.array(ys)
     cut = lo + HEAD_FRACTION * (hi - lo)
     keep = xs_arr >= cut

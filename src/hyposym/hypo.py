@@ -115,26 +115,34 @@ def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> Growth
     the lower log-log envelope of the remaining gains against the bracket;
     L is the largest constant making the bound hold on every fitted sample.
     """
-    ordinals, lam, gain = table.ordinals, table.lam, table.gain
-    if len(ordinals) == 0:
+    if len(table) == 0:
         raise NoFitError("no samples")
-    singular = zero_mask(gain, table.opnorm, tol)
-    if singular.any():
-        r = int(ordinals[singular].max()) + 1
-    else:
-        r = int(ordinals.min())
-    keep = (ordinals >= r) & (gain > 0)
-    if keep.sum() < 8:
+    singular = zero_mask(table.gain, table.opnorm, tol)
+    r = len(singular) - int(np.argmax(singular[::-1])) if singular.any() else 0
+    # the samples are the blocks from ordinal R on: with tol >= 0 every zero
+    # gain is singular, so all of their gains are positive
+    lam, gain = table.lam[r:], table.gain[r:]
+    if not tol >= 0:  # then a zero gain need not be singular
+        keep = gain > 0
+        lam, gain = lam[keep], gain[keep]
+    if len(gain) < 8:
         raise NoFitError(
-            f"only {int(keep.sum())} usable samples past the last singular ordinal {r}"
+            f"only {len(gain)} usable samples past the last singular ordinal {r}"
         )
-    x = np.log1p(lam[keep]) / nu
-    y = np.log(gain[keep])
+    # x and y are the only full-length buffers; the weights and the ratios reuse them
+    x = np.log1p(lam)
+    x /= nu
+    y = np.log(gain)
     slope, _, _ = envelope_fit(x, y, mode="min")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        weights = np.exp(np.log1p(lam[keep]) * (slope / nu))
-        big_l = float(np.min(gain[keep] / weights))
-        residual = float(np.max(big_l * weights / gain[keep] - 1.0))
+        weights = np.log1p(lam, out=y)
+        weights *= slope / nu
+        np.exp(weights, out=weights)
+        big_l = float(np.min(np.divide(gain, weights, out=x)))
+        weights *= big_l
+        weights /= gain
+        weights -= 1.0
+        residual = float(np.max(weights))
     if not (math.isfinite(big_l) and math.isfinite(residual)):
         raise NoFitError(f"the bound of slope {slope!r} leaves float range on the window")
     return GrowthFit(
@@ -142,8 +150,8 @@ def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> Growth
         m=float(slope),
         R=r,
         residual=residual,
-        n_samples=int(keep.sum()),
-        lam_max=float(lam[keep].max()),
+        n_samples=len(gain),
+        lam_max=float(lam[-1]),
     )
 
 

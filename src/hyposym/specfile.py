@@ -367,7 +367,8 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
                 problems.append("su2_diag operator requires the su2 model")
             for key in op_raw:
                 if key not in ("kind", "poly"):
-                    problems.append(f"operator: unknown key {key!r}")
+                    hint = " (su2_diag takes its terms under 'poly')" if key == "terms" else ""
+                    problems.append(f"operator: unknown key {key!r}{hint}")
             terms = _parse_terms(op_raw.get("poly"), ("deg_d0", "deg_neglap"),
                                  "operator.poly", problems)
             if terms and not problems:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,24 +122,51 @@ class SpectralModel:
 TORUS2 = SpectralModel("torus2")
 SU2 = SpectralModel("su2")
 
+# torus_lattice packs (lam, position) into one int64 sort key below this many points
+_PACKED_POINTS = 2**31
+
 
 def torus_lattice(lambda_cutoff: float):
     """All (xi, eta) with xi^2 + eta^2 <= cutoff, in enumeration order.
 
     Returns int64 arrays (xi, eta, lam) sorted by (lam, xi, eta); the heavy
     scans work on these arrays directly instead of FrequencyIndex objects.
+    The disk is generated row by row, each row xi holding the eta with
+    |eta| <= isqrt(c - xi^2) for c = floor(cutoff), so the points come in
+    (xi, eta) order and one stable sort by lam gives (lam, xi, eta) order.
     """
     if lambda_cutoff < 0:
         raise PreconditionError("lambda cutoff must be nonnegative")
-    r = math.isqrt(int(lambda_cutoff))
-    side = np.arange(-r, r + 1, dtype=np.int64)
-    xi, eta = np.meshgrid(side, side, indexing="ij")
-    xi, eta = xi.ravel(), eta.ravel()
-    lam = xi * xi + eta * eta
-    keep = lam <= lambda_cutoff
-    xi, eta, lam = xi[keep], eta[keep], lam[keep]
-    order = np.lexsort((eta, xi, lam))
-    return xi[order], eta[order], lam[order]
+    c = int(lambda_cutoff)
+    r = math.isqrt(c)
+    half = np.fromiter((math.isqrt(c - x * x) for x in range(-r, r + 1)), np.int64, 2 * r + 1)
+    count = 2 * half + 1
+    n = int(count.sum())
+    packed = n < _PACKED_POINTS  # then lam <= c < n and |xi|, |eta| fit int32
+    small = np.int32 if packed else np.int64
+    xi = np.repeat(np.arange(-r, r + 1, dtype=small), count)
+    # eta steps by 1 along a row and jumps from half[i-1] to -half[i] at row i
+    eta = np.ones(n, dtype=small)
+    eta[np.cumsum(count) - count] = -half - np.concatenate(([0], half[:-1]))
+    np.cumsum(eta, out=eta)
+    lam = xi * xi
+    lam += eta * eta
+    if packed:
+        # a stable argsort by lam: one in-place sort of the keys lam * 2^31 + position
+        order = lam.astype(np.int64)
+        order <<= 31
+        order |= np.arange(n, dtype=np.int64)
+        order.sort()
+        order &= _PACKED_POINTS - 1
+    else:
+        order = np.argsort(lam, kind="stable")
+    del lam
+    xi = xi[order].astype(np.int64, copy=False)
+    eta = eta[order].astype(np.int64, copy=False)
+    del order
+    lam = xi * xi
+    lam += eta * eta
+    return xi, eta, lam
 
 
 def su2_levels(lambda_cutoff: float) -> np.ndarray:
@@ -156,27 +184,56 @@ def su2_levels(lambda_cutoff: float) -> np.ndarray:
     return np.arange(0, tmax + 1, dtype=np.int64)
 
 
+# bytes a window and its gain table keep per frequency: on the torus the
+# labels xi and eta, the float eigenvalue and the gain (which is the norm);
+# on SU(2) the level, the eigenvalue, the size, the gain and the norm
+_WINDOW_BYTES = {"torus2": 32, "su2": 40}
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _count_bound(model: SpectralModel, lambda_cutoff: float) -> float:
+    """An upper bound on the number of frequencies up to the cutoff c: the
+    unit squares centred at the characters are disjoint and lie in the disk of
+    radius sqrt(c) + 1, so there are at most pi (sqrt(c) + 1)^2 of them; SU(2)
+    has at most sqrt(4c + 1) <= 2 sqrt(c) + 1 levels."""
+    root = math.sqrt(max(lambda_cutoff, 0.0))
+    return math.pi * (root + 1) ** 2 if model.kind == "torus2" else 2 * root + 1
+
+
 class Window:
     """The frequencies with eigenvalue <= cutoff as arrays, ordinal i at position i.
 
     ``labels``: (xi, eta) on the torus, (twice_ell,) on SU(2); ``lam``: the
     eigenvalues as floats (t(t+2)/4.0 is float(Fraction) exactly); ``sizes``:
-    diagonal entries per representation block (1, or 2l+1).  FrequencyIndex
-    objects are built on demand, by ``freq(i)`` or lazily by iterating.
+    diagonal entries per representation block (2l+1 on SU(2); on the torus a
+    read-only broadcast of 1).  FrequencyIndex objects are built on demand,
+    by ``freq(i)`` or lazily by iterating.  A window whose frequencies would
+    take more than the physical memory at _WINDOW_BYTES each is refused
+    before anything is allocated.
     """
 
     def __init__(self, model: SpectralModel, lambda_cutoff: float):
         self.model = model
         try:
+            need = _count_bound(model, lambda_cutoff) * _WINDOW_BYTES[model.kind]
+            if not need <= _physical_memory():
+                raise MemoryError
             if model.kind == "torus2":
                 xi, eta, lam = torus_lattice(lambda_cutoff)
                 self.labels, self.lam = (xi, eta), lam.astype(float)
-                self.sizes = np.ones(len(xi), dtype=np.int64)
+                self.sizes = np.broadcast_to(np.int64(1), xi.shape)
             else:
                 levels = su2_levels(lambda_cutoff)
                 self.labels, self.lam = (levels,), levels * (levels + 2) / 4.0
                 self.sizes = levels + 1
-        except (ValueError, OverflowError, MemoryError):  # numpy refused the arrays' size
+        except (ValueError, OverflowError, MemoryError):  # too large for numpy or the memory
             raise PreconditionError(
                 f"the window of cutoff {lambda_cutoff!r} is too large to enumerate") from None
 

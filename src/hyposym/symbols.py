@@ -439,7 +439,9 @@ def zero_mask(values, norm, tol: float):
     threshold beyond float range is inf: everything counts as zero.
     """
     with np.errstate(over="ignore"):
-        return values <= tol * np.maximum(1.0, norm)
+        bound = np.maximum(1.0, norm)
+        bound *= tol  # in place: one full-length buffer, then the mask
+        return values <= bound
 
 
 class MatrixSymbol:
@@ -595,12 +597,16 @@ def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
 
 
 class GainTable:
-    """Gain and operator norm per block of a ``Window``, as arrays."""
+    """Gain and operator norm per block of a ``Window``, as arrays; the block
+    at position i has ordinal i.  On 1x1 blocks ``opnorm`` is ``gain``."""
 
     def __init__(self, window: Window, gain: np.ndarray, opnorm: np.ndarray):
         self.window, self.model, self.lam = window, window.model, window.lam
-        self.ordinals = np.arange(len(window), dtype=np.int64)
         self.gain, self.opnorm = gain, opnorm
+
+    @property
+    def ordinals(self) -> np.ndarray:
+        return np.arange(len(self.window), dtype=np.int64)
 
     def __len__(self):
         return len(self.window)
@@ -636,7 +642,12 @@ def block_values(symbol: MatrixSymbol, window: Window, start: int = 0):
     the ones before the run holding block ``start`` are not evaluated.
     """
     sizes = window.sizes
-    for lo, hi in _chunks(sizes, BULK_CHUNK_ENTRIES):
+    if window.model.kind == "torus2":  # 1x1 blocks: runs of BULK_CHUNK_ENTRIES blocks
+        runs = ((lo, min(lo + BULK_CHUNK_ENTRIES, len(window)))
+                for lo in range(0, len(window), BULK_CHUNK_ENTRIES))
+    else:
+        runs = _chunks(sizes, BULK_CHUNK_ENTRIES)
+    for lo, hi in runs:
         if hi <= start:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
@@ -755,6 +766,10 @@ def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> Gai
         raise PreconditionError("symbol does not match the model")
     window = Window(model, cutoff)
     gains = np.empty(len(window))
+    if model.kind == "torus2":  # 1x1 blocks: each value is the gain and the norm
+        for lo, hi, values, _ in block_values(symbol, window):
+            gains[lo:hi] = values
+        return GainTable(window, gains, gains)
     norms = np.empty(len(window))
     start = 0
     if symbol.replicated and symbol.is_diagonal:
@@ -792,21 +807,31 @@ def estimate_order(
     """Fit the norm growth; ``table`` reuses a gain table of this window."""
     if table is None:
         table = gain_table(symbol, model, cutoff)
-    positive_lam = table.lam > 0
-    if positive_lam.sum() < 8:
+    lam, norms = table.lam, table.opnorm
+    # lam is nondecreasing and nonnegative: the positive ones follow the zeros
+    if len(lam) - np.searchsorted(lam, 0.0, side="right") < 8:
         raise WindowTooSmallError(
             "order estimation needs at least 8 frequencies with positive eigenvalue"
         )
-    norms = table.opnorm
     nz = norms > 0
     if not nz.any():
         return OrderEstimate(float("-inf"), 0.0, 0)
-    x = np.log1p(table.lam[nz]) / model.nu
-    y = np.log(norms[nz])
+    # x and y are the only full-length buffers; each later step takes a new
+    # one after freeing one (a boolean index allocates only its result)
+    x, y = lam[nz], norms[nz]
+    np.log1p(x, out=x)
+    x /= model.nu
+    np.log(y, out=y)
     slope, _, npts = envelope_fit(x, y, mode="max")
+    del x, y
     with np.errstate(over="ignore", divide="ignore"):
-        weights = np.exp(np.log1p(table.lam[nz]) * (slope / model.nu))
-        c_hat = float(np.max(norms[nz] / weights))
+        weights = lam[nz]
+        np.log1p(weights, out=weights)
+        weights *= slope / model.nu
+        np.exp(weights, out=weights)
+        ratio = norms[nz]
+        ratio /= weights
+        c_hat = float(np.max(ratio))
     if not (np.isfinite(weights).all() and np.isfinite(c_hat)):
         raise WindowTooSmallError(f"the order {slope!r} leaves float range on the window")
     return OrderEstimate(float(slope), c_hat, npts)

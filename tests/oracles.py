@@ -1,6 +1,7 @@
 """Independent oracles: brute-force and optimization routes that never touch
 the library's own code paths for the quantity under test."""
 
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -47,6 +48,20 @@ def brute_torus_points(lambda_cutoff) -> set[tuple[int, int]]:
             if xi * xi + eta * eta <= lambda_cutoff:
                 out.add((xi, eta))
     return out
+
+
+def square_torus_lattice(lambda_cutoff):
+    """(xi, eta, lam) int64 arrays of the disk in (lam, xi, eta) order, cut
+    from the whole (2r+1)^2 square of labels and sorted by a 3-key lexsort."""
+    r = isqrt(int(lambda_cutoff))
+    side = np.arange(-r, r + 1, dtype=np.int64)
+    xi, eta = np.meshgrid(side, side, indexing="ij")
+    xi, eta = xi.ravel(), eta.ravel()
+    lam = xi * xi + eta * eta
+    keep = lam <= lambda_cutoff
+    xi, eta, lam = xi[keep], eta[keep], lam[keep]
+    order = np.lexsort((eta, xi, lam))
+    return xi[order], eta[order], lam[order]
 
 
 def brute_su2_levels(lambda_cutoff) -> list[int]:
@@ -297,3 +312,71 @@ def rowwise_coeffs_csv(path, field, model, cutoff, chunk_rows: int) -> None:
                     for k, re, im in zip(range(lo, lo + len(part)),
                                          part.real.tolist(), part.imag.tolist())
                 ]))
+
+
+def mask_envelope_points(x, y, mode: str = "min"):
+    """``fitting.envelope_points`` with each bin read through a full-length
+    boolean mask: no ordering of x is assumed."""
+    from hyposym.errors import WindowTooSmallError
+    from hyposym.fitting import BIN_WIDTH, HEAD_FRACTION
+
+    if len(x) == 0:
+        raise WindowTooSmallError("no samples for envelope fit")
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if hi - lo < 1e-12:
+        return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    nbins = max(4, math.ceil((hi - lo) / BIN_WIDTH))
+    edges = np.linspace(lo, hi + 1e-12, nbins + 1)
+    pick = np.argmin if mode == "min" else np.argmax
+    xs, ys = [], []
+    for i in range(nbins):
+        mask = (x >= edges[i]) & (x < edges[i + 1])
+        if not mask.any():
+            continue
+        k = pick(y[mask])
+        xs.append(float(x[mask][k]))
+        ys.append(float(y[mask][k]))
+    xs_arr, ys_arr = np.array(xs), np.array(ys)
+    keep = xs_arr >= lo + HEAD_FRACTION * (hi - lo)
+    if keep.sum() >= 4:
+        xs_arr, ys_arr = xs_arr[keep], ys_arr[keep]
+    return xs_arr, ys_arr
+
+
+def mask_fit_growth(table, nu: float, tol: float):
+    """``hypo.fit_growth`` with its samples taken by a mask over the stored
+    ordinals: past the last singular ordinal and of positive gain."""
+    from hyposym.errors import NoFitError
+    from hyposym.fitting import envelope_fit
+    from hyposym.hypo import GrowthFit
+    from hyposym.symbols import zero_mask
+
+    ordinals, lam, gain = np.arange(len(table)), table.lam, table.gain
+    singular = zero_mask(gain, table.opnorm, tol)
+    r = int(ordinals[singular].max()) + 1 if singular.any() else 0
+    keep = (ordinals >= r) & (gain > 0)
+    if keep.sum() < 8:
+        raise NoFitError(f"only {int(keep.sum())} usable samples past the last singular ordinal {r}")
+    slope, _, _ = envelope_fit(np.log1p(lam[keep]) / nu, np.log(gain[keep]), mode="min")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = np.exp(np.log1p(lam[keep]) * (slope / nu))
+        big_l = float(np.min(gain[keep] / weights))
+        residual = float(np.max(big_l * weights / gain[keep] - 1.0))
+    if not (math.isfinite(big_l) and math.isfinite(residual)):
+        raise NoFitError(f"the bound of slope {slope!r} leaves float range on the window")
+    return GrowthFit(L=big_l, m=float(slope), R=r, residual=residual,
+                     n_samples=int(keep.sum()), lam_max=float(lam[keep].max()))
+
+
+def mask_estimate_order(table, nu: float):
+    """``symbols.estimate_order`` on a table, its samples taken by masks:
+    (order_hat, c_hat, n_envelope)."""
+    from hyposym.fitting import envelope_fit
+
+    norms, nz = table.opnorm, table.opnorm > 0
+    x = np.log1p(table.lam[nz]) / nu
+    slope, _, npts = envelope_fit(x, np.log(norms[nz]), mode="max")
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = np.exp(np.log1p(table.lam[nz]) * (slope / nu))
+        c_hat = float(np.max(norms[nz] / weights))
+    return float(slope), c_hat, npts

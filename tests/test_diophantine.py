@@ -51,6 +51,24 @@ def test_cf_needs_at_least_one_term():
         continued_fraction(PHI, 0)
 
 
+@pytest.mark.parametrize("c", [PHI, SQRT2, Surd.make(Fraction(-3, 7), Fraction(2, 3), 13),
+                               Fraction(-10**40 - 1, 10**39 + 7),
+                               Enclosure(Fraction(10**60, 10**60 + 1), Fraction(10**60 + 1, 10**60 + 2))],
+                         ids=["phi", "sqrt2", "surd", "rational", "enclosure"])
+@pytest.mark.parametrize("bound", [2, 10**6, 10**30])
+def test_cf_bound_stops_at_the_first_large_convergent(c, bound):
+    # the expansion with a bound is the prefix of the full one that ends at
+    # the first convergent with a numerator or denominator of at least bound
+    full = continued_fraction(c, 200)
+    cut = continued_fraction(c, 10**12, bound)
+    large = [max(abs(p), abs(q)) >= bound for p, q in full.convergents]
+    n = large.index(True) + 1 if True in large else len(full.convergents)
+    assert cut.convergents == full.convergents[:n]
+    assert cut.quotients == full.quotients[:n]
+    if n == len(full.convergents) and not any(large):
+        assert (cut.complete, cut.limited_by_precision) == (full.complete, full.limited_by_precision)
+
+
 def test_cf_determinant_identity_exact():
     # 500 mixed cases: random rationals and random quadratic surds
     import random
@@ -138,6 +156,16 @@ def test_pell_rejects_squares_and_bad_count():
         pell_solutions(-3, 2)
     with pytest.raises(PreconditionError):
         pell_solutions(8, 0)
+
+
+@pytest.mark.parametrize("d", [2, 8, 13, 61])
+@pytest.mark.parametrize("bound", [1, 100, 10**40])
+def test_pell_bound_stops_at_the_first_large_solution(d, bound):
+    full = [(s.u, s.m) for s in pell_solutions(d, 80)]
+    n = next(i for i, (u, _) in enumerate(full) if u >= bound) + 1
+    for count in (10**12, n, 1):  # a count at or below the stop is served in full
+        cut = [(s.u, s.m) for s in pell_solutions(d, count, bound)]
+        assert cut == full[:min(n, count)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 8, 10, 13, 29])

@@ -273,6 +273,62 @@ def test_cli_pell_at_the_digit_limit_still_reports(int_digit_limit, capsys):
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 836
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pell", "--d", "8", "--count", "1000000000000"], "report.solutions[836].m has more than 640"),
+    (["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "1000000000000"],
+     "report.continued_fraction.convergents[3063][0] has more than 640"),
+    (["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "3064"],
+     "report.continued_fraction.convergents[3063][0] has more than 640"),
+], ids=["pell-1e12", "cf-1e12", "cf-3064"])
+def test_cli_generation_stops_at_the_first_int_past_the_limit(argv, message, int_digit_limit,
+                                                              capsys):
+    # the solutions and convergents stop at the first one too long for text;
+    # 10^12 of them would never finish
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "PreconditionError" and message in err["error"]
+    assert cli.main(["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "3063"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["continued_fraction"]["convergents"]) == 3063
+
+
+DIOPHANTINE_LITERALS = ["(1+1*sqrt(5))/2", "-3/7", "(-2+3*sqrt(13))/5", "dec:0.333~1e-9",
+                        "0", "1"]
+
+
+def _run_cli_quietly(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIOPHANTINE_LITERALS), st.sampled_from(["cf", "pell", "gain"]),
+       st.one_of(st.integers(-3, 50), st.integers(-10**15, 10**15)),
+       st.integers(-5, 8), st.integers(-3000, 3000))
+def test_cli_diophantine_flags_fuzz(literal, command, count, radius, exponent):
+    # every run exits with a documented code and JSON, never a traceback;
+    # the int-to-text limit is at its floor, so results reach it quickly
+    if command == "cf":
+        argv = ["diophantine", f"--c={literal}", f"--cf-terms={count}"]
+    elif command == "pell":
+        argv = ["pell", f"--d={abs(count) % 100}", f"--count={count}"]
+    else:
+        argv = ["torus-gain", f"--c={literal}", f"--radius={radius}", f"--exp={exponent}"]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = _run_cli_quietly(argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code in (0, 2, 3, 5)
+    doc = json.loads(out if code == 0 else err)
+    if code:
+        assert out == "" and doc["kind"] in ("SpecFileError", "PreconditionError", "PrecisionError")
+
+
 @pytest.mark.parametrize("flag, message", [
     ("--seed=-1", "--seed must be nonnegative"),
     ("--probes=-1", "--probes must be nonnegative"),

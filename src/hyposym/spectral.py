@@ -122,10 +122,6 @@ class SpectralModel:
 TORUS2 = SpectralModel("torus2")
 SU2 = SpectralModel("su2")
 
-# torus_lattice packs (lam, position) into one int64 sort key below this many points
-_PACKED_POINTS = 2**31
-
-
 def torus_lattice(lambda_cutoff: float):
     """All (xi, eta) with xi^2 + eta^2 <= cutoff, in enumeration order.
 
@@ -142,8 +138,7 @@ def torus_lattice(lambda_cutoff: float):
     half = np.fromiter((math.isqrt(c - x * x) for x in range(-r, r + 1)), np.int64, 2 * r + 1)
     count = 2 * half + 1
     n = int(count.sum())
-    packed = n < _PACKED_POINTS  # then lam <= c < n and |xi|, |eta| fit int32
-    small = np.int32 if packed else np.int64
+    small = np.int32 if c < 2**31 else np.int64  # lam <= c and |xi|, |eta| <= sqrt(c)
     xi = np.repeat(np.arange(-r, r + 1, dtype=small), count)
     # eta steps by 1 along a row and jumps from half[i-1] to -half[i] at row i
     eta = np.ones(n, dtype=small)
@@ -151,15 +146,7 @@ def torus_lattice(lambda_cutoff: float):
     np.cumsum(eta, out=eta)
     lam = xi * xi
     lam += eta * eta
-    if packed:
-        # a stable argsort by lam: one in-place sort of the keys lam * 2^31 + position
-        order = lam.astype(np.int64)
-        order <<= 31
-        order |= np.arange(n, dtype=np.int64)
-        order.sort()
-        order &= _PACKED_POINTS - 1
-    else:
-        order = np.argsort(lam, kind="stable")
+    order = np.argsort(lam, kind="stable")
     del lam
     xi = xi[order].astype(np.int64, copy=False)
     eta = eta[order].astype(np.int64, copy=False)
@@ -193,9 +180,10 @@ _WINDOW_BYTES = {"torus2": 32, "su2": 40}
 def _physical_memory() -> float:
     """Bytes of physical memory, or inf where the system does not say."""
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return math.inf
+    return pages * size if pages > 0 and size > 0 else math.inf  # -1: indeterminate
 
 
 def _count_bound(model: SpectralModel, lambda_cutoff: float) -> float:

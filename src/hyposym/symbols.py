@@ -642,12 +642,7 @@ def block_values(symbol: MatrixSymbol, window: Window, start: int = 0):
     the ones before the run holding block ``start`` are not evaluated.
     """
     sizes = window.sizes
-    if window.model.kind == "torus2":  # 1x1 blocks: runs of BULK_CHUNK_ENTRIES blocks
-        runs = ((lo, min(lo + BULK_CHUNK_ENTRIES, len(window)))
-                for lo in range(0, len(window), BULK_CHUNK_ENTRIES))
-    else:
-        runs = _chunks(sizes, BULK_CHUNK_ENTRIES)
-    for lo, hi in runs:
+    for lo, hi in _chunks(sizes, BULK_CHUNK_ENTRIES):
         if hi <= start:
             continue
         with np.errstate(over="ignore", invalid="ignore"):

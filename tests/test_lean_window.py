@@ -40,11 +40,8 @@ def _assert_same_lattice(cutoff):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("packed", [True, False], ids=["packed-sort", "argsort"])
 @pytest.mark.parametrize("cutoff", CUTOFFS)
-def test_torus_lattice_matches_the_square_lexsort(cutoff, packed, monkeypatch):
-    if not packed:  # the int64 path taken by windows of 2^31 points or more
-        monkeypatch.setattr(spectral, "_PACKED_POINTS", 0)
+def test_torus_lattice_matches_the_square_lexsort(cutoff):
     _assert_same_lattice(cutoff)
 
 
@@ -185,6 +182,15 @@ def test_window_beyond_physical_memory_is_refused_before_enumerating(
     monkeypatch.setattr(spectral, "su2_levels", one_megabyte)
     with pytest.raises(PreconditionError, match=f"cutoff {cutoff!r} is too large to enumerate"):
         Window(model, cutoff)
+
+
+@pytest.mark.parametrize("pages, size", [(-1, 4096), (2**20, -1), (0, 4096)])
+def test_an_indeterminate_physical_memory_sets_no_budget(pages, size, monkeypatch):
+    # sysconf answers -1 where the system does not know the figure
+    figures = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": size}
+    monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
+    assert spectral._physical_memory() == float("inf")
+    assert len(Window(TORUS2, 0)) == 1
 
 
 @pytest.mark.parametrize("model, cutoff", [(TORUS2, 900), (SU2, 1e8)])

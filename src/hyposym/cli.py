@@ -8,7 +8,9 @@ Exit codes: 0 ok, 2 schema violation, 3 precondition violation,
 4 search exhausted, 5 precision (widen the enclosure).
 
 Reports are deterministic: identical spec, arguments, and seed reproduce
-byte-identical output on one platform.
+byte-identical output on one platform.  Each command returns its report;
+``main`` adds ``tool_version`` and ``seed`` and writes it.  A spec command's
+report also carries ``spec_echo`` and ``cutoff``.
 
 Each command imports the modules it runs when it starts, so a process
 compiles and executes only those: torus-gain, pell and diophantine never
@@ -224,15 +226,31 @@ def _bounds_doc(what: str, lo, hi, exact) -> dict:
         raise PreconditionError(f"the exact {what} {_too_long()}") from None
 
 
-def _cmd_analyze(args) -> None:
-    from .hypo import verdict
-    from .specfile import emit_spec, parse_spec
-    from .symbols import build_symbol, estimate_order, gain_table
+def _spec_input(args):
+    """``(parsed, cutoff, symbol)`` of a spec command: the spec parsed, its
+    cutoff required, then its symbol built."""
+    from .specfile import parse_spec
+    from .symbols import build_symbol
 
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
+    return parsed, cutoff, build_symbol(parsed.operator, parsed.model)
+
+
+def _spec_report(parsed, cutoff: float, **fields) -> dict:
+    """A spec command's report: its fields, the spec's canonical echo and
+    the cutoff."""
+    from .specfile import emit_spec
+
+    return {"spec_echo": emit_spec(parsed), "cutoff": cutoff, **fields}
+
+
+def _cmd_analyze(args) -> dict:
+    from .hypo import verdict
+    from .symbols import estimate_order, gain_table
+
+    parsed, cutoff, symbol = _spec_input(args)
     tol = _option(args, parsed, "tol", 1e-12)
-    symbol = build_symbol(parsed.operator, parsed.model)
     table = gain_table(symbol, parsed.model, cutoff)
     v = verdict(parsed.operator, parsed.model, cutoff, tol, table=table)
     try:
@@ -246,88 +264,41 @@ def _cmd_analyze(args) -> None:
     if args.out:
         gains_path = args.out + ".gains.csv"
         _write_gains_csv(gains_path, table)
-    doc = {
-        "spec_echo": emit_spec(parsed),
-        "cutoff": cutoff,
-        "tol": tol,
-        "verdict": v.as_dict(),
-        "order": order_doc,
-        "gain_samples_path": gains_path,
-        "tool_version": __version__,
-        "seed": args.seed,
-    }
-    _emit(doc, args.out)
+    return _spec_report(parsed, cutoff, tol=tol, verdict=v.as_dict(), order=order_doc,
+                        gain_samples_path=gains_path)
 
 
-def _cmd_singular_scan(args) -> None:
+def _cmd_singular_scan(args) -> dict:
     from .hypo import singular_scan
-    from .specfile import emit_spec, parse_spec
-    from .symbols import build_symbol
 
-    parsed = parse_spec(args.spec)
-    cutoff = _require_cutoff(args, parsed)
+    parsed, cutoff, symbol = _spec_input(args)
     tol = _option(args, parsed, "tol", 1e-12)
-    symbol = build_symbol(parsed.operator, parsed.model)
     hits = singular_scan(symbol, parsed.model, cutoff, tol)
-    doc = {
-        "spec_echo": emit_spec(parsed),
-        "cutoff": cutoff,
-        "tol": tol,
-        "singular": [
-            {"ordinal": f.j, "label": str(f.label), "lambda": f.lam, "dim": f.dim}
-            for f in hits
-        ],
-        "tool_version": __version__,
-        "seed": args.seed,
-    }
-    _emit(doc, args.out)
+    return _spec_report(parsed, cutoff, tol=tol, singular=[
+        {"ordinal": f.j, "label": str(f.label), "lambda": f.lam, "dim": f.dim} for f in hits])
 
 
-def _cmd_fit_exponent(args) -> None:
+def _cmd_fit_exponent(args) -> dict:
     from .hypo import certify, fit_growth
-    from .specfile import emit_spec, parse_spec
-    from .symbols import build_symbol, gain_table
+    from .symbols import gain_table
 
-    parsed = parse_spec(args.spec)
-    cutoff = _require_cutoff(args, parsed)
+    parsed, cutoff, symbol = _spec_input(args)
     if certify(parsed.operator) is not None:
         # a certified family has no empirical fit; its exponent is -inf
-        doc = {
-            "spec_echo": emit_spec(parsed),
-            "cutoff": cutoff,
-            "fit": None,
-            "h_hat": "-inf",
-            "tool_version": __version__,
-            "seed": args.seed,
-        }
-        _emit(doc, args.out)
-        return
-    symbol = build_symbol(parsed.operator, parsed.model)
+        return _spec_report(parsed, cutoff, fit=None, h_hat="-inf")
     fit = fit_growth(gain_table(symbol, parsed.model, cutoff), parsed.model.nu,
                      _option(args, parsed, "tol", 1e-12))
-    doc = {
-        "spec_echo": emit_spec(parsed),
-        "cutoff": cutoff,
-        "fit": fit.as_dict(),
-        "h_hat": fit.m,
-        "tool_version": __version__,
-        "seed": args.seed,
-    }
-    _emit(doc, args.out)
+    return _spec_report(parsed, cutoff, fit=fit.as_dict(), h_hat=fit.m)
 
 
-def _cmd_counterexample(args) -> None:
+def _cmd_counterexample(args) -> dict:
     from .coefficients import build_counterexample, classify_regularity
-    from .specfile import emit_spec, parse_spec
-    from .symbols import build_symbol
 
-    parsed = parse_spec(args.spec)
-    cutoff = _require_cutoff(args, parsed)
+    parsed, cutoff, symbol = _spec_input(args)
     k_steps = args.k if args.k is not None else parsed.options.get("k", 5)
     tol = _option(args, parsed, "tol", 1e-12)
     if tol < 0:
         raise SpecFileError([f"the guard band tol must be nonnegative, got {tol!r}"])
-    symbol = build_symbol(parsed.operator, parsed.model)
     result = build_counterexample(symbol, parsed.model, k_steps, cutoff, tol)
     # regularity evidence is judged on the construction's own span: past the
     # support every finite field looks smooth, which says nothing here
@@ -345,39 +316,24 @@ def _cmd_counterexample(args) -> None:
     if args.out:
         coeffs_path = args.out + ".coeffs.csv"
         _write_coeffs_csv(coeffs_path, result.field, parsed.model, cutoff)
-    doc = {
-        "spec_echo": emit_spec(parsed),
-        "cutoff": cutoff,
-        "k": k_steps,
-        "certificates": [
-            {
-                "k": c.k,
-                "ordinal": c.ordinal,
-                "label": str(c.label),
-                "lambda": c.lam,
-                "image_norm": c.image_norm,
-                "bound": c.bound,
-                "exact": c.exact,
-            }
-            for c in result.certificates
-        ],
-        "field_regularity": f_report,
-        "image_regularity": image_report,
-        "coefficients_path": coeffs_path,
-        "tool_version": __version__,
-        "seed": args.seed,
-    }
-    _emit(doc, args.out)
+    certificates = [
+        {"k": c.k, "ordinal": c.ordinal, "label": str(c.label), "lambda": c.lam,
+         "image_norm": c.image_norm, "bound": c.bound, "exact": c.exact}
+        for c in result.certificates
+    ]
+    return _spec_report(parsed, cutoff, k=k_steps, certificates=certificates,
+                        field_regularity=f_report, image_regularity=image_report,
+                        coefficients_path=coeffs_path)
 
 
-def _cmd_diophantine(args) -> None:
+def _cmd_diophantine(args) -> dict:
     from .diophantine import classify_coefficient, continued_fraction, liouville_witnesses
 
     c = parse_real(args.c)
     c_doc = _real_spec_doc(c, args.c)
-    # the expansion stops at the first convergent too long for text
-    bound = _int_text_bound()
-    cf = continued_fraction(c, args.cf_terms, bound)
+    # the expansion stops at the first convergent too long for text, which
+    # _emit then names
+    cf = continued_fraction(c, args.cf_terms, _int_text_bound())
     doc = {
         "c": c_doc,
         "continued_fraction": {
@@ -388,8 +344,6 @@ def _cmd_diophantine(args) -> None:
             "limited_by_precision": cf.limited_by_precision,
         },
         "classification": classify_coefficient(c).as_dict(),
-        "tool_version": __version__,
-        "seed": args.seed,
     }
     if args.liouville_nmax is not None:
         if isinstance(c, Fraction):
@@ -398,18 +352,16 @@ def _cmd_diophantine(args) -> None:
             doc["liouville_witnesses"] = liouville_witnesses(
                 c, args.liouville_nmax, args.q_bound
             )
-    if bound is not None and max(abs(cf.convergents[-1][0]), abs(cf.convergents[-1][1])) >= bound:
-        raise _long_int_error(doc)
-    _emit(doc, args.out)
+    return doc
 
 
-def _cmd_pell(args) -> None:
+def _cmd_pell(args) -> dict:
     from .diophantine import pell_solutions
 
-    # the solutions stop at the first one too long for text
-    bound = _int_text_bound()
-    sols = pell_solutions(args.d, args.count, bound)
-    doc = {
+    # the solutions stop at the first one too long for text, which _emit
+    # then names
+    sols = pell_solutions(args.d, args.count, _int_text_bound())
+    return {
         "d": args.d,
         "solutions": [
             {
@@ -419,21 +371,16 @@ def _cmd_pell(args) -> None:
             }
             for s in sols
         ],
-        "tool_version": __version__,
-        "seed": args.seed,
     }
-    if bound is not None and sols[-1].u >= bound:
-        raise _long_int_error(doc)
-    _emit(doc, args.out)
 
 
-def _cmd_torus_gain(args) -> None:
+def _cmd_torus_gain(args) -> dict:
     from .diophantine import torus_min_gain
 
     c = parse_real(args.c)
     c_doc = _real_spec_doc(c, args.c)
     result = torus_min_gain(c, args.radius, args.exp)
-    doc = {
+    return {
         "c": c_doc,
         "radius": args.radius,
         "exponent": args.exp,
@@ -442,27 +389,20 @@ def _cmd_torus_gain(args) -> None:
                                  result.exact_objective),
         "gain": _bounds_doc("gain", result.gain_lo, result.gain_hi, result.exact_gain),
         "is_exact_zero": result.is_zero(),
-        "tool_version": __version__,
-        "seed": args.seed,
     }
-    _emit(doc, args.out)
 
 
-def _cmd_subelliptic(args) -> None:
+def _cmd_subelliptic(args) -> dict:
     from .coefficients import random_field
-    from .specfile import emit_spec, parse_spec
     from .subelliptic import best_alpha_constant, check_alpha, check_beta, extremal_field
-    from .symbols import build_symbol
 
     if args.probes < 0:
         raise PreconditionError(f"--probes must be nonnegative, got {args.probes}")
     if args.seed < 0:
         raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
-    parsed = parse_spec(args.spec)
-    cutoff = _require_cutoff(args, parsed)
+    parsed, cutoff, symbol = _spec_input(args)
     s = _option(args, parsed, "s", 0.0)
     m = _option(args, parsed, "m", 1.0)
-    symbol = build_symbol(parsed.operator, parsed.model)
     report = best_alpha_constant(symbol, parsed.model, s, m, cutoff,
                                  _option(args, parsed, "tol", 1e-12))
     witness = extremal_field(report, symbol, parsed.model)
@@ -485,26 +425,15 @@ def _cmd_subelliptic(args) -> None:
             beta_failures += 1
         elif b.margin is not None:
             min_beta_margin = min(min_beta_margin, b.margin)
-    doc = {
-        "spec_echo": emit_spec(parsed),
-        "cutoff": cutoff,
-        "report": report.as_dict(),
-        "witness_check": witness_check.as_dict(),
-        "probes": {
-            "count": args.probes,
-            "alpha_failures": alpha_failures,
-            "beta_failures": beta_failures,
-            "min_alpha_margin": None
-            if min_alpha_margin == float("inf")
-            else min_alpha_margin,
-            "min_beta_margin": None
-            if min_beta_margin == float("inf")
-            else min_beta_margin,
-        },
-        "tool_version": __version__,
-        "seed": args.seed,
+    probes = {
+        "count": args.probes,
+        "alpha_failures": alpha_failures,
+        "beta_failures": beta_failures,
+        "min_alpha_margin": None if min_alpha_margin == float("inf") else min_alpha_margin,
+        "min_beta_margin": None if min_beta_margin == float("inf") else min_beta_margin,
     }
-    _emit(doc, args.out)
+    return _spec_report(parsed, cutoff, report=report.as_dict(),
+                        witness_check=witness_check.as_dict(), probes=probes)
 
 
 def _add_common(p: argparse.ArgumentParser, spec: bool = True) -> None:
@@ -576,7 +505,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)  # a non-finite flag raises SpecFileError
-        args.fn(args)
+        _emit({**args.fn(args), "tool_version": __version__, "seed": args.seed}, args.out)
     except HyposymError as exc:
         payload = {"error": str(exc), "kind": type(exc).__name__}
         violations = getattr(exc, "violations", None)

@@ -62,10 +62,6 @@ class ContinuedFraction:
     complete: bool = False
     limited_by_precision: bool = False
 
-    def value(self) -> Fraction:
-        p, q = self.convergents[-1]
-        return Fraction(p, q)
-
 
 def _convergents(quotients, bound: int | None = None) -> tuple[tuple[int, int], ...]:
     """The convergents of ``quotients``; with ``bound``, up to the first one

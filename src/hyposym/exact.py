@@ -31,7 +31,6 @@ __all__ = [
     "Surd",
     "Enclosure",
     "RealSpec",
-    "ExactReal",
     "parse_real",
     "format_real",
     "is_square",
@@ -218,7 +217,6 @@ class Enclosure:
         return f"dec:{mid}~{self.width / 2}"
 
 
-ExactReal = Fraction | Surd
 RealSpec = Fraction | Surd | Enclosure
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")

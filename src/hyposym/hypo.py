@@ -22,7 +22,7 @@ window effects beats optimistic extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -98,14 +98,7 @@ class GrowthFit:
     lam_max: float
 
     def as_dict(self) -> dict:
-        return {
-            "L": self.L,
-            "m": self.m,
-            "R": self.R,
-            "residual": self.residual,
-            "n_samples": self.n_samples,
-            "lam_max": self.lam_max,
-        }
+        return asdict(self)
 
 
 def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> GrowthFit:

@@ -61,6 +61,13 @@ _KNOWN_OPTIONS = {
 # violation of the command instead (exit 3)
 _FINITE_OPTIONS = ("tol", "s", "m")
 
+# polynomial operator kind -> (model kind, key of its term list, degree keys,
+# operator class)
+_POLY_KINDS = {
+    "torus_poly": ("torus2", "terms", ("deg_t", "deg_x"), TorusPoly),
+    "su2_diag": ("su2", "poly", ("deg_d0", "deg_neglap"), Su2DiagPoly),
+}
+
 __all__ = ["ParsedSpec", "parse_spec", "emit_spec", "MAX_DEGREE"]
 
 
@@ -352,27 +359,19 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
         problems.append("'operator' must be an object with a 'kind'")
     else:
         kind = op_raw["kind"]
-        if kind == "torus_poly":
-            if model_kind not in (None, "torus2"):
-                problems.append("torus_poly operator requires the torus2 model")
+        # a JSON list or object is no dict key: test for a string first
+        if isinstance(kind, str) and kind in _POLY_KINDS:
+            model, list_key, degrees, poly = _POLY_KINDS[kind]
+            if model_kind not in (None, model):
+                problems.append(f"{kind} operator requires the {model} model")
             for key in op_raw:
-                if key not in ("kind", "terms"):
-                    problems.append(f"operator: unknown key {key!r}")
-            terms = _parse_terms(op_raw.get("terms"), ("deg_t", "deg_x"),
-                                 "operator.terms", problems)
-            if terms and not problems:
-                operator = _make_operator(TorusPoly.make, terms, "operator.terms", problems)
-        elif kind == "su2_diag":
-            if model_kind not in (None, "su2"):
-                problems.append("su2_diag operator requires the su2 model")
-            for key in op_raw:
-                if key not in ("kind", "poly"):
-                    hint = " (su2_diag takes its terms under 'poly')" if key == "terms" else ""
+                if key not in ("kind", list_key):
+                    hint = f" ({kind} takes its terms under 'poly')" if key == "terms" else ""
                     problems.append(f"operator: unknown key {key!r}{hint}")
-            terms = _parse_terms(op_raw.get("poly"), ("deg_d0", "deg_neglap"),
-                                 "operator.poly", problems)
+            where = f"operator.{list_key}"
+            terms = _parse_terms(op_raw.get(list_key), degrees, where, problems)
             if terms and not problems:
-                operator = _make_operator(Su2DiagPoly.make, terms, "operator.poly", problems)
+                operator = _make_operator(poly.make, terms, where, problems)
         elif kind == "matrix_table":
             for key in op_raw:
                 if key not in ("kind", "path"):
@@ -434,22 +433,11 @@ def _emit_coefficient(c: Coefficient) -> dict:
 def emit_spec(parsed: ParsedSpec) -> dict:
     """Canonical JSON-able form of a parsed spec."""
     op = parsed.operator
-    if isinstance(op, TorusPoly):
-        op_doc = {
-            "kind": "torus_poly",
-            "terms": [
-                {**_emit_coefficient(c), "deg_t": a, "deg_x": b}
-                for c, a, b in op.terms
-            ],
-        }
-    elif isinstance(op, Su2DiagPoly):
-        op_doc = {
-            "kind": "su2_diag",
-            "poly": [
-                {**_emit_coefficient(c), "deg_d0": a, "deg_neglap": b}
-                for c, a, b in op.terms
-            ],
-        }
+    for kind, (_, list_key, (da, db), poly) in _POLY_KINDS.items():
+        if isinstance(op, poly):
+            op_doc = {"kind": kind, list_key: [{**_emit_coefficient(c), da: a, db: b}
+                                               for c, a, b in op.terms]}
+            break
     else:
         op_doc = {"kind": "matrix_table", "path": op.path}
     doc = {"model": {"kind": parsed.model.kind}, "operator": op_doc}

@@ -21,7 +21,7 @@ truncation-level statements are never passed off as asymptotic ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -267,8 +267,7 @@ def extremal_field(
     label = report.witness_label
     freq = frequency_for_label(model, label)
     bdim = symbol.block_dim(freq)
-    diag = symbol.diagonal(freq)
-    if diag is not None:
+    if symbol.is_diagonal:
         block_vec = np.zeros(bdim, dtype=complex)
         block_vec[report.witness_index] = 1.0
     else:
@@ -288,13 +287,7 @@ class AlphaCheck:
     projected_norm: float
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "ratio": self.ratio,
-            "margin": self.margin,
-            "vacuous": self.vacuous,
-            "projected_norm": self.projected_norm,
-        }
+        return asdict(self)
 
 
 def check_alpha(
@@ -343,11 +336,7 @@ class BetaCheck:
     margin: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "achieved_k": self.achieved_k,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 def check_beta(

@@ -10,8 +10,10 @@ seed) the inputs are generated once per side into a temporary directory.
 Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
 ``PYTHONPATH`` set to that side's ``src``, its stdout written to the file the
 plan names.  Exit codes, stdout, stderr and the sha256 of every file a
-command writes are compared.  The differences are listed and the exit code
-is 1 if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
+command writes are compared.  The fixed ``CASES`` (inputs that fail, and a
+branch no plan takes) then run once per side, and their exit codes, stdout
+and stderr are compared.  The differences are listed and the exit code is 1
+if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
 not collect this file (its name does not start with ``test_``).
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +32,27 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, which imports checks.py)
+
+
+def _spec(model: str, kind, **operator) -> str:
+    return json.dumps({"model": {"kind": model}, "operator": {"kind": kind, **operator}})
+
+
+PHI = _spec("torus2", "torus_poly", terms=[{"coeff": [1, 0], "deg_t": 1},
+                                           {"coeff_real": "(1+1*sqrt(5))/2", "deg_x": 1}])
+GAP = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
+                                     {"coeff": [1, 0], "deg_d0": 2}])
+PELL = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
+                                      {"coeff": [2, 0], "deg_d0": 2}])
+CASES = [
+    ["analyze", "--spec", _spec("torus2", []), "--cutoff", "100"],
+    ["singular-scan", "--spec", GAP, "--cutoff", "nan"],
+    ["analyze", "--spec", PHI, "--cutoff", "1e20"],
+    ["subelliptic", "--spec", '{"model": 1}', "--cutoff", "100", "--probes", "-1"],
+    ["counterexample", "--spec", GAP, "--cutoff", "200", "--tol", "-1"],
+    ["fit-exponent", "--spec", PELL, "--cutoff", "2000"],
+    ["pell", "--d", "8", "--count", "6000"],
+]
 
 
 def _digests(workdir: Path) -> dict[str, str]:
@@ -49,6 +73,22 @@ def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path) -> l
         written = {k: v for k, v in _digests(workdir).items() if before.get(k) != v}
         results.append((" ".join(cmd.argv), proc.returncode, proc.stdout, proc.stderr, written))
     return results
+
+
+def run_cases(src: Path, workdir: Path) -> list[tuple]:
+    """(exit code, stdout, stderr) per fixed case."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return [(p.returncode, p.stdout, p.stderr) for p in (
+        subprocess.run([sys.executable, "-m", "hyposym.cli", *argv], cwd=workdir, env=env,
+                       capture_output=True) for argv in CASES)]
+
+
+def compare_cases(old_src: Path, new_src: Path) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = run_cases(old_src, Path(tmp)), run_cases(new_src, Path(tmp))
+    return [f"case {' '.join(argv)}: {what} differs"
+            for argv, a, b in zip(CASES, old, new)
+            for what, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
 
 
 def compare(old_src: Path, new_src: Path, workload: str, seed: int, size: str) -> list[str]:
@@ -78,7 +118,9 @@ def main(argv=None) -> int:
                 problems += compare(args.old_src.resolve(), args.new_src.resolve(),
                                     workload, seed, size)
                 plans += 1
-    print("\n".join(problems) if problems else f"{plans} plans byte-identical")
+    problems += compare_cases(args.old_src.resolve(), args.new_src.resolve())
+    print("\n".join(problems) if problems
+          else f"{plans} plans and {len(CASES)} cases byte-identical")
     return 1 if problems else 0
 
 

@@ -129,6 +129,37 @@ def test_parse_rejects_model_operator_mismatch():
     assert any("torus2" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("model, operator, violations", [
+    ("su2", {"kind": "torus_poly", "terms": [{"coeff": [1, 0], "deg_t": 1}]},
+     ["torus_poly operator requires the torus2 model"]),
+    ("torus2", {"kind": "su2_diag", "poly": [{"coeff": [1, 0], "deg_d0": 1}]},
+     ["su2_diag operator requires the su2 model"]),
+    ("su2", {"kind": "su2_diag", "terms": [], "poly": [{"coeff": [1, 0], "deg_t": 1}]},
+     ["operator: unknown key 'terms' (su2_diag takes its terms under 'poly')",
+      "operator.poly[0]: unknown key 'deg_t'"]),
+    ("torus2", {"kind": "torus_poly", "poly": [], "terms": [{"coeff": [1, 0], "deg_d0": 1}]},
+     ["operator: unknown key 'poly'", "operator.terms[0]: unknown key 'deg_d0'"]),
+    ("torus2", {"kind": "torus_poly", "terms": []},
+     ["operator.terms: must be a nonempty list of terms"]),
+    ("su2", {"kind": "su2_diag"}, ["operator.poly: must be a nonempty list of terms"]),
+], ids=["torus-on-su2", "su2-on-torus", "su2-terms-hint", "torus-poly-key", "empty-terms",
+        "no-poly"])
+def test_parse_poly_kind_messages(model, operator, violations):
+    with pytest.raises(SpecFileError) as err:
+        parse_spec({"model": {"kind": model}, "operator": operator})
+    assert err.value.violations == violations
+
+
+@pytest.mark.parametrize("kind", [[], {}, 5], ids=["list", "object", "number"])
+def test_cli_non_string_operator_kind_is_schema_violation(kind, capsys):
+    spec = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": kind}})
+    assert cli.main(["analyze", "--spec", spec, "--cutoff", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["violations"] == [f"unknown operator kind {kind!r}"]
+
+
 def test_parse_rejects_enclosure_coefficients():
     bad = {
         "model": {"kind": "torus2"},

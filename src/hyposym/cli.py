@@ -20,6 +20,7 @@ load the symbol layers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,7 +71,7 @@ def _long_int(doc, path: str, bound: int) -> str | None:
 
 
 # rows per write of a CSV sidecar
-CSV_CHUNK_ROWS = 16384
+CSV_CHUNK_ROWS = 4096
 
 
 def _texts(fmt: str, values) -> np.ndarray:
@@ -85,6 +86,12 @@ def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object), inverse
 
 
+@functools.cache
+def _three_digits() -> np.ndarray:
+    """The texts "000" to "999", formatted once per process."""
+    return _texts("{:03d}", range(1000))
+
+
 def _int_texts(lo: int, hi: int) -> np.ndarray:
     """``str(j)`` for j in range(lo, hi), lo >= 0, as an object array: past
     999, the texts of j // 1000 (one per thousand) and of the last three
@@ -92,8 +99,8 @@ def _int_texts(lo: int, hi: int) -> np.ndarray:
     mid = min(max(lo, 1000), hi)
     q, r = np.divmod(np.arange(mid, hi), 1000)
     thousands = _texts("{}", range(mid // 1000, -(-hi // 1000)))
-    last3 = _texts("{:03d}", range(1000 if mid < hi else 0))
-    return np.concatenate([_texts("{}", range(lo, mid)), thousands[q - mid // 1000] + last3[r]])
+    return np.concatenate([_texts("{}", range(lo, mid)),
+                           thousands[q - mid // 1000] + _three_digits()[r]])
 
 
 def _write_csv(path: str, header: str, chunks) -> None:
@@ -375,10 +382,19 @@ def _cmd_pell(args) -> dict:
 
 
 def _cmd_torus_gain(args) -> dict:
-    from .diophantine import torus_min_gain
+    from .diophantine import objective_scale, torus_min_gain
 
     c = parse_real(args.c)
     c_doc = _real_spec_doc(c, args.c)
+    # an objective the report cannot hold is refused before the weights,
+    # (1+|xi|+|eta|)^-N of up to |N| log2(radius + 1) bits, are built
+    scale = objective_scale(c, args.radius) if isinstance(c, (Fraction, Surd)) else None
+    if scale is not None and args.radius >= 1:
+        bound = _int_text_bound()
+        if bound is not None and args.exp >= (scale * bound).bit_length():
+            raise PreconditionError(f"--exp {args.exp}: the exact objective {_too_long()}")
+        if -args.exp >= (scale << 1025).bit_length():  # at least 2^1025
+            raise PreconditionError("the objective is beyond float range")
     result = torus_min_gain(c, args.radius, args.exp)
     return {
         "c": c_doc,

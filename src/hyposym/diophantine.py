@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt, log
+from math import gcd, inf, isqrt, log
 from statistics import median
 
 import numpy as np
@@ -257,8 +257,19 @@ def pell_solutions(d: int, count: int, bound: int | None = None) -> list[PellSol
         if bound is not None and u >= bound:
             break
         u, m = u1 * u + d * m1 * m, m1 * u + u1 * m
-        out.append(PellSolution(u, m, d))
+        out.append(_composed(u, m, d))
     return out
+
+
+def _composed(u: int, m: int, d: int) -> PellSolution:
+    """A PellSolution built without its check: the composition rule keeps the
+    equation, (u1 u + D m1 m)^2 - D (m1 u + u1 m)^2
+    = (u1^2 - D m1^2)(u^2 - D m^2) = 1, and the squares of big solutions
+    would cost most of the time."""
+    solution = object.__new__(PellSolution)
+    for name, value in (("u", u), ("m", m), ("d", d)):
+        object.__setattr__(solution, name, value)
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +400,40 @@ def _bounds(x) -> tuple[Fraction, Fraction]:
     return x.enclosure()
 
 
+def _rational_zero(c: Fraction | Surd, radius: int) -> tuple[int, int] | None:
+    """The argmin of a rational c = p/q whose zeros t (-p, q) reach the ball:
+    the objective is then 0 at every zero and positive elsewhere, and the
+    least |xi| + |eta|, then the least pair, is (-p, q) or (p, -q)."""
+    if not isinstance(c, Fraction) or abs(c.numerator) + c.denominator > radius:
+        return None
+    return min((-c.numerator, c.denominator), (c.numerator, -c.denominator))
+
+
+def objective_scale(c: Fraction | Surd, radius: int) -> int | None:
+    """A K that bounds the exact objectives of ``torus_min_gain`` before any
+    weight is built, or None when xi + c eta vanishes in the ball (the least
+    objective is 0).  Every other point (s = 1 + |xi| + |eta| >= 2) has, for
+    N > 0, an int of at least 2^N / K in the exact text of its objective, and
+    for N < 0 an objective of at least 2^-N / K.
+
+    Write c = a + b sqrt(d) (b = d = 0 for a rational) with D the common
+    denominator of a and b, and M = |num a| + den a + |num b| + den b + d.
+    For N > 0 the objective's denominator is at least s^N over the
+    numerator of its irrational part (|num b| |eta| <= M R), or over that
+    of |xi q + p eta| (<= M R) for c = p/q.  For N < 0 the gain is at least
+    1/q for c = p/q, and for a surd at least 1/(D^2 g') by its conjugate g',
+    as g g' = |(xi + a eta)^2 - d b^2 eta^2| is a nonzero rational of
+    denominator dividing D^2 and g' <= R (1 + |a| + |b| sqrt d) <= R (1 + M)^2.
+    So K = R (D (1 + M))^2 serves both.
+    """
+    if _rational_zero(c, radius) is not None:
+        return None
+    a, b, d = (c, Fraction(0), 0) if isinstance(c, Fraction) else (c.a, c.b, c.d)
+    big_d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    big_m = abs(a.numerator) + a.denominator + abs(b.numerator) + b.denominator + d
+    return radius * (big_d * (1 + big_m)) ** 2
+
+
 def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResult:
     """Exact minimum of |xi + c eta| (1+|xi|+|eta|)^{-N} over 0 < |xi|+|eta| <= radius.
 
@@ -410,6 +455,12 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
         raise PreconditionError("exponent must be an integer for exact weights")
 
     if isinstance(c, (Fraction, Surd)):
+        zero = _rational_zero(c, radius)
+        if zero is not None:  # no weight needed: the least objective is exactly 0
+            return TorusGainResult(argmin=zero, objective_lo=Fraction(0),
+                                   objective_hi=Fraction(0), gain_lo=Fraction(0),
+                                   gain_hi=Fraction(0), exponent=exponent, radius=radius,
+                                   exact_objective=Fraction(0), exact_gain=Fraction(0))
         points = _ball_candidates(c, radius, exponent)
         best = None
         for xi, eta in _ball(radius) if points is None else points:

@@ -26,32 +26,91 @@ BIN_WIDTH = 0.5
 HEAD_FRACTION = 0.3
 MIN_POINTS = 2
 
-__all__ = ["BIN_WIDTH", "HEAD_FRACTION", "envelope_points", "envelope_fit"]
+# samples per chunk of a full-length reduction: each float temporary of a
+# chunk takes 256 KB, far below the window it reduces
+REDUCE_CHUNK = 1 << 15
+
+__all__ = ["BIN_WIDTH", "HEAD_FRACTION", "REDUCE_CHUNK", "Mapped", "chunk_ranges",
+           "log_bracket", "bracket_weights", "envelope_points", "envelope_fit"]
 
 
-def envelope_points(x: np.ndarray, y: np.ndarray, mode: str = "min"):
+def chunk_ranges(n: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` over 0..n in steps of REDUCE_CHUNK."""
+    step = REDUCE_CHUNK
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def log_bracket(lam: np.ndarray, nu: float) -> np.ndarray:
+    """x = log(1 + lam) / nu, the abscissa of the envelope."""
+    x = np.log1p(lam)
+    x /= nu
+    return x
+
+
+def bracket_weights(lam: np.ndarray, slope: float, nu: float) -> np.ndarray:
+    """(1 + lam)^(slope/nu), as exp(log(1 + lam) * (slope/nu))."""
+    w = np.log1p(lam)
+    w *= slope / nu
+    return np.exp(w, out=w)
+
+
+class Mapped:
+    """``f(*arrays)`` for arrays of one length, computed a slice at a time:
+    ``mapped[lo:hi]`` is ``f`` of the arrays' slices lo..hi, which may drop
+    items (a filter).  A reduction over ``chunk_ranges`` then never holds
+    the whole map, and reads arrays and maps alike."""
+
+    def __init__(self, f, *arrays):
+        self.f, self.arrays = f, arrays
+
+    def __len__(self):
+        return len(self.arrays[0])
+
+    def __getitem__(self, span: slice):
+        return self.f(*(a[span] for a in self.arrays))
+
+
+def envelope_points(x, y, mode: str = "min"):
     """One envelope sample per bin of width BIN_WIDTH, head bins dropped.
 
-    ``x`` must be nondecreasing (the callers pass it in window order), so
-    each bin is a contiguous index range, found by ``np.searchsorted``.
+    ``x`` and ``y`` are arrays or ``Mapped`` of one length, read a chunk at
+    a time.  ``x`` must be nondecreasing (the callers pass it in window
+    order), so each bin meets a chunk in one index range, found by
+    ``np.searchsorted``, and the first extreme of a bin is the first extreme
+    among those of its ranges.
     """
-    if len(x) == 0:
+    spans = chunk_ranges(len(x))
+    ends = []  # (least, largest) x of each nonempty chunk
+    for a, b in spans:
+        part = x[a:b]
+        if len(part):
+            ends.append((np.min(part), np.max(part)))
+    if not ends:
         raise WindowTooSmallError("no samples for envelope fit")
-    lo, hi = float(np.min(x)), float(np.max(x))
+    least, largest = np.array(ends).T
+    lo, hi = float(np.min(least)), float(np.max(largest))
     if hi - lo < 1e-12:
-        return np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        xs, ys = zip(*[(x[a:b], y[a:b]) for a, b in spans])
+        return np.concatenate(xs, dtype=float), np.concatenate(ys, dtype=float)
     nbins = max(4, math.ceil((hi - lo) / BIN_WIDTH))
     edges = np.linspace(lo, hi + 1e-12, nbins + 1)
-    # bin i holds the samples with edges[i] <= x < edges[i + 1]
-    bounds = np.searchsorted(x, edges, side="left").tolist()
     pick = np.argmin if mode == "min" else np.argmax
+    found = [([], []) for _ in range(nbins)]  # per bin, (x, y) of each range's extreme
+    for a, b in spans:
+        part_x, part_y = x[a:b], y[a:b]
+        # bin i holds the samples with edges[i] <= x < edges[i + 1]
+        bounds = np.searchsorted(part_x, edges, side="left").tolist()
+        for (bin_xs, bin_ys), start, stop in zip(found, bounds, bounds[1:]):
+            if start < stop:
+                k = start + int(pick(part_y[start:stop]))
+                bin_xs.append(float(part_x[k]))
+                bin_ys.append(float(part_y[k]))
     xs, ys = [], []
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            continue
-        k = a + int(pick(y[a:b]))
-        xs.append(float(x[k]))
-        ys.append(float(y[k]))
+    for bin_xs, bin_ys in found:
+        if bin_ys:
+            k = int(pick(bin_ys))
+            xs.append(bin_xs[k])
+            ys.append(bin_ys[k])
     xs_arr, ys_arr = np.array(xs), np.array(ys)
     cut = lo + HEAD_FRACTION * (hi - lo)
     keep = xs_arr >= cut
@@ -60,12 +119,13 @@ def envelope_points(x: np.ndarray, y: np.ndarray, mode: str = "min"):
     return xs_arr, ys_arr
 
 
-def envelope_fit(x: np.ndarray, y: np.ndarray, mode: str = "min"):
-    """Least-squares slope/intercept of the binned envelope.
+def envelope_fit(x, y, mode: str = "min"):
+    """Least-squares slope/intercept of the binned envelope of ``x`` and
+    ``y`` (arrays or ``Mapped``, as for ``envelope_points``).
 
     Returns (slope, intercept, n_points).
     """
-    xs, ys = envelope_points(np.asarray(x, float), np.asarray(y, float), mode)
+    xs, ys = envelope_points(x, y, mode)
     if len(xs) < MIN_POINTS:
         raise WindowTooSmallError("fewer than two envelope bins in window")
     if len(xs) == MIN_POINTS and xs[0] == xs[-1]:

@@ -29,7 +29,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NoFitError, PreconditionError
-from .fitting import envelope_fit
+from .fitting import Mapped, bracket_weights, chunk_ranges, envelope_fit, log_bracket
 from .spectral import FrequencyIndex, SpectralModel, Su2Label, Torus2Label
 from .symbols import (
     Coefficient,
@@ -42,7 +42,6 @@ from .symbols import (
     gain_table,
     su2_diag_exact,
     torus_value_exact,
-    zero_mask,
 )
 
 SINGULAR_TOL = 1e-12
@@ -76,8 +75,7 @@ def singular_scan(
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
     table = gain_table(symbol, model, cutoff)
-    hits = np.flatnonzero(zero_mask(table.gain, table.opnorm, tol))
-    return [table.window.freq(int(i)) for i in hits]
+    return [table.window.freq(int(i)) for i in table.singular(tol)]
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,8 @@ def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> Growth
     """
     if len(table) == 0:
         raise NoFitError("no samples")
-    singular = zero_mask(table.gain, table.opnorm, tol)
-    r = len(singular) - int(np.argmax(singular[::-1])) if singular.any() else 0
+    singular = table.singular(tol)
+    r = int(singular[-1]) + 1 if len(singular) else 0
     # the samples are the blocks from ordinal R on: with tol >= 0 every zero
     # gain is singular, so all of their gains are positive
     lam, gain = table.lam[r:], table.gain[r:]
@@ -122,20 +120,21 @@ def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> Growth
         raise NoFitError(
             f"only {len(gain)} usable samples past the last singular ordinal {r}"
         )
-    # x and y are the only full-length buffers; the weights and the ratios reuse them
-    x = np.log1p(lam)
-    x /= nu
-    y = np.log(gain)
-    slope, _, _ = envelope_fit(x, y, mode="min")
+    # every full-length pass runs a chunk at a time
+    slope, _, _ = envelope_fit(Mapped(lambda lam: log_bracket(lam, nu), lam),
+                               Mapped(np.log, gain), mode="min")
+    spans = chunk_ranges(len(gain))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        weights = np.log1p(lam, out=y)
-        weights *= slope / nu
-        np.exp(weights, out=weights)
-        big_l = float(np.min(np.divide(gain, weights, out=x)))
-        weights *= big_l
-        weights /= gain
-        weights -= 1.0
-        residual = float(np.max(weights))
+        big_l = float(np.min([np.min(gain[lo:hi] / bracket_weights(lam[lo:hi], slope, nu))
+                              for lo, hi in spans]))
+        violations = []
+        for lo, hi in spans:
+            w = bracket_weights(lam[lo:hi], slope, nu)
+            w *= big_l
+            w /= gain[lo:hi]
+            w -= 1.0
+            violations.append(np.max(w))
+        residual = float(np.max(violations))
     if not (math.isfinite(big_l) and math.isfinite(residual)):
         raise NoFitError(f"the bound of slope {slope!r} leaves float range on the window")
     return GrowthFit(
@@ -426,8 +425,7 @@ def verdict(
 
     if table is None:
         table = gain_table(build_symbol(op, model), model, cutoff)
-    sing_idx = np.flatnonzero(zero_mask(table.gain, table.opnorm, tol))
-    singular = tuple(table.window.freq(int(i)) for i in sing_idx)
+    singular = tuple(table.window.freq(int(i)) for i in table.singular(tol))
     if singular and max(f.lam for f in singular) > cutoff / 2.0:
         return Verdict(
             kind="inconclusive",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -168,13 +169,26 @@ def _parse_terms(raw, keys: tuple[str, str], where: str, problems: list[str]):
 
 def _make_operator(make, terms, where: str, problems: list[str]):
     """``make(terms)``, whose terms of equal degrees add exactly; a merged
-    coefficient beyond float range would overflow the float evaluation."""
+    coefficient beyond float range would overflow the float evaluation, and
+    one longer than Python writes as text could not be echoed."""
     operator = make(terms)
     for coeff, a, b in operator.terms:
         if not (_is_finite(coeff.re) and _is_finite(coeff.im)):
             problems.append(f"{where}: the merged coefficient of degrees ({a}, {b}) "
                             "leaves float range")
+        elif not _has_text(coeff):
+            problems.append(f"{where}: the merged coefficient of degrees ({a}, {b}) has more "
+                            f"than {sys.get_int_max_str_digits()} digits, Python's limit for "
+                            "int text")
     return None if problems else operator
+
+
+def _has_text(coeff: Coefficient) -> bool:
+    try:
+        json.dumps(_emit_coefficient(coeff))
+    except ValueError:  # an int longer than Python writes as text
+        return False
+    return True
 
 
 def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):

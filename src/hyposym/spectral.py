@@ -122,38 +122,72 @@ class SpectralModel:
 TORUS2 = SpectralModel("torus2")
 SU2 = SpectralModel("su2")
 
+# eigenvalues per band of the torus enumeration: a band of width w holds
+# about pi w characters, sorted on their own by their eigenvalue less the
+# band's first, which fits 16 bits and so takes numpy's radix sort
+LATTICE_BAND = 16384
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """isqrt of each int64 of ``v`` (each below 2**52): the float root is off
+    by at most one."""
+    s = np.sqrt(v).astype(np.int64)
+    s -= s * s > v
+    s += (s + 1) * (s + 1) <= v
+    return s
+
+
 def torus_lattice(lambda_cutoff: float):
     """All (xi, eta) with xi^2 + eta^2 <= cutoff, in enumeration order.
 
-    Returns int64 arrays (xi, eta, lam) sorted by (lam, xi, eta); the heavy
-    scans work on these arrays directly instead of FrequencyIndex objects.
-    The disk is generated row by row, each row xi holding the eta with
-    |eta| <= isqrt(c - xi^2) for c = floor(cutoff), so the points come in
-    (xi, eta) order and one stable sort by lam gives (lam, xi, eta) order.
+    Returns arrays (xi, eta, lam) sorted by (lam, xi, eta): the labels as
+    int32 (int64 from a cutoff of 2**31 on) and the eigenvalues as floats;
+    the heavy scans work on these arrays directly instead of FrequencyIndex
+    objects.  The outputs are filled band by band of LATTICE_BAND
+    eigenvalues [a, b).  Row xi of a band holds the eta with
+    isqrt(a - 1 - xi^2) < |eta| <= isqrt(b - 1 - xi^2), so its points are
+    generated in (xi, eta) order and one stable sort by lam gives
+    (lam, xi, eta) order; no full-length temporary is made.
     """
     if lambda_cutoff < 0:
         raise PreconditionError("lambda cutoff must be nonnegative")
     c = int(lambda_cutoff)
     r = math.isqrt(c)
     half = np.fromiter((math.isqrt(c - x * x) for x in range(-r, r + 1)), np.int64, 2 * r + 1)
-    count = 2 * half + 1
-    n = int(count.sum())
+    n = int((2 * half + 1).sum())
     small = np.int32 if c < 2**31 else np.int64  # lam <= c and |xi|, |eta| <= sqrt(c)
-    xi = np.repeat(np.arange(-r, r + 1, dtype=small), count)
-    # eta steps by 1 along a row and jumps from half[i-1] to -half[i] at row i
-    eta = np.ones(n, dtype=small)
-    eta[np.cumsum(count) - count] = -half - np.concatenate(([0], half[:-1]))
-    np.cumsum(eta, out=eta)
-    lam = xi * xi
-    lam += eta * eta
-    order = np.argsort(lam, kind="stable")
-    del lam
-    xi = xi[order].astype(np.int64, copy=False)
-    eta = eta[order].astype(np.int64, copy=False)
-    del order
-    lam = xi * xi
-    lam += eta * eta
-    return xi, eta, lam
+    xi_out, eta_out, lam_out = np.empty(n, small), np.empty(n, small), np.empty(n)
+    rows = np.arange(-r, r + 1, dtype=np.int64)
+    inner = np.full(2 * r + 1, -1, dtype=np.int64)  # isqrt(a - 1 - xi^2), -1 below 0
+    pos = 0
+    for a in range(0, c + 1, LATTICE_BAND):
+        b = min(a + LATTICE_BAND, c + 1)
+        w = math.isqrt(b - 1)
+        band = slice(r - w, r + w + 1)  # the rows that reach the band
+        outer = half[band] if b == c + 1 else _isqrt(b - 1 - rows[band] ** 2)
+        low = inner[band]
+        # per row the pieces -outer..-low-1 and max(low+1, 1)..outer, empty ones dropped
+        lens = np.stack([outer - low, outer - np.maximum(low, 0)], axis=1).ravel()
+        starts = np.stack([-outer, np.maximum(low + 1, 1)], axis=1).ravel()
+        starts, lens = starts[lens > 0], lens[lens > 0]
+        m = int(lens.sum())
+        # eta steps by 1 along a piece and jumps from its last value to the next start
+        eta = np.ones(m, dtype=small)
+        eta[np.cumsum(lens) - lens] = starts - np.concatenate(([0], starts[:-1] + lens[:-1] - 1))
+        np.cumsum(eta, out=eta)
+        xi = np.repeat(rows[band].astype(small), 2 * outer + 1 - np.maximum(2 * low + 1, 0))
+        key = xi * xi
+        key += eta * eta
+        key -= a
+        order = np.argsort(key.astype(np.uint16), kind="stable")
+        np.take(xi, order, out=xi_out[pos:pos + m])
+        np.take(eta, order, out=eta_out[pos:pos + m])
+        lam = lam_out[pos:pos + m]
+        lam[:] = key[order]
+        lam += a
+        inner[band] = outer
+        pos += m
+    return xi_out, eta_out, lam_out
 
 
 def su2_levels(lambda_cutoff: float) -> np.ndarray:
@@ -172,9 +206,10 @@ def su2_levels(lambda_cutoff: float) -> np.ndarray:
 
 
 # bytes a window and its gain table keep per frequency: on the torus the
-# labels xi and eta, the float eigenvalue and the gain (which is the norm);
-# on SU(2) the level, the eigenvalue, the size, the gain and the norm
-_WINDOW_BYTES = {"torus2": 32, "su2": 40}
+# int32 labels xi and eta (4 each), the float eigenvalue and the gain (which
+# is the norm); on SU(2) the level, the eigenvalue, the size, the gain and
+# the norm
+_WINDOW_BYTES = {"torus2": 24, "su2": 40}
 
 
 def _physical_memory() -> float:
@@ -215,7 +250,7 @@ class Window:
                 raise MemoryError
             if model.kind == "torus2":
                 xi, eta, lam = torus_lattice(lambda_cutoff)
-                self.labels, self.lam = (xi, eta), lam.astype(float)
+                self.labels, self.lam = (xi, eta), lam
                 self.sizes = np.broadcast_to(np.int64(1), xi.shape)
             else:
                 levels = su2_levels(lambda_cutoff)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError, WindowTooSmallError
 from .exact import Surd, format_real
-from .fitting import envelope_fit
+from .fitting import Mapped, bracket_weights, chunk_ranges, envelope_fit, log_bracket
 from .spectral import (
     FrequencyIndex,
     Label,
@@ -608,6 +608,13 @@ class GainTable:
     def ordinals(self) -> np.ndarray:
         return np.arange(len(self.window), dtype=np.int64)
 
+    def singular(self, tol: float) -> np.ndarray:
+        """The ordinals whose gain vanishes under ``zero_mask``, ascending,
+        found a chunk at a time."""
+        return np.concatenate([np.empty(0, np.int64)] + [
+            lo + np.flatnonzero(zero_mask(self.gain[lo:hi], self.opnorm[lo:hi], tol))
+            for lo, hi in chunk_ranges(len(self))])
+
     def __len__(self):
         return len(self.window)
 
@@ -619,12 +626,13 @@ BULK_CHUNK_ENTRIES = 4096
 
 def _chunks(sizes: np.ndarray, limit: int):
     """Yield ``(lo, hi)`` over runs of whole items of the given sizes, each
-    run up to ``limit`` in total size, or one item larger than that."""
-    ends = np.cumsum(sizes)
+    run up to ``limit`` in total size, or one item larger than that.  Every
+    size is at least 1, so a run holds at most ``limit`` items, and only
+    the next ``limit`` sizes are summed: no full-length sum is made."""
     lo = 0
     while lo < len(sizes):
-        base = ends[lo] - sizes[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        ends = np.cumsum(sizes[lo:lo + limit])
+        hi = lo + max(1, int(np.searchsorted(ends, limit, side="right")))
         yield lo, hi
         lo = hi
 
@@ -808,25 +816,23 @@ def estimate_order(
         raise WindowTooSmallError(
             "order estimation needs at least 8 frequencies with positive eigenvalue"
         )
-    nz = norms > 0
-    if not nz.any():
+    spans = chunk_ranges(len(norms))
+    if not any(np.any(norms[lo:hi] > 0) for lo, hi in spans):
         return OrderEstimate(float("-inf"), 0.0, 0)
-    # x and y are the only full-length buffers; each later step takes a new
-    # one after freeing one (a boolean index allocates only its result)
-    x, y = lam[nz], norms[nz]
-    np.log1p(x, out=x)
-    x /= model.nu
-    np.log(y, out=y)
-    slope, _, npts = envelope_fit(x, y, mode="max")
-    del x, y
+    nu = model.nu
+    # the samples are the nonzero norms, read a chunk at a time
+    slope, _, npts = envelope_fit(Mapped(lambda lam, n: log_bracket(lam[n > 0], nu), lam, norms),
+                                  Mapped(lambda n: np.log(n[n > 0]), norms), mode="max")
+    finite, ratios = True, []
     with np.errstate(over="ignore", divide="ignore"):
-        weights = lam[nz]
-        np.log1p(weights, out=weights)
-        weights *= slope / model.nu
-        np.exp(weights, out=weights)
-        ratio = norms[nz]
-        ratio /= weights
-        c_hat = float(np.max(ratio))
-    if not (np.isfinite(weights).all() and np.isfinite(c_hat)):
+        for lo, hi in spans:
+            nz = norms[lo:hi] > 0
+            weights = bracket_weights(lam[lo:hi][nz], slope, nu)
+            finite = finite and bool(np.isfinite(weights).all())
+            ratio = norms[lo:hi][nz]
+            ratio /= weights
+            ratios.append(np.max(ratio, initial=-np.inf))
+        c_hat = float(np.max(ratios))
+    if not (finite and np.isfinite(c_hat)):
         raise WindowTooSmallError(f"the order {slope!r} leaves float range on the window")
     return OrderEstimate(float(slope), c_hat, npts)

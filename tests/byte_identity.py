@@ -10,9 +10,9 @@ seed) the inputs are generated once per side into a temporary directory.
 Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
 ``PYTHONPATH`` set to that side's ``src``, its stdout written to the file the
 plan names.  Exit codes, stdout, stderr and the sha256 of every file a
-command writes are compared.  The fixed ``CASES`` (inputs that fail, and a
-branch no plan takes) then run once per side, and their exit codes, stdout
-and stderr are compared.  The differences are listed and the exit code is 1
+command writes are compared.  The fixed ``CASES`` (inputs that fail, a
+branch no plan takes, and torus windows larger than any plan's) then run
+once per side, and their exit codes, stdout and stderr are compared.  The differences are listed and the exit code is 1
 if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
 not collect this file (its name does not start with ``test_``).
 """
@@ -44,6 +44,8 @@ GAP = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                      {"coeff": [1, 0], "deg_d0": 2}])
 PELL = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                       {"coeff": [2, 0], "deg_d0": 2}])
+FOUR_SEVENTHS = _spec("torus2", "torus_poly", terms=[{"coeff": [1, 0], "deg_t": 1},
+                                                    {"coeff_real": "4/7", "deg_x": 1}])
 CASES = [
     ["analyze", "--spec", _spec("torus2", []), "--cutoff", "100"],
     ["singular-scan", "--spec", GAP, "--cutoff", "nan"],
@@ -52,6 +54,10 @@ CASES = [
     ["counterexample", "--spec", GAP, "--cutoff", "200", "--tol", "-1"],
     ["fit-exponent", "--spec", PELL, "--cutoff", "2000"],
     ["pell", "--d", "8", "--count", "6000"],
+    # windows of many lattice bands and reduction chunks: the verdict, fit and
+    # order of 785,349 characters, and 249 singular points spread over 62 bands
+    ["analyze", "--spec", PHI, "--cutoff", "250000.5"],
+    ["singular-scan", "--spec", FOUR_SEVENTHS, "--cutoff", "1000000"],
 ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyposym import (
+    PellSolution,
     classify_coefficient,
     continued_fraction,
     liouville_witnesses,
@@ -177,6 +178,20 @@ def test_pell_generator_matches_brute_force(d):
         if s.u <= 10**4:
             gen.append((s.u, s.m))
     assert gen == brute
+
+
+def test_pell_composed_solutions_keep_the_equation():
+    # the composed solutions skip PellSolution's own check; the equation holds anyway
+    sols = pell_solutions(8, 10_000)
+    assert len(sols) == 10_000
+    assert all(s.u * s.u - 8 * s.m * s.m == 1 and s.d == 8 for s in sols)
+    assert [s.u for s in sols] == sorted({s.u for s in sols})
+
+
+def test_a_pell_solution_built_by_a_caller_is_still_checked():
+    assert pell_solutions(8, 2)[1] == PellSolution(17, 6, 8)
+    with pytest.raises(ValueError, match="not a Pell solution"):
+        PellSolution(17, 5, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyposym import SU2, TORUS2, Window, build_symbol, cli, estimate_order, gain_table, verdict
-from hyposym import spectral
+from hyposym import fitting, spectral
 from hyposym.errors import NoFitError, PreconditionError, WindowTooSmallError
 from hyposym.exact import parse_real
-from hyposym.fitting import BIN_WIDTH, envelope_points
-from hyposym.hypo import fit_growth
+from hyposym.fitting import BIN_WIDTH, Mapped, envelope_points
+from hyposym.hypo import fit_growth, singular_scan
 from hyposym.spectral import torus_lattice
-from hyposym.symbols import Coefficient, TorusPoly
+from hyposym.symbols import Coefficient, TorusPoly, zero_mask
 
 from conftest import su2_laplace_minus_axis_sq, torus_translation
 from oracles import (
@@ -35,8 +35,8 @@ CUTOFFS = [0, 0.5, 1, 2, 4.999, 5, 25, 12345.6] + INTEGERS + [n - 1e-9 for n in 
 
 def _assert_same_lattice(cutoff):
     got, want = torus_lattice(cutoff), square_torus_lattice(cutoff)
+    assert [a.dtype for a in got] == [np.int32, np.int32, np.float64]
     for a, b in zip(got, want):
-        assert a.dtype == np.int64
         assert np.array_equal(a, b)
 
 
@@ -59,6 +59,26 @@ def test_torus_lattice_is_the_brute_force_disk(cutoff):
     assert set(points) == brute_torus_points(cutoff)
     assert lam.tolist() == [x * x + e * e for x, e in points]
     assert sorted(zip(lam.tolist(), points)) == list(zip(lam.tolist(), points))
+
+
+# with a band of 7 eigenvalues the edges are 7k: a cutoff on an edge opens
+# a band of one eigenvalue, and 7k - 1 closes a full one
+BAND_CUTOFFS = [0, 1, 6, 7, 8, 13, 14, 49, 50, 63, 64, 65, 100, 99.999999999, 168, 169,
+                169 - 1e-9, 1e3, 2401, 2401 - 1e-9, 4225]
+
+
+@pytest.mark.parametrize("band", [1, 2, 7, 64])
+def test_band_lattice_matches_the_square_lexsort_across_many_bands(band, monkeypatch):
+    monkeypatch.setattr(spectral, "LATTICE_BAND", band)
+    for cutoff in BAND_CUTOFFS + [band * k + d for k in (1, 2, 5) for d in (-1, 0, 1)]:
+        _assert_same_lattice(cutoff)
+
+
+def test_the_default_band_splits_a_large_window_and_keeps_its_order():
+    # 1e5 spans seven bands of 16384 eigenvalues; the last one ends at the cutoff
+    cutoff = 3 * spectral.LATTICE_BAND + 5
+    _assert_same_lattice(cutoff)
+    _assert_same_lattice(1e5)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +161,92 @@ def test_estimate_order_matches_the_mask_estimate():
         assert (got.order_hat, got.c_hat, got.n_envelope) == mask_estimate_order(table, 2.0)
 
 
-def test_the_reductions_stay_under_60_bytes_per_character():
-    # 32 bytes are kept (xi, eta, lambda, gain); the passes may add
-    # full-length buffers, but not grow back to the 98 of the square layout
+def _small_tables():
+    """Tables of a few hundred samples each, with envelope bins, ties and
+    singular points on both sides of every chunk edge: the float translation
+    by 1/2 (not certified) vanishes at lambda = 5 t^2, d_t with a float
+    coefficient on the row xi = 0."""
+    phi = parse_real("(1+1*sqrt(5))/2")
+    d_t = TorusPoly.make([(Coefficient.make(1.0), 1, 0)])
+    ops = [(torus_translation(phi), TORUS2, 400), (torus_translation(0.5), TORUS2, 400),
+           (torus_translation(0.5), TORUS2, 60), (d_t, TORUS2, 150),
+           (su2_laplace_minus_axis_sq(), SU2, 3000)]
+    return [(op, gain_table(build_symbol(op, model), model, cutoff)) for op, model, cutoff in ops]
+
+
+def _reductions(op, table, tol):
+    """Everything the chunked passes compute on one table, errors included."""
+    def attempt(f, *args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except (NoFitError, WindowTooSmallError) as exc:
+            return type(exc), str(exc)
+
+    symbol = build_symbol(op, table.model)
+    cutoff = float(table.lam[-1])
+    return (table.singular(tol).tolist(),
+            attempt(verdict, op, table.model, cutoff, tol, table=table),
+            attempt(singular_scan, symbol, table.model, cutoff, tol),
+            attempt(fit_growth, table, 2.0, tol),
+            attempt(estimate_order, symbol, table.model, cutoff, table=table))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("tol", [1e-12, 0.0, -0.0, -1.0, 1e3])
+def test_chunked_reductions_match_one_chunk_and_the_mask_oracles(chunk, tol, monkeypatch):
+    for op, table in _small_tables():
+        monkeypatch.setattr(fitting, "REDUCE_CHUNK", 10**9)
+        whole = _reductions(op, table, tol)
+        monkeypatch.setattr(fitting, "REDUCE_CHUNK", chunk)
+        assert _reductions(op, table, tol) == whole
+        hits, _, scan, fit, order = whole
+        assert hits == np.flatnonzero(zero_mask(table.gain, table.opnorm, tol)).tolist()
+        if not isinstance(scan, tuple):
+            assert [f.j for f in scan] == hits
+        if not isinstance(fit, tuple):
+            assert fit == mask_fit_growth(table, 2.0, tol)
+        if not isinstance(order, tuple):
+            assert (order.order_hat, order.c_hat, order.n_envelope) == mask_estimate_order(table, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_ordered_samples(), st.sampled_from(["min", "max"]), st.sampled_from([1, 2, 7, 4096]))
+def test_chunked_envelope_points_match_the_mask_loop(samples, mode, chunk):
+    x, y = samples
+    want = mask_envelope_points(x, y, mode)
+    old = fitting.REDUCE_CHUNK
+    fitting.REDUCE_CHUNK = chunk
+    try:
+        arrays = envelope_points(x, y, mode)
+        mapped = envelope_points(Mapped(np.negative, -x), Mapped(lambda v: v * 1.0, y), mode)
+    finally:
+        fitting.REDUCE_CHUNK = old
+    for got in (arrays, mapped):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_a_tie_across_a_chunk_edge_keeps_its_first_sample(mode, monkeypatch):
+    # one bin of 12 samples over chunks of 7: the extreme y = 0 sits at
+    # positions 5 and 9, and the first one, x = 0.05, is kept
+    monkeypatch.setattr(fitting, "REDUCE_CHUNK", 7)
+    x = np.concatenate([np.arange(12) / 100, [1.0, 2.0, 3.0]])
+    y = np.full(15, 5.0 if mode == "min" else -5.0)
+    y[[5, 9]] = 0.0
+    xs, ys = envelope_points(x, y, mode)
+    assert xs[0] == 0.05 and ys[0] == 0.0
+
+
+def test_a_filter_that_leaves_no_sample_is_no_envelope():
+    with pytest.raises(WindowTooSmallError, match="no samples"):
+        envelope_points(Mapped(lambda v: v[v < 0], np.arange(5.0)), np.arange(5.0))
+
+
+def test_the_reductions_stay_under_30_bytes_per_character():
+    # 24 bytes are kept (the int32 xi and eta, lambda, gain); the window is
+    # built band by band and every pass runs chunk by chunk, so the full-length
+    # buffers of the earlier layouts (50 bytes, 98 for the square) are gone
     op = torus_translation(parse_real("(1+1*sqrt(5))/2"))
     symbol = build_symbol(op, TORUS2)
     tracemalloc.start()
@@ -157,7 +260,21 @@ def test_the_reductions_stay_under_60_bytes_per_character():
     finally:
         tracemalloc.stop()
     assert len(table) == 314197
-    assert peak / len(table) < 60
+    assert peak / len(table) < 30
+
+
+def test_the_gains_csv_writer_stays_within_4_megabytes_at_1e5(tmp_path):
+    table = gain_table(build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2")), TORUS2),
+                       TORUS2, 1e5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cli._write_gains_csv(str(tmp_path / "gains.csv"), table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +294,8 @@ def one_megabyte(monkeypatch):
 @pytest.mark.parametrize("model, cutoff", [(TORUS2, 1e4), (SU2, 1e11)])
 def test_window_beyond_physical_memory_is_refused_before_enumerating(
         model, cutoff, one_megabyte, monkeypatch):
-    # pi (100 + 1)^2 * 32 bytes and (2 * 316228 + 1) * 40 bytes exceed 1 MB
+    # pi (100 + 1)^2 * 24 bytes and (2 * 316228 + 1) * 40 bytes exceed half a megabyte
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 5 * 10**5)
     monkeypatch.setattr(spectral, "torus_lattice", one_megabyte)
     monkeypatch.setattr(spectral, "su2_levels", one_megabyte)
     with pytest.raises(PreconditionError, match=f"cutoff {cutoff!r} is too large to enumerate"):
@@ -195,16 +313,16 @@ def test_an_indeterminate_physical_memory_sets_no_budget(pages, size, monkeypatc
 
 @pytest.mark.parametrize("model, cutoff", [(TORUS2, 900), (SU2, 1e8)])
 def test_window_within_the_budget_is_enumerated(model, cutoff, one_megabyte):
-    # pi (30 + 1)^2 * 32 bytes and (2 * 10^4 + 1) * 40 bytes fit in 1 MB
+    # pi (30 + 1)^2 * 24 bytes and (2 * 10^4 + 1) * 40 bytes fit in 1 MB
     assert len(Window(model, cutoff)) > 0
 
 
 def test_cli_exits_3_on_a_window_beyond_physical_memory(one_megabyte, capsys):
     spec = {"model": {"kind": "torus2"},
             "operator": {"kind": "torus_poly", "terms": [{"coeff": [1, 0], "deg_t": 1}]}}
-    assert cli.main(["analyze", "--spec", json.dumps(spec), "--cutoff", "1e4"]) == 3
+    assert cli.main(["analyze", "--spec", json.dumps(spec), "--cutoff", "2e4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
-    assert err == {"error": "the window of cutoff 10000.0 is too large to enumerate",
+    assert err == {"error": "the window of cutoff 20000.0 is too large to enumerate",
                    "kind": "PreconditionError"}

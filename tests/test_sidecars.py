@@ -17,7 +17,7 @@ from hyposym.symbols import MatrixTable, gain_table
 from conftest import su2_laplace_minus_axis_sq, torus_translation
 from oracles import rowwise_coeffs_csv, rowwise_gains_csv
 
-CHUNKS = [1, 7, cli.CSV_CHUNK_ROWS]
+CHUNKS = [1, 7, 16384, cli.CSV_CHUNK_ROWS]  # 16384: one chunk for every table here
 
 
 def _torus_poly(big):

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -299,6 +300,66 @@ def test_cli_huge_exact_result_exits_3(argv, message, int_digit_limit, capsys):
     assert err["kind"] == "PreconditionError" and message in err["error"]
 
 
+@pytest.mark.parametrize("exponent, message", [
+    ("1000000", "--exp 1000000: the exact objective has more than 4300 digits, Python's "
+                "limit for int text"),
+    ("-1000000", "the objective is beyond float range")])
+def test_cli_torus_gain_refuses_a_huge_exponent_before_building_weights(exponent, message):
+    # the weights (1+|xi|+|eta|)^N would have millions of bits; the parent
+    # process sets no int-to-text limit, so the child keeps the default 4300
+    started = time.perf_counter()
+    proc = run_cli("torus-gain", "--c", "(1+1*sqrt(5))/2", "--radius", "8", f"--exp={exponent}")
+    assert time.perf_counter() - started < 2.0
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": message, "kind": "PreconditionError"}
+
+
+@pytest.mark.parametrize("exponent", [10**6, -10**6])
+def test_cli_torus_gain_exact_zero_answers_at_any_exponent(exponent, capsys):
+    # 1/2 vanishes at (-1, 2) in the ball: the objective is 0 whatever N is,
+    # and no weight is built
+    started = time.perf_counter()
+    assert cli.main(["torus-gain", "--c", "1/2", "--radius", "8", f"--exp={exponent}"]) == 0
+    assert time.perf_counter() - started < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["argmin"] == [-1, 2] and doc["is_exact_zero"]
+    assert doc["objective"] == {"lo": 0.0, "hi": 0.0, "exact": "0"}
+
+
+@pytest.mark.parametrize("literal, radius", [("(1+1*sqrt(5))/2", 8), ("-3/7", 3),
+                                             ("(-2+3*sqrt(13))/5", 5), ("1/3", 3)])
+def test_cli_torus_gain_refusal_agrees_with_the_search_at_its_threshold(
+        literal, radius, int_digit_limit, monkeypatch):
+    # the least exponents the scale refuses: one step below them the search
+    # runs, and at them the search, run anyway, fails the same way (on the
+    # exact text for N > 0, on float range for N < 0)
+    from hyposym import diophantine
+    from hyposym.exact import parse_real
+
+    scale = diophantine.objective_scale(parse_real(literal), radius)
+    positive, negative = (scale * 10**640).bit_length(), -(scale << 1025).bit_length()
+    searched = []
+    search = diophantine.torus_min_gain
+    monkeypatch.setattr(diophantine, "torus_min_gain",
+                        lambda c, r, n: searched.append(n) or search(c, r, n))
+
+    def run(n):
+        return _run_cli_quietly(["torus-gain", f"--c={literal}", f"--radius={radius}",
+                                 f"--exp={n}"])
+
+    below = [run(n) for n in (positive - 1, negative + 1)]
+    assert searched == [positive - 1, negative + 1]
+    assert all(code in (0, 3) for code, _, _ in below)
+    refused = [run(n) for n in (positive, negative)]
+    assert searched == [positive - 1, negative + 1]
+    monkeypatch.setattr(diophantine, "objective_scale", lambda c, radius: None)
+    unrefused = [run(n) for n in (positive, negative)]
+    assert refused[0][0] == unrefused[0][0] == 3
+    assert json.loads(refused[0][2])["error"] == f"--exp {positive}: " + json.loads(
+        unrefused[0][2])["error"]
+    assert refused[1] == unrefused[1]
+
+
 def test_cli_pell_at_the_digit_limit_still_reports(int_digit_limit, capsys):
     assert cli.main(["pell", "--d", "8", "--count", "836"]) == 0
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 836
@@ -546,6 +607,22 @@ def test_cli_merged_coefficient_beyond_float_range_is_schema_violation(coeff, tm
                     f'"poly": [{term}, {term}]}}}}')
     assert cli.main(["analyze", "--spec", str(path), "--cutoff", "30"]) == 2
     assert any("merged coefficient" in v and "float range" in v for v in _violations(capsys))
+
+
+def test_cli_merged_coefficient_longer_than_text_is_schema_violation(tmp_path, capsys):
+    # each literal's integers have 3000 digits, within Python's 4300; the two
+    # terms of equal degrees merge into a coefficient of about 6000-digit
+    # integers, which the report could not echo
+    nines = "9" * 3000
+    poly = [{"coeff_real": f"({nines}+1*sqrt(5))/{nines[:-1]}1", "deg_neglap": 1},
+            {"coeff_real": f"({nines[:-1]}7+1*sqrt(5))/{nines[:-1]}3", "deg_neglap": 1}]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"model": {"kind": "su2"},
+                                "operator": {"kind": "su2_diag", "poly": poly}}))
+    assert cli.main(["analyze", "--spec", str(path), "--cutoff", "30"]) == 2
+    assert _violations(capsys) == [
+        "operator.poly: the merged coefficient of degrees (0, 1) has more than "
+        f"{sys.get_int_max_str_digits()} digits, Python's limit for int text"]
 
 
 def test_cli_symbol_values_beyond_float_range_are_precondition(tmp_path, capsys):

@@ -33,10 +33,10 @@ from .exact import Fraction, Surd, format_real, parse_real
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    except ValueError:  # an int longer than Python writes as text
-        raise _long_int_error(doc) from None
+    path = (bound := _int_text_bound()) and _long_int(doc, "report", bound)
+    if path:  # an int longer than Python writes as text, found before encoding
+        raise PreconditionError(f"{path} {_too_long()}")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -54,16 +54,12 @@ def _int_text_bound() -> int | None:
     return 10**digits if digits else None
 
 
-def _long_int_error(doc) -> PreconditionError:
-    return PreconditionError(f"{_long_int(doc, 'report', _int_text_bound())} {_too_long()}")
-
-
 def _long_int(doc, path: str, bound: int) -> str | None:
     """The path of the first int in ``doc``, in json.dumps order, of at least
     ``bound`` in magnitude."""
     if isinstance(doc, dict):
         found = (_long_int(v, f"{path}.{k}", bound) for k, v in sorted(doc.items()))
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, tuple)):
         found = (_long_int(v, f"{path}[{i}]", bound) for i, v in enumerate(doc))
     else:
         return path if isinstance(doc, int) and abs(doc) >= bound else None

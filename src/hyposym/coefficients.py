@@ -29,7 +29,7 @@ from .spectral import (
     bracket_power,
     frequency_for_label,
 )
-from .symbols import MatrixSymbol, block_values
+from .symbols import MatrixSymbol, block_extrema
 
 __all__ = [
     "CoefficientField",
@@ -309,17 +309,18 @@ def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
     """Yield ``(lo, hi, lower)`` over runs of the window's blocks, in order.
 
     ``lower[i - lo]`` is at most block i's exact gain and its float gain
-    ``symbol.gain``: the ``block_values`` gain less the symbol's
+    ``symbol.gain``: the ``block_extrema`` gain less the symbol's
     ``bulk_err``.  It is -inf for a dense symbol, which has no rounding
     bound, and from the first run whose values leave float range onwards.
     """
     done = 0
     if symbol.is_diagonal:
         try:
-            for lo, hi, values, offsets in block_values(symbol, window):
+            for lo, hi, gain, _ in block_extrema(symbol, window):
                 err = symbol.bulk_err(*(x[lo:hi] for x in window.labels))
-                with np.errstate(invalid="ignore"):
-                    yield lo, hi, np.minimum.reduceat(values, offsets) - err
+                with np.errstate(invalid="ignore"):  # inf - inf; no yield inside the context
+                    lower = gain - err
+                yield lo, hi, lower
                 done = hi
         except (PreconditionError, OverflowError):  # values beyond float range
             pass

@@ -69,10 +69,6 @@ class Su2Label:
         if self.twice_ell < 0:
             raise ValueError("twice_ell must be nonnegative")
 
-    @property
-    def ell(self) -> Fraction:
-        return Fraction(self.twice_ell, 2)
-
     def eigenvalue(self) -> Fraction:
         t = self.twice_ell
         return Fraction(t * (t + 2), 4)

@@ -35,7 +35,7 @@ from .spectral import (
     bracket_power,
     frequency_for_label,
 )
-from .symbols import MatrixSymbol, block_values, zero_mask
+from .symbols import MatrixSymbol, block_extrema, zero_mask
 
 KERNEL_TOL = 1e-12
 
@@ -105,13 +105,14 @@ def _window_pass(
     tol: float,
     m: float | None = None,
 ):
-    """The truncated kernel and, given m, the C* witness, from numpy
-    reductions over the chunks of ``block_values``.  The witness (C*, freq,
-    entry) is the first strict minimum over blocks of the least nonzero
-    value times (1 + lam)^{-m/nu}, or None when m is None or every block is
-    entirely kernel.  Its entry is the first minimum of a diagonal block and
-    the last nonzero singular value of a dense one.
-    """
+    """The truncated kernel and, given m, the C* witness, from the runs of
+    ``block_extrema``.  Only a block whose gain ``zero_mask`` flags has a
+    kernel, and only it is evaluated again, for its basis and least nonzero
+    value.  The witness (C*, freq, entry) is the first strict minimum over
+    blocks of the least nonzero value times (1 + lam)^{-m/nu}, or None when
+    m is None or every block is entirely kernel.  Its entry, from one more
+    evaluation, is the first minimum of a diagonal block and the last
+    nonzero singular value of a dense one."""
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
     window = Window(model, cutoff)
@@ -119,37 +120,40 @@ def _window_pass(
     total = 0
     boundary = False
     best = None
-    for lo, hi, values, offsets in block_values(symbol, window):
-        sizes = window.sizes[lo:hi]
-        zero = zero_mask(values, np.repeat(np.maximum.reduceat(values, offsets), sizes), tol)
-        nullity = np.add.reduceat(zero, offsets)
-        for k in np.flatnonzero(nullity).tolist():
+    for lo, hi, gain, opnorm in block_extrema(symbol, window):
+        kernel = np.flatnonzero(zero_mask(gain, opnorm, tol)).tolist()
+        least = gain.copy() if kernel else gain  # the least nonzero value per block
+        for k in kernel:
             freq = window.freq(lo + k)
-            block_zero = zero[offsets[k]:offsets[k] + sizes[k]]
-            n = int(nullity[k])
+            values = symbol.values(freq)
+            zero = zero_mask(values, opnorm[k], tol)
+            n = int(np.count_nonzero(zero))
             if symbol.is_diagonal:
-                basis = np.eye(len(block_zero), dtype=complex)[:, block_zero]
+                basis = np.eye(len(zero), dtype=complex)[:, zero]
             else:
                 # a full SVD only for a dense block with a kernel: its zero
                 # values descend to the last rows of vh
-                basis = np.linalg.svd(symbol.block(freq))[2][len(block_zero) - n:].conj().T
+                basis = np.linalg.svd(symbol.block(freq))[2][len(zero) - n:].conj().T
             basis.setflags(write=False)
             blocks[freq.label] = basis
-            total += n * (int(sizes[k]) if symbol.replicated else 1)
+            total += n * (freq.label.rep_dim() if symbol.replicated else 1)
             boundary = boundary or freq.lam > 0.8 * cutoff
+            least[k] = np.min(values[~zero], initial=np.inf)
         if m is None:
             continue
-        least = np.minimum.reduceat(np.where(zero, np.inf, values), offsets)
         weights = [bracket_power(lam, -m / model.nu) for lam in window.lam[lo:hi].tolist()]
         # an all-kernel block stays out, even where its weight underflows to 0
         cand = least * np.where(least < np.inf, weights, 1.0)
         k = int(np.argmin(cand))
         if cand[k] < np.inf and (best is None or cand[k] < best[0]):
-            # zero values lie below the least nonzero one, and singular values
-            # descend: the last hit of a dense block ends its nonzero prefix
-            hits = np.flatnonzero(values[offsets[k]:offsets[k] + sizes[k]] == least[k])
-            best = (float(cand[k]), window.freq(lo + k),
-                    int(hits[0] if symbol.is_diagonal else hits[-1]))
+            best = (float(cand[k]), lo + k, least[k])
+    if best is not None:
+        # zero values lie below the least nonzero one, and singular values
+        # descend: the last hit of a dense block ends its nonzero prefix
+        c_star, i, least = best
+        freq = window.freq(i)
+        hits = np.flatnonzero(symbol.values(freq) == least)
+        best = (c_star, freq, int(hits[0] if symbol.is_diagonal else hits[-1]))
     return TruncatedKernel(model, cutoff, tol, blocks, symbol.replicated, total, boundary), best
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "build_symbol",
     "zero_mask",
     "block_values",
+    "block_extrema",
     "smallest_gain",
     "operator_norm",
     "gain_table",
@@ -646,13 +647,14 @@ def block_values(symbol: MatrixSymbol, window: Window, start: int = 0):
     symbol, else ``symbol.values`` per block: the values-only SVD of a
     dense block, as a full SVD rounds differently in the last bits and
     gains and C* are read from these.  Values beyond float range are a
-    precondition violation.  The runs are those of a pass from block 0;
-    the ones before the run holding block ``start`` are not evaluated.
+    precondition violation.  The runs are those of a pass from block 0, cut
+    to begin at block ``start``: the blocks before it are not evaluated.
     """
     sizes = window.sizes
     for lo, hi in _chunks(sizes, BULK_CHUNK_ENTRIES):
         if hi <= start:
             continue
+        lo = max(lo, start)
         with np.errstate(over="ignore", invalid="ignore"):
             if symbol.is_diagonal:
                 values = np.abs(symbol.bulk(*(x[lo:hi] for x in window.labels)))
@@ -740,47 +742,46 @@ def _screened_su2_extrema(op: Su2DiagPoly, levels: np.ndarray):
     return np.minimum.reduceat(values, first), np.maximum.reduceat(values, first)
 
 
-def _screen_su2(symbol: MatrixSymbol, window: Window, gains, norms) -> int:
-    """Fill ``gains``/``norms`` of the leading levels of an SU(2) polynomial
-    symbol from ``_screened_su2_extrema``, in groups of levels holding up to
-    BULK_CHUNK_ENTRIES runs; return the first level the screen left open."""
-    levels = window.labels[0]
-    try:
-        for c, _, _ in symbol.op.terms:
-            c.to_complex()
-    except PreconditionError:
-        return 0  # the unscreened pass raises it where it always did
-    for lo, hi in _chunks(_su2_runs(levels)[1], BULK_CHUNK_ENTRIES):
-        extrema = _screened_su2_extrema(symbol.op, levels[lo:hi])
+def block_extrema(symbol: MatrixSymbol, window: Window):
+    """Yield ``(lo, hi, gain, opnorm)`` over runs of the window's blocks, in
+    order: the least and largest value of blocks lo..hi-1.  An SU(2)
+    polynomial symbol is screened (``_screened_su2_extrema``) in groups of
+    levels holding up to BULK_CHUNK_ENTRIES runs, as far as the screen is
+    trusted; the other blocks are reduced from ``block_values``.  Both give
+    the same bits, and the same errors.  On 1x1 blocks ``opnorm`` is ``gain``.
+    """
+    start, levels = 0, window.labels[0]
+    screen = symbol.replicated and symbol.is_diagonal
+    for lo, hi in _chunks(_su2_runs(levels)[1], BULK_CHUNK_ENTRIES) if screen else ():
+        try:
+            extrema = _screened_su2_extrema(symbol.op, levels[lo:hi])
+        except PreconditionError:  # a coefficient beyond float range: block_values raises it
+            break
         if extrema is None:
-            return lo
-        gains[lo:hi], norms[lo:hi] = extrema
-    return len(levels)
+            break
+        yield lo, hi, *extrema
+        start = hi
+    if start == len(window):
+        return
+    for lo, hi, values, offsets in block_values(symbol, window, start):
+        extrema = values, values  # 1x1 blocks: each value is the gain and the norm
+        if symbol.replicated:
+            extrema = np.minimum.reduceat(values, offsets), np.maximum.reduceat(values, offsets)
+        yield lo, hi, *extrema
 
 
 def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> GainTable:
-    """Gains and operator norms of all frequencies with eigenvalue <= cutoff.
-
-    An SU(2) polynomial symbol is screened (``_screened_su2_extrema``) as
-    far as the screen is trusted; the other blocks are reduced from
-    ``block_values``.  Both give the same bits.
-    """
+    """Gains and operator norms of all frequencies with eigenvalue <= cutoff,
+    filled from ``block_extrema``."""
     if symbol.model.kind != model.kind:
         raise PreconditionError("symbol does not match the model")
     window = Window(model, cutoff)
     gains = np.empty(len(window))
-    if model.kind == "torus2":  # 1x1 blocks: each value is the gain and the norm
-        for lo, hi, values, _ in block_values(symbol, window):
-            gains[lo:hi] = values
-        return GainTable(window, gains, gains)
-    norms = np.empty(len(window))
-    start = 0
-    if symbol.replicated and symbol.is_diagonal:
-        start = _screen_su2(symbol, window, gains, norms)
-    if start < len(window):
-        for lo, hi, values, offsets in block_values(symbol, window, start):
-            gains[lo:hi] = np.minimum.reduceat(values, offsets)
-            norms[lo:hi] = np.maximum.reduceat(values, offsets)
+    norms = np.empty(len(window)) if symbol.replicated else gains
+    for lo, hi, gain, opnorm in block_extrema(symbol, window):
+        gains[lo:hi] = gain
+        if norms is not gains:
+            norms[lo:hi] = opnorm
     return GainTable(window, gains, norms)
 
 

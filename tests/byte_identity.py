@@ -11,7 +11,7 @@ Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
 ``PYTHONPATH`` set to that side's ``src``, its stdout written to the file the
 plan names.  Exit codes, stdout, stderr and the sha256 of every file a
 command writes are compared.  The fixed ``CASES`` (inputs that fail, a
-branch no plan takes, and torus windows larger than any plan's) then run
+branch no plan takes, and windows larger than any plan's) then run
 once per side, and their exit codes, stdout and stderr are compared.  The differences are listed and the exit code is 1
 if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
 not collect this file (its name does not start with ``test_``).
@@ -44,6 +44,10 @@ GAP = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                      {"coeff": [1, 0], "deg_d0": 2}])
 PELL = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                       {"coeff": [2, 0], "deg_d0": 2}])
+# a negLap coefficient 2^985: the SU(2) screen trusts levels 0..334 of 2000 at
+# cutoff 1e6 and hands the rest to the full reduction
+SCALED_GAP = _spec("su2", "su2_diag", poly=[{"coeff": [2.0**985, 0], "deg_neglap": 1},
+                                            {"coeff": [1, 0], "deg_d0": 2}])
 FOUR_SEVENTHS = _spec("torus2", "torus_poly", terms=[{"coeff": [1, 0], "deg_t": 1},
                                                     {"coeff_real": "4/7", "deg_x": 1}])
 CASES = [
@@ -58,6 +62,13 @@ CASES = [
     # order of 785,349 characters, and 249 singular points spread over 62 bands
     ["analyze", "--spec", PHI, "--cutoff", "250000.5"],
     ["singular-scan", "--spec", FOUR_SEVENTHS, "--cutoff", "1000000"],
+    # SU(2) window passes at a cutoff no plan reaches: the kernel and C*, the
+    # counterexample screen, and a gain table across the screen's hand-over
+    ["subelliptic", "--spec", GAP, "--cutoff", "1e6", "--probes", "0"],
+    ["counterexample", "--spec", PELL, "--cutoff", "1e6", "--k", "4"],
+    ["analyze", "--spec", SCALED_GAP, "--cutoff", "1e6"],
+    # a report refused for an int too long for text, found before encoding
+    ["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "40000"],
 ]
 
 

@@ -340,6 +340,17 @@ def test_screened_search_over_small_runs_of_blocks(op, model, k_steps, cutoff, m
     _assert_same_search(build_symbol(op, model), model, k_steps, cutoff)
 
 
+def test_screened_search_across_the_screen_handover(monkeypatch):
+    # 2^990 negLap + d0^2: with chunks of 5 the SU(2) screen gives the gain
+    # lower bounds of levels 0..63 and block_values those of levels 64..199;
+    # every gain from level 1/2 on is far above 1, so both searches run out
+    import hyposym.symbols as symbols_module
+
+    monkeypatch.setattr(symbols_module, "BULK_CHUNK_ENTRIES", 5)
+    op = Su2DiagPoly.make([(Coefficient.make(2.0**990), 0, 1), (Coefficient.make(1), 2, 0)])
+    assert _assert_same_search(build_symbol(op, SU2), SU2, 2, 1e4) is None
+
+
 def test_pell_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch):
     # every level other than the Pell zeros has gain >= 1/4, far above
     # (1+lambda)^{-k}: the float screen rules it out, so su2_diag_exact

@@ -4,7 +4,6 @@ fraction of the entry evaluations."""
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from hyposym import SU2, Su2DiagPoly, build_symbol, symbols
 from hyposym.errors import PreconditionError
 from hyposym.spectral import Window
+from hyposym.subelliptic import kernel_on_truncation
 from hyposym.symbols import Coefficient, gain_table
 
 from oracles import unscreened_gain_table
@@ -88,6 +88,27 @@ def test_screened_gain_table_at_1e6(op):
     _assert_same_table(op, 1e6)
 
 
+def _handover(op, cutoff) -> int | None:
+    """The first level ``block_extrema`` hands to ``block_values``, or None
+    when the screen covers every level and ``block_values`` is not called."""
+    window = Window(SU2, cutoff)
+    starts = []
+
+    def recording(symbol, window, start=0):
+        starts.append(start)
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbols, "block_values", recording)
+        runs = [(lo, hi) for lo, hi, _, _ in symbols.block_extrema(build_symbol(op, SU2), window)]
+    start = starts[0] if starts else None
+    # the screened runs cover levels 0 .. start - 1, in order
+    edges = [0] + [hi for _, hi in runs]
+    assert [lo for lo, _ in runs] == edges[:-1]
+    assert edges[-1] == (len(window) if start is None else start)
+    return start
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("coeff", [1e299, 10**299, 1.5e299j])
 def test_overflow_mid_window_raises_the_unscreened_message(coeff, chunk, monkeypatch):
@@ -98,24 +119,39 @@ def test_overflow_mid_window_raises_the_unscreened_message(coeff, chunk, monkeyp
     op = _poly((coeff, 0, 2), (1, 2, 0))
     want = _assert_same_table(op, 1e5)
     assert want.startswith("PreconditionError: symbol values beyond float range")
-    window = Window(SU2, 1e5)
-    start = symbols._screen_su2(build_symbol(op, SU2), window, np.empty(len(window)),
-                                np.empty(len(window)))
     # with small groups the screen takes the first levels and hands over mid-window
-    assert (0 < start < len(window)) == (chunk is not None)
+    start = _handover(op, 1e5)
+    assert (0 < start < len(Window(SU2, 1e5))) == (chunk is not None)
+
+
+@pytest.mark.parametrize("chunk, coeff, cutoff, start", [
+    (5, 2.0**990, 1e4, 64), (None, 2.0**985, 1e6, 335)])
+def test_handover_mid_window_at_a_level_edge(chunk, coeff, cutoff, start, monkeypatch):
+    # c negLap + d0^2: the screen trusts a level while c l(l+1) stays within
+    # 2^1000, and the entries stay finite to the end of the window
+    if chunk is not None:
+        monkeypatch.setattr(symbols, "BULK_CHUNK_ENTRIES", chunk)
+    op = _poly((coeff, 0, 1), (1, 2, 0))
+    assert _handover(op, cutoff) == start
+    # the screened runs and the full reduction's runs tile the window, also
+    # where a run of several levels holds the first open one
+    window = Window(SU2, cutoff)
+    runs = [(lo, hi) for lo, hi, _, _ in symbols.block_extrema(build_symbol(op, SU2), window)]
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+    assert runs[-1][1] == len(window)
+    _assert_same_table(op, cutoff)
 
 
 def test_degree_100_and_beyond_float_range_take_the_unscreened_pass():
     high = _poly((1, 100, 0), (1, 0, 1))
     _assert_same_table(high, 50)
-    window = Window(SU2, 50)
-    assert symbols._screen_su2(build_symbol(high, SU2), window, np.empty(len(window)),
-                               np.empty(len(window))) == 0
+    assert _handover(high, 50) == 0
     # a coefficient beyond float range fails as it always did
     big = Su2DiagPoly.make([(Coefficient.make(10**200), 0, 0), (Coefficient.make(1), 2, 0)])
     square = big.mul(big)
     message = _assert_same_table(square, 10)
     assert message.startswith(f"PreconditionError: the coefficient {10**400} + 0 i leaves")
+    assert _handover(square, 10) == 0
     # the first term's Python float power lam^99 overflows before the second
     # term's coefficient is read, in the first chunk
     first = Su2DiagPoly.make([(Coefficient.make(1), 0, 99), (Coefficient.make(10**400), 1, 0)])
@@ -127,15 +163,19 @@ def test_degree_100_and_beyond_float_range_take_the_unscreened_pass():
     _poly((1, 0, 1), (Fraction(3, 4), 2, 0)),
 ], ids=["a(negLap + d0^2)", "negLap + 3/4 d0^2"])
 def test_screen_evaluates_a_fraction_of_the_entries(op, monkeypatch):
-    # a silent fallback to the full scan evaluates every entry and fails here
-    evaluated = []
+    # a silent fallback to the full scan evaluates every entry and fails here;
+    # the kernel pass evaluates again only its kernel blocks and the witness
     entries = symbols._su2_entries
+    for fn in (gain_table, kernel_on_truncation):
+        evaluated = []
 
-    def counting(*args):
-        out = entries(*args)
-        evaluated.append(len(out))
-        return out
+        def counting(*args):
+            out = entries(*args)
+            evaluated.append(len(out))
+            return out
 
-    monkeypatch.setattr(symbols, "_su2_entries", counting)
-    table = gain_table(build_symbol(op, SU2), SU2, 1e6)
-    assert sum(evaluated) < 0.2 * int(table.window.sizes.sum())
+        monkeypatch.setattr(symbols, "_su2_entries", counting)
+        fn(build_symbol(op, SU2), SU2, 1e6)
+        assert sum(evaluated) < 0.2 * int(Window(SU2, 1e6).sizes.sum())
+    # the screen covers every level, and the full reduction is never started
+    assert _handover(op, 1e6) is None

@@ -365,6 +365,18 @@ def test_cli_pell_at_the_digit_limit_still_reports(int_digit_limit, capsys):
     assert len(json.loads(capsys.readouterr().out)["solutions"]) == 836
 
 
+def test_cli_refuses_a_long_int_before_encoding_the_report(monkeypatch, capsys):
+    # solution 5617 of pell --d 8 passes the default limit of 4300 digits: the
+    # report is refused before it is encoded, so json.dumps writes only the error
+    calls = []
+    dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda *args, **kw: calls.append(1) or dumps(*args, **kw))
+    assert cli.main(["pell", "--d", "8", "--count", "6000"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "report.solutions[5617].m " + cli._too_long()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["pell", "--d", "8", "--count", "1000000000000"], "report.solutions[836].m has more than 640"),
     (["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "1000000000000"],

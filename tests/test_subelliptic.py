@@ -23,7 +23,7 @@ from hyposym import (
 )
 from hyposym.errors import PreconditionError
 from hyposym.subelliptic import KERNEL_TOL
-from hyposym.symbols import Coefficient, TorusPoly
+from hyposym.symbols import Coefficient, Su2DiagPoly, TorusPoly
 
 from conftest import constant_one, torus_translation
 
@@ -337,7 +337,7 @@ def _reference_pass(symbol, model, cutoff, m, tol=KERNEL_TOL):
 @pytest.mark.parametrize("chunk", [5, None])
 @pytest.mark.parametrize("m", [1.0, 0.0, -0.5])
 @pytest.mark.parametrize("case", ["torus_resonant", "su2_pell", "dense_planted",
-                                  "tied_diagonal", "tied_dense", "identity"])
+                                  "tied_diagonal", "tied_dense", "identity", "screen_handover"])
 def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch,
                                                      torus_resonant_symbol, su2_pell_symbol,
                                                      su2_gap_symbol):
@@ -358,6 +358,10 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
             8 * 10 / 4),
         # at m = 1, numpy's array power rounds 26 ** -0.5 differently
         "identity": (TORUS2, build_symbol(constant_one(TORUS2), TORUS2), 25),
+        # the SU(2) screen trusts levels 0..63 only; with chunks of 5 it hands
+        # the rest of the window to block_values at level 64 of 200
+        "screen_handover": (SU2, build_symbol(Su2DiagPoly.make([
+            (Coefficient.make(2.0**990), 0, 1), (Coefficient.make(1), 2, 0)]), SU2), 1e4),
     }[case]
     blocks, (c_star, label, entry) = _reference_pass(symbol, model, cutoff, m)
     kernel, (got_c, got_freq, got_entry) = _window_pass(symbol, model, cutoff, KERNEL_TOL, m)

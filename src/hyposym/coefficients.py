@@ -1,11 +1,11 @@
 """Coefficient sequences: distributions as per-frequency vectors.
 
 A distribution or smooth function enters the analysis only through its
-coefficient vectors u_hat(j) in C^{dim_j}.  This module provides the field
-type (finitely supported or rule-based), Sobolev norms on truncations,
-decay-based regularity classification, symbol application, and the
-counterexample constructor that turns a failing gain bound into an
-explicit non-smooth field with smooth image.
+coefficient vectors u_hat(j) in C^{dim_j}.  This module provides the
+finitely supported field type, Sobolev norms on truncations, decay-based
+regularity classification, symbol application, and the counterexample
+constructor that turns a failing gain bound into an explicit non-smooth
+field with smooth image.
 
 Floating-point reductions run in fixed frequency order so repeated runs
 reproduce bit-for-bit on one platform.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -45,84 +45,51 @@ __all__ = [
 
 
 class CoefficientField:
-    """A coefficient sequence, finitely supported or rule-based.
+    """A finitely supported coefficient sequence: labels mapped to complex
+    vectors whose lengths match the block dimension.
 
-    Explicit fields map labels to complex vectors (lengths must match the
-    block dimension); rule fields evaluate a pure function of the frequency
-    and are valid up to a stated eigenvalue cutoff.
+    Zero vectors are dropped, and the support is ordered once, here, by
+    (eigenvalue, label); every label is of one kind, torus or SU(2).
     """
 
-    def __init__(self, explicit=None, rule=None, valid_to=None):
-        if (explicit is None) == (rule is None):
-            raise PreconditionError("field needs exactly one of explicit/rule")
-        self._rule: Callable[[FrequencyIndex], np.ndarray] | None = rule
-        self.valid_to = valid_to
-        if rule is not None and valid_to is None:
-            raise PreconditionError("rule fields need a validity cutoff")
-        self._explicit: dict[Label, np.ndarray] | None = None
-        if explicit is not None:
-            store = {}
-            for label, vec in explicit.items():
-                arr = np.array(vec, dtype=complex).reshape(-1)
-                if arr.shape[0] != label.block_dim():
-                    raise PreconditionError(
-                        f"vector at {label} has length {arr.shape[0]}, "
-                        f"expected {label.block_dim()}"
-                    )
-                if np.any(arr != 0):
-                    arr.setflags(write=False)
-                    store[label] = arr
-            self._explicit = store
-
-    @staticmethod
-    def zero() -> "CoefficientField":
-        return CoefficientField(explicit={})
+    def __init__(self, explicit: Mapping[Label, np.ndarray]):
+        if len({type(label) for label in explicit}) > 1:
+            raise PreconditionError("a field's labels must be all torus or all SU(2) labels")
+        entries = []
+        for label, vec in explicit.items():
+            arr = np.array(vec, dtype=complex).reshape(-1)
+            if arr.shape[0] != label.block_dim():
+                raise PreconditionError(
+                    f"vector at {label} has length {arr.shape[0]}, "
+                    f"expected {label.block_dim()}"
+                )
+            if np.any(arr != 0):
+                arr.setflags(write=False)
+                entries.append((float(label.eigenvalue()), label, arr))
+        entries.sort(key=lambda e: e[:2])
+        self._lams = [lam for lam, _, _ in entries]
+        self._explicit = {label: arr for _, label, arr in entries}
 
     @staticmethod
     def from_dict(data: Mapping[Label, np.ndarray]) -> "CoefficientField":
         return CoefficientField(explicit=data)
 
-    @staticmethod
-    def from_rule(rule, valid_to: float) -> "CoefficientField":
-        return CoefficientField(rule=rule, valid_to=valid_to)
-
-    def support_labels(self):
-        """Explicit support in canonical (eigenvalue, label) order."""
-        if self._explicit is None:
-            raise PreconditionError("rule fields have no finite support list")
-        return sorted(self._explicit, key=lambda lab: (float(lab.eigenvalue()), lab))
+    def support_labels(self) -> list[Label]:
+        """The support in canonical (eigenvalue, label) order."""
+        return list(self._explicit)
 
     def coeff(self, freq: FrequencyIndex) -> np.ndarray:
-        if self._explicit is not None:
-            vec = self._explicit.get(freq.label)
-            if vec is None:
-                return np.zeros(freq.dim, dtype=complex)
-            return vec
-        if self.valid_to is not None and freq.lam > self.valid_to:
-            raise PreconditionError(
-                f"rule field valid to lambda={self.valid_to}, asked for {freq.lam}"
-            )
-        arr = np.asarray(self._rule(freq), dtype=complex).reshape(-1)
-        if arr.shape[0] != freq.dim:
-            raise PreconditionError("rule returned a vector of the wrong length")
-        return arr
+        vec = self._explicit.get(freq.label)
+        if vec is None:
+            return np.zeros(freq.dim, dtype=complex)
+        return vec
 
     def window(self, model: SpectralModel, cutoff: float):
-        """(freq, vector) pairs with lam <= cutoff, canonical order, zeros skipped."""
-        if self._explicit is not None:
-            for label in self.support_labels():
-                lam = float(label.eigenvalue())
-                if lam <= cutoff:
-                    yield frequency_for_label(model, label), self._explicit[label]
-        else:
-            if self.valid_to is not None and cutoff > self.valid_to:
-                raise PreconditionError(
-                    f"cutoff {cutoff} exceeds the rule's validity {self.valid_to}"
-                )
-            for freq in Window(model, cutoff):
-                vec = self.coeff(freq)
-                if np.any(vec != 0):
-                    yield freq, vec
+        """(freq, vector) pairs with lam <= cutoff, in canonical order."""
+        for lam, (label, vec) in zip(self._lams, self._explicit.items()):
+            if not lam <= cutoff:
+                break
+            yield frequency_for_label(model, label), vec
 
 
 def sobolev_norm(
@@ -253,8 +220,8 @@ def apply_symbol(
 ) -> CoefficientField:
     """The coefficient field of P u: per frequency, the block product.
 
-    The result is explicit and valid on the truncation lambda <= cutoff.  A
-    diagonal symbol is evaluated once over the whole support.
+    The result is valid on the truncation lambda <= cutoff.  A diagonal
+    symbol is evaluated once over the whole support.
     """
     pairs = list(u.window(symbol.model, cutoff))
     freqs = [freq for freq, _ in pairs]

@@ -341,23 +341,23 @@ _U = 2.0**-53
 _TINY = np.finfo(float).tiny
 
 
-def _ball_candidates(c: Fraction | Surd, radius: int, exponent: int):
+def _ball_candidates(c: Fraction | Surd, radius: int, weights: list[Fraction]):
     """The points of ``_ball(radius)`` whose objective can be the least, in
     ball order; None when the float screen does not apply.
 
-    The objective |xi + c eta| w is enclosed in [obj - err, obj + err]
-    around its float value obj.  ``e_c`` bounds |c - float(c)| through c's
-    128-bit enclosure; the product and the sum in |xi + c_f eta| add
-    4u (|xi| + |c_f eta|); a weight w = s^-N carries u relative when its
-    float is not exact, and the product obj one more u.  err is 4 times
-    that first-order sum, which covers the second-order terms and the
-    roundings of err, obj - err and obj + err, plus the smallest normal
-    float for any underflow.  A point is kept when its lower end is at or
-    below the least upper end, which holds for the argmin and all its exact
-    ties.  A coefficient or weight beyond float range, or a weight below
-    the smallest normal float, leaves the full ball.
+    The objective |xi + c eta| w, w = ``weights[|xi| + |eta|]``, is enclosed
+    in [obj - err, obj + err] around its float value obj.  ``e_c`` bounds
+    |c - float(c)| through c's 128-bit enclosure; the product and the sum
+    in |xi + c_f eta| add 4u (|xi| + |c_f eta|); a weight w = s^-N carries
+    u relative when its float is not exact, and the product obj one more u.
+    err is 4 times that first-order sum, which covers the second-order
+    terms and the roundings of err, obj - err and obj + err, plus the
+    smallest normal float for any underflow.  A point is kept when its
+    lower end is at or below the least upper end, which holds for the
+    argmin and all its exact ties.  A coefficient or weight beyond float
+    range, or a weight below the smallest normal float, leaves the full
+    ball.
     """
-    weights = [_weight(0, d, exponent) for d in range(radius + 1)]
     try:
         c_f = float(c)
         w_f = np.array([float(w) for w in weights])
@@ -387,8 +387,9 @@ def _ball_candidates(c: Fraction | Surd, radius: int, exponent: int):
     return list(zip(xi[keep].tolist(), eta[keep].tolist()))
 
 
-def _weight(xi: int, eta: int, exponent: int) -> Fraction:
-    s = 1 + abs(xi) + abs(eta)
+def _weight(d: int, exponent: int) -> Fraction:
+    """The weight (1 + d)^-N of the points at distance d = |xi| + |eta|."""
+    s = 1 + d
     if exponent >= 0:
         return Fraction(1, s**exponent)
     return Fraction(s ** (-exponent))
@@ -400,7 +401,7 @@ def _bounds(x) -> tuple[Fraction, Fraction]:
     return x.enclosure()
 
 
-def _rational_zero(c: Fraction | Surd, radius: int) -> tuple[int, int] | None:
+def _rational_zero(c: RealSpec, radius: int) -> tuple[int, int] | None:
     """The argmin of a rational c = p/q whose zeros t (-p, q) reach the ball:
     the objective is then 0 at every zero and positive elsewhere, and the
     least |xi| + |eta|, then the least pair, is (-p, q) or (p, -q)."""
@@ -454,18 +455,20 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
     if not isinstance(exponent, int):
         raise PreconditionError("exponent must be an integer for exact weights")
 
+    zero = _rational_zero(c, radius)
+    if zero is not None:  # no weight needed: the least objective is exactly 0
+        return TorusGainResult(argmin=zero, objective_lo=Fraction(0),
+                               objective_hi=Fraction(0), gain_lo=Fraction(0),
+                               gain_hi=Fraction(0), exponent=exponent, radius=radius,
+                               exact_objective=Fraction(0), exact_gain=Fraction(0))
+    # one weight per distance |xi| + |eta|, shared by every point at it
+    weights = [_weight(d, exponent) for d in range(radius + 1)]
     if isinstance(c, (Fraction, Surd)):
-        zero = _rational_zero(c, radius)
-        if zero is not None:  # no weight needed: the least objective is exactly 0
-            return TorusGainResult(argmin=zero, objective_lo=Fraction(0),
-                                   objective_hi=Fraction(0), gain_lo=Fraction(0),
-                                   gain_hi=Fraction(0), exponent=exponent, radius=radius,
-                                   exact_objective=Fraction(0), exact_gain=Fraction(0))
-        points = _ball_candidates(c, radius, exponent)
+        points = _ball_candidates(c, radius, weights)
         best = None
         for xi, eta in _ball(radius) if points is None else points:
             gain = abs(xi + c * eta)
-            obj = gain * _weight(xi, eta, exponent)
+            obj = gain * weights[abs(xi) + abs(eta)]
             tie = (abs(xi) + abs(eta), (xi, eta))
             if best is None or obj < best[0] or (obj == best[0] and tie < best[1]):
                 best = (obj, tie, gain, (xi, eta))
@@ -496,7 +499,7 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
             alo, ahi = -vhi, -vlo
         else:
             alo, ahi = Fraction(0), max(-vlo, vhi)
-        w = _weight(xi, eta, exponent)
+        w = weights[abs(xi) + abs(eta)]
         entries.append((alo * w, ahi * w, alo, ahi, (xi, eta)))
 
     cand = min(entries, key=lambda e: (e[1], abs(e[4][0]) + abs(e[4][1]), e[4]))

@@ -303,15 +303,17 @@ def _torus_ordinal(xi: int, eta: int) -> int:
 
 
 def frequency_for_label(model: SpectralModel, label: Label) -> FrequencyIndex:
-    """Materialize the FrequencyIndex of a label (ordinal found by counting)."""
+    """Materialize the FrequencyIndex of a label (ordinal found by counting).
+    Its lam is the correctly rounded eigenvalue, from int arithmetic."""
     if model.kind == "torus2":
         if not isinstance(label, Torus2Label):
             raise PreconditionError("label does not match model")
         try:
-            j = _torus_ordinal(operator.index(label.xi), operator.index(label.eta))
+            xi, eta = operator.index(label.xi), operator.index(label.eta)
         except TypeError:  # not a lattice point
             raise PreconditionError(f"label {label} not enumerable") from None
-        return FrequencyIndex(j, float(label.eigenvalue()), 1, label)
+        return FrequencyIndex(_torus_ordinal(xi, eta), float(xi * xi + eta * eta), 1, label)
     if not isinstance(label, Su2Label):
         raise PreconditionError("label does not match model")
-    return FrequencyIndex(label.twice_ell, float(label.eigenvalue()), label.block_dim(), label)
+    t = label.twice_ell
+    return FrequencyIndex(t, t * (t + 2) / 4, label.block_dim(), label)

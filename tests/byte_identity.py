@@ -67,6 +67,10 @@ CASES = [
     ["subelliptic", "--spec", GAP, "--cutoff", "1e6", "--probes", "0"],
     ["counterexample", "--spec", PELL, "--cutoff", "1e6", "--k", "4"],
     ["analyze", "--spec", SCALED_GAP, "--cutoff", "1e6"],
+    # coefficient fields on the torus: probes past every plan's cutoff, and
+    # the classification of a counterexample field of 12 frequencies
+    ["subelliptic", "--spec", PHI, "--cutoff", "20000", "--probes", "3", "--seed", "5"],
+    ["counterexample", "--spec", FOUR_SEVENTHS, "--cutoff", "20000", "--k", "12"],
     # a report refused for an int too long for text, found before encoding
     ["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "40000"],
 ]

@@ -14,6 +14,7 @@ from hyposym import (
     Su2DiagPoly,
     Su2Label,
     Torus2Label,
+    Window,
     apply_symbol,
     build_counterexample,
     build_symbol,
@@ -39,15 +40,51 @@ from oracles import unscreened_counterexample
 # fields and Sobolev norms
 
 
+def _window_field(model, cutoff, vector):
+    """The field of ``vector(freq)`` at every frequency of the window."""
+    return CoefficientField.from_dict(
+        {freq.label: vector(freq) for freq in Window(model, cutoff)})
+
+
 def test_field_rejects_wrong_vector_length():
     with pytest.raises(PreconditionError):
         CoefficientField.from_dict({Su2Label(2): [1.0, 2.0]})
 
 
-def test_rule_field_validity_enforced():
-    u = CoefficientField.from_rule(lambda f: np.ones(f.dim), valid_to=50)
-    with pytest.raises(PreconditionError):
-        sobolev_norm(u, 0, TORUS2, 100)
+@pytest.mark.parametrize("data", [
+    {Torus2Label(1, 1): [1.0], Su2Label(2): np.ones(9)},  # both at lambda = 2
+    {Torus2Label(1, 0): [1.0], Su2Label(2): np.ones(9)},
+])
+def test_field_rejects_mixed_label_kinds(data):
+    with pytest.raises(PreconditionError, match="all torus or all SU"):
+        CoefficientField.from_dict(data)
+
+
+def test_field_support_is_ordered_once_and_walked_up_to_the_cutoff(monkeypatch):
+    window = Window(TORUS2, 30)
+    labels = [window.freq(i).label for i in range(len(window))]
+    shuffled = list(np.random.default_rng(7).permutation(len(labels)))
+    u = CoefficientField.from_dict({labels[i]: [1.0 + i] for i in shuffled})
+    assert u.support_labels() == labels
+    v = CoefficientField.from_dict({Su2Label(t): np.ones((t + 1) ** 2) for t in (5, 0, 3)})
+    assert v.support_labels() == [Su2Label(0), Su2Label(3), Su2Label(5)]
+    calls = []
+    for cls in (Torus2Label, Su2Label):
+        real = cls.eigenvalue
+        monkeypatch.setattr(cls, "eigenvalue",
+                            lambda self, real=real: calls.append(self) or real(self))
+    for cutoff in (0, 4, 12.5, 30, 1e9, math.nan):
+        got = [freq for freq, _ in u.window(TORUS2, cutoff)]
+        assert got == [window.freq(i) for i in range(len(window))
+                       if window.lam[i] <= cutoff]
+    assert [vec.tolist() for _, vec in u.window(TORUS2, 30)] == \
+        [[1.0 + i] for i in range(len(labels))]
+    assert [f.label for f, _ in v.window(SU2, 8)] == [Su2Label(0), Su2Label(3)]
+    assert calls == []
+    with pytest.raises(PreconditionError, match="label does not match model"):
+        list(u.window(SU2, 30))
+    with pytest.raises(PreconditionError, match="label does not match model"):
+        list(v.window(TORUS2, 30))
 
 
 def test_sobolev_single_coefficient():
@@ -103,32 +140,28 @@ def test_sobolev_monotone_in_s_property(seed, s, delta):
 
 
 def test_classify_rapid_decay_is_smooth():
-    u = CoefficientField.from_rule(
-        lambda f: np.full(f.dim, math.exp(-f.lam)), valid_to=100
-    )
+    u = _window_field(TORUS2, 100, lambda f: np.full(f.dim, math.exp(-f.lam)))
     report = classify_regularity(u, TORUS2, 100, n_probe=10)
     assert report.kind == "smooth_evidence"
     assert report.exponent == 10
 
 
 def test_classify_flat_coefficients_is_order_zero():
-    u = CoefficientField.from_rule(lambda f: np.ones(f.dim), valid_to=100)
+    u = _window_field(TORUS2, 100, lambda f: np.ones(f.dim))
     report = classify_regularity(u, TORUS2, 100)
     assert report.kind == "distribution_order"
     assert report.exponent == 0
 
 
 def test_classify_polynomial_growth_order_two():
-    u = CoefficientField.from_rule(
-        lambda f: np.full(f.dim, (1 + f.lam) ** 2), valid_to=100
-    )
+    u = _window_field(TORUS2, 100, lambda f: np.full(f.dim, (1 + f.lam) ** 2))
     report = classify_regularity(u, TORUS2, 100)
     assert report.kind == "distribution_order"
     assert report.exponent == 2
 
 
 def test_classify_zero_field_is_smooth():
-    report = classify_regularity(CoefficientField.zero(), TORUS2, 100)
+    report = classify_regularity(CoefficientField.from_dict({}), TORUS2, 100)
     assert report.kind == "smooth_evidence"
     assert report.constant == 0.0
 
@@ -142,17 +175,11 @@ def test_classify_needs_window():
 def test_classify_shifts_by_symbol_order():
     # applying a diagonal symbol with entries (1+lambda) raises the growth
     # exponent by its order over nu (here 2/2 = 1)
-    u = CoefficientField.from_rule(
-        lambda f: np.full(f.dim, (1 + f.lam) ** 2), valid_to=200
-    )
     op = Su2DiagPoly.make(
         [(Coefficient.make(1), 0, 1), (Coefficient.make(1), 0, 0)]
     )  # entries l(l+1) + 1 = 1 + lambda
     sym = build_symbol(op, SU2)
-    u_su2 = CoefficientField.from_rule(
-        lambda f: np.full(f.dim, (1 + f.lam) ** 2 / math.sqrt(f.dim)),
-        valid_to=200,
-    )
+    u_su2 = _window_field(SU2, 200, lambda f: np.full(f.dim, (1 + f.lam) ** 2 / math.sqrt(f.dim)))
     before = classify_regularity(u_su2, SU2, 200)
     after = classify_regularity(apply_symbol(sym, u_su2, 200), SU2, 200)
     assert before.exponent == 2 and after.exponent == 3

@@ -285,6 +285,23 @@ def test_torus_gain_screen_over_many_runs_of_rows(c, radius, exponent, monkeypat
     assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
 
 
+@pytest.mark.parametrize("c, radius, exponent", [
+    (Enclosure(*PHI.enclosure()), 13, -1),  # the interval path, per mirror pair
+    (PHI, 13, 3),  # the float screen, then exact comparisons
+    (Fraction(3, 7), 8, 400),  # every weight underflows: the full ball in exact arithmetic
+    (Fraction(3, 7), 10, 5),  # an exact zero in the ball: no weight at all
+])
+def test_torus_gain_builds_one_weight_per_distance(c, radius, exponent, monkeypatch):
+    import hyposym.diophantine as diophantine
+
+    calls = []
+    real = diophantine._weight
+    monkeypatch.setattr(diophantine, "_weight", lambda *a: calls.append(a) or real(*a))
+    torus_min_gain(c, radius, exponent)
+    assert len(calls) <= radius + 1
+    assert len(set(calls)) == len(calls)
+
+
 def test_torus_gain_enclosure_certified():
     # a tight enclosure of the golden ratio certifies the same argmin as
     # the exact surd computation

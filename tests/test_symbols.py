@@ -221,7 +221,7 @@ def test_block_replication_preserves_gain_and_norm():
 
 def test_apply_zero_field():
     sym = build_symbol(torus_translation(1), TORUS2)
-    out = apply_symbol(sym, CoefficientField.zero(), 50)
+    out = apply_symbol(sym, CoefficientField.from_dict({}), 50)
     assert sobolev_norm(out, 0, TORUS2, 50) == 0.0
 
 

@@ -43,12 +43,12 @@ _EXPORTS = {
     ),
     "subelliptic": (
         "SubellipticReport", "TruncatedKernel", "best_alpha_constant", "check_alpha",
-        "check_beta", "extremal_field", "kernel_on_truncation", "per_frequency_constant",
+        "check_beta", "extremal_field", "kernel_on_truncation",
     ),
     "symbols": (
         "Coefficient", "GainTable", "MatrixSymbol", "MatrixTable", "OrderEstimate",
         "Su2DiagPoly", "TorusPoly", "build_symbol", "estimate_order", "gain_table",
-        "operator_norm", "smallest_gain",
+        "smallest_gain",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

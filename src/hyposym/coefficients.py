@@ -22,9 +22,12 @@ import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, WindowTooSmallError
 from .spectral import (
+    SU2,
+    TORUS2,
     FrequencyIndex,
     Label,
     SpectralModel,
+    Torus2Label,
     Window,
     bracket_power,
     frequency_for_label,
@@ -45,51 +48,58 @@ __all__ = [
 
 
 class CoefficientField:
-    """A finitely supported coefficient sequence: labels mapped to complex
-    vectors whose lengths match the block dimension.
+    """A finitely supported coefficient sequence: frequencies mapped to
+    complex vectors whose lengths match the block dimension.
 
     Zero vectors are dropped, and the support is ordered once, here, by
-    (eigenvalue, label); every label is of one kind, torus or SU(2).
+    (eigenvalue, label), each frequency stored beside its vector; every
+    label is of one kind, torus or SU(2).
     """
 
-    def __init__(self, explicit: Mapping[Label, np.ndarray]):
-        if len({type(label) for label in explicit}) > 1:
+    def __init__(self, explicit: Mapping[FrequencyIndex, np.ndarray]):
+        if len({type(freq.label) for freq in explicit}) > 1:
             raise PreconditionError("a field's labels must be all torus or all SU(2) labels")
         entries = []
-        for label, vec in explicit.items():
+        for freq, vec in explicit.items():
             arr = np.array(vec, dtype=complex).reshape(-1)
-            if arr.shape[0] != label.block_dim():
+            if arr.shape[0] != freq.dim:
                 raise PreconditionError(
-                    f"vector at {label} has length {arr.shape[0]}, "
-                    f"expected {label.block_dim()}"
+                    f"vector at {freq.label} has length {arr.shape[0]}, expected {freq.dim}"
                 )
             if np.any(arr != 0):
                 arr.setflags(write=False)
-                entries.append((float(label.eigenvalue()), label, arr))
-        entries.sort(key=lambda e: e[:2])
-        self._lams = [lam for lam, _, _ in entries]
-        self._explicit = {label: arr for _, label, arr in entries}
+                entries.append((freq, arr))
+        entries.sort(key=lambda e: (e[0].lam, e[0].label))
+        self._support = {freq.label: (freq, arr) for freq, arr in entries}
 
     @staticmethod
     def from_dict(data: Mapping[Label, np.ndarray]) -> "CoefficientField":
-        return CoefficientField(explicit=data)
+        """The field of a mapping label -> vector; each label's frequency is
+        counted once, here."""
+        return CoefficientField(explicit={
+            frequency_for_label(TORUS2 if isinstance(label, Torus2Label) else SU2, label): vec
+            for label, vec in data.items()
+        })
 
     def support_labels(self) -> list[Label]:
         """The support in canonical (eigenvalue, label) order."""
-        return list(self._explicit)
+        return list(self._support)
 
     def coeff(self, freq: FrequencyIndex) -> np.ndarray:
-        vec = self._explicit.get(freq.label)
-        if vec is None:
+        entry = self._support.get(freq.label)
+        if entry is None:
             return np.zeros(freq.dim, dtype=complex)
-        return vec
+        return entry[1]
 
     def window(self, model: SpectralModel, cutoff: float):
-        """(freq, vector) pairs with lam <= cutoff, in canonical order."""
-        for lam, (label, vec) in zip(self._lams, self._explicit.items()):
-            if not lam <= cutoff:
+        """The stored (freq, vector) pairs with lam <= cutoff, in canonical order."""
+        torus = model.kind == "torus2"
+        for freq, vec in self._support.values():
+            if not freq.lam <= cutoff:
                 break
-            yield frequency_for_label(model, label), vec
+            if isinstance(freq.label, Torus2Label) != torus:
+                raise PreconditionError("label does not match model")
+            yield freq, vec
 
 
 def sobolev_norm(
@@ -226,7 +236,7 @@ def apply_symbol(
     pairs = list(u.window(symbol.model, cutoff))
     freqs = [freq for freq, _ in pairs]
     images = symbol.apply_to_vectors(freqs, [vec for _, vec in pairs])
-    return CoefficientField(explicit={f.label: w for f, w in zip(freqs, images)})
+    return CoefficientField(explicit=dict(zip(freqs, images)))
 
 
 @dataclass(frozen=True)
@@ -345,8 +355,8 @@ def build_counterexample(
     window = Window(model, search_cutoff)
     screen = _gain_lower_bounds(symbol, window)
     lo = hi = 0
-    support: dict[Label, np.ndarray] = {}
-    images: dict[Label, np.ndarray] = {}
+    support: dict[FrequencyIndex, np.ndarray] = {}
+    images: dict[FrequencyIndex, np.ndarray] = {}
     chosen: list[FrequencyIndex] = []
     certs: list[CounterexampleCertificate] = []
     lam_prev = 0.0
@@ -397,8 +407,8 @@ def build_counterexample(
                 exact=exact is not None,
             )
         )
-        support[freq.label] = full
-        images[freq.label] = image
+        support[freq] = full
+        images[freq] = image
         chosen.append(freq)
         lam_prev = freq.lam
         idx += 1
@@ -426,5 +436,5 @@ def random_field(
     for i in sorted(int(p) for p in picks):
         f = window.freq(i)
         vec = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
-        data[f.label] = vec
+        data[f] = vec
     return CoefficientField(explicit=data)

@@ -46,7 +46,6 @@ __all__ = [
     "AlphaCheck",
     "BetaCheck",
     "kernel_on_truncation",
-    "per_frequency_constant",
     "best_alpha_constant",
     "extremal_field",
     "check_alpha",
@@ -167,16 +166,6 @@ def kernel_on_truncation(
     return _window_pass(symbol, model, cutoff, tol)[0]
 
 
-def per_frequency_constant(
-    symbol: MatrixSymbol, freq: FrequencyIndex, tol: float = KERNEL_TOL
-) -> float:
-    """Smallest nonzero singular value of the block (the constant C_j in
-    ||sigma(j) v|| >= C_j ||v|| off the kernel); +inf for an all-kernel block."""
-    values = symbol.values(freq)
-    nz = values[~zero_mask(values, np.max(values), tol)]
-    return float(np.min(nz)) if len(nz) else float("inf")
-
-
 @dataclass(frozen=True)
 class SubellipticReport:
     """Exact constants of the truncated a-priori inequalities.
@@ -268,8 +257,7 @@ def extremal_field(
     dense blocks the right singular vector of the extremal singular value.
     Placed in the first representation chunk on SU(2).
     """
-    label = report.witness_label
-    freq = frequency_for_label(model, label)
+    freq = frequency_for_label(model, report.witness_label)
     bdim = symbol.block_dim(freq)
     if symbol.is_diagonal:
         block_vec = np.zeros(bdim, dtype=complex)
@@ -279,7 +267,7 @@ def extremal_field(
         block_vec = vh[report.witness_index].conj()
     full = np.zeros(freq.dim, dtype=complex)
     full[:bdim] = block_vec
-    return CoefficientField(explicit={label: full})
+    return CoefficientField(explicit={freq: full})
 
 
 @dataclass(frozen=True)
@@ -316,7 +304,7 @@ def check_alpha(
         # numerical kernels (dense SVD bases) leave roundoff residue; treat
         # a relatively vanished projection as gone so it flags vacuous
         if np.linalg.norm(w) > 1e-12 * np.linalg.norm(vec):
-            projected[freq.label] = w
+            projected[freq] = w
     f_perp = CoefficientField(explicit=projected)
     denom = sobolev_norm(f_perp, s + m, model, cutoff)
     if denom == 0.0:

@@ -56,7 +56,6 @@ __all__ = [
     "block_values",
     "block_extrema",
     "smallest_gain",
-    "operator_norm",
     "gain_table",
     "estimate_order",
 ]
@@ -423,14 +422,6 @@ def smallest_gain(matrix) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
-def operator_norm(matrix) -> float:
-    """Largest singular value."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("operator norm needs a square matrix")
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def zero_mask(values, norm, tol: float):
     """Which values count as zero: ``values <= tol * max(1, norm)``.
 
@@ -531,14 +522,6 @@ class MatrixSymbol:
             return su2_diag_exact(self.op, label.twice_ell)
         value = torus_value_exact(self.op, label.xi, label.eta)
         return None if value is None else [value]
-
-    def full_matrix(self, freq: FrequencyIndex) -> np.ndarray:
-        """The dim x dim matrix (replicates the block on SU(2))."""
-        b = self.block(freq)
-        if not self.replicated:
-            return b
-        copies = freq.label.rep_dim()
-        return np.kron(np.eye(copies, dtype=complex), b)
 
     def values(self, freq: FrequencyIndex) -> np.ndarray:
         """|entries| of a diagonal block, or the descending singular values

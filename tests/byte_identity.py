@@ -71,6 +71,8 @@ CASES = [
     # the classification of a counterexample field of 12 frequencies
     ["subelliptic", "--spec", PHI, "--cutoff", "20000", "--probes", "3", "--seed", "5"],
     ["counterexample", "--spec", FOUR_SEVENTHS, "--cutoff", "20000", "--k", "12"],
+    # 20 torus probes whose labels lie in all 13 lattice bands of the window
+    ["subelliptic", "--spec", PHI, "--cutoff", "200000", "--probes", "20", "--seed", "5"],
     # a report refused for an int too long for text, found before encoding
     ["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "40000"],
 ]

@@ -9,6 +9,31 @@ import numpy as np
 from scipy.optimize import minimize
 
 
+def operator_norm(matrix) -> float:
+    """Largest singular value."""
+    return float(np.linalg.svd(np.atleast_2d(np.asarray(matrix, dtype=complex)),
+                               compute_uv=False)[0])
+
+
+def full_matrix(symbol, freq) -> np.ndarray:
+    """The dim x dim matrix of a symbol at a frequency: on SU(2) the block
+    replicated once per representation copy."""
+    b = symbol.block(freq)
+    if not symbol.replicated:
+        return b
+    return np.kron(np.eye(freq.label.rep_dim(), dtype=complex), b)
+
+
+def per_frequency_constant(symbol, freq, tol: float = 1e-12) -> float:
+    """Smallest nonzero singular value of the block (the constant C_j in
+    ||sigma(j) v|| >= C_j ||v|| off the kernel); +inf for an all-kernel block."""
+    from hyposym.symbols import zero_mask
+
+    values = symbol.values(freq)
+    nz = values[~zero_mask(values, np.max(values), tol)]
+    return float(np.min(nz)) if len(nz) else float("inf")
+
+
 def sphere_gain_oracle(matrix, restarts: int = 12, seed: int = 0) -> float:
     """Min of ||A v|| over unit vectors by multistart local descent on the
     real parametrization of the complex sphere (no SVD anywhere)."""
@@ -187,8 +212,8 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
         certs.append(CounterexampleCertificate(
             k=k, ordinal=freq.j, label=freq.label, lam=freq.lam, image_norm=image_norm,
             bound=(1.0 + freq.lam) ** (-k), exact=exact is not None))
-        support[freq.label] = full
-        images[freq.label] = image
+        support[freq] = full
+        images[freq] = image
         chosen.append(freq)
         lam_prev = freq.lam
         idx += 1

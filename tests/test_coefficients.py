@@ -16,9 +16,13 @@ from hyposym import (
     Torus2Label,
     Window,
     apply_symbol,
+    best_alpha_constant,
     build_counterexample,
     build_symbol,
+    check_alpha,
+    check_beta,
     classify_regularity,
+    cli,
     enumerate_frequencies,
     estimate_order,
     frequency_for_label,
@@ -32,7 +36,12 @@ from hyposym.errors import (
 )
 from hyposym.symbols import Coefficient, MatrixTable, TorusPoly, gain_table
 
-from conftest import constant_one, su2_pell_operator, torus_translation
+from conftest import (
+    constant_one,
+    su2_laplace_minus_axis_sq,
+    su2_pell_operator,
+    torus_translation,
+)
 from oracles import unscreened_counterexample
 
 
@@ -42,8 +51,7 @@ from oracles import unscreened_counterexample
 
 def _window_field(model, cutoff, vector):
     """The field of ``vector(freq)`` at every frequency of the window."""
-    return CoefficientField.from_dict(
-        {freq.label: vector(freq) for freq in Window(model, cutoff)})
+    return CoefficientField({freq: vector(freq) for freq in Window(model, cutoff)})
 
 
 def test_field_rejects_wrong_vector_length():
@@ -85,6 +93,49 @@ def test_field_support_is_ordered_once_and_walked_up_to_the_cutoff(monkeypatch):
         list(u.window(SU2, 30))
     with pytest.raises(PreconditionError, match="label does not match model"):
         list(v.window(TORUS2, 30))
+
+
+@pytest.mark.parametrize("case", ["torus_phi", "su2_gap", "su2_dense"])
+def test_fields_from_frequencies_and_from_labels_agree(case, tmp_path):
+    rng = np.random.default_rng(11)
+    model, op, cutoff = {
+        "torus_phi": (TORUS2, torus_translation(0.5 + 5**0.5 / 2), 400),
+        "su2_gap": (SU2, su2_laplace_minus_axis_sq(), 30 * 32 / 4),
+        "su2_dense": (SU2, MatrixTable("su2", {
+            Su2Label(t): rng.standard_normal((t + 1, t + 1, 2)) @ [1, 1j] for t in range(13)}),
+            12 * 14 / 4),
+    }[case]
+    symbol = build_symbol(op, model)
+    window = Window(model, cutoff)
+    data = {}
+    for i in sorted(rng.choice(len(window), size=10, replace=False).tolist()):
+        freq = window.freq(i)
+        data[freq] = rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
+    fields = [CoefficientField(data),
+              CoefficientField.from_dict({freq.label: vec for freq, vec in data.items()})]
+    report = best_alpha_constant(symbol, model, 0.0, 1.0, cutoff)
+    results = []
+    for n, u in enumerate(fields):
+        image = apply_symbol(symbol, u, cutoff)
+        path = tmp_path / f"{n}.csv"
+        cli._write_coeffs_csv(str(path), u, model, cutoff)
+        results.append((
+            [(freq, vec.tobytes()) for freq, vec in u.window(model, cutoff)],
+            [sobolev_norm(u, s, model, c) for s in (-1.0, 0.0, 1.5) for c in (cutoff / 2, cutoff)],
+            [(freq, vec.tobytes()) for freq, vec in image.window(model, cutoff)],
+            check_alpha(symbol, model, u, 0.0, 1.0, report.c_star, cutoff,
+                        report.kernel).as_dict(),
+            check_beta(symbol, model, u, 0.0, 1.0, report.k_star, cutoff).as_dict(),
+            classify_regularity(u, model, cutoff).as_dict(),
+            path.read_bytes(),
+        ))
+    assert results[0] == results[1]
+    assert [freq for freq, _ in results[0][0]] == sorted(data, key=lambda f: f.j)
+
+
+def test_from_dict_refuses_a_label_it_cannot_count():
+    with pytest.raises(PreconditionError, match="not enumerable"):
+        CoefficientField.from_dict({Torus2Label(1.5, 2): [1.0]})
 
 
 def test_sobolev_single_coefficient():

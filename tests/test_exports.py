@@ -45,14 +45,14 @@ EXPORTED = """
     classify_coefficient classify_regularity continued_fraction emit_spec
     enumerate_frequencies estimate_h estimate_order extremal_field fit_growth
     format_real frequency_for_label gain_table kernel_on_truncation
-    liouville_witnesses operator_norm parse_real parse_spec pell_solutions
-    per_frequency_constant random_field singular_scan smallest_gain sobolev_norm
+    liouville_witnesses parse_real parse_spec pell_solutions random_field
+    singular_scan smallest_gain sobolev_norm
     torus_min_gain verdict
 """.split()
 
 
 def test_package_exports_are_module_exports():
-    assert len(EXPORTED) == 70
+    assert len(EXPORTED) == 68
     assert sorted(hyposym.__all__) == sorted(EXPORTED)
     assert sorted(n for names in hyposym._EXPORTS.values() for n in names) == sorted(EXPORTED)
     for short, names in hyposym._EXPORTS.items():

@@ -27,7 +27,7 @@ from conftest import (
     su2_pell_operator,
     torus_translation,
 )
-from oracles import brute_pell_su2_levels
+from oracles import brute_pell_su2_levels, full_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +136,7 @@ def test_certify_rational_resonance():
     # rational path asserted by exact_zero)
     for w in cert.witnesses:
         freq = frequency_for_label(TORUS2, w.label)
-        assert smallest_gain(build_symbol(op, TORUS2).full_matrix(freq)) <= 1e-12
+        assert smallest_gain(full_matrix(build_symbol(op, TORUS2), freq)) <= 1e-12
 
 
 def test_certify_pure_time_derivative():

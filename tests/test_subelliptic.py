@@ -18,7 +18,6 @@ from hyposym import (
     extremal_field,
     frequency_for_label,
     kernel_on_truncation,
-    per_frequency_constant,
     random_field,
 )
 from hyposym.errors import PreconditionError
@@ -26,6 +25,7 @@ from hyposym.subelliptic import KERNEL_TOL
 from hyposym.symbols import Coefficient, Su2DiagPoly, TorusPoly
 
 from conftest import constant_one, torus_translation
+from oracles import full_matrix, per_frequency_constant
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_kernel_counts_zero_singular_values(su2_pell_symbol):
     kernel = kernel_on_truncation(su2_pell_symbol, SU2, cutoff)
     direct = 0
     for freq in enumerate_frequencies(SU2, cutoff):
-        svals = np.linalg.svd(su2_pell_symbol.full_matrix(freq), compute_uv=False)
+        svals = np.linalg.svd(full_matrix(su2_pell_symbol, freq), compute_uv=False)
         direct += int(np.sum(svals <= 1e-12 * max(1.0, svals[0])))
     assert kernel.total_dim == direct
     # l = 1 block has two vanishing weights replicated across three chunks
@@ -397,3 +397,29 @@ def test_cli_subelliptic_enumerates_the_window_once(monkeypatch, tmp_path, capsy
                      "--probes", "5", "--seed", "1"])
     assert code == 0, capsys.readouterr().err
     assert len(calls) == 1
+
+
+def test_cli_subelliptic_counts_one_ordinal_for_the_witness(monkeypatch, capsys):
+    import json
+
+    import hyposym.spectral
+    from hyposym import cli
+
+    calls = []
+    ordinal = hyposym.spectral._torus_ordinal
+
+    def counting(xi, eta):
+        calls.append((xi, eta))
+        return ordinal(xi, eta)
+
+    monkeypatch.setattr(hyposym.spectral, "_torus_ordinal", counting)
+    phi = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", "terms": [
+        {"coeff": [1, 0], "deg_t": 1}, {"coeff_real": "(1+1*sqrt(5))/2", "deg_x": 1}]}})
+    code = cli.main(["subelliptic", "--spec", phi, "--cutoff", "20000",
+                     "--probes", "3", "--seed", "5"])
+    assert code == 0, capsys.readouterr().err
+    witness = json.loads(capsys.readouterr().out)["report"]["witness"]["label"]
+    assert [f"({xi},{eta})" for xi, eta in calls] == [witness]  # the witness field's label
+    probe = random_field(TORUS2, 20000, np.random.default_rng(5), n_support=20)
+    assert len(list(probe.window(TORUS2, 20000))) == 20
+    assert len(calls) == 1  # building and walking a probe counts nothing

@@ -20,7 +20,6 @@ from hyposym import (
     enumerate_frequencies,
     estimate_order,
     frequency_for_label,
-    operator_norm,
     smallest_gain,
     sobolev_norm,
 )
@@ -29,7 +28,7 @@ from hyposym.exact import Surd
 from hyposym.symbols import Coefficient, gain_table
 
 from conftest import constant_one, su2_laplace_minus_axis_sq, torus_translation
-from oracles import sphere_gain_oracle
+from oracles import full_matrix, operator_norm, sphere_gain_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +47,7 @@ def test_torus_translation_symbol_values():
 def test_su2_neutral_derivative_at_level_one():
     op = Su2DiagPoly.make([(Coefficient.make(1), 1, 0)])
     freq = frequency_for_label(SU2, Su2Label(2))
-    full = build_symbol(op, SU2).full_matrix(freq)
+    full = full_matrix(build_symbol(op, SU2), freq)
     block = np.diag([-1j, 0, 1j])
     expected = np.kron(np.eye(3), block)
     assert np.allclose(full, expected, atol=1e-14)
@@ -209,7 +208,7 @@ def test_block_replication_preserves_gain_and_norm():
     sym = build_symbol(MatrixTable("su2", entries), SU2)
     for t in range(0, 7):
         freq = frequency_for_label(SU2, Su2Label(t))
-        full = sym.full_matrix(freq)
+        full = full_matrix(sym, freq)
         assert full.shape == ((t + 1) ** 2, (t + 1) ** 2)
         assert sym.gain(freq) == pytest.approx(smallest_gain(full), rel=1e-10, abs=1e-12)
         assert sym.opnorm(freq) == pytest.approx(operator_norm(full), rel=1e-10)
@@ -466,7 +465,7 @@ def test_block_application_matches_full_matrix():
         for t in range(5):
             freq = frequency_for_label(SU2, Su2Label(t))
             v = rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
-            direct = sym.full_matrix(freq) @ v
+            direct = full_matrix(sym, freq) @ v
             assert np.allclose(sym.apply_to_vector(freq, v), direct, atol=1e-12)
 
 

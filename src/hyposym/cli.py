@@ -257,7 +257,7 @@ def _cmd_analyze(args) -> dict:
     table = gain_table(symbol, parsed.model, cutoff)
     v = verdict(parsed.operator, parsed.model, cutoff, tol, table=table)
     try:
-        order = estimate_order(symbol, parsed.model, cutoff, table=table)
+        order = estimate_order(table)
         order_doc = {"order_hat": order.order_hat, "c_hat": order.c_hat}
         if order.order_hat == -math.inf:  # JSON has no -Infinity
             order_doc = {"error": "the symbol vanishes on the window: its norm has no order"}
@@ -417,7 +417,7 @@ def _cmd_subelliptic(args) -> dict:
     m = _option(args, parsed, "m", 1.0)
     report = best_alpha_constant(symbol, parsed.model, s, m, cutoff,
                                  _option(args, parsed, "tol", 1e-12))
-    witness = extremal_field(report, symbol, parsed.model)
+    witness = extremal_field(report, symbol)
     witness_check = check_alpha(
         symbol, parsed.model, witness, s, m, report.c_star, cutoff, kernel=report.kernel
     )
@@ -425,7 +425,7 @@ def _cmd_subelliptic(args) -> dict:
     alpha_failures = beta_failures = 0
     min_alpha_margin = min_beta_margin = float("inf")
     for _ in range(args.probes):
-        probe = random_field(parsed.model, cutoff, rng)
+        probe = random_field(report.kernel.window, rng)
         a = check_alpha(symbol, parsed.model, probe, s, m, report.c_star, cutoff,
                         kernel=report.kernel)
         b = check_beta(symbol, parsed.model, probe, s, m, report.k_star, cutoff)

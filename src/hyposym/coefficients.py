@@ -422,14 +422,10 @@ def build_counterexample(
 
 
 def random_field(
-    model: SpectralModel,
-    cutoff: float,
-    rng: np.random.Generator,
-    n_support: int = 6,
+    window: Window, rng: np.random.Generator, n_support: int = 6
 ) -> CoefficientField:
     """A finitely supported field with standard-normal complex entries on a
     random subset of the window (probe generator for estimate checks)."""
-    window = Window(model, cutoff)
     count = min(n_support, len(window))
     picks = rng.choice(len(window), size=count, replace=False)
     data = {}

@@ -27,14 +27,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, apply_symbol, sobolev_norm
 from .errors import PreconditionError
-from .spectral import (
-    FrequencyIndex,
-    Label,
-    SpectralModel,
-    Window,
-    bracket_power,
-    frequency_for_label,
-)
+from .spectral import FrequencyIndex, SpectralModel, Window, bracket_power
 from .symbols import MatrixSymbol, block_extrema, zero_mask
 
 KERNEL_TOL = 1e-12
@@ -62,23 +55,16 @@ class TruncatedKernel:
     ``total_dim`` counts block nullity times the number of copies.
     ``boundary_singular`` flags kernel frequencies in the top fifth of the
     window -- evidence that the kernel keeps growing with the cutoff (as
-    with rational torus resonances).
+    with rational torus resonances).  ``window`` is the window the kernel
+    was read from, kept so the rest of a command draws on it.
     """
 
-    model: SpectralModel
-    cutoff: float
+    window: Window
     tol: float
     blocks: dict
     replicated: bool
     total_dim: int
     boundary_singular: bool
-
-    def nullity(self, label: Label) -> int:
-        basis = self.blocks.get(label)
-        if basis is None:
-            return 0
-        copies = label.block_dim() // basis.shape[0] if self.replicated else 1
-        return basis.shape[1] * copies
 
     def project_out(self, freq: FrequencyIndex, vec: np.ndarray) -> np.ndarray:
         """Remove the kernel component of a full coefficient vector.
@@ -153,7 +139,7 @@ def _window_pass(
         freq = window.freq(i)
         hits = np.flatnonzero(symbol.values(freq) == least)
         best = (c_star, freq, int(hits[0] if symbol.is_diagonal else hits[-1]))
-    return TruncatedKernel(model, cutoff, tol, blocks, symbol.replicated, total, boundary), best
+    return TruncatedKernel(window, tol, blocks, symbol.replicated, total, boundary), best
 
 
 def kernel_on_truncation(
@@ -172,8 +158,9 @@ class SubellipticReport:
 
     c_star is attained at the recorded witness; k_star = max(k1, 1/c_star)
     is a sufficient constant for the companion inequality, with k1 the
-    norm-equivalence constant of the truncated kernel.  ``kernel`` is that
-    kernel, from the same window pass; ``as_dict`` leaves it out.
+    norm-equivalence constant of the truncated kernel.  ``witness`` is the
+    frequency of the witness; ``kernel`` is that kernel, from the same
+    window pass, and ``as_dict`` leaves it out.
     """
 
     s: float
@@ -182,9 +169,8 @@ class SubellipticReport:
     c_star: float
     k_star: float
     k1: float
-    witness_label: Label
+    witness: FrequencyIndex
     witness_index: int
-    witness_lam: float
     kernel_dim: int
     boundary_singular: bool
     kernel: TruncatedKernel = field(compare=False, repr=False)
@@ -198,9 +184,9 @@ class SubellipticReport:
             "k_star": self.k_star,
             "k1": self.k1,
             "witness": {
-                "label": str(self.witness_label),
+                "label": str(self.witness.label),
                 "entry_index": self.witness_index,
-                "lambda": self.witness_lam,
+                "lambda": self.witness.lam,
             },
             "kernel_dim": self.kernel_dim,
             "boundary_singular": self.boundary_singular,
@@ -239,25 +225,22 @@ def best_alpha_constant(
         c_star=c_star,
         k_star=k_star,
         k1=k1,
-        witness_label=freq.label,
+        witness=freq,
         witness_index=entry,
-        witness_lam=freq.lam,
         kernel_dim=kernel.total_dim,
         boundary_singular=kernel.boundary_singular,
         kernel=kernel,
     )
 
 
-def extremal_field(
-    report: SubellipticReport, symbol: MatrixSymbol, model: SpectralModel
-) -> CoefficientField:
+def extremal_field(report: SubellipticReport, symbol: MatrixSymbol) -> CoefficientField:
     """The witness vector of a report, as a coefficient field.
 
     For diagonal blocks this is the basis vector of the extremal entry; for
     dense blocks the right singular vector of the extremal singular value.
     Placed in the first representation chunk on SU(2).
     """
-    freq = frequency_for_label(model, report.witness_label)
+    freq = report.witness
     bdim = symbol.block_dim(freq)
     if symbol.is_diagonal:
         block_vec = np.zeros(bdim, dtype=complex)
@@ -290,14 +273,12 @@ def check_alpha(
     m: float,
     c: float,
     cutoff: float,
-    kernel: TruncatedKernel | None = None,
+    kernel: TruncatedKernel,
 ) -> AlphaCheck:
     """Verify ||P f||_s >= c ||f||_{s+m} after projecting f off the kernel.
 
     A field living entirely in the kernel passes vacuously (flagged).
     """
-    if kernel is None:
-        kernel = kernel_on_truncation(symbol, model, cutoff)
     projected = {}
     for freq, vec in f.window(model, cutoff):
         w = kernel.project_out(freq, vec)

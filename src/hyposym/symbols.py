@@ -588,10 +588,6 @@ class GainTable:
         self.window, self.model, self.lam = window, window.model, window.lam
         self.gain, self.opnorm = gain, opnorm
 
-    @property
-    def ordinals(self) -> np.ndarray:
-        return np.arange(len(self.window), dtype=np.int64)
-
     def singular(self, tol: float) -> np.ndarray:
         """The ordinals whose gain vanishes under ``zero_mask``, ascending,
         found a chunk at a time."""
@@ -785,15 +781,8 @@ class OrderEstimate:
     n_envelope: int
 
 
-def estimate_order(
-    symbol: MatrixSymbol,
-    model: SpectralModel,
-    cutoff: float,
-    table: GainTable | None = None,
-) -> OrderEstimate:
-    """Fit the norm growth; ``table`` reuses a gain table of this window."""
-    if table is None:
-        table = gain_table(symbol, model, cutoff)
+def estimate_order(table: GainTable) -> OrderEstimate:
+    """Fit the norm growth of the operator norms of a gain table."""
     lam, norms = table.lam, table.opnorm
     # lam is nondecreasing and nonnegative: the positive ones follow the zeros
     if len(lam) - np.searchsorted(lam, 0.0, side="right") < 8:
@@ -803,7 +792,7 @@ def estimate_order(
     spans = chunk_ranges(len(norms))
     if not any(np.any(norms[lo:hi] > 0) for lo, hi in spans):
         return OrderEstimate(float("-inf"), 0.0, 0)
-    nu = model.nu
+    nu = table.model.nu
     # the samples are the nonzero norms, read a chunk at a time
     slope, _, npts = envelope_fit(Mapped(lambda lam, n: log_bracket(lam[n > 0], nu), lam, norms),
                                   Mapped(lambda n: np.log(n[n > 0]), norms), mode="max")

@@ -73,6 +73,9 @@ CASES = [
     ["counterexample", "--spec", FOUR_SEVENTHS, "--cutoff", "20000", "--k", "12"],
     # 20 torus probes whose labels lie in all 13 lattice bands of the window
     ["subelliptic", "--spec", PHI, "--cutoff", "200000", "--probes", "20", "--seed", "5"],
+    # probes projected off a torus kernel of 35 blocks, with kernel frequencies
+    # at the window's edge
+    ["subelliptic", "--spec", FOUR_SEVENTHS, "--cutoff", "20000", "--probes", "5", "--seed", "2"],
     # a report refused for an int too long for text, found before encoding
     ["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "40000"],
 ]

@@ -34,6 +34,54 @@ def per_frequency_constant(symbol, freq, tol: float = 1e-12) -> float:
     return float(np.min(nz)) if len(nz) else float("inf")
 
 
+def nullity(kernel, label) -> int:
+    """Dimension of a truncated kernel at one label: the block nullity times
+    the number of representation copies on SU(2)."""
+    basis = kernel.blocks.get(label)
+    if basis is None:
+        return 0
+    copies = label.block_dim() // basis.shape[0] if kernel.replicated else 1
+    return basis.shape[1] * copies
+
+
+def ordinals(table) -> np.ndarray:
+    """The ordinals of a gain table's rows: row i has ordinal i."""
+    return np.arange(len(table.window), dtype=np.int64)
+
+
+def fresh_window_random_field(model, cutoff, rng, n_support: int = 6):
+    """``coefficients.random_field`` drawing from a window it enumerates
+    itself, once per probe: the same picks and Gaussian draws."""
+    from hyposym.coefficients import CoefficientField
+    from hyposym.spectral import Window
+
+    window = Window(model, cutoff)
+    picks = rng.choice(len(window), size=min(n_support, len(window)), replace=False)
+    data = {}
+    for i in sorted(int(p) for p in picks):
+        f = window.freq(i)
+        data[f] = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
+    return CoefficientField(explicit=data)
+
+
+def labelled_extremal_field(report, symbol, model):
+    """``subelliptic.extremal_field`` with the witness frequency counted
+    from its label by ``frequency_for_label``."""
+    from hyposym.coefficients import CoefficientField
+    from hyposym.spectral import frequency_for_label
+
+    freq = frequency_for_label(model, report.witness.label)
+    bdim = symbol.block_dim(freq)
+    if symbol.is_diagonal:
+        block_vec = np.zeros(bdim, dtype=complex)
+        block_vec[report.witness_index] = 1.0
+    else:
+        block_vec = np.linalg.svd(symbol.block(freq))[2][report.witness_index].conj()
+    full = np.zeros(freq.dim, dtype=complex)
+    full[:bdim] = block_vec
+    return CoefficientField(explicit={freq: full})
+
+
 def sphere_gain_oracle(matrix, restarts: int = 12, seed: int = 0) -> float:
     """Min of ||A v|| over unit vectors by multistart local descent on the
     real parametrization of the complex sphere (no SVD anywhere)."""
@@ -310,7 +358,7 @@ def rowwise_gains_csv(path, table, chunk_rows: int) -> None:
             hi = lo + chunk_rows
             gains = list(map(repr, table.gain[lo:hi].tolist()))
             norms = list(map(repr, table.opnorm[lo:hi].tolist()))
-            cols = (table.ordinals[lo:hi].tolist(), table.lam[lo:hi].tolist(), gains, norms,
+            cols = (ordinals(table)[lo:hi].tolist(), table.lam[lo:hi].tolist(), gains, norms,
                     *(a[lo:hi].tolist() for a in table.window.labels))
             if torus:
                 rows = [f'{j},"({x},{e})",{lam!r},1,{g},{n}\r\n'

@@ -146,9 +146,10 @@ def test_acceptance_6_subelliptic_constant():
     assert max(values) - min(values) <= 1e-12 * max(values)
 
     kernel = hs.kernel_on_truncation(sym, hs.SU2, cutoff)
+    window = hs.Window(hs.SU2, cutoff)
     rng = np.random.default_rng(2024)
     for _ in range(1000):
-        probe = hs.random_field(hs.SU2, cutoff, rng, n_support=5)
+        probe = hs.random_field(window, rng, n_support=5)
         chk = hs.check_alpha(sym, hs.SU2, probe, 0.0, 1.0, report.c_star, cutoff,
                              kernel=kernel)
         assert chk.passed
@@ -192,8 +193,9 @@ def test_acceptance_7_oracle_equivalence():
 
     # Sobolev monotonicity in s over 1000 random fields
     rng = np.random.default_rng(5)
+    window = hs.Window(hs.SU2, 20)
     for _ in range(1000):
-        u = hs.random_field(hs.SU2, 20, rng, n_support=3)
+        u = hs.random_field(window, rng, n_support=3)
         s = float(rng.uniform(-3, 3))
         delta = float(rng.uniform(0, 3))
         lo = hs.sobolev_norm(u, s, hs.SU2, 20)

@@ -168,7 +168,7 @@ def test_sobolev_full_block_norm():
 
 def test_sobolev_monotone_in_cutoff_and_s():
     rng = np.random.default_rng(5)
-    u = random_field(TORUS2, 60, rng, n_support=12)
+    u = random_field(Window(TORUS2, 60), rng, n_support=12)
     norms = [sobolev_norm(u, 0, TORUS2, c) for c in (5, 20, 40, 60)]
     assert norms == sorted(norms)
     svals = [-2.0, -0.5, 0.0, 1.0, 2.5]
@@ -182,7 +182,7 @@ def test_sobolev_monotone_in_cutoff_and_s():
        st.floats(min_value=0, max_value=3))
 def test_sobolev_monotone_in_s_property(seed, s, delta):
     rng = np.random.default_rng(seed)
-    u = random_field(SU2, 20, rng, n_support=4)
+    u = random_field(Window(SU2, 20), rng, n_support=4)
     assert sobolev_norm(u, s, SU2, 20) <= sobolev_norm(u, s + delta, SU2, 20) * (1 + 1e-12)
 
 
@@ -234,7 +234,7 @@ def test_classify_shifts_by_symbol_order():
     before = classify_regularity(u_su2, SU2, 200)
     after = classify_regularity(apply_symbol(sym, u_su2, 200), SU2, 200)
     assert before.exponent == 2 and after.exponent == 3
-    order = estimate_order(sym, SU2, 200).order_hat
+    order = estimate_order(gain_table(sym, SU2, 200)).order_hat
     assert after.exponent - before.exponent == pytest.approx(order / 2, abs=0.2)
 
 
@@ -526,7 +526,7 @@ def test_batched_apply_symbol_equals_per_frequency_application(family, data, sca
     model, poly = (TORUS2, TorusPoly) if family == "torus" else (SU2, Su2DiagPoly)
     op = poly.make(data.draw(_polynomial_terms(family))).scale(scale)
     cutoff = 400 if family == "torus" else 120
-    field = random_field(model, cutoff, np.random.default_rng(seed), n_support=12)
+    field = random_field(Window(model, cutoff), np.random.default_rng(seed), n_support=12)
     _assert_batched_application_is_per_frequency(build_symbol(op, model), model, field, cutoff)
 
 
@@ -534,7 +534,7 @@ def test_batched_apply_symbol_on_a_dense_table():
     rng = np.random.default_rng(5)
     blocks = {Su2Label(t): rng.standard_normal((t + 1, t + 1, 2)) @ [1, 1j] for t in range(9)}
     sym = build_symbol(MatrixTable("su2", blocks), SU2)
-    field = random_field(SU2, 24, np.random.default_rng(6), n_support=5)
+    field = random_field(Window(SU2, 24), np.random.default_rng(6), n_support=5)
     _assert_batched_application_is_per_frequency(sym, SU2, field, 24)
 
 

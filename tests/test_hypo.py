@@ -27,7 +27,7 @@ from conftest import (
     su2_pell_operator,
     torus_translation,
 )
-from oracles import brute_pell_su2_levels, full_matrix
+from oracles import brute_pell_su2_levels, full_matrix, ordinals
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_fit_satisfies_lower_bound_on_samples(su2_gap_symbol):
     table = gain_table(su2_gap_symbol, SU2, 200 * 201)
     fit = fit_growth(table, 2.0)
     for i in range(len(table)):
-        if table.ordinals[i] >= fit.R:
+        if ordinals(table)[i] >= fit.R:
             bound = fit.L * (1 + table.lam[i]) ** (fit.m / 2.0)
             assert table.gain[i] >= bound * (1 - 1e-9)
 

@@ -25,6 +25,7 @@ from oracles import (
     mask_envelope_points,
     mask_estimate_order,
     mask_fit_growth,
+    ordinals,
     square_torus_lattice,
 )
 
@@ -99,10 +100,10 @@ def test_torus_gain_table_shares_gain_and_norm():
     table = gain_table(build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2")), TORUS2),
                        TORUS2, 500)
     assert table.opnorm is table.gain
-    assert table.ordinals.tolist() == list(range(len(table)))
+    assert ordinals(table).tolist() == list(range(len(table)))
     su2 = gain_table(build_symbol(su2_laplace_minus_axis_sq(), SU2), SU2, 500)
     assert su2.opnorm is not su2.gain
-    assert su2.ordinals.tolist() == list(range(len(su2)))
+    assert ordinals(su2).tolist() == list(range(len(su2)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_fit_growth_matches_the_mask_fit(tol):
 
 def test_estimate_order_matches_the_mask_estimate():
     for table in _tables():
-        got = estimate_order(None, table.model, 0, table=table)
+        got = estimate_order(table)
         assert (got.order_hat, got.c_hat, got.n_envelope) == mask_estimate_order(table, 2.0)
 
 
@@ -188,7 +189,7 @@ def _reductions(op, table, tol):
             attempt(verdict, op, table.model, cutoff, tol, table=table),
             attempt(singular_scan, symbol, table.model, cutoff, tol),
             attempt(fit_growth, table, 2.0, tol),
-            attempt(estimate_order, symbol, table.model, cutoff, table=table))
+            attempt(estimate_order, table))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
@@ -255,7 +256,7 @@ def test_the_reductions_stay_under_30_bytes_per_character():
         base = tracemalloc.get_traced_memory()[0]
         table = gain_table(symbol, TORUS2, 1e5)
         verdict(op, TORUS2, 1e5, table=table)
-        estimate_order(symbol, TORUS2, 1e5, table=table)
+        estimate_order(table)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

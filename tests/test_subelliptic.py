@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hyposym import (
     MatrixTable,
     Su2Label,
     Torus2Label,
+    Window,
     best_alpha_constant,
     build_symbol,
     check_alpha,
@@ -25,7 +27,13 @@ from hyposym.subelliptic import KERNEL_TOL
 from hyposym.symbols import Coefficient, Su2DiagPoly, TorusPoly
 
 from conftest import constant_one, torus_translation
-from oracles import full_matrix, per_frequency_constant
+from oracles import (
+    fresh_window_random_field,
+    full_matrix,
+    labelled_extremal_field,
+    nullity,
+    per_frequency_constant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +69,7 @@ def test_kernel_counts_zero_singular_values(su2_pell_symbol):
         direct += int(np.sum(svals <= 1e-12 * max(1.0, svals[0])))
     assert kernel.total_dim == direct
     # l = 1 block has two vanishing weights replicated across three chunks
-    assert kernel.nullity(Su2Label(2)) == 6
+    assert nullity(kernel, Su2Label(2)) == 6
 
 
 def test_kernel_projection_removes_kernel_component(su2_pell_symbol):
@@ -132,7 +140,7 @@ def test_per_frequency_constant_all_kernel_block(torus_resonant_symbol):
 def test_best_alpha_su2_gap_is_inverse_sqrt_seven(su2_gap_symbol):
     report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, 50 * 51)
     assert report.c_star == pytest.approx(1 / math.sqrt(7), rel=1e-12)
-    assert report.witness_label == Su2Label(1)
+    assert report.witness.label == Su2Label(1)
     assert report.kernel_dim == 1
     assert report.k1 == pytest.approx(1.0, rel=1e-12)
     assert report.k_star == pytest.approx(math.sqrt(7), rel=1e-12)
@@ -156,7 +164,7 @@ def test_best_alpha_torus_imaginary_coefficient():
     sym = build_symbol(torus_translation(Coefficient.make(0, 1)), TORUS2)
     report = best_alpha_constant(sym, TORUS2, 0.0, 0.0, 900)
     assert report.c_star == pytest.approx(1.0, rel=1e-12)
-    assert report.witness_lam == 1.0
+    assert report.witness.lam == 1.0
 
 
 def test_best_alpha_rejects_all_kernel():
@@ -167,13 +175,15 @@ def test_best_alpha_rejects_all_kernel():
 
 def test_witness_achieves_c_star(su2_gap_symbol):
     report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, 50 * 51)
-    witness = extremal_field(report, su2_gap_symbol, SU2)
-    chk = check_alpha(su2_gap_symbol, SU2, witness, 0.0, 1.0, report.c_star, 50 * 51)
+    witness = extremal_field(report, su2_gap_symbol)
+    chk = check_alpha(su2_gap_symbol, SU2, witness, 0.0, 1.0, report.c_star, 50 * 51,
+                      report.kernel)
     assert chk.passed and not chk.vacuous
     assert chk.ratio == pytest.approx(report.c_star, rel=1e-9)
     # the inflated constant must fail on the witness
     inflated = check_alpha(
-        su2_gap_symbol, SU2, witness, 0.0, 1.0, report.c_star * (1 + 1e-6), 50 * 51
+        su2_gap_symbol, SU2, witness, 0.0, 1.0, report.c_star * (1 + 1e-6), 50 * 51,
+        report.kernel
     )
     assert not inflated.passed
 
@@ -182,9 +192,10 @@ def test_alpha_never_fails_below_c_star(su2_gap_symbol):
     cutoff = 20 * 21
     report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, cutoff)
     kernel = kernel_on_truncation(su2_gap_symbol, SU2, cutoff)
+    window = Window(SU2, cutoff)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        probe = random_field(SU2, cutoff, rng)
+        probe = random_field(window, rng)
         chk = check_alpha(
             su2_gap_symbol, SU2, probe, 0.0, 1.0, report.c_star, cutoff, kernel=kernel
         )
@@ -193,7 +204,8 @@ def test_alpha_never_fails_below_c_star(su2_gap_symbol):
 
 def test_alpha_kernel_vector_is_vacuous(torus_resonant_symbol):
     f = CoefficientField.from_dict({Torus2Label(1, -1): [1.0]})
-    chk = check_alpha(torus_resonant_symbol, TORUS2, f, 0.0, 1.0, 0.5, 50)
+    chk = check_alpha(torus_resonant_symbol, TORUS2, f, 0.0, 1.0, 0.5, 50,
+                      kernel_on_truncation(torus_resonant_symbol, TORUS2, 50))
     assert chk.passed and chk.vacuous
 
 
@@ -205,7 +217,7 @@ def test_alpha_numerical_kernel_vector_is_vacuous():
     sym = build_symbol(MatrixTable("su2", entries), SU2)
     null_vec = np.array([1.0, 1.0j, 0, 0]) / math.sqrt(2)  # kernel of the block
     f = CoefficientField.from_dict({Su2Label(1): null_vec})
-    chk = check_alpha(sym, SU2, f, 0.0, 1.0, 0.5, 8)
+    chk = check_alpha(sym, SU2, f, 0.0, 1.0, 0.5, 8, kernel_on_truncation(sym, SU2, 8))
     assert chk.passed and chk.vacuous
 
 
@@ -223,9 +235,10 @@ def test_beta_kernel_supported_needs_bracket_power(torus_resonant_symbol):
 
 
 def test_beta_identity_with_unit_constant():
+    window = Window(SU2, 30)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        probe = random_field(SU2, 30, rng)
+        probe = random_field(window, rng)
         chk = check_beta(build_symbol(constant_one(SU2), SU2), SU2, probe, 0.0, 0.0, 1.0, 30)
         assert chk.passed
 
@@ -234,9 +247,10 @@ def test_beta_su2_gap_sufficient_constant(su2_gap_symbol):
     cutoff = 20 * 21
     report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, cutoff)
     k = max(report.k1, 1.0 / report.c_star)
+    window = Window(SU2, cutoff)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        probe = random_field(SU2, cutoff, rng)
+        probe = random_field(window, rng)
         chk = check_beta(su2_gap_symbol, SU2, probe, 0.0, 1.0, k, cutoff)
         assert chk.passed
 
@@ -294,7 +308,7 @@ def test_dense_c_star_is_values_only_svd_bit_for_bit():
     ]
     c_star, label = min(candidates, key=lambda c: c[0])
     assert report.c_star == c_star
-    assert report.witness_label == label
+    assert report.witness.label == label
     assert report.witness_index == label.rep_dim() - 1
 
 
@@ -307,7 +321,7 @@ def test_witness_entry_on_tied_values(su2_gap_symbol):
     entries = {Su2Label(t): (10.0 - t) * np.eye(t + 1) for t in range(5)}
     report = best_alpha_constant(build_symbol(MatrixTable("su2", entries), SU2),
                                  SU2, 0.0, 0.0, 6)
-    assert (report.witness_label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
+    assert (report.witness.label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
 
 
 def _reference_pass(symbol, model, cutoff, m, tol=KERNEL_TOL):
@@ -371,55 +385,91 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
     for lab, basis in blocks.items():
         assert np.array_equal(kernel.blocks[lab], basis)
     assert kernel.total_dim == sum(
-        kernel.nullity(lab) for lab in blocks) == sum(
+        nullity(kernel, lab) for lab in blocks) == sum(
         b.shape[1] * (lab.rep_dim() if symbol.replicated else 1) for lab, b in blocks.items())
 
 
-def test_cli_subelliptic_enumerates_the_window_once(monkeypatch, tmp_path, capsys):
-    import hyposym.subelliptic
-    from hyposym import cli
+PHI_SPEC = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", "terms": [
+    {"coeff": [1, 0], "deg_t": 1}, {"coeff_real": "(1+1*sqrt(5))/2", "deg_x": 1}]}})
+GAP_SPEC = json.dumps({"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": [
+    {"coeff": [1, 0], "deg_d0": 0, "deg_neglap": 1},
+    {"coeff": [1, 0], "deg_d0": 2, "deg_neglap": 0}]}})
 
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
     calls = []
-    window = hyposym.subelliptic.Window
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
-        return window(*args)
+        return original(*args)
 
-    monkeypatch.setattr(hyposym.subelliptic, "Window", counting)
-    spec = tmp_path / "gap.json"
-    spec.write_text(
-        '{"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": ['
-        '{"coeff": [1, 0], "deg_d0": 0, "deg_neglap": 1},'
-        '{"coeff": [1, 0], "deg_d0": 2, "deg_neglap": 0}]}}'
-    )
-    code = cli.main(["subelliptic", "--spec", str(spec), "--cutoff", "110",
-                     "--probes", "5", "--seed", "1"])
-    assert code == 0, capsys.readouterr().err
-    assert len(calls) == 1
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
-def test_cli_subelliptic_counts_one_ordinal_for_the_witness(monkeypatch, capsys):
-    import json
-
+def test_cli_subelliptic_enumerates_the_window_once(monkeypatch, capsys):
     import hyposym.spectral
     from hyposym import cli
 
-    calls = []
-    ordinal = hyposym.spectral._torus_ordinal
+    lattice = _counting(monkeypatch, hyposym.spectral, "torus_lattice")
+    levels = _counting(monkeypatch, hyposym.spectral, "su2_levels")
+    # the command's one window pass serves its probes too
+    for spec, cutoff, probes, want in [(PHI_SPEC, "20000", "3", (1, 0)),
+                                       (GAP_SPEC, "110", "5", (0, 1))]:
+        code = cli.main(["subelliptic", "--spec", spec, "--cutoff", cutoff,
+                         "--probes", probes, "--seed", "1"])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["probes"]["count"] == int(probes)
+        assert (len(lattice), len(levels)) == want
+        lattice.clear()
+        levels.clear()
 
-    def counting(xi, eta):
-        calls.append((xi, eta))
-        return ordinal(xi, eta)
 
-    monkeypatch.setattr(hyposym.spectral, "_torus_ordinal", counting)
-    phi = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", "terms": [
-        {"coeff": [1, 0], "deg_t": 1}, {"coeff_real": "(1+1*sqrt(5))/2", "deg_x": 1}]}})
-    code = cli.main(["subelliptic", "--spec", phi, "--cutoff", "20000",
+def test_cli_subelliptic_counts_no_ordinal(monkeypatch, capsys):
+    import hyposym.spectral
+    from hyposym import cli
+
+    calls = _counting(monkeypatch, hyposym.spectral, "_torus_ordinal")
+    code = cli.main(["subelliptic", "--spec", PHI_SPEC, "--cutoff", "20000",
                      "--probes", "3", "--seed", "5"])
     assert code == 0, capsys.readouterr().err
-    witness = json.loads(capsys.readouterr().out)["report"]["witness"]["label"]
-    assert [f"({xi},{eta})" for xi, eta in calls] == [witness]  # the witness field's label
-    probe = random_field(TORUS2, 20000, np.random.default_rng(5), n_support=20)
+    assert calls == []  # the witness field reads the report's frequency
+    probe = random_field(Window(TORUS2, 20000), np.random.default_rng(5), n_support=20)
     assert len(list(probe.window(TORUS2, 20000))) == 20
-    assert len(calls) == 1  # building and walking a probe counts nothing
+    assert calls == []  # building and walking a probe counts nothing
+
+
+def _field_bits(field, model, cutoff):
+    """Each frequency of a walk, whole, and its vector's bits."""
+    return [((f.j, f.lam, f.dim, f.label), vec.tobytes())
+            for f, vec in field.window(model, cutoff)]
+
+
+@pytest.mark.parametrize("model, cutoff, n_support", [(TORUS2, 400, 6), (TORUS2, 20000, 20),
+                                                      (SU2, 110, 6), (SU2, 12, 30)])
+@pytest.mark.parametrize("seed", [0, 1, 5, 2024])
+def test_probes_from_one_window_equal_a_fresh_window_per_probe(model, cutoff, n_support, seed):
+    window = Window(model, cutoff)
+    drawn, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got = random_field(window, drawn, n_support)
+        want = fresh_window_random_field(model, cutoff, fresh, n_support)
+        assert _field_bits(got, model, cutoff) == _field_bits(want, model, cutoff)
+        assert len(got.support_labels()) == min(n_support, len(window))
+    assert drawn.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("case", ["torus_phi", "su2_gap", "dense"])
+def test_extremal_field_equals_the_field_of_the_counted_label(case, su2_gap_symbol):
+    model, symbol, cutoff = {
+        "torus_phi": (TORUS2, build_symbol(torus_translation(0.5 + 5**0.5 / 2), TORUS2), 20000),
+        "su2_gap": (SU2, su2_gap_symbol, 50 * 51),
+        "dense": (SU2, build_symbol(_dense_table(20, 7), SU2), 20 * 22 / 4),
+    }[case]
+    report = best_alpha_constant(symbol, model, 0.0, 1.0, cutoff)
+    got = extremal_field(report, symbol)
+    want = labelled_extremal_field(report, symbol, model)
+    assert _field_bits(got, model, cutoff) == _field_bits(want, model, cutoff)
+    assert [f for f, _ in got.window(model, cutoff)] == [report.witness]

@@ -474,25 +474,25 @@ def test_block_application_matches_full_matrix():
 
 
 def test_order_of_identity_is_zero():
-    est = estimate_order(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 400)
+    est = estimate_order(gain_table(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 400))
     assert abs(est.order_hat) <= 0.05
 
 
 def test_order_of_torus_translation_is_one():
     sym = build_symbol(torus_translation(1), TORUS2)
-    est = estimate_order(sym, TORUS2, 10_000)
+    est = estimate_order(gain_table(sym, TORUS2, 10_000))
     assert est.order_hat == pytest.approx(1.0, abs=0.1)
 
 
 def test_order_of_su2_gap_operator_is_two():
     sym = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    est = estimate_order(sym, SU2, 50 * 51)
+    est = estimate_order(gain_table(sym, SU2, 50 * 51))
     assert est.order_hat == pytest.approx(2.0, abs=0.1)
 
 
 def test_order_bound_constant_validates():
     sym = build_symbol(torus_translation(1), TORUS2)
-    est = estimate_order(sym, TORUS2, 2_000)
+    est = estimate_order(gain_table(sym, TORUS2, 2_000))
     for f in enumerate_frequencies(TORUS2, 2_000):
         norm = sym.opnorm(f)
         assert norm <= est.c_hat * (1 + f.lam) ** (est.order_hat / 2) * (1 + 1e-9)
@@ -500,10 +500,10 @@ def test_order_bound_constant_validates():
 
 def test_order_of_zero_symbol_is_minus_infinity():
     zero = TorusPoly.make([(Coefficient.make(0), 1, 0)])
-    est = estimate_order(build_symbol(zero, TORUS2), TORUS2, 400)
+    est = estimate_order(gain_table(build_symbol(zero, TORUS2), TORUS2, 400))
     assert est.order_hat == float("-inf")
 
 
 def test_order_needs_enough_frequencies():
     with pytest.raises(WindowTooSmallError):
-        estimate_order(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 1)
+        estimate_order(gain_table(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 1))

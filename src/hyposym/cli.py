@@ -130,7 +130,7 @@ def _write_gains_csv(path: str, table) -> None:
 
 
 def _gain_rows(table):
-    torus = table.model.kind == "torus2"
+    torus = table.window.model.kind == "torus2"
     labels = table.window.labels
     # label texts looked up by value: ',"(xi,' and 'eta)",' on the torus,
     # ',l=..,' and the dim (t+1)^2 by twice_ell t on SU(2)
@@ -160,17 +160,17 @@ def _gain_rows(table):
         yield hi - lo, (_int_texts(lo, hi), *label, (lams + ",")[li], dim, *tail)
 
 
-def _write_coeffs_csv(path: str, field, model, cutoff: float) -> None:
+def _write_coeffs_csv(path: str, field, cutoff: float) -> None:
     """Write the field as ``ordinal,label,component_index,re,im`` rows.
 
     The bytes equal a ``csv.writer`` row loop; long vectors are written in
     chunks of CSV_CHUNK_ROWS components.
     """
-    _write_csv(path, "ordinal,label,component_index,re,im\r\n", _coeff_rows(field, model, cutoff))
+    _write_csv(path, "ordinal,label,component_index,re,im\r\n", _coeff_rows(field, cutoff))
 
 
-def _coeff_rows(field, model, cutoff: float):
-    for freq, vec in field.window(model, cutoff):
+def _coeff_rows(field, cutoff: float):
+    for freq, vec in field.window(cutoff):
         head = f"{freq.j},{_csv_label(freq.label)},"
         for lo in range(0, len(vec), CSV_CHUNK_ROWS):
             part = vec[lo:lo + CSV_CHUNK_ROWS]
@@ -237,7 +237,7 @@ def _spec_input(args):
 
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
-    return parsed, cutoff, build_symbol(parsed.operator, parsed.model)
+    return parsed, cutoff, build_symbol(parsed.operator)
 
 
 def _spec_report(parsed, cutoff: float, **fields) -> dict:
@@ -254,8 +254,8 @@ def _cmd_analyze(args) -> dict:
 
     parsed, cutoff, symbol = _spec_input(args)
     tol = _option(args, parsed, "tol", 1e-12)
-    table = gain_table(symbol, parsed.model, cutoff)
-    v = verdict(parsed.operator, parsed.model, cutoff, tol, table=table)
+    table = gain_table(symbol, cutoff)
+    v = verdict(table, tol)
     try:
         order = estimate_order(table)
         order_doc = {"order_hat": order.order_hat, "c_hat": order.c_hat}
@@ -273,10 +273,11 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_singular_scan(args) -> dict:
     from .hypo import singular_scan
+    from .symbols import gain_table
 
     parsed, cutoff, symbol = _spec_input(args)
     tol = _option(args, parsed, "tol", 1e-12)
-    hits = singular_scan(symbol, parsed.model, cutoff, tol)
+    hits = singular_scan(gain_table(symbol, cutoff), tol)
     return _spec_report(parsed, cutoff, tol=tol, singular=[
         {"ordinal": f.j, "label": str(f.label), "lambda": f.lam, "dim": f.dim} for f in hits])
 
@@ -289,8 +290,7 @@ def _cmd_fit_exponent(args) -> dict:
     if certify(parsed.operator) is not None:
         # a certified family has no empirical fit; its exponent is -inf
         return _spec_report(parsed, cutoff, fit=None, h_hat="-inf")
-    fit = fit_growth(gain_table(symbol, parsed.model, cutoff), parsed.model.nu,
-                     _option(args, parsed, "tol", 1e-12))
+    fit = fit_growth(gain_table(symbol, cutoff), _option(args, parsed, "tol", 1e-12))
     return _spec_report(parsed, cutoff, fit=fit.as_dict(), h_hat=fit.m)
 
 
@@ -302,14 +302,14 @@ def _cmd_counterexample(args) -> dict:
     tol = _option(args, parsed, "tol", 1e-12)
     if tol < 0:
         raise SpecFileError([f"the guard band tol must be nonnegative, got {tol!r}"])
-    result = build_counterexample(symbol, parsed.model, k_steps, cutoff, tol)
+    result = build_counterexample(symbol, k_steps, cutoff, tol)
     # regularity evidence is judged on the construction's own span: past the
     # support every finite field looks smooth, which says nothing here
     span = max(f.lam for f in result.frequencies)
 
     def classify(field):
         try:
-            return classify_regularity(field, parsed.model, span).as_dict()
+            return classify_regularity(field, span).as_dict()
         except WindowTooSmallError as exc:
             return {"error": str(exc)}
 
@@ -318,7 +318,7 @@ def _cmd_counterexample(args) -> dict:
     coeffs_path = None
     if args.out:
         coeffs_path = args.out + ".coeffs.csv"
-        _write_coeffs_csv(coeffs_path, result.field, parsed.model, cutoff)
+        _write_coeffs_csv(coeffs_path, result.field, cutoff)
     certificates = [
         {"k": c.k, "ordinal": c.ordinal, "label": str(c.label), "lambda": c.lam,
          "image_norm": c.image_norm, "bound": c.bound, "exact": c.exact}
@@ -415,20 +415,16 @@ def _cmd_subelliptic(args) -> dict:
     parsed, cutoff, symbol = _spec_input(args)
     s = _option(args, parsed, "s", 0.0)
     m = _option(args, parsed, "m", 1.0)
-    report = best_alpha_constant(symbol, parsed.model, s, m, cutoff,
-                                 _option(args, parsed, "tol", 1e-12))
+    report = best_alpha_constant(symbol, s, m, cutoff, _option(args, parsed, "tol", 1e-12))
     witness = extremal_field(report, symbol)
-    witness_check = check_alpha(
-        symbol, parsed.model, witness, s, m, report.c_star, cutoff, kernel=report.kernel
-    )
+    witness_check = check_alpha(symbol, witness, s, m, report.c_star, report.kernel)
     rng = np.random.default_rng(args.seed)
     alpha_failures = beta_failures = 0
     min_alpha_margin = min_beta_margin = float("inf")
     for _ in range(args.probes):
         probe = random_field(report.kernel.window, rng)
-        a = check_alpha(symbol, parsed.model, probe, s, m, report.c_star, cutoff,
-                        kernel=report.kernel)
-        b = check_beta(symbol, parsed.model, probe, s, m, report.k_star, cutoff)
+        a = check_alpha(symbol, probe, s, m, report.c_star, report.kernel)
+        b = check_beta(symbol, probe, s, m, report.k_star, cutoff)
         if not a.passed:
             alpha_failures += 1
         elif not a.vacuous:

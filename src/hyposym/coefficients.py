@@ -21,17 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, WindowTooSmallError
-from .spectral import (
-    SU2,
-    TORUS2,
-    FrequencyIndex,
-    Label,
-    SpectralModel,
-    Torus2Label,
-    Window,
-    bracket_power,
-    frequency_for_label,
-)
+from .spectral import NU, FrequencyIndex, Label, Window, bracket_power, frequency_for_label
 from .symbols import MatrixSymbol, block_extrema
 
 __all__ = [
@@ -77,9 +67,7 @@ class CoefficientField:
         """The field of a mapping label -> vector; each label's frequency is
         counted once, here."""
         return CoefficientField(explicit={
-            frequency_for_label(TORUS2 if isinstance(label, Torus2Label) else SU2, label): vec
-            for label, vec in data.items()
-        })
+            frequency_for_label(label): vec for label, vec in data.items()})
 
     def support_labels(self) -> list[Label]:
         """The support in canonical (eigenvalue, label) order."""
@@ -91,20 +79,15 @@ class CoefficientField:
             return np.zeros(freq.dim, dtype=complex)
         return entry[1]
 
-    def window(self, model: SpectralModel, cutoff: float):
+    def window(self, cutoff: float):
         """The stored (freq, vector) pairs with lam <= cutoff, in canonical order."""
-        torus = model.kind == "torus2"
         for freq, vec in self._support.values():
             if not freq.lam <= cutoff:
                 break
-            if isinstance(freq.label, Torus2Label) != torus:
-                raise PreconditionError("label does not match model")
             yield freq, vec
 
 
-def sobolev_norm(
-    u: CoefficientField, s: float, model: SpectralModel, cutoff: float
-) -> float:
+def sobolev_norm(u: CoefficientField, s: float, cutoff: float) -> float:
     """Sobolev norm on the truncation: sqrt of the weighted coefficient sum.
 
     The weight per frequency is (1 + lambda_j)^{2s/nu}; summation runs in
@@ -113,8 +96,8 @@ def sobolev_norm(
     violation.
     """
     total = 0.0
-    exponent = 2.0 * s / model.nu
-    for freq, vec in u.window(model, cutoff):
+    exponent = 2.0 * s / NU
+    for freq, vec in u.window(cutoff):
         weight = bracket_power(freq.lam, exponent)
         if weight == 0.0 and freq.lam > 0:
             raise PreconditionError(f"weight (1 + {freq.lam}) ** {exponent} underflows to 0")
@@ -163,9 +146,7 @@ def _stabilized(lam: np.ndarray, values: np.ndarray, cutoff: float) -> bool:
     return float(np.max(lower)) >= top * (1.0 - 1e-9)
 
 
-def classify_regularity(
-    u: CoefficientField, model: SpectralModel, cutoff: float, n_probe: int = 10
-) -> RegularityReport:
+def classify_regularity(u: CoefficientField, cutoff: float, n_probe: int = 10) -> RegularityReport:
     """Classify decay/growth of ||u_hat(j)|| against powers of (1+lambda).
 
     A rate is accepted only when the extremal constant has stabilized in the
@@ -173,7 +154,7 @@ def classify_regularity(
     The identically-zero field is smooth exactly; otherwise at least 8
     nonzero frequencies are required.
     """
-    pairs = list(u.window(model, cutoff))
+    pairs = list(u.window(cutoff))
     if not pairs:
         return RegularityReport(
             kind="smooth_evidence",
@@ -233,7 +214,7 @@ def apply_symbol(
     The result is valid on the truncation lambda <= cutoff.  A diagonal
     symbol is evaluated once over the whole support.
     """
-    pairs = list(u.window(symbol.model, cutoff))
+    pairs = list(u.window(cutoff))
     freqs = [freq for freq, _ in pairs]
     images = symbol.apply_to_vectors(freqs, [vec for _, vec in pairs])
     return CoefficientField(explicit=dict(zip(freqs, images)))
@@ -325,11 +306,7 @@ def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
 
 
 def build_counterexample(
-    symbol: MatrixSymbol,
-    model: SpectralModel,
-    k_steps: int,
-    search_cutoff: float,
-    tol: float = 1e-12,
+    symbol: MatrixSymbol, k_steps: int, cutoff: float, tol: float = 1e-12
 ) -> Counterexample:
     """Construct a field whose image decays faster than every probed rate.
 
@@ -352,7 +329,7 @@ def build_counterexample(
         raise PreconditionError("need at least one step")
     if not tol >= 0:
         raise PreconditionError(f"guard band tol must be nonnegative, got {tol!r}")
-    window = Window(model, search_cutoff)
+    window = Window(symbol.model, cutoff)
     screen = _gain_lower_bounds(symbol, window)
     lo = hi = 0
     support: dict[FrequencyIndex, np.ndarray] = {}
@@ -376,7 +353,7 @@ def build_counterexample(
             else:
                 idx = hi
         if found is None:
-            raise SearchExhaustedError(k, search_cutoff)
+            raise SearchExhaustedError(k, cutoff)
 
         freq, entry_idx, block_vec, exact = found
         bdim = symbol.block_dim(freq)

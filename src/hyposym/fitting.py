@@ -3,7 +3,8 @@
 The growth/decay criteria quantify over all large frequencies, so a fit must
 track the envelope of the sample cloud, not its bulk:
 
-* samples are binned by log-bracket x = log(1+lambda)/nu,
+* samples are binned by log-bracket x = log(1+lambda)/nu, where
+  nu = ``NU`` = 2 is the Laplacian's order, fixed by the enumeration,
 * one extreme point (min or max) is kept per bin,
 * the low-frequency head of the range is dropped (the criteria are
   asymptotic and small eigenvalues only add curvature),
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import WindowTooSmallError
+from .spectral import NU
 
 BIN_WIDTH = 0.5
 HEAD_FRACTION = 0.3
@@ -40,17 +42,17 @@ def chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def log_bracket(lam: np.ndarray, nu: float) -> np.ndarray:
+def log_bracket(lam: np.ndarray) -> np.ndarray:
     """x = log(1 + lam) / nu, the abscissa of the envelope."""
     x = np.log1p(lam)
-    x /= nu
+    x /= NU
     return x
 
 
-def bracket_weights(lam: np.ndarray, slope: float, nu: float) -> np.ndarray:
+def bracket_weights(lam: np.ndarray, slope: float) -> np.ndarray:
     """(1 + lam)^(slope/nu), as exp(log(1 + lam) * (slope/nu))."""
     w = np.log1p(lam)
-    w *= slope / nu
+    w *= slope / NU
     return np.exp(w, out=w)
 
 

@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import NoFitError, PreconditionError
 from .fitting import Mapped, bracket_weights, chunk_ranges, envelope_fit, log_bracket
-from .spectral import FrequencyIndex, SpectralModel, Su2Label, Torus2Label
+from .spectral import FrequencyIndex, Su2Label, Torus2Label
 from .symbols import (
     Coefficient,
     GainTable,
-    MatrixSymbol,
     OperatorSpec,
     Su2DiagPoly,
     TorusPoly,
@@ -64,17 +63,11 @@ __all__ = [
 # scanning and fitting
 
 
-def singular_scan(
-    symbol: MatrixSymbol,
-    model: SpectralModel,
-    cutoff: float,
-    tol: float = SINGULAR_TOL,
-) -> list[FrequencyIndex]:
-    """Frequencies with eigenvalue <= cutoff whose gain vanishes under
-    ``zero_mask``, sorted by eigenvalue."""
-    if cutoff <= 0:
+def singular_scan(table: GainTable, tol: float = SINGULAR_TOL) -> list[FrequencyIndex]:
+    """Frequencies of a gain table whose gain vanishes under ``zero_mask``,
+    sorted by eigenvalue."""
+    if table.window.cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
-    table = gain_table(symbol, model, cutoff)
     return [table.window.freq(int(i)) for i in table.singular(tol)]
 
 
@@ -82,6 +75,7 @@ def singular_scan(
 class GrowthFit:
     """Fitted lower bound gain >= L (1+lambda)^{m/nu} for ordinals >= R.
 
+    nu = ``NU`` = 2 is the Laplacian's order, fixed by the enumeration.
     ``m`` is reported in the bracket-power scale: with nu = 2 the weight
     (1+lambda)^{m/nu} equals the m-th power of the bracket (1+lambda)^{1/2}.
     ``residual`` is the largest relative violation over the fitted samples
@@ -99,7 +93,7 @@ class GrowthFit:
         return asdict(self)
 
 
-def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> GrowthFit:
+def fit_growth(table: GainTable, tol: float = SINGULAR_TOL) -> GrowthFit:
     """Fit (L, m, R) from a gain table.
 
     R is the first ordinal past the last singular sample; m is the slope of
@@ -121,15 +115,15 @@ def fit_growth(table: GainTable, nu: float, tol: float = SINGULAR_TOL) -> Growth
             f"only {len(gain)} usable samples past the last singular ordinal {r}"
         )
     # every full-length pass runs a chunk at a time
-    slope, _, _ = envelope_fit(Mapped(lambda lam: log_bracket(lam, nu), lam),
+    slope, _, _ = envelope_fit(Mapped(log_bracket, lam),
                                Mapped(np.log, gain), mode="min")
     spans = chunk_ranges(len(gain))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        big_l = float(np.min([np.min(gain[lo:hi] / bracket_weights(lam[lo:hi], slope, nu))
+        big_l = float(np.min([np.min(gain[lo:hi] / bracket_weights(lam[lo:hi], slope))
                               for lo, hi in spans]))
         violations = []
         for lo, hi in spans:
-            w = bracket_weights(lam[lo:hi], slope, nu)
+            w = bracket_weights(lam[lo:hi], slope)
             w *= big_l
             w /= gain[lo:hi]
             w -= 1.0
@@ -392,7 +386,7 @@ class Verdict:
         return out
 
 
-def estimate_h(op: OperatorSpec, model: SpectralModel, cutoff: float) -> float:
+def estimate_h(op: OperatorSpec, cutoff: float) -> float:
     """Estimated hypoellipticity exponent in the bracket-power scale.
 
     -inf when an exact not-hypoelliptic certificate fires; otherwise the
@@ -400,33 +394,20 @@ def estimate_h(op: OperatorSpec, model: SpectralModel, cutoff: float) -> float:
     """
     if certify(op) is not None:
         return float("-inf")
-    symbol = build_symbol(op, model)
-    table = gain_table(symbol, model, cutoff)
-    return fit_growth(table, model.nu).m
+    return fit_growth(gain_table(build_symbol(op), cutoff)).m
 
 
-def verdict(
-    op: OperatorSpec,
-    model: SpectralModel,
-    cutoff: float,
-    tol: float = SINGULAR_TOL,
-    table: GainTable | None = None,
-) -> Verdict:
-    """Certificate if available; else growth fit past the singular set;
-    else inconclusive with the singular frequencies listed.
-
-    ``table`` reuses a gain table of the operator's symbol up to ``cutoff``.
+def verdict(table: GainTable, tol: float = SINGULAR_TOL) -> Verdict:
+    """Certificate of the table's operator if available; else growth fit
+    past the singular set; else inconclusive with the singular frequencies
+    listed.  The upper half is that of the table's window.
     """
-    if op.model_kind != model.kind:
-        raise PreconditionError("operator/model mismatch")
-    cert = certify(op)
+    cert = certify(table.symbol.op)
     if cert is not None:
         return Verdict(kind="certified_not_gh", certificate=cert, h_hat=float("-inf"))
 
-    if table is None:
-        table = gain_table(build_symbol(op, model), model, cutoff)
-    singular = tuple(table.window.freq(int(i)) for i in table.singular(tol))
-    if singular and max(f.lam for f in singular) > cutoff / 2.0:
+    singular = tuple(singular_scan(table, tol))
+    if singular and max(f.lam for f in singular) > table.window.cutoff / 2.0:
         return Verdict(
             kind="inconclusive",
             singular=singular,
@@ -436,7 +417,7 @@ def verdict(
             ),
         )
     try:
-        fit = fit_growth(table, model.nu, tol)
+        fit = fit_growth(table, tol)
     except NoFitError as exc:
         return Verdict(kind="inconclusive", singular=singular, reason=str(exc))
     return Verdict(kind="empirical_gh", fit=fit, h_hat=fit.m, singular=singular)

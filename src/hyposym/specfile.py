@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import SpecFileError
 from .exact import Enclosure, format_real, parse_real
-from .spectral import SpectralModel, Su2Label, Torus2Label
+from .spectral import Su2Label, Torus2Label
 from .symbols import (
     Coefficient,
     MatrixTable,
@@ -74,18 +74,10 @@ __all__ = ["ParsedSpec", "parse_spec", "emit_spec", "MAX_DEGREE"]
 
 @dataclass(frozen=True)
 class ParsedSpec:
-    model: SpectralModel
+    """A spec's operator, which fixes its model, and its options."""
+
     operator: OperatorSpec
     options: dict
-
-    def __eq__(self, other):
-        if not isinstance(other, ParsedSpec):
-            return NotImplemented
-        return (
-            self.model.kind == other.model.kind
-            and self.operator == other.operator
-            and self.options == other.options
-        )
 
 
 def _parse_coefficient(term: dict, where: str, problems: list[str]) -> Coefficient:
@@ -417,7 +409,7 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
 
     if problems:
         raise SpecFileError(problems)
-    return ParsedSpec(model=SpectralModel(model_kind), operator=operator, options=dict(options))
+    return ParsedSpec(operator=operator, options=dict(options))
 
 
 def _emit_coefficient(c: Coefficient) -> dict:
@@ -454,7 +446,7 @@ def emit_spec(parsed: ParsedSpec) -> dict:
             break
     else:
         op_doc = {"kind": "matrix_table", "path": op.path}
-    doc = {"model": {"kind": parsed.model.kind}, "operator": op_doc}
+    doc = {"model": {"kind": op.model_kind}, "operator": op_doc}
     if parsed.options:
         doc["options"] = dict(sorted(parsed.options.items()))
     return doc

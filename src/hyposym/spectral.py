@@ -1,7 +1,7 @@
 """Spectral data of the reference elliptic operator on the two model geometries.
 
-Both models use the (positive) Laplacian as reference operator, elliptic
-order nu = 2:
+Both models use the (positive) Laplacian as reference operator; its
+elliptic order nu = ``NU`` = 2 is fixed by the enumeration below:
 
 * ``torus2`` -- frequencies are characters (xi, eta) in Z^2 with eigenvalue
   xi^2 + eta^2 and one-dimensional blocks.  Indexing is per character, not
@@ -106,13 +106,10 @@ class FrequencyIndex:
 @dataclass(frozen=True)
 class SpectralModel:
     kind: str
-    nu: float = NU
 
     def __post_init__(self):
         if self.kind not in ("torus2", "su2"):
             raise PreconditionError(f"unknown model kind {self.kind!r}")
-        if self.nu <= 0:
-            raise PreconditionError("elliptic order must be positive")
 
 
 TORUS2 = SpectralModel("torus2")
@@ -233,13 +230,14 @@ class Window:
     eigenvalues as floats (t(t+2)/4.0 is float(Fraction) exactly); ``sizes``:
     diagonal entries per representation block (2l+1 on SU(2); on the torus a
     read-only broadcast of 1).  FrequencyIndex objects are built on demand,
-    by ``freq(i)`` or lazily by iterating.  A window whose frequencies would
-    take more than the physical memory at _WINDOW_BYTES each is refused
-    before anything is allocated.
+    by ``freq(i)`` or lazily by iterating; ``cutoff`` is the cutoff they were
+    enumerated up to.  A window whose frequencies would take more than the
+    physical memory at _WINDOW_BYTES each is refused before anything is
+    allocated.
     """
 
     def __init__(self, model: SpectralModel, lambda_cutoff: float):
-        self.model = model
+        self.model, self.cutoff = model, lambda_cutoff
         try:
             need = _count_bound(model, lambda_cutoff) * _WINDOW_BYTES[model.kind]
             if not need <= _physical_memory():
@@ -302,18 +300,14 @@ def _torus_ordinal(xi: int, eta: int) -> int:
     return below + shell + (eta > 0)
 
 
-def frequency_for_label(model: SpectralModel, label: Label) -> FrequencyIndex:
+def frequency_for_label(label: Label) -> FrequencyIndex:
     """Materialize the FrequencyIndex of a label (ordinal found by counting).
     Its lam is the correctly rounded eigenvalue, from int arithmetic."""
-    if model.kind == "torus2":
-        if not isinstance(label, Torus2Label):
-            raise PreconditionError("label does not match model")
+    if isinstance(label, Torus2Label):
         try:
             xi, eta = operator.index(label.xi), operator.index(label.eta)
         except TypeError:  # not a lattice point
             raise PreconditionError(f"label {label} not enumerable") from None
         return FrequencyIndex(_torus_ordinal(xi, eta), float(xi * xi + eta * eta), 1, label)
-    if not isinstance(label, Su2Label):
-        raise PreconditionError("label does not match model")
     t = label.twice_ell
     return FrequencyIndex(t, t * (t + 2) / 4, label.block_dim(), label)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import CoefficientField, apply_symbol, sobolev_norm
 from .errors import PreconditionError
-from .spectral import FrequencyIndex, SpectralModel, Window, bracket_power
+from .spectral import NU, FrequencyIndex, Window, bracket_power
 from .symbols import MatrixSymbol, block_extrema, zero_mask
 
 KERNEL_TOL = 1e-12
@@ -56,11 +56,11 @@ class TruncatedKernel:
     ``boundary_singular`` flags kernel frequencies in the top fifth of the
     window -- evidence that the kernel keeps growing with the cutoff (as
     with rational torus resonances).  ``window`` is the window the kernel
-    was read from, kept so the rest of a command draws on it.
+    was read from, kept so the rest of a command draws on it and
+    ``check_alpha`` reads its cutoff.
     """
 
     window: Window
-    tol: float
     blocks: dict
     replicated: bool
     total_dim: int
@@ -83,13 +83,7 @@ class TruncatedKernel:
         return (chunks - coefs @ basis.T).reshape(freq.dim)
 
 
-def _window_pass(
-    symbol: MatrixSymbol,
-    model: SpectralModel,
-    cutoff: float,
-    tol: float,
-    m: float | None = None,
-):
+def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float | None = None):
     """The truncated kernel and, given m, the C* witness, from the runs of
     ``block_extrema``.  Only a block whose gain ``zero_mask`` flags has a
     kernel, and only it is evaluated again, for its basis and least nonzero
@@ -100,7 +94,7 @@ def _window_pass(
     nonzero singular value of a dense one."""
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
-    window = Window(model, cutoff)
+    window = Window(symbol.model, cutoff)
     blocks = {}
     total = 0
     boundary = False
@@ -126,7 +120,7 @@ def _window_pass(
             least[k] = np.min(values[~zero], initial=np.inf)
         if m is None:
             continue
-        weights = [bracket_power(lam, -m / model.nu) for lam in window.lam[lo:hi].tolist()]
+        weights = [bracket_power(lam, -m / NU) for lam in window.lam[lo:hi].tolist()]
         # an all-kernel block stays out, even where its weight underflows to 0
         cand = least * np.where(least < np.inf, weights, 1.0)
         k = int(np.argmin(cand))
@@ -139,17 +133,14 @@ def _window_pass(
         freq = window.freq(i)
         hits = np.flatnonzero(symbol.values(freq) == least)
         best = (c_star, freq, int(hits[0] if symbol.is_diagonal else hits[-1]))
-    return TruncatedKernel(window, tol, blocks, symbol.replicated, total, boundary), best
+    return TruncatedKernel(window, blocks, symbol.replicated, total, boundary), best
 
 
 def kernel_on_truncation(
-    symbol: MatrixSymbol,
-    model: SpectralModel,
-    cutoff: float,
-    tol: float = KERNEL_TOL,
+    symbol: MatrixSymbol, cutoff: float, tol: float = KERNEL_TOL
 ) -> TruncatedKernel:
     """Null vectors of every block with eigenvalue <= cutoff."""
-    return _window_pass(symbol, model, cutoff, tol)[0]
+    return _window_pass(symbol, cutoff, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,6 @@ class SubellipticReport:
 
 def best_alpha_constant(
     symbol: MatrixSymbol,
-    model: SpectralModel,
     s: float,
     m: float,
     cutoff: float,
@@ -208,12 +198,12 @@ def best_alpha_constant(
     not depend on s (the weights cancel), which callers can assert by
     recomputation.  The truncated kernel comes from the same window pass.
     """
-    kernel, best = _window_pass(symbol, model, cutoff, tol, m)
+    kernel, best = _window_pass(symbol, cutoff, tol, m)
     if best is None:
         raise PreconditionError("every block is entirely kernel on the truncation")
 
     c_star, freq, entry = best
-    k1 = max((bracket_power(float(lab.eigenvalue()), m / model.nu) for lab in kernel.blocks),
+    k1 = max((bracket_power(float(lab.eigenvalue()), m / NU) for lab in kernel.blocks),
              default=0.0)
     if c_star == 0.0 or not math.isfinite(max(k1, 1.0 / c_star)):
         raise PreconditionError(f"C* = {c_star!r} and k1 = {k1!r} leave no finite K* at m = {m}")
@@ -267,31 +257,31 @@ class AlphaCheck:
 
 def check_alpha(
     symbol: MatrixSymbol,
-    model: SpectralModel,
     f: CoefficientField,
     s: float,
     m: float,
     c: float,
-    cutoff: float,
     kernel: TruncatedKernel,
 ) -> AlphaCheck:
-    """Verify ||P f||_s >= c ||f||_{s+m} after projecting f off the kernel.
+    """Verify ||P f||_s >= c ||f||_{s+m} after projecting f off the kernel,
+    on the kernel's window.
 
     A field living entirely in the kernel passes vacuously (flagged).
     """
+    cutoff = kernel.window.cutoff
     projected = {}
-    for freq, vec in f.window(model, cutoff):
+    for freq, vec in f.window(cutoff):
         w = kernel.project_out(freq, vec)
         # numerical kernels (dense SVD bases) leave roundoff residue; treat
         # a relatively vanished projection as gone so it flags vacuous
         if np.linalg.norm(w) > 1e-12 * np.linalg.norm(vec):
             projected[freq] = w
     f_perp = CoefficientField(explicit=projected)
-    denom = sobolev_norm(f_perp, s + m, model, cutoff)
+    denom = sobolev_norm(f_perp, s + m, cutoff)
     if denom == 0.0:
         return AlphaCheck(passed=True, ratio=None, margin=None, vacuous=True,
                           projected_norm=0.0)
-    num = sobolev_norm(apply_symbol(symbol, f_perp, cutoff), s, model, cutoff)
+    num = sobolev_norm(apply_symbol(symbol, f_perp, cutoff), s, cutoff)
     ratio = num / denom
     return AlphaCheck(
         passed=ratio >= c * (1.0 - 1e-12),
@@ -314,7 +304,6 @@ class BetaCheck:
 
 def check_beta(
     symbol: MatrixSymbol,
-    model: SpectralModel,
     f: CoefficientField,
     s: float,
     m: float,
@@ -326,10 +315,8 @@ def check_beta(
     No orthogonality is required; ``achieved_k`` is the smallest constant
     this probe admits.
     """
-    lhs = sobolev_norm(f, s + m, model, cutoff)
-    rhs0 = sobolev_norm(f, s, model, cutoff) + sobolev_norm(
-        apply_symbol(symbol, f, cutoff), s, model, cutoff
-    )
+    lhs = sobolev_norm(f, s + m, cutoff)
+    rhs0 = sobolev_norm(f, s, cutoff) + sobolev_norm(apply_symbol(symbol, f, cutoff), s, cutoff)
     if rhs0 == 0.0:
         return BetaCheck(passed=lhs == 0.0, achieved_k=None, margin=None)
     achieved = lhs / rhs0

@@ -437,13 +437,13 @@ def zero_mask(values, norm, tol: float):
 
 
 class MatrixSymbol:
-    """Per-frequency matrix of the operator spec ``op`` on ``model``.
+    """Per-frequency matrix of the operator spec ``op``.
 
-    Everything else follows from the spec's type.  On SU(2) the symbol is
-    ``replicated``: the full matrix is block_dim copies of one
-    representation block, and every computation happens at block level.  A
-    polynomial symbol ``is_diagonal``; a ``MatrixTable`` gives dense blocks
-    and has no exact path.
+    Everything else follows from the spec's type, the ``model`` too.  On
+    SU(2) the symbol is ``replicated``: the full matrix is block_dim copies
+    of one representation block, and every computation happens at block
+    level.  A polynomial symbol ``is_diagonal``; a ``MatrixTable`` gives
+    dense blocks and has no exact path.
 
     For a polynomial, ``bulk`` evaluates the diagonals of a run of blocks in
     one call: ``bulk(xi, eta)`` on the torus (one entry per character) and
@@ -456,16 +456,12 @@ class MatrixSymbol:
     coefficients' floats.
     """
 
-    def __init__(self, op: OperatorSpec, model: SpectralModel):
+    def __init__(self, op: OperatorSpec):
         if not isinstance(op, OperatorSpec):
             raise PreconditionError(f"unknown operator spec {op!r}")
-        if op.model_kind != model.kind:
-            raise PreconditionError(
-                f"operator is for model {op.model_kind!r}, not {model.kind!r}"
-            )
         self.op = op
-        self.model = model
-        self.replicated = model.kind == "su2"
+        self.model = SpectralModel(op.model_kind)
+        self.replicated = op.model_kind == "su2"
         self.is_diagonal = not isinstance(op, MatrixTable)
 
     def _check(self, freq: FrequencyIndex):
@@ -571,9 +567,9 @@ class MatrixSymbol:
         return out
 
 
-def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
-    """Build the evaluable symbol of an operator spec for a model."""
-    return MatrixSymbol(op, model)
+def build_symbol(op: OperatorSpec) -> MatrixSymbol:
+    """Build the evaluable symbol of an operator spec."""
+    return MatrixSymbol(op)
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +577,13 @@ def build_symbol(op: OperatorSpec, model: SpectralModel) -> MatrixSymbol:
 
 
 class GainTable:
-    """Gain and operator norm per block of a ``Window``, as arrays; the block
-    at position i has ordinal i.  On 1x1 blocks ``opnorm`` is ``gain``."""
+    """Gain and operator norm per block of a ``Window``, as arrays, read
+    from ``symbol``; the block at position i has ordinal i.  On 1x1 blocks
+    ``opnorm`` is ``gain``."""
 
-    def __init__(self, window: Window, gain: np.ndarray, opnorm: np.ndarray):
-        self.window, self.model, self.lam = window, window.model, window.lam
+    def __init__(self, symbol: MatrixSymbol, window: Window, gain: np.ndarray,
+                 opnorm: np.ndarray):
+        self.symbol, self.window, self.lam = symbol, window, window.lam
         self.gain, self.opnorm = gain, opnorm
 
     def singular(self, tol: float) -> np.ndarray:
@@ -749,19 +747,17 @@ def block_extrema(symbol: MatrixSymbol, window: Window):
         yield lo, hi, *extrema
 
 
-def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> GainTable:
+def gain_table(symbol: MatrixSymbol, cutoff: float) -> GainTable:
     """Gains and operator norms of all frequencies with eigenvalue <= cutoff,
     filled from ``block_extrema``."""
-    if symbol.model.kind != model.kind:
-        raise PreconditionError("symbol does not match the model")
-    window = Window(model, cutoff)
+    window = Window(symbol.model, cutoff)
     gains = np.empty(len(window))
     norms = np.empty(len(window)) if symbol.replicated else gains
     for lo, hi, gain, opnorm in block_extrema(symbol, window):
         gains[lo:hi] = gain
         if norms is not gains:
             norms[lo:hi] = opnorm
-    return GainTable(window, gains, norms)
+    return GainTable(symbol, window, gains, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +766,8 @@ def gain_table(symbol: MatrixSymbol, model: SpectralModel, cutoff: float) -> Gai
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Envelope fit of log ||sigma|| against log (1+lambda)^{1/nu}.
+    """Envelope fit of log ||sigma|| against log (1+lambda)^{1/nu}, with
+    nu = ``NU`` = 2 the Laplacian's order, fixed by the enumeration.
 
     order_hat is the fitted polynomial order; c_hat makes
     ||sigma(j)|| <= c_hat (1+lambda_j)^{order_hat/nu} hold on every sample.
@@ -792,15 +789,14 @@ def estimate_order(table: GainTable) -> OrderEstimate:
     spans = chunk_ranges(len(norms))
     if not any(np.any(norms[lo:hi] > 0) for lo, hi in spans):
         return OrderEstimate(float("-inf"), 0.0, 0)
-    nu = table.model.nu
     # the samples are the nonzero norms, read a chunk at a time
-    slope, _, npts = envelope_fit(Mapped(lambda lam, n: log_bracket(lam[n > 0], nu), lam, norms),
+    slope, _, npts = envelope_fit(Mapped(lambda lam, n: log_bracket(lam[n > 0]), lam, norms),
                                   Mapped(lambda n: np.log(n[n > 0]), norms), mode="max")
     finite, ratios = True, []
     with np.errstate(over="ignore", divide="ignore"):
         for lo, hi in spans:
             nz = norms[lo:hi] > 0
-            weights = bracket_weights(lam[lo:hi][nz], slope, nu)
+            weights = bracket_weights(lam[lo:hi][nz], slope)
             finite = finite and bool(np.isfinite(weights).all())
             ratio = norms[lo:hi][nz]
             ratio /= weights

@@ -1,6 +1,6 @@
 import pytest
 
-from hyposym import SU2, TORUS2, Su2DiagPoly, TorusPoly, build_symbol
+from hyposym import Su2DiagPoly, TorusPoly, build_symbol
 from hyposym.symbols import Coefficient
 
 
@@ -44,14 +44,14 @@ def su2_pell_operator() -> Su2DiagPoly:
 
 @pytest.fixture
 def torus_resonant_symbol():
-    return build_symbol(torus_translation(1), TORUS2)
+    return build_symbol(torus_translation(1))
 
 
 @pytest.fixture
 def su2_gap_symbol():
-    return build_symbol(su2_laplace_minus_axis_sq(), SU2)
+    return build_symbol(su2_laplace_minus_axis_sq())
 
 
 @pytest.fixture
 def su2_pell_symbol():
-    return build_symbol(su2_pell_operator(), SU2)
+    return build_symbol(su2_pell_operator())

@@ -64,13 +64,13 @@ def fresh_window_random_field(model, cutoff, rng, n_support: int = 6):
     return CoefficientField(explicit=data)
 
 
-def labelled_extremal_field(report, symbol, model):
+def labelled_extremal_field(report, symbol):
     """``subelliptic.extremal_field`` with the witness frequency counted
     from its label by ``frequency_for_label``."""
     from hyposym.coefficients import CoefficientField
     from hyposym.spectral import frequency_for_label
 
-    freq = frequency_for_label(model, report.witness.label)
+    freq = frequency_for_label(report.witness.label)
     bdim = symbol.block_dim(freq)
     if symbol.is_diagonal:
         block_vec = np.zeros(bdim, dtype=complex)
@@ -197,8 +197,7 @@ def best_rational_below(c_exact, q_max: int):
     return best
 
 
-def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
-                              tol: float = 1e-12):
+def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 1e-12):
     """The counterexample search walked frequency by frequency: every
     frequency from the start of each step goes through the exact test (or
     the float test with guard band ``tol``), with no float screen.  An image
@@ -207,7 +206,7 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
     from hyposym.coefficients import Counterexample, CounterexampleCertificate
     from hyposym.spectral import Window
 
-    window = Window(model, search_cutoff)
+    window = Window(symbol.model, cutoff)
     support, images, chosen, certs = {}, {}, [], []
     lam_prev, idx = 0.0, 0
     for k in range(1, k_steps + 1):
@@ -240,7 +239,7 @@ def unscreened_counterexample(symbol, model, k_steps: int, search_cutoff: float,
                     break
             idx += 1
         if found is None:
-            raise SearchExhaustedError(k, search_cutoff)
+            raise SearchExhaustedError(k, cutoff)
         freq, entry_idx, block_vec, exact = found
         bdim = symbol.block_dim(freq)
         if block_vec is None:
@@ -336,22 +335,22 @@ def cellwise_parse_matrix(raw, where: str, problems: list[str]):
     return arr
 
 
-def unscreened_gain_table(symbol, model, cutoff):
+def unscreened_gain_table(symbol, cutoff):
     """The gain table with every block reduced from ``block_values``, no screen."""
     from hyposym.spectral import Window
     from hyposym.symbols import GainTable, block_values
 
-    window = Window(model, cutoff)
+    window = Window(symbol.model, cutoff)
     gains, norms = np.empty(len(window)), np.empty(len(window))
     for lo, hi, values, offsets in block_values(symbol, window):
         gains[lo:hi] = np.minimum.reduceat(values, offsets)
         norms[lo:hi] = np.maximum.reduceat(values, offsets)
-    return GainTable(window, gains, norms)
+    return GainTable(symbol, window, gains, norms)
 
 
 def rowwise_gains_csv(path, table, chunk_rows: int) -> None:
     """The gains CSV written by an f-string per row, ``chunk_rows`` rows per write."""
-    torus = table.model.kind == "torus2"
+    torus = table.window.model.kind == "torus2"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("ordinal,label,lambda,dim,gain,opnorm\r\n")
         for lo in range(0, len(table), chunk_rows):
@@ -370,12 +369,12 @@ def rowwise_gains_csv(path, table, chunk_rows: int) -> None:
             fh.write("".join(rows))
 
 
-def rowwise_coeffs_csv(path, field, model, cutoff, chunk_rows: int) -> None:
+def rowwise_coeffs_csv(path, field, cutoff, chunk_rows: int) -> None:
     """The coefficient CSV written by an f-string per row, in chunks of
     ``chunk_rows`` components per vector."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("ordinal,label,component_index,re,im\r\n")
-        for freq, vec in field.window(model, cutoff):
+        for freq, vec in field.window(cutoff):
             label = str(freq.label)
             head = f'{freq.j},"{label}",' if "," in label else f"{freq.j},{label},"
             for lo in range(0, len(vec), chunk_rows):
@@ -416,12 +415,13 @@ def mask_envelope_points(x, y, mode: str = "min"):
     return xs_arr, ys_arr
 
 
-def mask_fit_growth(table, nu: float, tol: float):
+def mask_fit_growth(table, tol: float):
     """``hypo.fit_growth`` with its samples taken by a mask over the stored
     ordinals: past the last singular ordinal and of positive gain."""
     from hyposym.errors import NoFitError
     from hyposym.fitting import envelope_fit
     from hyposym.hypo import GrowthFit
+    from hyposym.spectral import NU
     from hyposym.symbols import zero_mask
 
     ordinals, lam, gain = np.arange(len(table)), table.lam, table.gain
@@ -430,9 +430,9 @@ def mask_fit_growth(table, nu: float, tol: float):
     keep = (ordinals >= r) & (gain > 0)
     if keep.sum() < 8:
         raise NoFitError(f"only {int(keep.sum())} usable samples past the last singular ordinal {r}")
-    slope, _, _ = envelope_fit(np.log1p(lam[keep]) / nu, np.log(gain[keep]), mode="min")
+    slope, _, _ = envelope_fit(np.log1p(lam[keep]) / NU, np.log(gain[keep]), mode="min")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        weights = np.exp(np.log1p(lam[keep]) * (slope / nu))
+        weights = np.exp(np.log1p(lam[keep]) * (slope / NU))
         big_l = float(np.min(gain[keep] / weights))
         residual = float(np.max(big_l * weights / gain[keep] - 1.0))
     if not (math.isfinite(big_l) and math.isfinite(residual)):
@@ -441,15 +441,16 @@ def mask_fit_growth(table, nu: float, tol: float):
                      n_samples=int(keep.sum()), lam_max=float(lam[keep].max()))
 
 
-def mask_estimate_order(table, nu: float):
+def mask_estimate_order(table):
     """``symbols.estimate_order`` on a table, its samples taken by masks:
     (order_hat, c_hat, n_envelope)."""
     from hyposym.fitting import envelope_fit
+    from hyposym.spectral import NU
 
     norms, nz = table.opnorm, table.opnorm > 0
-    x = np.log1p(table.lam[nz]) / nu
+    x = np.log1p(table.lam[nz]) / NU
     slope, _, npts = envelope_fit(x, np.log(norms[nz]), mode="max")
     with np.errstate(over="ignore", divide="ignore"):
-        weights = np.exp(np.log1p(table.lam[nz]) * (slope / nu))
+        weights = np.exp(np.log1p(table.lam[nz]) * (slope / NU))
         c_hat = float(np.max(norms[nz] / weights))
     return float(slope), c_hat, npts

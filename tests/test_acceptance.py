@@ -84,10 +84,10 @@ def test_acceptance_2_neutral_operator(tmp_path):
 def test_acceptance_3_gap_operator():
     t0 = time.perf_counter()
     cutoff = 200 * 201
-    sym = hs.build_symbol(su2_laplace_minus_axis_sq(), hs.SU2)
-    hits = hs.singular_scan(sym, hs.SU2, cutoff)
+    sym = hs.build_symbol(su2_laplace_minus_axis_sq())
+    hits = hs.singular_scan(hs.gain_table(sym, cutoff))
     assert [f.label.twice_ell for f in hits] == [0]
-    h_hat = hs.estimate_h(su2_laplace_minus_axis_sq(), hs.SU2, cutoff)
+    h_hat = hs.estimate_h(su2_laplace_minus_axis_sq(), cutoff)
     assert 0.9 <= h_hat <= 1.05
     _report(3, "spectral gap exponent", time.perf_counter() - t0, 10.0)
 
@@ -95,14 +95,14 @@ def test_acceptance_3_gap_operator():
 def test_acceptance_4_torus_families():
     t0 = time.perf_counter()
 
-    v = hs.verdict(torus_translation(Fraction(3, 7)), hs.TORUS2, 10_000)
+    v = hs.verdict(hs.gain_table(hs.build_symbol(torus_translation(Fraction(3, 7))), 10_000))
     assert v.kind == "certified_not_gh"
     labels = [(w.label.xi, w.label.eta) for w in v.certificate.witnesses]
     assert labels == [(-3, 7), (-6, 14), (-9, 21)]
     assert all(w.exact_zero for w in v.certificate.witnesses)
 
     phi = hs.parse_real("(1+1*sqrt(5))/2")
-    v = hs.verdict(torus_translation(phi), hs.TORUS2, 1_000_000)
+    v = hs.verdict(hs.gain_table(hs.build_symbol(torus_translation(phi)), 1_000_000))
     assert v.kind == "empirical_gh"
     assert abs(v.h_hat - (-1.0)) <= 0.1
 
@@ -117,8 +117,8 @@ def test_acceptance_4_torus_families():
 
 def test_acceptance_5_counterexample_constructor():
     t0 = time.perf_counter()
-    sym = hs.build_symbol(torus_translation(1), hs.TORUS2)
-    result = hs.build_counterexample(sym, hs.TORUS2, 10, 200)
+    sym = hs.build_symbol(torus_translation(1))
+    result = hs.build_counterexample(sym, 10, 200)
     assert len(result.certificates) == 10
     for cert in result.certificates:
         assert cert.exact
@@ -126,10 +126,10 @@ def test_acceptance_5_counterexample_constructor():
         assert 0.0 < cert.bound
     for freq in result.frequencies:
         assert np.linalg.norm(result.field.coeff(freq)) == pytest.approx(1.0, abs=1e-14)
-    f_kind = hs.classify_regularity(result.field, hs.TORUS2, 200, n_probe=10)
+    f_kind = hs.classify_regularity(result.field, 200, n_probe=10)
     assert f_kind.kind != "smooth_evidence"
     image = hs.apply_symbol(sym, result.field, 200)
-    image_kind = hs.classify_regularity(image, hs.TORUS2, 200, n_probe=10)
+    image_kind = hs.classify_regularity(image, 200, n_probe=10)
     assert image_kind.kind == "smooth_evidence"
     _report(5, "counterexample constructor", time.perf_counter() - t0, 1.0)
 
@@ -137,21 +137,20 @@ def test_acceptance_5_counterexample_constructor():
 def test_acceptance_6_subelliptic_constant():
     t0 = time.perf_counter()
     cutoff = 50 * 51
-    sym = hs.build_symbol(su2_laplace_minus_axis_sq(), hs.SU2)
-    report = hs.best_alpha_constant(sym, hs.SU2, 0.0, 1.0, cutoff)
+    sym = hs.build_symbol(su2_laplace_minus_axis_sq())
+    report = hs.best_alpha_constant(sym, 0.0, 1.0, cutoff)
     assert abs(report.c_star - 1 / math.sqrt(7)) <= 1e-9 / math.sqrt(7)
 
-    values = [hs.best_alpha_constant(sym, hs.SU2, s, 1.0, cutoff).c_star
+    values = [hs.best_alpha_constant(sym, s, 1.0, cutoff).c_star
               for s in (-1.0, 0.0, 2.0)]
     assert max(values) - min(values) <= 1e-12 * max(values)
 
-    kernel = hs.kernel_on_truncation(sym, hs.SU2, cutoff)
+    kernel = hs.kernel_on_truncation(sym, cutoff)
     window = hs.Window(hs.SU2, cutoff)
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         probe = hs.random_field(window, rng, n_support=5)
-        chk = hs.check_alpha(sym, hs.SU2, probe, 0.0, 1.0, report.c_star, cutoff,
-                             kernel=kernel)
+        chk = hs.check_alpha(sym, probe, 0.0, 1.0, report.c_star, kernel=kernel)
         assert chk.passed
     _report(6, "exact subelliptic constant", time.perf_counter() - t0, 10.0)
 
@@ -198,12 +197,12 @@ def test_acceptance_7_oracle_equivalence():
         u = hs.random_field(window, rng, n_support=3)
         s = float(rng.uniform(-3, 3))
         delta = float(rng.uniform(0, 3))
-        lo = hs.sobolev_norm(u, s, hs.SU2, 20)
-        hi = hs.sobolev_norm(u, s + delta, hs.SU2, 20)
+        lo = hs.sobolev_norm(u, s, 20)
+        hi = hs.sobolev_norm(u, s + delta, 20)
         assert lo <= hi * (1 + 1e-12)
 
     # linearity of symbol application, relative 1e-12
-    sym = hs.build_symbol(su2_laplace_minus_axis_sq(), hs.SU2)
+    sym = hs.build_symbol(su2_laplace_minus_axis_sq())
     freqs = hs.enumerate_frequencies(hs.SU2, 12)
     for seed in range(100):
         r = np.random.default_rng(seed)

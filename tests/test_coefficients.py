@@ -82,17 +82,13 @@ def test_field_support_is_ordered_once_and_walked_up_to_the_cutoff(monkeypatch):
         monkeypatch.setattr(cls, "eigenvalue",
                             lambda self, real=real: calls.append(self) or real(self))
     for cutoff in (0, 4, 12.5, 30, 1e9, math.nan):
-        got = [freq for freq, _ in u.window(TORUS2, cutoff)]
+        got = [freq for freq, _ in u.window(cutoff)]
         assert got == [window.freq(i) for i in range(len(window))
                        if window.lam[i] <= cutoff]
-    assert [vec.tolist() for _, vec in u.window(TORUS2, 30)] == \
+    assert [vec.tolist() for _, vec in u.window(30)] == \
         [[1.0 + i] for i in range(len(labels))]
-    assert [f.label for f, _ in v.window(SU2, 8)] == [Su2Label(0), Su2Label(3)]
+    assert [f.label for f, _ in v.window(8)] == [Su2Label(0), Su2Label(3)]
     assert calls == []
-    with pytest.raises(PreconditionError, match="label does not match model"):
-        list(u.window(SU2, 30))
-    with pytest.raises(PreconditionError, match="label does not match model"):
-        list(v.window(TORUS2, 30))
 
 
 @pytest.mark.parametrize("case", ["torus_phi", "su2_gap", "su2_dense"])
@@ -105,7 +101,7 @@ def test_fields_from_frequencies_and_from_labels_agree(case, tmp_path):
             Su2Label(t): rng.standard_normal((t + 1, t + 1, 2)) @ [1, 1j] for t in range(13)}),
             12 * 14 / 4),
     }[case]
-    symbol = build_symbol(op, model)
+    symbol = build_symbol(op)
     window = Window(model, cutoff)
     data = {}
     for i in sorted(rng.choice(len(window), size=10, replace=False).tolist()):
@@ -113,20 +109,19 @@ def test_fields_from_frequencies_and_from_labels_agree(case, tmp_path):
         data[freq] = rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
     fields = [CoefficientField(data),
               CoefficientField.from_dict({freq.label: vec for freq, vec in data.items()})]
-    report = best_alpha_constant(symbol, model, 0.0, 1.0, cutoff)
+    report = best_alpha_constant(symbol, 0.0, 1.0, cutoff)
     results = []
     for n, u in enumerate(fields):
         image = apply_symbol(symbol, u, cutoff)
         path = tmp_path / f"{n}.csv"
-        cli._write_coeffs_csv(str(path), u, model, cutoff)
+        cli._write_coeffs_csv(str(path), u, cutoff)
         results.append((
-            [(freq, vec.tobytes()) for freq, vec in u.window(model, cutoff)],
-            [sobolev_norm(u, s, model, c) for s in (-1.0, 0.0, 1.5) for c in (cutoff / 2, cutoff)],
-            [(freq, vec.tobytes()) for freq, vec in image.window(model, cutoff)],
-            check_alpha(symbol, model, u, 0.0, 1.0, report.c_star, cutoff,
-                        report.kernel).as_dict(),
-            check_beta(symbol, model, u, 0.0, 1.0, report.k_star, cutoff).as_dict(),
-            classify_regularity(u, model, cutoff).as_dict(),
+            [(freq, vec.tobytes()) for freq, vec in u.window(cutoff)],
+            [sobolev_norm(u, s, c) for s in (-1.0, 0.0, 1.5) for c in (cutoff / 2, cutoff)],
+            [(freq, vec.tobytes()) for freq, vec in image.window(cutoff)],
+            check_alpha(symbol, u, 0.0, 1.0, report.c_star, report.kernel).as_dict(),
+            check_beta(symbol, u, 0.0, 1.0, report.k_star, cutoff).as_dict(),
+            classify_regularity(u, cutoff).as_dict(),
             path.read_bytes(),
         ))
     assert results[0] == results[1]
@@ -141,9 +136,9 @@ def test_from_dict_refuses_a_label_it_cannot_count():
 def test_sobolev_single_coefficient():
     # unit vector at eigenvalue lambda with s = 1, nu = 2 weighs (1+lambda)^{1/2}
     u = CoefficientField.from_dict({Torus2Label(1, 1): [1.0]})  # lambda = 2
-    assert sobolev_norm(u, 1, TORUS2, 10) == pytest.approx(math.sqrt(3), rel=1e-14)
+    assert sobolev_norm(u, 1, 10) == pytest.approx(math.sqrt(3), rel=1e-14)
     v = CoefficientField.from_dict({Torus2Label(0, 2): [1.0]})  # lambda = 4
-    assert sobolev_norm(v, 1, TORUS2, 10) == pytest.approx(math.sqrt(5), rel=1e-14)
+    assert sobolev_norm(v, 1, 10) == pytest.approx(math.sqrt(5), rel=1e-14)
 
 
 def test_sobolev_zero_is_plancherel():
@@ -153,7 +148,7 @@ def test_sobolev_zero_is_plancherel():
             for f in freqs}
     u = CoefficientField.from_dict(data)
     direct = math.sqrt(sum(float(np.vdot(v, v).real) for v in data.values()))
-    assert sobolev_norm(u, 0, SU2, 10) == pytest.approx(direct, rel=1e-14)
+    assert sobolev_norm(u, 0, 10) == pytest.approx(direct, rel=1e-14)
 
 
 def test_sobolev_full_block_norm():
@@ -163,16 +158,16 @@ def test_sobolev_full_block_norm():
     u = CoefficientField.from_dict({label: np.ones(9, dtype=complex)})
     for t in (-1.0, 0.0, 1.5):
         expected = math.sqrt(9 * (1 + 2.0) ** (2 * t / 2))
-        assert sobolev_norm(u, t, SU2, 10) == pytest.approx(expected, rel=1e-14)
+        assert sobolev_norm(u, t, 10) == pytest.approx(expected, rel=1e-14)
 
 
 def test_sobolev_monotone_in_cutoff_and_s():
     rng = np.random.default_rng(5)
     u = random_field(Window(TORUS2, 60), rng, n_support=12)
-    norms = [sobolev_norm(u, 0, TORUS2, c) for c in (5, 20, 40, 60)]
+    norms = [sobolev_norm(u, 0, c) for c in (5, 20, 40, 60)]
     assert norms == sorted(norms)
     svals = [-2.0, -0.5, 0.0, 1.0, 2.5]
-    by_s = [sobolev_norm(u, s, TORUS2, 60) for s in svals]
+    by_s = [sobolev_norm(u, s, 60) for s in svals]
     assert by_s == sorted(by_s)
 
 
@@ -183,7 +178,7 @@ def test_sobolev_monotone_in_cutoff_and_s():
 def test_sobolev_monotone_in_s_property(seed, s, delta):
     rng = np.random.default_rng(seed)
     u = random_field(Window(SU2, 20), rng, n_support=4)
-    assert sobolev_norm(u, s, SU2, 20) <= sobolev_norm(u, s + delta, SU2, 20) * (1 + 1e-12)
+    assert sobolev_norm(u, s, 20) <= sobolev_norm(u, s + delta, 20) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +187,27 @@ def test_sobolev_monotone_in_s_property(seed, s, delta):
 
 def test_classify_rapid_decay_is_smooth():
     u = _window_field(TORUS2, 100, lambda f: np.full(f.dim, math.exp(-f.lam)))
-    report = classify_regularity(u, TORUS2, 100, n_probe=10)
+    report = classify_regularity(u, 100, n_probe=10)
     assert report.kind == "smooth_evidence"
     assert report.exponent == 10
 
 
 def test_classify_flat_coefficients_is_order_zero():
     u = _window_field(TORUS2, 100, lambda f: np.ones(f.dim))
-    report = classify_regularity(u, TORUS2, 100)
+    report = classify_regularity(u, 100)
     assert report.kind == "distribution_order"
     assert report.exponent == 0
 
 
 def test_classify_polynomial_growth_order_two():
     u = _window_field(TORUS2, 100, lambda f: np.full(f.dim, (1 + f.lam) ** 2))
-    report = classify_regularity(u, TORUS2, 100)
+    report = classify_regularity(u, 100)
     assert report.kind == "distribution_order"
     assert report.exponent == 2
 
 
 def test_classify_zero_field_is_smooth():
-    report = classify_regularity(CoefficientField.from_dict({}), TORUS2, 100)
+    report = classify_regularity(CoefficientField.from_dict({}), 100)
     assert report.kind == "smooth_evidence"
     assert report.constant == 0.0
 
@@ -220,7 +215,7 @@ def test_classify_zero_field_is_smooth():
 def test_classify_needs_window():
     u = CoefficientField.from_dict({Torus2Label(1, 0): [1.0]})
     with pytest.raises(WindowTooSmallError):
-        classify_regularity(u, TORUS2, 100)
+        classify_regularity(u, 100)
 
 
 def test_classify_shifts_by_symbol_order():
@@ -229,12 +224,12 @@ def test_classify_shifts_by_symbol_order():
     op = Su2DiagPoly.make(
         [(Coefficient.make(1), 0, 1), (Coefficient.make(1), 0, 0)]
     )  # entries l(l+1) + 1 = 1 + lambda
-    sym = build_symbol(op, SU2)
+    sym = build_symbol(op)
     u_su2 = _window_field(SU2, 200, lambda f: np.full(f.dim, (1 + f.lam) ** 2 / math.sqrt(f.dim)))
-    before = classify_regularity(u_su2, SU2, 200)
-    after = classify_regularity(apply_symbol(sym, u_su2, 200), SU2, 200)
+    before = classify_regularity(u_su2, 200)
+    after = classify_regularity(apply_symbol(sym, u_su2, 200), 200)
     assert before.exponent == 2 and after.exponent == 3
-    order = estimate_order(gain_table(sym, SU2, 200)).order_hat
+    order = estimate_order(gain_table(sym, 200)).order_hat
     assert after.exponent - before.exponent == pytest.approx(order / 2, abs=0.2)
 
 
@@ -243,8 +238,8 @@ def test_classify_shifts_by_symbol_order():
 
 
 def test_counterexample_torus_resonance():
-    sym = build_symbol(torus_translation(1), TORUS2)
-    result = build_counterexample(sym, TORUS2, 10, 200)
+    sym = build_symbol(torus_translation(1))
+    result = build_counterexample(sym, 10, 200)
     labels = [(f.label.xi, f.label.eta) for f in result.frequencies]
     assert labels == [(-k, k) for k in range(1, 11)]
     for cert in result.certificates:
@@ -253,14 +248,14 @@ def test_counterexample_torus_resonance():
         assert cert.image_norm < cert.bound
     for f in result.frequencies:
         assert np.linalg.norm(result.field.coeff(f)) == pytest.approx(1.0, abs=1e-14)
-    assert classify_regularity(result.field, TORUS2, 200).kind == "distribution_order"
+    assert classify_regularity(result.field, 200).kind == "distribution_order"
     image = apply_symbol(sym, result.field, 200)
-    assert classify_regularity(image, TORUS2, 200).kind == "smooth_evidence"
+    assert classify_regularity(image, 200).kind == "smooth_evidence"
 
 
 def test_counterexample_pell_levels():
-    sym = build_symbol(su2_pell_operator(), SU2)
-    result = build_counterexample(sym, SU2, 3, 50 * 51)
+    sym = build_symbol(su2_pell_operator())
+    result = build_counterexample(sym, 3, 50 * 51)
     assert [f.label.twice_ell for f in result.frequencies] == [2, 16, 98]
     for cert in result.certificates:
         assert cert.exact and cert.image_norm == 0.0
@@ -274,21 +269,21 @@ def test_counterexample_pell_levels():
 
 def test_counterexample_identity_exhausts():
     with pytest.raises(SearchExhaustedError) as err:
-        build_counterexample(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 2, 500)
+        build_counterexample(build_symbol(constant_one(TORUS2)), 2, 500)
     assert err.value.k == 1
 
 
 def test_counterexample_respects_strictly_increasing_lambda():
-    sym = build_symbol(torus_translation(1), TORUS2)
-    result = build_counterexample(sym, TORUS2, 6, 200)
+    sym = build_symbol(torus_translation(1))
+    result = build_counterexample(sym, 6, 200)
     lams = [f.lam for f in result.frequencies]
     assert lams == sorted(set(lams))
 
 
 def test_counterexample_float_coefficient_guard_band():
     # float c = 1.0 has no exact path; the zero gains still qualify
-    sym = build_symbol(torus_translation(1.0), TORUS2)
-    result = build_counterexample(sym, TORUS2, 4, 200)
+    sym = build_symbol(torus_translation(1.0))
+    result = build_counterexample(sym, 4, 200)
     assert [(f.label.xi, f.label.eta) for f in result.frequencies] == [
         (-k, k) for k in range(1, 5)
     ]
@@ -296,26 +291,26 @@ def test_counterexample_float_coefficient_guard_band():
 
 
 def test_counterexample_rejects_negative_guard_band():
-    sym = build_symbol(torus_translation(1.0), TORUS2)
+    sym = build_symbol(torus_translation(1.0))
     with pytest.raises(PreconditionError):
-        build_counterexample(sym, TORUS2, 1, 200, tol=-1e-9)
+        build_counterexample(sym, 1, 200, tol=-1e-9)
 
 
 # ---------------------------------------------------------------------------
 # the float screen of the counterexample search against the unscreened walk
 
 
-def _assert_same_search(symbol, model, k_steps, cutoff, tol=1e-12):
+def _assert_same_search(symbol, k_steps, cutoff, tol=1e-12):
     """The screened search and the unscreened walk give the same field, or
     both run out at the same step."""
     try:
-        want = unscreened_counterexample(symbol, model, k_steps, cutoff, tol)
+        want = unscreened_counterexample(symbol, k_steps, cutoff, tol)
     except SearchExhaustedError as exc:
         with pytest.raises(SearchExhaustedError) as err:
-            build_counterexample(symbol, model, k_steps, cutoff, tol)
+            build_counterexample(symbol, k_steps, cutoff, tol)
         assert err.value.k == exc.k
         return None
-    got = build_counterexample(symbol, model, k_steps, cutoff, tol)
+    got = build_counterexample(symbol, k_steps, cutoff, tol)
     assert got.certificates == want.certificates
     assert got.frequencies == want.frequencies
     assert got.field.support_labels() == want.field.support_labels()
@@ -351,7 +346,7 @@ def _polynomial_terms(draw, family):
 @given(terms=_polynomial_terms("torus"), cutoff=st.integers(2, 400),
        k_steps=st.integers(1, 4), tol=st.sampled_from([0.0, 1e-12, 0.5]))
 def test_screened_search_equals_unscreened_walk_torus(terms, cutoff, k_steps, tol):
-    _assert_same_search(build_symbol(TorusPoly.make(terms), TORUS2), TORUS2, k_steps,
+    _assert_same_search(build_symbol(TorusPoly.make(terms)), k_steps,
                         cutoff, tol)
 
 
@@ -359,7 +354,7 @@ def test_screened_search_equals_unscreened_walk_torus(terms, cutoff, k_steps, to
 @given(terms=_polynomial_terms("su2"), twice_ell=st.integers(2, 60),
        k_steps=st.integers(1, 4), tol=st.sampled_from([0.0, 1e-12, 0.5]))
 def test_screened_search_equals_unscreened_walk_su2(terms, twice_ell, k_steps, tol):
-    _assert_same_search(build_symbol(Su2DiagPoly.make(terms), SU2), SU2, k_steps,
+    _assert_same_search(build_symbol(Su2DiagPoly.make(terms)), k_steps,
                         twice_ell * (twice_ell + 2) / 4, tol)
 
 
@@ -369,15 +364,15 @@ def test_screened_search_on_expanded_pell_fourth_power(as_float):
     # terms grow like lambda^4 and cancel to the exact values (l(l+1) - 2m^2)^4
     terms = [(Coefficient.make(float(c) if as_float else c), 2 * j, 4 - j)
              for j, c in enumerate(math.comb(4, j) * 2**j for j in range(5))]
-    sym = build_symbol(Su2DiagPoly.make(terms), SU2)
+    sym = build_symbol(Su2DiagPoly.make(terms))
     cutoff = 288 * 289
-    table = gain_table(sym, SU2, cutoff)
+    table = gain_table(sym, cutoff)
     # the least |t(t+2) - 2 s^2|^4 / 4^4 over s = -t..t in steps of 2
     exact = np.array([min(abs(t * (t + 2) - 2 * s * s) for s in range(-t, t + 1, 2)) ** 4 / 256
                       for t in range(len(table))])
     nonzero = exact > 0
     assert np.max(table.gain[nonzero] / exact[nonzero]) > 1e4  # the float gains are far off
-    result = _assert_same_search(sym, SU2, 4, cutoff)
+    result = _assert_same_search(sym, 4, cutoff)
     if not as_float:
         assert [f.label.twice_ell for f in result.frequencies] == [2, 16, 98, 576]
 
@@ -388,7 +383,7 @@ def test_screened_search_past_float_range():
     # exact test alone finds the Pell levels
     big = 10**306
     op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
-    result = _assert_same_search(build_symbol(op, SU2), SU2, 2, 50 * 51)
+    result = _assert_same_search(build_symbol(op), 2, 50 * 51)
     assert [f.label.twice_ell for f in result.frequencies] == [2, 16]
 
 
@@ -399,9 +394,9 @@ def test_screened_search_keeps_exact_zeros_that_round_away_from_zero():
     third = Fraction(1, 3)
     op = TorusPoly.make([(Coefficient.make(1), 2, 0), (Coefficient.make(2 * third), 1, 1),
                          (Coefficient.make(third**2), 0, 2)])
-    sym = build_symbol(op, TORUS2)
-    assert sym.gain(frequency_for_label(TORUS2, Torus2Label(-7, 21))) > 1e6 * 491.0**-8
-    result = _assert_same_search(sym, TORUS2, 8, 700)
+    sym = build_symbol(op)
+    assert sym.gain(frequency_for_label(Torus2Label(-7, 21))) > 1e6 * 491.0**-8
+    result = _assert_same_search(sym, 8, 700)
     assert [(f.label.xi, f.label.eta) for f in result.frequencies] == [(0, -1)] + [
         (-j, 3 * j) for j in range(1, 8)]
 
@@ -415,7 +410,9 @@ def test_screened_search_over_small_runs_of_blocks(op, model, k_steps, cutoff, m
     import hyposym.symbols as symbols_module
 
     monkeypatch.setattr(symbols_module, "BULK_CHUNK_ENTRIES", 7)
-    _assert_same_search(build_symbol(op, model), model, k_steps, cutoff)
+    symbol = build_symbol(op)
+    assert symbol.model == model
+    _assert_same_search(symbol, k_steps, cutoff)
 
 
 def test_screened_search_across_the_screen_handover(monkeypatch):
@@ -426,7 +423,7 @@ def test_screened_search_across_the_screen_handover(monkeypatch):
 
     monkeypatch.setattr(symbols_module, "BULK_CHUNK_ENTRIES", 5)
     op = Su2DiagPoly.make([(Coefficient.make(2.0**990), 0, 1), (Coefficient.make(1), 2, 0)])
-    assert _assert_same_search(build_symbol(op, SU2), SU2, 2, 1e4) is None
+    assert _assert_same_search(build_symbol(op), 2, 1e4) is None
 
 
 def test_pell_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch):
@@ -443,7 +440,7 @@ def test_pell_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch)
         return evaluate(op, twice_ell)
 
     monkeypatch.setattr(symbols_module, "su2_diag_exact", counted)
-    result = build_counterexample(build_symbol(su2_pell_operator(), SU2), SU2, 3, 50 * 51)
+    result = build_counterexample(build_symbol(su2_pell_operator()), 3, 50 * 51)
     assert calls == [f.label.twice_ell for f in result.frequencies] == [2, 16, 98]
 
 
@@ -461,8 +458,8 @@ def test_torus_search_evaluates_exactly_only_where_the_screen_passes(monkeypatch
         return evaluate(op, xi, eta)
 
     monkeypatch.setattr(symbols_module, "torus_value_exact", counted)
-    sym = build_symbol(torus_translation(Fraction(3, 7)), TORUS2)
-    result = build_counterexample(sym, TORUS2, 4, 600)
+    sym = build_symbol(torus_translation(Fraction(3, 7)))
+    result = build_counterexample(sym, 4, 600)
     assert calls == [(f.label.xi, f.label.eta) for f in result.frequencies] == [
         (0, -1), (-3, 7), (-6, 14), (-9, 21)]
 
@@ -473,7 +470,7 @@ def test_image_norm_beyond_float_range():
     # entry, in the search and in the unscreened walk alike
     big = 10**307
     op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
-    result = _assert_same_search(build_symbol(op, SU2), SU2, 3, 50 * 51)
+    result = _assert_same_search(build_symbol(op), 3, 50 * 51)
     assert [c.image_norm for c in result.certificates] == [0.0, 0.0, 0.0]
     assert all(c.exact for c in result.certificates)
     # a float certificate has no exact entry: 1e-3 at m = 0 of level 1 is
@@ -481,7 +478,7 @@ def test_image_norm_beyond_float_range():
     op = Su2DiagPoly.make([(Coefficient.make(1e-3), 0, 0), (Coefficient.make(1e308), 2, 1)])
     for search in (build_counterexample, unscreened_counterexample):
         with pytest.raises(PreconditionError, match="image norm"):
-            search(build_symbol(op, SU2), SU2, 1, 50 * 51)
+            search(build_symbol(op), 1, 50 * 51)
 
 
 def test_counterexample_image_beyond_float_range_comes_from_the_exact_entries():
@@ -490,30 +487,30 @@ def test_counterexample_image_beyond_float_range_comes_from_the_exact_entries():
     # all three entries vanish, so the image does too
     big = 10**307
     op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
-    sym = build_symbol(op, SU2)
-    result = _assert_same_search(sym, SU2, 3, 50 * 51)
+    sym = build_symbol(op)
+    result = _assert_same_search(sym, 3, 50 * 51)
     assert [f.label for f in result.frequencies] == [Su2Label(2), Su2Label(16), Su2Label(98)]
     assert result.image.support_labels() == []
     with np.errstate(all="ignore"):
         applied = apply_symbol(sym, result.field, 2450)
     assert applied.support_labels() == [Su2Label(16), Su2Label(98)]  # nan vectors
     # a finite image is the applied one, bit for bit
-    sym = build_symbol(torus_translation(Fraction(3, 7)), TORUS2)
-    result = build_counterexample(sym, TORUS2, 4, 600)
+    sym = build_symbol(torus_translation(Fraction(3, 7)))
+    result = build_counterexample(sym, 4, 600)
     applied = apply_symbol(sym, result.field, 600)
     assert result.image.support_labels() == applied.support_labels()
     for freq in result.frequencies:
         assert result.image.coeff(freq).tobytes() == applied.coeff(freq).tobytes()
 
 
-def _assert_batched_application_is_per_frequency(sym, model, field, cutoff):
+def _assert_batched_application_is_per_frequency(sym, field, cutoff):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from inf or nan entries
         image = apply_symbol(sym, field, cutoff)
         per_freq = {freq.label: sym.apply_to_vector(freq, vec)
-                    for freq, vec in field.window(model, cutoff)}
+                    for freq, vec in field.window(cutoff)}
     assert image.support_labels() == [lab for lab, w in per_freq.items() if np.any(w != 0)]
-    for freq, vec in image.window(model, cutoff):
+    for freq, vec in image.window(cutoff):
         assert vec.tobytes() == per_freq[freq.label].tobytes()
 
 
@@ -527,21 +524,21 @@ def test_batched_apply_symbol_equals_per_frequency_application(family, data, sca
     op = poly.make(data.draw(_polynomial_terms(family))).scale(scale)
     cutoff = 400 if family == "torus" else 120
     field = random_field(Window(model, cutoff), np.random.default_rng(seed), n_support=12)
-    _assert_batched_application_is_per_frequency(build_symbol(op, model), model, field, cutoff)
+    _assert_batched_application_is_per_frequency(build_symbol(op), field, cutoff)
 
 
 def test_batched_apply_symbol_on_a_dense_table():
     rng = np.random.default_rng(5)
     blocks = {Su2Label(t): rng.standard_normal((t + 1, t + 1, 2)) @ [1, 1j] for t in range(9)}
-    sym = build_symbol(MatrixTable("su2", blocks), SU2)
+    sym = build_symbol(MatrixTable("su2", blocks))
     field = random_field(Window(SU2, 24), np.random.default_rng(6), n_support=5)
-    _assert_batched_application_is_per_frequency(sym, SU2, field, 24)
+    _assert_batched_application_is_per_frequency(sym, field, 24)
 
 
 def test_counterexample_guard_band_follows_tol():
     # gain 0.3334 at (0, -1) is below (1 + 1)^{-1} = 0.5, not below 0.5 * (1 - 0.5)
-    sym = build_symbol(torus_translation(0.3334), TORUS2)
-    first = _assert_same_search(sym, TORUS2, 1, 400)
-    other = _assert_same_search(sym, TORUS2, 1, 400, tol=0.5)
+    sym = build_symbol(torus_translation(0.3334))
+    first = _assert_same_search(sym, 1, 400)
+    other = _assert_same_search(sym, 1, 400, tol=0.5)
     assert first.frequencies[0].label == Torus2Label(0, -1)
     assert other.frequencies[0].label != Torus2Label(0, -1)

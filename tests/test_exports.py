@@ -1,4 +1,5 @@
-"""Every exported name resolves, and every function the benchmark traces exists.
+"""Every exported name resolves, every function the benchmark traces exists,
+and no public signature restates what its inputs carry.
 
 The package loads each export on first access, so ``import hyposym`` alone
 imports no submodule.
@@ -9,7 +10,9 @@ or at ``--trace 1`` for the benchmark.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -101,3 +104,38 @@ def test_traced_functions_exist():
             assert callable(getattr(module, func, None)), f"hyposym.{short}.{func} is gone"
     for method in ("gain", "opnorm"):
         assert callable(getattr(hyposym.MatrixSymbol, method, None))
+
+
+def _signatures():
+    """``(name, signature)`` of each exported callable and of each public
+    method, defined in the package, of the exported classes."""
+    for name in EXPORTED:
+        value = getattr(hyposym, name)
+        if not callable(value):
+            continue
+        try:
+            yield name, inspect.signature(value)
+        except ValueError:  # an exception class that keeps the builtin constructor
+            pass
+        if inspect.isclass(value):
+            for attr, member in inspect.getmembers(value, callable):
+                if not attr.startswith("_") and getattr(member, "__module__", "").startswith(
+                        "hyposym"):
+                    yield f"{name}.{attr}", inspect.signature(member)
+
+
+def test_no_signature_restates_the_model():
+    # the operator fixes the model, and the enumeration fixes nu = NU = 2:
+    # symbols, tables, windows and kernels carry the model and the cutoff
+    signatures = dict(_signatures())
+    assert {"verdict", "check_alpha", "MatrixSymbol.gain", "CoefficientField.window"} <= set(
+        signatures)
+    for name, sig in signatures.items():
+        assert "nu" not in sig.parameters, name
+        if name not in ("Window", "enumerate_frequencies"):
+            assert "model" not in sig.parameters, name
+    assert "cutoff" not in signatures["verdict"].parameters
+    assert "cutoff" not in signatures["check_alpha"].parameters
+    assert [f.name for f in dataclasses.fields(hyposym.SpectralModel)] == ["kind"]
+    with pytest.raises(TypeError):
+        hyposym.SpectralModel("torus2", nu=4.0)

@@ -26,7 +26,7 @@ def _poly(*terms) -> Su2DiagPoly:
 
 def _outcome(table_fn, op, cutoff):
     try:
-        table = table_fn(build_symbol(op, SU2), SU2, cutoff)
+        table = table_fn(build_symbol(op), cutoff)
     except (PreconditionError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
     return table.gain.tobytes(), table.opnorm.tobytes()
@@ -100,7 +100,7 @@ def _handover(op, cutoff) -> int | None:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbols, "block_values", recording)
-        runs = [(lo, hi) for lo, hi, _, _ in symbols.block_extrema(build_symbol(op, SU2), window)]
+        runs = [(lo, hi) for lo, hi, _, _ in symbols.block_extrema(build_symbol(op), window)]
     start = starts[0] if starts else None
     # the screened runs cover levels 0 .. start - 1, in order
     edges = [0] + [hi for _, hi in runs]
@@ -136,7 +136,7 @@ def test_handover_mid_window_at_a_level_edge(chunk, coeff, cutoff, start, monkey
     # the screened runs and the full reduction's runs tile the window, also
     # where a run of several levels holds the first open one
     window = Window(SU2, cutoff)
-    runs = [(lo, hi) for lo, hi, _, _ in symbols.block_extrema(build_symbol(op, SU2), window)]
+    runs = [(lo, hi) for lo, hi, _, _ in symbols.block_extrema(build_symbol(op), window)]
     assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
     assert runs[-1][1] == len(window)
     _assert_same_table(op, cutoff)
@@ -175,7 +175,7 @@ def test_screen_evaluates_a_fraction_of_the_entries(op, monkeypatch):
             return out
 
         monkeypatch.setattr(symbols, "_su2_entries", counting)
-        fn(build_symbol(op, SU2), SU2, 1e6)
+        fn(build_symbol(op), 1e6)
         assert sum(evaluated) < 0.2 * int(Window(SU2, 1e6).sizes.sum())
     # the screen covers every level, and the full reduction is never started
     assert _handover(op, 1e6) is None

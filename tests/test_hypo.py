@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hyposym import (
-    SU2,
     TORUS2,
     Su2DiagPoly,
+    Torus2Label,
     TorusPoly,
+    Window,
     build_symbol,
     certify,
     estimate_h,
@@ -35,7 +36,7 @@ from oracles import brute_pell_su2_levels, full_matrix, ordinals
 
 
 def test_scan_torus_antidiagonal(torus_resonant_symbol):
-    hits = singular_scan(torus_resonant_symbol, TORUS2, 200)
+    hits = singular_scan(gain_table(torus_resonant_symbol, 200))
     labels = {(f.label.xi, f.label.eta) for f in hits}
     expected = {(0, 0)} | {(t, -t) for t in range(-10, 11) if t}
     assert labels == expected
@@ -44,20 +45,20 @@ def test_scan_torus_antidiagonal(torus_resonant_symbol):
 
 
 def test_scan_su2_pell_levels(su2_pell_symbol):
-    hits = singular_scan(su2_pell_symbol, SU2, 300 * 301)
+    hits = singular_scan(gain_table(su2_pell_symbol, 300 * 301))
     assert [f.label.twice_ell for f in hits] == [0, 2, 16, 98, 576]
     # positive levels cross-checked against the exact weight-lattice scan
     assert [f.label.twice_ell for f in hits if f.lam > 0] == brute_pell_su2_levels(600)
 
 
 def test_scan_su2_gap_only_origin(su2_gap_symbol):
-    hits = singular_scan(su2_gap_symbol, SU2, 100 * 101)
+    hits = singular_scan(gain_table(su2_gap_symbol, 100 * 101))
     assert [f.label.twice_ell for f in hits] == [0]
 
 
 def test_scan_requires_positive_cutoff(su2_gap_symbol):
     with pytest.raises(PreconditionError):
-        singular_scan(su2_gap_symbol, SU2, 0)
+        singular_scan(gain_table(su2_gap_symbol, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,7 @@ def test_scan_requires_positive_cutoff(su2_gap_symbol):
 
 
 def test_fit_identity_constant_gain():
-    fit = fit_growth(gain_table(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 300), 2.0)
+    fit = fit_growth(gain_table(build_symbol(constant_one(TORUS2)), 300))
     assert fit.m == pytest.approx(0.0, abs=1e-9)
     assert fit.L == pytest.approx(1.0, rel=1e-9)
     assert fit.R == 0
@@ -73,14 +74,14 @@ def test_fit_identity_constant_gain():
 
 
 def test_fit_su2_gap_exponent_one(su2_gap_symbol):
-    fit = fit_growth(gain_table(su2_gap_symbol, SU2, 200 * 201), 2.0)
+    fit = fit_growth(gain_table(su2_gap_symbol, 200 * 201))
     assert 0.9 <= fit.m <= 1.05
     assert fit.R == 1  # past the singular origin
 
 
 def test_fit_satisfies_lower_bound_on_samples(su2_gap_symbol):
-    table = gain_table(su2_gap_symbol, SU2, 200 * 201)
-    fit = fit_growth(table, 2.0)
+    table = gain_table(su2_gap_symbol, 200 * 201)
+    fit = fit_growth(table)
     for i in range(len(table)):
         if ordinals(table)[i] >= fit.R:
             bound = fit.L * (1 + table.lam[i]) ** (fit.m / 2.0)
@@ -89,15 +90,15 @@ def test_fit_satisfies_lower_bound_on_samples(su2_gap_symbol):
 
 def test_fit_golden_ratio_slope_minus_one():
     phi = parse_real("(1+1*sqrt(5))/2")
-    sym = build_symbol(torus_translation(phi), TORUS2)
-    fit = fit_growth(gain_table(sym, TORUS2, 10_000), 2.0)
+    sym = build_symbol(torus_translation(phi))
+    fit = fit_growth(gain_table(sym, 10_000))
     assert fit.m == pytest.approx(-1.0, abs=0.1)
 
 
 def test_fit_rejects_all_singular():
     zero = TorusPoly.make([(Coefficient.make(0), 1, 0)])
     with pytest.raises(NoFitError):
-        fit_growth(gain_table(build_symbol(zero, TORUS2), TORUS2, 100), 2.0)
+        fit_growth(gain_table(build_symbol(zero), 100))
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +106,16 @@ def test_fit_rejects_all_singular():
 
 
 def test_estimate_h_su2_neutral_shift():
-    assert estimate_h(su2_neutral_plus(1), SU2, 200 * 201) == pytest.approx(0.0, abs=0.05)
+    assert estimate_h(su2_neutral_plus(1), 200 * 201) == pytest.approx(0.0, abs=0.05)
 
 
 def test_estimate_h_certified_family_is_minus_inf():
-    assert estimate_h(su2_pell_operator(), SU2, 300 * 301) == float("-inf")
+    assert estimate_h(su2_pell_operator(), 300 * 301) == float("-inf")
 
 
 def test_estimate_h_identity_zero():
     ident = TorusPoly.make([(Coefficient.make(1), 0, 0)])
-    assert estimate_h(ident, TORUS2, 300) == pytest.approx(0.0, abs=0.05)
+    assert estimate_h(ident, 300) == pytest.approx(0.0, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +136,8 @@ def test_certify_rational_resonance():
     # stays below the relative singular threshold; exactness lives in the
     # rational path asserted by exact_zero)
     for w in cert.witnesses:
-        freq = frequency_for_label(TORUS2, w.label)
-        assert smallest_gain(full_matrix(build_symbol(op, TORUS2), freq)) <= 1e-12
+        freq = frequency_for_label(w.label)
+        assert smallest_gain(full_matrix(build_symbol(op), freq)) <= 1e-12
 
 
 def test_certify_pure_time_derivative():
@@ -200,13 +201,13 @@ def test_certify_scaled_families_still_fire():
 
 
 def test_verdict_su2_real_shift_empirical():
-    v = verdict(su2_neutral_plus(1), SU2, 200 * 201)
+    v = verdict(gain_table(build_symbol(su2_neutral_plus(1)), 200 * 201))
     assert v.kind == "empirical_gh"
     assert v.h_hat == pytest.approx(0.0, abs=0.05)
 
 
 def test_verdict_torus_imaginary_coefficient_empirical():
-    v = verdict(torus_translation(Coefficient.make(0, 1)), TORUS2, 3_000)
+    v = verdict(gain_table(build_symbol(torus_translation(Coefficient.make(0, 1))), 3_000))
     assert v.kind == "empirical_gh"
     # gain sqrt(lambda) off the origin: the bound holds with every m <= 1
     assert v.h_hat >= 0.0
@@ -214,14 +215,14 @@ def test_verdict_torus_imaginary_coefficient_empirical():
 
 def test_verdict_rational_certified():
     liouville_prefix = sum(Fraction(1, 10**k) for k in (1, 2, 6, 24, 120, 720))
-    v = verdict(torus_translation(liouville_prefix), TORUS2, 500)
+    v = verdict(gain_table(build_symbol(torus_translation(liouville_prefix)), 500))
     assert v.kind == "certified_not_gh"
     assert v.certificate.family == "rational_resonance"
     assert v.h_hat == float("-inf")
 
 
 def test_verdict_float_rational_inconclusive_when_singular_persist():
-    v = verdict(torus_translation(3 / 7), TORUS2, 10_000)
+    v = verdict(gain_table(build_symbol(torus_translation(3 / 7)), 10_000))
     assert v.kind == "inconclusive"
     assert any((f.label.xi, f.label.eta) == (-3, 7) for f in v.singular)
 
@@ -232,8 +233,8 @@ def test_verdict_scale_invariance_certified():
         [(Coefficient.make(Fraction(-5, 2)), 1, 0),
          (Coefficient.make(Fraction(-5, 2) * Fraction(3, 7)), 0, 1)]
     )
-    va = verdict(base, TORUS2, 400)
-    vb = verdict(scaled, TORUS2, 400)
+    va = verdict(gain_table(build_symbol(base), 400))
+    vb = verdict(gain_table(build_symbol(scaled), 400))
     assert va.kind == vb.kind == "certified_not_gh"
     assert va.certificate.family == vb.certificate.family
 
@@ -248,18 +249,18 @@ def test_verdict_composed_pell_operator_equals_parsed_spec():
         {"coeff": [1, 0], "deg_d0": 0, "deg_neglap": 1},
         {"coeff": [2, 0], "deg_d0": 2, "deg_neglap": 0}]}}).operator
     assert composed == parsed
-    va, vb = verdict(composed, SU2, 2550), verdict(parsed, SU2, 2550)
+    va, vb = (verdict(gain_table(build_symbol(op), 2550)) for op in (composed, parsed))
     assert va.kind == "certified_not_gh"
     assert va.as_dict() == vb.as_dict()
     assert [w.label.twice_ell for w in va.certificate.witnesses] == [2, 16, 98]
 
 
 def test_verdict_scale_invariance_empirical():
-    base = verdict(su2_neutral_plus(1), SU2, 100 * 101)
+    base = verdict(gain_table(build_symbol(su2_neutral_plus(1)), 100 * 101))
     scaled_op = Su2DiagPoly.make(
         [(Coefficient.make(2.7), 1, 0), (Coefficient.make(2.7), 0, 0)]
     )
-    scaled = verdict(scaled_op, SU2, 100 * 101)
+    scaled = verdict(gain_table(build_symbol(scaled_op), 100 * 101))
     assert base.kind == scaled.kind == "empirical_gh"
     assert scaled.h_hat == pytest.approx(base.h_hat, abs=1e-6)
     assert scaled.fit.L == pytest.approx(2.7 * base.fit.L, rel=1e-9)
@@ -268,11 +269,25 @@ def test_verdict_scale_invariance_empirical():
 def test_verdict_tiny_window_inconclusive():
     # singular origin plus only three usable levels: no fit is possible,
     # and the verdict must say so rather than extrapolate
-    v = verdict(su2_laplace_minus_axis_sq(), SU2, 4)
+    v = verdict(gain_table(build_symbol(su2_laplace_minus_axis_sq()), 4))
     assert v.kind == "inconclusive"
     assert "samples" in v.reason
 
 
-def test_verdict_model_mismatch():
-    with pytest.raises(PreconditionError):
-        verdict(torus_translation(1), SU2, 100)
+def test_verdict_reads_the_upper_half_from_the_table_window():
+    # the float translation by 1/2 is not certified; it vanishes at lambda =
+    # 5 t^2, so a singular point lies in the upper half of every window
+    table = gain_table(build_symbol(torus_translation(0.5)), 400)
+    v = verdict(table)
+    assert v.kind == "inconclusive"
+    assert max(f.lam for f in v.singular) == 320.0
+    for c in (0, 12.5, 400):
+        assert Window(TORUS2, c).cutoff == c
+
+
+def test_verdict_certifies_the_operator_of_the_table():
+    op = torus_translation(Fraction(3, 7))
+    v = verdict(gain_table(build_symbol(op), 400))
+    assert v.kind == "certified_not_gh"
+    assert v.certificate == certify(op)
+    assert v.certificate.witnesses[0].label == Torus2Label(-3, 7)

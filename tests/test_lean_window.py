@@ -97,11 +97,10 @@ def test_torus_window_keeps_labels_and_float_eigenvalues():
 
 
 def test_torus_gain_table_shares_gain_and_norm():
-    table = gain_table(build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2")), TORUS2),
-                       TORUS2, 500)
+    table = gain_table(build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2"))), 500)
     assert table.opnorm is table.gain
     assert ordinals(table).tolist() == list(range(len(table)))
-    su2 = gain_table(build_symbol(su2_laplace_minus_axis_sq(), SU2), SU2, 500)
+    su2 = gain_table(build_symbol(su2_laplace_minus_axis_sq()), 500)
     assert su2.opnorm is not su2.gain
     assert ordinals(su2).tolist() == list(range(len(su2)))
 
@@ -139,27 +138,27 @@ def test_envelope_points_reject_no_samples():
 def _tables():
     phi = parse_real("(1+1*sqrt(5))/2")
     d_t = TorusPoly.make([(Coefficient.make(1), 1, 0)])  # zero norm on the row xi = 0
-    ops = [(torus_translation(phi), TORUS2, 3000), (torus_translation(parse_real("1/2")), TORUS2, 3000),
-           (d_t, TORUS2, 800), (su2_laplace_minus_axis_sq(), SU2, 3000)]
-    return [gain_table(build_symbol(op, model), model, cutoff) for op, model, cutoff in ops]
+    ops = [(torus_translation(phi), 3000), (torus_translation(parse_real("1/2")), 3000),
+           (d_t, 800), (su2_laplace_minus_axis_sq(), 3000)]
+    return [gain_table(build_symbol(op), cutoff) for op, cutoff in ops]
 
 
 @pytest.mark.parametrize("tol", [1e-12, 0.0, -0.0, -1.0, 0.5, 1e3])
 def test_fit_growth_matches_the_mask_fit(tol):
     for table in _tables():
         try:
-            want = mask_fit_growth(table, 2.0, tol)
+            want = mask_fit_growth(table, tol)
         except NoFitError as exc:
             with pytest.raises(NoFitError, match=re.escape(str(exc))):
-                fit_growth(table, 2.0, tol)
+                fit_growth(table, tol)
             continue
-        assert fit_growth(table, 2.0, tol) == want
+        assert fit_growth(table, tol) == want
 
 
 def test_estimate_order_matches_the_mask_estimate():
     for table in _tables():
         got = estimate_order(table)
-        assert (got.order_hat, got.c_hat, got.n_envelope) == mask_estimate_order(table, 2.0)
+        assert (got.order_hat, got.c_hat, got.n_envelope) == mask_estimate_order(table)
 
 
 def _small_tables():
@@ -169,13 +168,12 @@ def _small_tables():
     coefficient on the row xi = 0."""
     phi = parse_real("(1+1*sqrt(5))/2")
     d_t = TorusPoly.make([(Coefficient.make(1.0), 1, 0)])
-    ops = [(torus_translation(phi), TORUS2, 400), (torus_translation(0.5), TORUS2, 400),
-           (torus_translation(0.5), TORUS2, 60), (d_t, TORUS2, 150),
-           (su2_laplace_minus_axis_sq(), SU2, 3000)]
-    return [(op, gain_table(build_symbol(op, model), model, cutoff)) for op, model, cutoff in ops]
+    ops = [(torus_translation(phi), 400), (torus_translation(0.5), 400),
+           (torus_translation(0.5), 60), (d_t, 150), (su2_laplace_minus_axis_sq(), 3000)]
+    return [gain_table(build_symbol(op), cutoff) for op, cutoff in ops]
 
 
-def _reductions(op, table, tol):
+def _reductions(table, tol):
     """Everything the chunked passes compute on one table, errors included."""
     def attempt(f, *args, **kwargs):
         try:
@@ -183,31 +181,29 @@ def _reductions(op, table, tol):
         except (NoFitError, WindowTooSmallError) as exc:
             return type(exc), str(exc)
 
-    symbol = build_symbol(op, table.model)
-    cutoff = float(table.lam[-1])
     return (table.singular(tol).tolist(),
-            attempt(verdict, op, table.model, cutoff, tol, table=table),
-            attempt(singular_scan, symbol, table.model, cutoff, tol),
-            attempt(fit_growth, table, 2.0, tol),
+            attempt(verdict, table, tol),
+            attempt(singular_scan, table, tol),
+            attempt(fit_growth, table, tol),
             attempt(estimate_order, table))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("tol", [1e-12, 0.0, -0.0, -1.0, 1e3])
 def test_chunked_reductions_match_one_chunk_and_the_mask_oracles(chunk, tol, monkeypatch):
-    for op, table in _small_tables():
+    for table in _small_tables():
         monkeypatch.setattr(fitting, "REDUCE_CHUNK", 10**9)
-        whole = _reductions(op, table, tol)
+        whole = _reductions(table, tol)
         monkeypatch.setattr(fitting, "REDUCE_CHUNK", chunk)
-        assert _reductions(op, table, tol) == whole
+        assert _reductions(table, tol) == whole
         hits, _, scan, fit, order = whole
         assert hits == np.flatnonzero(zero_mask(table.gain, table.opnorm, tol)).tolist()
         if not isinstance(scan, tuple):
             assert [f.j for f in scan] == hits
         if not isinstance(fit, tuple):
-            assert fit == mask_fit_growth(table, 2.0, tol)
+            assert fit == mask_fit_growth(table, tol)
         if not isinstance(order, tuple):
-            assert (order.order_hat, order.c_hat, order.n_envelope) == mask_estimate_order(table, 2.0)
+            assert (order.order_hat, order.c_hat, order.n_envelope) == mask_estimate_order(table)
 
 
 @settings(max_examples=200, deadline=None)
@@ -248,14 +244,13 @@ def test_the_reductions_stay_under_30_bytes_per_character():
     # 24 bytes are kept (the int32 xi and eta, lambda, gain); the window is
     # built band by band and every pass runs chunk by chunk, so the full-length
     # buffers of the earlier layouts (50 bytes, 98 for the square) are gone
-    op = torus_translation(parse_real("(1+1*sqrt(5))/2"))
-    symbol = build_symbol(op, TORUS2)
+    symbol = build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2")))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        table = gain_table(symbol, TORUS2, 1e5)
-        verdict(op, TORUS2, 1e5, table=table)
+        table = gain_table(symbol, 1e5)
+        verdict(table)
         estimate_order(table)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -265,8 +260,7 @@ def test_the_reductions_stay_under_30_bytes_per_character():
 
 
 def test_the_gains_csv_writer_stays_within_4_megabytes_at_1e5(tmp_path):
-    table = gain_table(build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2")), TORUS2),
-                       TORUS2, 1e5)
+    table = gain_table(build_symbol(torus_translation(parse_real("(1+1*sqrt(5))/2"))), 1e5)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

@@ -22,7 +22,7 @@ CHUNKS = [1, 7, 16384, cli.CSV_CHUNK_ROWS]  # 16384: one chunk for every table h
 
 def _torus_poly(big):
     # |xi + c eta| = |-xi - c eta|: every gain but (0,0)'s appears twice
-    return build_symbol(torus_translation(0.5 + 5**0.5 / 2), TORUS2), TORUS2, 6000 if big else 60
+    return build_symbol(torus_translation(0.5 + 5**0.5 / 2)), 6000 if big else 60
 
 
 def _torus_table(big):
@@ -32,27 +32,27 @@ def _torus_table(big):
     # a few distinct entries, so equal gains repeat across chunk edges
     pool = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     entries = {lab: [[pool[i % 5] if i % 9 else 0.0]] for i, lab in enumerate(labels)}
-    return build_symbol(MatrixTable("torus2", entries), TORUS2), TORUS2, 40
+    return build_symbol(MatrixTable("torus2", entries)), 40
 
 
 def _su2_poly(big):
     # l(l+1) - m^2: half-integer levels, gain != opnorm from l = 1/2 on
-    return build_symbol(su2_laplace_minus_axis_sq(), SU2), SU2, 2550 if big else 30
+    return build_symbol(su2_laplace_minus_axis_sq()), 2550 if big else 30
 
 
 def _su2_dense(big):
     rng = np.random.default_rng(2)
     entries = {Su2Label(t): rng.standard_normal((t + 1, t + 1))
                + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(9)}
-    return build_symbol(MatrixTable("su2", entries), SU2), SU2, 8 * 10 / 4
+    return build_symbol(MatrixTable("su2", entries)), 8 * 10 / 4
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("case", [_torus_poly, _torus_table, _su2_poly, _su2_dense])
 def test_gains_csv_equals_the_row_loop(case, chunk, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
-    symbol, model, cutoff = case(chunk == CHUNKS[-1])
-    table = gain_table(symbol, model, cutoff)
+    symbol, cutoff = case(chunk == CHUNKS[-1])
+    table = gain_table(symbol, cutoff)
     if case in (_su2_poly, _su2_dense):
         assert not np.array_equal(table.gain, table.opnorm)
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
@@ -87,8 +87,8 @@ def test_coeffs_csv_equals_the_row_loop(model, chunk, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
     field = _field(model, chunk == CHUNKS[-1])
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
-    rowwise_coeffs_csv(ref, field, model, 1e5, chunk)
-    cli._write_coeffs_csv(str(out), field, model, 1e5)
+    rowwise_coeffs_csv(ref, field, 1e5, chunk)
+    cli._write_coeffs_csv(str(out), field, 1e5)
     data = out.read_bytes()
     assert data == ref.read_bytes()
     assert b",-0.0," in data and b",-0.0\r\n" in data

@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyposym import (
-    SU2,
-    TORUS2,
     CoefficientField,
     Su2Label,
     Torus2Label,
@@ -71,7 +69,7 @@ SU2_GAP = {
 
 def test_parse_torus_float_phi():
     parsed = parse_spec(TORUS_PHI_FLOAT)
-    assert parsed.model.kind == "torus2"
+    assert parsed.operator.model_kind == "torus2"
     op = parsed.operator
     assert isinstance(op, TorusPoly)
     c = op.coefficient(0, 1)
@@ -885,11 +883,11 @@ def _reference_gains_csv(path, table):
                              repr(float(table.gain[i])), repr(float(table.opnorm[i]))])
 
 
-def _reference_coeffs_csv(path, field, model, cutoff):
+def _reference_coeffs_csv(path, field, cutoff):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ordinal", "label", "component_index", "re", "im"])
-        for freq, vec in field.window(model, cutoff):
+        for freq, vec in field.window(cutoff):
             for k, z in enumerate(vec):
                 writer.writerow(
                     [freq.j, str(freq.label), k, repr(float(z.real)), repr(float(z.imag))]
@@ -906,7 +904,7 @@ def test_gains_csv_matches_csv_writer(spec, cutoff, chunk, quirk, tmp_path, monk
     if chunk is not None:
         monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
     parsed = parse_spec(spec)
-    table = gain_table(build_symbol(parsed.operator, parsed.model), parsed.model, cutoff)
+    table = gain_table(build_symbol(parsed.operator), cutoff)
     assert len(table) > cli.CSV_CHUNK_ROWS
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
     _reference_gains_csv(ref, table)
@@ -921,8 +919,8 @@ def test_coeffs_csv_matches_csv_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(4)
     # signed zero, extreme exponents and integral values lead each vector
     odd = np.array([-0.0, 1e-300, 1e300, 3.0, -2.5])
-    for model, labels in ((TORUS2, [Torus2Label(-3, 1), Torus2Label(0, 0), Torus2Label(2, -7)]),
-                          (SU2, [Su2Label(1), Su2Label(4), Su2Label(5)])):
+    for labels in ([Torus2Label(-3, 1), Torus2Label(0, 0), Torus2Label(2, -7)],
+                   [Su2Label(1), Su2Label(4), Su2Label(5)]):
         data = {}
         for lab in labels:
             n = lab.block_dim()
@@ -932,8 +930,8 @@ def test_coeffs_csv_matches_csv_writer(tmp_path, monkeypatch):
             data[lab] = vec
         field = CoefficientField.from_dict(data)
         ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
-        _reference_coeffs_csv(ref, field, model, 100.0)
-        cli._write_coeffs_csv(str(out), field, model, 100.0)
+        _reference_coeffs_csv(ref, field, 100.0)
+        cli._write_coeffs_csv(str(out), field, 100.0)
         assert out.read_bytes() == ref.read_bytes()
 
 

@@ -162,7 +162,7 @@ def test_frequency_for_label_counts_the_window_ordinals():
     shells = {325: 0, 425: 0, 1105: 0}
     for i in range(len(window)):
         freq = window.freq(i)
-        assert frequency_for_label(TORUS2, freq.label) == freq
+        assert frequency_for_label(freq.label) == freq
         if freq.label.eigenvalue() in shells:
             shells[freq.label.eigenvalue()] += 1
     assert shells == {325: 24, 425: 24, 1105: 32}
@@ -172,13 +172,11 @@ def test_frequency_for_label_counts_the_window_ordinals():
 @given(st.integers(-400, 400), st.integers(-400, 400))
 def test_frequency_for_label_equals_the_lattice_oracle(xi, eta):
     label = Torus2Label(xi, eta)
-    assert frequency_for_label(TORUS2, label) == lattice_frequency_for_label(label)
+    assert frequency_for_label(label) == lattice_frequency_for_label(label)
 
 
 def test_frequency_for_label_rejects_non_lattice_labels():
     with pytest.raises(PreconditionError, match="not enumerable"):
-        frequency_for_label(TORUS2, Torus2Label(1.5, 0))
-    with pytest.raises(PreconditionError, match="does not match"):
-        frequency_for_label(TORUS2, Su2Label(2))
-    assert frequency_for_label(TORUS2, Torus2Label(np.int64(-3), np.int64(4))).j == (
+        frequency_for_label(Torus2Label(1.5, 0))
+    assert frequency_for_label(Torus2Label(np.int64(-3), np.int64(4))).j == (
         lattice_frequency_for_label(Torus2Label(-3, 4)).j)

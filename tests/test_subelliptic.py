@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyposym import (
+    NU,
     SU2,
     TORUS2,
     CoefficientField,
@@ -41,28 +42,28 @@ from oracles import (
 
 
 def test_kernel_torus_antidiagonal(torus_resonant_symbol):
-    kernel = kernel_on_truncation(torus_resonant_symbol, TORUS2, 50)
+    kernel = kernel_on_truncation(torus_resonant_symbol, 50)
     # (t, -t) with 2 t^2 <= 50 plus the origin: t = -5..5
     assert kernel.total_dim == 11
     assert kernel.boundary_singular  # lambda = 50 sits at the window edge
 
 
 def test_kernel_su2_gap_only_origin(su2_gap_symbol):
-    kernel = kernel_on_truncation(su2_gap_symbol, SU2, 10 * 11)
+    kernel = kernel_on_truncation(su2_gap_symbol, 10 * 11)
     assert kernel.total_dim == 1
     assert set(kernel.blocks) == {Su2Label(0)}
     assert not kernel.boundary_singular
 
 
 def test_kernel_identity_empty():
-    kernel = kernel_on_truncation(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 100)
+    kernel = kernel_on_truncation(build_symbol(constant_one(TORUS2)), 100)
     assert kernel.total_dim == 0
 
 
 def test_kernel_counts_zero_singular_values(su2_pell_symbol):
     # total_dim equals the zero singular values of the replicated matrices
     cutoff = 10 * 11
-    kernel = kernel_on_truncation(su2_pell_symbol, SU2, cutoff)
+    kernel = kernel_on_truncation(su2_pell_symbol, cutoff)
     direct = 0
     for freq in enumerate_frequencies(SU2, cutoff):
         svals = np.linalg.svd(full_matrix(su2_pell_symbol, freq), compute_uv=False)
@@ -73,8 +74,8 @@ def test_kernel_counts_zero_singular_values(su2_pell_symbol):
 
 
 def test_kernel_projection_removes_kernel_component(su2_pell_symbol):
-    kernel = kernel_on_truncation(su2_pell_symbol, SU2, 30)
-    freq = frequency_for_label(SU2, Su2Label(2))
+    kernel = kernel_on_truncation(su2_pell_symbol, 30)
+    freq = frequency_for_label(Su2Label(2))
     rng = np.random.default_rng(1)
     vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     proj = kernel.project_out(freq, vec)
@@ -98,8 +99,8 @@ def test_kernel_projection_removes_kernel_component(su2_pell_symbol):
 def test_kernel_orthogonality_is_weight_independent(su2_pell_symbol):
     # the Sobolev weight is one scalar per frequency, so orthogonality to the
     # kernel in the s-weighted inner product coincides with the Euclidean one
-    kernel = kernel_on_truncation(su2_pell_symbol, SU2, 30)
-    freq = frequency_for_label(SU2, Su2Label(2))
+    kernel = kernel_on_truncation(su2_pell_symbol, 30)
+    freq = frequency_for_label(Su2Label(2))
     rng = np.random.default_rng(4)
     vec = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     proj = kernel.project_out(freq, vec)
@@ -113,23 +114,23 @@ def test_kernel_orthogonality_is_weight_independent(su2_pell_symbol):
 
 def test_per_frequency_constant_diagonal_cases(su2_gap_symbol, su2_pell_symbol):
     assert per_frequency_constant(
-        su2_gap_symbol, frequency_for_label(SU2, Su2Label(2))
+        su2_gap_symbol, frequency_for_label(Su2Label(2))
     ) == pytest.approx(1.0, abs=1e-14)
     assert per_frequency_constant(
-        su2_pell_symbol, frequency_for_label(SU2, Su2Label(4))
+        su2_pell_symbol, frequency_for_label(Su2Label(4))
     ) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_per_frequency_constant_table_block():
     table = MatrixTable("su2", {Su2Label(2): np.diag([0.0, 2.0, 5.0])})
-    sym = build_symbol(table, SU2)
+    sym = build_symbol(table)
     assert per_frequency_constant(
-        sym, frequency_for_label(SU2, Su2Label(2))
+        sym, frequency_for_label(Su2Label(2))
     ) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_per_frequency_constant_all_kernel_block(torus_resonant_symbol):
-    freq = frequency_for_label(TORUS2, Torus2Label(1, -1))
+    freq = frequency_for_label(Torus2Label(1, -1))
     assert per_frequency_constant(torus_resonant_symbol, freq) == float("inf")
 
 
@@ -138,7 +139,7 @@ def test_per_frequency_constant_all_kernel_block(torus_resonant_symbol):
 
 
 def test_best_alpha_su2_gap_is_inverse_sqrt_seven(su2_gap_symbol):
-    report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, 50 * 51)
+    report = best_alpha_constant(su2_gap_symbol, 0.0, 1.0, 50 * 51)
     assert report.c_star == pytest.approx(1 / math.sqrt(7), rel=1e-12)
     assert report.witness.label == Su2Label(1)
     assert report.kernel_dim == 1
@@ -148,21 +149,21 @@ def test_best_alpha_su2_gap_is_inverse_sqrt_seven(su2_gap_symbol):
 
 def test_best_alpha_independent_of_s(su2_gap_symbol):
     values = [
-        best_alpha_constant(su2_gap_symbol, SU2, s, 1.0, 50 * 51).c_star
+        best_alpha_constant(su2_gap_symbol, s, 1.0, 50 * 51).c_star
         for s in (-1.0, 0.0, 2.0)
     ]
     assert max(values) - min(values) <= 1e-12 * max(values)
 
 
 def test_best_alpha_identity():
-    report = best_alpha_constant(build_symbol(constant_one(SU2), SU2), SU2, 0.0, 0.0, 30)
+    report = best_alpha_constant(build_symbol(constant_one(SU2)), 0.0, 0.0, 30)
     assert report.c_star == pytest.approx(1.0, rel=1e-12)
     assert report.k_star == pytest.approx(1.0, rel=1e-12)
 
 
 def test_best_alpha_torus_imaginary_coefficient():
-    sym = build_symbol(torus_translation(Coefficient.make(0, 1)), TORUS2)
-    report = best_alpha_constant(sym, TORUS2, 0.0, 0.0, 900)
+    sym = build_symbol(torus_translation(Coefficient.make(0, 1)))
+    report = best_alpha_constant(sym, 0.0, 0.0, 900)
     assert report.c_star == pytest.approx(1.0, rel=1e-12)
     assert report.witness.lam == 1.0
 
@@ -170,42 +171,38 @@ def test_best_alpha_torus_imaginary_coefficient():
 def test_best_alpha_rejects_all_kernel():
     zero = TorusPoly.make([(Coefficient.make(0), 1, 0)])
     with pytest.raises(PreconditionError):
-        best_alpha_constant(build_symbol(zero, TORUS2), TORUS2, 0.0, 1.0, 40)
+        best_alpha_constant(build_symbol(zero), 0.0, 1.0, 40)
 
 
 def test_witness_achieves_c_star(su2_gap_symbol):
-    report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, 50 * 51)
+    report = best_alpha_constant(su2_gap_symbol, 0.0, 1.0, 50 * 51)
     witness = extremal_field(report, su2_gap_symbol)
-    chk = check_alpha(su2_gap_symbol, SU2, witness, 0.0, 1.0, report.c_star, 50 * 51,
-                      report.kernel)
+    chk = check_alpha(su2_gap_symbol, witness, 0.0, 1.0, report.c_star, report.kernel)
     assert chk.passed and not chk.vacuous
     assert chk.ratio == pytest.approx(report.c_star, rel=1e-9)
     # the inflated constant must fail on the witness
     inflated = check_alpha(
-        su2_gap_symbol, SU2, witness, 0.0, 1.0, report.c_star * (1 + 1e-6), 50 * 51,
-        report.kernel
+        su2_gap_symbol, witness, 0.0, 1.0, report.c_star * (1 + 1e-6), report.kernel
     )
     assert not inflated.passed
 
 
 def test_alpha_never_fails_below_c_star(su2_gap_symbol):
     cutoff = 20 * 21
-    report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, cutoff)
-    kernel = kernel_on_truncation(su2_gap_symbol, SU2, cutoff)
+    report = best_alpha_constant(su2_gap_symbol, 0.0, 1.0, cutoff)
+    kernel = kernel_on_truncation(su2_gap_symbol, cutoff)
     window = Window(SU2, cutoff)
     rng = np.random.default_rng(7)
     for _ in range(50):
         probe = random_field(window, rng)
-        chk = check_alpha(
-            su2_gap_symbol, SU2, probe, 0.0, 1.0, report.c_star, cutoff, kernel=kernel
-        )
+        chk = check_alpha(su2_gap_symbol, probe, 0.0, 1.0, report.c_star, kernel=kernel)
         assert chk.passed
 
 
 def test_alpha_kernel_vector_is_vacuous(torus_resonant_symbol):
     f = CoefficientField.from_dict({Torus2Label(1, -1): [1.0]})
-    chk = check_alpha(torus_resonant_symbol, TORUS2, f, 0.0, 1.0, 0.5, 50,
-                      kernel_on_truncation(torus_resonant_symbol, TORUS2, 50))
+    chk = check_alpha(torus_resonant_symbol, f, 0.0, 1.0, 0.5,
+                      kernel_on_truncation(torus_resonant_symbol, 50))
     assert chk.passed and chk.vacuous
 
 
@@ -214,10 +211,10 @@ def test_alpha_numerical_kernel_vector_is_vacuous():
     # zeroes it to roundoff, which must still count as vacuous
     entries = {Su2Label(t): np.eye(t + 1, dtype=complex) for t in range(6)}
     entries[Su2Label(1)] = np.array([[1.0, 1.0j], [-1.0j, 1.0]])  # rank 1
-    sym = build_symbol(MatrixTable("su2", entries), SU2)
+    sym = build_symbol(MatrixTable("su2", entries))
     null_vec = np.array([1.0, 1.0j, 0, 0]) / math.sqrt(2)  # kernel of the block
     f = CoefficientField.from_dict({Su2Label(1): null_vec})
-    chk = check_alpha(sym, SU2, f, 0.0, 1.0, 0.5, 8, kernel_on_truncation(sym, SU2, 8))
+    chk = check_alpha(sym, f, 0.0, 1.0, 0.5, kernel_on_truncation(sym, 8))
     assert chk.passed and chk.vacuous
 
 
@@ -225,11 +222,11 @@ def test_beta_kernel_supported_needs_bracket_power(torus_resonant_symbol):
     # kernel frequencies force ||f||_{s+m} / ||f||_s = (1+lambda)^{m/nu}
     f = CoefficientField.from_dict({Torus2Label(5, -5): [1.0]})  # lambda 50
     needed = (1 + 50) ** 0.5
-    ok = check_beta(torus_resonant_symbol, TORUS2, f, 0.0, 1.0, needed, 50)
+    ok = check_beta(torus_resonant_symbol, f, 0.0, 1.0, needed, 50)
     assert ok.passed
     assert ok.achieved_k == pytest.approx(needed, rel=1e-12)
     tight = check_beta(
-        torus_resonant_symbol, TORUS2, f, 0.0, 1.0, needed * (1 - 1e-6), 50
+        torus_resonant_symbol, f, 0.0, 1.0, needed * (1 - 1e-6), 50
     )
     assert not tight.passed
 
@@ -239,19 +236,19 @@ def test_beta_identity_with_unit_constant():
     rng = np.random.default_rng(3)
     for _ in range(20):
         probe = random_field(window, rng)
-        chk = check_beta(build_symbol(constant_one(SU2), SU2), SU2, probe, 0.0, 0.0, 1.0, 30)
+        chk = check_beta(build_symbol(constant_one(SU2)), probe, 0.0, 0.0, 1.0, 30)
         assert chk.passed
 
 
 def test_beta_su2_gap_sufficient_constant(su2_gap_symbol):
     cutoff = 20 * 21
-    report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, cutoff)
+    report = best_alpha_constant(su2_gap_symbol, 0.0, 1.0, cutoff)
     k = max(report.k1, 1.0 / report.c_star)
     window = Window(SU2, cutoff)
     rng = np.random.default_rng(11)
     for _ in range(50):
         probe = random_field(window, rng)
-        chk = check_beta(su2_gap_symbol, SU2, probe, 0.0, 1.0, k, cutoff)
+        chk = check_beta(su2_gap_symbol, probe, 0.0, 1.0, k, cutoff)
         assert chk.passed
 
 
@@ -276,14 +273,13 @@ def _dense_table(max_twice_ell, seed, planted=()):
 @pytest.mark.parametrize("case", ["torus_resonant", "su2_pell", "dense_planted"])
 def test_report_kernel_equals_kernel_on_truncation(case, torus_resonant_symbol,
                                                    su2_pell_symbol):
-    model, symbol, cutoff = {
-        "torus_resonant": (TORUS2, torus_resonant_symbol, 50),
-        "su2_pell": (SU2, su2_pell_symbol, 60 * 61),
-        "dense_planted": (SU2, build_symbol(_dense_table(9, 5, planted=(4,)), SU2),
-                          9 * 11 / 4),
+    symbol, cutoff = {
+        "torus_resonant": (torus_resonant_symbol, 50),
+        "su2_pell": (su2_pell_symbol, 60 * 61),
+        "dense_planted": (build_symbol(_dense_table(9, 5, planted=(4,))), 9 * 11 / 4),
     }[case]
-    report = best_alpha_constant(symbol, model, 0.0, 1.0, cutoff)
-    kernel = kernel_on_truncation(symbol, model, cutoff)
+    report = best_alpha_constant(symbol, 0.0, 1.0, cutoff)
+    kernel = kernel_on_truncation(symbol, cutoff)
     assert report.kernel.total_dim == kernel.total_dim > 0
     assert report.kernel.boundary_singular == kernel.boundary_singular
     assert list(report.kernel.blocks) == list(kernel.blocks)
@@ -300,7 +296,7 @@ def test_dense_c_star_is_values_only_svd_bit_for_bit():
     # a full SVD (compute_uv=True) rounds the singular values differently in
     # the last bits; C* must be the values-only minimum, exactly
     table = _dense_table(20, 7)
-    report = best_alpha_constant(build_symbol(table, SU2), SU2, 0.0, 1.0, 20 * 22 / 4)
+    report = best_alpha_constant(build_symbol(table), 0.0, 1.0, 20 * 22 / 4)
     candidates = [
         (float(np.linalg.svd(block, compute_uv=False)[-1])
          * (1.0 + float(label.eigenvalue())) ** (-1.0 / 2.0), label)
@@ -315,19 +311,18 @@ def test_dense_c_star_is_values_only_svd_bit_for_bit():
 def test_witness_entry_on_tied_values(su2_gap_symbol):
     # a diagonal block reports the first minimal entry: l(l+1) - m^2 ties at
     # m = -1/2 and m = 1/2
-    report = best_alpha_constant(su2_gap_symbol, SU2, 0.0, 1.0, 50 * 51)
+    report = best_alpha_constant(su2_gap_symbol, 0.0, 1.0, 50 * 51)
     assert report.witness_index == 0
     # a dense block reports the last of equal singular values
     entries = {Su2Label(t): (10.0 - t) * np.eye(t + 1) for t in range(5)}
-    report = best_alpha_constant(build_symbol(MatrixTable("su2", entries), SU2),
-                                 SU2, 0.0, 0.0, 6)
+    report = best_alpha_constant(build_symbol(MatrixTable("su2", entries)), 0.0, 0.0, 6)
     assert (report.witness.label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
 
 
-def _reference_pass(symbol, model, cutoff, m, tol=KERNEL_TOL):
+def _reference_pass(symbol, cutoff, m, tol=KERNEL_TOL):
     """Kernel blocks and the C* witness from a per-frequency loop."""
     blocks, best = {}, None
-    for freq in enumerate_frequencies(model, cutoff):
+    for freq in enumerate_frequencies(symbol.model, cutoff):
         diag = symbol.diagonal(freq)
         values = np.abs(diag) if diag is not None else np.linalg.svd(
             symbol.block(freq), compute_uv=False)
@@ -341,7 +336,7 @@ def _reference_pass(symbol, model, cutoff, m, tol=KERNEL_TOL):
         c = per_frequency_constant(symbol, freq, tol)
         if c == math.inf:
             continue
-        cand = c * (1.0 + freq.lam) ** (-m / model.nu)
+        cand = c * (1.0 + freq.lam) ** (-m / NU)
         if best is None or cand < best[0]:
             hits = np.flatnonzero(values == c)
             best = (cand, freq.label, int(hits[0] if diag is not None else hits[-1]))
@@ -361,26 +356,25 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
     if chunk is not None:
         # many chunks per window, and SU(2) blocks larger than a chunk
         monkeypatch.setattr(hyposym.symbols, "BULK_CHUNK_ENTRIES", chunk)
-    model, symbol, cutoff = {
-        "torus_resonant": (TORUS2, torus_resonant_symbol, 50),
-        "su2_pell": (SU2, su2_pell_symbol, 60 * 61),
-        "dense_planted": (SU2, build_symbol(_dense_table(12, 5, planted=(4, 9)), SU2),
-                          12 * 14 / 4),
-        "tied_diagonal": (SU2, su2_gap_symbol, 30 * 31),
-        "tied_dense": (SU2, build_symbol(MatrixTable("su2", {
-            Su2Label(t): (3.0 if t % 3 else 0.0) * np.eye(t + 1) for t in range(9)}), SU2),
+    symbol, cutoff = {
+        "torus_resonant": (torus_resonant_symbol, 50),
+        "su2_pell": (su2_pell_symbol, 60 * 61),
+        "dense_planted": (build_symbol(_dense_table(12, 5, planted=(4, 9))), 12 * 14 / 4),
+        "tied_diagonal": (su2_gap_symbol, 30 * 31),
+        "tied_dense": (build_symbol(MatrixTable("su2", {
+            Su2Label(t): (3.0 if t % 3 else 0.0) * np.eye(t + 1) for t in range(9)})),
             8 * 10 / 4),
         # at m = 1, numpy's array power rounds 26 ** -0.5 differently
-        "identity": (TORUS2, build_symbol(constant_one(TORUS2), TORUS2), 25),
+        "identity": (build_symbol(constant_one(TORUS2)), 25),
         # the SU(2) screen trusts levels 0..63 only; with chunks of 5 it hands
         # the rest of the window to block_values at level 64 of 200
-        "screen_handover": (SU2, build_symbol(Su2DiagPoly.make([
-            (Coefficient.make(2.0**990), 0, 1), (Coefficient.make(1), 2, 0)]), SU2), 1e4),
+        "screen_handover": (build_symbol(Su2DiagPoly.make([
+            (Coefficient.make(2.0**990), 0, 1), (Coefficient.make(1), 2, 0)])), 1e4),
     }[case]
-    blocks, (c_star, label, entry) = _reference_pass(symbol, model, cutoff, m)
-    kernel, (got_c, got_freq, got_entry) = _window_pass(symbol, model, cutoff, KERNEL_TOL, m)
+    blocks, (c_star, label, entry) = _reference_pass(symbol, cutoff, m)
+    kernel, (got_c, got_freq, got_entry) = _window_pass(symbol, cutoff, KERNEL_TOL, m)
     assert (got_c, got_freq.label, got_entry) == (c_star, label, entry)
-    assert got_freq == frequency_for_label(model, label)
+    assert got_freq == frequency_for_label(label)
     assert list(kernel.blocks) == list(blocks)
     for lab, basis in blocks.items():
         assert np.array_equal(kernel.blocks[lab], basis)
@@ -437,14 +431,14 @@ def test_cli_subelliptic_counts_no_ordinal(monkeypatch, capsys):
     assert code == 0, capsys.readouterr().err
     assert calls == []  # the witness field reads the report's frequency
     probe = random_field(Window(TORUS2, 20000), np.random.default_rng(5), n_support=20)
-    assert len(list(probe.window(TORUS2, 20000))) == 20
+    assert len(list(probe.window(20000))) == 20
     assert calls == []  # building and walking a probe counts nothing
 
 
-def _field_bits(field, model, cutoff):
+def _field_bits(field, cutoff):
     """Each frequency of a walk, whole, and its vector's bits."""
     return [((f.j, f.lam, f.dim, f.label), vec.tobytes())
-            for f, vec in field.window(model, cutoff)]
+            for f, vec in field.window(cutoff)]
 
 
 @pytest.mark.parametrize("model, cutoff, n_support", [(TORUS2, 400, 6), (TORUS2, 20000, 20),
@@ -456,20 +450,20 @@ def test_probes_from_one_window_equal_a_fresh_window_per_probe(model, cutoff, n_
     for _ in range(5):
         got = random_field(window, drawn, n_support)
         want = fresh_window_random_field(model, cutoff, fresh, n_support)
-        assert _field_bits(got, model, cutoff) == _field_bits(want, model, cutoff)
+        assert _field_bits(got, cutoff) == _field_bits(want, cutoff)
         assert len(got.support_labels()) == min(n_support, len(window))
     assert drawn.bit_generator.state == fresh.bit_generator.state
 
 
 @pytest.mark.parametrize("case", ["torus_phi", "su2_gap", "dense"])
 def test_extremal_field_equals_the_field_of_the_counted_label(case, su2_gap_symbol):
-    model, symbol, cutoff = {
-        "torus_phi": (TORUS2, build_symbol(torus_translation(0.5 + 5**0.5 / 2), TORUS2), 20000),
-        "su2_gap": (SU2, su2_gap_symbol, 50 * 51),
-        "dense": (SU2, build_symbol(_dense_table(20, 7), SU2), 20 * 22 / 4),
+    symbol, cutoff = {
+        "torus_phi": (build_symbol(torus_translation(0.5 + 5**0.5 / 2)), 20000),
+        "su2_gap": (su2_gap_symbol, 50 * 51),
+        "dense": (build_symbol(_dense_table(20, 7)), 20 * 22 / 4),
     }[case]
-    report = best_alpha_constant(symbol, model, 0.0, 1.0, cutoff)
+    report = best_alpha_constant(symbol, 0.0, 1.0, cutoff)
     got = extremal_field(report, symbol)
-    want = labelled_extremal_field(report, symbol, model)
-    assert _field_bits(got, model, cutoff) == _field_bits(want, model, cutoff)
-    assert [f for f, _ in got.window(model, cutoff)] == [report.witness]
+    want = labelled_extremal_field(report, symbol)
+    assert _field_bits(got, cutoff) == _field_bits(want, cutoff)
+    assert [f for f, _ in got.window(cutoff)] == [report.witness]

@@ -37,25 +37,25 @@ from oracles import full_matrix, operator_norm, sphere_gain_oracle
 
 def test_torus_translation_symbol_values():
     op = torus_translation(Fraction(3, 7))
-    sym = build_symbol(op, TORUS2)
+    sym = build_symbol(op)
     for xi, eta in [(0, 0), (1, -1), (5, 7), (-3, 7)]:
-        freq = frequency_for_label(TORUS2, Torus2Label(xi, eta))
+        freq = frequency_for_label(Torus2Label(xi, eta))
         expected = 1j * (xi + (3 / 7) * eta)
         assert sym.diagonal(freq)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_su2_neutral_derivative_at_level_one():
     op = Su2DiagPoly.make([(Coefficient.make(1), 1, 0)])
-    freq = frequency_for_label(SU2, Su2Label(2))
-    full = full_matrix(build_symbol(op, SU2), freq)
+    freq = frequency_for_label(Su2Label(2))
+    full = full_matrix(build_symbol(op), freq)
     block = np.diag([-1j, 0, 1j])
     expected = np.kron(np.eye(3), block)
     assert np.allclose(full, expected, atol=1e-14)
 
 
 def test_su2_gap_operator_entries():
-    sym = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    freq = frequency_for_label(SU2, Su2Label(2))
+    sym = build_symbol(su2_laplace_minus_axis_sq())
+    freq = frequency_for_label(Su2Label(2))
     assert np.allclose(sym.diagonal(freq), [1, 2, 1], atol=1e-14)
     # exact path agrees
     exact = sym.exact_diagonal(freq)
@@ -89,41 +89,39 @@ def test_su2_exact_diagonal_equals_termwise_sum(terms, twice_ell):
             acc_re += (re * i_re - im * i_im) * mag
             acc_im += (re * i_im + im * i_re) * mag
         expected.append((acc_re, acc_im))
-    got = build_symbol(op, SU2).exact_diagonal(frequency_for_label(SU2, Su2Label(twice_ell)))
+    got = build_symbol(op).exact_diagonal(frequency_for_label(Su2Label(twice_ell)))
     assert got == expected
     assert all(type(x) is Fraction for pair in got for x in pair)
 
 
 def test_exact_evaluation_vanishes_at_resonance():
     op = torus_translation(Fraction(3, 7))
-    sym = build_symbol(op, TORUS2)
-    freq = frequency_for_label(TORUS2, Torus2Label(-3, 7))
+    sym = build_symbol(op)
+    freq = frequency_for_label(Torus2Label(-3, 7))
     assert sym.exact_diagonal(freq) == [(Fraction(0), Fraction(0))]
     assert sym.gain(freq) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_float_coefficients_have_no_exact_path():
     op = torus_translation(0.42857142857142855)
-    sym = build_symbol(op, TORUS2)
-    freq = frequency_for_label(TORUS2, Torus2Label(-3, 7))
+    sym = build_symbol(op)
+    freq = frequency_for_label(Torus2Label(-3, 7))
     assert sym.exact_diagonal(freq) is None
     op = Su2DiagPoly(((Coefficient.make(1), 0, 1), (Coefficient.make(0.5), 2, 0)))
-    assert build_symbol(op, SU2).exact_diagonal(frequency_for_label(SU2, Su2Label(4))) is None
+    assert build_symbol(op).exact_diagonal(frequency_for_label(Su2Label(4))) is None
 
 
 def test_model_mismatch_rejected():
+    sym = build_symbol(torus_translation(1))
     with pytest.raises(PreconditionError):
-        build_symbol(torus_translation(1), SU2)
-    sym = build_symbol(torus_translation(1), TORUS2)
-    with pytest.raises(PreconditionError):
-        sym.gain(frequency_for_label(SU2, Su2Label(2)))
+        sym.gain(frequency_for_label(Su2Label(2)))
 
 
 def test_matrix_table_missing_frequency():
     table = MatrixTable("su2", {Su2Label(0): [[complex(2)]]})
-    sym = build_symbol(table, SU2)
+    sym = build_symbol(table)
     with pytest.raises(PreconditionError):
-        sym.block(frequency_for_label(SU2, Su2Label(2)))
+        sym.block(frequency_for_label(Su2Label(2)))
 
 
 def test_matrix_table_on_torus():
@@ -133,10 +131,10 @@ def test_matrix_table_on_torus():
     for f in enumerate_frequencies(TORUS2, 2):
         z = complex(f.label.xi, f.label.eta)
         entries[f.label] = [[z]]
-    sym = build_symbol(MatrixTable("torus2", entries), TORUS2)
-    freq = frequency_for_label(TORUS2, Torus2Label(1, 1))
+    sym = build_symbol(MatrixTable("torus2", entries))
+    freq = frequency_for_label(Torus2Label(1, 1))
     assert sym.gain(freq) == pytest.approx(abs(1 + 1j), rel=1e-12)
-    table = gain_table(sym, TORUS2, 2)
+    table = gain_table(sym, 2)
     assert len(table) == 9
     assert table.gain[0] == 0.0  # the origin entry is (0, 0)
 
@@ -205,9 +203,9 @@ def test_block_replication_preserves_gain_and_norm():
     for t in range(0, 7):
         d = t + 1
         entries[Su2Label(t)] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    sym = build_symbol(MatrixTable("su2", entries), SU2)
+    sym = build_symbol(MatrixTable("su2", entries))
     for t in range(0, 7):
-        freq = frequency_for_label(SU2, Su2Label(t))
+        freq = frequency_for_label(Su2Label(t))
         full = full_matrix(sym, freq)
         assert full.shape == ((t + 1) ** 2, (t + 1) ** 2)
         assert sym.gain(freq) == pytest.approx(smallest_gain(full), rel=1e-10, abs=1e-12)
@@ -219,26 +217,26 @@ def test_block_replication_preserves_gain_and_norm():
 
 
 def test_apply_zero_field():
-    sym = build_symbol(torus_translation(1), TORUS2)
+    sym = build_symbol(torus_translation(1))
     out = apply_symbol(sym, CoefficientField.from_dict({}), 50)
-    assert sobolev_norm(out, 0, TORUS2, 50) == 0.0
+    assert sobolev_norm(out, 0, 50) == 0.0
 
 
 def test_apply_resonant_delta():
-    sym = build_symbol(torus_translation(1), TORUS2)
+    sym = build_symbol(torus_translation(1))
     u = CoefficientField.from_dict({Torus2Label(1, -1): [1.0]})
     out = apply_symbol(sym, u, 50)
-    assert sobolev_norm(out, 0, TORUS2, 50) == 0.0
+    assert sobolev_norm(out, 0, 50) == 0.0
 
 
 def test_apply_su2_block_structure():
     # d0 on a field supported at l = 1/2 with vector (1,0,0,0):
     # the first chunk sees the diagonal (-i/2, i/2)
     op = Su2DiagPoly.make([(Coefficient.make(1), 1, 0)])
-    sym = build_symbol(op, SU2)
+    sym = build_symbol(op)
     u = CoefficientField.from_dict({Su2Label(1): [1.0, 0.0, 0.0, 0.0]})
     out = apply_symbol(sym, u, 10)
-    freq = frequency_for_label(SU2, Su2Label(1))
+    freq = frequency_for_label(Su2Label(1))
     assert np.allclose(out.coeff(freq), [1j * (-0.5), 0, 0, 0], atol=1e-14)
 
 
@@ -246,7 +244,7 @@ def test_apply_su2_block_structure():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_apply_is_linear(seed):
     rng = np.random.default_rng(seed)
-    sym = build_symbol(su2_laplace_minus_axis_sq(), SU2)
+    sym = build_symbol(su2_laplace_minus_axis_sq())
     freqs = enumerate_frequencies(SU2, 12)
     u = {f.label: rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
          for f in freqs}
@@ -272,9 +270,9 @@ def test_plancherel_identity_application():
         {f.label: rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
          for f in freqs}
     )
-    out = apply_symbol(build_symbol(constant_one(SU2), SU2), u, 8)
-    assert sobolev_norm(out, 0, SU2, 8) == pytest.approx(
-        sobolev_norm(u, 0, SU2, 8), rel=1e-14
+    out = apply_symbol(build_symbol(constant_one(SU2)), u, 8)
+    assert sobolev_norm(out, 0, 8) == pytest.approx(
+        sobolev_norm(u, 0, 8), rel=1e-14
     )
 
 
@@ -297,24 +295,23 @@ def _bulk_cases():
     rng = np.random.default_rng(4)
     return {
         "a(negLap + d0^2)": (build_symbol(
-            _su2((Fraction(3, 2), 0, 1), (Fraction(3, 2), 2, 0)), SU2), 1e4),
-        "negLap + d0^2/3": (build_symbol(_su2((1, 0, 1), (third, 2, 0)), SU2), 1e4),
-        "negLap + 3/5 d0^2": (build_symbol(_su2((1, 0, 1), (Fraction(3, 5), 2, 0)), SU2), 1e4),
-        "(2 + i/3) d0 + 1/7": (build_symbol(linear, SU2), 1e4),
+            _su2((Fraction(3, 2), 0, 1), (Fraction(3, 2), 2, 0))), 1e4),
+        "negLap + d0^2/3": (build_symbol(_su2((1, 0, 1), (third, 2, 0))), 1e4),
+        "negLap + 3/5 d0^2": (build_symbol(_su2((1, 0, 1), (Fraction(3, 5), 2, 0))), 1e4),
+        "(2 + i/3) d0 + 1/7": (build_symbol(linear), 1e4),
         "degree 4, float": (build_symbol(_su2(
-            (0.37, 4, 0), (-1.3, 3, 1), (2.1, 2, 2), (0.5, 0, 4), (1.1, 1, 0), (0.3, 0, 0)),
-            SU2), 1e4),
-        "add": (build_symbol(neg_lap.add(d0.mul(d0)), SU2), 1e4),
-        "scale": (build_symbol(gap.scale(3 - 4j), SU2), 1e4),
-        "compose": (build_symbol(linear.mul(gap).mul(constant_one(SU2)), SU2), 1e4),
-        "torus phi": (build_symbol(phi, TORUS2), 2000),
-        "torus compose": (build_symbol(phi.mul(phi.scale(0.5j)), TORUS2), 2000),
+            (0.37, 4, 0), (-1.3, 3, 1), (2.1, 2, 2), (0.5, 0, 4), (1.1, 1, 0), (0.3, 0, 0))), 1e4),
+        "add": (build_symbol(neg_lap.add(d0.mul(d0))), 1e4),
+        "scale": (build_symbol(gap.scale(3 - 4j)), 1e4),
+        "compose": (build_symbol(linear.mul(gap).mul(constant_one(SU2))), 1e4),
+        "torus phi": (build_symbol(phi), 2000),
+        "torus compose": (build_symbol(phi.mul(phi.scale(0.5j))), 2000),
         "dense torus table": (build_symbol(MatrixTable("torus2", {
             lab: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
-            for lab in (f.label for f in enumerate_frequencies(TORUS2, 300))}), TORUS2), 300),
+            for lab in (f.label for f in enumerate_frequencies(TORUS2, 300))})), 300),
         "dense su2 table": (build_symbol(MatrixTable("su2", {
             Su2Label(t): rng.standard_normal((t + 1, t + 1))
-            + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(41)}), SU2), 40 * 42 / 4),
+            + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(41)})), 40 * 42 / 4),
     }
 
 
@@ -331,7 +328,7 @@ def test_bulk_gain_table_equals_per_frequency_loop(name, chunk, monkeypatch):
     svd_calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
-    table = gain_table(sym, sym.model, cutoff)
+    table = gain_table(sym, cutoff)
     monkeypatch.setattr(np.linalg, "svd", svd)
     freqs = enumerate_frequencies(sym.model, cutoff)
     assert len(svd_calls) == (0 if sym.is_diagonal else len(freqs))
@@ -359,8 +356,8 @@ def test_compose_with_identity_is_identity_on_symbol():
 
 def test_scale_multiplies_gain():
     op = torus_translation(2)
-    sym, scaled = build_symbol(op, TORUS2), build_symbol(op.scale(3 - 4j), TORUS2)
-    freq = frequency_for_label(TORUS2, Torus2Label(2, 1))
+    sym, scaled = build_symbol(op), build_symbol(op.scale(3 - 4j))
+    freq = frequency_for_label(Torus2Label(2, 1))
     assert scaled.gain(freq) == pytest.approx(5 * sym.gain(freq), rel=1e-12)
     # an exact scalar keeps the operator exact; a complex one is a float
     assert op.scale(Fraction(-3, 4)) == TorusPoly.make(
@@ -409,10 +406,10 @@ def test_poly_algebra_is_the_algebra_of_exact_values(data, model, radicands):
     else:
         label = Su2Label(data.draw(st.integers(0, 40)))
         labels = (np.array([label.twice_ell]),)
-    freq = frequency_for_label(model, label)
+    freq = frequency_for_label(label)
 
     def exact(op):
-        return build_symbol(op, model).exact_diagonal(freq)
+        return build_symbol(op).exact_diagonal(freq)
 
     # the composed polynomials evaluate exactly to the sums and products
     ep, eq = exact(p), exact(q)
@@ -422,7 +419,7 @@ def test_poly_algebra_is_the_algebra_of_exact_values(data, model, radicands):
         (c_re * a - c_im * b, c_re * b + c_im * a) for a, b in ep]
     # and their float |entries| lie within their own rounding bound
     for op in (p.add(q), p.mul(q), p.scale(Coefficient.make(c_re, c_im))):
-        sym = build_symbol(op, model)
+        sym = build_symbol(op)
         err = Fraction(float(np.max(sym.bulk_err(*labels))))
         for value, (re, im) in zip(np.abs(sym.diagonal(freq)).tolist(), exact(op)):
             lower = max(Fraction(0), Fraction(value) - err)
@@ -444,10 +441,10 @@ def test_poly_algebra_beyond_float_range_is_a_precondition(model):
     p = poly.make([(Coefficient.make(10**200), 0, 0), (Coefficient.make(1), *deg)])
     square = p.mul(p)
     assert square.coefficient(0, 0) == Coefficient.make(10**400)
-    sym = build_symbol(square, model)
+    sym = build_symbol(square)
     with pytest.raises(PreconditionError, match=f"the coefficient {10**400} \\+ 0 i leaves"):
-        gain_table(sym, model, 10)
-    freq = frequency_for_label(model, Torus2Label(1, 0) if model is TORUS2 else Su2Label(2))
+        gain_table(sym, 10)
+    freq = frequency_for_label(Torus2Label(1, 0) if model is TORUS2 else Su2Label(2))
     with pytest.raises(PreconditionError, match="leaves float range"):
         sym.diagonal(freq)
     # the exact path still evaluates it
@@ -460,10 +457,10 @@ def test_block_application_matches_full_matrix():
     rng = np.random.default_rng(33)
     entries = {Su2Label(t): rng.standard_normal((t + 1, t + 1))
                + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(5)}
-    for sym in (build_symbol(MatrixTable("su2", entries), SU2),
-                build_symbol(su2_laplace_minus_axis_sq(), SU2)):
+    for sym in (build_symbol(MatrixTable("su2", entries)),
+                build_symbol(su2_laplace_minus_axis_sq())):
         for t in range(5):
-            freq = frequency_for_label(SU2, Su2Label(t))
+            freq = frequency_for_label(Su2Label(t))
             v = rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
             direct = full_matrix(sym, freq) @ v
             assert np.allclose(sym.apply_to_vector(freq, v), direct, atol=1e-12)
@@ -474,25 +471,25 @@ def test_block_application_matches_full_matrix():
 
 
 def test_order_of_identity_is_zero():
-    est = estimate_order(gain_table(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 400))
+    est = estimate_order(gain_table(build_symbol(constant_one(TORUS2)), 400))
     assert abs(est.order_hat) <= 0.05
 
 
 def test_order_of_torus_translation_is_one():
-    sym = build_symbol(torus_translation(1), TORUS2)
-    est = estimate_order(gain_table(sym, TORUS2, 10_000))
+    sym = build_symbol(torus_translation(1))
+    est = estimate_order(gain_table(sym, 10_000))
     assert est.order_hat == pytest.approx(1.0, abs=0.1)
 
 
 def test_order_of_su2_gap_operator_is_two():
-    sym = build_symbol(su2_laplace_minus_axis_sq(), SU2)
-    est = estimate_order(gain_table(sym, SU2, 50 * 51))
+    sym = build_symbol(su2_laplace_minus_axis_sq())
+    est = estimate_order(gain_table(sym, 50 * 51))
     assert est.order_hat == pytest.approx(2.0, abs=0.1)
 
 
 def test_order_bound_constant_validates():
-    sym = build_symbol(torus_translation(1), TORUS2)
-    est = estimate_order(gain_table(sym, TORUS2, 2_000))
+    sym = build_symbol(torus_translation(1))
+    est = estimate_order(gain_table(sym, 2_000))
     for f in enumerate_frequencies(TORUS2, 2_000):
         norm = sym.opnorm(f)
         assert norm <= est.c_hat * (1 + f.lam) ** (est.order_hat / 2) * (1 + 1e-9)
@@ -500,10 +497,10 @@ def test_order_bound_constant_validates():
 
 def test_order_of_zero_symbol_is_minus_infinity():
     zero = TorusPoly.make([(Coefficient.make(0), 1, 0)])
-    est = estimate_order(gain_table(build_symbol(zero, TORUS2), TORUS2, 400))
+    est = estimate_order(gain_table(build_symbol(zero), 400))
     assert est.order_hat == float("-inf")
 
 
 def test_order_needs_enough_frequencies():
     with pytest.raises(WindowTooSmallError):
-        estimate_order(gain_table(build_symbol(constant_one(TORUS2), TORUS2), TORUS2, 1))
+        estimate_order(gain_table(build_symbol(constant_one(TORUS2)), 1))

@@ -69,10 +69,6 @@ class CoefficientField:
         return CoefficientField(explicit={
             frequency_for_label(label): vec for label, vec in data.items()})
 
-    def support_labels(self) -> list[Label]:
-        """The support in canonical (eigenvalue, label) order."""
-        return list(self._support)
-
     def coeff(self, freq: FrequencyIndex) -> np.ndarray:
         entry = self._support.get(freq.label)
         if entry is None:
@@ -356,13 +352,13 @@ def build_counterexample(
             raise SearchExhaustedError(k, cutoff)
 
         freq, entry_idx, block_vec, exact = found
-        bdim = symbol.block_dim(freq)
+        bdim = freq.label.rep_dim()
         if block_vec is None:
             block_vec = np.zeros(bdim, dtype=complex)
             block_vec[entry_idx] = 1.0
         full = np.zeros(freq.dim, dtype=complex)
         full[: bdim] = block_vec  # first representation block carries the vector
-        image = symbol.apply_to_vector(freq, full)
+        image = symbol.apply_to_vectors([freq], [full])[0]
         image_norm = float(np.linalg.norm(image))
         if not math.isfinite(image_norm) and exact is not None:
             # the float symbol left float range here; the exact entry is below 1

@@ -170,14 +170,6 @@ class Surd:
         lo, hi = self.enclosure()
         return float((lo + hi) / 2)
 
-    def floor(self) -> int:
-        n = int(float(self))
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
-
     def enclosure(self, bits: int = 128) -> tuple[Fraction, Fraction]:
         slo, shi = sqrt_enclosure(self.d, bits)
         if self.b >= 0:

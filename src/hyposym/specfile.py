@@ -224,39 +224,33 @@ def _matrix_array(raw):
 
 
 def _parse_matrix(raw, where: str, problems: list[str]):
-    """The block of a table entry; a table the array check declines goes cell
-    by cell, to name its first bad cell."""
+    """The block of a table entry; a table the array check declines is walked
+    cell by cell, to name its first bad cell."""
     arr = _matrix_array(raw)
-    if arr is not None:
-        return arr
+    if arr is None:
+        problems.append(f"{where}: {_first_bad_cell(raw)}")
+    return arr
+
+
+def _first_bad_cell(raw) -> str:
+    """What ``_matrix_array`` declined in a table, at its first bad cell."""
     if not isinstance(raw, list) or not raw:
-        problems.append(f"{where}: matrix must be a nonempty row list")
-        return None
-    mat = []
+        return "matrix must be a nonempty row list"
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != len(raw):
-            problems.append(f"{where}: matrix must be square (row {r})")
-            return None
-        out_row = []
+            return f"matrix must be square (row {r})"
         for c, cell in enumerate(row):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
             ):
-                problems.append(f"{where}: entry ({r},{c}) must be [re, im]")
-                return None
+                return f"entry ({r},{c}) must be [re, im]"
             try:
-                out_row.append(complex(cell[0], cell[1]))
+                complex(cell[0], cell[1])
             except OverflowError:  # an integer beyond float range
-                problems.append(f"{where}: entry ({r},{c}) must be finite")
-                return None
-        mat.append(out_row)
-    arr = np.array(mat, dtype=complex)
-    if not np.isfinite(arr).all():
-        problems.append(f"{where}: matrix entries must be finite")
-        return None
-    return arr
+                return f"entry ({r},{c}) must be finite"
+    return "matrix entries must be finite"
 
 
 def _is_finite(value) -> bool:
@@ -302,7 +296,7 @@ def _load_table(path: str, model_kind: str, problems: list[str]):
         mat = _parse_matrix(entry.get("matrix"), where, problems)
         if label is None or mat is None:
             continue
-        expected = 1 if model_kind == "torus2" else label.rep_dim()
+        expected = label.rep_dim()
         if len(mat) != expected:
             problems.append(
                 f"{where}: block size {len(mat)} does not match dimension {expected}"

@@ -4,8 +4,8 @@ Both models use the (positive) Laplacian as reference operator; its
 elliptic order nu = ``NU`` = 2 is fixed by the enumeration below:
 
 * ``torus2`` -- frequencies are characters (xi, eta) in Z^2 with eigenvalue
-  xi^2 + eta^2 and one-dimensional blocks.  Indexing is per character, not
-  per eigenvalue shell.
+  xi^2 + eta^2; a character is a 1x1 representation, so its block is 1x1.
+  Indexing is per character, not per eigenvalue shell.
 * ``su2``    -- frequencies are representation levels ell in (1/2) N_0 with
   eigenvalue ell(ell+1) and block dimension (2 ell + 1)^2.  Half-integers
   are stored doubled (``twice_ell``) so arithmetic stays exact.
@@ -57,6 +57,10 @@ class Torus2Label:
     def block_dim(self) -> int:
         return 1
 
+    def rep_dim(self) -> int:
+        # a character is a 1x1 representation
+        return 1
+
     def __str__(self):
         return f"({self.xi},{self.eta})"
 
@@ -92,7 +96,10 @@ Label = Torus2Label | Su2Label
 
 @dataclass(frozen=True)
 class FrequencyIndex:
-    """One spectral block: ordinal, eigenvalue, block dimension, label."""
+    """One spectral block: ordinal, eigenvalue, block dimension, label.
+
+    On both models the block dimension is ``label.rep_dim() ** 2``: a
+    coefficient vector is rep_dim chunks of rep_dim entries."""
 
     j: int
     lam: float

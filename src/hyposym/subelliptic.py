@@ -50,9 +50,9 @@ __all__ = [
 class TruncatedKernel:
     """Per-frequency nullspaces of the symbol up to a cutoff.
 
-    Bases are stored at block level; on SU(2) the kernel of the full
-    replicated matrix is the block kernel repeated in every chunk, so
-    ``total_dim`` counts block nullity times the number of copies.
+    Bases are stored at block level; the kernel of the full matrix is the
+    block kernel repeated in every one of its rep_dim chunks, so
+    ``total_dim`` counts block nullity times rep_dim.
     ``boundary_singular`` flags kernel frequencies in the top fifth of the
     window -- evidence that the kernel keeps growing with the cutoff (as
     with rational torus resonances).  ``window`` is the window the kernel
@@ -62,7 +62,6 @@ class TruncatedKernel:
 
     window: Window
     blocks: dict
-    replicated: bool
     total_dim: int
     boundary_singular: bool
 
@@ -75,23 +74,21 @@ class TruncatedKernel:
         basis = self.blocks.get(freq.label)
         if basis is None:
             return vec
-        if not self.replicated:
-            return vec - basis @ (basis.conj().T @ vec)
         rep = freq.label.rep_dim()
         chunks = vec.reshape(rep, rep)
         coefs = chunks @ basis.conj()  # (copies x nullity)
         return (chunks - coefs @ basis.T).reshape(freq.dim)
 
 
-def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float | None = None):
-    """The truncated kernel and, given m, the C* witness, from the runs of
+def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
+    """The truncated kernel and the C* witness, from the runs of
     ``block_extrema``.  Only a block whose gain ``zero_mask`` flags has a
     kernel, and only it is evaluated again, for its basis and least nonzero
     value.  The witness (C*, freq, entry) is the first strict minimum over
     blocks of the least nonzero value times (1 + lam)^{-m/nu}, or None when
-    m is None or every block is entirely kernel.  Its entry, from one more
-    evaluation, is the first minimum of a diagonal block and the last
-    nonzero singular value of a dense one."""
+    every block is entirely kernel.  Its entry, from one more evaluation,
+    is the first minimum of a diagonal block and the last nonzero singular
+    value of a dense one."""
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
     window = Window(symbol.model, cutoff)
@@ -115,11 +112,9 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float | Non
                 basis = np.linalg.svd(symbol.block(freq))[2][len(zero) - n:].conj().T
             basis.setflags(write=False)
             blocks[freq.label] = basis
-            total += n * (freq.label.rep_dim() if symbol.replicated else 1)
+            total += n * freq.label.rep_dim()
             boundary = boundary or freq.lam > 0.8 * cutoff
             least[k] = np.min(values[~zero], initial=np.inf)
-        if m is None:
-            continue
         weights = [bracket_power(lam, -m / NU) for lam in window.lam[lo:hi].tolist()]
         # an all-kernel block stays out, even where its weight underflows to 0
         cand = least * np.where(least < np.inf, weights, 1.0)
@@ -133,14 +128,14 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float | Non
         freq = window.freq(i)
         hits = np.flatnonzero(symbol.values(freq) == least)
         best = (c_star, freq, int(hits[0] if symbol.is_diagonal else hits[-1]))
-    return TruncatedKernel(window, blocks, symbol.replicated, total, boundary), best
+    return TruncatedKernel(window, blocks, total, boundary), best
 
 
 def kernel_on_truncation(
     symbol: MatrixSymbol, cutoff: float, tol: float = KERNEL_TOL
 ) -> TruncatedKernel:
     """Null vectors of every block with eigenvalue <= cutoff."""
-    return _window_pass(symbol, cutoff, tol)[0]
+    return _window_pass(symbol, cutoff, tol, 0.0)[0]
 
 
 @dataclass(frozen=True)
@@ -228,10 +223,10 @@ def extremal_field(report: SubellipticReport, symbol: MatrixSymbol) -> Coefficie
 
     For diagonal blocks this is the basis vector of the extremal entry; for
     dense blocks the right singular vector of the extremal singular value.
-    Placed in the first representation chunk on SU(2).
+    Placed in the first representation chunk.
     """
     freq = report.witness
-    bdim = symbol.block_dim(freq)
+    bdim = freq.label.rep_dim()
     if symbol.is_diagonal:
         block_vec = np.zeros(bdim, dtype=complex)
         block_vec[report.witness_index] = 1.0

@@ -13,11 +13,11 @@ scalar multiples and compositions of polynomial operators are polynomials
 again (``add``, ``scale``, ``mul``), and keep their exact evaluation and
 rounding bound.
 
-Structure short-circuits keep the cost honest: the SU(2) symbol is a
-block-diagonal replication of one representation block, so gains, norms,
-kernels, and products are always computed on the block, never on the
-replicated matrix; diagonal blocks skip the SVD entirely (gain is the
-smallest |entry|, norm the largest).
+Structure short-circuits keep the cost honest: on both models the symbol
+is a block-diagonal replication of one representation block (1x1 on the
+torus), so gains, norms, kernels, and products are always computed on the
+block, never on the full matrix; diagonal blocks skip the SVD entirely
+(gain is the smallest |entry|, norm the largest).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .spectral import (
     Label,
     SpectralModel,
     Su2Label,
-    Torus2Label,
     Window,
 )
 
@@ -223,10 +222,9 @@ class Su2DiagPoly(_Poly):
 
 
 class MatrixTable:
-    """Explicit per-frequency blocks loaded from a table.
-
-    Torus entries are 1x1; SU(2) entries are the (2l+1)x(2l+1)
-    representation block (replication across the eigenspace is implicit).
+    """Explicit per-frequency blocks loaded from a table: the
+    ``label.rep_dim()`` square representation block, 1x1 on the torus
+    (replication across the eigenspace is implicit).
     ``path`` is the table file as a spec names it; equality ignores it.
     """
 
@@ -240,7 +238,7 @@ class MatrixTable:
             arr = np.array(mat, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise PreconditionError(f"table block for {label} is not square")
-            expected = 1 if isinstance(label, Torus2Label) else label.rep_dim()
+            expected = label.rep_dim()
             if arr.shape[0] != expected:
                 raise PreconditionError(
                     f"table block for {label} has size {arr.shape[0]}, expected {expected}"
@@ -439,11 +437,11 @@ def zero_mask(values, norm, tol: float):
 class MatrixSymbol:
     """Per-frequency matrix of the operator spec ``op``.
 
-    Everything else follows from the spec's type, the ``model`` too.  On
-    SU(2) the symbol is ``replicated``: the full matrix is block_dim copies
-    of one representation block, and every computation happens at block
-    level.  A polynomial symbol ``is_diagonal``; a ``MatrixTable`` gives
-    dense blocks and has no exact path.
+    Everything else follows from the spec's type, the ``model`` too.  The
+    full matrix is ``label.rep_dim()`` copies of one representation block,
+    and every computation happens at block level.  A polynomial symbol
+    ``is_diagonal``; a ``MatrixTable`` gives dense blocks and has no exact
+    path.
 
     For a polynomial, ``bulk`` evaluates the diagonals of a run of blocks in
     one call: ``bulk(xi, eta)`` on the torus (one entry per character) and
@@ -461,25 +459,19 @@ class MatrixSymbol:
             raise PreconditionError(f"unknown operator spec {op!r}")
         self.op = op
         self.model = SpectralModel(op.model_kind)
-        self.replicated = op.model_kind == "su2"
         self.is_diagonal = not isinstance(op, MatrixTable)
 
     def _check(self, freq: FrequencyIndex):
-        if self.replicated != isinstance(freq.label, Su2Label):
+        if (self.model.kind == "su2") != isinstance(freq.label, Su2Label):
             raise PreconditionError("frequency does not match the symbol's model")
 
-    def block_dim(self, freq: FrequencyIndex) -> int:
-        if self.replicated:
-            return freq.label.rep_dim()
-        return freq.dim
-
     def bulk(self, *labels) -> np.ndarray:
-        if self.replicated:
+        if isinstance(self.op, Su2DiagPoly):
             return su2_diag_values_bulk(self.op, *labels)
         return torus_values(self.op, *labels)
 
     def bulk_err(self, *labels) -> np.ndarray:
-        if self.replicated:
+        if isinstance(self.op, Su2DiagPoly):
             (levels,) = labels
             return _rounding_bound(self.op, levels / 2, levels * (levels + 2) / 4)
         xi, eta = labels
@@ -496,12 +488,12 @@ class MatrixSymbol:
 
     def _label_arrays(self, freqs) -> tuple[np.ndarray, ...]:
         """The label arrays ``bulk`` takes, for a list of frequencies."""
-        if self.replicated:
+        if isinstance(self.op, Su2DiagPoly):
             return (np.array([f.label.twice_ell for f in freqs]),)
         return np.array([f.label.xi for f in freqs]), np.array([f.label.eta for f in freqs])
 
     def block(self, freq: FrequencyIndex) -> np.ndarray:
-        """The representation block (equals the full matrix off SU(2))."""
+        """The representation block (the full matrix is rep_dim copies of it)."""
         d = self.diagonal(freq)
         if d is not None:
             return np.diag(d)
@@ -514,7 +506,7 @@ class MatrixSymbol:
             return None
         self._check(freq)
         label = freq.label
-        if self.replicated:
+        if isinstance(self.op, Su2DiagPoly):
             return su2_diag_exact(self.op, label.twice_ell)
         value = torus_value_exact(self.op, label.xi, label.eta)
         return None if value is None else [value]
@@ -534,14 +526,11 @@ class MatrixSymbol:
     def opnorm(self, freq: FrequencyIndex) -> float:
         return float(np.max(self.values(freq)))
 
-    def apply_to_vector(self, freq: FrequencyIndex, v: np.ndarray) -> np.ndarray:
-        """Multiply a full coefficient vector by the symbol at one frequency
-        (inf or nan where the symbol leaves float range, without a warning)."""
-        return self.apply_to_vectors([freq], [v])[0]
-
     def apply_to_vectors(self, freqs, vecs) -> list[np.ndarray]:
-        """``apply_to_vector`` at each frequency; a diagonal symbol evaluates
-        the diagonals of all of them in one ``bulk`` call."""
+        """Multiply full coefficient vectors by the symbol, each at its
+        frequency (inf or nan where the symbol leaves float range, without a
+        warning); a diagonal symbol evaluates the diagonals of all of them in
+        one ``bulk`` call."""
         vecs = [np.asarray(v, dtype=complex) for v in vecs]
         for freq, v in zip(freqs, vecs):
             self._check(freq)
@@ -553,13 +542,10 @@ class MatrixSymbol:
         with np.errstate(over="ignore", invalid="ignore"):
             if self.is_diagonal and vecs:
                 values = self.bulk(*self._label_arrays(freqs))
-                dims = [self.block_dim(f) for f in freqs]
+                dims = [f.label.rep_dim() for f in freqs]
                 diags = [values[end - dim:end] for dim, end in zip(dims, np.cumsum(dims))]
             out = []
             for freq, v, d in zip(freqs, vecs, diags):
-                if not self.replicated:
-                    out.append(d * v if d is not None else self.block(freq) @ v)
-                    continue
                 rep = freq.label.rep_dim()
                 chunks = v.reshape(rep, rep)
                 w = chunks * d[None, :] if d is not None else chunks @ self.block(freq).T
@@ -728,7 +714,7 @@ def block_extrema(symbol: MatrixSymbol, window: Window):
     the same bits, and the same errors.  On 1x1 blocks ``opnorm`` is ``gain``.
     """
     start, levels = 0, window.labels[0]
-    screen = symbol.replicated and symbol.is_diagonal
+    screen = isinstance(symbol.op, Su2DiagPoly)
     for lo, hi in _chunks(_su2_runs(levels)[1], BULK_CHUNK_ENTRIES) if screen else ():
         try:
             extrema = _screened_su2_extrema(symbol.op, levels[lo:hi])
@@ -742,7 +728,7 @@ def block_extrema(symbol: MatrixSymbol, window: Window):
         return
     for lo, hi, values, offsets in block_values(symbol, window, start):
         extrema = values, values  # 1x1 blocks: each value is the gain and the norm
-        if symbol.replicated:
+        if len(values) > hi - lo:
             extrema = np.minimum.reduceat(values, offsets), np.maximum.reduceat(values, offsets)
         yield lo, hi, *extrema
 
@@ -752,7 +738,8 @@ def gain_table(symbol: MatrixSymbol, cutoff: float) -> GainTable:
     filled from ``block_extrema``."""
     window = Window(symbol.model, cutoff)
     gains = np.empty(len(window))
-    norms = np.empty(len(window)) if symbol.replicated else gains
+    # 1x1 torus blocks: each norm is the gain
+    norms = gains if symbol.model.kind == "torus2" else np.empty(len(window))
     for lo, hi, gain, opnorm in block_extrema(symbol, window):
         gains[lo:hi] = gain
         if norms is not gains:

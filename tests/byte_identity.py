@@ -11,9 +11,10 @@ Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
 ``PYTHONPATH`` set to that side's ``src``, its stdout written to the file the
 plan names.  Exit codes, stdout, stderr and the sha256 of every file a
 command writes are compared.  The fixed ``CASES`` (inputs that fail, a
-branch no plan takes, and windows larger than any plan's) then run
-once per side, and their exit codes, stdout and stderr are compared.  The differences are listed and the exit code is 1
-if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
+branch no plan takes, and windows larger than any plan's) then run once
+per side, in a directory that holds ``TORUS_TABLE``, and are compared the
+same way.  The differences are listed and the exit code is 1 if there are
+any, else 0.  ``perfbench/`` is only imported.  pytest does
 not collect this file (its name does not start with ``test_``).
 """
 
@@ -23,6 +24,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -48,6 +50,10 @@ PELL = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
 # cutoff 1e6 and hands the rest to the full reduction
 SCALED_GAP = _spec("su2", "su2_diag", poly=[{"coeff": [2.0**985, 0], "deg_neglap": 1},
                                             {"coeff": [1, 0], "deg_d0": 2}])
+# a dense complex torus table up to eigenvalue 36, written beside the cases:
+# every fifth 1x1 block is zero, so the dense path has a kernel to project off
+TORUS_TABLE = "torus_table.json"
+TORUS_TABLE_SPEC = _spec("torus2", "matrix_table", path=TORUS_TABLE)
 FOUR_SEVENTHS = _spec("torus2", "torus_poly", terms=[{"coeff": [1, 0], "deg_t": 1},
                                                     {"coeff_real": "4/7", "deg_x": 1}])
 CASES = [
@@ -78,7 +84,25 @@ CASES = [
     ["subelliptic", "--spec", FOUR_SEVENTHS, "--cutoff", "20000", "--probes", "5", "--seed", "2"],
     # a report refused for an int too long for text, found before encoding
     ["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "40000"],
+    # the 1x1 dense blocks of a torus table: kernel, probes, C*, the
+    # counterexample's field and image, and the gains sidecar
+    ["subelliptic", "--spec", TORUS_TABLE_SPEC, "--cutoff", "36", "--probes", "20",
+     "--seed", "3"],
+    ["counterexample", "--spec", TORUS_TABLE_SPEC, "--cutoff", "36", "--k", "2",
+     "--out", "table_counterexample.json"],
+    ["analyze", "--spec", TORUS_TABLE_SPEC, "--cutoff", "36", "--out", "table_analyze.json"],
 ]
+
+
+def write_torus_table(path: Path) -> None:
+    """``TORUS_TABLE``: a seeded complex entry per character with
+    xi^2 + eta^2 <= 36, every fifth of them zero."""
+    rng = random.Random(36)
+    labels = [[xi, eta] for xi in range(-6, 7) for eta in range(-6, 7) if xi * xi + eta * eta <= 36]
+    entries = [{"label": label, "matrix": [[[0, 0] if i % 5 == 0 else
+                                            [rng.gauss(0, 1), rng.gauss(0, 1)]]]}
+               for i, label in enumerate(labels)]
+    path.write_text(json.dumps({"entries": entries}))
 
 
 def _digests(workdir: Path) -> dict[str, str]:
@@ -86,35 +110,39 @@ def _digests(workdir: Path) -> dict[str, str]:
             for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
+def _run(src: Path, argv: list[str], workdir: Path) -> tuple:
+    """(exit code, stdout, stderr, digests of the files written) of one command."""
+    before = _digests(workdir)
+    proc = subprocess.run([sys.executable, "-m", "hyposym.cli", *argv], cwd=workdir,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+    written = {k: v for k, v in _digests(workdir).items() if before.get(k) != v}
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
 def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path) -> list[tuple]:
     """(name, exit code, stdout, stderr, digests of the files written) per command."""
     plan = workloads.generate(workload, seed, size, workdir)
-    env = dict(os.environ, PYTHONPATH=str(src))
     results = []
     for cmd in plan.commands:
-        before = _digests(workdir)
-        proc = subprocess.run([sys.executable, "-m", "hyposym.cli", *cmd.argv], cwd=workdir,
-                              env=env, capture_output=True)
-        (workdir / cmd.stdout).write_bytes(proc.stdout)
-        written = {k: v for k, v in _digests(workdir).items() if before.get(k) != v}
-        results.append((" ".join(cmd.argv), proc.returncode, proc.stdout, proc.stderr, written))
+        code, out, err, written = _run(src, cmd.argv, workdir)
+        (workdir / cmd.stdout).write_bytes(out)
+        results.append((" ".join(cmd.argv), code, out, err, written))
     return results
 
 
 def run_cases(src: Path, workdir: Path) -> list[tuple]:
-    """(exit code, stdout, stderr) per fixed case."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return [(p.returncode, p.stdout, p.stderr) for p in (
-        subprocess.run([sys.executable, "-m", "hyposym.cli", *argv], cwd=workdir, env=env,
-                       capture_output=True) for argv in CASES)]
+    """(exit code, stdout, stderr, digests of the files written) per fixed case."""
+    workdir.mkdir()
+    write_torus_table(workdir / TORUS_TABLE)
+    return [_run(src, argv, workdir) for argv in CASES]
 
 
 def compare_cases(old_src: Path, new_src: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        old, new = run_cases(old_src, Path(tmp)), run_cases(new_src, Path(tmp))
+        old, new = run_cases(old_src, Path(tmp) / "old"), run_cases(new_src, Path(tmp) / "new")
     return [f"case {' '.join(argv)}: {what} differs"
             for argv, a, b in zip(CASES, old, new)
-            for what, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+            for what, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b) if x != y]
 
 
 def compare(old_src: Path, new_src: Path, workload: str, seed: int, size: str) -> list[str]:

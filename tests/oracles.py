@@ -16,12 +16,9 @@ def operator_norm(matrix) -> float:
 
 
 def full_matrix(symbol, freq) -> np.ndarray:
-    """The dim x dim matrix of a symbol at a frequency: on SU(2) the block
-    replicated once per representation copy."""
-    b = symbol.block(freq)
-    if not symbol.replicated:
-        return b
-    return np.kron(np.eye(freq.label.rep_dim(), dtype=complex), b)
+    """The dim x dim matrix of a symbol at a frequency: the block replicated
+    once per representation copy (one copy of a 1x1 block on the torus)."""
+    return np.kron(np.eye(freq.label.rep_dim(), dtype=complex), symbol.block(freq))
 
 
 def per_frequency_constant(symbol, freq, tol: float = 1e-12) -> float:
@@ -36,12 +33,31 @@ def per_frequency_constant(symbol, freq, tol: float = 1e-12) -> float:
 
 def nullity(kernel, label) -> int:
     """Dimension of a truncated kernel at one label: the block nullity times
-    the number of representation copies on SU(2)."""
+    the number of representation copies."""
     basis = kernel.blocks.get(label)
     if basis is None:
         return 0
-    copies = label.block_dim() // basis.shape[0] if kernel.replicated else 1
-    return basis.shape[1] * copies
+    return basis.shape[1] * (label.block_dim() // basis.shape[0])
+
+
+def support_labels(field) -> list:
+    """The support of a coefficient field in canonical (eigenvalue, label) order."""
+    return [freq.label for freq, _ in field.window(float("inf"))]
+
+
+def one_by_one_apply(symbol, freq, v) -> np.ndarray:
+    """A torus symbol applied to a 1-vector by the 1x1 formulas: the
+    diagonal times the vector, or the dense block times it."""
+    d = symbol.diagonal(freq)
+    return d * v if d is not None else symbol.block(freq) @ v
+
+
+def one_by_one_project_out(kernel, freq, vec) -> np.ndarray:
+    """A 1-vector with its kernel component removed, by the 1x1 formula."""
+    basis = kernel.blocks.get(freq.label)
+    if basis is None:
+        return vec
+    return vec - basis @ (basis.conj().T @ vec)
 
 
 def ordinals(table) -> np.ndarray:
@@ -71,7 +87,7 @@ def labelled_extremal_field(report, symbol):
     from hyposym.spectral import frequency_for_label
 
     freq = frequency_for_label(report.witness.label)
-    bdim = symbol.block_dim(freq)
+    bdim = freq.label.rep_dim()
     if symbol.is_diagonal:
         block_vec = np.zeros(bdim, dtype=complex)
         block_vec[report.witness_index] = 1.0
@@ -241,13 +257,13 @@ def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 
         if found is None:
             raise SearchExhaustedError(k, cutoff)
         freq, entry_idx, block_vec, exact = found
-        bdim = symbol.block_dim(freq)
+        bdim = freq.label.rep_dim()
         if block_vec is None:
             block_vec = np.zeros(bdim, dtype=complex)
             block_vec[entry_idx] = 1.0
         full = np.zeros(freq.dim, dtype=complex)
         full[:bdim] = block_vec
-        image = symbol.apply_to_vector(freq, full)
+        image = symbol.apply_to_vectors([freq], [full])[0]
         image_norm = float(np.linalg.norm(image))
         if not np.isfinite(image_norm) and exact is not None:
             re, im = exact

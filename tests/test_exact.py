@@ -69,13 +69,6 @@ def test_surd_comparisons_with_rationals():
     assert phi > 1 and phi < 2
 
 
-def test_surd_floor():
-    phi = Surd.make(Fraction(1, 2), Fraction(1, 2), 5)
-    assert phi.floor() == 1
-    assert (phi * 100).floor() == 161
-    assert (-phi).floor() == -2
-
-
 def test_surd_enclosure_brackets_value():
     s = Surd.make(0, 1, 2)
     lo, hi = s.enclosure()
@@ -88,25 +81,6 @@ def test_sqrt_enclosure_exact_bounds():
     lo, hi = sqrt_enclosure(5, bits=64)
     assert lo * lo <= 5 <= hi * hi
     assert hi - lo == Fraction(1, 2**64)
-
-
-def test_surd_floor_against_interval_oracle():
-    # exact floors cross-checked against 128-bit rational sqrt enclosures
-    import random
-
-    rnd = random.Random(123)
-    for _ in range(800):
-        d = rnd.choice([2, 3, 5, 6, 7, 8, 10, 11, 13, 61, 9973])
-        a = Fraction(rnd.randint(-10**6, 10**6), rnd.randint(1, 997))
-        b = Fraction(rnd.randint(-10**6, 10**6) or 1, rnd.randint(1, 997))
-        s = Surd.make(a, b, d)
-        if isinstance(s, Fraction):
-            continue
-        lo, hi = sqrt_enclosure(d)
-        bounds = sorted((a + b * lo, a + b * hi))
-        flo, fhi = bounds[0].__floor__(), bounds[1].__floor__()
-        assert flo == fhi, "oracle enclosure too wide (should not happen)"
-        assert s.floor() == flo
 
 
 def test_quadratic_floor_in_continued_fractions():

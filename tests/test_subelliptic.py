@@ -34,6 +34,7 @@ from oracles import (
     labelled_extremal_field,
     nullity,
     per_frequency_constant,
+    support_labels,
 )
 
 
@@ -61,7 +62,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_counts_zero_singular_values(su2_pell_symbol):
-    # total_dim equals the zero singular values of the replicated matrices
+    # total_dim equals the zero singular values of the full matrices
     cutoff = 10 * 11
     kernel = kernel_on_truncation(su2_pell_symbol, cutoff)
     direct = 0
@@ -81,8 +82,8 @@ def test_kernel_projection_removes_kernel_component(su2_pell_symbol):
     proj = kernel.project_out(freq, vec)
     # the image under the symbol is unchanged, and projecting twice is stable
     assert np.allclose(
-        su2_pell_symbol.apply_to_vector(freq, proj),
-        su2_pell_symbol.apply_to_vector(freq, vec),
+        su2_pell_symbol.apply_to_vectors([freq], [proj])[0],
+        su2_pell_symbol.apply_to_vectors([freq], [vec])[0],
         atol=1e-12,
     )
     assert np.allclose(kernel.project_out(freq, proj), proj, atol=1e-12)
@@ -380,7 +381,7 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
         assert np.array_equal(kernel.blocks[lab], basis)
     assert kernel.total_dim == sum(
         nullity(kernel, lab) for lab in blocks) == sum(
-        b.shape[1] * (lab.rep_dim() if symbol.replicated else 1) for lab, b in blocks.items())
+        b.shape[1] * lab.rep_dim() for lab, b in blocks.items())
 
 
 PHI_SPEC = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", "terms": [
@@ -451,7 +452,7 @@ def test_probes_from_one_window_equal_a_fresh_window_per_probe(model, cutoff, n_
         got = random_field(window, drawn, n_support)
         want = fresh_window_random_field(model, cutoff, fresh, n_support)
         assert _field_bits(got, cutoff) == _field_bits(want, cutoff)
-        assert len(got.support_labels()) == min(n_support, len(window))
+        assert len(support_labels(got)) == min(n_support, len(window))
     assert drawn.bit_generator.state == fresh.bit_generator.state
 
 

@@ -463,7 +463,7 @@ def test_block_application_matches_full_matrix():
             freq = frequency_for_label(Su2Label(t))
             v = rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
             direct = full_matrix(sym, freq) @ v
-            assert np.allclose(sym.apply_to_vector(freq, v), direct, atol=1e-12)
+            assert np.allclose(sym.apply_to_vectors([freq], [v])[0], direct, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

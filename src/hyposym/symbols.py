@@ -640,6 +640,35 @@ def _su2_runs(levels: np.ndarray):
     return length, -(-(levels + 1) // length)
 
 
+def _screen_slack(op: Su2DiagPoly, levels: np.ndarray, level, twice_m, r):
+    """The screen's slack D of each run, of centre twice_m / 2 and
+    half-width r at level ``levels[level]`` (see ``_screened_su2_extrema``),
+    or None where the screen is not trusted."""
+    ell, lam = levels / 2, levels * (levels + 2) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = [(_coeff_magnitude(c), a, ell**a, lam**b) for c, a, b in op.terms]
+        top = np.max([np.maximum(np.maximum(x, y), cm * x * y) for cm, _, x, y in terms],
+                     initial=0.0)
+        slack = 2 * np.broadcast_to(_rounding_bound(op, ell, lam), levels.shape)[level]
+        for cm, a, _, y in terms:
+            if a:
+                slack += cm * y[level] * a * (np.abs(twice_m) / 2 + r) ** (a - 1) * r
+        slack *= 1 + 2.0**-20
+    return slack if top <= _SCREEN_RANGE and np.isfinite(slack).all() else None
+
+
+def _run_extrema(op: Su2DiagPoly, levels, powers, level, start, size):
+    """Least and largest |entry| of each run of ``_su2_entries``, evaluated in
+    batches of whole runs that stay in cache."""
+    least, most = np.empty(len(size)), np.empty(len(size))
+    for lo, hi in _chunks(size, BULK_CHUNK_ENTRIES):
+        values = np.abs(_su2_entries(op, levels, powers, level[lo:hi], start[lo:hi], size[lo:hi]))
+        offsets = np.cumsum(size[lo:hi]) - size[lo:hi]
+        least[lo:hi] = np.minimum.reduceat(values, offsets)
+        most[lo:hi] = np.maximum.reduceat(values, offsets)
+    return least, most
+
+
 def _screened_su2_extrema(op: Su2DiagPoly, levels: np.ndarray):
     """Least and largest float |entry| of each level, read from the runs
     of its entries a screen keeps, or None where the screen is not trusted.
@@ -669,7 +698,6 @@ def _screened_su2_extrema(op: Su2DiagPoly, levels: np.ndarray):
     |c| l^a lam^b stay within ``_SCREEN_RANGE``: no entry of the level then
     leaves float range, and Python's float power lam^b does not overflow.
     """
-    ell, lam = levels / 2, levels * (levels + 2) / 4.0
     length, runs = _su2_runs(levels)
     level = np.repeat(np.arange(len(levels)), runs)
     first = np.cumsum(runs) - runs
@@ -677,47 +705,121 @@ def _screened_su2_extrema(op: Su2DiagPoly, levels: np.ndarray):
     size = np.minimum(length[level], levels[level] + 1 - start)
     centre = start + (size - 1) // 2
     r = start + size - 1 - centre  # the farthest entry of the run from its centre
-    twice_m = 2 * centre - levels[level]
+    slack = _screen_slack(op, levels, level, 2 * centre - levels[level], r)
+    if slack is None:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = [(_coeff_magnitude(c), a, ell**a, lam**b) for c, a, b in op.terms]
-        top = np.max([np.maximum(np.maximum(x, y), cm * x * y) for cm, _, x, y in terms],
-                     initial=0.0)
-        slack = 2 * np.broadcast_to(_rounding_bound(op, ell, lam), levels.shape)[level]
-        for cm, a, _, y in terms:
-            if a:
-                slack += cm * y[level] * a * (np.abs(twice_m) / 2 + r) ** (a - 1) * r
-        slack *= 1 + 2.0**-20
-        if not (top <= _SCREEN_RANGE and np.isfinite(slack).all()):
-            return None
         powers = _level_powers(levels)
         centre_value = np.abs(_su2_entries(op, levels, powers, level, centre, 1 + 0 * centre))
         least = np.minimum.reduceat(centre_value, first)[level]
         most = np.maximum.reduceat(centre_value, first)[level]
         keep = (centre_value - slack <= least) | (centre_value + slack >= most)
-        start, size, level = start[keep], size[keep], level[keep]
-        # the kept runs' |entries|, evaluated in batches of whole runs that stay in cache
-        ends = np.cumsum(size)
-        values = np.empty(ends[-1])
-        for lo, hi in _chunks(size, BULK_CHUNK_ENTRIES):
-            np.abs(_su2_entries(op, levels, powers, level[lo:hi], start[lo:hi], size[lo:hi]),
-                   out=values[ends[lo] - size[lo]:ends[hi - 1]])
-    first = (ends - size)[np.searchsorted(level, np.arange(len(levels)))]
-    return np.minimum.reduceat(values, first), np.maximum.reduceat(values, first)
+        least, most = _run_extrema(op, levels, powers, level[keep], start[keep], size[keep])
+    first = np.searchsorted(level[keep], np.arange(len(levels)))
+    return np.minimum.reduceat(least, first), np.maximum.reduceat(most, first)
+
+
+def _walked_su2_extrema(op: Su2DiagPoly, levels: np.ndarray):
+    """Least and largest float |entry| of each level of a real symbol of
+    d0 degree <= 2, read by walks over its entries, or None where the screen
+    (``_screened_su2_extrema``) is not trusted.
+
+    Level l's entries are E(m) = C0 - C2 m^2 + i C1 m with real
+    C_a = sum_b c_ab lam^b, so |E(m)|^2 = g(m^2) with the convex
+    g(u) = C2^2 u^2 + (C1^2 - 2 C0 C2) u + C0^2: on m >= 0, |E| falls to its
+    least value near u* = (2 C0 C2 - C1^2) / (2 C2^2), clipped to [0, l^2],
+    and then rises.  The float |entries| v of ``_su2_entries`` satisfy
+    v(-m) = v(m) bit for bit (negating m negates the odd parts exactly), so
+    the walks read m >= 0 only.  D is the screen's slack of a run of one
+    entry, 2 e times 1 + 2^-20.  Each walk takes batches of 1, 2, 4, ...
+    entries, so a flat level costs O(log l) batches.
+
+    Least value: two walks go down and up from the entry nearest sqrt(u*).
+    A walk stops after a batch whose largest v less D lies above the least
+    v found before the batch (rounding is monotone, as for the screen).
+    That entry's E then lies above that least v plus e, and it lies
+    between the entries beyond it and the entry of that least v, so every
+    entry beyond it has an E at least as large and a v above the least v.
+
+    Largest value: two walks go inward from m = l and from the smallest m,
+    sharing the entries between them.  A walk stops after a batch whose
+    least v plus D lies below the largest v found before the batch, so
+    that entry's E lies below that largest v less e.  Every entry the walks
+    leave between their stopping points has an E below the larger of
+    theirs, and a v below the largest v.
+
+    So the least and largest v found are the level's, bit for bit.
+    """
+    n = len(levels)
+    slack = _screen_slack(op, levels, np.arange(n), 0, 0)
+    if slack is None:
+        return None
+    powers = _level_powers(levels)
+    last = levels // 2  # the entries m >= 0 are j = 0 .. last, m = j + (l - floor(l))
+    c0, c1, c2 = (sum((c.to_complex().real * powers(b) for c, a, b in op.terms if a == k),
+                      np.zeros(n)) for k in range(3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = c0 / c2 - (c1 / c2) ** 2 / 2  # nan or -inf for C2 = 0: then the least is at m = 0
+        nearest = np.rint(np.sqrt(np.fmin(np.fmax(u, 0.0), (levels / 2) ** 2)) - levels % 2 / 2)
+    nearest = np.clip(nearest, 0, last).astype(np.int64)
+
+    def extrema(run, j, size):  # runs of entries j .. j + size - 1 of m >= 0, level run % n
+        level = run % n
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run_extrema(op, levels, powers, level, j + (levels[level] + 1) // 2, size)
+
+    # the entry nearest sqrt(u*) and both ends, then batches of 1, 2, 4, ...
+    low, high = extrema(np.arange(3 * n), np.concatenate([nearest, 0 * last, last]),
+                        np.ones(3 * n, np.int64))
+    least, most = low[:n], np.maximum(high[n:2 * n], high[2 * n:])
+    down, up, rise, fall = nearest - 1, nearest + 1, np.ones(n, np.int64), last - 1
+    rising, falling = rise <= fall, rise <= fall
+    size = 1
+    while True:
+        # the next entries of each walk: down to 0, up to last, and the two
+        # walks for the largest value within rise .. fall
+        n_down, n_up = np.clip(down + 1, 0, size), np.clip(last - up + 1, 0, size)
+        n_rise = np.where(rising, np.clip(fall - rise + 1, 0, size), 0)
+        n_fall = np.where(falling, np.clip(fall - rise + 1 - n_rise, 0, size), 0)
+        sizes = np.concatenate([n_down, n_up, n_rise, n_fall])
+        run = np.flatnonzero(sizes)
+        if not len(run):
+            return least, most
+        low, high = np.full(4 * n, np.inf), np.full(4 * n, -np.inf)
+        starts = np.concatenate([down - n_down + 1, up, rise, fall - n_fall + 1])
+        low[run], high[run] = extrema(run, starts[run], sizes[run])
+        low, high = low.reshape(4, n), high.reshape(4, n)
+        down = np.where(high[0] - slack > least, -1, down - n_down)
+        up = np.where(high[1] - slack > least, last + 1, up + n_up)
+        rising &= ~(low[2] + slack < most)
+        falling &= ~(low[3] + slack < most)
+        rise, fall = rise + n_rise, fall - n_fall
+        least = np.minimum(least, np.minimum(low[0], low[1]))
+        most = np.maximum(most, np.maximum(high[2], high[3]))
+        size *= 2
 
 
 def block_extrema(symbol: MatrixSymbol, window: Window):
     """Yield ``(lo, hi, gain, opnorm)`` over runs of the window's blocks, in
     order: the least and largest value of blocks lo..hi-1.  An SU(2)
-    polynomial symbol is screened (``_screened_su2_extrema``) in groups of
-    levels holding up to BULK_CHUNK_ENTRIES runs, as far as the screen is
-    trusted; the other blocks are reduced from ``block_values``.  Both give
-    the same bits, and the same errors.  On 1x1 blocks ``opnorm`` is ``gain``.
+    polynomial symbol is read from a few of its entries as far as the
+    screen is trusted, in groups of levels holding up to BULK_CHUNK_ENTRIES
+    runs: a real one of d0 degree <= 2 by walks (``_walked_su2_extrema``),
+    whose four runs per level are a step's batches, any other by the screen
+    (``_screened_su2_extrema``).  The other blocks are reduced from
+    ``block_values``.  All give the same bits, and the same errors.  On 1x1
+    blocks ``opnorm`` is ``gain``.
     """
-    start, levels = 0, window.labels[0]
-    screen = isinstance(symbol.op, Su2DiagPoly)
-    for lo, hi in _chunks(_su2_runs(levels)[1], BULK_CHUNK_ENTRIES) if screen else ():
+    op, start, levels = symbol.op, 0, window.labels[0]
+    groups = ()
+    if isinstance(op, Su2DiagPoly):
+        walk = all(a <= 2 and c.im == 0 for c, a, _ in op.terms)
+        read = _walked_su2_extrema if walk else _screened_su2_extrema
+        groups = _chunks(np.full_like(levels, 4) if walk else _su2_runs(levels)[1],
+                         BULK_CHUNK_ENTRIES)
+    for lo, hi in groups:
         try:
-            extrema = _screened_su2_extrema(symbol.op, levels[lo:hi])
+            extrema = read(op, levels[lo:hi])
         except PreconditionError:  # a coefficient beyond float range: block_values raises it
             break
         if extrema is None:

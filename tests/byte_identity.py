@@ -46,14 +46,22 @@ GAP = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                      {"coeff": [1, 0], "deg_d0": 2}])
 PELL = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                       {"coeff": [2, 0], "deg_d0": 2}])
-# a negLap coefficient 2^985: the SU(2) screen trusts levels 0..334 of 2000 at
-# cutoff 1e6 and hands the rest to the full reduction
+# a negLap coefficient 2^985: levels 0..361 of 2000 are trusted at cutoff
+# 1e6; the SU(2) walk's first group of 1024 levels holds level 362, so the
+# whole window takes the full reduction
 SCALED_GAP = _spec("su2", "su2_diag", poly=[{"coeff": [2.0**985, 0], "deg_neglap": 1},
                                             {"coeff": [1, 0], "deg_d0": 2}])
 # a dense complex torus table up to eigenvalue 36, written beside the cases:
 # every fifth 1x1 block is zero, so the dense path has a kernel to project off
 TORUS_TABLE = "torus_table.json"
 TORUS_TABLE_SPEC = _spec("torus2", "matrix_table", path=TORUS_TABLE)
+# entries l(l+1) - 3 m^2, zero at the solutions of u^2 - 3 w^2 = 1 (u = 2l+1, w = 2m)
+CONIC = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
+                                       {"coeff": [3, 0], "deg_d0": 2}])
+# entries l(l+1) - m^2 + i m: a real symbol with a linear d0 term
+GAP_D0 = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
+                                        {"coeff": [1, 0], "deg_d0": 2},
+                                        {"coeff": [1, 0], "deg_d0": 1}])
 FOUR_SEVENTHS = _spec("torus2", "torus_poly", terms=[{"coeff": [1, 0], "deg_t": 1},
                                                     {"coeff_real": "4/7", "deg_x": 1}])
 CASES = [
@@ -91,6 +99,14 @@ CASES = [
     ["counterexample", "--spec", TORUS_TABLE_SPEC, "--cutoff", "36", "--k", "2",
      "--out", "table_counterexample.json"],
     ["analyze", "--spec", TORUS_TABLE_SPEC, "--cutoff", "36", "--out", "table_analyze.json"],
+    # SU(2) gain tables walked from a few entries per level: 20,000 levels
+    # with their gains sidecar, zeros inside the levels, a linear d0 term,
+    # the counterexample search over 3,464 levels, and torus probes
+    ["analyze", "--spec", GAP, "--cutoff", "1e8", "--out", "gap_analyze.json"],
+    ["singular-scan", "--spec", CONIC, "--cutoff", "1e6"],
+    ["analyze", "--spec", GAP_D0, "--cutoff", "1e6"],
+    ["counterexample", "--spec", PELL, "--cutoff", "3e6", "--k", "5"],
+    ["subelliptic", "--spec", PHI, "--cutoff", "1e5", "--probes", "2"],
 ]
 
 

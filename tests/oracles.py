@@ -40,6 +40,43 @@ def nullity(kernel, label) -> int:
     return basis.shape[1] * (label.block_dim() // basis.shape[0])
 
 
+def per_block_weights(lam, m: float) -> list:
+    """The C* weights (1 + lam) ** (-m / nu), one ``bracket_power`` call per
+    block: an overflow raises at the first block whose weight overflows."""
+    from hyposym.spectral import NU, bracket_power
+
+    return [bracket_power(x, -m / NU) for x in np.asarray(lam).tolist()]
+
+
+def per_block_window_pass(symbol, cutoff, m, tol: float = 1e-12):
+    """Kernel blocks and the C* witness (C*, label, entry) from a
+    per-frequency loop, each block weighted by ``per_block_weights``."""
+    from hyposym.spectral import Window
+
+    window = Window(symbol.model, cutoff)
+    weights = per_block_weights(window.lam, m)
+    blocks, best = {}, None
+    for freq, weight in zip(window, weights):
+        diag = symbol.diagonal(freq)
+        values = np.abs(diag) if diag is not None else np.linalg.svd(
+            symbol.block(freq), compute_uv=False)
+        zero = values <= tol * max(1.0, float(np.max(values)))
+        if zero.any():
+            if diag is not None:
+                basis = np.eye(len(values), dtype=complex)[:, zero]
+            else:
+                basis = np.linalg.svd(symbol.block(freq))[2][-int(zero.sum()):].conj().T
+            blocks[freq.label] = basis
+        c = per_frequency_constant(symbol, freq, tol)
+        if c == math.inf:
+            continue
+        cand = c * weight
+        if best is None or cand < best[0]:
+            hits = np.flatnonzero(values == c)
+            best = (cand, freq.label, int(hits[0] if diag is not None else hits[-1]))
+    return blocks, best
+
+
 def support_labels(field) -> list:
     """The support of a coefficient field in canonical (eigenvalue, label) order."""
     return [freq.label for freq, _ in field.window(float("inf"))]

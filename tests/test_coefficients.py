@@ -416,7 +416,7 @@ def test_screened_search_over_small_runs_of_blocks(op, model, k_steps, cutoff, m
 
 
 def test_screened_search_across_the_screen_handover(monkeypatch):
-    # 2^990 negLap + d0^2: with chunks of 5 the SU(2) screen gives the gain
+    # 2^990 negLap + d0^2: with chunks of 5 the SU(2) walk gives the gain
     # lower bounds of levels 0..63 and block_values those of levels 64..199;
     # every gain from level 1/2 on is far above 1, so both searches run out
     import hyposym.symbols as symbols_module

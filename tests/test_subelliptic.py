@@ -1,11 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hyposym import (
-    NU,
     SU2,
     TORUS2,
     CoefficientField,
@@ -33,6 +33,7 @@ from oracles import (
     full_matrix,
     labelled_extremal_field,
     nullity,
+    per_block_window_pass,
     per_frequency_constant,
     support_labels,
 )
@@ -320,30 +321,6 @@ def test_witness_entry_on_tied_values(su2_gap_symbol):
     assert (report.witness.label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
 
 
-def _reference_pass(symbol, cutoff, m, tol=KERNEL_TOL):
-    """Kernel blocks and the C* witness from a per-frequency loop."""
-    blocks, best = {}, None
-    for freq in enumerate_frequencies(symbol.model, cutoff):
-        diag = symbol.diagonal(freq)
-        values = np.abs(diag) if diag is not None else np.linalg.svd(
-            symbol.block(freq), compute_uv=False)
-        zero = values <= tol * max(1.0, float(np.max(values)))
-        if zero.any():
-            if diag is not None:
-                basis = np.eye(len(values), dtype=complex)[:, zero]
-            else:
-                basis = np.linalg.svd(symbol.block(freq))[2][-int(zero.sum()):].conj().T
-            blocks[freq.label] = basis
-        c = per_frequency_constant(symbol, freq, tol)
-        if c == math.inf:
-            continue
-        cand = c * (1.0 + freq.lam) ** (-m / NU)
-        if best is None or cand < best[0]:
-            hits = np.flatnonzero(values == c)
-            best = (cand, freq.label, int(hits[0] if diag is not None else hits[-1]))
-    return blocks, best
-
-
 @pytest.mark.parametrize("chunk", [5, None])
 @pytest.mark.parametrize("m", [1.0, 0.0, -0.5])
 @pytest.mark.parametrize("case", ["torus_resonant", "su2_pell", "dense_planted",
@@ -367,12 +344,12 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
             8 * 10 / 4),
         # at m = 1, numpy's array power rounds 26 ** -0.5 differently
         "identity": (build_symbol(constant_one(TORUS2)), 25),
-        # the SU(2) screen trusts levels 0..63 only; with chunks of 5 it hands
+        # the SU(2) walk trusts levels 0..63 only; with chunks of 5 it hands
         # the rest of the window to block_values at level 64 of 200
         "screen_handover": (build_symbol(Su2DiagPoly.make([
             (Coefficient.make(2.0**990), 0, 1), (Coefficient.make(1), 2, 0)])), 1e4),
     }[case]
-    blocks, (c_star, label, entry) = _reference_pass(symbol, cutoff, m)
+    blocks, (c_star, label, entry) = per_block_window_pass(symbol, cutoff, m)
     kernel, (got_c, got_freq, got_entry) = _window_pass(symbol, cutoff, KERNEL_TOL, m)
     assert (got_c, got_freq.label, got_entry) == (c_star, label, entry)
     assert got_freq == frequency_for_label(label)
@@ -382,6 +359,47 @@ def test_window_pass_matches_per_frequency_reference(case, m, chunk, monkeypatch
     assert kernel.total_dim == sum(
         nullity(kernel, lab) for lab in blocks) == sum(
         b.shape[1] * lab.rep_dim() for lab, b in blocks.items())
+
+
+@pytest.mark.parametrize("chunk", [7, None])
+@pytest.mark.parametrize("case, m", [
+    ("torus_shells", 1.0), ("torus_shells", 0.0), ("torus_shells", -0.5),
+    ("su2_gap", 1.0), ("su2_gap", 0.0), ("torus_overflow", -400.0), ("su2_overflow", -400.0)])
+def test_c_star_weights_are_one_per_block(case, m, chunk, monkeypatch, su2_gap_symbol):
+    # C* weights each distinct eigenvalue once and repeats the weight onto its
+    # blocks: the same C*, witness and kernel as one weight per block, and
+    # the same message where a weight overflows (from lambda = 34 for m = -400)
+    import hyposym.symbols
+    from hyposym.subelliptic import _window_pass
+
+    if chunk is not None:
+        # chunks that cut the torus shells of equal eigenvalue apart
+        monkeypatch.setattr(hyposym.symbols, "BULK_CHUNK_ENTRIES", chunk)
+    symbol, cutoff = {
+        "torus_shells": (build_symbol(torus_translation(Fraction(3, 7))), 2000),
+        "su2_gap": (su2_gap_symbol, 40 * 42 / 4),
+        "torus_overflow": (build_symbol(torus_translation(Fraction(3, 7))), 50),
+        "su2_overflow": (su2_gap_symbol, 50),
+    }[case]
+
+    def window_pass(symbol, cutoff, m):
+        kernel, (c_star, freq, entry) = _window_pass(symbol, cutoff, KERNEL_TOL, m)
+        return kernel.blocks, (c_star, freq.label, entry)
+
+    def outcome(pass_):
+        try:
+            blocks, witness = pass_(symbol, cutoff, m)
+        except PreconditionError as exc:
+            return str(exc)
+        return {lab: basis.tobytes() for lab, basis in blocks.items()}, witness
+
+    want = outcome(per_block_window_pass)
+    assert outcome(window_pass) == want
+    if case.endswith("overflow"):
+        lam = {"torus_overflow": "34.0", "su2_overflow": "35.75"}[case]
+        assert want == f"weight (1 + {lam}) ** 200.0 overflows"
+    else:
+        assert want[0]  # the window has a kernel
 
 
 PHI_SPEC = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", "terms": [

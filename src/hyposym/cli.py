@@ -406,7 +406,7 @@ def _cmd_torus_gain(args) -> dict:
 
 def _cmd_subelliptic(args) -> dict:
     from .coefficients import random_field
-    from .subelliptic import best_alpha_constant, check_alpha, check_beta, extremal_field
+    from .subelliptic import best_alpha_constant, check_alpha, check_probe, extremal_field
 
     if args.probes < 0:
         raise PreconditionError(f"--probes must be nonnegative, got {args.probes}")
@@ -422,9 +422,7 @@ def _cmd_subelliptic(args) -> dict:
     alpha_failures = beta_failures = 0
     min_alpha_margin = min_beta_margin = float("inf")
     for _ in range(args.probes):
-        probe = random_field(report.kernel.window, rng)
-        a = check_alpha(symbol, probe, s, m, report.c_star, report.kernel)
-        b = check_beta(symbol, probe, s, m, report.k_star, cutoff)
+        a, b = check_probe(symbol, random_field(report.kernel.window, rng), report)
         if not a.passed:
             alpha_failures += 1
         elif not a.vacuous:

@@ -30,6 +30,8 @@ __all__ = [
     "CounterexampleCertificate",
     "Counterexample",
     "sobolev_norm",
+    "squared_norm",
+    "weighted_norm",
     "classify_regularity",
     "apply_symbol",
     "build_counterexample",
@@ -43,7 +45,9 @@ class CoefficientField:
 
     Zero vectors are dropped, and the support is ordered once, here, by
     (eigenvalue, label), each frequency stored beside its vector; every
-    label is of one kind, torus or SU(2).
+    label is of one kind, torus or SU(2).  A 1-D complex128 array that is
+    read-only and owns its data is adopted as it is; any other vector is
+    copied, so no caller can change a field after it is built.
     """
 
     def __init__(self, explicit: Mapping[FrequencyIndex, np.ndarray]):
@@ -51,13 +55,17 @@ class CoefficientField:
             raise PreconditionError("a field's labels must be all torus or all SU(2) labels")
         entries = []
         for freq, vec in explicit.items():
-            arr = np.array(vec, dtype=complex).reshape(-1)
+            if (isinstance(vec, np.ndarray) and vec.dtype == complex and vec.ndim == 1
+                    and vec.flags.owndata and not vec.flags.writeable):
+                arr = vec
+            else:
+                arr = np.array(vec, dtype=complex).reshape(-1)
+                arr.setflags(write=False)
             if arr.shape[0] != freq.dim:
                 raise PreconditionError(
                     f"vector at {freq.label} has length {arr.shape[0]}, expected {freq.dim}"
                 )
-            if np.any(arr != 0):
-                arr.setflags(write=False)
+            if arr.any():
                 entries.append((freq, arr))
         entries.sort(key=lambda e: (e[0].lam, e[0].label))
         self._support = {freq.label: (freq, arr) for freq, arr in entries}
@@ -87,17 +95,28 @@ def sobolev_norm(u: CoefficientField, s: float, cutoff: float) -> float:
     """Sobolev norm on the truncation: sqrt of the weighted coefficient sum.
 
     The weight per frequency is (1 + lambda_j)^{2s/nu}; summation runs in
-    canonical frequency order.  A norm beyond float range, or a weight that
-    underflows to 0 on a nonzero coefficient vector, is a precondition
-    violation.
+    canonical frequency order (see ``weighted_norm``).
+    """
+    return weighted_norm(((freq.lam, squared_norm(vec)) for freq, vec in u.window(cutoff)), s)
+
+
+def squared_norm(vec: np.ndarray) -> float:
+    """|vec|^2, as ``sobolev_norm`` sums it."""
+    return float(np.vdot(vec, vec).real)
+
+
+def weighted_norm(terms, s: float) -> float:
+    """sqrt of the sum of (1 + lam)^{2s/nu} |v|^2 over ``(lam, |v|^2)`` terms
+    of nonzero vectors, in the order given.  A norm beyond float range, or a
+    weight that underflows to 0, is a precondition violation.
     """
     total = 0.0
     exponent = 2.0 * s / NU
-    for freq, vec in u.window(cutoff):
-        weight = bracket_power(freq.lam, exponent)
-        if weight == 0.0 and freq.lam > 0:
-            raise PreconditionError(f"weight (1 + {freq.lam}) ** {exponent} underflows to 0")
-        total += weight * float(np.vdot(vec, vec).real)
+    for lam, sq in terms:
+        weight = bracket_power(lam, exponent)
+        if weight == 0.0 and lam > 0:
+            raise PreconditionError(f"weight (1 + {lam}) ** {exponent} underflows to 0")
+        total += weight * sq
     if not math.isfinite(total):
         raise PreconditionError(f"the Sobolev norm of order {s} overflows on the window")
     return math.sqrt(total)
@@ -208,11 +227,14 @@ def apply_symbol(
     """The coefficient field of P u: per frequency, the block product.
 
     The result is valid on the truncation lambda <= cutoff.  A diagonal
-    symbol is evaluated once over the whole support.
+    symbol is evaluated once over the whole support.  The images are fresh,
+    so the field adopts them.
     """
     pairs = list(u.window(cutoff))
     freqs = [freq for freq, _ in pairs]
     images = symbol.apply_to_vectors(freqs, [vec for _, vec in pairs])
+    for image in images:
+        image.setflags(write=False)
     return CoefficientField(explicit=dict(zip(freqs, images)))
 
 
@@ -398,12 +420,19 @@ def random_field(
     window: Window, rng: np.random.Generator, n_support: int = 6
 ) -> CoefficientField:
     """A finitely supported field with standard-normal complex entries on a
-    random subset of the window (probe generator for estimate checks)."""
+    random subset of the window (probe generator for estimate checks).
+
+    Each vector draws its real parts, then its imaginary parts, straight
+    into one complex array: the bits of ``re + 1j * im`` unless a draw is
+    -0.0."""
     count = min(n_support, len(window))
     picks = rng.choice(len(window), size=count, replace=False)
     data = {}
     for i in sorted(int(p) for p in picks):
         f = window.freq(i)
-        vec = rng.standard_normal(f.dim) + 1j * rng.standard_normal(f.dim)
+        vec = np.empty(f.dim, dtype=complex)
+        vec.real = rng.standard_normal(f.dim)
+        vec.imag = rng.standard_normal(f.dim)
+        vec.setflags(write=False)
         data[f] = vec
     return CoefficientField(explicit=data)

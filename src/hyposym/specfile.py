@@ -203,24 +203,29 @@ def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
 
 def _matrix_array(raw):
     """The complex block of a well-formed n x n table of [re, im] cells, or
-    None.  It is checked as one array: rows and cells are lists, every part
-    is an int or a float (numpy alone would take True and "1.5"), the shape
-    is (n, n, 2) and every part is finite.  The complex view of the float
-    array is bit-for-bit ``complex(re, im)``, negative zeros included."""
+    None.  It is checked in one flattened pass: rows and cells are lists of
+    n and 2 parts, every part is an int or a float (numpy alone would take
+    True and "1.5"), and every part is finite.  The complex view of the
+    float array is bit-for-bit ``complex(re, im)``, negative zeros
+    included."""
     if type(raw) is not list or not raw or set(map(type, raw)) != {list}:
         return None
-    cells = list(chain.from_iterable(raw))
-    if set(map(type, cells)) != {list}:
+    n = len(raw)
+    if set(map(len, raw)) != {n}:
         return None
-    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+    cells = list(chain.from_iterable(raw))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    flat = list(chain.from_iterable(cells))
+    if not set(map(type, flat)) <= {int, float}:
         return None
     try:
-        arr = np.array(raw, dtype=float)
-    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        arr = np.array(flat, dtype=float)
+    except OverflowError:  # an integer beyond float range
         return None
-    if arr.shape != (len(raw), len(raw), 2) or not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         return None
-    return arr.view(np.complex128)[..., 0]
+    return arr.reshape(n, n, 2).view(np.complex128)[..., 0]
 
 
 def _parse_matrix(raw, where: str, problems: list[str]):

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientField, apply_symbol, sobolev_norm
+from .coefficients import CoefficientField, squared_norm, weighted_norm
 from .errors import PreconditionError
 from .spectral import NU, FrequencyIndex, Window, bracket_power
 from .symbols import MatrixSymbol, block_extrema, zero_mask
@@ -43,6 +43,7 @@ __all__ = [
     "extremal_field",
     "check_alpha",
     "check_beta",
+    "check_probe",
 ]
 
 
@@ -69,15 +70,19 @@ class TruncatedKernel:
         """Remove the kernel component of a full coefficient vector.
 
         Kernel orthogonality in any s-weighted inner product agrees with the
-        Euclidean one: the weight is a per-frequency scalar.
+        Euclidean one: the weight is a per-frequency scalar.  ``vec`` itself
+        comes back at a frequency without kernel, and a fresh read-only
+        array at any other.
         """
         basis = self.blocks.get(freq.label)
         if basis is None:
             return vec
         rep = freq.label.rep_dim()
-        chunks = vec.reshape(rep, rep)
+        chunks, out = vec.reshape(rep, rep), np.empty(freq.dim, dtype=complex)
         coefs = chunks @ basis.conj()  # (copies x nullity)
-        return (chunks - coefs @ basis.T).reshape(freq.dim)
+        np.subtract(chunks, coefs @ basis.T, out=out.reshape(rep, rep))
+        out.setflags(write=False)
+        return out
 
 
 def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
@@ -254,6 +259,83 @@ class AlphaCheck:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class BetaCheck:
+    passed: bool
+    achieved_k: float | None
+    margin: float | None
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def _probe_terms(symbol: MatrixSymbol, f: CoefficientField, cutoff: float,
+                 kernel: TruncatedKernel | None):
+    """The ``weighted_norm`` terms of one probe, from one walk of ``f`` up to
+    ``cutoff``: ``(f, P f, f_perp, P f_perp)``, each a list of ``(lam, |v|^2)``
+    over its nonzero vectors in canonical order, with f_perp the part of f
+    off ``kernel`` (empty without a kernel).  P is applied once per
+    frequency.  Only where the projection changes a vector are it, its
+    image and their norms computed again; elsewhere f_perp shares f's terms.
+    """
+    pairs = list(f.window(cutoff))
+    images = symbol.iter_apply([freq for freq, _ in pairs], [vec for _, vec in pairs])
+    terms = f_t, pf_t, perp_t, pperp_t = [], [], [], []
+    for freq, vec in pairs:
+        f_t.append((freq.lam, squared_norm(vec)))
+        image_t = _nonzero_term(freq.lam, next(images))  # one image of P at a time
+        pf_t += image_t
+        if kernel is None:
+            continue
+        w = kernel.project_out(freq, vec)
+        # numerical kernels (dense SVD bases) leave roundoff residue; treat
+        # a relatively vanished projection as gone so it flags vacuous.  Off
+        # the kernel w is vec, and one norm decides
+        if w is vec:
+            if (x := np.linalg.norm(vec)) > 1e-12 * x:
+                perp_t.append(f_t[-1])
+                pperp_t += image_t
+        elif np.linalg.norm(w) > 1e-12 * np.linalg.norm(vec):
+            perp_t.append((freq.lam, squared_norm(w)))
+            pperp_t += _nonzero_term(freq.lam, next(symbol.iter_apply([freq], [w])))
+    return terms
+
+
+def _nonzero_term(lam: float, vec: np.ndarray) -> list:
+    """``[(lam, |vec|^2)]``, or no term for a zero vector."""
+    return [(lam, squared_norm(vec))] if vec.any() else []
+
+
+def _alpha(terms, s: float, m: float, c: float) -> AlphaCheck:
+    perp, p_perp = terms[2:]
+    denom = weighted_norm(perp, s + m)
+    if denom == 0.0:
+        return AlphaCheck(passed=True, ratio=None, margin=None, vacuous=True,
+                          projected_norm=0.0)
+    ratio = weighted_norm(p_perp, s) / denom
+    return AlphaCheck(
+        passed=ratio >= c * (1.0 - 1e-12),
+        ratio=ratio,
+        margin=ratio - c,
+        vacuous=False,
+        projected_norm=denom,
+    )
+
+
+def _beta(terms, s: float, m: float, k: float) -> BetaCheck:
+    f, pf = terms[:2]
+    lhs = weighted_norm(f, s + m)
+    rhs0 = weighted_norm(f, s) + weighted_norm(pf, s)
+    if rhs0 == 0.0:
+        return BetaCheck(passed=lhs == 0.0, achieved_k=None, margin=None)
+    achieved = lhs / rhs0
+    return BetaCheck(
+        passed=lhs <= k * rhs0 * (1.0 + 1e-12),
+        achieved_k=achieved,
+        margin=k - achieved,
+    )
+
+
 def check_alpha(
     symbol: MatrixSymbol,
     f: CoefficientField,
@@ -267,38 +349,7 @@ def check_alpha(
 
     A field living entirely in the kernel passes vacuously (flagged).
     """
-    cutoff = kernel.window.cutoff
-    projected = {}
-    for freq, vec in f.window(cutoff):
-        w = kernel.project_out(freq, vec)
-        # numerical kernels (dense SVD bases) leave roundoff residue; treat
-        # a relatively vanished projection as gone so it flags vacuous
-        if np.linalg.norm(w) > 1e-12 * np.linalg.norm(vec):
-            projected[freq] = w
-    f_perp = CoefficientField(explicit=projected)
-    denom = sobolev_norm(f_perp, s + m, cutoff)
-    if denom == 0.0:
-        return AlphaCheck(passed=True, ratio=None, margin=None, vacuous=True,
-                          projected_norm=0.0)
-    num = sobolev_norm(apply_symbol(symbol, f_perp, cutoff), s, cutoff)
-    ratio = num / denom
-    return AlphaCheck(
-        passed=ratio >= c * (1.0 - 1e-12),
-        ratio=ratio,
-        margin=ratio - c,
-        vacuous=False,
-        projected_norm=denom,
-    )
-
-
-@dataclass(frozen=True)
-class BetaCheck:
-    passed: bool
-    achieved_k: float | None
-    margin: float | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    return _alpha(_probe_terms(symbol, f, kernel.window.cutoff, kernel), s, m, c)
 
 
 def check_beta(
@@ -314,13 +365,14 @@ def check_beta(
     No orthogonality is required; ``achieved_k`` is the smallest constant
     this probe admits.
     """
-    lhs = sobolev_norm(f, s + m, cutoff)
-    rhs0 = sobolev_norm(f, s, cutoff) + sobolev_norm(apply_symbol(symbol, f, cutoff), s, cutoff)
-    if rhs0 == 0.0:
-        return BetaCheck(passed=lhs == 0.0, achieved_k=None, margin=None)
-    achieved = lhs / rhs0
-    return BetaCheck(
-        passed=lhs <= k * rhs0 * (1.0 + 1e-12),
-        achieved_k=achieved,
-        margin=k - achieved,
-    )
+    return _beta(_probe_terms(symbol, f, cutoff, None), s, m, k)
+
+
+def check_probe(
+    symbol: MatrixSymbol, f: CoefficientField, report: SubellipticReport
+) -> tuple[AlphaCheck, BetaCheck]:
+    """``check_alpha`` against the report's C* and kernel, then ``check_beta``
+    against its K*, at its s, m and cutoff, from one walk of ``f``."""
+    terms = _probe_terms(symbol, f, report.cutoff, report.kernel)
+    return (_alpha(terms, report.s, report.m, report.c_star),
+            _beta(terms, report.s, report.m, report.k_star))

@@ -309,10 +309,12 @@ def torus_value_exact(op: TorusPoly, xi: int, eta: int):
 
 
 def _level_powers(levels: np.ndarray):
-    """lam^b per level, computed for each b on first use, as Python float
-    powers (numpy's array power rounds differently for b >= 2)."""
-    lam = (levels * (levels + 2) / 4.0).tolist()
-    return functools.cache(lambda b: np.array([x**b for x in lam]))
+    """lam^b per level, computed for each b on first use: 1 and lam itself
+    for b = 0 and 1, Python float powers for b >= 2 (numpy's array power
+    rounds differently there)."""
+    lam = levels * (levels + 2) / 4.0
+    return functools.cache(lambda b: np.array([x**b for x in lam.tolist()]) if b >= 2
+                           else lam if b == 1 else np.ones(len(lam)))
 
 
 def _su2_entries(op: Su2DiagPoly, levels, powers, level, start, size) -> np.ndarray:
@@ -528,9 +530,16 @@ class MatrixSymbol:
 
     def apply_to_vectors(self, freqs, vecs) -> list[np.ndarray]:
         """Multiply full coefficient vectors by the symbol, each at its
-        frequency (inf or nan where the symbol leaves float range, without a
-        warning); a diagonal symbol evaluates the diagonals of all of them in
-        one ``bulk`` call."""
+        frequency: a list of fresh arrays (see ``iter_apply``)."""
+        return list(self.iter_apply(freqs, vecs))
+
+    def iter_apply(self, freqs, vecs):
+        """An iterator of each full coefficient vector multiplied by the
+        symbol at its frequency, in order, each a fresh array computed when
+        it is asked for (inf or nan where the symbol leaves float range,
+        without a warning).  Every frequency and length is checked here, and
+        a diagonal symbol evaluates the diagonals of all of them in one
+        ``bulk`` call."""
         vecs = [np.asarray(v, dtype=complex) for v in vecs]
         for freq, v in zip(freqs, vecs):
             self._check(freq)
@@ -539,18 +548,23 @@ class MatrixSymbol:
                     f"coefficient vector has length {v.shape}, expected ({freq.dim},)"
                 )
         diags = [None] * len(vecs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.is_diagonal and vecs:
+        if self.is_diagonal and vecs:
+            with np.errstate(over="ignore", invalid="ignore"):
                 values = self.bulk(*self._label_arrays(freqs))
-                dims = [f.label.rep_dim() for f in freqs]
-                diags = [values[end - dim:end] for dim, end in zip(dims, np.cumsum(dims))]
-            out = []
-            for freq, v, d in zip(freqs, vecs, diags):
-                rep = freq.label.rep_dim()
-                chunks = v.reshape(rep, rep)
-                w = chunks * d[None, :] if d is not None else chunks @ self.block(freq).T
-                out.append(w.reshape(freq.dim))
-        return out
+            dims = [f.label.rep_dim() for f in freqs]
+            diags = [values[end - dim:end] for dim, end in zip(dims, np.cumsum(dims))]
+
+        def product(freq, v, d):
+            rep = freq.label.rep_dim()
+            chunks, out = v.reshape(rep, rep), np.empty(freq.dim, dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if d is not None:
+                    np.multiply(chunks, d[None, :], out=out.reshape(rep, rep))
+                else:
+                    np.matmul(chunks, self.block(freq).T, out=out.reshape(rep, rep))
+            return out
+
+        return map(product, freqs, vecs, diags)
 
 
 def build_symbol(op: OperatorSpec) -> MatrixSymbol:

@@ -107,6 +107,10 @@ CASES = [
     ["analyze", "--spec", GAP_D0, "--cutoff", "1e6"],
     ["counterexample", "--spec", PELL, "--cutoff", "3e6", "--k", "5"],
     ["subelliptic", "--spec", PHI, "--cutoff", "1e5", "--probes", "2"],
+    # SU(2) probes past every plan's cutoff: blocks up to 2l = 631, and a
+    # kernel of dimension 265 whose projection leaves part of a vector
+    ["subelliptic", "--spec", GAP, "--cutoff", "1e5", "--probes", "20", "--seed", "3"],
+    ["subelliptic", "--spec", CONIC, "--cutoff", "5000", "--probes", "20", "--seed", "4"],
 ]
 
 

@@ -507,3 +507,112 @@ def mask_estimate_order(table):
         weights = np.exp(np.log1p(table.lam[nz]) * (slope / NU))
         c_hat = float(np.max(norms[nz] / weights))
     return float(slope), c_hat, npts
+
+
+def per_level_powers(levels):
+    """lam^b per level as one Python float power per level, every b."""
+    import functools
+
+    lam = (levels * (levels + 2) / 4.0).tolist()
+    return functools.cache(lambda b: np.array([x**b for x in lam]))
+
+
+def nested_matrix_array(raw):
+    """The complex block of a well-formed n x n table of [re, im] cells, or
+    None: the types checked over the rows, cells and parts, then the nested
+    list converted as a whole and its shape and finiteness checked."""
+    from itertools import chain
+
+    if type(raw) is not list or not raw or set(map(type, raw)) != {list}:
+        return None
+    cells = list(chain.from_iterable(raw))
+    if set(map(type, cells)) != {list}:
+        return None
+    if not set(map(type, chain.from_iterable(cells))) <= {int, float}:
+        return None
+    try:
+        arr = np.array(raw, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+        return None
+    if arr.shape != (len(raw), len(raw), 2) or not np.isfinite(arr).all():
+        return None
+    return arr.view(np.complex128)[..., 0]
+
+
+def walked_sobolev_norm(u, s, cutoff) -> float:
+    """``coefficients.sobolev_norm`` as one loop over the field: the weight,
+    its underflow test and the sum, frequency by frequency."""
+    from hyposym.errors import PreconditionError
+    from hyposym.spectral import NU, bracket_power
+
+    total = 0.0
+    exponent = 2.0 * s / NU
+    for freq, vec in u.window(cutoff):
+        weight = bracket_power(freq.lam, exponent)
+        if weight == 0.0 and freq.lam > 0:
+            raise PreconditionError(f"weight (1 + {freq.lam}) ** {exponent} underflows to 0")
+        total += weight * float(np.vdot(vec, vec).real)
+    if not math.isfinite(total):
+        raise PreconditionError(f"the Sobolev norm of order {s} overflows on the window")
+    return math.sqrt(total)
+
+
+def copied_apply_symbol(symbol, u, cutoff):
+    """The field of P u: a diagonal symbol's diagonals from one ``bulk``
+    call, one product per frequency, and every image copied into the field."""
+    from hyposym.coefficients import CoefficientField
+
+    pairs = list(u.window(cutoff))
+    freqs = [freq for freq, _ in pairs]
+    diags = [None] * len(pairs)
+    images = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if symbol.is_diagonal and pairs:
+            values = symbol.bulk(*symbol._label_arrays(freqs))
+            dims = [f.label.rep_dim() for f in freqs]
+            diags = [values[end - dim:end] for dim, end in zip(dims, np.cumsum(dims))]
+        for (freq, v), d in zip(pairs, diags):
+            rep = freq.label.rep_dim()
+            chunks = v.reshape(rep, rep)
+            w = chunks * d[None, :] if d is not None else chunks @ symbol.block(freq).T
+            images[freq] = w.reshape(freq.dim).copy()
+    return CoefficientField(explicit=images)
+
+
+def per_call_check_alpha(symbol, f, s, m, c, kernel):
+    """``subelliptic.check_alpha`` as a chain of calls: f projected off the
+    kernel into a new field, its Sobolev norm, the field of P applied to it,
+    and that field's norm."""
+    from hyposym.coefficients import CoefficientField
+    from hyposym.subelliptic import AlphaCheck
+
+    cutoff = kernel.window.cutoff
+    projected = {}
+    for freq, vec in f.window(cutoff):
+        w = kernel.project_out(freq, vec)
+        if np.linalg.norm(w) > 1e-12 * np.linalg.norm(vec):
+            projected[freq] = w
+    f_perp = CoefficientField(explicit=projected)
+    denom = walked_sobolev_norm(f_perp, s + m, cutoff)
+    if denom == 0.0:
+        return AlphaCheck(passed=True, ratio=None, margin=None, vacuous=True,
+                          projected_norm=0.0)
+    num = walked_sobolev_norm(copied_apply_symbol(symbol, f_perp, cutoff), s, cutoff)
+    ratio = num / denom
+    return AlphaCheck(passed=ratio >= c * (1.0 - 1e-12), ratio=ratio, margin=ratio - c,
+                      vacuous=False, projected_norm=denom)
+
+
+def per_call_check_beta(symbol, f, s, m, k, cutoff):
+    """``subelliptic.check_beta`` as a chain of calls: three Sobolev norms,
+    one of them of the field of P f."""
+    from hyposym.subelliptic import BetaCheck
+
+    lhs = walked_sobolev_norm(f, s + m, cutoff)
+    rhs0 = (walked_sobolev_norm(f, s, cutoff)
+            + walked_sobolev_norm(copied_apply_symbol(symbol, f, cutoff), s, cutoff))
+    if rhs0 == 0.0:
+        return BetaCheck(passed=lhs == 0.0, achieved_k=None, margin=None)
+    achieved = lhs / rhs0
+    return BetaCheck(passed=lhs <= k * rhs0 * (1.0 + 1e-12), achieved_k=achieved,
+                     margin=k - achieved)

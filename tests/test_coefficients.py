@@ -128,6 +128,36 @@ def test_fields_from_frequencies_and_from_labels_agree(case, tmp_path):
     assert [freq for freq, _ in results[0][0]] == sorted(data, key=lambda f: f.j)
 
 
+def test_field_adopts_only_arrays_no_caller_can_write(su2_pell_symbol):
+    freq = frequency_for_label(Su2Label(2))
+    writable = np.arange(1, 10, dtype=complex)
+    base = np.arange(1, 10, dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    owned = np.arange(1, 10, dtype=complex)
+    owned.setflags(write=False)
+    other = np.arange(1.0, 10.0)  # float64: converted
+    other.setflags(write=False)
+    square = np.arange(1, 10, dtype=complex).reshape(3, 3)  # 2-D: flattened
+    square.setflags(write=False)
+    inputs = [writable, view, owned, other, square]
+    fields = [CoefficientField({freq: vec}) for vec in inputs]
+    writable[0] = base[0] = 0
+    for vec, field in zip(inputs, fields):
+        stored = field.coeff(freq)
+        assert stored.tolist() == list(range(1, 10))
+        assert not stored.flags.writeable
+        assert np.shares_memory(stored, vec) == (vec is owned)
+    # the library's fresh arrays are handed over read-only and adopted
+    probe = random_field(Window(SU2, 30), np.random.default_rng(2), n_support=6)
+    image = apply_symbol(su2_pell_symbol, probe, 30)
+    kernel = best_alpha_constant(su2_pell_symbol, 0.0, 1.0, 30).kernel
+    projected = kernel.project_out(freq, owned)
+    for vec in [v for _, v in probe.window(30)] + [v for _, v in image.window(30)] + [projected]:
+        assert vec.flags.owndata and not vec.flags.writeable
+    assert np.shares_memory(CoefficientField({freq: projected}).coeff(freq), projected)
+
+
 def test_from_dict_refuses_a_label_it_cannot_count():
     with pytest.raises(PreconditionError, match="not enumerable"):
         CoefficientField.from_dict({Torus2Label(1.5, 2): [1.0]})

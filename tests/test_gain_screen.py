@@ -17,7 +17,7 @@ from hyposym.subelliptic import kernel_on_truncation
 from hyposym.symbols import Coefficient, gain_table
 
 from conftest import su2_pell_operator
-from oracles import unscreened_gain_table
+from oracles import per_level_powers, unscreened_gain_table
 
 
 def _poly(*terms) -> Su2DiagPoly:
@@ -293,3 +293,17 @@ def test_walk_holds_for_entries_anywhere_within_the_rounding_bound(op, monkeypat
     walked = _recording(monkeypatch, "_walked_su2_extrema")
     _assert_same_table(op, 1e5)
     assert all(w is not None for w in walked) and walked
+
+
+@pytest.mark.parametrize("levels", [
+    np.arange(0, 2001),  # every level up to cutoff 1e6
+    np.arange(0, 0),
+    np.array([0, 1, 2, 199999, 200000]),  # up to cutoff 1e10
+    np.random.default_rng(5).integers(0, 2**31, 4096),  # lam up to 2^60: inexact
+])
+def test_level_powers_equal_the_per_level_loop(levels):
+    # lam^0 and lam^1 skip the Python powers with the same bits
+    got, want = symbols._level_powers(levels), per_level_powers(levels)
+    for b in range(5):
+        assert got(b).dtype == want(b).dtype == np.float64
+        assert got(b).tobytes() == want(b).tobytes()

@@ -4,6 +4,7 @@ cell-by-cell oracle, and structural fuzz of whole table files."""
 import contextlib
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from hyposym import cli, parse_spec
 from hyposym.errors import SpecFileError
-from hyposym.specfile import _parse_matrix, _parse_table_label
+from hyposym.specfile import _matrix_array, _parse_matrix, _parse_table_label
 
-from oracles import cellwise_parse_matrix
+from oracles import cellwise_parse_matrix, nested_matrix_array
 
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -79,6 +80,54 @@ def test_array_check_keeps_negative_zero_and_rounds_like_complex():
     assert problems == []
     assert got.tobytes() == np.array([[complex(*c) for c in row] for row in raw]).tobytes()
     assert np.signbit(got.real).tolist() == [[True, False], [False, False]]
+
+
+_GOOD_PARTS = [0, -0.0, 0.0, 1, -3, 2.5, 1e-300, -1e308, 2**53 + 1, -(2**63), 2**64 - 1,
+               2**70, 10**308]
+_BAD_PARTS = [True, False, "1.5", None, float("nan"), float("inf"), -float("inf"), 10**309,
+              -(10**400), [1, 2], {"re": 1}, (1, 0)]
+
+
+def _damaged_table(rng: random.Random):
+    """A well-formed n x n table, then up to two defects of the kinds
+    ``_matrices`` draws, and tuples where lists belong."""
+    n = rng.randint(1, 4)
+    raw = [[[rng.choice(_GOOD_PARTS) if rng.random() < 0.3 else rng.uniform(-9, 9)
+             for _ in range(2)] for _ in range(n)] for _ in range(n)]
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        try:
+            r = rng.randrange(len(raw))
+            c = rng.randrange(len(raw[r]))
+            defect = rng.choice(["part", "cell", "nested", "row", "shape", "raw", "tuple"])
+            if defect == "part":
+                raw[r][c][rng.randrange(2)] = rng.choice(_BAD_PARTS)
+            elif defect == "cell":
+                raw[r][c] = rng.choice([[1.0], [1, 2, 3], [], None, 1.0, "x", (1, 0), {}])
+            elif defect == "nested":
+                raw[r][c] = [raw[r][c], raw[r][c]]
+            elif defect == "row":
+                raw[r] = rng.choice([raw[r][:-1], raw[r] + [[0, 0]], None, "row", {}, []])
+            elif defect == "shape":
+                raw = rng.choice([raw[:-1], [row + [[0, 0]] for row in raw]])
+            elif defect == "raw":
+                raw = rng.choice([[], None, {}, "m", 1, [[]], [[[]]], [[[0, 0]], [[0, 0]]]])
+            else:
+                raw[r] = tuple(raw[r]) if rng.random() < 0.5 else raw[r]
+                raw[r][c] = tuple(raw[r][c])
+        except (TypeError, IndexError, ValueError, KeyError):  # the shape is already broken
+            pass
+    return raw
+
+
+def test_flattened_array_check_equals_the_nested_conversion():
+    rng = random.Random(2024)
+    accepted = 0
+    for _ in range(40000):
+        raw = _damaged_table(rng)
+        got, want = _matrix_array(raw), nested_matrix_array(raw)
+        assert _bits(got) == _bits(want), raw
+        accepted += want is not None
+    assert 5000 < accepted < 35000  # both outcomes are common
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from hyposym import (
 )
 from hyposym.errors import PreconditionError
 from hyposym.subelliptic import KERNEL_TOL
+from hyposym.subelliptic import check_probe
 from hyposym.symbols import Coefficient, Su2DiagPoly, TorusPoly
 
 from conftest import constant_one, torus_translation
@@ -34,6 +35,8 @@ from oracles import (
     labelled_extremal_field,
     nullity,
     per_block_window_pass,
+    per_call_check_alpha,
+    per_call_check_beta,
     per_frequency_constant,
     support_labels,
 )
@@ -486,3 +489,143 @@ def test_extremal_field_equals_the_field_of_the_counted_label(case, su2_gap_symb
     want = labelled_extremal_field(report, symbol)
     assert _field_bits(got, cutoff) == _field_bits(want, cutoff)
     assert [f for f, _ in got.window(cutoff)] == [report.witness]
+
+
+# ---------------------------------------------------------------------------
+# one walk per probe: check_alpha, check_beta and check_probe against the
+# per-call checks
+
+
+def _torus_table_with_zero_blocks(cutoff, seed):
+    """Random complex 1x1 blocks: every fifth is zero, and every seventh of
+    the others is nonzero below the kernel threshold."""
+    window = Window(TORUS2, cutoff)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(len(window)) + 1j * rng.standard_normal(len(window))
+    z[::7] *= 1e-15
+    z[::5] = 0
+    return MatrixTable("torus2", {window.label(i): [[z[i]]] for i in range(len(window))})
+
+
+PROBE_CASES = {
+    "phi": lambda: (build_symbol(torus_translation(0.5 + 5**0.5 / 2)), 20000, 1),
+    "four_sevenths": lambda: (build_symbol(torus_translation(Fraction(4, 7))), 20000, 35),
+    "gap": lambda: (build_symbol(Su2DiagPoly.make([
+        (Coefficient.make(1), 0, 1), (Coefficient.make(1), 2, 0)])), 2550, 1),
+    "conic": lambda: (build_symbol(Su2DiagPoly.make([
+        (Coefficient.make(1), 0, 1), (Coefficient.make(3), 2, 0)])), 5000, 265),
+    "torus_table": lambda: (build_symbol(_torus_table_with_zero_blocks(200, 11)), 200, None),
+}
+# (s, m): plain orders, weights that underflow to 0, a norm beyond float range
+# at the gap's edge, weights that overflow, and an alpha numerator whose
+# weights overflow while its denominator's do not
+PROBE_ORDERS = [(0.0, 1.0), (-2.0, 0.5), (-1e300, 1.0), (89.0, 1.0), (1000.0, 1.0),
+                (150.0, -149.0)]
+
+
+def _probe_fields(report, symbol, seed):
+    """The witness, random probes of 6 and of 40 frequencies, and fields on
+    the kernel's frequencies, alone and beside the last frequencies off it."""
+    window, blocks = report.kernel.window, report.kernel.blocks
+    rng = np.random.default_rng(seed)
+    fields = [extremal_field(report, symbol)]
+    fields += [random_field(window, rng, n) for n in [6] * 8 + [40] * 4]
+    on_kernel = [freq for freq in window if freq.label in blocks]
+    off_kernel = [freq for freq in window if freq.label not in blocks][-3:]
+    for freqs in (on_kernel, on_kernel + off_kernel):
+        fields.append(CoefficientField({
+            freq: rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
+            for freq in freqs}))
+    return fields
+
+
+def _outcome(checks):
+    """The bits of the checks ``checks()`` returns, or its error, as text."""
+    import dataclasses
+
+    try:
+        return repr([dataclasses.astuple(check) for check in checks()])
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_probe_checks_equal_the_per_call_checks(case):
+    import dataclasses
+
+    symbol, cutoff, kernel_dim = PROBE_CASES[case]()
+    base = best_alpha_constant(symbol, 0.0, 1.0, cutoff)
+    if kernel_dim is not None:
+        assert base.kernel_dim == kernel_dim
+    kernel = base.kernel
+    kinds = set()
+    for seed, (s, m) in enumerate(PROBE_ORDERS):
+        report = dataclasses.replace(base, s=s, m=m)
+        c, k = report.c_star, report.k_star
+        for f in _probe_fields(base, symbol, seed):
+            alpha = _outcome(lambda: [per_call_check_alpha(symbol, f, s, m, c, kernel)])
+            beta = _outcome(lambda: [per_call_check_beta(symbol, f, s, m, k, cutoff)])
+            assert _outcome(lambda: [check_alpha(symbol, f, s, m, c, kernel)]) == alpha
+            assert _outcome(lambda: [check_beta(symbol, f, s, m, k, cutoff)]) == beta
+            # the command's probe: alpha, then beta, and the first error of the two
+            want = _outcome(lambda: (per_call_check_alpha(symbol, f, s, m, c, kernel),
+                                     per_call_check_beta(symbol, f, s, m, k, cutoff)))
+            assert _outcome(lambda: check_probe(symbol, f, report)) == want
+            kinds.add(_kind(want, alpha))
+    # every case meets results and errors; the SU(2) windows reach a norm
+    # beyond float range, and the torus kernels fields that project to 0
+    want_kinds = {"result", "underflows to 0", "weight overflows"}
+    want_kinds |= {"norm overflows"} if case in ("gap", "conic") else {"vacuous"}
+    if case in ("four_sevenths", "torus_table"):
+        want_kinds.add("beta raises after a vacuous alpha")
+    assert want_kinds <= kinds
+
+
+def _kind(outcome, alpha):
+    if not outcome.startswith("Precondition"):
+        return "vacuous" if outcome.startswith("[(True, None, None, True") else "result"
+    if alpha.startswith("[(True, None, None, True"):
+        return "beta raises after a vacuous alpha"
+    if outcome.endswith("underflows to 0"):
+        return "underflows to 0"
+    return "norm overflows" if "Sobolev norm" in outcome else "weight overflows"
+
+
+def test_gap_probes_at_1e5_draw_in_place_and_hold_one_image_at_a_time(su2_gap_symbol):
+    # the draws go straight into the field's arrays, with one float draw on
+    # top, and the checks copy no vector and hold one image of P at a time
+    import tracemalloc
+
+    report = best_alpha_constant(su2_gap_symbol, 0.0, 1.0, 1e5)
+    rng = np.random.default_rng(3)
+    slack = 2**20
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            probe = random_field(report.kernel.window, rng)
+            dims = [freq.dim for freq, _ in probe.window(1e5)]
+            held, peak = (x - start for x in tracemalloc.get_traced_memory())
+            assert 16 * sum(dims) <= held <= 16 * sum(dims) + slack
+            assert peak <= 16 * sum(dims) + 8 * max(dims) + slack
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            check_probe(su2_gap_symbol, probe, report)
+            assert tracemalloc.get_traced_memory()[1] - start <= 16 * max(dims) + slack
+            assert 16 * sum(dims) > 16 * max(dims) + slack  # one copy of the probe fails
+            del probe
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_image_that_underflows_to_zero_is_no_term():
+    # 1e-300 d_x with tol 0: only eta = 0 is kernel, and P maps [1e-30] at
+    # (0, 1) to an image that underflows to 0, which no norm may weigh
+    symbol = build_symbol(TorusPoly.make([(Coefficient.make(1e-300), 0, 1)]))
+    report = best_alpha_constant(symbol, 0.0, 1.0, 10, tol=0.0)
+    f = CoefficientField.from_dict({Torus2Label(0, 1): [1e-30]})
+    assert symbol.apply_to_vectors([frequency_for_label(Torus2Label(0, 1))], [[1e-30]])[0] == 0
+    want = per_call_check_alpha(symbol, f, 2000.0, -2000.0, report.c_star, report.kernel)
+    assert want.ratio == 0.0 and not want.passed
+    assert check_alpha(symbol, f, 2000.0, -2000.0, report.c_star, report.kernel) == want

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -306,14 +305,16 @@ def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
 def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
     """The per-frequency test of step k: ``(freq, entry, vector, exact)``
     when the gain at ``freq`` is below (1+lambda)^{-k}, else None.
-    ``exact`` is the chosen entry's exact (re, im), or None when the float
-    test decided."""
-    exact_entries = symbol.exact_diagonal(freq)
-    if exact_entries is not None:
-        bound_sq = Fraction(1, 1) / (1 + freq.lam_exact()) ** (2 * k)
-        sq = [re * re + im * im for re, im in exact_entries]
+    ``exact`` is the chosen entry (re + i im) / den as ``(den, (re, im))``,
+    tested in integers, or None when the float test decided."""
+    exact = symbol.exact_diagonal(freq)
+    if exact is not None:
+        den, entries = exact
+        p, q = (1 + freq.lam_exact()).as_integer_ratio()
+        sq = [re * re + im * im for re, im in entries]
         i = sq.index(min(sq))
-        return (freq, i, None, exact_entries[i]) if sq[i] < bound_sq else None
+        below = sq[i] * p ** (2 * k) < (den * q**k) ** 2  # |entry|^2 < (q/p)^2k
+        return (freq, i, None, (den, entries[i])) if below else None
     bound = (1.0 + freq.lam) ** (-k)
     if not symbol.gain(freq) < bound * (1.0 - tol):
         return None
@@ -383,11 +384,14 @@ def build_counterexample(
         image = symbol.apply_to_vectors([freq], [full])[0]
         image_norm = float(np.linalg.norm(image))
         if not math.isfinite(image_norm) and exact is not None:
-            # the float symbol left float range here; the exact entry is below 1
-            re, im = exact
+            # the float symbol left float range here; the exact entry is
+            # below 1 (int / int rounds correctly)
+            den, (re, im) = exact
             image = np.zeros(freq.dim, dtype=complex)
-            image[entry_idx] = complex(float(re), float(im))
-            image_norm = math.sqrt(re * re + im * im)
+            image[entry_idx] = complex(re / den, im / den)
+            image_norm = math.sqrt((re * re + im * im) / (den * den))
+        full.setflags(write=False)  # read-only: the fields adopt, not copy, them
+        image.setflags(write=False)
         if not math.isfinite(image_norm):
             raise PreconditionError(f"the image norm at {freq.label} is beyond float range")
         bound = (1.0 + freq.lam) ** (-k)

@@ -188,25 +188,17 @@ def _safe_float(x) -> float:
         return math.inf
 
 
-def _verify_torus_zero(op: TorusPoly, xi: int, eta: int) -> Witness:
-    val = torus_value_exact(op, xi, eta)
-    if val is None or val != (Fraction(0), Fraction(0)):
-        raise PreconditionError(f"witness ({xi},{eta}) does not vanish exactly")
-    label = Torus2Label(xi, eta)
-    return Witness(label=label, lam=_safe_float(label.eigenvalue()), entry_index=0,
-                   exact_zero=True)
-
-
-def _verify_su2_zero(op: Su2DiagPoly, twice_ell: int) -> Witness:
-    entries = su2_diag_exact(op, twice_ell)
-    if entries is None:
-        raise PreconditionError("witness needs exact coefficients")
-    for idx, (re, im) in enumerate(entries):
-        if re == 0 and im == 0:
-            label = Su2Label(twice_ell)
-            return Witness(label=label, lam=float(label.eigenvalue()),
-                           entry_index=idx, exact_zero=True)
-    raise PreconditionError(f"no vanishing entry at level {twice_ell}/2")
+def _verify_zero(op: TorusPoly | Su2DiagPoly, label) -> Witness:
+    """The witness at ``label``: its first entry that vanishes exactly.
+    ``op`` has an integral form (every certifier checks it first)."""
+    if isinstance(label, Torus2Label):
+        _, values = torus_value_exact(op, label.xi, label.eta)
+    else:
+        _, values = su2_diag_exact(op, label.twice_ell)
+    if (0, 0) not in values:
+        raise PreconditionError(f"no entry at the witness {label} vanishes exactly")
+    return Witness(label=label, lam=_safe_float(label.eigenvalue()),
+                   entry_index=values.index((0, 0)), exact_zero=True)
 
 
 def _certify_torus(op: TorusPoly) -> Certificate | None:
@@ -216,20 +208,16 @@ def _certify_torus(op: TorusPoly) -> Certificate | None:
     terms) the symbol i(a xi + b eta) vanishes on the integer points of a
     line; the primitive direction gives the infinite family.
     """
-    if not op.terms:
+    if not op.terms or op.integral_form is None:
         return None
     if any((a, b) not in ((1, 0), (0, 1)) for _, a, b in op.terms):
         return None
     ca = op.coefficient(1, 0) or Coefficient.make(0)
     cb = op.coefficient(0, 1) or Coefficient.make(0)
-    pa, pb = ca.rational_parts(), cb.rational_parts()
-    if pa is None or pb is None:
-        return None
     # the symbol is (a_re + i a_im) i xi + (b_re + i b_im) i eta; it vanishes
     # on a lattice line only when the real and imaginary coefficient rows
     # are parallel, i.e. both reduce to one rational direction
-    rows = [(pa[0], pb[0]), (pa[1], pb[1])]
-    rows = [r for r in rows if r != (Fraction(0), Fraction(0))]
+    rows = [r for r in ((ca.re, cb.re), (ca.im, cb.im)) if r != (0, 0)]
     if not rows:
         return None
     if len(rows) == 2:
@@ -238,17 +226,13 @@ def _certify_torus(op: TorusPoly) -> Certificate | None:
             return None
     a, b = rows[0]
     # integer normal (A, B) of a xi + b eta = 0, primitive direction (-B, A)
-    da, db = a.denominator, b.denominator
-    big_a = a.numerator * db
-    big_b = b.numerator * da
-    g = gcd(abs(big_a), abs(big_b))
+    big_a, big_b = a.numerator * b.denominator, b.numerator * a.denominator
+    g = gcd(big_a, big_b)
     dir_xi, dir_eta = -big_b // g, big_a // g
     if dir_eta < 0 or (dir_eta == 0 and dir_xi < 0):
         dir_xi, dir_eta = -dir_xi, -dir_eta
-    witnesses = tuple(
-        _verify_torus_zero(op, t * dir_xi, t * dir_eta) for t in (1, 2, 3)
-    )
-    c_str = f"{b}/{a}" if a != 0 else "infinity"
+    witnesses = tuple(_verify_zero(op, Torus2Label(t * dir_xi, t * dir_eta)) for t in (1, 2, 3))
+    c_str = f"{b / a}" if a != 0 else "infinity"
     return Certificate(
         family="rational_resonance",
         description=(
@@ -267,28 +251,26 @@ def _certify_su2_neutral(op: Su2DiagPoly) -> Certificate | None:
     half-integer -- then every level l >= |m0| with l - m0 integral is
     singular.
     """
+    if op.integral_form is None:
+        return None
     if any((a, b) not in ((1, 0), (0, 0)) for _, a, b in op.terms):
         return None
     alpha = op.coefficient(1, 0)
     if alpha is None:
         return None
     q = op.coefficient(0, 0) or Coefficient.make(0)
-    pa, pq = alpha.rational_parts(), q.rational_parts()
-    if pa is None or pq is None:
-        return None
-    norm2 = pa[0] * pa[0] + pa[1] * pa[1]
+    norm2 = alpha.re * alpha.re + alpha.im * alpha.im
     if norm2 == 0:
         return None
-    # m0 = i q / alpha = (i q) conj(alpha) / |alpha|^2
-    iq = (-pq[1], pq[0])
-    re = (iq[0] * pa[0] + iq[1] * pa[1]) / norm2
-    im = (iq[1] * pa[0] - iq[0] * pa[1]) / norm2
+    # m0 = i q / alpha = (i q) conj(alpha) / |alpha|^2, with i q = -q_im + i q_re
+    re = (q.re * alpha.im - q.im * alpha.re) / norm2
+    im = (q.re * alpha.re + q.im * alpha.im) / norm2
     if im != 0 or re.denominator > 2:
         return None
     twice_m0 = int(2 * re)
     start = abs(twice_m0)
     levels = (start, start + 2, start + 4)
-    witnesses = tuple(_verify_su2_zero(op, t) for t in levels)
+    witnesses = tuple(_verify_zero(op, Su2Label(t)) for t in levels)
     m0 = Fraction(twice_m0, 2)
     return Certificate(
         family="imaginary_half_integer",
@@ -307,21 +289,20 @@ def _certify_su2_pell(op: Su2DiagPoly) -> Certificate | None:
     solutions of u^2 - 8 m^2 = 1 via l = (u-1)/2.  Other quadratic ratios
     take the empirical route.
     """
+    if op.integral_form is None:
+        return None
     if any((a, b) not in ((0, 1), (2, 0)) for _, a, b in op.terms):
         return None
     ca = op.coefficient(0, 1)
     cb = op.coefficient(2, 0)
     if ca is None or cb is None:
         return None
-    pa, pb = ca.rational_parts(), cb.rational_parts()
-    if pa is None or pb is None:
-        return None
-    if (pb[0], pb[1]) != (2 * pa[0], 2 * pa[1]):
+    if (cb.re, cb.im) != (2 * ca.re, 2 * ca.im):
         return None
     from .diophantine import pell_solutions  # only this certifier needs it
 
     sols = pell_solutions(8, 3)
-    witnesses = tuple(_verify_su2_zero(op, s.u - 1) for s in sols)
+    witnesses = tuple(_verify_zero(op, Su2Label(s.u - 1)) for s in sols)
     return Certificate(
         family="pell_family",
         description=(

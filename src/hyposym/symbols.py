@@ -2,9 +2,10 @@
 
 An invariant operator acts on the coefficient vector of each frequency
 through one matrix per frequency; this module represents those matrices,
-evaluates them (in float and, where the coefficients allow, exactly in
-rational arithmetic), measures their gain (smallest singular value) and
-operator norm, and fits the polynomial order of their norm growth.
+evaluates them (in float and, where every coefficient is rational, exactly
+from the operator's integral form: one integer polynomial over one
+denominator), measures their gain (smallest singular value) and operator
+norm, and fits the polynomial order of their norm growth.
 
 An operator is given by its spec: a torus polynomial, an SU(2) diagonal
 polynomial, or an explicit matrix table.  Both polynomial symbols are
@@ -96,11 +97,6 @@ class Coefficient:
     def is_exact(self) -> bool:
         return not (isinstance(self.re, float) or isinstance(self.im, float))
 
-    def rational_parts(self) -> tuple[Fraction, Fraction] | None:
-        if isinstance(self.re, Fraction) and isinstance(self.im, Fraction):
-            return self.re, self.im
-        return None
-
     def to_complex(self) -> complex:
         """The float value; an exact part beyond float range (which poly
         algebra can build) is a precondition violation."""
@@ -168,6 +164,10 @@ class _Poly:
     ``scale`` and ``mul`` are the operator algebra: the symbol of a sum,
     scalar multiple or composition of two operators of one model is the
     sum, multiple or product of their symbols.
+
+    ``integral_form``, which every exact value is read from, is
+    ``(den, terms)`` when every coefficient is rational, else None: each
+    term ``(re, im, a, b)`` adds (re + i im) x^a y^b / den, re and im integers.
     """
 
     terms: tuple[tuple[Coefficient, int, int], ...]
@@ -176,6 +176,19 @@ class _Poly:
     @classmethod
     def make(cls, terms):
         return cls(_merge_terms(terms))
+
+    @functools.cached_property
+    def integral_form(self):
+        if not all(isinstance(c.re, Fraction) and isinstance(c.im, Fraction)
+                   for c, _, _ in self.terms):
+            return None
+        folded = []
+        for c, a, b in self.terms:  # c i^turns / scale, see the subclasses' (x, y)
+            turns, scale = (a + b, 1) if self.model_kind == "torus2" else (a, 2 ** (a + 2 * b))
+            re, im = ((c.re, c.im), (-c.im, c.re), (-c.re, -c.im), (c.im, -c.re))[turns % 4]
+            folded.append((re / scale, im / scale, a, b))
+        den = math.lcm(*(x.denominator for re, im, _, _ in folded for x in (re, im)))
+        return den, tuple((int(re * den), int(im * den), a, b) for re, im, a, b in folded)
 
     def coefficient(self, deg_a: int, deg_b: int) -> Coefficient | None:
         for c, a, b in self.terms:
@@ -205,7 +218,8 @@ class _Poly:
 class TorusPoly(_Poly):
     """Polynomial in the torus derivatives d_t, d_x.
 
-    The symbol at (xi, eta) is sum of coeff * (i xi)^deg_t (i eta)^deg_x.
+    The symbol at (xi, eta) is sum of coeff * (i xi)^deg_t (i eta)^deg_x:
+    its integral form takes (x, y) = (xi, eta), with i^(a+b) folded in.
     """
 
     model_kind = "torus2"
@@ -216,6 +230,8 @@ class Su2DiagPoly(_Poly):
 
     The representation block at level l is diagonal with entries
     sum of coeff * (i m)^deg_d0 * (l(l+1))^deg_neglap, m = -l..l in unit steps.
+    Its integral form takes the integers (x, y) = (2m, 4 l(l+1)) =
+    (2m, T(T+2)) with T = twice_ell, with i^a / (2^a 4^b) folded in.
     """
 
     model_kind = "su2"
@@ -272,18 +288,6 @@ OperatorSpec = TorusPoly | Su2DiagPoly | MatrixTable
 # ---------------------------------------------------------------------------
 # evaluation (float and exact)
 
-# powers of i as exact (re, im) pairs
-_I_POW = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
-
-
-def _cmul(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction]):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
 
 def torus_values(op: TorusPoly, xi, eta) -> np.ndarray:
     """Vectorized symbol values sum c (i xi)^a (i eta)^b."""
@@ -295,17 +299,31 @@ def torus_values(op: TorusPoly, xi, eta) -> np.ndarray:
     return out
 
 
+def exact_values(op: TorusPoly | Su2DiagPoly, xs, y: int):
+    """``(den, [(re, im), ...])``: the integral form of ``op`` at (x, y) for
+    each x of ``xs``, as integers over den, or None when a coefficient is
+    not rational.  The terms are summed per degree in x at this y, then
+    each value is one Horner pass over integers, highest degree first."""
+    form = op.integral_form
+    if form is None:
+        return None
+    den, terms = form
+    poly = [[0, 0] for _ in range(1 + max((a for _, _, a, _ in terms), default=0))]
+    for re, im, a, b in terms:
+        poly[a][0] += re * y**b
+        poly[a][1] += im * y**b
+    values = []
+    for x in xs:
+        re = im = 0
+        for c_re, c_im in reversed(poly):
+            re, im = re * x + c_re, im * x + c_im
+        values.append((re, im))
+    return den, values
+
+
 def torus_value_exact(op: TorusPoly, xi: int, eta: int):
-    """Exact (re, im) of the symbol, or None if a coefficient is inexact."""
-    acc = (Fraction(0), Fraction(0))
-    for coeff, a, b in op.terms:
-        parts = coeff.rational_parts()
-        if parts is None:
-            return None
-        mag = Fraction(xi**a * eta**b)
-        term = _cmul(parts, _I_POW[(a + b) % 4])
-        acc = (acc[0] + term[0] * mag, acc[1] + term[1] * mag)
-    return acc
+    """The exact symbol at (xi, eta), as ``exact_values`` of one point."""
+    return exact_values(op, (xi,), eta)
 
 
 def _level_powers(levels: np.ndarray):
@@ -387,27 +405,9 @@ def _rounding_bound(op: TorusPoly | Su2DiagPoly, x, y) -> np.ndarray:
 
 
 def su2_diag_exact(op: Su2DiagPoly, twice_ell: int):
-    """Exact diagonal entries as (re, im) pairs, or None if inexact.
-
-    The entry at m = t/2 is sum_a C_a t^a with C_a = sum_b c i^a lam^b / 2^a;
-    over the common denominator of the C_a it is an integer polynomial in t.
-    """
-    if any(c.rational_parts() is None for c, _, _ in op.terms):
-        return None
-    lam = Fraction(twice_ell * (twice_ell + 2), 4)
-    poly = [(Fraction(0), Fraction(0))] * (1 + max((a for _, a, _ in op.terms), default=0))
-    for coeff, a, b in op.terms:
-        term = _cmul(coeff.rational_parts(), _I_POW[a % 4])
-        poly[a] = tuple(p + x * lam**b / 2**a for p, x in zip(poly[a], term))
-    den = math.lcm(*(x.denominator for pair in poly for x in pair))
-    nums = [[x.numerator * (den // x.denominator) for x in pair] for pair in reversed(poly)]
-    entries = []
-    for t in range(-twice_ell, twice_ell + 1, 2):
-        re = im = 0
-        for c_re, c_im in nums:  # Horner, highest degree first
-            re, im = re * t + c_re, im * t + c_im
-        entries.append((Fraction(re, den), Fraction(im, den)))
-    return entries
+    """The exact diagonal entries at level twice_ell / 2, m = -l..l, as
+    ``exact_values``."""
+    return exact_values(op, range(-twice_ell, twice_ell + 1, 2), twice_ell * (twice_ell + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +503,15 @@ class MatrixSymbol:
         return np.asarray(self.op.block(freq.label), dtype=complex)
 
     def exact_diagonal(self, freq: FrequencyIndex):
-        """Exact (re, im) diagonal entries, or None when unavailable."""
+        """Exact diagonal entries as ``(den, [(re, im), ...])``, integers over
+        one denominator (``exact_values``), or None when unavailable."""
         if not self.is_diagonal:
             return None
         self._check(freq)
         label = freq.label
         if isinstance(self.op, Su2DiagPoly):
             return su2_diag_exact(self.op, label.twice_ell)
-        value = torus_value_exact(self.op, label.xi, label.eta)
-        return None if value is None else [value]
+        return torus_value_exact(self.op, label.xi, label.eta)
 
     def values(self, freq: FrequencyIndex) -> np.ndarray:
         """|entries| of a diagonal block, or the descending singular values

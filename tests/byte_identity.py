@@ -64,6 +64,13 @@ GAP_D0 = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                         {"coeff": [1, 0], "deg_d0": 1}])
 FOUR_SEVENTHS = _spec("torus2", "torus_poly", terms=[{"coeff": [1, 0], "deg_t": 1},
                                                     {"coeff_real": "4/7", "deg_x": 1}])
+# complex rational coefficients: d0 - i/2, whose entries i (m - 1/2) vanish
+# at m = 1/2, and (1+i) d_t + (3/7)(1+i) d_x, zero on the line 7 xi + 3 eta = 0
+SHIFTED_D0 = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_d0": 1},
+                                            {"coeff_imag": "-1/2"}])
+COMPLEX_SEVENTHS = _spec("torus2", "torus_poly",
+                         terms=[{"coeff": [1, 1], "deg_t": 1},
+                                {"coeff_real": "3/7", "coeff_imag": "3/7", "deg_x": 1}])
 CASES = [
     ["analyze", "--spec", _spec("torus2", []), "--cutoff", "100"],
     ["singular-scan", "--spec", GAP, "--cutoff", "nan"],
@@ -111,6 +118,12 @@ CASES = [
     # kernel of dimension 265 whose projection leaves part of a vector
     ["subelliptic", "--spec", GAP, "--cutoff", "1e5", "--probes", "20", "--seed", "3"],
     ["subelliptic", "--spec", CONIC, "--cutoff", "5000", "--probes", "20", "--seed", "4"],
+    # certificates and exact counterexample searches on complex rational
+    # coefficients, read from the integral form
+    ["analyze", "--spec", SHIFTED_D0, "--cutoff", "2000"],
+    ["counterexample", "--spec", SHIFTED_D0, "--cutoff", "2000", "--k", "4"],
+    ["analyze", "--spec", COMPLEX_SEVENTHS, "--cutoff", "2000"],
+    ["counterexample", "--spec", COMPLEX_SEVENTHS, "--cutoff", "2000", "--k", "3"],
 ]
 
 

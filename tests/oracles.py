@@ -250,6 +250,80 @@ def best_rational_below(c_exact, q_max: int):
     return best
 
 
+# powers of i as exact (re, im) pairs
+_I_POW = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+          (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def rational_parts(coeff):
+    """A coefficient's (re, im) when both parts are Fractions, else None."""
+    if isinstance(coeff.re, Fraction) and isinstance(coeff.im, Fraction):
+        return coeff.re, coeff.im
+    return None
+
+
+def fraction_torus_value(op, xi: int, eta: int):
+    """Exact (re, im) Fractions of sum c (i xi)^a (i eta)^b, term by term, or
+    None if a coefficient is not rational."""
+    acc = (Fraction(0), Fraction(0))
+    for coeff, a, b in op.terms:
+        parts = rational_parts(coeff)
+        if parts is None:
+            return None
+        mag = Fraction(xi**a * eta**b)
+        term = _cmul(parts, _I_POW[(a + b) % 4])
+        acc = (acc[0] + term[0] * mag, acc[1] + term[1] * mag)
+    return acc
+
+
+def fraction_su2_diagonal(op, twice_ell: int):
+    """Exact (re, im) Fractions of the entries sum c (i m)^a lam^b at level
+    twice_ell / 2, m = -l..l, or None if a coefficient is not rational: the
+    polynomial in t = 2m with coefficients C_a = sum_b c i^a lam^b / 2^a,
+    by Horner over their common denominator."""
+    if any(rational_parts(c) is None for c, _, _ in op.terms):
+        return None
+    lam = Fraction(twice_ell * (twice_ell + 2), 4)
+    poly = [(Fraction(0), Fraction(0))] * (1 + max((a for _, a, _ in op.terms), default=0))
+    for coeff, a, b in op.terms:
+        term = _cmul(rational_parts(coeff), _I_POW[a % 4])
+        poly[a] = tuple(p + x * lam**b / 2**a for p, x in zip(poly[a], term))
+    den = math.lcm(*(x.denominator for pair in poly for x in pair))
+    nums = [[x.numerator * (den // x.denominator) for x in pair] for pair in reversed(poly)]
+    entries = []
+    for t in range(-twice_ell, twice_ell + 1, 2):
+        re = im = 0
+        for c_re, c_im in nums:
+            re, im = re * t + c_re, im * t + c_im
+        entries.append((Fraction(re, den), Fraction(im, den)))
+    return entries
+
+
+def fraction_diagonal(op, label):
+    """The exact diagonal at a label as a list of Fraction (re, im) pairs, or
+    None for a matrix table or a coefficient that is not rational."""
+    from hyposym.symbols import MatrixTable, Su2DiagPoly
+
+    if isinstance(op, MatrixTable):
+        return None
+    if isinstance(op, Su2DiagPoly):
+        return fraction_su2_diagonal(op, label.twice_ell)
+    value = fraction_torus_value(op, label.xi, label.eta)
+    return None if value is None else [value]
+
+
+def fraction_pairs(exact):
+    """``exact_diagonal``'s ``(den, [(re, im), ...])`` as Fraction pairs."""
+    if exact is None:
+        return None
+    den, values = exact
+    return [(Fraction(re, den), Fraction(im, den)) for re, im in values]
+
+
 def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 1e-12):
     """The counterexample search walked frequency by frequency: every
     frequency from the start of each step goes through the exact test (or
@@ -267,7 +341,7 @@ def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 
         idx = max(idx, 2, int(np.searchsorted(window.lam, lam_prev, "right")))
         while idx < len(window):
             freq = window.freq(idx)
-            exact_entries = symbol.exact_diagonal(freq)
+            exact_entries = fraction_diagonal(symbol.op, freq.label)
             if exact_entries is not None:
                 bound_sq = Fraction(1) / (1 + freq.lam_exact()) ** (2 * k)
                 sq = [re * re + im * im for re, im in exact_entries]

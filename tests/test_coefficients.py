@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from hyposym.errors import (
     SearchExhaustedError,
     WindowTooSmallError,
 )
+from hyposym.coefficients import _admissible
 from hyposym.symbols import Coefficient, MatrixTable, TorusPoly, gain_table
 
 from conftest import (
@@ -531,6 +533,51 @@ def test_counterexample_image_beyond_float_range_comes_from_the_exact_entries():
     assert support_labels(result.image) == support_labels(applied)
     for freq in result.frequencies:
         assert result.image.coeff(freq).tobytes() == applied.coeff(freq).tobytes()
+
+
+def test_counterexample_fields_adopt_its_vectors(monkeypatch):
+    # the field's and the image's vectors are handed over read-only, the
+    # exact fallback images of 10^307 (negLap + 2 d0^2) too, so neither field
+    # copies them: the peak is about one copy of what the result holds
+    import hyposym.coefficients as coefficients_module
+
+    writable = []
+
+    class Recording(CoefficientField):
+        def __init__(self, explicit):
+            writable.extend(v.flags.writeable for v in explicit.values())
+            super().__init__(explicit)
+
+    monkeypatch.setattr(coefficients_module, "CoefficientField", Recording)
+    big = 10**307
+    op = Su2DiagPoly.make([(Coefficient.make(big), 0, 1), (Coefficient.make(2 * big), 2, 0)])
+    build_counterexample(build_symbol(op), 3, 50 * 51)
+    assert writable == [False] * 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = build_counterexample(build_symbol(su2_pell_operator()), 4, 300 * 301)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(result.field.coeff(f).nbytes + result.image.coeff(f).nbytes
+               for f in result.frequencies)
+    assert held > 10**7 and peak < 1.5 * held
+
+
+@pytest.mark.parametrize("poly, label, k, scale", [
+    (TorusPoly, Torus2Label(2, -1), 3, Fraction(1, 6**3)),  # (1 + 5)^-3
+    (Su2DiagPoly, Su2Label(1), 2, Fraction(4, 7) ** 2),  # (1 + 3/4)^-2
+])
+def test_exact_test_refuses_an_entry_on_the_bound(poly, label, k, scale):
+    # a constant entry c = scale (3/5 + 4/5 i), |c| = (1+lambda)^{-k} exactly,
+    # is not below the bound; an entry a little smaller is
+    freq = frequency_for_label(label)
+    for c, admitted in ((scale, False), (scale * (1 - Fraction(1, 10**30)), True)):
+        op = poly.make([(Coefficient.make(c * Fraction(3, 5), c * Fraction(4, 5)), 0, 0)])
+        found = _admissible(build_symbol(op), freq, k, 0.0)
+        assert (found is not None) == admitted
+        assert found is None or found[3] is not None  # decided exactly
 
 
 def _assert_batched_application_is_per_frequency(sym, field, cutoff):

@@ -140,6 +140,23 @@ def test_certify_rational_resonance():
         assert smallest_gain(full_matrix(build_symbol(op), freq)) <= 1e-12
 
 
+@pytest.mark.parametrize("a, b, ratio, direction", [
+    (Fraction(1), Fraction(3, 7), "3/7", (-3, 7)),
+    (Fraction(2, 3), Fraction(5, 7), "15/14", (-15, 14)),
+    (Fraction(1), Fraction(2), "2", (-2, 1)),
+    (Fraction(0), Fraction(1), "infinity", (1, 0)),
+])
+def test_rational_resonance_names_the_ratio(a, b, ratio, direction):
+    # a d_t + b d_x, and the same times 1 + i: the rows of the real and
+    # imaginary parts are parallel, so both certify with the ratio b / a
+    for re, im in ((1, 0), (1, 1)):
+        op = TorusPoly.make([(Coefficient.make(a * re, a * im), 1, 0),
+                             (Coefficient.make(b * re, b * im), 0, 1)])
+        cert = certify(op)
+        assert cert.description.endswith(f"(rational ratio {ratio})")
+        assert (cert.witnesses[0].label.xi, cert.witnesses[0].label.eta) == direction
+
+
 def test_certify_pure_time_derivative():
     cert = certify(TorusPoly.make([(Coefficient.make(1), 1, 0)]))
     assert cert.family == "rational_resonance"

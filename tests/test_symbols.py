@@ -24,11 +24,19 @@ from hyposym import (
     sobolev_norm,
 )
 from hyposym.errors import PreconditionError, WindowTooSmallError
-from hyposym.exact import Surd
-from hyposym.symbols import Coefficient, gain_table
+from hyposym.exact import Surd, parse_real
+from hyposym.specfile import MAX_DEGREE
+from hyposym.symbols import Coefficient, exact_values, gain_table, su2_diag_exact
 
 from conftest import constant_one, su2_laplace_minus_axis_sq, torus_translation
-from oracles import full_matrix, operator_norm, sphere_gain_oracle
+from oracles import (
+    fraction_pairs,
+    fraction_su2_diagonal,
+    fraction_torus_value,
+    full_matrix,
+    operator_norm,
+    sphere_gain_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +65,10 @@ def test_su2_gap_operator_entries():
     sym = build_symbol(su2_laplace_minus_axis_sq())
     freq = frequency_for_label(Su2Label(2))
     assert np.allclose(sym.diagonal(freq), [1, 2, 1], atol=1e-14)
-    # exact path agrees
+    # exact path agrees: l(l+1) - m^2 = (T(T+2) - (2m)^2) / 4 with T = 2
     exact = sym.exact_diagonal(freq)
-    assert [(re, im) for re, im in exact] == [
+    assert exact == (4, [(4, 0), (8, 0), (4, 0)])
+    assert fraction_pairs(exact) == [
         (Fraction(1), Fraction(0)),
         (Fraction(2), Fraction(0)),
         (Fraction(1), Fraction(0)),
@@ -90,16 +99,82 @@ def test_su2_exact_diagonal_equals_termwise_sum(terms, twice_ell):
             acc_im += (re * i_im + im * i_re) * mag
         expected.append((acc_re, acc_im))
     got = build_symbol(op).exact_diagonal(frequency_for_label(Su2Label(twice_ell)))
-    assert got == expected
-    assert all(type(x) is Fraction for pair in got for x in pair)
+    assert fraction_pairs(got) == expected
+    assert all(type(x) is int for x in (got[0], *(x for pair in got[1] for x in pair)))
 
 
 def test_exact_evaluation_vanishes_at_resonance():
     op = torus_translation(Fraction(3, 7))
     sym = build_symbol(op)
     freq = frequency_for_label(Torus2Label(-3, 7))
-    assert sym.exact_diagonal(freq) == [(Fraction(0), Fraction(0))]
+    assert fraction_pairs(sym.exact_diagonal(freq)) == [(Fraction(0), Fraction(0))]
     assert sym.gain(freq) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_integral_form_folds_the_model_factors_into_integers():
+    # (1+i) d_t + (3/7)(1+i) d_x: i (1+i) = -1 + i per term, over 7
+    op = TorusPoly.make([(Coefficient.make(1, 1), 1, 0),
+                         (Coefficient.make(Fraction(3, 7), Fraction(3, 7)), 0, 1)])
+    assert op.integral_form == (7, ((-3, 3, 0, 1), (-7, 7, 1, 0)))
+    # d0 - i/2 on SU(2): i m - i/2 = (i x - i) / 2 at x = 2m
+    op = Su2DiagPoly.make([(Coefficient.make(1), 1, 0),
+                           (Coefficient.make(0, Fraction(-1, 2)), 0, 0)])
+    assert op.integral_form == (2, ((0, -1, 0, 0), (0, 1, 1, 0)))
+    assert su2_diag_exact(op, 1) == (2, [(0, -2), (0, 0)])  # m = -1/2, 1/2
+    # negLap + d0^2: y / 4 - x^2 / 4 with y = T(T+2)
+    assert su2_laplace_minus_axis_sq().integral_form == (4, ((1, 0, 0, 1), (-1, 0, 2, 0)))
+
+
+_EXACT_PARTS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(st.tuples(_EXACT_PARTS, _EXACT_PARTS, st.integers(0, MAX_DEGREE),
+                             st.integers(0, MAX_DEGREE)), max_size=5),
+    xs=st.lists(st.integers(-30, 30), min_size=1, max_size=4),
+    eta=st.integers(-30, 30),
+    twice_ell=st.integers(0, 31),
+)
+def test_exact_values_equal_the_fraction_evaluators(terms, xs, eta, twice_ell):
+    # repeated degree pairs are kept, so the form must add them; an odd
+    # twice_ell is a half-integer level
+    coeffs = tuple((Coefficient.make(re, im), a, b) for re, im, a, b in terms)
+    torus, su2 = TorusPoly(coeffs), Su2DiagPoly(coeffs)
+    assert fraction_pairs(exact_values(torus, xs, eta)) == [
+        fraction_torus_value(torus, x, eta) for x in xs]
+    got = exact_values(su2, range(-twice_ell, twice_ell + 1, 2), twice_ell * (twice_ell + 2))
+    assert got == su2_diag_exact(su2, twice_ell)
+    assert fraction_pairs(got) == fraction_su2_diagonal(su2, twice_ell)
+
+
+@pytest.mark.parametrize("poly", [TorusPoly, Su2DiagPoly])
+def test_exact_values_of_a_coefficient_beyond_float_range(poly):
+    p = poly.make([(Coefficient.make(10**200, Fraction(1, 3)), 0, 0),
+                   (Coefficient.make(Fraction(-5, 7), 2), 1, 1), (Coefficient.make(1), 3, 0)])
+    square = p.mul(p)
+    assert square.coefficient(0, 0) == Coefficient.make(10**400 - Fraction(1, 9),
+                                                        Fraction(2 * 10**200, 3))
+    if poly is TorusPoly:
+        for xi, eta in ((-7, 5), (0, 5), (11, -4)):
+            assert fraction_pairs(exact_values(square, [xi], eta)) == [
+                fraction_torus_value(square, xi, eta)]
+    else:
+        for twice_ell in (0, 3, 8):
+            assert fraction_pairs(su2_diag_exact(square, twice_ell)) == fraction_su2_diagonal(
+                square, twice_ell)
+
+
+def test_irrational_or_float_parts_have_no_integral_form():
+    phi = parse_real("(1+1*sqrt(5))/2")
+    for poly in (TorusPoly, Su2DiagPoly):
+        rational = (Coefficient.make(Fraction(3, 7), 1), 1, 0)
+        assert poly.make([rational]).integral_form is not None
+        for other in (Coefficient.make(phi), Coefficient.make(0, phi),
+                      Coefficient.make(Fraction(1, 2), 0.5), Coefficient.make(0.25)):
+            op = poly.make([rational, (other, 0, 1)])
+            assert op.integral_form is None
+            assert exact_values(op, (1, 2), 3) is None
 
 
 def test_float_coefficients_have_no_exact_path():
@@ -409,7 +484,7 @@ def test_poly_algebra_is_the_algebra_of_exact_values(data, model, radicands):
     freq = frequency_for_label(label)
 
     def exact(op):
-        return build_symbol(op).exact_diagonal(freq)
+        return fraction_pairs(build_symbol(op).exact_diagonal(freq))
 
     # the composed polynomials evaluate exactly to the sums and products
     ep, eq = exact(p), exact(q)

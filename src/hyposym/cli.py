@@ -23,7 +23,9 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -66,8 +68,10 @@ def _long_int(doc, path: str, bound: int) -> str | None:
     return next(filter(None, found), None)
 
 
-# rows per write of a CSV sidecar
+# rows per chunk of a CSV sidecar
 CSV_CHUNK_ROWS = 4096
+# most processes that format one sidecar, the writer included
+CSV_MAX_PROCESSES = 8
 
 
 def _texts(fmt: str, values) -> np.ndarray:
@@ -99,18 +103,90 @@ def _int_texts(lo: int, hi: int) -> np.ndarray:
                            thousands[q - mid // 1000] + _three_digits()[r]])
 
 
-def _write_csv(path: str, header: str, chunks) -> None:
-    """The row kernel of both CSV sidecars.  ``chunks`` yields ``(n, pieces)``:
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _write_csv(path: str, header: str, chunks, pieces) -> None:
+    """The row kernel of both CSV sidecars.  ``chunks`` is a sequence of
+    cheap chunk descriptions, and ``pieces(chunk)`` gives ``(n, pieces)``:
     each of the n rows is its pieces concatenated in order, a piece being an
-    object array of n texts or one text shared by every row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header)
-        for n, pieces in chunks:
-            k = len(pieces)
-            parts = [""] * (n * k)  # row i's pieces at i*k .. i*k + k-1
-            for c, piece in enumerate(pieces):
-                parts[c::k] = [piece] * n if isinstance(piece, str) else piece.tolist()
-            fh.write("".join(parts))
+    object array of n texts or one text shared by every row.
+
+    Chunk i is formatted by process i mod W: the writer for 0, and for the
+    others a worker forked after the tables are built, which sends its
+    chunks' bytes through its own pipe.  W is the CPU count, capped by the
+    chunk count and CSV_MAX_PROCESSES, and 1 where ``os.fork`` is missing.
+    The writer writes every chunk in order, and formats itself the chunks of
+    a worker whose pipe ends early, so the bytes never depend on W."""
+
+    def text(i: int) -> bytes:
+        n, row_pieces = pieces(chunks[i])
+        k = len(row_pieces)
+        parts = [""] * (n * k)  # row r's pieces at r*k .. r*k + k-1
+        for c, piece in enumerate(row_pieces):
+            parts[c::k] = [piece] * n if isinstance(piece, str) else piece.tolist()
+        return "".join(parts).encode("utf-8")
+
+    count = 1 if not hasattr(os, "fork") else min(_cpu_count(), len(chunks), CSV_MAX_PROCESSES)
+    _three_digits()  # built once, before the fork
+    workers = {}  # process index -> (pid, read end of its pipe)
+    try:
+        with open(path, "wb") as fh:
+            for w in range(1, count):
+                workers[w] = _fork_formatter(text, range(w, len(chunks), count), workers)
+            fh.write(header.encode("utf-8"))
+            live = set(workers)  # the workers whose pipes have not ended
+            for i in range(len(chunks)):
+                data = _receive(workers[i % count][1]) if i % count in live else None
+                if data is None:  # the writer's own chunk, or one a worker did not send
+                    live.discard(i % count)
+                    data = text(i)
+                fh.write(data)
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _fork_formatter(text, indices, workers: dict) -> tuple:
+    """Fork a worker that sends ``text(i)`` for each i of ``indices``,
+    length-prefixed, through a new pipe, then exits: ``(pid, read end)``.
+    A full pipe blocks the worker, so it runs at most a chunk ahead."""
+    read, write = os.pipe()
+    with warnings.catch_warnings():  # Python 3.12 warns when a threaded process forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:  # the worker: str and numpy code only, and always os._exit
+        os.close(read)
+        for _, pipe in workers.values():  # so only the writer reads each pipe
+            pipe.close()
+        with open(write, "wb") as pipe:
+            for i in indices:
+                data = text(i)
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe) -> bytes | None:
+    """The next chunk from a worker's pipe, or None if the pipe ends first."""
+    head = pipe.read(8)
+    if len(head) < 8:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    return data if len(data) == size else None
 
 
 def _csv_label(label) -> str:
@@ -126,10 +202,11 @@ def _write_gains_csv(path: str, table) -> None:
     The bytes equal a ``csv.writer`` row loop over ``table.window.freq(i)``: repr
     floats, quoted torus labels, CRLF line ends.
     """
-    _write_csv(path, "ordinal,label,lambda,dim,gain,opnorm\r\n", _gain_rows(table))
+    _write_csv(path, "ordinal,label,lambda,dim,gain,opnorm\r\n", *_gain_rows(table))
 
 
 def _gain_rows(table):
+    """``(chunks, pieces)`` of the gains CSV: a chunk is its first row."""
     torus = table.window.model.kind == "torus2"
     labels = table.window.labels
     # label texts looked up by value: ',"(xi,' and 'eta)",' on the torus,
@@ -140,7 +217,8 @@ def _gain_rows(table):
     else:
         levels = _texts(",l={},", (t >> 1 if t % 2 == 0 else f"{t}/2" for t in range(top + 1)))
         dims = _texts("{}", ((t + 1) ** 2 for t in range(top + 1)))
-    for lo in range(0, len(table), CSV_CHUNK_ROWS):
+
+    def pieces(lo: int):
         hi = min(lo + CSV_CHUNK_ROWS, len(table))
         if torus:
             label, dim = (xis[labels[0][lo:hi] + top], etas[labels[1][lo:hi] + top]), "1"
@@ -157,7 +235,9 @@ def _gain_rows(table):
             norms, ni = _float_texts(norm)
             tail = (("," + gains)[gi], ("," + norms + "\r\n")[ni])
         # GainTable ordinals are 0, 1, ..: row i has ordinal i
-        yield hi - lo, (_int_texts(lo, hi), *label, (lams + ",")[li], dim, *tail)
+        return hi - lo, (_int_texts(lo, hi), *label, (lams + ",")[li], dim, *tail)
+
+    return range(0, len(table), CSV_CHUNK_ROWS), pieces
 
 
 def _write_coeffs_csv(path: str, field, cutoff: float) -> None:
@@ -166,18 +246,24 @@ def _write_coeffs_csv(path: str, field, cutoff: float) -> None:
     The bytes equal a ``csv.writer`` row loop; long vectors are written in
     chunks of CSV_CHUNK_ROWS components.
     """
-    _write_csv(path, "ordinal,label,component_index,re,im\r\n", _coeff_rows(field, cutoff))
+    _write_csv(path, "ordinal,label,component_index,re,im\r\n", *_coeff_rows(field, cutoff))
 
 
 def _coeff_rows(field, cutoff: float):
-    for freq, vec in field.window(cutoff):
-        head = f"{freq.j},{_csv_label(freq.label)},"
-        for lo in range(0, len(vec), CSV_CHUNK_ROWS):
-            part = vec[lo:lo + CSV_CHUNK_ROWS]
-            res, ri = _float_texts(part.real)
-            ims, ii = _float_texts(part.imag)
-            yield len(part), (head, _int_texts(lo, lo + len(part)), ("," + res + ",")[ri],
-                              (ims + "\r\n")[ii])
+    """``(chunks, pieces)`` of the coefficients CSV: a chunk is ``(head,
+    vector, first component)``, the head ``ordinal,label,`` of its frequency."""
+    chunks = [(f"{freq.j},{_csv_label(freq.label)},", vec, lo)
+              for freq, vec in field.window(cutoff) for lo in range(0, len(vec), CSV_CHUNK_ROWS)]
+
+    def pieces(chunk):
+        head, vec, lo = chunk
+        part = vec[lo:lo + CSV_CHUNK_ROWS]
+        res, ri = _float_texts(part.real)
+        ims, ii = _float_texts(part.imag)
+        return len(part), (head, _int_texts(lo, lo + len(part)), ("," + res + ",")[ri],
+                           (ims + "\r\n")[ii])
+
+    return chunks, pieces
 
 
 def _require_cutoff(args, parsed) -> float:

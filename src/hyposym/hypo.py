@@ -38,6 +38,7 @@ from .symbols import (
     Su2DiagPoly,
     TorusPoly,
     build_symbol,
+    exact_values,
     gain_table,
     su2_diag_exact,
     torus_value_exact,
@@ -188,17 +189,24 @@ def _safe_float(x) -> float:
         return math.inf
 
 
-def _verify_zero(op: TorusPoly | Su2DiagPoly, label) -> Witness:
-    """The witness at ``label``: its first entry that vanishes exactly.
-    ``op`` has an integral form (every certifier checks it first)."""
+def _verify_zero(op: TorusPoly | Su2DiagPoly, label, twice_m: int | None = None) -> Witness:
+    """The witness at ``label``: its first entry that vanishes exactly, or,
+    given ``twice_m``, the SU(2) entry at weight m = twice_m / 2 alone, which
+    must vanish.  ``op`` has an integral form (every certifier checks it
+    first)."""
+    first = 0
     if isinstance(label, Torus2Label):
         _, values = torus_value_exact(op, label.xi, label.eta)
-    else:
+    elif twice_m is None:
         _, values = su2_diag_exact(op, label.twice_ell)
+    else:  # the level's entries run over m = -l..l, so m is entry (twice_m + t) / 2
+        t = label.twice_ell
+        _, values = exact_values(op, (twice_m,), t * (t + 2))
+        first = (twice_m + t) // 2
     if (0, 0) not in values:
         raise PreconditionError(f"no entry at the witness {label} vanishes exactly")
     return Witness(label=label, lam=_safe_float(label.eigenvalue()),
-                   entry_index=values.index((0, 0)), exact_zero=True)
+                   entry_index=first + values.index((0, 0)), exact_zero=True)
 
 
 def _certify_torus(op: TorusPoly) -> Certificate | None:
@@ -270,7 +278,9 @@ def _certify_su2_neutral(op: Su2DiagPoly) -> Certificate | None:
     twice_m0 = int(2 * re)
     start = abs(twice_m0)
     levels = (start, start + 2, start + 4)
-    witnesses = tuple(_verify_zero(op, Su2Label(t)) for t in levels)
+    # alpha != 0 leaves one zero per level: the entry at m0 is the first, and
+    # the only one evaluated, however far out the levels lie
+    witnesses = tuple(_verify_zero(op, Su2Label(t), twice_m0) for t in levels)
     m0 = Fraction(twice_m0, 2)
     return Certificate(
         family="imaginary_half_integer",

@@ -120,13 +120,15 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
             total += n * freq.label.rep_dim()
             boundary = boundary or freq.lam > 0.8 * cutoff
             least[k] = np.min(values[~zero], initial=np.inf)
-        # one weight per distinct eigenvalue: they are nondecreasing, so equal ones are adjacent
-        lam = window.lam[lo:hi]
-        new = np.flatnonzero(np.diff(lam, prepend=-np.inf))
-        weights = np.repeat([bracket_power(x, -m / NU) for x in lam[new].tolist()],
-                            np.diff(new, append=len(lam)))
-        # an all-kernel block stays out, even where its weight underflows to 0
-        cand = least * np.where(least < np.inf, weights, 1.0)
+        cand = least  # at m = 0 every weight (1 + lam)^-0.0 is exactly 1.0
+        if m:
+            # one weight per distinct eigenvalue: they are nondecreasing, so equal ones are adjacent
+            lam = window.lam[lo:hi]
+            new = np.flatnonzero(np.diff(lam, prepend=-np.inf))
+            weights = np.repeat([bracket_power(x, -m / NU) for x in lam[new].tolist()],
+                                np.diff(new, append=len(lam)))
+            # an all-kernel block stays out, even where its weight underflows to 0
+            cand = least * np.where(least < np.inf, weights, 1.0)
         k = int(np.argmin(cand))
         if cand[k] < np.inf and (best is None or cand[k] < best[0]):
             best = (float(cand[k]), lo + k, least[k])

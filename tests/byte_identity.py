@@ -13,8 +13,11 @@ plan names.  Exit codes, stdout, stderr and the sha256 of every file a
 command writes are compared.  The fixed ``CASES`` (inputs that fail, a
 branch no plan takes, and windows larger than any plan's) then run once
 per side, in a directory that holds ``TORUS_TABLE``, and are compared the
-same way.  The differences are listed and the exit code is 1 if there are
-any, else 0.  ``perfbench/`` is only imported.  pytest does
+same way.  On the new side, each command that writes a sidecar (``--out``)
+runs a second time pinned to one CPU, where ``os.sched_setaffinity``
+exists, so its sidecar is formatted by one process; that run is compared
+with the old side too.  The differences are listed and the exit code is 1
+if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
 not collect this file (its name does not start with ``test_``).
 """
 
@@ -124,6 +127,9 @@ CASES = [
     ["counterexample", "--spec", SHIFTED_D0, "--cutoff", "2000", "--k", "4"],
     ["analyze", "--spec", COMPLEX_SEVENTHS, "--cutoff", "2000"],
     ["counterexample", "--spec", COMPLEX_SEVENTHS, "--cutoff", "2000", "--k", "3"],
+    # a coefficients sidecar of 343,028 rows, 82 chunks of them at level 288
+    ["counterexample", "--spec", PELL, "--cutoff", "1e5", "--k", "4",
+     "--out", "pell_counterexample.json"],
 ]
 
 
@@ -143,51 +149,74 @@ def _digests(workdir: Path) -> dict[str, str]:
             for p in sorted(workdir.rglob("*")) if p.is_file()}
 
 
-def _run(src: Path, argv: list[str], workdir: Path) -> tuple:
+def _one_cpu() -> None:
+    """Pin the calling process, a child before it runs the command, to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _run(src: Path, argv: list[str], workdir: Path, preexec_fn=None) -> tuple:
     """(exit code, stdout, stderr, digests of the files written) of one command."""
     before = _digests(workdir)
     proc = subprocess.run([sys.executable, "-m", "hyposym.cli", *argv], cwd=workdir,
-                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True)
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          preexec_fn=preexec_fn)
     written = {k: v for k, v in _digests(workdir).items() if before.get(k) != v}
     return proc.returncode, proc.stdout, proc.stderr, written
 
 
-def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path) -> list[tuple]:
-    """(name, exit code, stdout, stderr, digests of the files written) per command."""
+def _runs(src: Path, argv: list[str], workdir: Path, pin: bool) -> list[tuple]:
+    """The runs of one command (see ``_run``): one, and with ``pin``, for a
+    command that writes a sidecar, a second pinned to one CPU, after the files
+    the first wrote are removed so that it writes them afresh."""
+    runs = [_run(src, argv, workdir)]
+    if pin and "--out" in argv and hasattr(os, "sched_setaffinity"):
+        for name in runs[0][3]:
+            (workdir / name).unlink()
+        runs.append(_run(src, argv, workdir, _one_cpu))
+    return runs
+
+
+def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path,
+             pin: bool = False) -> list[tuple]:
+    """(name, runs) per command, ``runs`` as ``_runs`` gives them."""
     plan = workloads.generate(workload, seed, size, workdir)
     results = []
     for cmd in plan.commands:
-        code, out, err, written = _run(src, cmd.argv, workdir)
-        (workdir / cmd.stdout).write_bytes(out)
-        results.append((" ".join(cmd.argv), code, out, err, written))
+        runs = _runs(src, cmd.argv, workdir, pin)
+        (workdir / cmd.stdout).write_bytes(runs[0][1])
+        results.append((" ".join(cmd.argv), runs))
     return results
 
 
-def run_cases(src: Path, workdir: Path) -> list[tuple]:
-    """(exit code, stdout, stderr, digests of the files written) per fixed case."""
+def run_cases(src: Path, workdir: Path, pin: bool = False) -> list[list[tuple]]:
+    """The runs of each fixed case, as ``_runs`` gives them."""
     workdir.mkdir()
     write_torus_table(workdir / TORUS_TABLE)
-    return [_run(src, argv, workdir) for argv in CASES]
+    return [_runs(src, argv, workdir, pin) for argv in CASES]
+
+
+def _differences(old: tuple, new_runs: list[tuple]) -> list[str]:
+    """What differs between the old run and each new one; the second new run
+    is the one pinned to one CPU."""
+    return [f"{what} differs" + (" on one CPU" if i else "")
+            for i, new in enumerate(new_runs)
+            for what, x, y in zip(("exit code", "stdout", "stderr", "files"), old, new) if x != y]
 
 
 def compare_cases(old_src: Path, new_src: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        old, new = run_cases(old_src, Path(tmp) / "old"), run_cases(new_src, Path(tmp) / "new")
-    return [f"case {' '.join(argv)}: {what} differs"
-            for argv, a, b in zip(CASES, old, new)
-            for what, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b) if x != y]
+        old = run_cases(old_src, Path(tmp) / "old")
+        new = run_cases(new_src, Path(tmp) / "new", pin=True)
+    return [f"case {' '.join(argv)}: {problem}"
+            for argv, (a,), b in zip(CASES, old, new) for problem in _differences(a, b)]
 
 
 def compare(old_src: Path, new_src: Path, workload: str, seed: int, size: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         old = run_plan(old_src, workload, seed, size, Path(tmp) / "old")
-        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new")
-    problems = []
-    for (name, *a), (_, *b) in zip(old, new):
-        for what, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b):
-            if x != y:
-                problems.append(f"{workload} {size} seed {seed}: {name}: {what} differs")
-    return problems
+        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new", pin=True)
+    return [f"{workload} {size} seed {seed}: {name}: {problem}"
+            for (name, (a,)), (_, b) in zip(old, new) for problem in _differences(a, b)]
 
 
 def main(argv=None) -> int:
@@ -206,8 +235,9 @@ def main(argv=None) -> int:
                                     workload, seed, size)
                 plans += 1
     problems += compare_cases(args.old_src.resolve(), args.new_src.resolve())
+    pinned = ", sidecar commands also on one CPU," if hasattr(os, "sched_setaffinity") else ""
     print("\n".join(problems) if problems
-          else f"{plans} plans and {len(CASES)} cases byte-identical")
+          else f"{plans} plans and {len(CASES)} cases{pinned} byte-identical")
     return 1 if problems else 0
 
 

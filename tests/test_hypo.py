@@ -1,3 +1,5 @@
+import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from hyposym import (
     TORUS2,
     Su2DiagPoly,
+    Su2Label,
     Torus2Label,
     TorusPoly,
     Window,
@@ -18,8 +21,9 @@ from hyposym import (
     singular_scan,
     verdict,
 )
+from hyposym import cli
 from hyposym.errors import NoFitError, PreconditionError
-from hyposym.symbols import Coefficient
+from hyposym.symbols import Coefficient, su2_diag_exact
 
 from conftest import (
     constant_one,
@@ -175,6 +179,40 @@ def test_certify_plain_neutral_derivative():
     cert = certify(Su2DiagPoly.make([(Coefficient.make(1), 1, 0)]))
     assert cert.family == "imaginary_half_integer"
     assert [w.label.twice_ell for w in cert.witnesses] == [0, 2, 4]
+
+
+@pytest.mark.parametrize("alpha", [(1, 0), (Fraction(3, 2), Fraction(1, 2)), (0, -2)])
+@pytest.mark.parametrize("twice_m0", range(-5, 6))
+def test_neutral_witnesses_equal_the_full_levels(alpha, twice_m0):
+    # alpha d0 + q with q = -i alpha m0: entries i alpha (m - m0), zero at m0
+    re, im = alpha
+    m0 = Fraction(twice_m0, 2)
+    op = Su2DiagPoly.make([(Coefficient.make(re, im), 1, 0),
+                           (Coefficient.make(im * m0, -re * m0), 0, 0)])
+    cert = certify(op)
+    assert cert.family == "imaginary_half_integer"
+    start = abs(twice_m0)
+    assert [w.label for w in cert.witnesses] == [Su2Label(t) for t in (start, start + 2, start + 4)]
+    for w in cert.witnesses:
+        _, values = su2_diag_exact(op, w.label.twice_ell)
+        assert w.exact_zero and w.entry_index == values.index((0, 0))
+        assert values.count((0, 0)) == 1
+
+
+def test_neutral_shift_at_1e9_certifies_from_one_entry_per_level(tmp_path, capsys):
+    # d0 - 10^9 i: the witness levels hold 2*10^9 + 1 entries each, of which
+    # only the one at m0 = 10^9 is evaluated
+    spec = tmp_path / "shift.json"
+    spec.write_text(json.dumps({"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": [
+        {"coeff": [1, 0], "deg_d0": 1}, {"coeff_imag": "-1000000000"}]}}))
+    start = time.perf_counter()
+    assert cli.main(["analyze", "--spec", str(spec), "--cutoff", "10"]) == 0
+    assert time.perf_counter() - start < 10.0  # about 0.1 s
+    cert = json.loads(capsys.readouterr().out)["verdict"]["certificate"]
+    assert cert["family"] == "imaginary_half_integer"
+    assert [(w["label"], w["entry_index"]) for w in cert["witnesses"]] == [
+        ("l=1000000000", 2 * 10**9), ("l=1000000001", 2 * 10**9 + 1),
+        ("l=1000000002", 2 * 10**9 + 2)]
 
 
 def test_certify_pell_family():

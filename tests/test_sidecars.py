@@ -1,8 +1,11 @@
 """CSV sidecars: the shared row kernel against the row-by-row writers of
-``oracles.py``, byte for byte, and its float formatter against ``repr``."""
+``oracles.py``, byte for byte, whatever the number of formatting processes,
+and its float formatter against ``repr``."""
 
 import math
+import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +21,24 @@ from conftest import su2_laplace_minus_axis_sq, torus_translation
 from oracles import rowwise_coeffs_csv, rowwise_gains_csv
 
 CHUNKS = [1, 7, 16384, cli.CSV_CHUNK_ROWS]  # 16384: one chunk for every table here
+PROCESSES = [1, 2, 3]
+
+
+def _each_process_count(monkeypatch):
+    """For each count of PROCESSES, let the writer see that many CPUs and
+    yield ``(count, forks)``; ``forks`` then lists each fork of that count."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for processes in PROCESSES:
+        monkeypatch.setattr(cli, "_cpu_count", lambda n=processes: n)
+        forks.clear()
+        yield processes, forks
 
 
 def _torus_poly(big):
@@ -57,8 +78,10 @@ def test_gains_csv_equals_the_row_loop(case, chunk, tmp_path, monkeypatch):
         assert not np.array_equal(table.gain, table.opnorm)
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
     rowwise_gains_csv(ref, table, chunk)
-    cli._write_gains_csv(str(out), table)
-    assert out.read_bytes() == ref.read_bytes()
+    for processes, forks in _each_process_count(monkeypatch):
+        cli._write_gains_csv(str(out), table)
+        assert out.read_bytes() == ref.read_bytes(), processes
+        assert len(forks) == min(processes, -(-len(table) // chunk)) - 1
 
 
 def _field(model, big):
@@ -88,10 +111,87 @@ def test_coeffs_csv_equals_the_row_loop(model, chunk, tmp_path, monkeypatch):
     field = _field(model, chunk == CHUNKS[-1])
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
     rowwise_coeffs_csv(ref, field, 1e5, chunk)
-    cli._write_coeffs_csv(str(out), field, 1e5)
-    data = out.read_bytes()
-    assert data == ref.read_bytes()
-    assert b",-0.0," in data and b",-0.0\r\n" in data
+    for processes, forks in _each_process_count(monkeypatch):
+        cli._write_coeffs_csv(str(out), field, 1e5)
+        data = out.read_bytes()
+        assert data == ref.read_bytes(), processes
+        assert b",-0.0," in data and b",-0.0\r\n" in data
+        assert len(forks) == processes - 1  # every field here has more than 3 chunks
+
+
+def _gains_case(tmp_path, monkeypatch, processes: int):
+    """A torus table of 27 chunks of 7 rows, its row-loop CSV, and the path
+    the writer writes."""
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: processes)
+    table = gain_table(*_torus_poly(False))
+    assert -(-len(table) // 7) > 3 * processes
+    rowwise_gains_csv(tmp_path / "ref.csv", table, 7)
+    return table, (tmp_path / "ref.csv").read_bytes(), tmp_path / "out.csv"
+
+
+def _float_texts_failing(when):
+    """``cli._float_texts`` that raises where ``when(pid)`` holds."""
+    float_texts = cli._float_texts
+
+    def failing(values):
+        if when(os.getpid()):
+            raise RuntimeError("formatting failed")
+        return float_texts(values)
+
+    return failing
+
+
+def test_a_worker_that_fails_leaves_its_chunks_to_the_writer(tmp_path, monkeypatch):
+    table, ref, out = _gains_case(tmp_path, monkeypatch, 3)
+    writer = os.getpid()
+    # each worker fails on its first chunk, before sending a byte
+    monkeypatch.setattr(cli, "_float_texts", _float_texts_failing(lambda pid: pid != writer))
+    cli._write_gains_csv(str(out), table)
+    assert out.read_bytes() == ref
+
+
+def test_a_writer_that_fails_leaves_no_worker(tmp_path, monkeypatch):
+    table, _, out = _gains_case(tmp_path, monkeypatch, 3)
+    writer, calls = os.getpid(), []
+
+    def writer_fails_late(pid):
+        # two calls per chunk of 1x1 blocks (lambda, gain): the writer fails
+        # on its fifth chunk, chunk 12 of 27
+        calls.append(1)
+        return pid == writer and len(calls) > 8
+
+    monkeypatch.setattr(cli, "_float_texts", _float_texts_failing(writer_fails_late))
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        cli._write_gains_csv(str(out), table)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_warning_stays_off_stderr(tmp_path, monkeypatch):
+    # Python 3.12 warns in the parent when a process with threads forks, as
+    # one with numpy's BLAS threads does
+    table, ref, out = _gains_case(tmp_path, monkeypatch, 3)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("use of fork() may lead to deadlocks in the child", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli._write_gains_csv(str(out), table)
+    assert out.read_bytes() == ref
+
+
+def test_without_fork_the_writer_formats_every_chunk(tmp_path, monkeypatch):
+    table, ref, out = _gains_case(tmp_path, monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    cli._write_gains_csv(str(out), table)
+    assert out.read_bytes() == ref
 
 
 def _bits(x: float) -> int:

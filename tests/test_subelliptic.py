@@ -405,6 +405,30 @@ def test_c_star_weights_are_one_per_block(case, m, chunk, monkeypatch, su2_gap_s
         assert want[0]  # the window has a kernel
 
 
+@pytest.mark.parametrize("m", [0.0, -0.0])
+@pytest.mark.parametrize("case", ["torus_resonant", "su2_gap"])
+def test_window_pass_at_m_zero_builds_no_weight(case, m, monkeypatch, torus_resonant_symbol,
+                                                su2_gap_symbol):
+    # (1 + lam)^-0.0 is exactly 1.0, so C*, the witness and the kernel keep
+    # their bits with no weight built
+    import hyposym.subelliptic
+    from hyposym.subelliptic import _window_pass
+
+    symbol, cutoff = {"torus_resonant": (torus_resonant_symbol, 2000),
+                      "su2_gap": (su2_gap_symbol, 40 * 42 / 4)}[case]
+    blocks, witness = per_block_window_pass(symbol, cutoff, m)
+
+    def no_weight(lam, exponent):
+        raise AssertionError("a weight was built at m = 0")
+
+    monkeypatch.setattr(hyposym.subelliptic, "bracket_power", no_weight)
+    kernel, (c_star, freq, entry) = _window_pass(symbol, cutoff, KERNEL_TOL, m)
+    assert (c_star, freq.label, entry) == witness
+    assert {lab: b.tobytes() for lab, b in kernel.blocks.items()} == {
+        lab: b.tobytes() for lab, b in blocks.items()}
+    assert kernel_on_truncation(symbol, cutoff).blocks.keys() == blocks.keys()
+
+
 PHI_SPEC = json.dumps({"model": {"kind": "torus2"}, "operator": {"kind": "torus_poly", "terms": [
     {"coeff": [1, 0], "deg_t": 1}, {"coeff_real": "(1+1*sqrt(5))/2", "deg_x": 1}]}})
 GAP_SPEC = json.dumps({"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", "poly": [

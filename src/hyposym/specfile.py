@@ -16,11 +16,8 @@ Each TERM carries degrees (``deg_t``/``deg_x`` on the torus, ``deg_d0``/
 * ``"coeff_real"`` / ``"coeff_imag"`` -- exact literals in the real-spec
   grammar, e.g. ``"3/7"`` or ``"(1+1*sqrt(5))/2"``.
 
-A matrix-table file holds ``{"entries": [{"label": ..., "matrix":
-[[[re,im], ...], ...]}, ...]}`` with row-major complex entries; labels are
-``[xi, eta]`` on the torus and ``twice_ell`` integers on SU(2), where each
-matrix is the (2l+1) x (2l+1) representation block.  Other keys, and a
-label given twice, are violations.
+A matrix table is a file of its own, read by ``tables.load_table``, which
+is imported only for a spec that names one.
 
 Validation collects every violation before failing.  ``emit_spec`` writes
 the canonical form; parse(emit(parse(x))) == parse(x).
@@ -34,13 +31,9 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-
-import numpy as np
 
 from .errors import SpecFileError
 from .exact import Enclosure, format_real, parse_real
-from .spectral import Su2Label, Torus2Label
 from .symbols import (
     Coefficient,
     MatrixTable,
@@ -183,81 +176,6 @@ def _has_text(coeff: Coefficient) -> bool:
     return True
 
 
-def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
-    if model_kind == "torus2":
-        if (
-            isinstance(raw, list)
-            and len(raw) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
-        ):
-            return Torus2Label(raw[0], raw[1])
-        problems.append(f"{where}: torus label must be [xi, eta] integers")
-        return None
-    if isinstance(raw, dict):  # the form {"twice_ell": t}
-        raw = raw.get("twice_ell")
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
-        return Su2Label(raw)
-    problems.append(f"{where}: su2 label must be a nonnegative twice_ell integer")
-    return None
-
-
-def _matrix_array(raw):
-    """The complex block of a well-formed n x n table of [re, im] cells, or
-    None.  It is checked in one flattened pass: rows and cells are lists of
-    n and 2 parts, every part is an int or a float (numpy alone would take
-    True and "1.5"), and every part is finite.  The complex view of the
-    float array is bit-for-bit ``complex(re, im)``, negative zeros
-    included."""
-    if type(raw) is not list or not raw or set(map(type, raw)) != {list}:
-        return None
-    n = len(raw)
-    if set(map(len, raw)) != {n}:
-        return None
-    cells = list(chain.from_iterable(raw))
-    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
-        return None
-    flat = list(chain.from_iterable(cells))
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        arr = np.array(flat, dtype=float)
-    except OverflowError:  # an integer beyond float range
-        return None
-    if not np.isfinite(arr).all():
-        return None
-    return arr.reshape(n, n, 2).view(np.complex128)[..., 0]
-
-
-def _parse_matrix(raw, where: str, problems: list[str]):
-    """The block of a table entry; a table the array check declines is walked
-    cell by cell, to name its first bad cell."""
-    arr = _matrix_array(raw)
-    if arr is None:
-        problems.append(f"{where}: {_first_bad_cell(raw)}")
-    return arr
-
-
-def _first_bad_cell(raw) -> str:
-    """What ``_matrix_array`` declined in a table, at its first bad cell."""
-    if not isinstance(raw, list) or not raw:
-        return "matrix must be a nonempty row list"
-    for r, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != len(raw):
-            return f"matrix must be square (row {r})"
-        for c, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
-            ):
-                return f"entry ({r},{c}) must be [re, im]"
-            try:
-                complex(cell[0], cell[1])
-            except OverflowError:  # an integer beyond float range
-                return f"entry ({r},{c}) must be finite"
-    return "matrix entries must be finite"
-
-
 def _is_finite(value) -> bool:
     try:
         return math.isfinite(value)
@@ -268,47 +186,6 @@ def _is_finite(value) -> bool:
 def _reject_constant(name: str):
     # Python's json accepts NaN and Infinity, which are not JSON numbers
     raise ValueError(f"non-finite number {name} is not allowed")
-
-
-def _load_table(path: str, model_kind: str, problems: list[str]):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        problems.append(f"matrix table {path!r}: cannot read ({exc})")
-        return None
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-        problems.append(f"matrix table {path!r}: invalid JSON ({exc})")
-        return None
-    entries = doc.get("entries") if isinstance(doc, dict) else None
-    if not isinstance(entries, list) or not entries:
-        problems.append(f"matrix table {path!r}: needs a nonempty 'entries' list")
-        return None
-    problems.extend(f"matrix table {path!r}: unknown key {k!r}" for k in doc if k != "entries")
-    table, seen = {}, {}
-    for i, entry in enumerate(entries):
-        where = f"table entry {i}"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be an object")
-            continue
-        problems.extend(f"{where}: unknown key {k!r}"
-                        for k in entry if k not in ("label", "matrix"))
-        label = _parse_table_label(entry.get("label"), model_kind, where, problems)
-        if label in seen:
-            problems.append(f"{where}: label {label} repeats table entry {seen[label]}")
-        elif label is not None:
-            seen[label] = i
-        mat = _parse_matrix(entry.get("matrix"), where, problems)
-        if label is None or mat is None:
-            continue
-        expected = label.rep_dim()
-        if len(mat) != expected:
-            problems.append(
-                f"{where}: block size {len(mat)} does not match dimension {expected}"
-            )
-            continue
-        table[label] = mat
-    return table
 
 
 def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
@@ -386,7 +263,9 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
                 problems.append("matrix_table needs a 'path' string")
             elif model_kind is not None:
                 full = path if os.path.isabs(path) else os.path.join(base_dir or ".", path)
-                table = _load_table(full, model_kind, problems)
+                from .tables import load_table
+
+                table = load_table(full, model_kind, problems)
                 if table and not problems:
                     operator = MatrixTable(model_kind, table, path=path)
         else:

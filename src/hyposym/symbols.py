@@ -242,6 +242,8 @@ class MatrixTable:
     ``label.rep_dim()`` square representation block, 1x1 on the torus
     (replication across the eigenspace is implicit).
     ``path`` is the table file as a spec names it; equality ignores it.
+    A complex block that owns its data and is read-only, so that no caller
+    can write it, is adopted; any other is copied into one.
     """
 
     def __init__(self, model_kind: str, entries: Mapping[Label, np.ndarray], path: str = ""):
@@ -251,7 +253,12 @@ class MatrixTable:
         self.path = path
         table = {}
         for label, mat in entries.items():
-            arr = np.array(mat, dtype=complex)
+            if (isinstance(mat, np.ndarray) and mat.dtype == complex
+                    and mat.flags.owndata and not mat.flags.writeable):
+                arr = mat
+            else:
+                arr = np.array(mat, dtype=complex)
+                arr.setflags(write=False)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise PreconditionError(f"table block for {label} is not square")
             expected = label.rep_dim()
@@ -259,7 +266,6 @@ class MatrixTable:
                 raise PreconditionError(
                     f"table block for {label} has size {arr.shape[0]}, expected {expected}"
                 )
-            arr.setflags(write=False)
             table[label] = arr
         self.entries = table
 

@@ -1,0 +1,225 @@
+"""Matrix-table files: the blocks of a ``matrix_table`` spec.
+
+A matrix-table file holds ``{"entries": [{"label": ..., "matrix":
+[[[re,im], ...], ...]}, ...]}`` with row-major complex entries; labels are
+``[xi, eta]`` on the torus and ``twice_ell`` integers on SU(2), where each
+matrix is the (2l+1) x (2l+1) representation block.  Other keys, and a
+label given twice, are violations.
+
+A table is parsed block by block, on up to one forked process per CPU for
+a large table (``_blockwise``); a text that does not split into blocks is
+parsed as one document, which names what is wrong, with the same checks
+and bits either way.  ``specfile`` imports this module only for a spec
+that names a table, so no other spec compiles it.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import math
+import re
+from itertools import chain
+
+import numpy as np
+
+from .spectral import Su2Label, Torus2Label
+from .specfile import _reject_constant
+
+__all__ = ["load_table"]
+
+# table text, in characters, worth one more process parsing its blocks
+TABLE_CHARS_PER_PROCESS = 1 << 20
+# a "matrix" key and a value of JSON numbers, brackets, commas and whitespace
+_MATRIX = re.compile(r'"matrix"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE\[\], \t\n\r]*\])')
+
+
+def load_table(path: str, model_kind: str, problems: list[str]):
+    """The blocks of the table file at ``path`` by label, or None; every
+    violation found goes to ``problems``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = _blockwise(text)
+        if doc is None:  # the whole document at once, which names what is wrong
+            doc = json.loads(text, parse_constant=_reject_constant)
+    except OSError as exc:
+        problems.append(f"matrix table {path!r}: cannot read ({exc})")
+        return None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        problems.append(f"matrix table {path!r}: invalid JSON ({exc})")
+        return None
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not entries:
+        problems.append(f"matrix table {path!r}: needs a nonempty 'entries' list")
+        return None
+    problems.extend(f"matrix table {path!r}: unknown key {k!r}" for k in doc if k != "entries")
+    table, seen = {}, {}
+    for i, entry in enumerate(entries):
+        where = f"table entry {i}"
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        problems.extend(f"{where}: unknown key {k!r}"
+                        for k in entry if k not in ("label", "matrix"))
+        label = _parse_table_label(entry.get("label"), model_kind, where, problems)
+        if label in seen:
+            problems.append(f"{where}: label {label} repeats table entry {seen[label]}")
+        elif label is not None:
+            seen[label] = i
+        mat = _parse_matrix(entry.get("matrix"), where, problems)
+        if label is None or mat is None:
+            continue
+        expected = label.rep_dim()
+        if len(mat) != expected:
+            problems.append(
+                f"{where}: block size {len(mat)} does not match dimension {expected}"
+            )
+            continue
+        table[label] = mat
+    return table
+
+
+def _blockwise(text: str):
+    """The document of a table's ``text`` with each entry's matrix already
+    its block, or None where this parse declines.
+
+    Each ``"matrix"`` key and its value of JSON numbers, brackets, commas
+    and whitespace (``_MATRIX``) is cut out of the text.  Value i is parsed
+    by ``json.loads`` and ``_matrix_array`` in process i mod W
+    (``forked.ordered``), and the skeleton left, with a ``NaN`` for each
+    value, is parsed with each NaN read as the next block.  A value holds no
+    quote and starts and ends with a bracket, so wherever the skeleton is
+    JSON, it and its blocks are the document of the text.  The parse
+    declines where a value is not a well-formed block, where the skeleton is
+    not JSON (a NaN of the text's own included), or where the blocks are
+    not each an entry's matrix, once and in order."""
+    from . import forked
+
+    starts = []
+    at = text.find('"matrix"')
+    while at >= 0:
+        starts.append(at)
+        at = text.find('"matrix"', at + 1)
+
+    def block(i: int) -> bytes:
+        """The end of value i in the text and the complex128 bytes of its
+        block, or nothing where it is not a well-formed block."""
+        match = _MATRIX.match(text, starts[i])
+        if match is None:
+            return b""
+        enabled = gc.isenabled()
+        gc.disable()  # a block's lists all live until it is an array: no cycle to collect
+        try:
+            arr = _matrix_array(json.loads(match[1]))
+        except (ValueError, RecursionError):
+            return b""
+        finally:
+            if enabled:
+                gc.enable()
+        return b"" if arr is None else match.end().to_bytes(8, "little") + arr.tobytes()
+
+    work = -(-len(text) // TABLE_CHARS_PER_PROCESS)
+    pieces, blocks, end = [], [], 0
+    with forked.ordered(block, len(starts), work) as items:
+        for start, data in zip(starts, items):
+            if not data:
+                return None
+            n = math.isqrt(len(data) // 16)  # 8 bytes of end and n^2 complex entries
+            arr = np.frombuffer(data, dtype=complex, offset=8).reshape(n, n).copy()
+            arr.setflags(write=False)  # an owned read-only block, which MatrixTable adopts
+            blocks.append(arr)
+            pieces += [text[end:start], '"matrix":NaN']
+            end = int.from_bytes(data[:8], "little")
+    given = iter(blocks)
+
+    def constant(name: str):  # each NaN of the skeleton is the next block
+        arr = next(given, None) if name == "NaN" else None
+        if arr is None:
+            _reject_constant(name)
+        return arr
+
+    try:
+        doc = json.loads("".join(pieces) + text[end:], parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    placed = [id(entry["matrix"]) for entry in entries if isinstance(entry, dict)
+              and isinstance(entry.get("matrix"), np.ndarray)] if isinstance(entries, list) else []
+    return doc if placed == list(map(id, blocks)) else None
+
+
+def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
+    if model_kind == "torus2":
+        if (
+            isinstance(raw, list)
+            and len(raw) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
+        ):
+            return Torus2Label(raw[0], raw[1])
+        problems.append(f"{where}: torus label must be [xi, eta] integers")
+        return None
+    if isinstance(raw, dict):  # the form {"twice_ell": t}
+        raw = raw.get("twice_ell")
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+        return Su2Label(raw)
+    problems.append(f"{where}: su2 label must be a nonnegative twice_ell integer")
+    return None
+
+
+def _matrix_array(raw):
+    """The complex block of a well-formed n x n table of [re, im] cells, or
+    None.  It is checked in one flattened pass: rows and cells are lists of
+    n and 2 parts, every part is an int or a float (numpy alone would take
+    True and "1.5"), and every part is finite.  The complex view of the
+    float array is bit-for-bit ``complex(re, im)``, negative zeros
+    included."""
+    if type(raw) is not list or not raw or set(map(type, raw)) != {list}:
+        return None
+    n = len(raw)
+    if set(map(len, raw)) != {n}:
+        return None
+    cells = list(chain.from_iterable(raw))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    flat = list(chain.from_iterable(cells))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(flat, dtype=float)
+    except OverflowError:  # an integer beyond float range
+        return None
+    if not np.isfinite(arr).all():
+        return None
+    return arr.reshape(n, n, 2).view(np.complex128)[..., 0]
+
+
+def _parse_matrix(raw, where: str, problems: list[str]):
+    """The block of a table entry: the array ``_blockwise`` parsed, or that
+    of a nested list; a list the array check declines is walked cell by
+    cell, to name its first bad cell."""
+    arr = raw if isinstance(raw, np.ndarray) else _matrix_array(raw)
+    if arr is None:
+        problems.append(f"{where}: {_first_bad_cell(raw)}")
+    return arr
+
+
+def _first_bad_cell(raw) -> str:
+    """What ``_matrix_array`` declined in a table, at its first bad cell."""
+    if not isinstance(raw, list) or not raw:
+        return "matrix must be a nonempty row list"
+    for r, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != len(raw):
+            return f"matrix must be square (row {r})"
+        for c, cell in enumerate(row):
+            if (
+                not isinstance(cell, list)
+                or len(cell) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+            ):
+                return f"entry ({r},{c}) must be [re, im]"
+            try:
+                complex(cell[0], cell[1])
+            except OverflowError:  # an integer beyond float range
+                return f"entry ({r},{c}) must be finite"
+    return "matrix entries must be finite"

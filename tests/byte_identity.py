@@ -12,12 +12,14 @@ Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
 plan names.  Exit codes, stdout, stderr and the sha256 of every file a
 command writes are compared.  The fixed ``CASES`` (inputs that fail, a
 branch no plan takes, and windows larger than any plan's) then run once
-per side, in a directory that holds ``TORUS_TABLE``, and are compared the
-same way.  On the new side, each command that writes a sidecar (``--out``)
-runs a second time pinned to one CPU, where ``os.sched_setaffinity``
-exists, so its sidecar is formatted by one process; that run is compared
-with the old side too.  The differences are listed and the exit code is 1
-if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
+per side, in a directory that holds ``TORUS_TABLE``, ``SU2_TABLE`` and
+``BAD_TABLES``, and are compared the same way.  Each command that may
+fork, writing a sidecar (``--out``) or reading a matrix table, runs a
+second time pinned to one CPU, where ``os.sched_setaffinity`` exists, so
+one process formats its sidecar and parses its table.  That run is pinned
+on both sides and compared between them, because the dense SVDs of a
+table can differ in their last bits with the CPUs OpenBLAS may use.  The
+differences are listed and the exit code is 1 if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
 not collect this file (its name does not start with ``test_``).
 """
 
@@ -58,6 +60,14 @@ SCALED_GAP = _spec("su2", "su2_diag", poly=[{"coeff": [2.0**985, 0], "deg_neglap
 # every fifth 1x1 block is zero, so the dense path has a kernel to project off
 TORUS_TABLE = "torus_table.json"
 TORUS_TABLE_SPEC = _spec("torus2", "matrix_table", path=TORUS_TABLE)
+# a dense complex SU(2) table of levels 2l = 0..48, about 1.7 MB: large enough
+# that its blocks are parsed in more than one process
+SU2_TABLE = "su2_table.json"
+SU2_TABLE_SPEC = _spec("su2", "matrix_table", path=SU2_TABLE)
+# SU2_TABLE damaged late, each written beside it: a cell of three parts in
+# the last block, a NaN literal, the last entry's label repeating level 3,
+# and the file cut short
+BAD_TABLES = ["bad_cell.json", "nan_literal.json", "repeated_label.json", "truncated.json"]
 # entries l(l+1) - 3 m^2, zero at the solutions of u^2 - 3 w^2 = 1 (u = 2l+1, w = 2m)
 CONIC = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                        {"coeff": [3, 0], "deg_d0": 2}])
@@ -130,6 +140,12 @@ CASES = [
     # a coefficients sidecar of 343,028 rows, 82 chunks of them at level 288
     ["counterexample", "--spec", PELL, "--cutoff", "1e5", "--k", "4",
      "--out", "pell_counterexample.json"],
+    # a dense SU(2) table parsed block by block in several processes, and
+    # damaged copies of it, which fail with the whole document's violations
+    ["analyze", "--spec", SU2_TABLE_SPEC, "--cutoff", "600", "--out", "su2_table_analyze.json"],
+    ["subelliptic", "--spec", SU2_TABLE_SPEC, "--cutoff", "600", "--probes", "3", "--seed", "2"],
+    *(["analyze", "--spec", _spec("su2", "matrix_table", path=bad), "--cutoff", "600"]
+      for bad in BAD_TABLES),
 ]
 
 
@@ -142,6 +158,21 @@ def write_torus_table(path: Path) -> None:
                                             [rng.gauss(0, 1), rng.gauss(0, 1)]]]}
                for i, label in enumerate(labels)]
     path.write_text(json.dumps({"entries": entries}))
+
+
+def write_su2_tables(workdir: Path) -> None:
+    """``SU2_TABLE``: a seeded complex block per level, and ``BAD_TABLES``."""
+    rng = random.Random(48)
+    entries = [{"label": t, "matrix": [[[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(t + 1)]
+                                       for _ in range(t + 1)]} for t in range(49)]
+    text = json.dumps({"entries": entries})
+    (workdir / SU2_TABLE).write_text(text)
+    last = text.rindex("]]]")  # the end of the last block
+    part = text.rindex(", ", 0, last)  # before its last part
+    damaged = [text[:last] + ", 0]]]" + text[last + 3:], text[:part] + ", NaN" + text[last:],
+               text.replace('"label": 48,', '"label": 3,'), text[:-100]]
+    for name, bad in zip(BAD_TABLES, damaged):
+        (workdir / name).write_text(bad)
 
 
 def _digests(workdir: Path) -> dict[str, str]:
@@ -164,59 +195,74 @@ def _run(src: Path, argv: list[str], workdir: Path, preexec_fn=None) -> tuple:
     return proc.returncode, proc.stdout, proc.stderr, written
 
 
-def _runs(src: Path, argv: list[str], workdir: Path, pin: bool) -> list[tuple]:
-    """The runs of one command (see ``_run``): one, and with ``pin``, for a
-    command that writes a sidecar, a second pinned to one CPU, after the files
+def _may_fork(argv: list[str], workdir: Path) -> bool:
+    """Whether a command may fork: it writes a sidecar (``--out``), or its
+    spec, a JSON text or a file, names a matrix table."""
+    if "--out" in argv:
+        return True
+    if "--spec" not in argv:
+        return False
+    spec = argv[argv.index("--spec") + 1]
+    try:
+        doc = json.loads(spec if spec.lstrip().startswith("{") else (workdir / spec).read_text())
+        return doc["operator"]["kind"] == "matrix_table"
+    except (OSError, ValueError, KeyError, TypeError):  # not a spec this check can read
+        return False
+
+
+def _runs(src: Path, argv: list[str], workdir: Path) -> list[tuple]:
+    """The runs of one command (see ``_run``): one, and for a command that
+    may fork (``_may_fork``), a second pinned to one CPU, after the files
     the first wrote are removed so that it writes them afresh."""
     runs = [_run(src, argv, workdir)]
-    if pin and "--out" in argv and hasattr(os, "sched_setaffinity"):
+    if _may_fork(argv, workdir) and hasattr(os, "sched_setaffinity"):
         for name in runs[0][3]:
             (workdir / name).unlink()
         runs.append(_run(src, argv, workdir, _one_cpu))
     return runs
 
 
-def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path,
-             pin: bool = False) -> list[tuple]:
+def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path) -> list[tuple]:
     """(name, runs) per command, ``runs`` as ``_runs`` gives them."""
     plan = workloads.generate(workload, seed, size, workdir)
     results = []
     for cmd in plan.commands:
-        runs = _runs(src, cmd.argv, workdir, pin)
+        runs = _runs(src, cmd.argv, workdir)
         (workdir / cmd.stdout).write_bytes(runs[0][1])
         results.append((" ".join(cmd.argv), runs))
     return results
 
 
-def run_cases(src: Path, workdir: Path, pin: bool = False) -> list[list[tuple]]:
+def run_cases(src: Path, workdir: Path) -> list[list[tuple]]:
     """The runs of each fixed case, as ``_runs`` gives them."""
     workdir.mkdir()
     write_torus_table(workdir / TORUS_TABLE)
-    return [_runs(src, argv, workdir, pin) for argv in CASES]
+    write_su2_tables(workdir)
+    return [_runs(src, argv, workdir) for argv in CASES]
 
 
-def _differences(old: tuple, new_runs: list[tuple]) -> list[str]:
-    """What differs between the old run and each new one; the second new run
-    is the one pinned to one CPU."""
+def _differences(old_runs: list[tuple], new_runs: list[tuple]) -> list[str]:
+    """What differs between each old run and the new run made the same way;
+    a second run is the one pinned to one CPU."""
     return [f"{what} differs" + (" on one CPU" if i else "")
-            for i, new in enumerate(new_runs)
+            for i, (old, new) in enumerate(zip(old_runs, new_runs))
             for what, x, y in zip(("exit code", "stdout", "stderr", "files"), old, new) if x != y]
 
 
 def compare_cases(old_src: Path, new_src: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         old = run_cases(old_src, Path(tmp) / "old")
-        new = run_cases(new_src, Path(tmp) / "new", pin=True)
+        new = run_cases(new_src, Path(tmp) / "new")
     return [f"case {' '.join(argv)}: {problem}"
-            for argv, (a,), b in zip(CASES, old, new) for problem in _differences(a, b)]
+            for argv, a, b in zip(CASES, old, new) for problem in _differences(a, b)]
 
 
 def compare(old_src: Path, new_src: Path, workload: str, seed: int, size: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         old = run_plan(old_src, workload, seed, size, Path(tmp) / "old")
-        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new", pin=True)
+        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new")
     return [f"{workload} {size} seed {seed}: {name}: {problem}"
-            for (name, (a,)), (_, b) in zip(old, new) for problem in _differences(a, b)]
+            for (name, a), (_, b) in zip(old, new) for problem in _differences(a, b)]
 
 
 def main(argv=None) -> int:
@@ -235,7 +281,8 @@ def main(argv=None) -> int:
                                     workload, seed, size)
                 plans += 1
     problems += compare_cases(args.old_src.resolve(), args.new_src.resolve())
-    pinned = ", sidecar commands also on one CPU," if hasattr(os, "sched_setaffinity") else ""
+    pinned = (", sidecar and table commands also on one CPU,"
+              if hasattr(os, "sched_setaffinity") else "")
     print("\n".join(problems) if problems
           else f"{plans} plans and {len(CASES)} cases{pinned} byte-identical")
     return 1 if problems else 0

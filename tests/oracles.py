@@ -462,6 +462,54 @@ def cellwise_parse_matrix(raw, where: str, problems: list[str]):
     return arr
 
 
+def whole_document_table(path: str, model_kind: str, problems: list[str]):
+    """A matrix-table file loaded as one ``json.load`` of the whole document,
+    then entry by entry with ``cellwise_parse_matrix``: the table's blocks by
+    label, or None, with the violations in ``problems`` in the order the
+    spec parser reports them."""
+    import json
+
+    from hyposym.specfile import _reject_constant
+    from hyposym.tables import _parse_table_label
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        problems.append(f"matrix table {path!r}: cannot read ({exc})")
+        return None
+    except (ValueError, RecursionError) as exc:
+        problems.append(f"matrix table {path!r}: invalid JSON ({exc})")
+        return None
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not entries:
+        problems.append(f"matrix table {path!r}: needs a nonempty 'entries' list")
+        return None
+    problems.extend(f"matrix table {path!r}: unknown key {k!r}" for k in doc if k != "entries")
+    table, seen = {}, {}
+    for i, entry in enumerate(entries):
+        where = f"table entry {i}"
+        if not isinstance(entry, dict):
+            problems.append(f"{where}: must be an object")
+            continue
+        problems.extend(f"{where}: unknown key {k!r}"
+                        for k in entry if k not in ("label", "matrix"))
+        label = _parse_table_label(entry.get("label"), model_kind, where, problems)
+        if label in seen:
+            problems.append(f"{where}: label {label} repeats table entry {seen[label]}")
+        elif label is not None:
+            seen[label] = i
+        mat = cellwise_parse_matrix(entry.get("matrix"), where, problems)
+        if label is None or mat is None:
+            continue
+        if len(mat) != label.rep_dim():
+            problems.append(f"{where}: block size {len(mat)} does not match dimension "
+                            f"{label.rep_dim()}")
+            continue
+        table[label] = mat
+    return table
+
+
 def unscreened_gain_table(symbol, cutoff):
     """The gain table with every block reduced from ``block_values``, no screen."""
     from hyposym.spectral import Window

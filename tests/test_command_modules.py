@@ -42,8 +42,9 @@ SU2_SHIFT = _spec("su2", {"kind": "su2_diag", "poly": [
     {"coeff": [1, 0], "deg_d0": 1}, {"coeff": [0, 1], "deg_neglap": 0}]})
 
 
-def loaded_modules(tmp_path, *argv) -> set[str]:
-    proc = subprocess.run([sys.executable, "-c", RUN, *argv, "--out", str(tmp_path / "r.json")],
+def loaded_modules(tmp_path, *argv, out: bool = True) -> set[str]:
+    argv = [*argv, "--out", str(tmp_path / "r.json")] if out else list(argv)
+    proc = subprocess.run([sys.executable, "-c", RUN, *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
@@ -58,8 +59,20 @@ SPECTRAL = {"errors", "exact", "spectral", "fitting", "symbols", "specfile"}
 @pytest.mark.parametrize("command", ["analyze", "fit-exponent", "singular-scan"])
 @pytest.mark.parametrize("spec", [TORUS_PHI, SU2_GAP], ids=["torus", "su2"])
 def test_spectral_commands_load_only_the_spectral_layers(command, spec, tmp_path):
+    # the gains sidecar of analyze --out is formatted through forked
+    sidecar = {"forked"} if command == "analyze" else set()
     assert loaded_modules(tmp_path, command, "--spec", spec, "--cutoff", "200") == \
-        SPECTRAL | {"hypo"}
+        SPECTRAL | {"hypo"} | sidecar
+
+
+def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
+    argv = ("analyze", "--spec", SU2_GAP, "--cutoff", "200")
+    assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo"}
+    (tmp_path / "table.json").write_text(json.dumps({"entries": [
+        {"label": t, "matrix": [[[1, 0]] * (t + 1)] * (t + 1)} for t in range(4)]}))
+    table = _spec("su2", {"kind": "matrix_table", "path": str(tmp_path / "table.json")})
+    argv = ("singular-scan", "--spec", table, "--cutoff", "2")
+    assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "forked", "tables"}
 
 
 def test_pell_certifier_loads_diophantine(tmp_path):
@@ -78,7 +91,7 @@ def test_exact_commands_load_no_symbol_layers(argv, tmp_path):
 
 def test_counterexample_loads_no_verdict_or_subelliptic(tmp_path):
     argv = ("counterexample", "--spec", SU2_SHIFT, "--cutoff", "200", "--k", "3")
-    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients"}
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients", "forked"}
 
 
 def test_subelliptic_loads_no_verdict_layers(tmp_path):

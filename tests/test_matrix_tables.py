@@ -1,9 +1,11 @@
 """Matrix-table files: the array check of a table's blocks against the
-cell-by-cell oracle, and structural fuzz of whole table files."""
+cell-by-cell oracle, structural fuzz of whole table files, and the
+block-by-block parse of table text against the whole-document loader."""
 
 import contextlib
 import io
 import json
+import os
 import random
 
 import numpy as np
@@ -11,11 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyposym import cli, parse_spec
-from hyposym.errors import SpecFileError
-from hyposym.specfile import _matrix_array, _parse_matrix, _parse_table_label
+from hyposym import cli, forked, parse_spec, tables
+from hyposym.errors import PreconditionError, SpecFileError
+from hyposym.spectral import Su2Label
+from hyposym.tables import _matrix_array, _parse_matrix, _parse_table_label
+from hyposym.symbols import MatrixTable
 
-from oracles import cellwise_parse_matrix, nested_matrix_array
+from oracles import cellwise_parse_matrix, nested_matrix_array, whole_document_table
 
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -268,3 +272,266 @@ def test_huge_label_with_a_small_block_fails_the_size_check(tmp_path):
         "table entry 1: su2 label must be a nonnegative twice_ell integer",
         "table entry 2: su2 label must be a nonnegative twice_ell integer",
     ]
+
+
+# ---------------------------------------------------------------------------
+# table text: the block-by-block parse against the whole-document loader
+
+_LATE = 111111  # a part of the last block, replaced by each case's number text
+
+
+def _blocks(model: str):
+    """Seeded blocks of ints, floats and -0.0: five SU(2) levels, or six torus
+    characters; ``_LATE`` is a part of the last block."""
+    rng = random.Random(5)
+    labels = range(5) if model == "su2" else [[x, -x] for x in range(-2, 4)]
+    out = []
+    for i, label in enumerate(labels):
+        n = i + 1 if model == "su2" else 1
+        parts = [rng.choice([rng.uniform(-9, 9), rng.randint(-5, 5), -0.0, 2**60 + 1])
+                 for _ in range(2 * n * n)]
+        if i == len(labels) - 1:
+            parts[-1] = _LATE
+        out.append((label, [[parts[2 * (r * n + c): 2 * (r * n + c) + 2] for c in range(n)]
+                            for r in range(n)]))
+    return out
+
+
+def _text(entries) -> str:
+    """A table's text from entries given as (key, value) pairs, so that keys
+    may repeat and come in any order; a str value is written as it stands."""
+    def value(v):
+        return v if isinstance(v, str) else json.dumps(v)
+
+    return '{"entries": [' + ", ".join(
+        "{" + ", ".join(f"{json.dumps(k)}: {value(v)}" for k, v in entry) + "}"
+        for entry in entries) + "]}"
+
+
+def _plain(model="su2", order=("label", "matrix")):
+    return _text([[(k, {"label": lab, "matrix": mat}[k]) for k in order]
+                  for lab, mat in _blocks(model)])
+
+
+def _with_entry(i: int, pairs, model="su2") -> str:
+    """The plain table with entry i's pairs replaced."""
+    entries = [[("label", lab), ("matrix", mat)] for lab, mat in _blocks(model)]
+    entries[i] = pairs(*_blocks(model)[i])
+    return _text(entries)
+
+
+def _whitespace() -> str:
+    doc = {"entries": [{"label": lab, "matrix": mat} for lab, mat in _blocks("su2")]}
+    # JSON whitespace between every two tokens
+    return "\r\n\t " + json.dumps(doc, indent="\t\r", separators=("\r,\n ", "\n:\t")) + "\n\r\t"
+
+
+def _number(text: str) -> str:
+    return _plain().replace(str(_LATE), text)
+
+
+_TEXT_CASES = {
+    "plain": _plain(),
+    "whitespace": _whitespace(),
+    "form feed in a block": _plain().replace("], [", "],\f[", 1),
+    "vertical tab between entries": _plain().replace("}, {", "},\v{", 2),
+    "no-break space before a key": _plain().replace(', "matrix"', ',\u00a0"matrix"', 3),
+    "matrix before label": _plain(order=("matrix", "label")),
+    "torus, matrix before label": _plain("torus2", order=("matrix", "label")),
+    "two matrices, the last kept": _with_entry(
+        2, lambda lab, mat: [("label", lab), ("matrix", [[[1, 0]]]), ("matrix", mat)]),
+    "two matrices, the last too small": _with_entry(
+        2, lambda lab, mat: [("label", lab), ("matrix", mat), ("matrix", [[[1, 0]]])]),
+    "two labels": _with_entry(
+        1, lambda lab, mat: [("label", 7), ("matrix", mat), ("label", lab)]),
+    "matrix text in a label's string": _with_entry(
+        3, lambda lab, mat: [("label", {"twice_ell": lab, "note": '"matrix": [[[1, 2]]]'}),
+                             ("matrix", mat)]),
+    "matrix text in a key": _with_entry(
+        3, lambda lab, mat: [("label", lab), ("matrix", mat), ('"matrix": [[[1, 2]]]', 0)]),
+    "a key ending in matrix": _with_entry(
+        3, lambda lab, mat: [("label", {"twice_ell": lab, 'x"matrix': [[[1, 2]]]}),
+                             ("matrix", mat)]),
+    "an escaped matrix key": _plain().replace('"matrix"', '"m\\u0061trix"', 1),
+    "a matrix of no block": _with_entry(0, lambda lab, mat: [("label", lab), ("matrix", 5)]),
+    "an empty matrix": _with_entry(4, lambda lab, mat: [("label", lab), ("matrix", [])]),
+    "a block of the wrong size": _with_entry(3, lambda lab, mat: [("label", lab),
+                                                                  ("matrix", [[[1, 0]]])]),
+    "a repeated label": _with_entry(4, lambda lab, mat: [("label", 1), ("matrix", mat)]),
+    "an entry of no object": _with_entry(2, lambda lab, mat: []).replace("{}", "5"),
+    "an unknown table key": _plain()[:-1] + ', "note": "x"}',
+    "a NaN label": _with_entry(0, lambda lab, mat: [("label", "NaN"), ("matrix", mat)]),
+    "a NaN after every block": _plain()[:-1] + ', "note": NaN}',
+    "NaN": _number("NaN"),
+    "Infinity": _number("Infinity"),
+    "-Infinity": _number("-Infinity"),
+    "-0": _number("-0"),
+    "-0.0": _number("-0.0"),
+    "1e400": _number("1e400"),
+    "past 2^53": _number(str(2**53 + 1)),
+    "past float range": _number("1" + "0" * 400),
+    "past Python's int text": _number("1" * 5000),
+    "+1": _number("+1"),
+    ".5": _number(".5"),
+    "1.": _number("1."),
+    "01": _number("01"),
+    "nested too deeply": _number("[" * 100_000 + "]" * 100_000),
+    "truncated": _plain()[:-9],
+    "cut in half": _plain()[:len(_plain()) // 2],
+}
+
+
+def _flags(arr) -> tuple:
+    f = arr.flags
+    return f.owndata, f.writeable, f.c_contiguous, f.f_contiguous, f.aligned
+
+
+def _assert_parse_equals_whole_document(tmp_path, data: bytes, model: str = "su2"):
+    """parse_spec of a spec naming a table of ``data`` gives the whole-document
+    loader's blocks (bits, shape and flags) or its violations, and leaves no
+    child process."""
+    path = tmp_path / "table.json"
+    path.write_bytes(data)
+    spec = {"model": {"kind": model}, "operator": {"kind": "matrix_table", "path": str(path)}}
+    problems = []
+    table = whole_document_table(str(path), model, problems)
+    try:
+        got = parse_spec(spec).operator.entries
+    except SpecFileError as exc:
+        assert exc.violations == problems
+    else:
+        assert problems == []
+        want = MatrixTable(model, table).entries
+        assert list(got) == list(want)
+        for label, arr in got.items():
+            assert (arr.shape, arr.dtype, arr.tobytes()) == \
+                (want[label].shape, want[label].dtype, want[label].tobytes())
+            assert _flags(arr) == _flags(want[label])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return problems
+
+
+def _forced_processes(monkeypatch, processes: int) -> list:
+    """Let a table of any size fork for each block up to ``processes``; the
+    list returned records each fork."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(forked, "cpu_count", lambda: processes)
+    monkeypatch.setattr(tables, "TABLE_CHARS_PER_PROCESS", 1)
+    return forks
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_TEXT_CASES))
+def test_table_text_parses_as_the_whole_document(case, processes, tmp_path, monkeypatch):
+    forks = _forced_processes(monkeypatch, processes)
+    text = _TEXT_CASES[case]
+    model = "torus2" if case.startswith("torus") else "su2"
+    _assert_parse_equals_whole_document(tmp_path, text.encode("utf-8"), model)
+    assert len(forks) == min(processes, text.count('"matrix"')) - 1
+
+
+@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("data", [
+    _plain().encode("utf-8")[:40] + b"\xff" + _plain().encode("utf-8")[40:],
+    _plain().encode("utf-8")[:-40] + b"\xc3(" + _plain().encode("utf-8")[-40:],
+    b"\xef\xbb\xbf" + _plain().encode("utf-8"),
+], ids=["invalid UTF-8", "invalid UTF-8, late", "BOM"])
+def test_table_bytes_fail_as_the_whole_document(data, processes, tmp_path, monkeypatch):
+    _forced_processes(monkeypatch, processes)
+    assert len(_assert_parse_equals_whole_document(tmp_path, data)) == 1
+
+
+def test_a_worker_that_fails_leaves_its_blocks_to_the_parser(tmp_path, monkeypatch):
+    forks = _forced_processes(monkeypatch, 3)
+    parser, matrix_array = os.getpid(), tables._matrix_array
+
+    def failing(raw):
+        if os.getpid() != parser:
+            raise RuntimeError("parsing failed")
+        return matrix_array(raw)
+
+    monkeypatch.setattr(tables, "_matrix_array", failing)
+    assert _assert_parse_equals_whole_document(tmp_path, _plain().encode("utf-8")) == []
+    assert len(forks) == 2
+
+
+def test_a_parser_that_fails_leaves_no_worker(tmp_path, monkeypatch):
+    _forced_processes(monkeypatch, 3)
+    parser, matrix_array, calls = os.getpid(), tables._matrix_array, []
+
+    def failing_late(raw):
+        calls.append(1)
+        if os.getpid() == parser and len(calls) > 1:  # the parser's second block, block 3
+            raise RuntimeError("parsing failed")
+        return matrix_array(raw)
+
+    monkeypatch.setattr(tables, "_matrix_array", failing_late)
+    (tmp_path / "table.json").write_text(_plain())
+    with pytest.raises(RuntimeError, match="parsing failed"):
+        parse_spec({"model": {"kind": "su2"},
+                    "operator": {"kind": "matrix_table", "path": str(tmp_path / "table.json")}})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_large_table_forks_by_its_size(tmp_path, monkeypatch):
+    # about 1.3 MB of text: two processes at the default size per process
+    rng = np.random.default_rng(7)
+    blocks = [rng.standard_normal((t + 1, t + 1, 2)) for t in range(44)]
+    text = json.dumps({"entries": [{"label": t, "matrix": b.tolist()}
+                                   for t, b in enumerate(blocks)]})
+    assert 1 < len(text) / tables.TABLE_CHARS_PER_PROCESS <= 2
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(forked, "cpu_count", lambda: 8)
+    assert _assert_parse_equals_whole_document(tmp_path, text.encode("utf-8")) == []
+    assert len(forks) == 1
+
+
+def test_a_small_table_forks_nothing(tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(forked, "cpu_count", lambda: 8)
+    assert _assert_parse_equals_whole_document(tmp_path, _plain().encode("utf-8")) == []
+    assert forks == []
+
+
+def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
+    def block(dtype=complex):
+        return np.arange(1, 10, dtype=dtype).reshape(3, 3).copy()  # owns its data
+
+    writable, base, owned, other = block(), block(), block(), block(float)
+    view = base[:]
+    for arr in (view, owned, other):
+        arr.setflags(write=False)
+    inputs = [writable, view, owned, other, block().tolist()]
+    made = [MatrixTable("su2", {Su2Label(2): mat}) for mat in inputs]
+    writable[0, 0] = base[0, 0] = 0
+    for mat, table in zip(inputs, made):
+        stored = table.block(Su2Label(2))
+        assert stored.tolist() == block().tolist()
+        assert _flags(stored) == (True, False, True, False, True)
+        assert np.shares_memory(stored, np.asarray(mat)) == (mat is owned)
+    assert all(table == made[0] for table in made)
+    # the parsed blocks are handed over read-only and adopted
+    for entry in tables._blockwise(_plain())["entries"]:
+        assert _flags(entry["matrix"])[:2] == (True, False)
+    (tmp_path / "table.json").write_text(_plain())
+    parsed = parse_spec({"model": {"kind": "su2"},
+                         "operator": {"kind": "matrix_table",
+                                      "path": str(tmp_path / "table.json")}}).operator
+    for label, arr in parsed.entries.items():
+        assert MatrixTable("su2", {label: arr}).block(label) is arr
+    with pytest.raises(PreconditionError, match="table block for l=1 is not square"):
+        MatrixTable("su2", {Su2Label(2): owned[:, :2].copy()})
+    square = np.zeros((2, 2), dtype=complex)
+    square.setflags(write=False)
+    with pytest.raises(PreconditionError, match="table block for l=1 has size 2, expected 3"):
+        MatrixTable("su2", {Su2Label(2): square})

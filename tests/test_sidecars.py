@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyposym import SU2, TORUS2, build_symbol, cli
+from hyposym import SU2, TORUS2, build_symbol, cli, forked
 from hyposym.coefficients import CoefficientField
 from hyposym.spectral import Su2Label, Torus2Label, Window
 from hyposym.symbols import MatrixTable, gain_table
@@ -36,7 +36,7 @@ def _each_process_count(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     for processes in PROCESSES:
-        monkeypatch.setattr(cli, "_cpu_count", lambda n=processes: n)
+        monkeypatch.setattr(forked, "cpu_count", lambda n=processes: n)
         forks.clear()
         yield processes, forks
 
@@ -111,19 +111,21 @@ def test_coeffs_csv_equals_the_row_loop(model, chunk, tmp_path, monkeypatch):
     field = _field(model, chunk == CHUNKS[-1])
     ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
     rowwise_coeffs_csv(ref, field, 1e5, chunk)
+    rows = ref.read_bytes().count(b"\r\n") - 1
     for processes, forks in _each_process_count(monkeypatch):
         cli._write_coeffs_csv(str(out), field, 1e5)
         data = out.read_bytes()
         assert data == ref.read_bytes(), processes
         assert b",-0.0," in data and b",-0.0\r\n" in data
-        assert len(forks) == processes - 1  # every field here has more than 3 chunks
+        # one process per chunk's worth of rows, however short the vectors
+        assert len(forks) == min(processes, -(-rows // chunk)) - 1
 
 
 def _gains_case(tmp_path, monkeypatch, processes: int):
     """A torus table of 27 chunks of 7 rows, its row-loop CSV, and the path
     the writer writes."""
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
-    monkeypatch.setattr(cli, "_cpu_count", lambda: processes)
+    monkeypatch.setattr(forked, "cpu_count", lambda: processes)
     table = gain_table(*_torus_poly(False))
     assert -(-len(table) // 7) > 3 * processes
     rowwise_gains_csv(tmp_path / "ref.csv", table, 7)
@@ -226,3 +228,24 @@ def test_float_texts_equal_repr(pool, picks):
                                     (1000, 1000), (98_765, 123_456), (10**12 - 3, 10**12 + 3)])
 def test_int_texts_equal_str(lo, hi):
     assert cli._int_texts(lo, hi).tolist() == list(map(str, range(lo, hi)))
+
+
+def test_a_fork_that_fails_leaves_its_chunks_to_the_writer(tmp_path, monkeypatch):
+    table, ref, out = _gains_case(tmp_path, monkeypatch, 3)
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    cli._write_gains_csv(str(out), table)
+    assert out.read_bytes() == ref
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if fds is not None:  # the failed fork's pipe is closed
+        assert len(os.listdir("/proc/self/fd")) == fds

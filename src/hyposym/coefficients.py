@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, WindowTooSmallError
 from .spectral import NU, FrequencyIndex, Label, Window, bracket_power, frequency_for_label
-from .symbols import MatrixSymbol, block_extrema
+from .symbols import MatrixSymbol, block_extrema, one_blas_thread
 
 __all__ = [
     "CoefficientField",
@@ -264,7 +264,8 @@ class Counterexample:
 def _unit_null_vector(block: np.ndarray) -> np.ndarray:
     """Right singular vector of the smallest singular value, phase-fixed so
     the first nonzero component is positive real."""
-    _, _, vh = np.linalg.svd(block)
+    with one_blas_thread():
+        _, _, vh = np.linalg.svd(block)
     v = vh[-1].conj()
     for comp in v:
         if abs(comp) > 1e-14:

@@ -29,7 +29,7 @@ from math import gcd
 import numpy as np
 
 from .errors import NoFitError, PreconditionError
-from .fitting import Mapped, bracket_weights, chunk_ranges, envelope_fit, log_bracket
+from .fitting import bracket_weights, chunk_ranges, envelope_bound
 from .spectral import FrequencyIndex, Su2Label, Torus2Label
 from .symbols import (
     Coefficient,
@@ -115,28 +115,22 @@ def fit_growth(table: GainTable, tol: float = SINGULAR_TOL) -> GrowthFit:
         raise NoFitError(
             f"only {len(gain)} usable samples past the last singular ordinal {r}"
         )
-    # every full-length pass runs a chunk at a time
-    slope, _, _ = envelope_fit(Mapped(log_bracket, lam),
-                               Mapped(np.log, gain), mode="min")
-    spans = chunk_ranges(len(gain))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        big_l = float(np.min([np.min(gain[lo:hi] / bracket_weights(lam[lo:hi], slope))
-                              for lo, hi in spans]))
-        violations = []
-        for lo, hi in spans:
-            w = bracket_weights(lam[lo:hi], slope)
-            w *= big_l
-            w /= gain[lo:hi]
-            w -= 1.0
-            violations.append(np.max(w))
-        residual = float(np.max(violations))
-    if not (math.isfinite(big_l) and math.isfinite(residual)):
-        raise NoFitError(f"the bound of slope {slope!r} leaves float range on the window")
+    slope, big_l, _ = envelope_bound(lam, gain, "min", lambda slope: NoFitError(
+        f"the bound of slope {slope!r} leaves float range on the window"))
+    # with every weight finite and big_l <= gain / weight, big_l * weight stays
+    # near the gain: each violation is finite
+    violations = []
+    for lo, hi in chunk_ranges(len(gain)):
+        w = bracket_weights(lam[lo:hi], slope)
+        w *= big_l
+        w /= gain[lo:hi]
+        w -= 1.0
+        violations.append(np.max(w))
     return GrowthFit(
         L=big_l,
         m=float(slope),
         R=r,
-        residual=residual,
+        residual=float(np.max(violations)),
         n_samples=len(gain),
         lam_max=float(lam[-1]),
     )

@@ -28,7 +28,7 @@ import numpy as np
 from .coefficients import CoefficientField, squared_norm, weighted_norm
 from .errors import PreconditionError
 from .spectral import NU, FrequencyIndex, Window, bracket_power
-from .symbols import MatrixSymbol, block_extrema, zero_mask
+from .symbols import MatrixSymbol, block_extrema, one_blas_thread, zero_mask
 
 KERNEL_TOL = 1e-12
 
@@ -114,7 +114,8 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
             else:
                 # a full SVD only for a dense block with a kernel: its zero
                 # values descend to the last rows of vh
-                basis = np.linalg.svd(symbol.block(freq))[2][len(zero) - n:].conj().T
+                with one_blas_thread():
+                    basis = np.linalg.svd(symbol.block(freq))[2][len(zero) - n:].conj().T
             basis.setflags(write=False)
             blocks[freq.label] = basis
             total += n * freq.label.rep_dim()
@@ -242,7 +243,8 @@ def extremal_field(report: SubellipticReport, symbol: MatrixSymbol) -> Coefficie
         block_vec = np.zeros(bdim, dtype=complex)
         block_vec[report.witness_index] = 1.0
     else:
-        vh = np.linalg.svd(symbol.block(freq))[2]
+        with one_blas_thread():
+            vh = np.linalg.svd(symbol.block(freq))[2]
         block_vec = vh[report.witness_index].conj()
     full = np.zeros(freq.dim, dtype=complex)
     full[:bdim] = block_vec
@@ -289,7 +291,8 @@ def _probe_terms(symbol: MatrixSymbol, f: CoefficientField, cutoff: float,
         pf_t += image_t
         if kernel is None:
             continue
-        w = kernel.project_out(freq, vec)
+        with one_blas_thread(not symbol.is_diagonal):  # dense bases: SVD vectors
+            w = kernel.project_out(freq, vec)
         # numerical kernels (dense SVD bases) leave roundoff residue; treat
         # a relatively vanished projection as gone so it flags vacuous.  Off
         # the kernel w is vec, and one norm decides

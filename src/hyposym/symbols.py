@@ -23,8 +23,11 @@ block, never on the full matrix; diagonal blocks skip the SVD entirely
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Mapping
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import PreconditionError, WindowTooSmallError
 from .exact import Surd, format_real
-from .fitting import Mapped, bracket_weights, chunk_ranges, envelope_fit, log_bracket
+from .fitting import chunk_ranges, envelope_bound
 from .spectral import (
     FrequencyIndex,
     Label,
@@ -98,8 +101,14 @@ class Coefficient:
         return not (isinstance(self.re, float) or isinstance(self.im, float))
 
     def to_complex(self) -> complex:
-        """The float value; an exact part beyond float range (which poly
-        algebra can build) is a precondition violation."""
+        """The float value, converted on the first call only (a surd goes
+        through a Fraction enclosure); an exact part beyond float range
+        (which poly algebra can build) is a precondition violation at every
+        call."""
+        return self._complex
+
+    @functools.cached_property
+    def _complex(self) -> complex:
         try:
             return complex(float(self.re), float(self.im))
         except OverflowError:
@@ -419,13 +428,62 @@ def su2_diag_exact(op: Su2DiagPoly, twice_ell: int):
 # ---------------------------------------------------------------------------
 # the symbol object
 
+# (get, set) names of the thread count in the OpenBLAS builds numpy bundles
+_BLAS_THREAD_CALLS = [("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")]
+
+
+@functools.cache
+def _blas_thread_calls():
+    """The (get, set) thread-count calls of the OpenBLAS in numpy's wheel
+    (``numpy.libs``), or None for a BLAS without a known setter."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if "openblas" in n)
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:  # not a library this process can load
+            continue
+        for get, set_ in _BLAS_THREAD_CALLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread(dense: bool = True):
+    """Run the block with numpy's OpenBLAS on one thread when ``dense``, then
+    restore its thread count.  OpenBLAS splits a large block's LAPACK work
+    (an SVD from 81 x 81 up) by its threads, which changes the last bits of
+    the result, so a dense table's reports would depend on the CPU count;
+    on one thread they do not.  A BLAS without a known setter is left as it
+    is.  No ``forked`` worker enters this: they make no BLAS call."""
+    calls = _blas_thread_calls() if dense else None
+    old = calls[0]() if calls else 1
+    if old == 1:
+        yield
+        return
+    calls[1](1)
+    try:
+        yield
+    finally:
+        calls[1](old)
+
 
 def smallest_gain(matrix) -> float:
     """Smallest singular value: inf over unit vectors of ||A v||."""
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("gain needs a square matrix")
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
+    with one_blas_thread():
+        return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 def zero_mask(values, norm, tol: float):
@@ -525,7 +583,8 @@ class MatrixSymbol:
         d = self.diagonal(freq)
         if d is not None:
             return np.abs(d)
-        return np.linalg.svd(self.block(freq), compute_uv=False)
+        with one_blas_thread():
+            return np.linalg.svd(self.block(freq), compute_uv=False)
 
     def gain(self, freq: FrequencyIndex) -> float:
         """Smallest gain m(sigma(j)); block-level, diagonal short-circuit."""
@@ -563,7 +622,7 @@ class MatrixSymbol:
         def product(freq, v, d):
             rep = freq.label.rep_dim()
             chunks, out = v.reshape(rep, rep), np.empty(freq.dim, dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"), one_blas_thread(d is None):
                 if d is not None:
                     np.multiply(chunks, d[None, :], out=out.reshape(rep, rep))
                 else:
@@ -642,7 +701,9 @@ def block_values(symbol: MatrixSymbol, window: Window, start: int = 0):
             if symbol.is_diagonal:
                 values = np.abs(symbol.bulk(*(x[lo:hi] for x in window.labels)))
             else:
-                values = np.concatenate([symbol.values(window.freq(i)) for i in range(lo, hi)])
+                with one_blas_thread():  # once per run: each block's own switch is then idle
+                    values = np.concatenate([symbol.values(window.freq(i))
+                                             for i in range(lo, hi)])
         if not np.isfinite(values).all():
             raise PreconditionError(
                 f"symbol values beyond float range at eigenvalues <= {window.lam[hi - 1]}")
@@ -895,22 +956,8 @@ def estimate_order(table: GainTable) -> OrderEstimate:
         raise WindowTooSmallError(
             "order estimation needs at least 8 frequencies with positive eigenvalue"
         )
-    spans = chunk_ranges(len(norms))
-    if not any(np.any(norms[lo:hi] > 0) for lo, hi in spans):
+    if not norms.any():  # norms are >= 0: the samples are the positive ones
         return OrderEstimate(float("-inf"), 0.0, 0)
-    # the samples are the nonzero norms, read a chunk at a time
-    slope, _, npts = envelope_fit(Mapped(lambda lam, n: log_bracket(lam[n > 0]), lam, norms),
-                                  Mapped(lambda n: np.log(n[n > 0]), norms), mode="max")
-    finite, ratios = True, []
-    with np.errstate(over="ignore", divide="ignore"):
-        for lo, hi in spans:
-            nz = norms[lo:hi] > 0
-            weights = bracket_weights(lam[lo:hi][nz], slope)
-            finite = finite and bool(np.isfinite(weights).all())
-            ratio = norms[lo:hi][nz]
-            ratio /= weights
-            ratios.append(np.max(ratio, initial=-np.inf))
-        c_hat = float(np.max(ratios))
-    if not (finite and np.isfinite(c_hat)):
-        raise WindowTooSmallError(f"the order {slope!r} leaves float range on the window")
-    return OrderEstimate(float(slope), c_hat, npts)
+    slope, c_hat, npts = envelope_bound(lam, norms, "max", lambda slope: WindowTooSmallError(
+        f"the order {slope!r} leaves float range on the window"))
+    return OrderEstimate(slope, c_hat, npts)

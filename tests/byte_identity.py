@@ -16,11 +16,13 @@ per side, in a directory that holds ``TORUS_TABLE``, ``SU2_TABLE`` and
 ``BAD_TABLES``, and are compared the same way.  Each command that may
 fork, writing a sidecar (``--out``) or reading a matrix table, runs a
 second time pinned to one CPU, where ``os.sched_setaffinity`` exists, so
-one process formats its sidecar and parses its table.  That run is pinned
-on both sides and compared between them, because the dense SVDs of a
-table can differ in their last bits with the CPUs OpenBLAS may use.  The
-differences are listed and the exit code is 1 if there are any, else 0.  ``perfbench/`` is only imported.  pytest does
-not collect this file (its name does not start with ``test_``).
+one process formats its sidecar and parses its table.  The pinned runs are
+compared between the sides, and the new side's run on every CPU with its
+own pinned run: output that depends on the CPU count fails.  The old
+side's run on every CPU is not compared, so a dependence that the new
+side mends is no difference.  The differences are listed and the exit
+code is 1 if there are any, else 0.  ``perfbench/`` is only imported.
+pytest does not collect this file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
@@ -242,11 +244,15 @@ def run_cases(src: Path, workdir: Path) -> list[list[tuple]]:
 
 
 def _differences(old_runs: list[tuple], new_runs: list[tuple]) -> list[str]:
-    """What differs between each old run and the new run made the same way;
-    a second run is the one pinned to one CPU."""
-    return [f"{what} differs" + (" on one CPU" if i else "")
-            for i, (old, new) in enumerate(zip(old_runs, new_runs))
-            for what, x, y in zip(("exit code", "stdout", "stderr", "files"), old, new) if x != y]
+    """What differs between the runs of one command (see ``_runs``): the
+    old and the new run, or, for a command also run pinned to one CPU, the
+    old and the new pinned run and the new run on every CPU and pinned."""
+    pairs = [("", old_runs[0], new_runs[0])]
+    if len(new_runs) == 2:
+        pairs = [(" on one CPU", old_runs[1], new_runs[1]),
+                 (" between every CPU and one on the new side", new_runs[0], new_runs[1])]
+    return [f"{what} differs{where}" for where, a, b in pairs
+            for what, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b) if x != y]
 
 
 def compare_cases(old_src: Path, new_src: Path) -> list[str]:

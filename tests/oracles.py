@@ -590,6 +590,11 @@ def mask_envelope_points(x, y, mode: str = "min"):
     return xs_arr, ys_arr
 
 
+def sliced(x, y):
+    """The ``read(a, b)`` of ``fitting.envelope_points`` over two whole arrays."""
+    return lambda a, b: (x[a:b], y[a:b])
+
+
 def mask_fit_growth(table, tol: float):
     """``hypo.fit_growth`` with its samples taken by a mask over the stored
     ordinals: past the last singular ordinal and of positive gain."""
@@ -605,7 +610,8 @@ def mask_fit_growth(table, tol: float):
     keep = (ordinals >= r) & (gain > 0)
     if keep.sum() < 8:
         raise NoFitError(f"only {int(keep.sum())} usable samples past the last singular ordinal {r}")
-    slope, _, _ = envelope_fit(np.log1p(lam[keep]) / NU, np.log(gain[keep]), mode="min")
+    x = np.log1p(lam[keep]) / NU
+    slope, _, _ = envelope_fit(sliced(x, np.log(gain[keep])), len(x), mode="min")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         weights = np.exp(np.log1p(lam[keep]) * (slope / NU))
         big_l = float(np.min(gain[keep] / weights))
@@ -624,7 +630,7 @@ def mask_estimate_order(table):
 
     norms, nz = table.opnorm, table.opnorm > 0
     x = np.log1p(table.lam[nz]) / NU
-    slope, _, npts = envelope_fit(x, np.log(norms[nz]), mode="max")
+    slope, _, npts = envelope_fit(sliced(x, np.log(norms[nz])), len(x), mode="max")
     with np.errstate(over="ignore", divide="ignore"):
         weights = np.exp(np.log1p(table.lam[nz]) * (slope / NU))
         c_hat = float(np.max(norms[nz] / weights))

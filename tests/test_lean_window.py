@@ -14,10 +14,10 @@ from hyposym import SU2, TORUS2, Window, build_symbol, cli, estimate_order, gain
 from hyposym import fitting, spectral
 from hyposym.errors import NoFitError, PreconditionError, WindowTooSmallError
 from hyposym.exact import parse_real
-from hyposym.fitting import BIN_WIDTH, Mapped, envelope_points
+from hyposym.fitting import BIN_WIDTH, envelope_bound, envelope_points
 from hyposym.hypo import fit_growth, singular_scan
 from hyposym.spectral import torus_lattice
-from hyposym.symbols import Coefficient, TorusPoly, zero_mask
+from hyposym.symbols import Coefficient, GainTable, OrderEstimate, TorusPoly, zero_mask
 
 from conftest import su2_laplace_minus_axis_sq, torus_translation
 from oracles import (
@@ -26,6 +26,7 @@ from oracles import (
     mask_estimate_order,
     mask_fit_growth,
     ordinals,
+    sliced,
     square_torus_lattice,
 )
 
@@ -125,14 +126,14 @@ def window_ordered_samples(draw):
 @given(window_ordered_samples(), st.sampled_from(["min", "max"]))
 def test_envelope_points_match_the_mask_loop(samples, mode):
     x, y = samples
-    got, want = envelope_points(x, y, mode), mask_envelope_points(x, y, mode)
+    got, want = envelope_points(sliced(x, y), len(x), mode), mask_envelope_points(x, y, mode)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_envelope_points_reject_no_samples():
     with pytest.raises(WindowTooSmallError):
-        envelope_points(np.array([]), np.array([]))
+        envelope_points(sliced(np.array([]), np.array([])), 0)
 
 
 def _tables():
@@ -153,6 +154,45 @@ def test_fit_growth_matches_the_mask_fit(tol):
                 fit_growth(table, tol)
             continue
         assert fit_growth(table, tol) == want
+
+
+def _spanning_table(top: float):
+    """A torus table up to eigenvalue 100, built directly, whose gains (and
+    norms) run from 1/top at lambda = 0 to top at lambda = 100, log-linear
+    in the bracket: with top = 1e300 the fitted slope (about +-600) puts
+    (1 + lambda)^(slope/nu) out of float range at one end of the window."""
+    window = Window(TORUS2, 100)
+    x = np.log1p(window.lam) / np.log1p(100.0)
+    values = np.exp((2 * x - 1) * np.log(top))
+    return GainTable(build_symbol(torus_translation(1)), window, values, values)
+
+
+@pytest.mark.parametrize("top", [1e300, 1e-300])
+def test_fit_errors_when_the_bound_leaves_float_range(top):
+    table = _spanning_table(top)
+    with pytest.raises(WindowTooSmallError) as order_error:
+        estimate_order(table)
+    # the norm bound is the largest norm / weight: a weight of inf or of 0 leaves float range
+    assert type(order_error.value) is WindowTooSmallError
+    assert re.fullmatch(r"the order -?\d+\.\d+ leaves float range on the window",
+                        str(order_error.value))
+    if top < 1:  # the gain bound is the least gain / weight: a weight of 0 drops out
+        fit = fit_growth(table, 0.0)
+        assert fit == mask_fit_growth(table, 0.0) and fit.m < -500 and 0 < fit.L < np.inf
+        return
+    with pytest.raises(NoFitError) as fit_error:
+        fit_growth(table, 0.0)
+    assert re.fullmatch(r"the bound of slope \d+\.\d+ leaves float range on the window",
+                        str(fit_error.value))
+    with pytest.raises(NoFitError, match=re.escape(str(fit_error.value))):
+        mask_fit_growth(table, 0.0)
+
+
+def test_an_all_zero_table_has_order_minus_infinity():
+    window = Window(TORUS2, 100)
+    zeros = np.zeros(len(window))
+    table = GainTable(build_symbol(torus_translation(1)), window, zeros, zeros)
+    assert estimate_order(table) == OrderEstimate(float("-inf"), 0.0, 0)
 
 
 def test_estimate_order_matches_the_mask_estimate():
@@ -213,12 +253,19 @@ def test_chunked_envelope_points_match_the_mask_loop(samples, mode, chunk):
     want = mask_envelope_points(x, y, mode)
     old = fitting.REDUCE_CHUNK
     fitting.REDUCE_CHUNK = chunk
+    # the same samples, each position followed by one that the reader drops
+    padded_x, padded_y = np.repeat(x, 2), np.repeat(y, 2)
+
+    def filtered(a, b):
+        keep = np.arange(a, b) % 2 == 0
+        return padded_x[a:b][keep], padded_y[a:b][keep]
+
     try:
-        arrays = envelope_points(x, y, mode)
-        mapped = envelope_points(Mapped(np.negative, -x), Mapped(lambda v: v * 1.0, y), mode)
+        arrays = envelope_points(sliced(x, y), len(x), mode)
+        dropped = envelope_points(filtered, 2 * len(x), mode)
     finally:
         fitting.REDUCE_CHUNK = old
-    for got in (arrays, mapped):
+    for got in (arrays, dropped):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -231,13 +278,14 @@ def test_a_tie_across_a_chunk_edge_keeps_its_first_sample(mode, monkeypatch):
     x = np.concatenate([np.arange(12) / 100, [1.0, 2.0, 3.0]])
     y = np.full(15, 5.0 if mode == "min" else -5.0)
     y[[5, 9]] = 0.0
-    xs, ys = envelope_points(x, y, mode)
+    xs, ys = envelope_points(sliced(x, y), len(x), mode)
     assert xs[0] == 0.05 and ys[0] == 0.0
 
 
 def test_a_filter_that_leaves_no_sample_is_no_envelope():
+    # the bound fit reads only the positive values
     with pytest.raises(WindowTooSmallError, match="no samples"):
-        envelope_points(Mapped(lambda v: v[v < 0], np.arange(5.0)), np.arange(5.0))
+        envelope_bound(np.arange(5.0), np.zeros(5), "max", WindowTooSmallError)
 
 
 def test_the_reductions_stay_under_30_bytes_per_character():

@@ -7,13 +7,16 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyposym import cli, forked, parse_spec, tables
+from hyposym import cli, forked, parse_spec, symbols, tables
 from hyposym.errors import PreconditionError, SpecFileError
 from hyposym.spectral import Su2Label
 from hyposym.tables import _matrix_array, _parse_matrix, _parse_table_label
@@ -535,3 +538,36 @@ def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
     square.setflags(write=False)
     with pytest.raises(PreconditionError, match="table block for l=1 has size 2, expected 3"):
         MatrixTable("su2", {Su2Label(2): square})
+
+
+# ---------------------------------------------------------------------------
+# reports that do not depend on the CPU count
+
+
+def _one_cpu():
+    """Pin the calling process, a child before it runs the command, to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="pinning changes nothing with fewer than two CPUs")
+@pytest.mark.skipif(symbols._blas_thread_calls() is None, reason="no known BLAS thread setter")
+def test_a_dense_report_is_the_same_pinned_to_one_cpu(tmp_path):
+    # the seeded table of levels 2l = 0..80: OpenBLAS splits the SVD of a
+    # block from 81 x 81 up by its threads, which changes its last bits
+    rng = np.random.default_rng(2)
+    blocks = [(rng.standard_normal((t + 1, t + 1)) + 1j * rng.standard_normal((t + 1, t + 1)))
+              / np.sqrt(2.0) for t in range(81)]
+    entries = [{"label": t, "matrix": np.stack([b.real, b.imag], axis=-1).tolist()}
+               for t, b in enumerate(blocks)]
+    (tmp_path / "table.json").write_text(json.dumps({"entries": entries}))
+    spec = json.dumps({"model": {"kind": "su2"},
+                       "operator": {"kind": "matrix_table", "path": "table.json"}})
+    argv = [sys.executable, "-m", "hyposym.cli", "subelliptic", "--spec", spec, "--cutoff",
+            "1640.0", "--s", "0", "--m", "1", "--probes", "20", "--seed", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    unpinned, pinned = (subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True,
+                                       check=True, preexec_fn=pin).stdout
+                        for pin in (None, _one_cpu))
+    assert json.loads(unpinned)["report"]["c_star"] > 0
+    assert unpinned == pinned

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError, SearchExhaustedError, WindowTooSmallError
 from .spectral import NU, FrequencyIndex, Label, Window, bracket_power, frequency_for_label
-from .symbols import MatrixSymbol, block_extrema, one_blas_thread
+from .symbols import MatrixSymbol, gain_lower_bounds
 
 __all__ = [
     "CoefficientField",
@@ -261,19 +261,6 @@ class Counterexample:
     image: CoefficientField
 
 
-def _unit_null_vector(block: np.ndarray) -> np.ndarray:
-    """Right singular vector of the smallest singular value, phase-fixed so
-    the first nonzero component is positive real."""
-    with one_blas_thread():
-        _, _, vh = np.linalg.svd(block)
-    v = vh[-1].conj()
-    for comp in v:
-        if abs(comp) > 1e-14:
-            v = v * (comp.conjugate() / abs(comp))
-            break
-    return v
-
-
 # upward slack on the screen's ceiling (1+lambda)^{-k}: it covers the rounding
 # of the float power (k + 2 roundings, k < 1100 wherever the ceiling is above
 # the smallest normal float), of gain - err, and the guard band of every tol >= 0
@@ -281,33 +268,12 @@ _SCREEN_SLACK = 2.0**-20
 _TINY = np.finfo(float).tiny
 
 
-def _gain_lower_bounds(symbol: MatrixSymbol, window: Window):
-    """Yield ``(lo, hi, lower)`` over runs of the window's blocks, in order.
-
-    ``lower[i - lo]`` is at most block i's exact gain and its float gain
-    ``symbol.gain``: the ``block_extrema`` gain less the symbol's
-    ``bulk_err``.  It is -inf for a dense symbol, which has no rounding
-    bound, and from the first run whose values leave float range onwards.
-    """
-    done = 0
-    if symbol.is_diagonal:
-        try:
-            for lo, hi, gain, _ in block_extrema(symbol, window):
-                err = symbol.bulk_err(*(x[lo:hi] for x in window.labels))
-                with np.errstate(invalid="ignore"):  # inf - inf; no yield inside the context
-                    lower = gain - err
-                yield lo, hi, lower
-                done = hi
-        except (PreconditionError, OverflowError):  # values beyond float range
-            pass
-    yield done, len(window), np.full(len(window) - done, -np.inf)
-
-
 def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
-    """The per-frequency test of step k: ``(freq, entry, vector, exact)``
-    when the gain at ``freq`` is below (1+lambda)^{-k}, else None.
-    ``exact`` is the chosen entry (re + i im) / den as ``(den, (re, im))``,
-    tested in integers, or None when the float test decided."""
+    """The per-frequency test of step k: ``(freq, entry, exact)`` when the
+    gain at ``freq`` is below (1+lambda)^{-k}, else None.  ``entry`` is the
+    place of the least value (``MatrixSymbol.place``); ``exact`` is that
+    entry (re + i im) / den as ``(den, (re, im))``, tested in integers, or
+    None when the float test decided."""
     exact = symbol.exact_diagonal(freq)
     if exact is not None:
         den, entries = exact
@@ -315,14 +281,12 @@ def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
         sq = [re * re + im * im for re, im in entries]
         i = sq.index(min(sq))
         below = sq[i] * p ** (2 * k) < (den * q**k) ** 2  # |entry|^2 < (q/p)^2k
-        return (freq, i, None, (den, entries[i])) if below else None
-    bound = (1.0 + freq.lam) ** (-k)
-    if not symbol.gain(freq) < bound * (1.0 - tol):
+        return (freq, i, (den, entries[i])) if below else None
+    values = symbol.values(freq)
+    gain = np.min(values)
+    if not gain < (1.0 + freq.lam) ** (-k) * (1.0 - tol):
         return None
-    diag = symbol.diagonal(freq)
-    if diag is not None:
-        return freq, int(np.argmin(np.abs(diag))), None, None
-    return freq, None, _unit_null_vector(symbol.block(freq)), None
+    return freq, symbol.place(values, gain), None
 
 
 def build_counterexample(
@@ -337,7 +301,7 @@ def build_counterexample(
     with strictly increasing eigenvalue.  The strict inequality is checked
     in exact arithmetic when the symbol evaluates rationally, otherwise
     with the relative guard band ``tol``.  A float screen goes first: a
-    frequency whose gain lower bound (``_gain_lower_bounds``) is above the
+    frequency whose gain lower bound (``gain_lower_bounds``) is above the
     ceiling (1+lambda)^{-k}, raised by a slack, fails both tests and is
     skipped; every other one is tested in ordinal order.  Raises
     SearchExhaustedError when no admissible frequency exists within the
@@ -350,7 +314,7 @@ def build_counterexample(
     if not tol >= 0:
         raise PreconditionError(f"guard band tol must be nonnegative, got {tol!r}")
     window = Window(symbol.model, cutoff)
-    screen = _gain_lower_bounds(symbol, window)
+    screen = gain_lower_bounds(symbol, window)
     lo = hi = 0
     support: dict[FrequencyIndex, np.ndarray] = {}
     images: dict[FrequencyIndex, np.ndarray] = {}
@@ -375,15 +339,18 @@ def build_counterexample(
         if found is None:
             raise SearchExhaustedError(k, cutoff)
 
-        freq, entry_idx, block_vec, exact = found
-        bdim = freq.label.rep_dim()
-        if block_vec is None:
-            block_vec = np.zeros(bdim, dtype=complex)
-            block_vec[entry_idx] = 1.0
+        freq, entry_idx, exact = found
+        block_vec = symbol.vectors(freq, [entry_idx])[:, 0]
+        # phase-fixed: the first component above 1e-14 in modulus is positive real
+        first = np.flatnonzero(np.abs(block_vec) > 1e-14)
+        if len(first):
+            comp = block_vec[first[0]]
+            block_vec = block_vec * (comp.conjugate() / abs(comp))
         full = np.zeros(freq.dim, dtype=complex)
-        full[: bdim] = block_vec  # first representation block carries the vector
+        full[: len(block_vec)] = block_vec  # first representation block carries the vector
         image = symbol.apply_to_vectors([freq], [full])[0]
-        image_norm = float(np.linalg.norm(image))
+        with np.errstate(over="ignore"):  # a norm beyond float range is refused below
+            image_norm = float(np.linalg.norm(image))
         if not math.isfinite(image_norm) and exact is not None:
             # the float symbol left float range here; the exact entry is
             # below 1 (int / int rounds correctly)

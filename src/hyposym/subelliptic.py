@@ -79,8 +79,9 @@ class TruncatedKernel:
             return vec
         rep = freq.label.rep_dim()
         chunks, out = vec.reshape(rep, rep), np.empty(freq.dim, dtype=complex)
-        coefs = chunks @ basis.conj()  # (copies x nullity)
-        np.subtract(chunks, coefs @ basis.T, out=out.reshape(rep, rep))
+        with one_blas_thread():
+            coefs = chunks @ basis.conj()  # (copies x nullity)
+            np.subtract(chunks, coefs @ basis.T, out=out.reshape(rep, rep))
         out.setflags(write=False)
         return out
 
@@ -92,8 +93,7 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
     value.  The witness (C*, freq, entry) is the first strict minimum over
     blocks of the least nonzero value times (1 + lam)^{-m/nu}, or None when
     every block is entirely kernel.  Its entry, from one more evaluation,
-    is the first minimum of a diagonal block and the last nonzero singular
-    value of a dense one."""
+    is the place of that value (``MatrixSymbol.place``)."""
     if cutoff <= 0:
         raise PreconditionError("cutoff must be positive")
     window = Window(symbol.model, cutoff)
@@ -108,17 +108,10 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
             freq = window.freq(lo + k)
             values = symbol.values(freq)
             zero = zero_mask(values, opnorm[k], tol)
-            n = int(np.count_nonzero(zero))
-            if symbol.is_diagonal:
-                basis = np.eye(len(zero), dtype=complex)[:, zero]
-            else:
-                # a full SVD only for a dense block with a kernel: its zero
-                # values descend to the last rows of vh
-                with one_blas_thread():
-                    basis = np.linalg.svd(symbol.block(freq))[2][len(zero) - n:].conj().T
+            basis = symbol.vectors(freq, np.flatnonzero(zero))
             basis.setflags(write=False)
             blocks[freq.label] = basis
-            total += n * freq.label.rep_dim()
+            total += basis.shape[1] * freq.label.rep_dim()
             boundary = boundary or freq.lam > 0.8 * cutoff
             least[k] = np.min(values[~zero], initial=np.inf)
         cand = least  # at m = 0 every weight (1 + lam)^-0.0 is exactly 1.0
@@ -134,12 +127,9 @@ def _window_pass(symbol: MatrixSymbol, cutoff: float, tol: float, m: float):
         if cand[k] < np.inf and (best is None or cand[k] < best[0]):
             best = (float(cand[k]), lo + k, least[k])
     if best is not None:
-        # zero values lie below the least nonzero one, and singular values
-        # descend: the last hit of a dense block ends its nonzero prefix
         c_star, i, least = best
         freq = window.freq(i)
-        hits = np.flatnonzero(symbol.values(freq) == least)
-        best = (c_star, freq, int(hits[0] if symbol.is_diagonal else hits[-1]))
+        best = (c_star, freq, symbol.place(symbol.values(freq), least))
     return TruncatedKernel(window, blocks, total, boundary), best
 
 
@@ -231,23 +221,14 @@ def best_alpha_constant(
 
 
 def extremal_field(report: SubellipticReport, symbol: MatrixSymbol) -> CoefficientField:
-    """The witness vector of a report, as a coefficient field.
-
-    For diagonal blocks this is the basis vector of the extremal entry; for
-    dense blocks the right singular vector of the extremal singular value.
-    Placed in the first representation chunk.
+    """The witness vector of a report, as a coefficient field: the unit
+    right vector of the extremal value (``MatrixSymbol.vectors``), placed
+    in the first representation chunk.
     """
     freq = report.witness
-    bdim = freq.label.rep_dim()
-    if symbol.is_diagonal:
-        block_vec = np.zeros(bdim, dtype=complex)
-        block_vec[report.witness_index] = 1.0
-    else:
-        with one_blas_thread():
-            vh = np.linalg.svd(symbol.block(freq))[2]
-        block_vec = vh[report.witness_index].conj()
+    block_vec = symbol.vectors(freq, [report.witness_index])[:, 0]
     full = np.zeros(freq.dim, dtype=complex)
-    full[:bdim] = block_vec
+    full[:len(block_vec)] = block_vec
     return CoefficientField(explicit={freq: full})
 
 
@@ -291,8 +272,7 @@ def _probe_terms(symbol: MatrixSymbol, f: CoefficientField, cutoff: float,
         pf_t += image_t
         if kernel is None:
             continue
-        with one_blas_thread(not symbol.is_diagonal):  # dense bases: SVD vectors
-            w = kernel.project_out(freq, vec)
+        w = kernel.project_out(freq, vec)
         # numerical kernels (dense SVD bases) leave roundoff residue; treat
         # a relatively vanished projection as gone so it flags vacuous.  Off
         # the kernel w is vec, and one norm decides

@@ -58,6 +58,7 @@ __all__ = [
     "zero_mask",
     "block_values",
     "block_extrema",
+    "gain_lower_bounds",
     "smallest_gain",
     "gain_table",
     "estimate_order",
@@ -458,14 +459,14 @@ def _blas_thread_calls():
 
 
 @contextlib.contextmanager
-def one_blas_thread(dense: bool = True):
-    """Run the block with numpy's OpenBLAS on one thread when ``dense``, then
-    restore its thread count.  OpenBLAS splits a large block's LAPACK work
-    (an SVD from 81 x 81 up) by its threads, which changes the last bits of
-    the result, so a dense table's reports would depend on the CPU count;
-    on one thread they do not.  A BLAS without a known setter is left as it
-    is.  No ``forked`` worker enters this: they make no BLAS call."""
-    calls = _blas_thread_calls() if dense else None
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore its
+    thread count.  OpenBLAS splits a large block's LAPACK work (an SVD from
+    81 x 81 up) by its threads, which changes the last bits of the result,
+    so a dense table's reports would depend on the CPU count; on one thread
+    they do not.  A BLAS without a known setter is left as it is.  No
+    ``forked`` worker enters this: they make no BLAS call."""
+    calls = _blas_thread_calls()
     old = calls[0]() if calls else 1
     if old == 1:
         yield
@@ -586,6 +587,27 @@ class MatrixSymbol:
         with one_blas_thread():
             return np.linalg.svd(self.block(freq), compute_uv=False)
 
+    def vectors(self, freq: FrequencyIndex, columns) -> np.ndarray:
+        """The ``columns`` of V, the block's unit right vectors in ``values``
+        order: just those identity columns of a diagonal block, and those of
+        vh^H from a dense block's full SVD (whose values round differently
+        in the last bits: values come from ``values``)."""
+        if self.is_diagonal:
+            self._check(freq)
+            rows = np.zeros((len(columns), freq.label.rep_dim()), dtype=complex)
+            rows[np.arange(len(columns)), columns] = 1.0
+        else:
+            with one_blas_thread():
+                rows = np.linalg.svd(self.block(freq))[2][columns].conj()
+        return rows.T
+
+    def place(self, values: np.ndarray, value: float) -> int:
+        """The place in a block's ``values`` of one of them: its first place in
+        a diagonal block, its last in a dense one, whose values descend (so
+        a dense block's least value is at its last place)."""
+        hits = np.flatnonzero(values == value)
+        return int(hits[0] if self.is_diagonal else hits[-1])
+
     def gain(self, freq: FrequencyIndex) -> float:
         """Smallest gain m(sigma(j)); block-level, diagonal short-circuit."""
         return float(np.min(self.values(freq)))
@@ -622,11 +644,12 @@ class MatrixSymbol:
         def product(freq, v, d):
             rep = freq.label.rep_dim()
             chunks, out = v.reshape(rep, rep), np.empty(freq.dim, dtype=complex)
-            with np.errstate(over="ignore", invalid="ignore"), one_blas_thread(d is None):
+            with np.errstate(over="ignore", invalid="ignore"):
                 if d is not None:
                     np.multiply(chunks, d[None, :], out=out.reshape(rep, rep))
                 else:
-                    np.matmul(chunks, self.block(freq).T, out=out.reshape(rep, rep))
+                    with one_blas_thread():
+                        np.matmul(chunks, self.block(freq).T, out=out.reshape(rep, rep))
             return out
 
         return map(product, freqs, vecs, diags)
@@ -914,6 +937,28 @@ def block_extrema(symbol: MatrixSymbol, window: Window):
         if len(values) > hi - lo:
             extrema = np.minimum.reduceat(values, offsets), np.maximum.reduceat(values, offsets)
         yield lo, hi, *extrema
+
+
+def gain_lower_bounds(symbol: MatrixSymbol, window: Window):
+    """Yield ``(lo, hi, lower)`` over runs of the window's blocks, in order.
+
+    ``lower[i - lo]`` is at most block i's exact gain and its float gain
+    ``symbol.gain``: the ``block_extrema`` gain less the symbol's
+    ``bulk_err``.  It is -inf for a dense symbol, which has no rounding
+    bound, and from the first run whose values leave float range onwards.
+    """
+    done = 0
+    if symbol.is_diagonal:
+        try:
+            for lo, hi, gain, _ in block_extrema(symbol, window):
+                err = symbol.bulk_err(*(x[lo:hi] for x in window.labels))
+                with np.errstate(invalid="ignore"):  # inf - inf; no yield inside the context
+                    lower = gain - err
+                yield lo, hi, lower
+                done = hi
+        except (PreconditionError, OverflowError):  # values beyond float range
+            pass
+    yield done, len(window), np.full(len(window) - done, -np.inf)
 
 
 def gain_table(symbol: MatrixSymbol, cutoff: float) -> GainTable:

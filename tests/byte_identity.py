@@ -12,11 +12,12 @@ Each command then runs there as ``python3 -m hyposym.cli <argv>`` with
 plan names.  Exit codes, stdout, stderr and the sha256 of every file a
 command writes are compared.  The fixed ``CASES`` (inputs that fail, a
 branch no plan takes, and windows larger than any plan's) then run once
-per side, in a directory that holds ``TORUS_TABLE``, ``SU2_TABLE`` and
-``BAD_TABLES``, and are compared the same way.  Each command that may
-fork, writing a sidecar (``--out``) or reading a matrix table, runs a
-second time pinned to one CPU, where ``os.sched_setaffinity`` exists, so
-one process formats its sidecar and parses its table.  The pinned runs are
+per side, in a directory that holds ``TORUS_TABLE``, ``SU2_TABLE``,
+``BAD_TABLES``, ``SINGULAR_TABLE`` and ``TIED_TABLE``, and are compared
+the same way.  Each command that may fork, writing a sidecar (``--out``)
+or reading a matrix table, runs a second time pinned to one CPU, where
+``os.sched_setaffinity`` exists, so one process formats its sidecar and
+parses its table.  The pinned runs are
 compared between the sides, and the new side's run on every CPU with its
 own pinned run: output that depends on the CPU count fails.  The old
 side's run on every CPU is not compared, so a dependence that the new
@@ -66,6 +67,15 @@ TORUS_TABLE_SPEC = _spec("torus2", "matrix_table", path=TORUS_TABLE)
 # that its blocks are parsed in more than one process
 SU2_TABLE = "su2_table.json"
 SU2_TABLE_SPEC = _spec("su2", "matrix_table", path=SU2_TABLE)
+# a dense complex SU(2) table of levels 2l = 0..24 whose last row is the sum
+# of the others: every block is singular up to rounding, so a counterexample
+# takes the phase-fixed SVD vectors into its coefficients sidecar
+SINGULAR_TABLE = "su2_singular_table.json"
+# diagonal SU(2) blocks of levels 2l = 0..24 written as a dense table, their
+# entries tenths in [1, 3] times a power of i, so their moduli tie, with two
+# entries 1e-9 in every fourth block and two zeros in every fifth: the
+# witness, the kernel and the counterexample each fall on tied values
+TIED_TABLE = "su2_tied_table.json"
 # SU2_TABLE damaged late, each written beside it: a cell of three parts in
 # the last block, a NaN literal, the last entry's label repeating level 3,
 # and the file cut short
@@ -148,6 +158,14 @@ CASES = [
     ["subelliptic", "--spec", SU2_TABLE_SPEC, "--cutoff", "600", "--probes", "3", "--seed", "2"],
     *(["analyze", "--spec", _spec("su2", "matrix_table", path=bad), "--cutoff", "600"]
       for bad in BAD_TABLES),
+    # the vectors of dense blocks: phase-fixed in a counterexample's sidecar,
+    # and on tied singular values as a witness, a kernel and a counterexample
+    ["counterexample", "--spec", _spec("su2", "matrix_table", path=SINGULAR_TABLE),
+     "--cutoff", "150", "--k", "3", "--out", "singular_counterexample.json"],
+    ["subelliptic", "--spec", _spec("su2", "matrix_table", path=TIED_TABLE), "--cutoff", "150",
+     "--m", "1", "--probes", "5", "--seed", "1"],
+    ["counterexample", "--spec", _spec("su2", "matrix_table", path=TIED_TABLE),
+     "--cutoff", "150", "--k", "2", "--out", "tied_counterexample.json"],
 ]
 
 
@@ -175,6 +193,25 @@ def write_su2_tables(workdir: Path) -> None:
                text.replace('"label": 48,', '"label": 3,'), text[:-100]]
     for name, bad in zip(BAD_TABLES, damaged):
         (workdir / name).write_text(bad)
+
+
+def write_vector_tables(workdir: Path) -> None:
+    """``SINGULAR_TABLE`` and ``TIED_TABLE``, each seeded."""
+    rng = random.Random(24)
+    singular, tied = [], []
+    for t in range(25):
+        rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(t + 1)] for _ in range(t)]
+        rows.append([sum(col) for col in zip(*rows)] if rows else [0j])
+        singular.append({"label": t, "matrix": [[[z.real, z.imag] for z in row] for row in rows]})
+        size = [rng.randint(10, 30) / 10 for _ in range(t + 1)]
+        for due, tiny in ((t % 4 == 3, 1e-9), (t % 5 == 4, 0.0)):
+            if due:
+                size[0] = size[-1] = tiny
+        diag = [r * 1j ** rng.randrange(4) for r in size]
+        tied.append({"label": t, "matrix": [[[diag[i].real, diag[i].imag] if i == j else [0, 0]
+                                             for j in range(t + 1)] for i in range(t + 1)]})
+    (workdir / SINGULAR_TABLE).write_text(json.dumps({"entries": singular}))
+    (workdir / TIED_TABLE).write_text(json.dumps({"entries": tied}))
 
 
 def _digests(workdir: Path) -> dict[str, str]:
@@ -240,6 +277,7 @@ def run_cases(src: Path, workdir: Path) -> list[list[tuple]]:
     workdir.mkdir()
     write_torus_table(workdir / TORUS_TABLE)
     write_su2_tables(workdir)
+    write_vector_tables(workdir)
     return [_runs(src, argv, workdir) for argv in CASES]
 
 

@@ -577,7 +577,7 @@ def test_exact_test_refuses_an_entry_on_the_bound(poly, label, k, scale):
         op = poly.make([(Coefficient.make(c * Fraction(3, 5), c * Fraction(4, 5)), 0, 0)])
         found = _admissible(build_symbol(op), freq, k, 0.0)
         assert (found is not None) == admitted
-        assert found is None or found[3] is not None  # decided exactly
+        assert found is None or found[2] is not None  # decided exactly
 
 
 def _assert_batched_application_is_per_frequency(sym, field, cutoff):

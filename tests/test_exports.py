@@ -139,3 +139,38 @@ def test_no_signature_restates_the_model():
     assert [f.name for f in dataclasses.fields(hyposym.SpectralModel)] == ["kind"]
     with pytest.raises(TypeError):
         hyposym.SpectralModel("torus2", nu=4.0)
+
+
+def _block_storage_reads(tree: ast.Module):
+    """``(where, what)`` of each SVD call, ``is_diagonal`` read and
+    ``one_blas_thread`` call in a module, ``where`` the dotted name of the
+    enclosing class and function."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            if isinstance(child, ast.Attribute) and child.attr == "is_diagonal":
+                yield where, "is_diagonal"
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("svd", "one_blas_thread"):
+                    yield where, name
+            yield from walk(child, inner)
+
+    return list(walk(tree, ""))
+
+
+def test_only_symbols_knows_how_a_block_is_stored():
+    # whether a block is diagonal or dense, how its vectors come from an SVD,
+    # and when BLAS runs on one thread are decided in symbols.py; a kernel's
+    # projection runs its own two products on one thread
+    allowed = {("subelliptic", "TruncatedKernel.project_out", "one_blas_thread")}
+    found = {(name, where, what) for name in MODULES if name != "symbols"
+             for where, what in _block_storage_reads(
+                 ast.parse((ROOT / "src" / "hyposym" / f"{name}.py").read_text()))}
+    assert found == allowed
+    symbols = ast.parse((ROOT / "src" / "hyposym" / "symbols.py").read_text())
+    assert {what for _, what in _block_storage_reads(symbols)} == {
+        "svd", "is_diagonal", "one_blas_thread"}

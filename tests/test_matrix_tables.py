@@ -571,3 +571,19 @@ def test_a_dense_report_is_the_same_pinned_to_one_cpu(tmp_path):
                         for pin in (None, _one_cpu))
     assert json.loads(unpinned)["report"]["c_star"] > 0
     assert unpinned == pinned
+
+
+def test_an_image_norm_beyond_float_range_warns_nothing(tmp_path):
+    # blocks 1e200 * ones: a null vector's image is finite, its norm is not;
+    # the refusal is the one JSON document on stderr, with no numpy warning
+    entries = [{"label": t, "matrix": [[[1e200, 0]] * (t + 1)] * (t + 1)} for t in range(13)]
+    (tmp_path / "table.json").write_text(json.dumps({"entries": entries}))
+    spec = json.dumps({"model": {"kind": "su2"},
+                       "operator": {"kind": "matrix_table", "path": "table.json"}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "hyposym.cli", "counterexample", "--spec", spec, "--cutoff", "12",
+         "--k", "1"], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")))
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr) == {"error": "the image norm at l=1 is beyond float range",
+                                       "kind": "PreconditionError"}

@@ -14,6 +14,7 @@ from hyposym import (
     Torus2Label,
     Window,
     best_alpha_constant,
+    build_counterexample,
     build_symbol,
     check_alpha,
     check_beta,
@@ -39,6 +40,7 @@ from oracles import (
     per_call_check_beta,
     per_frequency_constant,
     support_labels,
+    unscreened_counterexample,
 )
 
 
@@ -322,6 +324,51 @@ def test_witness_entry_on_tied_values(su2_gap_symbol):
     entries = {Su2Label(t): (10.0 - t) * np.eye(t + 1) for t in range(5)}
     report = best_alpha_constant(build_symbol(MatrixTable("su2", entries)), 0.0, 0.0, 6)
     assert (report.witness.label, report.witness_index, report.c_star) == (Su2Label(4), 4, 6.0)
+
+
+def test_a_diagonal_table_with_ties_takes_the_last_tied_column():
+    # diagonal blocks written as a dense table, their |entries| tied, and in
+    # every third block the two least tied at 1e-9: the witness entry is the
+    # last of the tied singular values, and the witness and counterexample
+    # vectors are the SVD's, as the oracles build them
+    rng = np.random.default_rng(4)
+    entries = {}
+    for t in range(9):
+        size = rng.integers(2, 5, t + 1).astype(float)
+        size[[0, -1]] = 1e-9 if t % 3 == 2 else 1.0
+        entries[Su2Label(t)] = np.diag(size * 1j ** rng.integers(0, 4, t + 1))
+    symbol = build_symbol(MatrixTable("su2", entries))
+    report = best_alpha_constant(symbol, 0.0, 1.0, 8 * 10 / 4)
+    values = symbol.values(report.witness)
+    assert report.witness.label == Su2Label(8)
+    assert values[-2] == values[-1] == 1e-9 != values[-3]
+    assert report.witness_index == 8
+    got, want = extremal_field(report, symbol), labelled_extremal_field(report, symbol)
+    assert _field_bits(got, 20) == _field_bits(want, 20)
+    got, want = build_counterexample(symbol, 3, 20), unscreened_counterexample(symbol, 3, 20)
+    assert [f.label for f in got.frequencies] == [Su2Label(t) for t in (2, 5, 8)]
+    assert _field_bits(got.field, 20) == _field_bits(want.field, 20)
+    assert _field_bits(got.image, 20) == _field_bits(want.image, 20)
+
+
+def test_kernel_pass_takes_identity_columns_only(su2_pell_symbol):
+    # entries l(l+1) - 2 m^2 at 2.9e6: the kernel level l = 1681 has 3363
+    # entries, whose identity would take 173 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        kernel = kernel_on_truncation(su2_pell_symbol, 2.9e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert Su2Label(2 * 1681) in kernel.blocks
+    blocks, _ = per_block_window_pass(su2_pell_symbol, 2.9e6, 0.0)
+    assert list(kernel.blocks) == list(blocks)
+    for lab, basis in blocks.items():
+        assert kernel.blocks[lab].tobytes() == basis.tobytes()
+    assert kernel.total_dim == sum(b.shape[1] * lab.rep_dim() for lab, b in blocks.items())
 
 
 @pytest.mark.parametrize("chunk", [5, None])

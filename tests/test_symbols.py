@@ -288,6 +288,40 @@ def test_block_replication_preserves_gain_and_norm():
 
 
 # ---------------------------------------------------------------------------
+# unit right vectors, against numpy's SVD
+
+
+def test_dense_vectors_are_the_svd_columns_bit_for_bit():
+    rng = np.random.default_rng(11)
+    entries = {Su2Label(t): rng.standard_normal((t + 1, t + 1))
+               + 1j * rng.standard_normal((t + 1, t + 1)) for t in range(13)}
+    sym = build_symbol(MatrixTable("su2", entries))
+    for label, block in entries.items():
+        n = label.rep_dim()
+        for cols in ([n - 1], [0, n - 1], list(range(n // 2, n)), list(range(n))):
+            got = sym.vectors(frequency_for_label(label), cols)
+            want = np.linalg.svd(block)[2][cols].conj().T
+            assert got.shape == (n, len(cols))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_diagonal_vectors_are_identity_columns_without_a_square_temporary():
+    import tracemalloc
+
+    sym = build_symbol(su2_laplace_minus_axis_sq())
+    freq = frequency_for_label(Su2Label(2000))  # 2001 entries: an identity takes 64 MB
+    cols = [0, 7, 2000]
+    tracemalloc.start()
+    try:
+        got = sym.vectors(freq, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == np.eye(2001, dtype=complex)[:, cols].tobytes()
+    assert peak < 2**20
+
+
+# ---------------------------------------------------------------------------
 # application to fields
 
 

@@ -2,23 +2,40 @@
 
 A matrix-table file holds ``{"entries": [{"label": ..., "matrix":
 [[[re,im], ...], ...]}, ...]}`` with row-major complex entries; labels are
-``[xi, eta]`` on the torus and ``twice_ell`` integers on SU(2), where each
-matrix is the (2l+1) x (2l+1) representation block.  Other keys, and a
-label given twice, are violations.
+``[xi, eta]`` on the torus and ``twice_ell`` integers on SU(2), given
+alone or as ``{"twice_ell": t}``, where each matrix is the (2l+1) x (2l+1)
+representation block.  Other keys, in the table, an entry or a label
+object, and a label given twice, are violations.
 
 A table is parsed block by block, on up to one forked process per CPU for
 a large table (``_blockwise``); a text that does not split into blocks is
 parsed as one document, which names what is wrong, with the same checks
 and bits either way.  ``specfile`` imports this module only for a spec
 that names a table, so no other spec compiles it.
+
+A table that parses with no violation is cached, so that a later process
+reading the same bytes skips the parse.  Its cache file is
+``<$XDG_CACHE_HOME or ~/.cache>/hyposym/tables/<key>.npy``, where the key
+is the sha256 of a format tag, the model kind, the source of every
+``hyposym`` module and the table's bytes: an edit to the parser, or to the
+table, reaches another file.  The file holds one int64 array: the entry
+count, the labels in entry order (2 ints on the torus, 1 on SU(2)), then
+the complex128 values of the blocks in that order.  A file that does not
+hold exactly that layout is a miss, and a miss parses the text as above.
+The cache never changes what is reported: a table with violations is
+never stored, and every OSError on the cache only means no cache.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
+import io
 import json
 import math
+import os
 import re
+from dataclasses import astuple
 from itertools import chain
 
 import numpy as np
@@ -30,6 +47,8 @@ __all__ = ["load_table"]
 
 # table text, in characters, worth one more process parsing its blocks
 TABLE_CHARS_PER_PROCESS = 1 << 20
+# the first bytes hashed into a cache key: a new file layout takes a new tag
+CACHE_FORMAT = b"hyposym matrix table cache 1"
 # a "matrix" key and a value of JSON numbers, brackets, commas and whitespace
 _MATRIX = re.compile(r'"matrix"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE\[\], \t\n\r]*\])')
 
@@ -37,9 +56,17 @@ _MATRIX = re.compile(r'"matrix"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE\[\], \t\n\r]*\]
 def load_table(path: str, model_kind: str, problems: list[str]):
     """The blocks of the table file at ``path`` by label, or None; every
     violation found goes to ``problems``."""
+    given = len(problems)
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        cache = _cache_file(model_kind, data)
+        cached = _read_cache(cache, model_kind) if cache else None
+        if cached is not None:
+            return cached
+        # the text ``open(path, encoding="utf-8")`` reads, universal newlines included
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data  # the parse holds its text and blocks, not the bytes too
         doc = _blockwise(text)
         if doc is None:  # the whole document at once, which names what is wrong
             doc = json.loads(text, parse_constant=_reject_constant)
@@ -77,7 +104,84 @@ def load_table(path: str, model_kind: str, problems: list[str]):
             )
             continue
         table[label] = mat
+    if cache and len(problems) == given:
+        _write_cache(cache, table)
     return table
+
+
+def _cache_file(model_kind: str, data: bytes) -> str | None:
+    """The cache file of a table of bytes ``data`` (see the module
+    docstring), or None where the sources or the cache directory are not
+    known."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    if not os.path.isabs(base):  # no home directory
+        return None
+    key = hashlib.sha256(CACHE_FORMAT + b"\0" + model_kind.encode() + b"\0")
+    here = os.path.dirname(os.path.abspath(__file__))
+    try:
+        for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+            with open(os.path.join(here, name), "rb") as fh:
+                source = fh.read()
+            key.update(b"%s\0%d\0" % (name.encode(), len(source)) + source)
+    except OSError:
+        return None
+    key.update(data)
+    return os.path.join(base, "hyposym", "tables", key.hexdigest() + ".npy")
+
+
+def _read_cache(cache: str, model_kind: str):
+    """The table stored at ``cache``, its blocks owned and read-only, or
+    None where it is missing or not exactly the layout ``_write_cache``
+    writes."""
+    make, width = (Torus2Label, 2) if model_kind == "torus2" else (Su2Label, 1)
+    try:
+        # mapped, so a header's shape is checked against the file's size
+        # before anything is read; a plain array, so blocks copied from it are
+        stored = np.asarray(np.load(cache, mmap_mode="r", allow_pickle=False))
+        if stored.dtype != np.int64 or stored.ndim != 1 or len(stored) < 1:
+            return None
+        count = int(stored[0])
+        if count < 1:
+            return None
+        head = 1 + width * count
+        labels = [make(*ints) for ints in stored[1:head].reshape(count, width).tolist()]
+        sizes = [label.rep_dim() for label in labels]
+        values = stored[head:].view(np.complex128)
+        if sum(n * n for n in sizes) != len(values) or not np.isfinite(values).all():
+            return None
+        table, at = {}, 0
+        for label, n in zip(labels, sizes):
+            block = values[at:at + n * n].reshape(n, n).copy()
+            block.setflags(write=False)  # an owned read-only block, which MatrixTable adopts
+            table[label] = block
+            at += n * n
+    except (OSError, ValueError, EOFError):  # no cache file, or one of another layout or size
+        return None
+    return table if len(table) == count else None
+
+
+def _write_cache(cache: str, table: dict) -> None:
+    """Store ``table`` at ``cache``, through a temporary file in its
+    directory; where that fails, store nothing."""
+    try:
+        labels = np.array([len(table), *chain.from_iterable(map(astuple, table))],
+                          dtype=np.int64)
+    except OverflowError:  # a torus label beyond int64
+        return
+    blocks = np.concatenate([block.ravel() for block in table.values()])
+    temp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(cache), exist_ok=True)
+        with open(temp, "wb") as fh:
+            np.save(fh, np.concatenate([labels, blocks.view(np.int64)]), allow_pickle=False)
+        os.replace(temp, cache)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
 
 
 def _blockwise(text: str):
@@ -160,6 +264,7 @@ def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
         problems.append(f"{where}: torus label must be [xi, eta] integers")
         return None
     if isinstance(raw, dict):  # the form {"twice_ell": t}
+        problems.extend(f"{where}: unknown label key {k!r}" for k in raw if k != "twice_ell")
         raw = raw.get("twice_ell")
     if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
         return Su2Label(raw)

@@ -21,9 +21,13 @@ parses its table.  The pinned runs are
 compared between the sides, and the new side's run on every CPU with its
 own pinned run: output that depends on the CPU count fails.  The old
 side's run on every CPU is not compared, so a dependence that the new
-side mends is no difference.  The differences are listed and the exit
-code is 1 if there are any, else 0.  ``perfbench/`` is only imported.
-pytest does not collect this file (its name does not start with ``test_``).
+side mends is no difference.  Every run starts with an empty cache of
+parsed tables (``XDG_CACHE_HOME``), so each one parses its table; on the
+new side, a command that reads a matrix table runs once more with the
+cache its first run filled, and that warm run is compared with the first.
+The differences are listed and the exit code is 1 if there are any, else
+0.  ``perfbench/`` is only imported.  pytest does not collect this file
+(its name does not start with ``test_``).
 """
 
 from __future__ import annotations
@@ -78,8 +82,11 @@ SINGULAR_TABLE = "su2_singular_table.json"
 TIED_TABLE = "su2_tied_table.json"
 # SU2_TABLE damaged late, each written beside it: a cell of three parts in
 # the last block, a NaN literal, the last entry's label repeating level 3,
-# and the file cut short
-BAD_TABLES = ["bad_cell.json", "nan_literal.json", "repeated_label.json", "truncated.json"]
+# the file cut short, and the file indented with CRLF line ends and cut
+# short, whose message names the line and column of the text read with
+# universal newlines
+BAD_TABLES = ["bad_cell.json", "nan_literal.json", "repeated_label.json", "truncated.json",
+              "truncated_crlf.json"]
 # entries l(l+1) - 3 m^2, zero at the solutions of u^2 - 3 w^2 = 1 (u = 2l+1, w = 2m)
 CONIC = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                        {"coeff": [3, 0], "deg_d0": 2}])
@@ -189,10 +196,11 @@ def write_su2_tables(workdir: Path) -> None:
     (workdir / SU2_TABLE).write_text(text)
     last = text.rindex("]]]")  # the end of the last block
     part = text.rindex(", ", 0, last)  # before its last part
+    crlf = json.dumps({"entries": entries}, indent=1).replace("\n", "\r\n")
     damaged = [text[:last] + ", 0]]]" + text[last + 3:], text[:part] + ", NaN" + text[last:],
-               text.replace('"label": 48,', '"label": 3,'), text[:-100]]
+               text.replace('"label": 48,', '"label": 3,'), text[:-100], crlf[:-100]]
     for name, bad in zip(BAD_TABLES, damaged):
-        (workdir / name).write_text(bad)
+        (workdir / name).write_bytes(bad.encode("utf-8"))
 
 
 def write_vector_tables(workdir: Path) -> None:
@@ -224,21 +232,22 @@ def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def _run(src: Path, argv: list[str], workdir: Path, preexec_fn=None) -> tuple:
-    """(exit code, stdout, stderr, digests of the files written) of one command."""
+def _run(src: Path, argv: list[str], workdir: Path, preexec_fn=None, cache=None) -> tuple:
+    """(exit code, stdout, stderr, digests of the files written) of one
+    command, whose cache of parsed tables is the directory ``cache``, or an
+    empty one of its own."""
     before = _digests(workdir)
-    proc = subprocess.run([sys.executable, "-m", "hyposym.cli", *argv], cwd=workdir,
-                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-                          preexec_fn=preexec_fn)
+    with tempfile.TemporaryDirectory() as empty:
+        proc = subprocess.run([sys.executable, "-m", "hyposym.cli", *argv], cwd=workdir,
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       XDG_CACHE_HOME=cache or empty),
+                              capture_output=True, preexec_fn=preexec_fn)
     written = {k: v for k, v in _digests(workdir).items() if before.get(k) != v}
     return proc.returncode, proc.stdout, proc.stderr, written
 
 
-def _may_fork(argv: list[str], workdir: Path) -> bool:
-    """Whether a command may fork: it writes a sidecar (``--out``), or its
-    spec, a JSON text or a file, names a matrix table."""
-    if "--out" in argv:
-        return True
+def _reads_table(argv: list[str], workdir: Path) -> bool:
+    """Whether a command's spec, a JSON text or a file, names a matrix table."""
     if "--spec" not in argv:
         return False
     spec = argv[argv.index("--spec") + 1]
@@ -249,62 +258,79 @@ def _may_fork(argv: list[str], workdir: Path) -> bool:
         return False
 
 
-def _runs(src: Path, argv: list[str], workdir: Path) -> list[tuple]:
-    """The runs of one command (see ``_run``): one, and for a command that
-    may fork (``_may_fork``), a second pinned to one CPU, after the files
-    the first wrote are removed so that it writes them afresh."""
-    runs = [_run(src, argv, workdir)]
-    if _may_fork(argv, workdir) and hasattr(os, "sched_setaffinity"):
-        for name in runs[0][3]:
-            (workdir / name).unlink()
-        runs.append(_run(src, argv, workdir, _one_cpu))
+def _runs(src: Path, argv: list[str], workdir: Path, warm: bool) -> dict[str, tuple]:
+    """The runs of one command (see ``_run``) by name: ``cold``, and for a
+    command that may fork (a sidecar, or ``_reads_table``), ``pinned`` to
+    one CPU; with ``warm``, a command that reads a matrix table runs
+    ``warm`` too, with the cache the cold run filled.  Before each run
+    after the first, the files the first wrote are removed so that it
+    writes them afresh."""
+    table = _reads_table(argv, workdir)
+    with tempfile.TemporaryDirectory() as cache:
+        runs = {"cold": _run(src, argv, workdir, cache=cache)}
+
+        def again(name: str, **how) -> None:
+            for written in runs["cold"][3]:
+                (workdir / written).unlink(missing_ok=True)
+            runs[name] = _run(src, argv, workdir, **how)
+
+        if ("--out" in argv or table) and hasattr(os, "sched_setaffinity"):
+            again("pinned", preexec_fn=_one_cpu)
+        if warm and table:
+            again("warm", cache=cache)
     return runs
 
 
-def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path) -> list[tuple]:
+def run_plan(src: Path, workload: str, seed: int, size: str, workdir: Path,
+             warm: bool) -> list[tuple]:
     """(name, runs) per command, ``runs`` as ``_runs`` gives them."""
     plan = workloads.generate(workload, seed, size, workdir)
     results = []
     for cmd in plan.commands:
-        runs = _runs(src, cmd.argv, workdir)
-        (workdir / cmd.stdout).write_bytes(runs[0][1])
+        runs = _runs(src, cmd.argv, workdir, warm)
+        (workdir / cmd.stdout).write_bytes(runs["cold"][1])
         results.append((" ".join(cmd.argv), runs))
     return results
 
 
-def run_cases(src: Path, workdir: Path) -> list[list[tuple]]:
+def run_cases(src: Path, workdir: Path, warm: bool) -> list[dict]:
     """The runs of each fixed case, as ``_runs`` gives them."""
     workdir.mkdir()
     write_torus_table(workdir / TORUS_TABLE)
     write_su2_tables(workdir)
     write_vector_tables(workdir)
-    return [_runs(src, argv, workdir) for argv in CASES]
+    return [_runs(src, argv, workdir, warm) for argv in CASES]
 
 
-def _differences(old_runs: list[tuple], new_runs: list[tuple]) -> list[str]:
+def _differences(old_runs: dict, new_runs: dict) -> list[str]:
     """What differs between the runs of one command (see ``_runs``): the
     old and the new run, or, for a command also run pinned to one CPU, the
-    old and the new pinned run and the new run on every CPU and pinned."""
-    pairs = [("", old_runs[0], new_runs[0])]
-    if len(new_runs) == 2:
-        pairs = [(" on one CPU", old_runs[1], new_runs[1]),
-                 (" between every CPU and one on the new side", new_runs[0], new_runs[1])]
+    old and the new pinned run and the new run on every CPU and pinned;
+    and the new cold and warm runs."""
+    pairs = [("", old_runs["cold"], new_runs["cold"])]
+    if "pinned" in new_runs:
+        pairs = [(" on one CPU", old_runs["pinned"], new_runs["pinned"]),
+                 (" between every CPU and one on the new side", new_runs["cold"],
+                  new_runs["pinned"])]
+    if "warm" in new_runs:
+        pairs.append((" between a cold and a warm table cache on the new side",
+                      new_runs["cold"], new_runs["warm"]))
     return [f"{what} differs{where}" for where, a, b in pairs
             for what, x, y in zip(("exit code", "stdout", "stderr", "files"), a, b) if x != y]
 
 
 def compare_cases(old_src: Path, new_src: Path) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        old = run_cases(old_src, Path(tmp) / "old")
-        new = run_cases(new_src, Path(tmp) / "new")
+        old = run_cases(old_src, Path(tmp) / "old", warm=False)
+        new = run_cases(new_src, Path(tmp) / "new", warm=True)
     return [f"case {' '.join(argv)}: {problem}"
             for argv, a, b in zip(CASES, old, new) for problem in _differences(a, b)]
 
 
 def compare(old_src: Path, new_src: Path, workload: str, seed: int, size: str) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        old = run_plan(old_src, workload, seed, size, Path(tmp) / "old")
-        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new")
+        old = run_plan(old_src, workload, seed, size, Path(tmp) / "old", warm=False)
+        new = run_plan(new_src, workload, seed, size, Path(tmp) / "new", warm=True)
     return [f"{workload} {size} seed {seed}: {name}: {problem}"
             for (name, a), (_, b) in zip(old, new) for problem in _differences(a, b)]
 
@@ -325,10 +351,11 @@ def main(argv=None) -> int:
                                     workload, seed, size)
                 plans += 1
     problems += compare_cases(args.old_src.resolve(), args.new_src.resolve())
-    pinned = (", sidecar and table commands also on one CPU,"
+    pinned = (", sidecar and table commands also on one CPU"
               if hasattr(os, "sched_setaffinity") else "")
     print("\n".join(problems) if problems
-          else f"{plans} plans and {len(CASES)} cases{pinned} byte-identical")
+          else f"{plans} plans and {len(CASES)} cases{pinned}, table commands also warm,"
+               " byte-identical")
     return 1 if problems else 0
 
 

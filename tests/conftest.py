@@ -4,6 +4,15 @@ from hyposym import Su2DiagPoly, TorusPoly, build_symbol
 from hyposym.symbols import Coefficient
 
 
+@pytest.fixture(autouse=True)
+def table_cache(tmp_path_factory, monkeypatch):
+    """A cache directory of parsed matrix tables for each test, empty at its
+    start: table parses start cold, and no test writes the user's cache."""
+    cache = tmp_path_factory.mktemp("xdg_cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 def torus_translation(c) -> TorusPoly:
     """The operator d_t + c d_x with symbol i(xi + c eta)."""
     return TorusPoly.make([(Coefficient.make(1), 1, 0), (coeff(c), 0, 1)])

@@ -73,6 +73,8 @@ def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
     table = _spec("su2", {"kind": "matrix_table", "path": str(tmp_path / "table.json")})
     argv = ("singular-scan", "--spec", table, "--cutoff", "2")
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "forked", "tables"}
+    # the second command reads the table's parsed blocks from the cache
+    assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "tables"}
 
 
 def test_pell_certifier_loads_diophantine(tmp_path):

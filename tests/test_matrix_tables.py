@@ -1,12 +1,14 @@
 """Matrix-table files: the array check of a table's blocks against the
-cell-by-cell oracle, structural fuzz of whole table files, and the
-block-by-block parse of table text against the whole-document loader."""
+cell-by-cell oracle, structural fuzz of whole table files, the
+block-by-block parse of table text against the whole-document loader, and
+the cache of parsed tables against the parse it skips."""
 
 import contextlib
 import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from hyposym import cli, forked, parse_spec, symbols, tables
 from hyposym.errors import PreconditionError, SpecFileError
-from hyposym.spectral import Su2Label
+from hyposym.spectral import Su2Label, Torus2Label
 from hyposym.tables import _matrix_array, _parse_matrix, _parse_table_label
 from hyposym.symbols import MatrixTable
 
@@ -208,6 +210,9 @@ def _expected_violations(doc, model) -> list[str]:
             continue
         out += [f"table entry {i}: unknown key {k!r}"
                 for k in entry if k not in ("label", "matrix")]
+        if model == "su2" and isinstance(entry.get("label"), dict):
+            out += [f"table entry {i}: unknown label key {k!r}"
+                    for k in entry["label"] if k != "twice_ell"]
         label = _parse_table_label(entry.get("label"), model, "", [])
         if label in seen:
             out.append(f"table entry {i}: label {label} repeats table entry {seen[label]}")
@@ -258,6 +263,21 @@ def test_repeated_labels_and_unknown_keys_are_violations(tmp_path):
         "table entry 0: unknown key 'typo'",
         "table entry 1: label l=0 repeats table entry 0",
     ]
+
+
+def test_an_unknown_key_in_a_label_object_is_a_violation(tmp_path):
+    (tmp_path / "table.json").write_text(json.dumps({"entries": [
+        {"label": {"twice_ell": 0, "typo": 5}, "matrix": [[[1, 0]]]},
+        {"label": {"twice_ell": 1}, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}))
+    spec = json.dumps({"model": {"kind": "su2"},
+                       "operator": {"kind": "matrix_table",
+                                    "path": str(tmp_path / "table.json")}})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", "--spec", spec, "--cutoff", "0.75"])
+    assert code == 2
+    assert json.loads(err.getvalue())["violations"] == [
+        "table entry 0: unknown label key 'typo'"]
 
 
 def test_huge_label_with_a_small_block_fails_the_size_check(tmp_path):
@@ -381,6 +401,9 @@ _TEXT_CASES = {
     "nested too deeply": _number("[" * 100_000 + "]" * 100_000),
     "truncated": _plain()[:-9],
     "cut in half": _plain()[:len(_plain()) // 2],
+    # the line and column of the error are those of the text read with
+    # universal newlines, where each \r\n and \r is one \n
+    "whitespace, cut short": _whitespace()[:-40],
 }
 
 
@@ -538,6 +561,189 @@ def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
     square.setflags(write=False)
     with pytest.raises(PreconditionError, match="table block for l=1 has size 2, expected 3"):
         MatrixTable("su2", {Su2Label(2): square})
+
+
+# ---------------------------------------------------------------------------
+# the cache of parsed tables: the cold parse is the oracle of a warm one
+
+
+def _described(entries) -> list:
+    """(label, type, shape, dtype, flags, bits) of each block, in table order."""
+    return [(label, type(arr), arr.shape, arr.dtype, _flags(arr), arr.tobytes())
+            for label, arr in entries.items()]
+
+
+def _outcome(path, model: str = "su2"):
+    """parse_spec of a spec naming the table at ``path``: its blocks as
+    ``_described`` gives them, or its violations."""
+    spec = {"model": {"kind": model}, "operator": {"kind": "matrix_table", "path": str(path)}}
+    try:
+        return _described(parse_spec(spec).operator.entries)
+    except SpecFileError as exc:
+        return exc.violations
+
+
+def _cache_files(cache) -> list:
+    folder = cache / "hyposym" / "tables"
+    return sorted(folder.iterdir()) if folder.exists() else []
+
+
+def _counted_parses(monkeypatch) -> list:
+    """Count the parses of table text; the list returned records each."""
+    parses, blockwise = [], tables._blockwise
+    monkeypatch.setattr(tables, "_blockwise", lambda text: parses.append(1) or blockwise(text))
+    return parses
+
+
+@pytest.mark.parametrize("case", [*_TEXT_CASES, "invalid UTF-8", "BOM"])
+def test_a_warm_parse_gives_the_cold_parse(case, tmp_path, monkeypatch, table_cache):
+    forks = _forced_processes(monkeypatch, 3)
+    plain = _plain().encode("utf-8")
+    data = {"invalid UTF-8": plain[:40] + b"\xff" + plain[40:],
+            "BOM": b"\xef\xbb\xbf" + plain}.get(case) or _TEXT_CASES[case].encode("utf-8")
+    model = "torus2" if case.startswith("torus") else "su2"
+    (tmp_path / "table.json").write_bytes(data)
+    cold = _outcome(tmp_path / "table.json", model)
+    stored = _cache_files(table_cache)
+    forks.clear()
+    assert _outcome(tmp_path / "table.json", model) == cold
+    assert _cache_files(table_cache) == stored
+    if cold and isinstance(cold[0], str):  # violations: never stored
+        assert stored == []
+    else:
+        assert len(stored) == 1
+        assert forks == []
+        warm = tables.load_table(str(tmp_path / "table.json"), model, problems := [])
+        assert problems == []
+        adopted = MatrixTable(model, warm).entries
+        assert all(_flags(arr)[:2] == (True, False) and adopted[label] is arr
+                   for label, arr in warm.items())
+
+
+def test_one_changed_byte_is_a_miss(tmp_path, monkeypatch, table_cache):
+    path = tmp_path / "table.json"
+    path.write_text(_plain())
+    first = _outcome(path)
+    path.write_text(_plain().replace(str(_LATE), str(_LATE + 1)))
+    parses = _counted_parses(monkeypatch)
+    changed = _outcome(path)
+    assert parses == [1]
+    assert changed != first
+    oracle = MatrixTable("su2", whole_document_table(str(path), "su2", problems := []))
+    assert problems == []
+    assert changed == _described(oracle.entries)
+    assert len(_cache_files(table_cache)) == 2
+
+
+def test_an_edited_source_is_a_miss(tmp_path, monkeypatch, table_cache):
+    # the sources hashed into the key are the modules beside tables.py
+    sources = tmp_path / "hyposym"
+    shutil.copytree(Path(tables.__file__).parent, sources,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(tables, "__file__", str(sources / "tables.py"))
+    parses = _counted_parses(monkeypatch)
+    path = tmp_path / "table.json"
+    path.write_text(_plain())
+    first = _outcome(path)
+    assert _outcome(path) == first
+    assert (len(parses), len(_cache_files(table_cache))) == (1, 1)
+    spectral = sources / "spectral.py"
+    text = spectral.read_text()
+    edited = text.replace("# a character is a 1x1 representation",
+                          "# a character is a representation of dimension 1")
+    assert edited != text
+    spectral.write_text(edited)
+    assert _outcome(path) == first
+    assert (len(parses), len(_cache_files(table_cache))) == (2, 2)
+
+
+def _rewrite_entry(cache, change) -> None:
+    """Write back the int64 array of a cache file as ``change`` leaves it."""
+    stored = np.load(cache, allow_pickle=False)
+    change(stored)
+    np.save(cache, stored)
+
+
+_DAMAGE = {
+    "truncated": lambda cache, good: cache.write_bytes(good[:-9]),
+    "header only": lambda cache, good: cache.write_bytes(good[:128]),
+    "empty": lambda cache, good: cache.write_bytes(b""),
+    "foreign": lambda cache, good: cache.write_bytes(b'{"entries": []}'),
+    "pickled": lambda cache, good: np.save(cache, np.array([{"label": 0}], dtype=object),
+                                           allow_pickle=True),
+    "floats": lambda cache, good: np.save(cache, np.zeros(70)),
+    "two dimensions": lambda cache, good: np.save(cache, np.zeros((7, 10), dtype=np.int64)),
+    "one entry fewer": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(0, 4)),
+    "one entry more": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(0, 6)),
+    "a negative label": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(1, -1)),
+    "a label of another size": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(slice(1, 6), [0, 1, 1, 3, 4])),
+    # torus labels are two ints each, and every block is 1 x 1
+    "torus, a repeated label": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(slice(3, 5), stored[1:3])),
+    "a huge label": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(5, 2**62)),
+    "a NaN": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(-1, np.float64("nan").view(np.int64))),
+    "an odd length": lambda cache, good: np.save(cache, np.load(cache)[:-1]),
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGE))
+def test_a_damaged_cache_file_is_parsed_again_and_replaced(damage, tmp_path, monkeypatch,
+                                                           table_cache):
+    model = "torus2" if damage.startswith("torus") else "su2"
+    path = tmp_path / "table.json"
+    path.write_text(_plain(model))
+    cold = _outcome(path, model)
+    [cache] = _cache_files(table_cache)
+    good = cache.read_bytes()
+    _DAMAGE[damage](cache, good)
+    assert cache.read_bytes() != good
+    parses = _counted_parses(monkeypatch)
+    assert _outcome(path, model) == cold
+    assert parses == [1]
+    assert _cache_files(table_cache) == [cache]
+    assert cache.read_bytes() == good
+
+
+def test_a_label_beyond_int64_is_parsed_every_time(tmp_path, monkeypatch, table_cache):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": [{"label": [2**63, 0], "matrix": [[[1, 0]]]},
+                                            {"label": [0, 1], "matrix": [[[0, 2]]]}]}))
+    parses = _counted_parses(monkeypatch)
+    cold = _outcome(path, "torus2")
+    assert _outcome(path, "torus2") == cold
+    assert [label for label, *_ in cold] == [Torus2Label(2**63, 0), Torus2Label(0, 1)]
+    assert parses == [1, 1]
+    assert _cache_files(table_cache) == []
+
+
+def test_an_unwritable_cache_changes_no_output(tmp_path, monkeypatch, table_cache):
+    (tmp_path / "table.json").write_text(_plain())
+    spec = json.dumps({"model": {"kind": "su2"},
+                       "operator": {"kind": "matrix_table",
+                                    "path": str(tmp_path / "table.json")}})
+
+    def analyze():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", "--spec", spec, "--cutoff", "3"])
+        return code, out.getvalue(), err.getvalue()
+
+    cached = analyze()
+    assert cached[0] == 0 and cached[2] == ""
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")  # a file where the cache directory would be
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    parses = _counted_parses(monkeypatch)
+    assert analyze() == analyze() == cached
+    assert parses == [1, 1]
+    assert blocked.read_text() == ""
+    assert len(_cache_files(table_cache)) == 1
 
 
 # ---------------------------------------------------------------------------

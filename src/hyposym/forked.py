@@ -14,8 +14,8 @@ never depend on W.
 array code only.  A worker always ends in ``os._exit``, and every worker
 is reaped when the items are left, however that happens.
 
-Callers import this module only where a sidecar is written or a matrix
-table parsed, so no other command compiles it.
+The CLI's sidecar writer is its one caller, and imports it only where a
+sidecar is written, so no other command compiles it.
 """
 
 from __future__ import annotations

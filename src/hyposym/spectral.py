@@ -213,12 +213,44 @@ _WINDOW_BYTES = {"torus2": 24, "su2": 40}
 
 
 def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the system does not say."""
+    """Bytes of physical memory, capped by this process's memory cgroup, or
+    inf where neither says."""
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
+        pages = size = -1
+    host = pages * size if pages > 0 and size > 0 else math.inf  # -1: indeterminate
+    return min(host, _cgroup_memory_limit())
+
+
+# where the kernel names this process's cgroups, and where it mounts them
+_PROC_CGROUP, _CGROUP_ROOT = "/proc/self/cgroup", "/sys/fs/cgroup"
+
+
+def _cgroup_memory_limit() -> float:
+    """The least memory limit of the cgroups ``_PROC_CGROUP`` names, as
+    "id:controllers:path" lines, or inf: v2's ``memory.max``, or v1's
+    ``memory.limit_in_bytes`` under the memory mount.  "max", a v1 value
+    from 2^62 up (unlimited) and any read error mean no limit."""
+    try:
+        with open(_PROC_CGROUP) as fh:
+            groups = [line.split(":", 2) for line in fh.read().splitlines()]
+    except OSError:
         return math.inf
-    return pages * size if pages > 0 and size > 0 else math.inf  # -1: indeterminate
+    limit = math.inf
+    for _, controllers, path in (g for g in groups if len(g) == 3 and g[2].startswith("/")):
+        if controllers and "memory" not in controllers.split(","):
+            continue
+        name, unlimited = ((f"{_CGROUP_ROOT}/memory{path}/memory.limit_in_bytes", 2**62)
+                           if controllers else (f"{_CGROUP_ROOT}{path}/memory.max", math.inf))
+        try:
+            with open(name) as fh:
+                value = int(fh.read())
+        except (OSError, ValueError):  # no such file, or "max"
+            continue
+        if 0 < value < unlimited:
+            limit = min(limit, value)
+    return limit
 
 
 def _count_bound(model: SpectralModel, lambda_cutoff: float) -> float:

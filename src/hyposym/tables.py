@@ -7,11 +7,12 @@ alone or as ``{"twice_ell": t}``, where each matrix is the (2l+1) x (2l+1)
 representation block.  Other keys, in the table, an entry or a label
 object, and a label given twice, are violations.
 
-A table is parsed block by block, on up to one forked process per CPU for
-a large table (``_blockwise``); a text that does not split into blocks is
-parsed as one document, which names what is wrong, with the same checks
-and bits either way.  ``specfile`` imports this module only for a spec
-that names a table, so no other spec compiles it.
+A table is parsed by one ``json.loads`` (``_parse``), whose object hook
+turns each object's well-formed ``"matrix"`` value into its block as the
+object closes, so only one block's lists are alive at a time; the entry
+loop names the first bad cell of any other value.  ``specfile`` imports
+this module only for a spec that names a table, so no other spec compiles
+it.
 
 A table that parses with no violation is cached, so that a later process
 reading the same bytes skips the parse.  Its cache file is
@@ -32,9 +33,7 @@ import gc
 import hashlib
 import io
 import json
-import math
 import os
-import re
 from dataclasses import astuple
 from itertools import chain
 
@@ -45,12 +44,8 @@ from .specfile import _reject_constant
 
 __all__ = ["load_table"]
 
-# table text, in characters, worth one more process parsing its blocks
-TABLE_CHARS_PER_PROCESS = 1 << 20
 # the first bytes hashed into a cache key: a new file layout takes a new tag
 CACHE_FORMAT = b"hyposym matrix table cache 1"
-# a "matrix" key and a value of JSON numbers, brackets, commas and whitespace
-_MATRIX = re.compile(r'"matrix"[ \t\n\r]*:[ \t\n\r]*(\[[-+.0-9eE\[\], \t\n\r]*\])')
 
 
 def load_table(path: str, model_kind: str, problems: list[str]):
@@ -67,9 +62,7 @@ def load_table(path: str, model_kind: str, problems: list[str]):
         # the text ``open(path, encoding="utf-8")`` reads, universal newlines included
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
         del data  # the parse holds its text and blocks, not the bytes too
-        doc = _blockwise(text)
-        if doc is None:  # the whole document at once, which names what is wrong
-            doc = json.loads(text, parse_constant=_reject_constant)
+        doc = _parse(text)
     except OSError as exc:
         problems.append(f"matrix table {path!r}: cannot read ({exc})")
         return None
@@ -184,73 +177,26 @@ def _write_cache(cache: str, table: dict) -> None:
             pass
 
 
-def _blockwise(text: str):
-    """The document of a table's ``text`` with each entry's matrix already
-    its block, or None where this parse declines.
-
-    Each ``"matrix"`` key and its value of JSON numbers, brackets, commas
-    and whitespace (``_MATRIX``) is cut out of the text.  Value i is parsed
-    by ``json.loads`` and ``_matrix_array`` in process i mod W
-    (``forked.ordered``), and the skeleton left, with a ``NaN`` for each
-    value, is parsed with each NaN read as the next block.  A value holds no
-    quote and starts and ends with a bracket, so wherever the skeleton is
-    JSON, it and its blocks are the document of the text.  The parse
-    declines where a value is not a well-formed block, where the skeleton is
-    not JSON (a NaN of the text's own included), or where the blocks are
-    not each an entry's matrix, once and in order."""
-    from . import forked
-
-    starts = []
-    at = text.find('"matrix"')
-    while at >= 0:
-        starts.append(at)
-        at = text.find('"matrix"', at + 1)
-
-    def block(i: int) -> bytes:
-        """The end of value i in the text and the complex128 bytes of its
-        block, or nothing where it is not a well-formed block."""
-        match = _MATRIX.match(text, starts[i])
-        if match is None:
-            return b""
-        enabled = gc.isenabled()
-        gc.disable()  # a block's lists all live until it is an array: no cycle to collect
-        try:
-            arr = _matrix_array(json.loads(match[1]))
-        except (ValueError, RecursionError):
-            return b""
-        finally:
-            if enabled:
-                gc.enable()
-        return b"" if arr is None else match.end().to_bytes(8, "little") + arr.tobytes()
-
-    work = -(-len(text) // TABLE_CHARS_PER_PROCESS)
-    pieces, blocks, end = [], [], 0
-    with forked.ordered(block, len(starts), work) as items:
-        for start, data in zip(starts, items):
-            if not data:
-                return None
-            n = math.isqrt(len(data) // 16)  # 8 bytes of end and n^2 complex entries
-            arr = np.frombuffer(data, dtype=complex, offset=8).reshape(n, n).copy()
-            arr.setflags(write=False)  # an owned read-only block, which MatrixTable adopts
-            blocks.append(arr)
-            pieces += [text[end:start], '"matrix":NaN']
-            end = int.from_bytes(data[:8], "little")
-    given = iter(blocks)
-
-    def constant(name: str):  # each NaN of the skeleton is the next block
-        arr = next(given, None) if name == "NaN" else None
-        if arr is None:
-            _reject_constant(name)
-        return arr
-
+def _parse(text: str):
+    """The document of a table's ``text``, with the blocks of ``_with_block``."""
+    enabled = gc.isenabled()
+    gc.disable()  # the parse makes no cycle to collect, only many lists
     try:
-        doc = json.loads("".join(pieces) + text[end:], parse_constant=constant)
-    except (ValueError, RecursionError):
-        return None
-    entries = doc.get("entries") if isinstance(doc, dict) else None
-    placed = [id(entry["matrix"]) for entry in entries if isinstance(entry, dict)
-              and isinstance(entry.get("matrix"), np.ndarray)] if isinstance(entries, list) else []
-    return doc if placed == list(map(id, blocks)) else None
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_with_block)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _with_block(pairs) -> dict:
+    """The object of ``pairs``, a ``"matrix"`` value ``_matrix_array`` takes
+    replaced by its block: owned and read-only, which MatrixTable adopts."""
+    obj = dict(pairs)
+    arr = _matrix_array(obj.get("matrix"))
+    if arr is not None:
+        obj["matrix"] = arr = arr.copy()
+        arr.setflags(write=False)
+    return obj
 
 
 def _parse_table_label(raw, model_kind: str, where: str, problems: list[str]):
@@ -300,9 +246,9 @@ def _matrix_array(raw):
 
 
 def _parse_matrix(raw, where: str, problems: list[str]):
-    """The block of a table entry: the array ``_blockwise`` parsed, or that
-    of a nested list; a list the array check declines is walked cell by
-    cell, to name its first bad cell."""
+    """The block of a table entry: the array ``_parse`` made, or that of a
+    nested list; a list the array check declines is walked cell by cell, to
+    name its first bad cell."""
     arr = raw if isinstance(raw, np.ndarray) else _matrix_array(raw)
     if arr is None:
         problems.append(f"{where}: {_first_bad_cell(raw)}")

@@ -14,12 +14,12 @@ command writes are compared.  The fixed ``CASES`` (inputs that fail, a
 branch no plan takes, and windows larger than any plan's) then run once
 per side, in a directory that holds ``TORUS_TABLE``, ``SU2_TABLE``,
 ``BAD_TABLES``, ``SINGULAR_TABLE`` and ``TIED_TABLE``, and are compared
-the same way.  Each command that may fork, writing a sidecar (``--out``)
-or reading a matrix table, runs a second time pinned to one CPU, where
-``os.sched_setaffinity`` exists, so one process formats its sidecar and
-parses its table.  The pinned runs are
-compared between the sides, and the new side's run on every CPU with its
-own pinned run: output that depends on the CPU count fails.  The old
+the same way.  Each command that writes a sidecar (``--out``), which is
+formatted by up to one forked process per CPU, or reads a matrix table,
+whose dense blocks go through OpenBLAS and its thread pool, runs a second
+time pinned to one CPU, where ``os.sched_setaffinity`` exists.  The pinned
+runs are compared between the sides, and the new side's run on every CPU
+with its own pinned run: output that depends on the CPU count fails.  The old
 side's run on every CPU is not compared, so a dependence that the new
 side mends is no difference.  Every run starts with an empty cache of
 parsed tables (``XDG_CACHE_HOME``), so each one parses its table; on the
@@ -67,8 +67,7 @@ SCALED_GAP = _spec("su2", "su2_diag", poly=[{"coeff": [2.0**985, 0], "deg_neglap
 # every fifth 1x1 block is zero, so the dense path has a kernel to project off
 TORUS_TABLE = "torus_table.json"
 TORUS_TABLE_SPEC = _spec("torus2", "matrix_table", path=TORUS_TABLE)
-# a dense complex SU(2) table of levels 2l = 0..48, about 1.7 MB: large enough
-# that its blocks are parsed in more than one process
+# a dense complex SU(2) table of levels 2l = 0..48, about 1.7 MB
 SU2_TABLE = "su2_table.json"
 SU2_TABLE_SPEC = _spec("su2", "matrix_table", path=SU2_TABLE)
 # a dense complex SU(2) table of levels 2l = 0..24 whose last row is the sum
@@ -82,11 +81,11 @@ SINGULAR_TABLE = "su2_singular_table.json"
 TIED_TABLE = "su2_tied_table.json"
 # SU2_TABLE damaged late, each written beside it: a cell of three parts in
 # the last block, a NaN literal, the last entry's label repeating level 3,
-# the file cut short, and the file indented with CRLF line ends and cut
-# short, whose message names the line and column of the text read with
-# universal newlines
+# the file cut short, the file indented with CRLF line ends and cut short,
+# whose message names the line and column of the text read with universal
+# newlines, and the last entry's label an object with a "matrix" key
 BAD_TABLES = ["bad_cell.json", "nan_literal.json", "repeated_label.json", "truncated.json",
-              "truncated_crlf.json"]
+              "truncated_crlf.json", "matrix_in_label.json"]
 # entries l(l+1) - 3 m^2, zero at the solutions of u^2 - 3 w^2 = 1 (u = 2l+1, w = 2m)
 CONIC = _spec("su2", "su2_diag", poly=[{"coeff": [1, 0], "deg_neglap": 1},
                                        {"coeff": [3, 0], "deg_d0": 2}])
@@ -159,8 +158,8 @@ CASES = [
     # a coefficients sidecar of 343,028 rows, 82 chunks of them at level 288
     ["counterexample", "--spec", PELL, "--cutoff", "1e5", "--k", "4",
      "--out", "pell_counterexample.json"],
-    # a dense SU(2) table parsed block by block in several processes, and
-    # damaged copies of it, which fail with the whole document's violations
+    # a dense SU(2) table, and damaged copies of it, which fail with the
+    # whole document's violations
     ["analyze", "--spec", SU2_TABLE_SPEC, "--cutoff", "600", "--out", "su2_table_analyze.json"],
     ["subelliptic", "--spec", SU2_TABLE_SPEC, "--cutoff", "600", "--probes", "3", "--seed", "2"],
     *(["analyze", "--spec", _spec("su2", "matrix_table", path=bad), "--cutoff", "600"]
@@ -198,7 +197,8 @@ def write_su2_tables(workdir: Path) -> None:
     part = text.rindex(", ", 0, last)  # before its last part
     crlf = json.dumps({"entries": entries}, indent=1).replace("\n", "\r\n")
     damaged = [text[:last] + ", 0]]]" + text[last + 3:], text[:part] + ", NaN" + text[last:],
-               text.replace('"label": 48,', '"label": 3,'), text[:-100], crlf[:-100]]
+               text.replace('"label": 48,', '"label": 3,'), text[:-100], crlf[:-100],
+               text.replace('"label": 48,', '"label": {"twice_ell": 48, "matrix": [[[1, 0]]]},')]
     for name, bad in zip(BAD_TABLES, damaged):
         (workdir / name).write_bytes(bad.encode("utf-8"))
 
@@ -260,8 +260,8 @@ def _reads_table(argv: list[str], workdir: Path) -> bool:
 
 def _runs(src: Path, argv: list[str], workdir: Path, warm: bool) -> dict[str, tuple]:
     """The runs of one command (see ``_run``) by name: ``cold``, and for a
-    command that may fork (a sidecar, or ``_reads_table``), ``pinned`` to
-    one CPU; with ``warm``, a command that reads a matrix table runs
+    command that writes a sidecar or ``_reads_table``, ``pinned`` to one
+    CPU; with ``warm``, a command that reads a matrix table runs
     ``warm`` too, with the cache the cold run filled.  Before each run
     after the first, the files the first wrote are removed so that it
     writes them afresh."""

@@ -72,9 +72,12 @@ def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
         {"label": t, "matrix": [[[1, 0]] * (t + 1)] * (t + 1)} for t in range(4)]}))
     table = _spec("su2", {"kind": "matrix_table", "path": str(tmp_path / "table.json")})
     argv = ("singular-scan", "--spec", table, "--cutoff", "2")
-    assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "forked", "tables"}
-    # the second command reads the table's parsed blocks from the cache
+    # the first command parses the table, the second reads its blocks from the cache
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "tables"}
+    assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "tables"}
+    # the gains sidecar of analyze --out is formatted through forked
+    argv = ("analyze", "--spec", table, "--cutoff", "2")
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"hypo", "tables", "forked"}
 
 
 def test_pell_certifier_loads_diophantine(tmp_path):

@@ -350,6 +350,7 @@ def test_an_indeterminate_physical_memory_sets_no_budget(pages, size, monkeypatc
     # sysconf answers -1 where the system does not know the figure
     figures = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": size}
     monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
+    monkeypatch.setattr(spectral, "_PROC_CGROUP", "/nonexistent/cgroup")  # no cgroup limit
     assert spectral._physical_memory() == float("inf")
     assert len(Window(TORUS2, 0)) == 1
 
@@ -369,3 +370,68 @@ def test_cli_exits_3_on_a_window_beyond_physical_memory(one_megabyte, capsys):
     err = json.loads(captured.err)
     assert err == {"error": "the window of cutoff 20000.0 is too large to enumerate",
                    "kind": "PreconditionError"}
+
+
+def _cgroups(tmp_path, monkeypatch, lines, files) -> None:
+    """A fake cgroup tree: ``lines`` as this process's cgroup file, and each
+    of ``files`` (a path below the cgroup root: its text) written there."""
+    (tmp_path / "cgroup").write_text("".join(f"{line}\n" for line in lines))
+    for name, text in files.items():
+        (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / name).write_text(text)
+    monkeypatch.setattr(spectral, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(spectral, "_CGROUP_ROOT", str(tmp_path / "fs"))
+
+
+@pytest.mark.parametrize("lines, files, limit", [
+    (["0::/user.slice/job"], {"user.slice/job/memory.max": "1048576\n"}, 2**20),
+    (["0::/user.slice/job"], {"user.slice/job/memory.max": "max\n"}, float("inf")),
+    (["0::/"], {"memory.max": "3000000\n"}, 3 * 10**6),
+    # a v1 controller other than memory names no limit, though a memory file is at its path
+    (["4:memory:/job", "3:cpu,cpuacct:/other"], {"memory/job/memory.limit_in_bytes": "2097152\n",
+                                                  "memory/other/memory.limit_in_bytes": "5\n"},
+     2 * 2**20),
+    (["4:cpu,memory:/job"], {"memory/job/memory.limit_in_bytes": "4096\n"}, 4096),
+    # the kernel's unlimited v1 value, rounded down to a page
+    (["4:memory:/job"], {"memory/job/memory.limit_in_bytes": "9223372036854771712\n"},
+     float("inf")),
+    # a hybrid host: both hierarchies name a limit, and the lower one holds
+    (["4:memory:/job", "0::/job"], {"memory/job/memory.limit_in_bytes": "8000000\n",
+                                    "job/memory.max": "7000000\n"}, 7 * 10**6),
+    (["0::/job", "4:memory:/job"], {"memory/job/memory.limit_in_bytes": "8000000\n",
+                                    "job/memory.max": "7500000\n"}, 7500000),
+    (["0::/job"], {}, float("inf")),  # no memory.max: the root cgroup, or v1 only
+    (["4:memory:/job"], {"memory/job/memory.limit_in_bytes": "\n"}, float("inf")),
+    (["garbage", "4:memory", "4:memory:job", "0::/job"], {"job/memory.max": "123456\n"}, 123456),
+    ([], {}, float("inf")),
+])
+def test_the_cgroup_memory_limit_is_read_from_a_cgroup_tree(lines, files, limit, tmp_path,
+                                                             monkeypatch):
+    _cgroups(tmp_path, monkeypatch, lines, files)
+    assert spectral._cgroup_memory_limit() == limit
+
+
+def test_an_unreadable_cgroup_file_sets_no_limit(monkeypatch):
+    monkeypatch.setattr(spectral, "_PROC_CGROUP", "/nonexistent/cgroup")
+    assert spectral._cgroup_memory_limit() == float("inf")
+
+
+@pytest.mark.parametrize("limit, budget", [(10**6, 10**6), (2**40, 2**32)])
+def test_the_budget_is_the_lower_of_host_memory_and_the_cgroup_limit(limit, budget, tmp_path,
+                                                                     monkeypatch):
+    figures = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}  # 4 GiB of host memory
+    monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
+    _cgroups(tmp_path, monkeypatch, ["0::/job"], {"job/memory.max": f"{limit}\n"})
+    assert spectral._physical_memory() == budget
+
+
+def test_window_beyond_the_cgroup_limit_is_refused_before_enumerating(tmp_path, monkeypatch):
+    # the host's memory, capped by a fake cgroup of half a megabyte
+    _cgroups(tmp_path, monkeypatch, ["0::/job"], {"job/memory.max": "500000\n"})
+
+    def refuse(*args):
+        raise AssertionError("enumerated a window beyond the budget")
+
+    monkeypatch.setattr(spectral, "torus_lattice", refuse)
+    with pytest.raises(PreconditionError, match="cutoff 10000.0 is too large to enumerate"):
+        Window(TORUS2, 1e4)

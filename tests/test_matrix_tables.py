@@ -1,9 +1,10 @@
 """Matrix-table files: the array check of a table's blocks against the
-cell-by-cell oracle, structural fuzz of whole table files, the
-block-by-block parse of table text against the whole-document loader, and
-the cache of parsed tables against the parse it skips."""
+cell-by-cell oracle, structural fuzz of whole table files, the parse of
+table text, whose object hook makes each block, against the whole-document
+loader, and the cache of parsed tables against the parse it skips."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -298,7 +299,7 @@ def test_huge_label_with_a_small_block_fails_the_size_check(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# table text: the block-by-block parse against the whole-document loader
+# table text: the parse and its object hook against the whole-document loader
 
 _LATE = 111111  # a part of the last block, replaced by each case's number text
 
@@ -404,6 +405,18 @@ _TEXT_CASES = {
     # the line and column of the error are those of the text read with
     # universal newlines, where each \r\n and \r is one \n
     "whitespace, cut short": _whitespace()[:-40],
+    # objects the object hook sees that are not entries
+    "matrix in a label object": _with_entry(
+        1, lambda lab, mat: [("label", {"twice_ell": lab, "matrix": [[[1, 0]]]}),
+                             ("matrix", mat)]),
+    "matrix at the top level": _plain()[:-1] + ', "matrix": [[[1, 0]]]}',
+    "matrix in a matrix cell": _with_entry(
+        2, lambda lab, mat: [("label", lab),
+                             ("matrix", [[{"matrix": [[[1, 0]]]}] + row[1:] for row in mat])]),
+    "matrix of an object holding a matrix": _with_entry(
+        0, lambda lab, mat: [("label", lab), ("matrix", {"matrix": mat})]),
+    "a true cell": _with_entry(
+        3, lambda lab, mat: [("label", lab), ("matrix", [[[True, 0]] + row[1:] for row in mat])]),
 }
 
 
@@ -438,94 +451,49 @@ def _assert_parse_equals_whole_document(tmp_path, data: bytes, model: str = "su2
     return problems
 
 
-def _forced_processes(monkeypatch, processes: int) -> list:
-    """Let a table of any size fork for each block up to ``processes``; the
-    list returned records each fork."""
+def _counted_forks(monkeypatch, cpus: int) -> list:
+    """Let the process run on ``cpus`` CPUs; the list returned records each
+    fork."""
     forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(forked, "cpu_count", lambda: processes)
-    monkeypatch.setattr(tables, "TABLE_CHARS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(forked, "cpu_count", lambda: cpus)
     return forks
 
 
-@pytest.mark.parametrize("processes", [1, 2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("case", list(_TEXT_CASES))
-def test_table_text_parses_as_the_whole_document(case, processes, tmp_path, monkeypatch):
-    forks = _forced_processes(monkeypatch, processes)
+def test_table_text_parses_as_the_whole_document(case, cpus, tmp_path, monkeypatch):
+    forks = _counted_forks(monkeypatch, cpus)
     text = _TEXT_CASES[case]
     model = "torus2" if case.startswith("torus") else "su2"
-    _assert_parse_equals_whole_document(tmp_path, text.encode("utf-8"), model)
-    assert len(forks) == min(processes, text.count('"matrix"')) - 1
+    for _ in ("cold", "warm"):
+        _assert_parse_equals_whole_document(tmp_path, text.encode("utf-8"), model)
+    assert forks == []
+    assert gc.isenabled()  # the parse pauses the collector, however it ends
 
 
-@pytest.mark.parametrize("processes", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 3])
 @pytest.mark.parametrize("data", [
     _plain().encode("utf-8")[:40] + b"\xff" + _plain().encode("utf-8")[40:],
     _plain().encode("utf-8")[:-40] + b"\xc3(" + _plain().encode("utf-8")[-40:],
     b"\xef\xbb\xbf" + _plain().encode("utf-8"),
 ], ids=["invalid UTF-8", "invalid UTF-8, late", "BOM"])
-def test_table_bytes_fail_as_the_whole_document(data, processes, tmp_path, monkeypatch):
-    _forced_processes(monkeypatch, processes)
-    assert len(_assert_parse_equals_whole_document(tmp_path, data)) == 1
+def test_table_bytes_fail_as_the_whole_document(data, cpus, tmp_path, monkeypatch):
+    forks = _counted_forks(monkeypatch, cpus)
+    for _ in ("cold", "warm"):
+        assert len(_assert_parse_equals_whole_document(tmp_path, data)) == 1
+    assert forks == []
 
 
-def test_a_worker_that_fails_leaves_its_blocks_to_the_parser(tmp_path, monkeypatch):
-    forks = _forced_processes(monkeypatch, 3)
-    parser, matrix_array = os.getpid(), tables._matrix_array
-
-    def failing(raw):
-        if os.getpid() != parser:
-            raise RuntimeError("parsing failed")
-        return matrix_array(raw)
-
-    monkeypatch.setattr(tables, "_matrix_array", failing)
-    assert _assert_parse_equals_whole_document(tmp_path, _plain().encode("utf-8")) == []
-    assert len(forks) == 2
-
-
-def test_a_parser_that_fails_leaves_no_worker(tmp_path, monkeypatch):
-    _forced_processes(monkeypatch, 3)
-    parser, matrix_array, calls = os.getpid(), tables._matrix_array, []
-
-    def failing_late(raw):
-        calls.append(1)
-        if os.getpid() == parser and len(calls) > 1:  # the parser's second block, block 3
-            raise RuntimeError("parsing failed")
-        return matrix_array(raw)
-
-    monkeypatch.setattr(tables, "_matrix_array", failing_late)
-    (tmp_path / "table.json").write_text(_plain())
-    with pytest.raises(RuntimeError, match="parsing failed"):
-        parse_spec({"model": {"kind": "su2"},
-                    "operator": {"kind": "matrix_table", "path": str(tmp_path / "table.json")}})
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_large_table_forks_by_its_size(tmp_path, monkeypatch):
-    # about 1.3 MB of text: two processes at the default size per process
+def test_parsing_a_table_never_forks(tmp_path, monkeypatch):
+    # about 1.3 MB of text, parsed on a machine of 8 CPUs
     rng = np.random.default_rng(7)
     blocks = [rng.standard_normal((t + 1, t + 1, 2)) for t in range(44)]
     text = json.dumps({"entries": [{"label": t, "matrix": b.tolist()}
                                    for t, b in enumerate(blocks)]})
-    assert 1 < len(text) / tables.TABLE_CHARS_PER_PROCESS <= 2
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(forked, "cpu_count", lambda: 8)
+    assert len(text) > 2**20
+    forks = _counted_forks(monkeypatch, 8)
     assert _assert_parse_equals_whole_document(tmp_path, text.encode("utf-8")) == []
-    assert len(forks) == 1
-
-
-def test_a_small_table_forks_nothing(tmp_path, monkeypatch):
-    forks, fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(forked, "cpu_count", lambda: 8)
-    assert _assert_parse_equals_whole_document(tmp_path, _plain().encode("utf-8")) == []
     assert forks == []
 
 
@@ -547,7 +515,7 @@ def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
         assert np.shares_memory(stored, np.asarray(mat)) == (mat is owned)
     assert all(table == made[0] for table in made)
     # the parsed blocks are handed over read-only and adopted
-    for entry in tables._blockwise(_plain())["entries"]:
+    for entry in tables._parse(_plain())["entries"]:
         assert _flags(entry["matrix"])[:2] == (True, False)
     (tmp_path / "table.json").write_text(_plain())
     parsed = parse_spec({"model": {"kind": "su2"},
@@ -590,14 +558,14 @@ def _cache_files(cache) -> list:
 
 def _counted_parses(monkeypatch) -> list:
     """Count the parses of table text; the list returned records each."""
-    parses, blockwise = [], tables._blockwise
-    monkeypatch.setattr(tables, "_blockwise", lambda text: parses.append(1) or blockwise(text))
+    parses, parse = [], tables._parse
+    monkeypatch.setattr(tables, "_parse", lambda text: parses.append(1) or parse(text))
     return parses
 
 
 @pytest.mark.parametrize("case", [*_TEXT_CASES, "invalid UTF-8", "BOM"])
 def test_a_warm_parse_gives_the_cold_parse(case, tmp_path, monkeypatch, table_cache):
-    forks = _forced_processes(monkeypatch, 3)
+    parses = _counted_parses(monkeypatch)
     plain = _plain().encode("utf-8")
     data = {"invalid UTF-8": plain[:40] + b"\xff" + plain[40:],
             "BOM": b"\xef\xbb\xbf" + plain}.get(case) or _TEXT_CASES[case].encode("utf-8")
@@ -605,14 +573,14 @@ def test_a_warm_parse_gives_the_cold_parse(case, tmp_path, monkeypatch, table_ca
     (tmp_path / "table.json").write_bytes(data)
     cold = _outcome(tmp_path / "table.json", model)
     stored = _cache_files(table_cache)
-    forks.clear()
+    parses.clear()
     assert _outcome(tmp_path / "table.json", model) == cold
     assert _cache_files(table_cache) == stored
     if cold and isinstance(cold[0], str):  # violations: never stored
         assert stored == []
     else:
         assert len(stored) == 1
-        assert forks == []
+        assert parses == []
         warm = tables.load_table(str(tmp_path / "table.json"), model, problems := [])
         assert problems == []
         adopted = MatrixTable(model, warm).entries

@@ -302,29 +302,14 @@ class TorusGainResult:
         return self.exact_gain == 0
 
 
-def _ball(radius: int):
-    for xi in range(-radius, radius + 1):
-        rem = radius - abs(xi)
-        for eta in range(-rem, rem + 1):
-            if xi or eta:
-                yield xi, eta
-
-
-def _half_ball(radius: int):
-    # one representative per mirror pair {(xi,eta), (-xi,-eta)}: the
-    # objective is even under the mirror, so the other half carries nothing
-    for xi, eta in _ball(radius):
-        if eta > 0 or (eta == 0 and xi > 0):
-            yield xi, eta
-
-
 # points per run of the float screen, at least one row of the ball
 BALL_CHUNK_POINTS = 1 << 16
 
 
 def _ball_arrays(radius: int):
-    """The points of ``_ball(radius)`` in its order, as int64 arrays
-    ``(xi, eta)`` over runs of whole rows of about BALL_CHUNK_POINTS points."""
+    """The points of 0 < |xi| + |eta| <= radius, xi ascending and then eta,
+    as int64 arrays ``(xi, eta)`` over runs of whole rows of about
+    BALL_CHUNK_POINTS points."""
     rows = max(1, BALL_CHUNK_POINTS // (2 * radius + 1))
     for first in range(-radius, radius + 1, rows):
         xi = np.arange(first, min(first + rows, radius + 1))
@@ -336,54 +321,57 @@ def _ball_arrays(radius: int):
         yield x[keep], eta[keep]
 
 
-# unit roundoff and smallest normal of float64
+# unit roundoff and smallest normal of float64, and the relative widening
+# of the log screen
 _U = 2.0**-53
 _TINY = np.finfo(float).tiny
+_SLACK = 2.0**-40
 
 
-def _ball_candidates(c: Fraction | Surd, radius: int, weights: list[Fraction]):
-    """The points of ``_ball(radius)`` whose objective can be the least, in
-    ball order; None when the float screen does not apply.
+def _ball_candidates(c: RealSpec, radius: int, exponent: int) -> list[tuple[int, int]]:
+    """The points of the ball whose objective can be the least, in the
+    order of ``_ball_arrays``.
 
-    The objective |xi + c eta| w, w = ``weights[|xi| + |eta|]``, is enclosed
-    in [obj - err, obj + err] around its float value obj.  ``e_c`` bounds
-    |c - float(c)| through c's 128-bit enclosure; the product and the sum
-    in |xi + c_f eta| add 4u (|xi| + |c_f eta|); a weight w = s^-N carries
-    u relative when its float is not exact, and the product obj one more u.
-    err is 4 times that first-order sum, which covers the second-order
-    terms and the roundings of err, obj - err and obj + err, plus the
-    smallest normal float for any underflow.  A point is kept when its
-    lower end is at or below the least upper end, which holds for the
-    argmin and all its exact ties.  A coefficient or weight beyond float
-    range, or a weight below the smallest normal float, leaves the full
-    ball.
+    For every c' in ``_bounds(c)`` the log objective
+    log|xi + c' eta| - N log(1 + d) is enclosed from floats.  ``e_c``
+    bounds twice every |c' - c_f|, c_f = float(c); the product and the sum
+    in |xi + c_f eta| add 4u (|xi| + |c_f eta|), and err, 4 times that
+    first-order sum plus the smallest normal float, also covers the
+    roundings of err and of |xi + c_f eta| -+ err.  The logs of those ends
+    are at most 745 in size, or -inf for 0, a lower end that keeps the
+    point.  numpy's log and log1p, the product N log1p(d) and the
+    differences are off by a few ulps of 745 + |N log1p(d)|, far less than
+    the 2^-40 of it (plus 2^-40) that widens each end.  A point is kept
+    when its lower end is at or below the least upper end.  So are the
+    argmin and its exact ties, and for an enclosure every point whose
+    interval starts below the least upper end of an interval, which are
+    all the points that can decide its candidate or its PrecisionError.
+    Every point is kept when c or N log1p(d) is beyond float range.
     """
     try:
         c_f = float(c)
-        w_f = np.array([float(w) for w in weights])
+        # twice the float of the largest |c' - c_f|, plus that float's own underflow
+        e_c = 2 * float(max(abs(b - Fraction(c_f)) for b in _bounds(c))) + 5e-324
+        n_log = float(exponent) * np.log1p(np.arange(radius + 1))
+        screened = np.isfinite([8 * (abs(c_f) + e_c + 1) * radius, *n_log]).all()
     except OverflowError:
-        return None
-    if not (w_f[1:] >= _TINY).all():
-        return None
-    w_rel = np.array([0.0 if Fraction(f) == w else _U for f, w in zip(w_f.tolist(), weights)])
-    # twice the float of |c - c_f|, plus the float's own underflow
-    e_c = 2 * float(max(abs(b - Fraction(c_f)) for b in _bounds(c))) + 5e-324
+        screened = False
+    if not screened:
+        return [p for xi, eta in _ball_arrays(radius) for p in zip(xi.tolist(), eta.tolist())]
+    slack = _SLACK * (745 + np.abs(n_log).max() + 1)
     least_hi, kept = inf, []
     for xi, eta in _ball_arrays(radius):
-        d = np.abs(xi) + np.abs(eta)
-        x, ce = xi.astype(float), c_f * eta
-        with np.errstate(over="ignore", invalid="ignore"):
-            obj = np.abs(x + ce) * w_f[d]
-            err = 4 * ((e_c * np.abs(eta) + 4 * _U * (np.abs(x) + np.abs(ce))) * w_f[d]
-                       + (w_rel[d] + _U) * obj) + _TINY
-            hi = obj + err
-        if not np.isfinite(hi).all():
-            return None
-        least_hi = min(least_hi, float(hi.min()))
-        keep = obj - err <= least_hi
-        kept.append((xi[keep], eta[keep], (obj - err)[keep]))
-    xi, eta, lo = (np.concatenate(a) for a in zip(*kept))
-    keep = lo <= least_hi
+        x, ae = xi.astype(float), np.abs(eta)
+        w = n_log[np.abs(xi) + ae]
+        v = np.abs(x + c_f * eta)
+        err = (4 * e_c + 16 * _U * abs(c_f)) * ae + 16 * _U * np.abs(x) + _TINY
+        with np.errstate(divide="ignore"):
+            lo_end = np.log(np.maximum(v - err, 0.0)) - w - slack
+        least_hi = min(least_hi, float((np.log(v + err) - w).min()) + slack)
+        keep = lo_end <= least_hi
+        kept.append((xi[keep], eta[keep], lo_end[keep]))
+    xi, eta, lo_end = (np.concatenate(a) for a in zip(*kept))
+    keep = lo_end <= least_hi
     return list(zip(xi[keep].tolist(), eta[keep].tolist()))
 
 
@@ -398,6 +386,8 @@ def _weight(d: int, exponent: int) -> Fraction:
 def _bounds(x) -> tuple[Fraction, Fraction]:
     if isinstance(x, Fraction):
         return x, x
+    if isinstance(x, Enclosure):
+        return x.lo, x.hi
     return x.enclosure()
 
 
@@ -439,14 +429,15 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
     """Exact minimum of |xi + c eta| (1+|xi|+|eta|)^{-N} over 0 < |xi|+|eta| <= radius.
 
     ``c`` must be a real spec (the nonzero-imaginary-part case is decided
-    upstream and never reaches this search).  Rational and quadratic-surd
-    coefficients give a fully exact answer: a float enclosure of every
-    objective (``_ball_candidates``) only rules points out, and exact
-    arithmetic compares the points it cannot; enclosures are accepted only
-    when they order every candidate (exact ties other than the mirror pair
-    (-xi,-eta) therefore need exact input), otherwise a ``PrecisionError``
-    asks for more precision.  Exact ties prefer the smallest |xi|+|eta|,
-    then the lexicographically smallest pair.
+    upstream and never reaches this search).  A float enclosure of every
+    log objective (``_ball_candidates``) only rules points out, and exact
+    arithmetic compares the points it keeps, with one weight per distance
+    among them.  Rational and quadratic-surd coefficients give a fully
+    exact answer.  Enclosures are accepted only when they order every
+    candidate (exact ties other than the mirror pair (-xi,-eta) therefore
+    need exact input), otherwise a ``PrecisionError`` asks for more
+    precision.  Exact ties prefer the smallest |xi|+|eta|, then the
+    lexicographically smallest pair.
     """
     if not isinstance(c, (Fraction, Surd, Enclosure)):
         raise PreconditionError("torus gain search takes a real coefficient spec")
@@ -461,12 +452,11 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
                                objective_hi=Fraction(0), gain_lo=Fraction(0),
                                gain_hi=Fraction(0), exponent=exponent, radius=radius,
                                exact_objective=Fraction(0), exact_gain=Fraction(0))
-    # one weight per distance |xi| + |eta|, shared by every point at it
-    weights = [_weight(d, exponent) for d in range(radius + 1)]
+    points = _ball_candidates(c, radius, exponent)
+    weights = {d: _weight(d, exponent) for d in {abs(xi) + abs(eta) for xi, eta in points}}
     if isinstance(c, (Fraction, Surd)):
-        points = _ball_candidates(c, radius, weights)
         best = None
-        for xi, eta in _ball(radius) if points is None else points:
+        for xi, eta in points:
             gain = abs(xi + c * eta)
             obj = gain * weights[abs(xi) + abs(eta)]
             tie = (abs(xi) + abs(eta), (xi, eta))
@@ -487,9 +477,12 @@ def torus_min_gain(c: RealSpec, radius: int, exponent: int = 0) -> TorusGainResu
             exact_gain=gain,
         )
 
-    # enclosure coefficient: interval objective per mirror representative
+    # enclosure coefficient: an interval objective per mirror representative
+    # (eta > 0, or eta = 0 < xi) of a kept point; the objective is even under
+    # the mirror (xi, eta) -> (-xi, -eta), so the other half carries nothing
     entries = []
-    for xi, eta in _half_ball(radius):
+    for xi, eta in {(xi, eta) if eta > 0 or (eta == 0 and xi > 0) else (-xi, -eta)
+                    for xi, eta in points}:
         vlo, vhi = xi + c.lo * eta, xi + c.hi * eta  # eta > 0 except on the axis
         if eta == 0:
             vlo = vhi = Fraction(xi)

@@ -213,14 +213,22 @@ _WINDOW_BYTES = {"torus2": 24, "su2": 40}
 
 
 def _physical_memory() -> float:
-    """Bytes of physical memory, capped by this process's memory cgroup, or
-    inf where neither says."""
+    """Bytes of physical memory, capped by this process's memory cgroup and
+    by its soft address-space limit (``ulimit -v``), or inf where none says."""
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         pages = size = -1
     host = pages * size if pages > 0 and size > 0 else math.inf  # -1: indeterminate
-    return min(host, _cgroup_memory_limit())
+    try:
+        import resource
+
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft == resource.RLIM_INFINITY or soft <= 0:
+            soft = math.inf
+    except (ImportError, AttributeError, ValueError, OSError):  # no such limit here
+        soft = math.inf
+    return min(host, _cgroup_memory_limit(), soft)
 
 
 # where the kernel names this process's cgroups, and where it mounts them

@@ -16,10 +16,13 @@ it.
 
 A table that parses with no violation is cached, so that a later process
 reading the same bytes skips the parse.  Its cache file is
-``<$XDG_CACHE_HOME or ~/.cache>/hyposym/tables/<key>.npy``, where the key
-is the sha256 of a format tag, the model kind, the source of every
-``hyposym`` module and the table's bytes: an edit to the parser, or to the
-table, reaches another file.  The file holds one int64 array: the entry
+``<$XDG_CACHE_HOME or ~/.cache>/hyposym/tables/<sources>/<key>.npy``,
+where ``sources`` is the sha256 of the source of every ``hyposym`` module
+and the key that of a format tag, the model kind and the table's bytes: an
+edit to the parser, or to the table, reaches another file.  A write removes
+the directories of other sources and the ``tables/*.npy`` files of the
+earlier flat layout, so the cache holds one version's tables, and another
+version that shares it only misses.  The file holds one int64 array: the entry
 count, the labels in entry order (2 ints on the torus, 1 on SU(2)), then
 the complex128 values of the blocks in that order.  A file that does not
 hold exactly that layout is a miss, and a miss parses the text as above.
@@ -34,6 +37,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shutil
 from dataclasses import astuple
 from itertools import chain
 
@@ -111,17 +116,17 @@ def _cache_file(model_kind: str, data: bytes) -> str | None:
         base = os.path.join(os.path.expanduser("~"), ".cache")
     if not os.path.isabs(base):  # no home directory
         return None
-    key = hashlib.sha256(CACHE_FORMAT + b"\0" + model_kind.encode() + b"\0")
+    sources = hashlib.sha256()
     here = os.path.dirname(os.path.abspath(__file__))
     try:
         for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
             with open(os.path.join(here, name), "rb") as fh:
                 source = fh.read()
-            key.update(b"%s\0%d\0" % (name.encode(), len(source)) + source)
+            sources.update(b"%s\0%d\0" % (name.encode(), len(source)) + source)
     except OSError:
         return None
-    key.update(data)
-    return os.path.join(base, "hyposym", "tables", key.hexdigest() + ".npy")
+    key = hashlib.sha256(CACHE_FORMAT + b"\0" + model_kind.encode() + b"\0" + data)
+    return os.path.join(base, "hyposym", "tables", sources.hexdigest(), key.hexdigest() + ".npy")
 
 
 def _read_cache(cache: str, model_kind: str):
@@ -173,6 +178,27 @@ def _write_cache(cache: str, table: dict) -> None:
     except OSError:
         try:
             os.unlink(temp)
+        except OSError:
+            pass
+        return
+    _evict_others(cache)
+
+
+def _evict_others(cache: str) -> None:
+    """Remove the cache directories of other sources beside that of
+    ``cache``, and the files of the flat layout before them; an OSError
+    leaves what it meets."""
+    root, own = os.path.split(os.path.dirname(cache))
+    try:
+        names = os.listdir(root)
+    except OSError:
+        return
+    for name in names:
+        if name == own or not re.fullmatch(r"[0-9a-f]{64}(\.npy)?", name):
+            continue
+        path = os.path.join(root, name)
+        try:
+            os.unlink(path) if name.endswith(".npy") else shutil.rmtree(path)
         except OSError:
             pass
 
@@ -246,13 +272,13 @@ def _matrix_array(raw):
 
 
 def _parse_matrix(raw, where: str, problems: list[str]):
-    """The block of a table entry: the array ``_parse`` made, or that of a
-    nested list; a list the array check declines is walked cell by cell, to
-    name its first bad cell."""
-    arr = raw if isinstance(raw, np.ndarray) else _matrix_array(raw)
-    if arr is None:
+    """The block of a table entry: the array ``_parse`` made; any other
+    value, which ``_matrix_array`` declined, is walked cell by cell, to name
+    its first bad cell."""
+    if not isinstance(raw, np.ndarray):
         problems.append(f"{where}: {_first_bad_cell(raw)}")
-    return arr
+        return None
+    return raw
 
 
 def _first_bad_cell(raw) -> str:

@@ -130,6 +130,15 @@ CASES = [
     ["subelliptic", "--spec", FOUR_SEVENTHS, "--cutoff", "20000", "--probes", "5", "--seed", "2"],
     # a report refused for an int too long for text, found before encoding
     ["diophantine", "--c", "(1+1*sqrt(5))/2", "--cf-terms", "40000"],
+    # torus lattice minima off the screened exact path: an enclosure, weights
+    # beyond float range either way, enclosures that cannot order the ball
+    # (a resonance 3/7 inside, a wide one), and an exponent of a million
+    ["torus-gain", "--c", "dec:1.41421356237~1e-12", "--radius", "100", "--exp", "1"],
+    ["torus-gain", "--c", "(0+1*sqrt(2))/1", "--radius", "100", "--exp", "200"],
+    ["torus-gain", "--c", "(0+1*sqrt(2))/1", "--radius", "60", "--exp=-200"],
+    ["torus-gain", "--c", "dec:3/7~1e-12", "--radius", "7"],
+    ["torus-gain", "--c", "dec:0.5~0.1666", "--radius", "4"],
+    ["torus-gain", "--c", "dec:0.333~1e-9", "--radius", "8", "--exp", "1000000"],
     # the 1x1 dense blocks of a torus table: kernel, probes, C*, the
     # counterexample's field and image, and the gains sidecar
     ["subelliptic", "--spec", TORUS_TABLE_SPEC, "--cutoff", "36", "--probes", "20",

@@ -395,24 +395,58 @@ def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 
                           CoefficientField(explicit=images))
 
 
+def ball(radius: int):
+    """The points of 0 < |xi| + |eta| <= radius, xi ascending and then eta."""
+    for xi in range(-radius, radius + 1):
+        rem = radius - abs(xi)
+        for eta in range(-rem, rem + 1):
+            if xi or eta:
+                yield xi, eta
+
+
+def _torus_weight(xi: int, eta: int, exponent: int) -> Fraction:
+    s = 1 + abs(xi) + abs(eta)
+    return Fraction(1, s**exponent) if exponent >= 0 else Fraction(s**-exponent)
+
+
 def full_ball_torus_min_gain(c, radius: int, exponent: int):
     """Exact (objective, argmin, gain) of |xi + c eta| (1+|xi|+|eta|)^{-N}
     over every point of 0 < |xi| + |eta| <= radius (c a Fraction or Surd);
     exact ties go to the smallest |xi| + |eta|, then the smallest pair."""
     best = None
-    for xi in range(-radius, radius + 1):
-        rem = radius - abs(xi)
-        for eta in range(-rem, rem + 1):
-            if xi == 0 and eta == 0:
-                continue
-            s = 1 + abs(xi) + abs(eta)
-            weight = Fraction(1, s**exponent) if exponent >= 0 else Fraction(s**-exponent)
-            gain = abs(xi + c * eta)
-            key = (gain * weight, abs(xi) + abs(eta), (xi, eta))
-            if best is None or key < best[0]:
-                best = (key, gain)
+    for xi, eta in ball(radius):
+        gain = abs(xi + c * eta)
+        key = (gain * _torus_weight(xi, eta, exponent), abs(xi) + abs(eta), (xi, eta))
+        if best is None or key < best[0]:
+            best = (key, gain)
     (obj, _, arg), gain = best
     return obj, arg, gain
+
+
+def interval_torus_min_gain(c, radius: int, exponent: int):
+    """(argmin, objective_lo, objective_hi, gain_lo, gain_hi) of
+    |xi + c eta| (1+|xi|+|eta|)^{-N} for an enclosure c = [lo, hi]: the
+    interval of every mirror representative (eta > 0, or eta = 0 < xi) of
+    the whole ball, the least upper end (then the least |xi| + |eta|, then
+    the least pair) as the candidate, and a PrecisionError when another
+    lower end lies below its upper end."""
+    from hyposym.errors import PrecisionError
+
+    entries = []
+    for xi, eta in ball(radius):
+        if not (eta > 0 or (eta == 0 and xi > 0)):
+            continue
+        ends = sorted([xi + c.lo * eta, xi + c.hi * eta])
+        if ends[0] <= 0 <= ends[1]:
+            alo, ahi = Fraction(0), max(-ends[0], ends[1])
+        else:
+            alo, ahi = sorted([abs(ends[0]), abs(ends[1])])
+        w = _torus_weight(xi, eta, exponent)
+        entries.append((alo * w, ahi * w, alo, ahi, (xi, eta)))
+    cand = min(entries, key=lambda e: (e[1], abs(e[4][0]) + abs(e[4][1]), e[4]))
+    if any(other[4] != cand[4] and other[0] < cand[1] for other in entries):
+        raise PrecisionError("enclosure too wide to order candidates")
+    return (min(cand[4], (-cand[4][0], -cand[4][1])), *cand[:4])
 
 
 def lattice_frequency_for_label(label):

@@ -16,7 +16,13 @@ from hyposym import (
 from hyposym.errors import PreconditionError, PrecisionError
 from hyposym.exact import Enclosure, Surd
 
-from oracles import best_rational_below, brute_pell_solutions, full_ball_torus_min_gain
+from oracles import (
+    ball,
+    best_rational_below,
+    brute_pell_solutions,
+    full_ball_torus_min_gain,
+    interval_torus_min_gain,
+)
 
 PHI = Surd.make(Fraction(1, 2), Fraction(1, 2), 5)
 SQRT2 = Surd.make(0, 1, 2)
@@ -258,37 +264,85 @@ def test_torus_gain_screen_equals_full_ball(c, radius, exponent):
     assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
 
 
-@pytest.mark.parametrize("c, radius, exponent", [
-    (Fraction(3, 7), 12, 400),  # every weight underflows to 0
-    (Fraction(3, 7), 12, -400),  # weights beyond float range
-    (Fraction(10**400, 3), 5, 0),  # c beyond float range
-    (Fraction(1, 10**400), 6, -3),  # c's float is 0: the screen needs e_c's floor
-    (PHI, 9, 310),  # weights below the smallest normal float
-])
-def test_torus_gain_at_the_edges_of_float_range_equals_full_ball(c, radius, exponent):
+def _bounds_or_error(search, c, radius, exponent):
+    """(argmin, objective_lo, objective_hi, gain_lo, gain_hi) of an
+    enclosure search, or PrecisionError where it cannot order the ball."""
+    try:
+        res = search(c, radius, exponent)
+    except PrecisionError:
+        return PrecisionError
+    if isinstance(res, tuple):
+        return res
+    return res.argmin, res.objective_lo, res.objective_hi, res.gain_lo, res.gain_hi
+
+
+def _assert_matches_oracle(c, radius, exponent):
+    if isinstance(c, Enclosure):
+        got = _bounds_or_error(torus_min_gain, c, radius, exponent)
+        assert got == _bounds_or_error(interval_torus_min_gain, c, radius, exponent)
+        return
     res = torus_min_gain(c, radius, exponent)
     obj, arg, gain = full_ball_torus_min_gain(c, radius, exponent)
     assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
 
 
+def _around(c, width) -> Enclosure:
+    mid = c.enclosure()[0] if isinstance(c, Surd) else c
+    return Enclosure(mid - width, mid + width)
+
+
+@pytest.mark.parametrize("c, radius, exponent", [
+    (Fraction(3, 7), 12, 400),  # every float weight underflows to 0
+    (Fraction(3, 7), 12, -400),  # float weights beyond float range
+    (Fraction(10**400, 3), 5, 0),  # c beyond float range
+    (Fraction(1, 10**400), 6, -3),  # c's float is 0: the screen needs e_c's floor
+    (PHI, 9, 310),  # float weights below the smallest normal float
+    (SQRT2, 20, 200),
+    (SQRT2, 14, -450),
+    (PHI, 11, 450),
+    (Surd.make(Fraction(-7, 3), Fraction(2, 5), 13), 16, -200),
+    (_around(SQRT2, Fraction(1, 10**30)), 20, 200),
+    (_around(PHI, Fraction(1, 10**12)), 12, -450),
+    (_around(Fraction(3, 7), Fraction(1, 10**12)), 9, 300),
+    # the resonance (-3, 7) in the ball: a lower end of 0, then a PrecisionError
+    (_around(Fraction(3, 7), Fraction(1, 10**12)), 10, 300),
+    (_around(Fraction(3, 7), Fraction(1, 10**12)), 10, -300),
+    (Enclosure(Fraction(1, 3), Fraction(2, 3)), 6, 450),
+])
+def test_torus_gain_at_the_edges_of_float_range_equals_full_ball(c, radius, exponent):
+    _assert_matches_oracle(c, radius, exponent)
+
+
 @pytest.mark.parametrize("c, radius, exponent", [
     (Fraction(3, 7), 25, 0), (Fraction(-5, 3), 18, -2), (PHI, 30, -1), (SQRT2, 22, 2),
+    (_around(PHI, Fraction(1, 10**20)), 24, 1),
 ])
 def test_torus_gain_screen_over_many_runs_of_rows(c, radius, exponent, monkeypatch):
     import hyposym.diophantine as diophantine
 
     monkeypatch.setattr(diophantine, "BALL_CHUNK_POINTS", 7)
     xi, eta = (np.concatenate(a) for a in zip(*diophantine._ball_arrays(radius)))
-    assert list(zip(xi.tolist(), eta.tolist())) == list(diophantine._ball(radius))
-    res = torus_min_gain(c, radius, exponent)
-    obj, arg, gain = full_ball_torus_min_gain(c, radius, exponent)
-    assert (res.argmin, res.exact_objective, res.exact_gain) == (arg, obj, gain)
+    assert list(zip(xi.tolist(), eta.tolist())) == list(ball(radius))
+    _assert_matches_oracle(c, radius, exponent)
+
+
+_WIDTHS = st.sampled_from([0, Fraction(1, 10**30), Fraction(1, 10**14), Fraction(1, 10**6),
+                           Fraction(1, 100), Fraction(1, 2), Fraction(3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.builds(_around, st.one_of(_SMALL_RATIONALS, _SURDS), _WIDTHS),
+       radius=st.integers(1, 40), exponent=st.integers(-3, 3))
+def test_torus_gain_enclosure_screen_equals_the_interval_loop(c, radius, exponent):
+    # a rational center puts a resonance p/q inside every enclosure of it
+    # with a width, and a wide one holds many
+    _assert_matches_oracle(c, radius, exponent)
 
 
 @pytest.mark.parametrize("c, radius, exponent", [
-    (Enclosure(*PHI.enclosure()), 13, -1),  # the interval path, per mirror pair
-    (PHI, 13, 3),  # the float screen, then exact comparisons
-    (Fraction(3, 7), 8, 400),  # every weight underflows: the full ball in exact arithmetic
+    (Enclosure(*PHI.enclosure()), 13, -1),  # intervals per mirror pair of the kept points
+    (PHI, 13, 3),  # the log screen, then exact comparisons
+    (Fraction(3, 7), 8, 400),  # every float weight would underflow: the log screen holds
     (Fraction(3, 7), 10, 5),  # an exact zero in the ball: no weight at all
 ])
 def test_torus_gain_builds_one_weight_per_distance(c, radius, exponent, monkeypatch):
@@ -300,6 +354,27 @@ def test_torus_gain_builds_one_weight_per_distance(c, radius, exponent, monkeypa
     torus_min_gain(c, radius, exponent)
     assert len(calls) <= radius + 1
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("c, radius, exponent", [
+    (SQRT2, 300, 200),
+    (SQRT2, 300, -200),
+    (Enclosure(Fraction("1.41421356237") - Fraction(1, 10**12),
+               Fraction("1.41421356237") + Fraction(1, 10**12)), 1000, 1),
+])
+def test_torus_gain_compares_a_handful_of_points_exactly(c, radius, exponent, monkeypatch):
+    # 180,600 and 2,002,000 points in the ball; the screen leaves the
+    # argmin and its mirror, and a weight for each of their distances
+    import hyposym.diophantine as diophantine
+
+    kept, weights = [], []
+    screen, weight = diophantine._ball_candidates, diophantine._weight
+    monkeypatch.setattr(diophantine, "_ball_candidates",
+                        lambda *a: kept.extend(screen(*a)) or kept)
+    monkeypatch.setattr(diophantine, "_weight", lambda *a: weights.append(a) or weight(*a))
+    res = torus_min_gain(c, radius, exponent)
+    assert res.argmin in kept
+    assert len(kept) <= 4 and len(weights) <= 2
 
 
 def test_torus_gain_enclosure_certified():

@@ -3,6 +3,7 @@ slice-based reductions and the memory budget, each against its oracle."""
 
 import json
 import re
+import resource
 import tracemalloc
 
 import numpy as np
@@ -351,6 +352,7 @@ def test_an_indeterminate_physical_memory_sets_no_budget(pages, size, monkeypatc
     figures = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": size}
     monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
     monkeypatch.setattr(spectral, "_PROC_CGROUP", "/nonexistent/cgroup")  # no cgroup limit
+    _address_space(monkeypatch, resource.RLIM_INFINITY)
     assert spectral._physical_memory() == float("inf")
     assert len(Window(TORUS2, 0)) == 1
 
@@ -422,7 +424,42 @@ def test_the_budget_is_the_lower_of_host_memory_and_the_cgroup_limit(limit, budg
     figures = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}  # 4 GiB of host memory
     monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
     _cgroups(tmp_path, monkeypatch, ["0::/job"], {"job/memory.max": f"{limit}\n"})
+    _address_space(monkeypatch, resource.RLIM_INFINITY)
     assert spectral._physical_memory() == budget
+
+
+def _address_space(monkeypatch, soft) -> None:
+    """A soft RLIMIT_AS of ``soft`` as ``resource.getrlimit`` reports it;
+    the process's own limit is never set."""
+    real = resource.getrlimit
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (
+        (soft, resource.RLIM_INFINITY) if which == resource.RLIMIT_AS else real(which)))
+
+
+@pytest.mark.parametrize("soft, budget", [
+    (resource.RLIM_INFINITY, 3 * 10**6),  # unlimited: the cgroup's limit
+    (2**20, 2**20),  # below the cgroup and the host
+    (10**7, 3 * 10**6),  # above the cgroup
+    (0, 3 * 10**6),  # no usable figure
+])
+def test_the_budget_is_capped_by_the_soft_address_space_limit(soft, budget, tmp_path,
+                                                              monkeypatch):
+    figures = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}  # 4 GiB of host memory
+    monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
+    _cgroups(tmp_path, monkeypatch, ["0::/job"], {"job/memory.max": "3000000\n"})
+    _address_space(monkeypatch, soft)
+    assert spectral._physical_memory() == budget
+
+
+def test_an_unreadable_address_space_limit_sets_no_cap(monkeypatch):
+    def refuse(which):
+        raise OSError("getrlimit")
+
+    monkeypatch.setattr(resource, "getrlimit", refuse)
+    monkeypatch.setattr(spectral, "_PROC_CGROUP", "/nonexistent/cgroup")
+    figures = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(spectral.os, "sysconf", figures.__getitem__)
+    assert spectral._physical_memory() == 2**32
 
 
 def test_window_beyond_the_cgroup_limit_is_refused_before_enumerating(tmp_path, monkeypatch):

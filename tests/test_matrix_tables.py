@@ -78,7 +78,7 @@ def _bits(arr):
 @given(_matrices())
 def test_array_check_equals_the_cellwise_parse(raw):
     fast, slow = [], []
-    got = _parse_matrix(raw, "table entry 0", fast)
+    got = _parse_matrix(tables._with_block({"matrix": raw})["matrix"], "table entry 0", fast)
     want = cellwise_parse_matrix(raw, "table entry 0", slow)
     assert fast == slow
     assert _bits(got) == _bits(want)
@@ -86,7 +86,7 @@ def test_array_check_equals_the_cellwise_parse(raw):
 
 def test_array_check_keeps_negative_zero_and_rounds_like_complex():
     raw = [[[-0.0, -0.0], [0, -0.0]], [[2**53 + 1, -(2**63) - 1], [1.5, 10**308]]]
-    got = _parse_matrix(raw, "w", problems := [])
+    got = _parse_matrix(tables._with_block({"matrix": raw})["matrix"], "w", problems := [])
     assert problems == []
     assert got.tobytes() == np.array([[complex(*c) for c in row] for row in raw]).tobytes()
     assert np.signbit(got.real).tolist() == [[True, False], [False, False]]
@@ -552,8 +552,8 @@ def _outcome(path, model: str = "su2"):
 
 
 def _cache_files(cache) -> list:
-    folder = cache / "hyposym" / "tables"
-    return sorted(folder.iterdir()) if folder.exists() else []
+    """Every file under the cache's tables directory, at any depth."""
+    return sorted(p for p in (cache / "hyposym" / "tables").rglob("*") if p.is_file())
 
 
 def _counted_parses(monkeypatch) -> list:
@@ -622,7 +622,43 @@ def test_an_edited_source_is_a_miss(tmp_path, monkeypatch, table_cache):
     assert edited != text
     spectral.write_text(edited)
     assert _outcome(path) == first
-    assert (len(parses), len(_cache_files(table_cache))) == (2, 2)
+    # the write for the edited sources removed the directory of the others
+    assert (len(parses), len(_cache_files(table_cache))) == (2, 1)
+
+
+def test_a_write_removes_other_sources_and_the_flat_layout(tmp_path, monkeypatch, table_cache):
+    tables_dir = table_cache / "hyposym" / "tables"
+    flat, other = tables_dir / ("1" * 64 + ".npy"), tables_dir / ("2" * 64) / ("3" * 64 + ".npy")
+    kept = [tables_dir / "notes.txt", tables_dir / ("4" * 63 + ".npy"), tables_dir / "x" / "y"]
+    for name in [flat, other, *kept]:
+        name.parent.mkdir(parents=True, exist_ok=True)
+        name.write_bytes(b"old")
+    path = tmp_path / "table.json"
+    path.write_text(_plain())
+    first = _outcome(path)
+    [cache] = [p for p in _cache_files(table_cache) if p not in kept]
+    assert cache.parent.parent == tables_dir and cache.parent.name != "2" * 64
+    assert not flat.exists() and not other.parent.exists()
+    assert all(name.read_bytes() == b"old" for name in kept)  # not names the cache writes
+    parses = _counted_parses(monkeypatch)
+    assert _outcome(path) == first
+    assert parses == []
+
+
+def test_a_failed_removal_changes_no_output(tmp_path, monkeypatch, table_cache):
+    other = table_cache / "hyposym" / "tables" / ("2" * 64) / ("3" * 64 + ".npy")
+    other.parent.mkdir(parents=True)
+    other.write_bytes(b"old")
+
+    def refuse(path):
+        raise PermissionError(path)
+
+    monkeypatch.setattr(tables.shutil, "rmtree", refuse)
+    path = tmp_path / "table.json"
+    path.write_text(_plain())
+    assert _outcome(path) == _described(
+        MatrixTable("su2", whole_document_table(str(path), "su2", [])).entries)
+    assert other.read_bytes() == b"old" and len(_cache_files(table_cache)) == 2
 
 
 def _rewrite_entry(cache, change) -> None:

@@ -38,10 +38,22 @@ def _emit(doc: dict, out_path: str | None) -> None:
         raise PreconditionError(f"{path} {_too_long()}")
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
+
+
+def _write(path: str, head: bytes, chunks=()) -> None:
+    """Write ``head`` and then each of ``chunks`` to ``path``; an OSError
+    is a PreconditionError that names the path."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(head)
+            # writelines drops each chunk before it asks for the next, so the
+            # writer reuses that memory; a for loop would hold it a chunk longer
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise PreconditionError(f"output file {path!r}: cannot write ({exc})") from None
 
 
 def _too_long() -> str:
@@ -99,32 +111,17 @@ def _int_texts(lo: int, hi: int) -> np.ndarray:
                            thousands[q - mid // 1000] + _three_digits()[r]])
 
 
-def _write_csv(path: str, header: str, rows: int, chunks, pieces) -> None:
-    """The row kernel of both CSV sidecars.  ``chunks`` is a sequence of
-    cheap descriptions of the ``rows`` rows, and ``pieces(chunk)`` gives
-    ``(n, pieces)``: each of the n rows is its pieces concatenated in order,
-    a piece being an object array of n texts or one text shared by every row.
-
-    The chunks are formatted by ``forked.ordered`` and written in order, so
-    the bytes never depend on the process count W.  W is the CPU count,
-    capped by one process per CSV_CHUNK_ROWS rows and ``forked.MAX_PROCESSES``."""
-    from . import forked
-
-    def text(i: int) -> bytes:
-        n, row_pieces = pieces(chunks[i])
-        k = len(row_pieces)
-        parts = [""] * (n * k)  # row r's pieces at r*k .. r*k + k-1
-        for c, piece in enumerate(row_pieces):
-            parts[c::k] = [piece] * n if isinstance(piece, str) else piece.tolist()
-        return "".join(parts).encode("utf-8")
-
-    _three_digits()  # built once, before the fork
-    work = -(-rows // CSV_CHUNK_ROWS)  # a process per chunk's worth of rows
-    with open(path, "wb") as fh, forked.ordered(text, len(chunks), work) as items:
-        fh.write(header.encode("utf-8"))
-        # writelines drops each chunk before it asks for the next, so the
-        # writer reuses that memory; a for loop would hold it a chunk longer
-        fh.writelines(items)
+def _csv_text(chunk) -> bytes:
+    """The row kernel of both CSV sidecars: the bytes of a chunk ``(n,
+    pieces)`` of rows.  Each of the n rows is its pieces concatenated in
+    order, a piece being an object array of n texts or one text shared by
+    every row."""
+    n, pieces = chunk
+    k = len(pieces)
+    parts = [""] * (n * k)  # row r's pieces at r*k .. r*k + k-1
+    for c, piece in enumerate(pieces):
+        parts[c::k] = [piece] * n if isinstance(piece, str) else piece.tolist()
+    return "".join(parts).encode("utf-8")
 
 
 def _csv_label(label) -> str:
@@ -140,11 +137,11 @@ def _write_gains_csv(path: str, table) -> None:
     The bytes equal a ``csv.writer`` row loop over ``table.window.freq(i)``: repr
     floats, quoted torus labels, CRLF line ends.
     """
-    _write_csv(path, "ordinal,label,lambda,dim,gain,opnorm\r\n", *_gain_rows(table))
+    _write(path, b"ordinal,label,lambda,dim,gain,opnorm\r\n", map(_csv_text, _gain_rows(table)))
 
 
 def _gain_rows(table):
-    """``(rows, chunks, pieces)`` of the gains CSV: a chunk is its first row."""
+    """The rows of the gains CSV as ``_csv_text`` chunks of CSV_CHUNK_ROWS."""
     torus = table.window.model.kind == "torus2"
     labels = table.window.labels
     # label texts looked up by value: ',"(xi,' and 'eta)",' on the torus,
@@ -155,8 +152,7 @@ def _gain_rows(table):
     else:
         levels = _texts(",l={},", (t >> 1 if t % 2 == 0 else f"{t}/2" for t in range(top + 1)))
         dims = _texts("{}", ((t + 1) ** 2 for t in range(top + 1)))
-
-    def pieces(lo: int):
+    for lo in range(0, len(table), CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, len(table))
         if torus:
             label, dim = (xis[labels[0][lo:hi] + top], etas[labels[1][lo:hi] + top]), "1"
@@ -173,9 +169,7 @@ def _gain_rows(table):
             norms, ni = _float_texts(norm)
             tail = (("," + gains)[gi], ("," + norms + "\r\n")[ni])
         # GainTable ordinals are 0, 1, ..: row i has ordinal i
-        return hi - lo, (_int_texts(lo, hi), *label, (lams + ",")[li], dim, *tail)
-
-    return len(table), range(0, len(table), CSV_CHUNK_ROWS), pieces
+        yield hi - lo, (_int_texts(lo, hi), *label, (lams + ",")[li], dim, *tail)
 
 
 def _write_coeffs_csv(path: str, field, cutoff: float) -> None:
@@ -184,24 +178,22 @@ def _write_coeffs_csv(path: str, field, cutoff: float) -> None:
     The bytes equal a ``csv.writer`` row loop; long vectors are written in
     chunks of CSV_CHUNK_ROWS components.
     """
-    _write_csv(path, "ordinal,label,component_index,re,im\r\n", *_coeff_rows(field, cutoff))
+    _write(path, b"ordinal,label,component_index,re,im\r\n",
+           map(_csv_text, _coeff_rows(field, cutoff)))
 
 
 def _coeff_rows(field, cutoff: float):
-    """``(rows, chunks, pieces)`` of the coefficients CSV: a chunk is ``(head,
-    vector, first component)``, the head ``ordinal,label,`` of its frequency."""
-    chunks = [(f"{freq.j},{_csv_label(freq.label)},", vec, lo)
-              for freq, vec in field.window(cutoff) for lo in range(0, len(vec), CSV_CHUNK_ROWS)]
-
-    def pieces(chunk):
-        head, vec, lo = chunk
-        part = vec[lo:lo + CSV_CHUNK_ROWS]
-        res, ri = _float_texts(part.real)
-        ims, ii = _float_texts(part.imag)
-        return len(part), (head, _int_texts(lo, lo + len(part)), ("," + res + ",")[ri],
-                           (ims + "\r\n")[ii])
-
-    return sum(min(CSV_CHUNK_ROWS, len(vec) - lo) for _, vec, lo in chunks), chunks, pieces
+    """The rows of the coefficients CSV as ``_csv_text`` chunks: each vector
+    in chunks of CSV_CHUNK_ROWS components, each row led by the
+    ``ordinal,label,`` of its frequency."""
+    for freq, vec in field.window(cutoff):
+        head = f"{freq.j},{_csv_label(freq.label)},"
+        for lo in range(0, len(vec), CSV_CHUNK_ROWS):
+            part = vec[lo:lo + CSV_CHUNK_ROWS]
+            res, ri = _float_texts(part.real)
+            ims, ii = _float_texts(part.imag)
+            yield len(part), (head, _int_texts(lo, lo + len(part)), ("," + res + ",")[ri],
+                              (ims + "\r\n")[ii])
 
 
 def _require_cutoff(args, parsed) -> float:

@@ -200,8 +200,11 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
         text = None
         if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
             base_dir = base_dir or os.path.dirname(os.path.abspath(str(source)))
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise SpecFileError([f"spec file {str(source)!r}: cannot read ({exc})"]) from None
         elif isinstance(source, str):
             if not source.lstrip().startswith(("{", "[")):
                 raise SpecFileError([f"spec file not found: {source!r}"])

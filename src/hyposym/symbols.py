@@ -464,8 +464,7 @@ def one_blas_thread():
     thread count.  OpenBLAS splits a large block's LAPACK work (an SVD from
     81 x 81 up) by its threads, which changes the last bits of the result,
     so a dense table's reports would depend on the CPU count; on one thread
-    they do not.  A BLAS without a known setter is left as it is.  No
-    ``forked`` worker enters this: they make no BLAS call."""
+    they do not.  A BLAS without a known setter is left as it is."""
     calls = _blas_thread_calls()
     old = calls[0]() if calls else 1
     if old == 1:

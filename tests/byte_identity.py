@@ -14,12 +14,12 @@ command writes are compared.  The fixed ``CASES`` (inputs that fail, a
 branch no plan takes, and windows larger than any plan's) then run once
 per side, in a directory that holds ``TORUS_TABLE``, ``SU2_TABLE``,
 ``BAD_TABLES``, ``SINGULAR_TABLE`` and ``TIED_TABLE``, and are compared
-the same way.  Each command that writes a sidecar (``--out``), which is
-formatted by up to one forked process per CPU, or reads a matrix table,
-whose dense blocks go through OpenBLAS and its thread pool, runs a second
-time pinned to one CPU, where ``os.sched_setaffinity`` exists.  The pinned
-runs are compared between the sides, and the new side's run on every CPU
-with its own pinned run: output that depends on the CPU count fails.  The old
+the same way.  Each command that writes a sidecar (``--out``) or reads a
+matrix table runs a second time pinned to one CPU, where
+``os.sched_setaffinity`` exists: dense blocks go through OpenBLAS and its
+thread pool, and no output may depend on the CPU count.  The pinned runs
+are compared between the sides, and the new side's run on every CPU with
+its own pinned run, so output that depends on the CPU count fails.  The old
 side's run on every CPU is not compared, so a dependence that the new
 side mends is no difference.  Every run starts with an empty cache of
 parsed tables (``XDG_CACHE_HOME``), so each one parses its table; on the

@@ -59,10 +59,8 @@ SPECTRAL = {"errors", "exact", "spectral", "fitting", "symbols", "specfile"}
 @pytest.mark.parametrize("command", ["analyze", "fit-exponent", "singular-scan"])
 @pytest.mark.parametrize("spec", [TORUS_PHI, SU2_GAP], ids=["torus", "su2"])
 def test_spectral_commands_load_only_the_spectral_layers(command, spec, tmp_path):
-    # the gains sidecar of analyze --out is formatted through forked
-    sidecar = {"forked"} if command == "analyze" else set()
     assert loaded_modules(tmp_path, command, "--spec", spec, "--cutoff", "200") == \
-        SPECTRAL | {"hypo"} | sidecar
+        SPECTRAL | {"hypo"}
 
 
 def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
@@ -75,9 +73,9 @@ def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
     # the first command parses the table, the second reads its blocks from the cache
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "tables"}
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "tables"}
-    # the gains sidecar of analyze --out is formatted through forked
+    # the gains sidecar of analyze --out loads no module of its own
     argv = ("analyze", "--spec", table, "--cutoff", "2")
-    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"hypo", "tables", "forked"}
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"hypo", "tables"}
 
 
 def test_pell_certifier_loads_diophantine(tmp_path):
@@ -96,7 +94,7 @@ def test_exact_commands_load_no_symbol_layers(argv, tmp_path):
 
 def test_counterexample_loads_no_verdict_or_subelliptic(tmp_path):
     argv = ("counterexample", "--spec", SU2_SHIFT, "--cutoff", "200", "--k", "3")
-    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients", "forked"}
+    assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients"}
 
 
 def test_subelliptic_loads_no_verdict_layers(tmp_path):

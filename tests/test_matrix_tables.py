@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyposym import cli, forked, parse_spec, symbols, tables
+from hyposym import cli, parse_spec, symbols, tables
 from hyposym.errors import PreconditionError, SpecFileError
 from hyposym.spectral import Su2Label, Torus2Label
 from hyposym.tables import _matrix_array, _parse_matrix, _parse_table_label
@@ -452,11 +452,12 @@ def _assert_parse_equals_whole_document(tmp_path, data: bytes, model: str = "su2
 
 
 def _counted_forks(monkeypatch, cpus: int) -> list:
-    """Let the process run on ``cpus`` CPUs; the list returned records each
+    """Let the process see ``cpus`` CPUs; the list returned records each
     fork."""
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(forked, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return forks
 
 

@@ -1,8 +1,11 @@
+import builtins
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -734,6 +737,59 @@ def test_cli_missing_spec_file_named():
     proc = run_cli("analyze", "--spec", "no_such_spec.json", "--cutoff", "10")
     assert proc.returncode == 2
     assert "not found" in json.loads(proc.stderr)["violations"][0]
+
+
+def _json_error(stderr: str, kind: str) -> str:
+    payload = json.loads(stderr)  # the whole of stderr: no traceback
+    assert payload["kind"] == kind
+    return payload["error"]
+
+
+@pytest.mark.parametrize("case", ["directory", "UTF-16"])
+def test_cli_spec_file_that_cannot_be_read_is_schema_violation(case, tmp_path):
+    spec = tmp_path / "spec.json"
+    if case == "directory":
+        spec.mkdir()
+    else:
+        spec.write_bytes(b"\xff\xfe" + json.dumps(SU2_GAP).encode("utf-16-le"))
+    proc = run_cli("analyze", "--spec", str(spec), "--cutoff", "10")
+    assert proc.returncode == 2
+    assert _json_error(proc.stderr, "SpecFileError").startswith(
+        f"spec file {str(spec)!r}: cannot read (")
+
+
+def test_cli_spec_file_without_read_permission_is_schema_violation(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SU2_GAP))
+    real_open = builtins.open
+
+    def refusing_open(file, *args, **kwargs):
+        # as a file of mode 000 refuses every user but root
+        if str(file) == str(spec):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", refusing_open)
+    assert cli.main(["analyze", "--spec", str(spec), "--cutoff", "10"]) == 2
+    assert _json_error(capsys.readouterr().err, "SpecFileError") == (
+        f"spec file {str(spec)!r}: cannot read ([Errno 13] Permission denied: {str(spec)!r})")
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory"])
+def test_cli_out_that_cannot_be_written_is_precondition(case, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SU2_GAP))
+    if case == "directory":
+        out = failing = tmp_path / "out"
+        out.mkdir()
+    else:  # the gains sidecar is written first
+        out = tmp_path / "missing" / "r.json"
+        failing = tmp_path / "missing" / "r.json.gains.csv"
+    proc = run_cli("analyze", "--spec", str(spec), "--cutoff", "10", "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert _json_error(proc.stderr, "PreconditionError").startswith(
+        f"output file {str(failing)!r}: cannot write (")
 
 
 def test_cli_counterexample_writes_coefficients(tmp_path):

@@ -36,6 +36,7 @@ _EXPORTS = {
         "Certificate", "GrowthFit", "Verdict", "Witness", "certify", "estimate_h",
         "fit_growth", "singular_scan", "verdict",
     ),
+    "operators": ("Coefficient", "Su2DiagPoly", "TorusPoly"),
     "specfile": ("ParsedSpec", "emit_spec", "parse_spec"),
     "spectral": (
         "NU", "SU2", "TORUS2", "FrequencyIndex", "SpectralModel", "Su2Label",
@@ -46,9 +47,8 @@ _EXPORTS = {
         "check_beta", "extremal_field", "kernel_on_truncation",
     ),
     "symbols": (
-        "Coefficient", "GainTable", "MatrixSymbol", "MatrixTable", "OrderEstimate",
-        "Su2DiagPoly", "TorusPoly", "build_symbol", "estimate_order", "gain_table",
-        "smallest_gain",
+        "GainTable", "MatrixSymbol", "MatrixTable", "OrderEstimate", "build_symbol",
+        "estimate_order", "gain_table", "smallest_gain",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -12,9 +12,10 @@ byte-identical output on one platform.  Each command returns its report;
 ``main`` adds ``tool_version`` and ``seed`` and writes it.  A spec command's
 report also carries ``spec_echo`` and ``cutoff``.
 
-Each command imports the modules it runs when it starts, so a process
+Each command imports the modules it runs when it needs them, so a process
 compiles and executes only those: torus-gain, pell and diophantine never
-load the symbol layers.
+load the symbol layers, and a spec command parses and checks its spec
+before it loads numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .errors import HyposymError, PreconditionError, SpecFileError, WindowTooSmallError
@@ -83,6 +82,8 @@ CSV_CHUNK_ROWS = 4096
 
 
 def _texts(fmt: str, values) -> np.ndarray:
+    import numpy as np
+
     return np.array(list(map(fmt.format, values)), dtype=object)
 
 
@@ -90,6 +91,8 @@ def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(texts, inverse)``: ``texts[inverse]`` is the repr of each float of
     ``values``, as an object array.  Each distinct bit pattern is formatted
     once, so -0.0 keeps its sign."""
+    import numpy as np
+
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object), inverse
 
@@ -104,6 +107,8 @@ def _int_texts(lo: int, hi: int) -> np.ndarray:
     """``str(j)`` for j in range(lo, hi), lo >= 0, as an object array: past
     999, the texts of j // 1000 (one per thousand) and of the last three
     digits are looked up."""
+    import numpy as np
+
     mid = min(max(lo, 1000), hi)
     q, r = np.divmod(np.arange(mid, hi), 1000)
     thousands = _texts("{}", range(mid // 1000, -(-hi // 1000)))
@@ -163,8 +168,8 @@ def _gain_rows(table):
         gain, norm = table.gain[lo:hi], table.opnorm[lo:hi]
         gains, gi = _float_texts(gain)
         # 1x1 blocks have gain == norm: one text per row when the bits agree
-        if np.array_equal(gain.view(np.int64), norm.view(np.int64)):
-            tail = (np.array([f",{g},{g}\r\n" for g in gains.tolist()], dtype=object)[gi],)
+        if gain.tobytes() == norm.tobytes():
+            tail = (_texts(",{0},{0}\r\n", gains.tolist())[gi],)
         else:
             norms, ni = _float_texts(norm)
             tail = (("," + gains)[gi], ("," + norms + "\r\n")[ni])
@@ -246,14 +251,18 @@ def _bounds_doc(what: str, lo, hi, exact) -> dict:
 
 
 def _spec_input(args):
-    """``(parsed, cutoff, symbol)`` of a spec command: the spec parsed, its
-    cutoff required, then its symbol built."""
+    """``(parsed, cutoff, tol, symbol)`` of a spec command: the spec parsed, its
+    cutoff required and its tol checked (a negative one hides exact zeros)."""
     from .specfile import parse_spec
-    from .symbols import build_symbol
 
     parsed = parse_spec(args.spec)
     cutoff = _require_cutoff(args, parsed)
-    return parsed, cutoff, build_symbol(parsed.operator)
+    tol = _option(args, parsed, "tol", 1e-12)
+    if tol < 0:
+        raise SpecFileError([f"tol must be nonnegative, got {tol!r}"])
+    from .symbols import build_symbol
+
+    return parsed, cutoff, tol, build_symbol(parsed.operator)
 
 
 def _spec_report(parsed, cutoff: float, **fields) -> dict:
@@ -265,11 +274,10 @@ def _spec_report(parsed, cutoff: float, **fields) -> dict:
 
 
 def _cmd_analyze(args) -> dict:
+    parsed, cutoff, tol, symbol = _spec_input(args)
     from .hypo import verdict
     from .symbols import estimate_order, gain_table
 
-    parsed, cutoff, symbol = _spec_input(args)
-    tol = _option(args, parsed, "tol", 1e-12)
     table = gain_table(symbol, cutoff)
     v = verdict(table, tol)
     try:
@@ -288,36 +296,32 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_singular_scan(args) -> dict:
+    parsed, cutoff, tol, symbol = _spec_input(args)
     from .hypo import singular_scan
     from .symbols import gain_table
 
-    parsed, cutoff, symbol = _spec_input(args)
-    tol = _option(args, parsed, "tol", 1e-12)
     hits = singular_scan(gain_table(symbol, cutoff), tol)
     return _spec_report(parsed, cutoff, tol=tol, singular=[
         {"ordinal": f.j, "label": str(f.label), "lambda": f.lam, "dim": f.dim} for f in hits])
 
 
 def _cmd_fit_exponent(args) -> dict:
+    parsed, cutoff, tol, symbol = _spec_input(args)
     from .hypo import certify, fit_growth
     from .symbols import gain_table
 
-    parsed, cutoff, symbol = _spec_input(args)
     if certify(parsed.operator) is not None:
         # a certified family has no empirical fit; its exponent is -inf
         return _spec_report(parsed, cutoff, fit=None, h_hat="-inf")
-    fit = fit_growth(gain_table(symbol, cutoff), _option(args, parsed, "tol", 1e-12))
+    fit = fit_growth(gain_table(symbol, cutoff), tol)
     return _spec_report(parsed, cutoff, fit=fit.as_dict(), h_hat=fit.m)
 
 
 def _cmd_counterexample(args) -> dict:
+    parsed, cutoff, tol, symbol = _spec_input(args)
     from .coefficients import build_counterexample, classify_regularity
 
-    parsed, cutoff, symbol = _spec_input(args)
     k_steps = args.k if args.k is not None else parsed.options.get("k", 5)
-    tol = _option(args, parsed, "tol", 1e-12)
-    if tol < 0:
-        raise SpecFileError([f"the guard band tol must be nonnegative, got {tol!r}"])
     result = build_counterexample(symbol, k_steps, cutoff, tol)
     # regularity evidence is judged on the construction's own span: past the
     # support every finite field looks smooth, which says nothing here
@@ -421,17 +425,19 @@ def _cmd_torus_gain(args) -> dict:
 
 
 def _cmd_subelliptic(args) -> dict:
-    from .coefficients import random_field
-    from .subelliptic import best_alpha_constant, check_alpha, check_probe, extremal_field
-
     if args.probes < 0:
         raise PreconditionError(f"--probes must be nonnegative, got {args.probes}")
     if args.seed < 0:
         raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
-    parsed, cutoff, symbol = _spec_input(args)
+    parsed, cutoff, tol, symbol = _spec_input(args)
+    import numpy as np
+
+    from .coefficients import random_field
+    from .subelliptic import best_alpha_constant, check_alpha, check_probe, extremal_field
+
     s = _option(args, parsed, "s", 0.0)
     m = _option(args, parsed, "m", 1.0)
-    report = best_alpha_constant(symbol, s, m, cutoff, _option(args, parsed, "tol", 1e-12))
+    report = best_alpha_constant(symbol, s, m, cutoff, tol)
     witness = extremal_field(report, symbol)
     witness_check = check_alpha(symbol, witness, s, m, report.c_star, report.kernel)
     rng = np.random.default_rng(args.seed)

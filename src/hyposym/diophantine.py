@@ -24,8 +24,6 @@ from fractions import Fraction
 from math import gcd, inf, isqrt, log
 from statistics import median
 
-import numpy as np
-
 from .errors import PreconditionError, PrecisionError
 from .exact import Enclosure, RealSpec, Surd, is_square
 
@@ -310,6 +308,8 @@ def _ball_arrays(radius: int):
     """The points of 0 < |xi| + |eta| <= radius, xi ascending and then eta,
     as int64 arrays ``(xi, eta)`` over runs of whole rows of about
     BALL_CHUNK_POINTS points."""
+    import numpy as np
+
     rows = max(1, BALL_CHUNK_POINTS // (2 * radius + 1))
     for first in range(-radius, radius + 1, rows):
         xi = np.arange(first, min(first + rows, radius + 1))
@@ -324,7 +324,7 @@ def _ball_arrays(radius: int):
 # unit roundoff and smallest normal of float64, and the relative widening
 # of the log screen
 _U = 2.0**-53
-_TINY = np.finfo(float).tiny
+_TINY = 2.0**-1022
 _SLACK = 2.0**-40
 
 
@@ -348,6 +348,8 @@ def _ball_candidates(c: RealSpec, radius: int, exponent: int) -> list[tuple[int,
     all the points that can decide its candidate or its PrecisionError.
     Every point is kept when c or N log1p(d) is beyond float range.
     """
+    import numpy as np
+
     try:
         c_f = float(c)
         # twice the float of the largest |c' - c_f|, plus that float's own underflow

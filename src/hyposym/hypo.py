@@ -30,13 +30,11 @@ import numpy as np
 
 from .errors import NoFitError, PreconditionError
 from .fitting import bracket_weights, chunk_ranges, envelope_bound
+from .operators import Coefficient, Su2DiagPoly, TorusPoly
 from .spectral import FrequencyIndex, Su2Label, Torus2Label
 from .symbols import (
-    Coefficient,
     GainTable,
     OperatorSpec,
-    Su2DiagPoly,
-    TorusPoly,
     build_symbol,
     exact_values,
     gain_table,

@@ -16,8 +16,9 @@ Each TERM carries degrees (``deg_t``/``deg_x`` on the torus, ``deg_d0``/
 * ``"coeff_real"`` / ``"coeff_imag"`` -- exact literals in the real-spec
   grammar, e.g. ``"3/7"`` or ``"(1+1*sqrt(5))/2"``.
 
-A matrix table is a file of its own, read by ``tables.load_table``, which
-is imported only for a spec that names one.
+A matrix table is a file of its own, read by ``tables.load_table``; it and
+``symbols``, and with them numpy, are imported only for a spec that names
+one.
 
 Validation collects every violation before failing.  ``emit_spec`` writes
 the canonical form; parse(emit(parse(x))) == parse(x).
@@ -31,16 +32,14 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import SpecFileError
 from .exact import Enclosure, format_real, parse_real
-from .symbols import (
-    Coefficient,
-    MatrixTable,
-    OperatorSpec,
-    Su2DiagPoly,
-    TorusPoly,
-)
+from .operators import Coefficient, Su2DiagPoly, TorusPoly
+
+if TYPE_CHECKING:
+    from .symbols import OperatorSpec
 
 MAX_DEGREE = 8
 
@@ -266,6 +265,7 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
                 problems.append("matrix_table needs a 'path' string")
             elif model_kind is not None:
                 full = path if os.path.isabs(path) else os.path.join(base_dir or ".", path)
+                from .symbols import MatrixTable
                 from .tables import load_table
 
                 table = load_table(full, model_kind, problems)

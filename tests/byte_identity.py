@@ -108,6 +108,16 @@ CASES = [
     ["analyze", "--spec", PHI, "--cutoff", "1e20"],
     ["subelliptic", "--spec", '{"model": 1}', "--cutoff", "100", "--probes", "-1"],
     ["counterexample", "--spec", GAP, "--cutoff", "200", "--tol", "-1"],
+    # a negative tol would hide the gap's exact zero at l = 0
+    ["singular-scan", "--spec", GAP, "--cutoff", "100", "--tol", "-1"],
+    # commands that load no numpy: help, version, an exact expansion, and a
+    # spec with a violation in each part
+    ["--help"],
+    ["--version"],
+    ["diophantine", "--c", "1/3"],
+    ["analyze", "--spec", json.dumps({"model": {"kind": "su2"}, "options": {"tol": "x"},
+                                      "operator": {"kind": "su2_diag", "poly": [{"deg_d0": 9}]}}),
+     "--cutoff", "100"],
     ["fit-exponent", "--spec", PELL, "--cutoff", "2000"],
     ["pell", "--d", "8", "--count", "6000"],
     # windows of many lattice bands and reduction chunks: the verdict, fit and

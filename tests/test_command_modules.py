@@ -3,7 +3,8 @@
 A fresh process compiles and executes every module it imports, which costs
 more than the mathematics on small windows.  Each command runs here as
 ``python -m hyposym.cli`` (through ``runpy``) in a subprocess, and the test
-reads which ``hyposym.*`` modules ended up in ``sys.modules``.
+reads which ``hyposym.*`` modules ended up in ``sys.modules``, and whether
+numpy did: only evaluating a symbol, or reading a matrix table, needs it.
 """
 
 import json
@@ -23,7 +24,14 @@ try:
     runpy.run_module("hyposym.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("hyposym."))]))
+print(json.dumps([code, sorted(m[8:] for m in sys.modules if m.startswith("hyposym.")),
+                  "numpy" in sys.modules]))
+"""
+PARSE = """
+import json, sys
+from hyposym.specfile import parse_spec
+parse_spec(sys.argv[1])
+print(json.dumps("numpy" in sys.modules))
 """
 
 
@@ -42,18 +50,35 @@ SU2_SHIFT = _spec("su2", {"kind": "su2_diag", "poly": [
     {"coeff": [1, 0], "deg_d0": 1}, {"coeff": [0, 1], "deg_neglap": 0}]})
 
 
-def loaded_modules(tmp_path, *argv, out: bool = True) -> set[str]:
-    argv = [*argv, "--out", str(tmp_path / "r.json")] if out else list(argv)
-    proc = subprocess.run([sys.executable, "-c", RUN, *argv],
+def _table_spec(tmp_path) -> str:
+    (tmp_path / "table.json").write_text(json.dumps({"entries": [
+        {"label": t, "matrix": [[[1, 0]] * (t + 1)] * (t + 1)} for t in range(4)]}))
+    return _spec("su2", {"kind": "matrix_table", "path": str(tmp_path / "table.json")})
+
+
+def _python(tmp_path, code: str, *argv):
+    """The last stdout line of ``python -c code argv``, read as JSON."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
-    return set(modules)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-SPECTRAL = {"errors", "exact", "spectral", "fitting", "symbols", "specfile"}
+def run_command(tmp_path, *argv, out: bool = True) -> tuple[int, set[str], bool]:
+    """``(exit code, hyposym modules loaded, whether numpy was)`` of a command."""
+    argv = [*argv, "--out", str(tmp_path / "r.json")] if out else list(argv)
+    code, modules, numpy = _python(tmp_path, RUN, *argv)
+    return code, set(modules), numpy
+
+
+def loaded_modules(tmp_path, *argv, out: bool = True) -> set[str]:
+    code, modules, _ = run_command(tmp_path, *argv, out=out)
+    assert code == 0
+    return modules
+
+
+SPECTRAL = {"errors", "exact", "spectral", "fitting", "operators", "symbols", "specfile"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "fit-exponent", "singular-scan"])
@@ -66,9 +91,7 @@ def test_spectral_commands_load_only_the_spectral_layers(command, spec, tmp_path
 def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
     argv = ("analyze", "--spec", SU2_GAP, "--cutoff", "200")
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo"}
-    (tmp_path / "table.json").write_text(json.dumps({"entries": [
-        {"label": t, "matrix": [[[1, 0]] * (t + 1)] * (t + 1)} for t in range(4)]}))
-    table = _spec("su2", {"kind": "matrix_table", "path": str(tmp_path / "table.json")})
+    table = _table_spec(tmp_path)
     argv = ("singular-scan", "--spec", table, "--cutoff", "2")
     # the first command parses the table, the second reads its blocks from the cache
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo", "tables"}
@@ -100,3 +123,34 @@ def test_counterexample_loads_no_verdict_or_subelliptic(tmp_path):
 def test_subelliptic_loads_no_verdict_layers(tmp_path):
     argv = ("subelliptic", "--spec", SU2_GAP, "--cutoff", "200", "--probes", "2")
     assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients", "subelliptic"}
+
+
+@pytest.mark.parametrize("spec", ["torus", "su2", "table"])
+def test_only_a_matrix_table_spec_parses_with_numpy(spec, tmp_path):
+    text = {"torus": TORUS_PHI, "su2": SU2_GAP}.get(spec) or _table_spec(tmp_path)
+    assert _python(tmp_path, PARSE, text) is (spec == "table")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("--version",), 0),
+    (("pell", "--d", "8", "--count", "4"), 0),
+    (("diophantine", "--c", "(1+1*sqrt(5))/2", "--liouville-nmax", "3"), 0),
+    (("analyze", "--spec", '{"model": 1}', "--cutoff", "100"), 2),
+    (("singular-scan", "--spec", SU2_GAP, "--cutoff", "100", "--tol", "-1"), 2),
+], ids=["help", "version", "pell", "diophantine", "schema violation", "negative tol"])
+def test_commands_that_evaluate_no_symbol_load_no_numpy(argv, code, tmp_path):
+    exit_code, _, numpy = run_command(tmp_path, *argv, out=False)
+    assert (exit_code, numpy) == (code, False)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--spec", TORUS_PHI, "--cutoff", "200"),
+    ("singular-scan", "--spec", SU2_GAP, "--cutoff", "200"),
+    ("fit-exponent", "--spec", SU2_PELL, "--cutoff", "200"),
+    ("counterexample", "--spec", SU2_SHIFT, "--cutoff", "200", "--k", "3"),
+    ("subelliptic", "--spec", SU2_GAP, "--cutoff", "200", "--probes", "2"),
+], ids=lambda argv: argv[0])
+def test_commands_that_evaluate_a_symbol_load_numpy(argv, tmp_path):
+    exit_code, _, numpy = run_command(tmp_path, *argv)
+    assert (exit_code, numpy) == (0, True)

@@ -587,6 +587,22 @@ def test_cli_non_finite_flag_is_schema_violation(command, flag, value, su2_gap_s
     assert any("finite" in v and repr(value) in v for v in _violations(capsys))
 
 
+@pytest.mark.parametrize("command", ["analyze", "singular-scan", "fit-exponent",
+                                     "counterexample", "subelliptic"])
+def test_cli_negative_tol_is_schema_violation(command, tmp_path, capsys):
+    # a negative tol would hide the exact zero of the gap at l = 0
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(dict(SU2_GAP, options={"tol": -1})))
+    argv = [command, "--spec", str(path), "--cutoff", "100"]
+    if command == "subelliptic":
+        argv += ["--probes", "0"]
+    for extra in (["--tol=-1e-300"], []):
+        assert cli.main(argv + extra) == 2
+        assert any("nonnegative" in v for v in _violations(capsys))
+    # -0.0 is not negative: it runs as 0 does
+    assert cli.main(argv + ["--tol=-0.0"]) == cli.main(argv + ["--tol=0"]) != 2
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--m", "2000", "C* = 0.0"),  # every weight past the origin underflows
     ("--m", "-2000", "overflows"),  # a C* weight overflows

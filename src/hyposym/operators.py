@@ -1,7 +1,9 @@
-"""The exact operator algebra: coefficients, and the torus and SU(2)
-diagonal polynomials whose sums, multiples and compositions are
-polynomials again.  It needs no numpy, so a polynomial spec is parsed,
-checked and echoed without it; ``symbols`` evaluates these polynomials.
+"""The operators a spec names: the exact algebra of coefficients and of
+the torus and SU(2) diagonal polynomials, whose sums, multiples and
+compositions are polynomials again, the frequency labels, and the
+explicit blocks of a matrix table.  It imports no numpy, so every spec is
+parsed, checked and echoed without it; ``symbols`` evaluates these
+operators, and a table's blocks become arrays when it first asks.
 """
 
 from __future__ import annotations
@@ -10,12 +12,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar
+from typing import ClassVar, Mapping
 
 from .errors import PreconditionError
 from .exact import Surd, format_real
 
-__all__ = ["Coefficient", "TorusPoly", "Su2DiagPoly"]
+__all__ = ["Coefficient", "TorusPoly", "Su2DiagPoly", "Torus2Label", "Su2Label", "Label",
+           "MatrixTable"]
 
 RealPart = Fraction | Surd | float
 
@@ -195,3 +198,150 @@ class Su2DiagPoly(_Poly):
     """
 
     model_kind = "su2"
+
+
+@dataclass(frozen=True, order=True)
+class Torus2Label:
+    xi: int
+    eta: int
+
+    def eigenvalue(self) -> int:
+        return self.xi * self.xi + self.eta * self.eta
+
+    def block_dim(self) -> int:
+        return 1
+
+    def rep_dim(self) -> int:
+        # a character is a 1x1 representation
+        return 1
+
+    def __str__(self):
+        return f"({self.xi},{self.eta})"
+
+
+@dataclass(frozen=True, order=True)
+class Su2Label:
+    twice_ell: int
+
+    def __post_init__(self):
+        if self.twice_ell < 0:
+            raise ValueError("twice_ell must be nonnegative")
+
+    def eigenvalue(self) -> Fraction:
+        t = self.twice_ell
+        return Fraction(t * (t + 2), 4)
+
+    def block_dim(self) -> int:
+        # full eigenspace dimension (2 ell + 1)^2
+        return (self.twice_ell + 1) ** 2
+
+    def rep_dim(self) -> int:
+        # dimension 2 ell + 1 of a single representation block
+        return self.twice_ell + 1
+
+    def __str__(self):
+        if self.twice_ell % 2 == 0:
+            return f"l={self.twice_ell // 2}"
+        return f"l={self.twice_ell}/2"
+
+
+Label = Torus2Label | Su2Label
+
+
+class MatrixTable:
+    """Explicit per-frequency blocks loaded from a table: ``entries`` maps
+    each label to its ``label.rep_dim()`` square representation block, 1x1
+    on the torus (replication across the eigenspace is implicit), complex
+    and read-only.  ``path`` is the table file as a spec names it; equality
+    ignores it.
+
+    Given a mapping, a block that no caller can write (a read-only complex
+    array that owns its data, or views an immutable ``bytes``) is adopted,
+    and any other is copied into one.  ``packed`` keeps the blocks of a
+    buffer, and ``entries`` views them when first read.
+    """
+
+    def __init__(self, model_kind: str, entries: Mapping, path: str = ""):
+        import numpy as np
+
+        self._set_model(model_kind, path)
+        table = {}
+        for label, mat in entries.items():
+            if _sealed(mat):
+                arr = mat
+            else:
+                arr = np.array(mat, dtype=complex)
+                arr.setflags(write=False)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise PreconditionError(f"table block for {label} is not square")
+            expected = label.rep_dim()
+            if arr.shape[0] != expected:
+                raise PreconditionError(
+                    f"table block for {label} has size {arr.shape[0]}, expected {expected}"
+                )
+            table[label] = arr
+        self.entries = table
+
+    @classmethod
+    def packed(cls, model_kind: str, labels: list, values, path: str = "") -> "MatrixTable":
+        """The table of ``labels`` whose blocks lie in their order, each
+        row-major, in ``values``: a read-only buffer of exactly that many
+        little-endian complex128 values."""
+        table = cls.__new__(cls)
+        table._set_model(model_kind, path)
+        table._packed = labels, values
+        return table
+
+    def _set_model(self, model_kind: str, path: str) -> None:
+        if model_kind not in ("torus2", "su2"):
+            raise PreconditionError(f"unknown model kind {model_kind!r}")
+        self.model_kind = model_kind
+        self.path = path
+
+    @functools.cached_property
+    def entries(self) -> dict:
+        import numpy as np
+
+        labels, values = self.__dict__.pop("_packed")
+        flat = np.frombuffer(values, dtype="<c16")
+        table, at = {}, 0
+        for label in labels:
+            n = label.rep_dim()
+            table[label] = flat[at:at + n * n].reshape(n, n)
+            at += n * n
+        return table
+
+    def block(self, label: Label):
+        try:
+            return self.entries[label]
+        except KeyError:
+            raise PreconditionError(f"matrix table missing frequency {label}")
+
+    def __eq__(self, other):
+        if not isinstance(other, MatrixTable):
+            return NotImplemented
+        import numpy as np
+
+        return (
+            self.model_kind == other.model_kind
+            and set(self.entries) == set(other.entries)
+            and all(
+                np.array_equal(self.entries[k], other.entries[k])
+                for k in self.entries
+            )
+        )
+
+
+def _sealed(mat) -> bool:
+    """Whether ``mat`` is a read-only complex array whose data no caller can
+    write: data it owns, or that of an immutable ``bytes`` it views."""
+    import numpy as np
+
+    if not (isinstance(mat, np.ndarray) and mat.dtype == complex and not mat.flags.writeable):
+        return False
+    if mat.flags.owndata:
+        return True
+    base = mat.base
+    while isinstance(base, np.ndarray) and not base.flags.owndata:
+        base = base.base
+    return type(base.obj if isinstance(base, memoryview) else base) is bytes

@@ -16,12 +16,13 @@ Each TERM carries degrees (``deg_t``/``deg_x`` on the torus, ``deg_d0``/
 * ``"coeff_real"`` / ``"coeff_imag"`` -- exact literals in the real-spec
   grammar, e.g. ``"3/7"`` or ``"(1+1*sqrt(5))/2"``.
 
-A matrix table is a file of its own, read by ``tables.load_table``; it and
-``symbols``, and with them numpy, are imported only for a spec that names
-one.
+A matrix table is a file of its own, read by ``tables.load_table``, which
+is imported only for a spec that names one.  No spec loads numpy or
+``symbols`` to be parsed.
 
-Validation collects every violation before failing.  ``emit_spec`` writes
-the canonical form; parse(emit(parse(x))) == parse(x).
+Validation collects every violation before failing; a key given twice in
+one object, whose last value ``json`` would keep, is one.  ``emit_spec``
+writes the canonical form; parse(emit(parse(x))) == parse(x).
 """
 
 from __future__ import annotations
@@ -32,14 +33,10 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import SpecFileError
 from .exact import Enclosure, format_real, parse_real
-from .operators import Coefficient, Su2DiagPoly, TorusPoly
-
-if TYPE_CHECKING:
-    from .symbols import OperatorSpec
+from .operators import Coefficient, MatrixTable, Su2DiagPoly, TorusPoly
 
 MAX_DEGREE = 8
 
@@ -68,7 +65,7 @@ __all__ = ["ParsedSpec", "parse_spec", "emit_spec", "MAX_DEGREE"]
 class ParsedSpec:
     """A spec's operator, which fixes its model, and its options."""
 
-    operator: OperatorSpec
+    operator: TorusPoly | Su2DiagPoly | MatrixTable
     options: dict
 
 
@@ -187,6 +184,20 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+class _RepeatedKey(ValueError):
+    """A key given twice in one JSON object; its one argument is the key."""
+
+
+def _unique_keys(pairs) -> dict:
+    """The object of ``pairs``, whose keys must differ (``json`` would keep
+    the last value of a repeated key)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        raise _RepeatedKey(next(k for k, _ in pairs if k in seen or seen.add(k)))
+    return obj
+
+
 def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
     """Parse and validate a spec from a path, JSON text, or dict.
 
@@ -211,7 +222,9 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
         else:
             raise SpecFileError([f"cannot read spec from {source!r}"])
         try:
-            doc = json.loads(text, parse_constant=_reject_constant)
+            doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        except _RepeatedKey as exc:
+            raise SpecFileError([f"repeated key {exc.args[0]!r}"]) from None
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise SpecFileError([f"invalid JSON: {exc}"])
     if not isinstance(doc, dict):
@@ -265,12 +278,11 @@ def parse_spec(source, base_dir: str | None = None) -> ParsedSpec:
                 problems.append("matrix_table needs a 'path' string")
             elif model_kind is not None:
                 full = path if os.path.isabs(path) else os.path.join(base_dir or ".", path)
-                from .symbols import MatrixTable
                 from .tables import load_table
 
                 table = load_table(full, model_kind, problems)
                 if table and not problems:
-                    operator = MatrixTable(model_kind, table, path=path)
+                    operator = MatrixTable.packed(model_kind, *table, path=path)
         else:
             problems.append(f"unknown operator kind {kind!r}")
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
+from .operators import Label, Su2Label, Torus2Label
 
 NU = 2.0
 
@@ -44,54 +45,6 @@ __all__ = [
     "torus_lattice",
     "su2_levels",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class Torus2Label:
-    xi: int
-    eta: int
-
-    def eigenvalue(self) -> int:
-        return self.xi * self.xi + self.eta * self.eta
-
-    def block_dim(self) -> int:
-        return 1
-
-    def rep_dim(self) -> int:
-        # a character is a 1x1 representation
-        return 1
-
-    def __str__(self):
-        return f"({self.xi},{self.eta})"
-
-
-@dataclass(frozen=True, order=True)
-class Su2Label:
-    twice_ell: int
-
-    def __post_init__(self):
-        if self.twice_ell < 0:
-            raise ValueError("twice_ell must be nonnegative")
-
-    def eigenvalue(self) -> Fraction:
-        t = self.twice_ell
-        return Fraction(t * (t + 2), 4)
-
-    def block_dim(self) -> int:
-        # full eigenspace dimension (2 ell + 1)^2
-        return (self.twice_ell + 1) ** 2
-
-    def rep_dim(self) -> int:
-        # dimension 2 ell + 1 of a single representation block
-        return self.twice_ell + 1
-
-    def __str__(self):
-        if self.twice_ell % 2 == 0:
-            return f"l={self.twice_ell // 2}"
-        return f"l={self.twice_ell}/2"
-
-
-Label = Torus2Label | Su2Label
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,13 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import PreconditionError, WindowTooSmallError
 from .fitting import chunk_ranges, envelope_bound
-from .operators import Coefficient, Su2DiagPoly, TorusPoly
-from .spectral import (
-    FrequencyIndex,
-    Label,
-    SpectralModel,
-    Su2Label,
-    Window,
-)
+from .operators import Coefficient, MatrixTable, Su2DiagPoly, TorusPoly
+from .spectral import FrequencyIndex, SpectralModel, Su2Label, Window
 
 __all__ = [
     "MatrixTable",
@@ -56,57 +49,6 @@ __all__ = [
     "gain_table",
     "estimate_order",
 ]
-
-
-class MatrixTable:
-    """Explicit per-frequency blocks loaded from a table: the
-    ``label.rep_dim()`` square representation block, 1x1 on the torus
-    (replication across the eigenspace is implicit).
-    ``path`` is the table file as a spec names it; equality ignores it.
-    A complex block that owns its data and is read-only, so that no caller
-    can write it, is adopted; any other is copied into one.
-    """
-
-    def __init__(self, model_kind: str, entries: Mapping[Label, np.ndarray], path: str = ""):
-        if model_kind not in ("torus2", "su2"):
-            raise PreconditionError(f"unknown model kind {model_kind!r}")
-        self.model_kind = model_kind
-        self.path = path
-        table = {}
-        for label, mat in entries.items():
-            if (isinstance(mat, np.ndarray) and mat.dtype == complex
-                    and mat.flags.owndata and not mat.flags.writeable):
-                arr = mat
-            else:
-                arr = np.array(mat, dtype=complex)
-                arr.setflags(write=False)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise PreconditionError(f"table block for {label} is not square")
-            expected = label.rep_dim()
-            if arr.shape[0] != expected:
-                raise PreconditionError(
-                    f"table block for {label} has size {arr.shape[0]}, expected {expected}"
-                )
-            table[label] = arr
-        self.entries = table
-
-    def block(self, label: Label) -> np.ndarray:
-        try:
-            return self.entries[label]
-        except KeyError:
-            raise PreconditionError(f"matrix table missing frequency {label}")
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixTable):
-            return NotImplemented
-        return (
-            self.model_kind == other.model_kind
-            and set(self.entries) == set(other.entries)
-            and all(
-                np.array_equal(self.entries[k], other.entries[k])
-                for k in self.entries
-            )
-        )
 
 
 OperatorSpec = TorusPoly | Su2DiagPoly | MatrixTable

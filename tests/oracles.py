@@ -498,19 +498,33 @@ def cellwise_parse_matrix(raw, where: str, problems: list[str]):
 
 def whole_document_table(path: str, model_kind: str, problems: list[str]):
     """A matrix-table file loaded as one ``json.load`` of the whole document,
-    then entry by entry with ``cellwise_parse_matrix``: the table's blocks by
-    label, or None, with the violations in ``problems`` in the order the
-    spec parser reports them."""
+    a key given twice in one object refused as it closes, then entry by
+    entry with ``cellwise_parse_matrix``: the table's blocks by label, or
+    None, with the violations in ``problems`` in the order the spec parser
+    reports them."""
     import json
 
     from hyposym.specfile import _reject_constant
     from hyposym.tables import _parse_table_label
 
+    class Repeated(Exception):
+        pass
+
+    def once(pairs):
+        keys = [k for k, _ in pairs]
+        for i, k in enumerate(keys):
+            if k in keys[:i]:
+                raise Repeated(k)
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=once)
     except OSError as exc:
         problems.append(f"matrix table {path!r}: cannot read ({exc})")
+        return None
+    except Repeated as exc:
+        problems.append(f"matrix table {path!r}: repeated key {exc.args[0]!r}")
         return None
     except (ValueError, RecursionError) as exc:
         problems.append(f"matrix table {path!r}: invalid JSON ({exc})")

@@ -4,7 +4,7 @@ A fresh process compiles and executes every module it imports, which costs
 more than the mathematics on small windows.  Each command runs here as
 ``python -m hyposym.cli`` (through ``runpy``) in a subprocess, and the test
 reads which ``hyposym.*`` modules ended up in ``sys.modules``, and whether
-numpy did: only evaluating a symbol, or reading a matrix table, needs it.
+numpy did: only evaluating a symbol needs it, and no spec needs it to parse.
 """
 
 import json
@@ -31,7 +31,7 @@ PARSE = """
 import json, sys
 from hyposym.specfile import parse_spec
 parse_spec(sys.argv[1])
-print(json.dumps("numpy" in sys.modules))
+print(json.dumps([m for m in ("numpy", "hyposym.symbols") if m in sys.modules]))
 """
 
 
@@ -88,7 +88,7 @@ def test_spectral_commands_load_only_the_spectral_layers(command, spec, tmp_path
         SPECTRAL | {"hypo"}
 
 
-def test_forked_and_tables_are_loaded_only_for_a_sidecar_or_a_table(tmp_path):
+def test_tables_is_loaded_only_for_a_matrix_table_spec(tmp_path):
     argv = ("analyze", "--spec", SU2_GAP, "--cutoff", "200")
     assert loaded_modules(tmp_path, *argv, out=False) == SPECTRAL | {"hypo"}
     table = _table_spec(tmp_path)
@@ -125,10 +125,14 @@ def test_subelliptic_loads_no_verdict_layers(tmp_path):
     assert loaded_modules(tmp_path, *argv) == SPECTRAL | {"coefficients", "subelliptic"}
 
 
-@pytest.mark.parametrize("spec", ["torus", "su2", "table"])
-def test_only_a_matrix_table_spec_parses_with_numpy(spec, tmp_path):
+@pytest.mark.parametrize("spec", ["torus", "su2", "table cold", "table warm"])
+def test_parse_spec_loads_no_numpy_or_symbols(spec, tmp_path, table_cache):
     text = {"torus": TORUS_PHI, "su2": SU2_GAP}.get(spec) or _table_spec(tmp_path)
-    assert _python(tmp_path, PARSE, text) is (spec == "table")
+    if spec == "table warm":
+        assert _python(tmp_path, PARSE, text) == []  # parses the text, and fills the cache
+    cached = list((table_cache / "hyposym" / "tables").rglob("*.npy"))
+    assert len(cached) == (spec == "table warm")
+    assert _python(tmp_path, PARSE, text) == []
 
 
 @pytest.mark.parametrize("argv, code", [

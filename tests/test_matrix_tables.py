@@ -4,12 +4,15 @@ table text, whose object hook makes each block, against the whole-document
 loader, and the cache of parsed tables against the parse it skips."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
+import math
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -70,8 +73,13 @@ def _matrices(draw):
     return raw
 
 
-def _bits(arr):
-    return None if arr is None else (arr.shape, arr.dtype, arr.tobytes())
+def _bits(block):
+    """(shape, dtype, bits) of a block, given as an array or as the bytes of
+    a square row-major complex128 array, or None."""
+    if isinstance(block, bytes):
+        n = math.isqrt(len(block) // 16)
+        block = np.frombuffer(block, dtype=complex).reshape(n, n)
+    return None if block is None else (block.shape, block.dtype, block.tobytes())
 
 
 @settings(max_examples=400, deadline=None)
@@ -88,8 +96,9 @@ def test_array_check_keeps_negative_zero_and_rounds_like_complex():
     raw = [[[-0.0, -0.0], [0, -0.0]], [[2**53 + 1, -(2**63) - 1], [1.5, 10**308]]]
     got = _parse_matrix(tables._with_block({"matrix": raw})["matrix"], "w", problems := [])
     assert problems == []
-    assert got.tobytes() == np.array([[complex(*c) for c in row] for row in raw]).tobytes()
-    assert np.signbit(got.real).tolist() == [[True, False], [False, False]]
+    assert got == np.array([[complex(*c) for c in row] for row in raw]).tobytes()
+    assert np.signbit(np.frombuffer(got, dtype=complex).real).tolist() == [True, False, False,
+                                                                           False]
 
 
 _GOOD_PARTS = [0, -0.0, 0.0, 1, -3, 2.5, 1e-300, -1e308, 2**53 + 1, -(2**63), 2**64 - 1,
@@ -362,6 +371,7 @@ _TEXT_CASES = {
     "no-break space before a key": _plain().replace(', "matrix"', ',\u00a0"matrix"', 3),
     "matrix before label": _plain(order=("matrix", "label")),
     "torus, matrix before label": _plain("torus2", order=("matrix", "label")),
+    # a key given twice in one object is a violation, whichever value json kept
     "two matrices, the last kept": _with_entry(
         2, lambda lab, mat: [("label", lab), ("matrix", [[[1, 0]]]), ("matrix", mat)]),
     "two matrices, the last too small": _with_entry(
@@ -420,9 +430,21 @@ _TEXT_CASES = {
 }
 
 
+def _owner(arr):
+    """What holds the data of ``arr``: the array that owns it, or the object
+    under the buffer that an array made by ``np.frombuffer`` views."""
+    while isinstance(arr, np.ndarray) and arr.base is not None:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
 def _flags(arr) -> tuple:
+    """Whether no other array can write the data of ``arr`` (it owns its
+    data, or views an immutable ``bytes``), then its writeable, contiguity
+    and alignment flags."""
     f = arr.flags
-    return f.owndata, f.writeable, f.c_contiguous, f.f_contiguous, f.aligned
+    sealed = f.owndata or type(_owner(arr)) is bytes
+    return sealed, f.writeable, f.c_contiguous, f.f_contiguous, f.aligned
 
 
 def _assert_parse_equals_whole_document(tmp_path, data: bytes, model: str = "su2"):
@@ -515,9 +537,9 @@ def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
         assert _flags(stored) == (True, False, True, False, True)
         assert np.shares_memory(stored, np.asarray(mat)) == (mat is owned)
     assert all(table == made[0] for table in made)
-    # the parsed blocks are handed over read-only and adopted
+    # the parsed blocks are immutable bytes, whose views are adopted
     for entry in tables._parse(_plain())["entries"]:
-        assert _flags(entry["matrix"])[:2] == (True, False)
+        assert type(entry["matrix"]) is bytes
     (tmp_path / "table.json").write_text(_plain())
     parsed = parse_spec({"model": {"kind": "su2"},
                          "operator": {"kind": "matrix_table",
@@ -584,9 +606,10 @@ def test_a_warm_parse_gives_the_cold_parse(case, tmp_path, monkeypatch, table_ca
         assert parses == []
         warm = tables.load_table(str(tmp_path / "table.json"), model, problems := [])
         assert problems == []
-        adopted = MatrixTable(model, warm).entries
+        views = MatrixTable.packed(model, *warm).entries
+        adopted = MatrixTable(model, views).entries
         assert all(_flags(arr)[:2] == (True, False) and adopted[label] is arr
-                   for label, arr in warm.items())
+                   and type(_owner(arr)) is bytes for label, arr in views.items())
 
 
 def test_one_changed_byte_is_a_miss(tmp_path, monkeypatch, table_cache):
@@ -616,12 +639,12 @@ def test_an_edited_source_is_a_miss(tmp_path, monkeypatch, table_cache):
     first = _outcome(path)
     assert _outcome(path) == first
     assert (len(parses), len(_cache_files(table_cache))) == (1, 1)
-    spectral = sources / "spectral.py"
-    text = spectral.read_text()
+    operators = sources / "operators.py"
+    text = operators.read_text()
     edited = text.replace("# a character is a 1x1 representation",
                           "# a character is a representation of dimension 1")
     assert edited != text
-    spectral.write_text(edited)
+    operators.write_text(edited)
     assert _outcome(path) == first
     # the write for the edited sources removed the directory of the others
     assert (len(parses), len(_cache_files(table_cache))) == (2, 1)
@@ -662,6 +685,13 @@ def test_a_failed_removal_changes_no_output(tmp_path, monkeypatch, table_cache):
     assert other.read_bytes() == b"old" and len(_cache_files(table_cache)) == 2
 
 
+def _write_version_2(cache) -> None:
+    """Write back the array of a cache file with a header of format 2.0."""
+    stored = np.load(cache, allow_pickle=False)
+    with open(cache, "wb") as fh:
+        np.lib.format.write_array(fh, stored, version=(2, 0))
+
+
 def _rewrite_entry(cache, change) -> None:
     """Write back the int64 array of a cache file as ``change`` leaves it."""
     stored = np.load(cache, allow_pickle=False)
@@ -694,6 +724,11 @@ _DAMAGE = {
     "a NaN": lambda cache, good: _rewrite_entry(
         cache, lambda stored: stored.__setitem__(-1, np.float64("nan").view(np.int64))),
     "an odd length": lambda cache, good: np.save(cache, np.load(cache)[:-1]),
+    # the count and five SU(2) labels come first: 6 is the real part of the first value
+    "an infinity in the first block": lambda cache, good: _rewrite_entry(
+        cache, lambda stored: stored.__setitem__(6, np.float64("inf").view(np.int64))),
+    "big-endian": lambda cache, good: np.save(cache, np.load(cache).astype(">i8")),
+    "format 2.0": lambda cache, good: _write_version_2(cache),
 }
 
 
@@ -713,6 +748,61 @@ def test_a_damaged_cache_file_is_parsed_again_and_replaced(damage, tmp_path, mon
     assert parses == [1]
     assert _cache_files(table_cache) == [cache]
     assert cache.read_bytes() == good
+
+
+def test_finite_values_from_two_to_the_1009_are_read_from_the_cache(tmp_path, monkeypatch,
+                                                                    table_cache):
+    # their top byte is that of inf and NaN, and math.isfinite tells them apart
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"entries": [
+        {"label": 0, "matrix": [[[2.0**1009, -1.7976931348623157e308]]]},
+        {"label": 1, "matrix": [[[2.0**1023, -0.0], [5e-324, -(2.0**1010)]],
+                                [[1, 0], [0, 1]]]}]}))
+    cold = _outcome(path)
+    parses = _counted_parses(monkeypatch)
+    assert _outcome(path) == cold
+    assert parses == [] and len(_cache_files(table_cache)) == 1
+
+
+@pytest.mark.parametrize("model", ["su2", "torus2"])
+def test_a_cache_file_is_what_np_save_writes(model, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(_plain(model))
+    labels, values = tables.load_table(str(path), model, problems := [])
+    assert problems == []
+    cache = tmp_path / "tables" / ("0" * 64) / "table.npy"
+    tables._write_cache(str(cache), labels, values)
+    ints = [len(labels), *(n for label in labels for n in dataclasses.astuple(label))]
+    stored = np.concatenate([np.array(ints, dtype=np.int64),
+                             np.frombuffer(values, dtype=np.int64)])
+    with io.BytesIO() as fh:
+        np.save(fh, stored, allow_pickle=False)
+        assert cache.read_bytes() == fh.getvalue()
+    assert np.array_equal(np.load(cache, allow_pickle=False), stored)
+    read_labels, read_values = tables._read_cache(str(cache), model)
+    assert (read_labels, bytes(read_values)) == (labels, bytes(values))
+
+
+_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000,  # +0 and -0
+    0x0000000000000001, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,  # subnormals
+    0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,  # the largest finite magnitude
+    0x7F00000000000000, 0xFF00000000000000, 0x7F0FFFFFFFFFFFFF, 0x7FE0000000000000,  # >= 2^1009
+    0x7FF0000000000000, 0xFFF0000000000000,  # +inf and -inf
+    0x7FF0000000000001, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF,
+    0xFFF0000000000001, 0x7FF4000000000000,  # NaN payloads, quiet and signalling
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1)),
+                max_size=40),
+       st.integers(0, 3))
+def test_the_finite_check_equals_numpy(bits, skip):
+    # the skipped doubles before ``start`` are NaN, which must not count
+    data = struct.pack(f"<{skip + len(bits)}Q", *[0x7FF8000000000000] * skip, *bits)
+    want = bool(np.isfinite(np.frombuffer(data, dtype="<f8")[skip:]).all())
+    assert tables._all_finite(data, 8 * skip) is want
 
 
 def test_a_label_beyond_int64_is_parsed_every_time(tmp_path, monkeypatch, table_cache):

@@ -539,6 +539,37 @@ def _violations(capsys) -> list[str]:
     return json.loads(capsys.readouterr().err)["violations"]
 
 
+_GAP_POLY = '[{"coeff": [1, 0], "deg_neglap": 1}, {"coeff": [1, 0], "deg_d0": 2}]'
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"model": {"kind": "su2"}, '
+     '"operator": {"kind": "su2_diag", "poly": [{"coeff": [1, 0], "deg_d0": 1}]}, '
+     f'"operator": {{"kind": "su2_diag", "poly": {_GAP_POLY}}}}}', "operator"),
+    ('{"model": {"kind": "su2"}, "operator": {"kind": "su2_diag", '
+     '"poly": [{"coeff": [1, 0], "deg_neglap": 1, "deg_neglap": 2}]}}', "deg_neglap"),
+], ids=["operator", "deg_neglap"])
+def test_cli_repeated_spec_key_is_schema_violation(text, key, tmp_path, capsys):
+    # json would keep the last value: analyze the second operator, or degree 2
+    (tmp_path / "spec.json").write_text(text)
+    assert cli.main(["analyze", "--spec", str(tmp_path / "spec.json"), "--cutoff", "100"]) == 2
+    assert _violations(capsys) == [f"repeated key {key!r}"]
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(text)
+    assert err.value.violations == [f"repeated key {key!r}"]
+
+
+def test_cli_repeated_table_key_is_schema_violation(tmp_path, capsys):
+    (tmp_path / "table.json").write_text(
+        '{"entries": [{"label": 0, "matrix": [[[1, 0]]], "matrix": [[[0, 0]]]}]}')
+    spec = tmp_path / "dense.json"
+    spec.write_text(json.dumps({"model": {"kind": "su2"},
+                                "operator": {"kind": "matrix_table", "path": "table.json"}}))
+    assert cli.main(["analyze", "--spec", str(spec), "--cutoff", "0"]) == 2
+    assert _violations(capsys) == [
+        f"matrix table {str(tmp_path / 'table.json')!r}: repeated key 'matrix'"]
+
+
 @pytest.mark.parametrize("cell", ["[1e999, 0]", "[0, -1e999]", "[1" + "0" * 400 + ", 0]"])
 def test_cli_non_finite_table_cell_is_schema_violation(cell, tmp_path, capsys):
     (tmp_path / "table.json").write_text(

@@ -39,8 +39,8 @@ _EXPORTS = {
     "operators": ("Coefficient", "Su2DiagPoly", "TorusPoly"),
     "specfile": ("ParsedSpec", "emit_spec", "parse_spec"),
     "spectral": (
-        "NU", "SU2", "TORUS2", "FrequencyIndex", "SpectralModel", "Su2Label",
-        "Torus2Label", "Window", "enumerate_frequencies", "frequency_for_label",
+        "NU", "SU2", "TORUS2", "FrequencyIndex", "Su2Label", "Torus2Label", "Window",
+        "enumerate_frequencies", "frequency_for_label",
     ),
     "subelliptic": (
         "SubellipticReport", "TruncatedKernel", "best_alpha_constant", "check_alpha",

@@ -147,7 +147,7 @@ def _write_gains_csv(path: str, table) -> None:
 
 def _gain_rows(table):
     """The rows of the gains CSV as ``_csv_text`` chunks of CSV_CHUNK_ROWS."""
-    torus = table.window.model.kind == "torus2"
+    torus = table.window.model == "torus2"
     labels = table.window.labels
     # label texts looked up by value: ',"(xi,' and 'eta)",' on the torus,
     # ',l=..,' and the dim (t+1)^2 by twice_ell t on SU(2)

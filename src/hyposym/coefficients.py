@@ -231,7 +231,7 @@ def apply_symbol(
     """
     pairs = list(u.window(cutoff))
     freqs = [freq for freq, _ in pairs]
-    images = symbol.apply_to_vectors(freqs, [vec for _, vec in pairs])
+    images = list(symbol.iter_apply(freqs, [vec for _, vec in pairs]))
     for image in images:
         image.setflags(write=False)
     return CoefficientField(explicit=dict(zip(freqs, images)))
@@ -277,7 +277,7 @@ def _admissible(symbol: MatrixSymbol, freq: FrequencyIndex, k: int, tol: float):
     exact = symbol.exact_diagonal(freq)
     if exact is not None:
         den, entries = exact
-        p, q = (1 + freq.lam_exact()).as_integer_ratio()
+        p, q = (1 + freq.label.eigenvalue()).as_integer_ratio()
         sq = [re * re + im * im for re, im in entries]
         i = sq.index(min(sq))
         below = sq[i] * p ** (2 * k) < (den * q**k) ** 2  # |entry|^2 < (q/p)^2k
@@ -348,7 +348,7 @@ def build_counterexample(
             block_vec = block_vec * (comp.conjugate() / abs(comp))
         full = np.zeros(freq.dim, dtype=complex)
         full[: len(block_vec)] = block_vec  # first representation block carries the vector
-        image = symbol.apply_to_vectors([freq], [full])[0]
+        image = next(symbol.iter_apply([freq], [full]))
         with np.errstate(over="ignore"):  # a norm beyond float range is refused below
             image_norm = float(np.linalg.norm(image))
         if not math.isfinite(image_norm) and exact is not None:

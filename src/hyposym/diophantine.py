@@ -547,29 +547,32 @@ def _exact_error_less_than(c, p: int, q: int, bound: Fraction) -> bool:
     return hi < bound
 
 
+# the least denominator, and the least exponent N, of a reported Liouville witness
+LIOUVILLE_Q_MIN = 3
+LIOUVILLE_N_FLOOR = 3
+
+
 def liouville_witnesses(
     c: RealSpec,
     n_max: int,
     q_bound: int,
-    *,
-    q_min: int = 3,
-    n_floor: int = 3,
 ) -> list[dict]:
     """Convergents approximating ``c`` to super-quadratic order.
 
-    A witness is a convergent p/q with q in [q_min, q_bound] certified to
-    satisfy |c - p/q| < q^{-N}; its ``n_achieved`` is the largest such
-    N <= n_max.  Only witnesses with n_achieved >= n_floor are reported:
-    every irrational has quality-2 convergents (and trivial hits at q <= 2),
-    so smaller exponents carry no Liouville signal.  An empty list is
-    evidence (not proof) of non-Liouville behavior on the searched range.
+    A witness is a convergent p/q with q in [LIOUVILLE_Q_MIN, q_bound]
+    certified to satisfy |c - p/q| < q^{-N}; its ``n_achieved`` is the
+    largest such N <= n_max.  Only witnesses with n_achieved >=
+    LIOUVILLE_N_FLOOR are reported: every irrational has quality-2
+    convergents (and trivial hits at q <= 2), so smaller exponents carry no
+    Liouville signal.  An empty list is evidence (not proof) of
+    non-Liouville behavior on the searched range.
     """
     if isinstance(c, Fraction):
         raise PreconditionError("coefficient is rational; witnesses need an irrational")
     if not isinstance(c, (Surd, Enclosure)):
         raise PreconditionError("liouville search takes a real coefficient spec")
-    if n_max < n_floor:
-        raise PreconditionError(f"n_max must be at least {n_floor}")
+    if n_max < LIOUVILLE_N_FLOOR:
+        raise PreconditionError(f"n_max must be at least {LIOUVILLE_N_FLOOR}")
 
     n_terms = 32
     cf = continued_fraction(c, n_terms)
@@ -581,15 +584,15 @@ def liouville_witnesses(
 
     witnesses = []
     for p, q in cf.convergents:
-        if q < q_min or q > q_bound:
+        if q < LIOUVILLE_Q_MIN or q > q_bound:
             continue
         achieved = 0
-        for n in range(n_floor, n_max + 1):
+        for n in range(LIOUVILLE_N_FLOOR, n_max + 1):
             if _exact_error_less_than(c, p, q, Fraction(1, q**n)):
                 achieved = n
             else:
                 break
-        if achieved >= n_floor:
+        if achieved >= LIOUVILLE_N_FLOOR:
             _, hi = _abs_error_bounds(c, p, q)
             witnesses.append(
                 {"p": p, "q": q, "n_achieved": achieved, "err_hi": float(hi)}

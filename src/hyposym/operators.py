@@ -208,9 +208,6 @@ class Torus2Label:
     def eigenvalue(self) -> int:
         return self.xi * self.xi + self.eta * self.eta
 
-    def block_dim(self) -> int:
-        return 1
-
     def rep_dim(self) -> int:
         # a character is a 1x1 representation
         return 1
@@ -230,10 +227,6 @@ class Su2Label:
     def eigenvalue(self) -> Fraction:
         t = self.twice_ell
         return Fraction(t * (t + 2), 4)
-
-    def block_dim(self) -> int:
-        # full eigenspace dimension (2 ell + 1)^2
-        return (self.twice_ell + 1) ** 2
 
     def rep_dim(self) -> int:
         # dimension 2 ell + 1 of a single representation block
@@ -255,23 +248,18 @@ class MatrixTable:
     and read-only.  ``path`` is the table file as a spec names it; equality
     ignores it.
 
-    Given a mapping, a block that no caller can write (a read-only complex
-    array that owns its data, or views an immutable ``bytes``) is adopted,
-    and any other is copied into one.  ``packed`` keeps the blocks of a
-    buffer, and ``entries`` views them when first read.
+    A table keeps its labels and one read-only buffer of their blocks, which
+    ``entries`` views when first read: ``packed`` is given them, and a
+    mapping's blocks are copied into one.
     """
 
     def __init__(self, model_kind: str, entries: Mapping, path: str = ""):
         import numpy as np
 
         self._set_model(model_kind, path)
-        table = {}
+        labels, blocks = [], []
         for label, mat in entries.items():
-            if _sealed(mat):
-                arr = mat
-            else:
-                arr = np.array(mat, dtype=complex)
-                arr.setflags(write=False)
+            arr = np.asarray(mat, dtype="<c16")
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise PreconditionError(f"table block for {label} is not square")
             expected = label.rep_dim()
@@ -279,8 +267,9 @@ class MatrixTable:
                 raise PreconditionError(
                     f"table block for {label} has size {arr.shape[0]}, expected {expected}"
                 )
-            table[label] = arr
-        self.entries = table
+            labels.append(label)
+            blocks.append(arr.tobytes())
+        self._packed = labels, b"".join(blocks)
 
     @classmethod
     def packed(cls, model_kind: str, labels: list, values, path: str = "") -> "MatrixTable":
@@ -331,17 +320,3 @@ class MatrixTable:
             )
         )
 
-
-def _sealed(mat) -> bool:
-    """Whether ``mat`` is a read-only complex array whose data no caller can
-    write: data it owns, or that of an immutable ``bytes`` it views."""
-    import numpy as np
-
-    if not (isinstance(mat, np.ndarray) and mat.dtype == complex and not mat.flags.writeable):
-        return False
-    if mat.flags.owndata:
-        return True
-    base = mat.base
-    while isinstance(base, np.ndarray) and not base.flags.owndata:
-        base = base.base
-    return type(base.obj if isinstance(base, memoryview) else base) is bytes

@@ -35,7 +35,6 @@ __all__ = [
     "Su2Label",
     "Label",
     "FrequencyIndex",
-    "SpectralModel",
     "TORUS2",
     "SU2",
     "Window",
@@ -59,21 +58,9 @@ class FrequencyIndex:
     dim: int
     label: Label
 
-    def lam_exact(self):
-        return self.label.eigenvalue()
 
-
-@dataclass(frozen=True)
-class SpectralModel:
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("torus2", "su2"):
-            raise PreconditionError(f"unknown model kind {self.kind!r}")
-
-
-TORUS2 = SpectralModel("torus2")
-SU2 = SpectralModel("su2")
+# a model is its kind string
+TORUS2, SU2 = "torus2", "su2"
 
 # eigenvalues per band of the torus enumeration: a band of width w holds
 # about pi w characters, sorted on their own by their eigenvalue less the
@@ -214,35 +201,37 @@ def _cgroup_memory_limit() -> float:
     return limit
 
 
-def _count_bound(model: SpectralModel, lambda_cutoff: float) -> float:
+def _count_bound(model: str, lambda_cutoff: float) -> float:
     """An upper bound on the number of frequencies up to the cutoff c: the
     unit squares centred at the characters are disjoint and lie in the disk of
     radius sqrt(c) + 1, so there are at most pi (sqrt(c) + 1)^2 of them; SU(2)
     has at most sqrt(4c + 1) <= 2 sqrt(c) + 1 levels."""
     root = math.sqrt(max(lambda_cutoff, 0.0))
-    return math.pi * (root + 1) ** 2 if model.kind == "torus2" else 2 * root + 1
+    return math.pi * (root + 1) ** 2 if model == "torus2" else 2 * root + 1
 
 
 class Window:
     """The frequencies with eigenvalue <= cutoff as arrays, ordinal i at position i.
 
-    ``labels``: (xi, eta) on the torus, (twice_ell,) on SU(2); ``lam``: the
-    eigenvalues as floats (t(t+2)/4.0 is float(Fraction) exactly); ``sizes``:
-    diagonal entries per representation block (2l+1 on SU(2); on the torus a
-    read-only broadcast of 1).  FrequencyIndex objects are built on demand,
-    by ``freq(i)`` or lazily by iterating; ``cutoff`` is the cutoff they were
-    enumerated up to.  A window whose frequencies would take more than the
-    physical memory at _WINDOW_BYTES each is refused before anything is
-    allocated.
+    ``model`` is the model kind, TORUS2 or SU2; ``labels``: (xi, eta) on the
+    torus, (twice_ell,) on SU(2); ``lam``: the eigenvalues as floats
+    (t(t+2)/4.0 is float(Fraction) exactly); ``sizes``: diagonal entries per
+    representation block (2l+1 on SU(2); on the torus a read-only broadcast
+    of 1).  FrequencyIndex objects are built on demand, by ``freq(i)`` or
+    lazily by iterating; ``cutoff`` is the cutoff they were enumerated up
+    to.  A window whose frequencies would take more than the physical memory
+    at _WINDOW_BYTES each is refused before anything is allocated.
     """
 
-    def __init__(self, model: SpectralModel, lambda_cutoff: float):
+    def __init__(self, model: str, lambda_cutoff: float):
+        if model not in (TORUS2, SU2):
+            raise PreconditionError(f"unknown model kind {model!r}")
         self.model, self.cutoff = model, lambda_cutoff
         try:
-            need = _count_bound(model, lambda_cutoff) * _WINDOW_BYTES[model.kind]
+            need = _count_bound(model, lambda_cutoff) * _WINDOW_BYTES[model]
             if not need <= _physical_memory():
                 raise MemoryError
-            if model.kind == "torus2":
+            if model == "torus2":
                 xi, eta, lam = torus_lattice(lambda_cutoff)
                 self.labels, self.lam = (xi, eta), lam
                 self.sizes = np.broadcast_to(np.int64(1), xi.shape)
@@ -258,19 +247,19 @@ class Window:
         return len(self.lam)
 
     def label(self, i: int) -> Label:
-        if self.model.kind == "torus2":
+        if self.model == "torus2":
             return Torus2Label(int(self.labels[0][i]), int(self.labels[1][i]))
         return Su2Label(int(self.labels[0][i]))
 
     def freq(self, i: int) -> FrequencyIndex:
         label = self.label(i)
-        return FrequencyIndex(int(i), float(self.lam[i]), label.block_dim(), label)
+        return FrequencyIndex(int(i), float(self.lam[i]), label.rep_dim() ** 2, label)
 
     def __iter__(self):
         return map(self.freq, range(len(self)))
 
 
-def enumerate_frequencies(model: SpectralModel, lambda_cutoff: float) -> list[FrequencyIndex]:
+def enumerate_frequencies(model: str, lambda_cutoff: float) -> list[FrequencyIndex]:
     """Exactly the frequencies with eigenvalue <= cutoff, in canonical order."""
     return list(Window(model, lambda_cutoff))
 
@@ -310,4 +299,4 @@ def frequency_for_label(label: Label) -> FrequencyIndex:
             raise PreconditionError(f"label {label} not enumerable") from None
         return FrequencyIndex(_torus_ordinal(xi, eta), float(xi * xi + eta * eta), 1, label)
     t = label.twice_ell
-    return FrequencyIndex(t, t * (t + 2) / 4, label.block_dim(), label)
+    return FrequencyIndex(t, t * (t + 2) / 4, label.rep_dim() ** 2, label)

@@ -275,9 +275,10 @@ def _probe_terms(symbol: MatrixSymbol, f: CoefficientField, cutoff: float,
         w = kernel.project_out(freq, vec)
         # numerical kernels (dense SVD bases) leave roundoff residue; treat
         # a relatively vanished projection as gone so it flags vacuous.  Off
-        # the kernel w is vec, and one norm decides
+        # the kernel w is vec, and |vec| > 1e-12 |vec| holds exactly when its
+        # squared norm, already in f_t, is positive and finite
         if w is vec:
-            if (x := np.linalg.norm(vec)) > 1e-12 * x:
+            if 0.0 < f_t[-1][1] < math.inf:
                 perp_t.append(f_t[-1])
                 pperp_t += image_t
         elif np.linalg.norm(w) > 1e-12 * np.linalg.norm(vec):

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import PreconditionError, WindowTooSmallError
 from .fitting import chunk_ranges, envelope_bound
 from .operators import Coefficient, MatrixTable, Su2DiagPoly, TorusPoly
-from .spectral import FrequencyIndex, SpectralModel, Su2Label, Window
+from .spectral import FrequencyIndex, Su2Label, Window
 
 __all__ = [
     "MatrixTable",
@@ -277,11 +277,11 @@ class MatrixSymbol:
         if not isinstance(op, OperatorSpec):
             raise PreconditionError(f"unknown operator spec {op!r}")
         self.op = op
-        self.model = SpectralModel(op.model_kind)
+        self.model = op.model_kind
         self.is_diagonal = not isinstance(op, MatrixTable)
 
     def _check(self, freq: FrequencyIndex):
-        if (self.model.kind == "su2") != isinstance(freq.label, Su2Label):
+        if (self.model == "su2") != isinstance(freq.label, Su2Label):
             raise PreconditionError("frequency does not match the symbol's model")
 
     def bulk(self, *labels) -> np.ndarray:
@@ -366,11 +366,6 @@ class MatrixSymbol:
 
     def opnorm(self, freq: FrequencyIndex) -> float:
         return float(np.max(self.values(freq)))
-
-    def apply_to_vectors(self, freqs, vecs) -> list[np.ndarray]:
-        """Multiply full coefficient vectors by the symbol, each at its
-        frequency: a list of fresh arrays (see ``iter_apply``)."""
-        return list(self.iter_apply(freqs, vecs))
 
     def iter_apply(self, freqs, vecs):
         """An iterator of each full coefficient vector multiplied by the
@@ -719,7 +714,7 @@ def gain_table(symbol: MatrixSymbol, cutoff: float) -> GainTable:
     window = Window(symbol.model, cutoff)
     gains = np.empty(len(window))
     # 1x1 torus blocks: each norm is the gain
-    norms = gains if symbol.model.kind == "torus2" else np.empty(len(window))
+    norms = gains if symbol.model == "torus2" else np.empty(len(window))
     for lo, hi, gain, opnorm in block_extrema(symbol, window):
         gains[lo:hi] = gain
         if norms is not gains:

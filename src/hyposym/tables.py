@@ -148,7 +148,8 @@ def _cache_file(model_kind: str, table) -> str | None:
     except OSError:
         return None
     key = hashlib.sha256(CACHE_FORMAT + b"\0" + model_kind.encode() + b"\0")
-    hashlib.file_digest(table, lambda: key)
+    for block in iter(lambda: table.read(1 << 20), b""):  # never the whole file at once
+        key.update(block)
     return os.path.join(base, "hyposym", "tables", sources.hexdigest(), key.hexdigest() + ".npy")
 
 

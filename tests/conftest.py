@@ -28,7 +28,7 @@ def coeff(value) -> Coefficient:
 
 def constant_one(model) -> TorusPoly | Su2DiagPoly:
     """The identity operator of a model: the constant polynomial 1."""
-    poly = TorusPoly if model.kind == "torus2" else Su2DiagPoly
+    poly = TorusPoly if model == "torus2" else Su2DiagPoly
     return poly.make([(Coefficient.make(1), 0, 0)])
 
 

@@ -1,11 +1,16 @@
 """Independent oracles: brute-force and optimization routes that never touch
 the library's own code paths for the quantity under test."""
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
+import scipy
 from scipy.optimize import minimize
 
 
@@ -37,7 +42,7 @@ def nullity(kernel, label) -> int:
     basis = kernel.blocks.get(label)
     if basis is None:
         return 0
-    return basis.shape[1] * (label.block_dim() // basis.shape[0])
+    return basis.shape[1] * (label.rep_dim() ** 2 // basis.shape[0])
 
 
 def per_block_weights(lam, m: float) -> list:
@@ -135,6 +140,48 @@ def labelled_extremal_field(report, symbol):
     return CoefficientField(explicit={freq: full})
 
 
+@functools.cache
+def _scipy_blas_thread_calls():
+    """The (get, set) thread-count calls of the OpenBLAS in scipy's wheel
+    (``scipy.libs``), looked up as ``symbols`` looks up numpy's, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    try:
+        names = sorted(n for n in os.listdir(libs) if "openblas" in n)
+    except OSError:
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:  # not a library this process can load
+            continue
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_scipy_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore its
+    thread count; without that library the pool is left as it is.  The
+    small products of L-BFGS-B gain nothing from a second thread, and wait
+    long for it when another process holds the other CPU."""
+    calls = _scipy_blas_thread_calls()
+    old = calls[0]() if calls else 1
+    if old == 1:
+        yield
+        return
+    calls[1](1)
+    try:
+        yield
+    finally:
+        calls[1](old)
+
+
 def sphere_gain_oracle(matrix, restarts: int = 12, seed: int = 0) -> float:
     """Min of ||A v|| over unit vectors by multistart local descent on the
     real parametrization of the complex sphere (no SVD anywhere)."""
@@ -157,11 +204,12 @@ def sphere_gain_oracle(matrix, restarts: int = 12, seed: int = 0) -> float:
         return gx - 2.0 * q * x / nx2**2
 
     best = np.inf
-    for _ in range(restarts):
-        x0 = rng.standard_normal(2 * d)
-        res = minimize(f, x0, jac=grad, method="L-BFGS-B",
-                       options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14})
-        best = min(best, res.fun)
+    with one_scipy_blas_thread():
+        for _ in range(restarts):
+            x0 = rng.standard_normal(2 * d)
+            res = minimize(f, x0, jac=grad, method="L-BFGS-B",
+                           options={"maxiter": 300, "ftol": 1e-18, "gtol": 1e-14})
+            best = min(best, res.fun)
     return float(np.sqrt(max(best, 0.0)))
 
 
@@ -343,7 +391,7 @@ def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 
             freq = window.freq(idx)
             exact_entries = fraction_diagonal(symbol.op, freq.label)
             if exact_entries is not None:
-                bound_sq = Fraction(1) / (1 + freq.lam_exact()) ** (2 * k)
+                bound_sq = Fraction(1) / (1 + freq.label.eigenvalue()) ** (2 * k)
                 sq = [re * re + im * im for re, im in exact_entries]
                 if min(sq) < bound_sq:
                     i = min(range(len(sq)), key=sq.__getitem__)
@@ -374,7 +422,7 @@ def unscreened_counterexample(symbol, k_steps: int, cutoff: float, tol: float = 
             block_vec[entry_idx] = 1.0
         full = np.zeros(freq.dim, dtype=complex)
         full[:bdim] = block_vec
-        image = symbol.apply_to_vectors([freq], [full])[0]
+        image = next(symbol.iter_apply([freq], [full]))
         image_norm = float(np.linalg.norm(image))
         if not np.isfinite(image_norm) and exact is not None:
             re, im = exact
@@ -573,7 +621,7 @@ def unscreened_gain_table(symbol, cutoff):
 
 def rowwise_gains_csv(path, table, chunk_rows: int) -> None:
     """The gains CSV written by an f-string per row, ``chunk_rows`` rows per write."""
-    torus = table.window.model.kind == "torus2"
+    torus = table.window.model == "torus2"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("ordinal,label,lambda,dim,gain,opnorm\r\n")
         for lo in range(0, len(table), chunk_rows):

@@ -1,6 +1,6 @@
 """One block layout on both models: a torus character is a 1x1
 representation, so its vector is one chunk of one entry, and the chunked
-formulas of ``apply_to_vectors`` and ``project_out`` give the bits of the
+formulas of ``iter_apply`` and ``project_out`` give the bits of the
 1x1 formulas they replaced."""
 
 from fractions import Fraction
@@ -38,17 +38,18 @@ def test_torus_blocks_give_the_bits_of_the_one_by_one_formulas(case):
     rng = np.random.default_rng(3)
     vecs = [rng.standard_normal(1) + 1j * rng.standard_normal(1) for _ in freqs]
     vecs[1] = np.array([-0.0 - 0.0j])
-    got = symbol.apply_to_vectors(freqs, vecs)
+    got = list(symbol.iter_apply(freqs, vecs))
     for freq, v, w in zip(freqs, vecs, got):
         assert w.tobytes() == one_by_one_apply(symbol, freq, v).tobytes()
         projected = kernel.project_out(freq, v)
         assert projected.tobytes() == one_by_one_project_out(kernel, freq, v).tobytes()
 
 
-@pytest.mark.parametrize("model, cutoff", [(TORUS2, 50), (SU2, 30)])
+@pytest.mark.parametrize("model, cutoff", [(TORUS2, 50), (SU2, 30)],
+                         ids=["model0-50", "model1-30"])
 def test_a_frequency_is_rep_dim_chunks_of_rep_dim_entries(model, cutoff):
     for freq in Window(model, cutoff):
-        assert freq.dim == freq.label.rep_dim() ** 2 == freq.label.block_dim()
+        assert freq.dim == freq.label.rep_dim() ** 2
         assert frequency_for_label(freq.label).dim == freq.dim
     assert Torus2Label(3, -4).rep_dim() == 1
     assert Su2Label(5).rep_dim() == 6

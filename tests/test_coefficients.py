@@ -437,7 +437,7 @@ def test_screened_search_keeps_exact_zeros_that_round_away_from_zero():
     (torus_translation(Fraction(-4, 7)), TORUS2, 4, 1100),
     (torus_translation(1 / 3), TORUS2, 4, 900),
     (su2_pell_operator(), SU2, 3, 50 * 51),
-])
+], ids=["op0-model0-4-1100", "op1-model1-4-900", "op2-model2-3-2550"])
 def test_screened_search_over_small_runs_of_blocks(op, model, k_steps, cutoff, monkeypatch):
     import hyposym.symbols as symbols_module
 
@@ -584,7 +584,7 @@ def _assert_batched_application_is_per_frequency(sym, field, cutoff):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from inf or nan entries
         image = apply_symbol(sym, field, cutoff)
-        per_freq = {freq.label: sym.apply_to_vectors([freq], [vec])[0]
+        per_freq = {freq.label: next(sym.iter_apply([freq], [vec]))
                     for freq, vec in field.window(cutoff)}
     assert support_labels(image) == [lab for lab, w in per_freq.items() if np.any(w != 0)]
     for freq, vec in image.window(cutoff):

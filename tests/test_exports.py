@@ -10,7 +10,6 @@ or at ``--trace 1`` for the benchmark.
 """
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import os
@@ -41,8 +40,8 @@ EXPORTED = """
     Counterexample Enclosure FrequencyIndex GainTable GrowthFit HyposymError
     MatrixSymbol MatrixTable NU NoFitError OrderEstimate ParsedSpec PellSolution
     PrecisionError PreconditionError RegularityReport SU2 SearchExhaustedError
-    SpecFileError SpectralModel Su2DiagPoly Su2Label SubellipticReport Surd TORUS2
-    Torus2Label TorusGainResult TorusPoly TruncatedKernel Verdict Window
+    SpecFileError Su2DiagPoly Su2Label SubellipticReport Surd TORUS2 Torus2Label
+    TorusGainResult TorusPoly TruncatedKernel Verdict Window
     WindowTooSmallError Witness apply_symbol best_alpha_constant
     build_counterexample build_symbol certify check_alpha check_beta
     classify_coefficient classify_regularity continued_fraction emit_spec
@@ -55,7 +54,7 @@ EXPORTED = """
 
 
 def test_package_exports_are_module_exports():
-    assert len(EXPORTED) == 68
+    assert len(EXPORTED) == 67
     assert sorted(hyposym.__all__) == sorted(EXPORTED)
     assert sorted(n for names in hyposym._EXPORTS.values() for n in names) == sorted(EXPORTED)
     for short, names in hyposym._EXPORTS.items():
@@ -136,9 +135,10 @@ def test_no_signature_restates_the_model():
             assert "model" not in sig.parameters, name
     assert "cutoff" not in signatures["verdict"].parameters
     assert "cutoff" not in signatures["check_alpha"].parameters
-    assert [f.name for f in dataclasses.fields(hyposym.SpectralModel)] == ["kind"]
-    with pytest.raises(TypeError):
-        hyposym.SpectralModel("torus2", nu=4.0)
+    # the model is its kind string, which a window checks
+    assert hyposym.TORUS2 == hyposym.Window("torus2", 0).model == "torus2"
+    with pytest.raises(hyposym.PreconditionError, match="unknown model kind 'sphere2'"):
+        hyposym.Window("sphere2", 1.0)
 
 
 def _block_storage_reads(tree: ast.Module):

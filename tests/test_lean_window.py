@@ -335,7 +335,8 @@ def one_megabyte(monkeypatch):
     return refuse
 
 
-@pytest.mark.parametrize("model, cutoff", [(TORUS2, 1e4), (SU2, 1e11)])
+@pytest.mark.parametrize("model, cutoff", [(TORUS2, 1e4), (SU2, 1e11)],
+                         ids=["model0-10000.0", "model1-100000000000.0"])
 def test_window_beyond_physical_memory_is_refused_before_enumerating(
         model, cutoff, one_megabyte, monkeypatch):
     # pi (100 + 1)^2 * 24 bytes and (2 * 316228 + 1) * 40 bytes exceed half a megabyte
@@ -357,7 +358,8 @@ def test_an_indeterminate_physical_memory_sets_no_budget(pages, size, monkeypatc
     assert len(Window(TORUS2, 0)) == 1
 
 
-@pytest.mark.parametrize("model, cutoff", [(TORUS2, 900), (SU2, 1e8)])
+@pytest.mark.parametrize("model, cutoff", [(TORUS2, 900), (SU2, 1e8)],
+                         ids=["model0-900", "model1-100000000.0"])
 def test_window_within_the_budget_is_enumerated(model, cutoff, one_megabyte):
     # pi (30 + 1)^2 * 24 bytes and (2 * 10^4 + 1) * 40 bytes fit in 1 MB
     assert len(Window(model, cutoff)) > 0

@@ -6,6 +6,7 @@ loader, and the cache of parsed tables against the parse it skips."""
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -535,9 +536,10 @@ def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
         stored = table.block(Su2Label(2))
         assert stored.tolist() == block().tolist()
         assert _flags(stored) == (True, False, True, False, True)
-        assert np.shares_memory(stored, np.asarray(mat)) == (mat is owned)
+        assert not np.shares_memory(stored, np.asarray(mat))
     assert all(table == made[0] for table in made)
-    # the parsed blocks are immutable bytes, whose views are adopted
+    # the parsed blocks are immutable bytes; a mapping of their views is
+    # copied too, into a buffer of its own
     for entry in tables._parse(_plain())["entries"]:
         assert type(entry["matrix"]) is bytes
     (tmp_path / "table.json").write_text(_plain())
@@ -545,7 +547,9 @@ def test_table_adopts_only_blocks_no_caller_can_write(tmp_path):
                          "operator": {"kind": "matrix_table",
                                       "path": str(tmp_path / "table.json")}}).operator
     for label, arr in parsed.entries.items():
-        assert MatrixTable("su2", {label: arr}).block(label) is arr
+        copied = MatrixTable("su2", {label: arr}).block(label)
+        assert _flags(copied)[:2] == (True, False) and np.array_equal(copied, arr)
+        assert not np.shares_memory(copied, arr)
     with pytest.raises(PreconditionError, match="table block for l=1 is not square"):
         MatrixTable("su2", {Su2Label(2): owned[:, :2].copy()})
     square = np.zeros((2, 2), dtype=complex)
@@ -607,9 +611,25 @@ def test_a_warm_parse_gives_the_cold_parse(case, tmp_path, monkeypatch, table_ca
         warm = tables.load_table(str(tmp_path / "table.json"), model, problems := [])
         assert problems == []
         views = MatrixTable.packed(model, *warm).entries
-        adopted = MatrixTable(model, views).entries
-        assert all(_flags(arr)[:2] == (True, False) and adopted[label] is arr
-                   and type(_owner(arr)) is bytes for label, arr in views.items())
+        copied = MatrixTable(model, views).entries
+        assert all(_flags(arr)[:2] == _flags(copied[label])[:2] == (True, False)
+                   and type(_owner(arr)) is bytes and np.array_equal(copied[label], arr)
+                   and not np.shares_memory(copied[label], arr)
+                   for label, arr in views.items())
+
+
+def test_the_cache_key_needs_no_file_digest(tmp_path, monkeypatch, table_cache):
+    # hashlib.file_digest is new in Python 3.11, and the package runs on 3.10
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    parses = _counted_parses(monkeypatch)
+    path = tmp_path / "table.json"
+    path.write_text(_plain())
+    cold = _outcome(path)
+    assert _outcome(path) == cold
+    assert parses == [1]
+    (stored,) = _cache_files(table_cache)
+    key = hashlib.sha256(tables.CACHE_FORMAT + b"\0su2\0" + path.read_bytes())
+    assert stored.name == key.hexdigest() + ".npy"
 
 
 def test_one_changed_byte_is_a_miss(tmp_path, monkeypatch, table_cache):

@@ -83,7 +83,7 @@ def _field(model, big):
     pool = np.array([-0.0, 0.0, -1.5, 2.5, 1e-300, -1e300, 1e16, 1e-5, 0.1])
     data = {}
     for lab in labels:
-        n = lab.block_dim()
+        n = lab.rep_dim() ** 2
         vec = np.empty(n, dtype=complex)  # re + 1j * im would lose the sign of a zero
         vec.real, vec.imag = pool[rng.integers(0, len(pool), n)], pool[rng.integers(0, len(pool), n)]
         if n > 1:
@@ -93,7 +93,7 @@ def _field(model, big):
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)
-@pytest.mark.parametrize("model", [TORUS2, SU2])
+@pytest.mark.parametrize("model", [TORUS2, SU2], ids=["model0", "model1"])
 def test_coeffs_csv_equals_the_row_loop(model, chunk, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
     field = _field(model, chunk == CHUNKS[-1])

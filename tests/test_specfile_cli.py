@@ -1028,7 +1028,7 @@ def test_coeffs_csv_matches_csv_writer(tmp_path, monkeypatch):
                    [Su2Label(1), Su2Label(4), Su2Label(5)]):
         data = {}
         for lab in labels:
-            n = lab.block_dim()
+            n = lab.rep_dim() ** 2
             vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             k = min(n, len(odd))
             vec[:k] = odd[:k] - 1j * odd[::-1][:k]

@@ -77,7 +77,7 @@ def test_negative_cutoff_rejected():
         enumerate_frequencies(TORUS2, -1)
 
 
-@pytest.mark.parametrize("model", [TORUS2, SU2])
+@pytest.mark.parametrize("model", [TORUS2, SU2], ids=["model0", "model1"])
 def test_partial_sums_bounded(model):
     # sum of d_j (1+lambda_j)^{-2n} for n = 2: nondecreasing and plateauing
     freqs = enumerate_frequencies(model, 900)
@@ -96,7 +96,7 @@ def test_su2_exact_eigenvalue_and_dims():
     lab = Su2Label(5)  # l = 5/2
     assert lab.eigenvalue() == Fraction(5 * 7, 4)
     assert lab.rep_dim() == 6
-    assert lab.block_dim() == 36
+    assert frequency_for_label(lab).dim == 36
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +135,7 @@ def test_su2_window_matches_brute_levels(cutoff):
     assert window.label(len(window) - 1) == Su2Label(levels[-1])
 
 
-@pytest.mark.parametrize("model", [TORUS2, SU2])
+@pytest.mark.parametrize("model", [TORUS2, SU2], ids=["model0", "model1"])
 @pytest.mark.parametrize("cutoff", [0, 2, 3.75, 25, 60])
 def test_window_frequencies_are_the_enumeration(model, cutoff):
     window = Window(model, cutoff)
@@ -145,7 +145,7 @@ def test_window_frequencies_are_the_enumeration(model, cutoff):
     for i, f in enumerate(freqs):
         assert f == window.freq(i) == window.freq(np.int64(i))
         assert (f.j, f.lam, f.dim, f.label) == (i, float(f.label.eigenvalue()),
-                                                f.label.block_dim(), window.label(i))
+                                                f.label.rep_dim() ** 2, window.label(i))
         assert type(f.j) is int and type(f.lam) is float
 
 

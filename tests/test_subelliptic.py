@@ -88,8 +88,8 @@ def test_kernel_projection_removes_kernel_component(su2_pell_symbol):
     proj = kernel.project_out(freq, vec)
     # the image under the symbol is unchanged, and projecting twice is stable
     assert np.allclose(
-        su2_pell_symbol.apply_to_vectors([freq], [proj])[0],
-        su2_pell_symbol.apply_to_vectors([freq], [vec])[0],
+        next(su2_pell_symbol.iter_apply([freq], [proj])),
+        next(su2_pell_symbol.iter_apply([freq], [vec])),
         atol=1e-12,
     )
     assert np.allclose(kernel.project_out(freq, proj), proj, atol=1e-12)
@@ -535,7 +535,8 @@ def _field_bits(field, cutoff):
 
 
 @pytest.mark.parametrize("model, cutoff, n_support", [(TORUS2, 400, 6), (TORUS2, 20000, 20),
-                                                      (SU2, 110, 6), (SU2, 12, 30)])
+                                                      (SU2, 110, 6), (SU2, 12, 30)],
+                         ids=["model0-400-6", "model1-20000-20", "model2-110-6", "model3-12-30"])
 @pytest.mark.parametrize("seed", [0, 1, 5, 2024])
 def test_probes_from_one_window_equal_a_fresh_window_per_probe(model, cutoff, n_support, seed):
     window = Window(model, cutoff)
@@ -696,7 +697,7 @@ def test_an_image_that_underflows_to_zero_is_no_term():
     symbol = build_symbol(TorusPoly.make([(Coefficient.make(1e-300), 0, 1)]))
     report = best_alpha_constant(symbol, 0.0, 1.0, 10, tol=0.0)
     f = CoefficientField.from_dict({Torus2Label(0, 1): [1e-30]})
-    assert symbol.apply_to_vectors([frequency_for_label(Torus2Label(0, 1))], [[1e-30]])[0] == 0
+    assert next(symbol.iter_apply([frequency_for_label(Torus2Label(0, 1))], [[1e-30]])) == 0
     want = per_call_check_alpha(symbol, f, 2000.0, -2000.0, report.c_star, report.kernel)
     assert want.ratio == 0.0 and not want.passed
     assert check_alpha(symbol, f, 2000.0, -2000.0, report.c_star, report.kernel) == want

@@ -542,7 +542,7 @@ def test_poly_algebra_is_the_algebra_of_exact_values(data, model, radicands):
     assert poly.make([(x, 1, 0)]).mul(poly.make([(y, 0, 1)])).coefficient(1, 1) == x.mul(y)
 
 
-@pytest.mark.parametrize("model", [TORUS2, SU2])
+@pytest.mark.parametrize("model", [TORUS2, SU2], ids=["model0", "model1"])
 def test_poly_algebra_beyond_float_range_is_a_precondition(model):
     # (10^200 + d)^2 has the exact coefficient 10^400: float evaluation of
     # it names the coefficient and fails as a precondition, not OverflowError
@@ -572,7 +572,7 @@ def test_block_application_matches_full_matrix():
             freq = frequency_for_label(Su2Label(t))
             v = rng.standard_normal(freq.dim) + 1j * rng.standard_normal(freq.dim)
             direct = full_matrix(sym, freq) @ v
-            assert np.allclose(sym.apply_to_vectors([freq], [v])[0], direct, atol=1e-12)
+            assert np.allclose(next(sym.iter_apply([freq], [v])), direct, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
